@@ -2,6 +2,7 @@ package behavior
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -138,16 +139,19 @@ func TestKeysOfType(t *testing.T) {
 	}
 }
 
-func TestScanBetweenGroupsByKey(t *testing.T) {
+func TestForEachKeyBetweenGroupsByKey(t *testing.T) {
 	s := NewStore()
 	s.Append(mk(1, IPv4, "a", time.Hour))
-	s.Append(mk(2, IPv4, "a", time.Hour))
-	s.Append(mk(3, IPv4, "a", 100*time.Hour)) // outside range
-	seen := map[string]int{}
-	s.ScanBetween(t0, t0.Add(10*time.Hour), func(k Key, logs []Log) {
-		seen[k.String()] = len(logs)
+	s.Append(mk(2, IPv4, "a", 2*time.Hour))
+	s.Append(mk(3, IPv4, "a", 10*time.Hour))  // at the exclusive upper bound
+	s.Append(mk(3, IPv4, "b", 100*time.Hour)) // key with nothing in range: not visited
+	seen := map[string][]UserID{}
+	s.ForEachKeyBetween(t0.Add(time.Hour), t0.Add(10*time.Hour), func(k Key, logs []Log) {
+		for _, l := range logs {
+			seen[k.String()] = append(seen[k.String()], l.User)
+		}
 	})
-	if seen["IPv4:a"] != 2 {
+	if len(seen) != 1 || !slices.Equal(seen["IPv4:a"], []UserID{1, 2}) {
 		t.Fatalf("scan result %v", seen)
 	}
 }

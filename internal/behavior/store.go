@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,8 +61,13 @@ func (s *Store) AppendBatch(logs []Log) {
 	}
 }
 
+// sortLogs restores time order after a bulk append; logs usually arrive
+// in order, so the common case is one comparison pass and no sort.
 func sortLogs(logs []Log) {
-	sort.SliceStable(logs, func(i, j int) bool { return logs[i].Time.Before(logs[j].Time) })
+	byTime := func(a, b Log) int { return a.Time.Compare(b.Time) }
+	if !slices.IsSortedFunc(logs, byTime) {
+		slices.SortStableFunc(logs, byTime)
+	}
 }
 
 // insertSorted keeps the slice ordered by time; logs usually arrive in
@@ -115,14 +121,14 @@ func (s *Store) UserLogs(u UserID) []Log {
 func (s *Store) UserLogsBetween(u UserID, from, to time.Time) []Log {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return rangeScan(s.byUser[u], from, to)
+	return append([]Log(nil), rangeScan(s.byUser[u], from, to)...)
 }
 
 // KeyLogsBetween returns logs sharing key k with Time in [from, to).
 func (s *Store) KeyLogsBetween(k Key, from, to time.Time) []Log {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return rangeScan(s.byKey[k], from, to)
+	return append([]Log(nil), rangeScan(s.byKey[k], from, to)...)
 }
 
 // Keys returns every distinct (type, value) key, unordered.
@@ -160,9 +166,12 @@ func (s *Store) ForEachKey(fn func(k Key, logs []Log)) {
 	}
 }
 
-// ScanBetween calls fn for every log with Time in [from, to), grouped by
-// key; iteration order across keys is unspecified.
-func (s *Store) ScanBetween(from, to time.Time, fn func(k Key, logs []Log)) {
+// ForEachKeyBetween calls fn once per key that has logs with Time in
+// [from, to), handing it that time-sorted run of the key's logs without
+// copying. The whole pass holds one read lock: fn must not retain or
+// mutate the slice, nor call back into the store. Iteration order across
+// keys is unspecified.
+func (s *Store) ForEachKeyBetween(from, to time.Time, fn func(k Key, logs []Log)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for k, logs := range s.byKey {
@@ -172,13 +181,12 @@ func (s *Store) ScanBetween(from, to time.Time, fn func(k Key, logs []Log)) {
 	}
 }
 
+// rangeScan returns the sub-slice of time-sorted logs with Time in
+// [from, to); it aliases logs.
 func rangeScan(logs []Log, from, to time.Time) []Log {
 	lo := sort.Search(len(logs), func(i int) bool { return !logs[i].Time.Before(from) })
-	hi := sort.Search(len(logs), func(i int) bool { return !logs[i].Time.Before(to) })
-	if lo >= hi {
-		return nil
-	}
-	return append([]Log(nil), logs[lo:hi]...)
+	hi := lo + sort.Search(len(logs)-lo, func(i int) bool { return !logs[lo+i].Time.Before(to) })
+	return logs[lo:hi]
 }
 
 // Dump returns a full copy of the store's logs, grouped by user in

@@ -72,7 +72,7 @@ func TestInverseWeightToyExample(t *testing.T) {
 		logs = append(logs, mk(behavior.UserID(u), behavior.IPv4, "wifi", time.Duration(u*10)*time.Minute))
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	g := b.Graph()
 	if g.NumEdges() != 6 { // C(4,2) clique
 		t.Fatalf("edges %d want 6", g.NumEdges())
@@ -119,7 +119,7 @@ func TestUniformWeightsAblation(t *testing.T) {
 		mk(3, behavior.IPv4, "x", 3*time.Minute),
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}, UniformWeights: true}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	for _, e := range b.Graph().Edges() {
 		if e.Weight != 1 {
 			t.Fatalf("uniform weight %v want 1", e.Weight)
@@ -133,7 +133,7 @@ func TestMaxGroupSizeSkipsHugeCliques(t *testing.T) {
 		logs = append(logs, mk(behavior.UserID(u), behavior.WiFiMAC, "public", time.Duration(u)*time.Minute))
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}, MaxGroupSize: 5}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	if b.Graph().NumEdges() != 0 {
 		t.Fatalf("group over cap should be skipped, got %d edges", b.Graph().NumEdges())
 	}
@@ -145,7 +145,7 @@ func TestSameUserRepeatsDoNotSelfConnect(t *testing.T) {
 		mk(1, behavior.IPv4, "x", 2*time.Minute),
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	if b.Graph().NumEdges() != 0 {
 		t.Fatal("single user must not create edges")
 	}
@@ -253,7 +253,7 @@ func TestCollectStats(t *testing.T) {
 		mk(3, behavior.DeviceID, "d", 40*time.Minute),
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	st := CollectStats(b.Graph(), func(n graph.NodeID) bool { return n == 1 })
 	if st.Nodes != 3 || st.Edges != 2 || st.Types != 2 || st.Positives != 1 {
 		t.Fatalf("stats %+v", st)
@@ -272,7 +272,7 @@ func TestEdgeTypeEqualsBehaviorType(t *testing.T) {
 		mk(2, behavior.GPSDev, "addr", 2*time.Minute),
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}}, logs)
-	b.ProcessEpoch(time.Hour, t0)
+	b.Advance(t0.Add(time.Hour))
 	es := b.Graph().Edges()
 	if len(es) != 1 || es[0].Type != graph.EdgeType(behavior.GPSDev) {
 		t.Fatalf("edge type mismatch: %+v", es)

@@ -11,6 +11,7 @@ package bn
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,6 +89,9 @@ type Builder struct {
 	// nextEpoch[i] is the start of the next unprocessed epoch of window i.
 	nextEpoch []time.Time
 	origin    time.Time
+	// users is addKey's scratch for one co-occurrence group, reused
+	// across groups and passes.
+	users []behavior.UserID
 
 	// Cumulative construction totals, readable concurrently with Advance
 	// (the BN server mirrors deltas into telemetry counters).
@@ -145,46 +149,34 @@ func (b *Builder) Graph() *graph.Graph { return b.g }
 // Config returns the effective configuration.
 func (b *Builder) Config() Config { return b.cfg }
 
-// ProcessEpoch runs one window job: it scans logs in [start, start+w),
-// groups them by (type, value), and adds the inverse-weighted pairwise
-// edges of each group (Algorithm 1 lines 5–8). The edge expiry is the
-// epoch end plus the TTL.
-func (b *Builder) ProcessEpoch(w time.Duration, start time.Time) {
-	end := start.Add(w)
-	expire := end.Add(b.cfg.TTL)
-	b.store.ScanBetween(start, end, func(k behavior.Key, logs []behavior.Log) {
-		users := distinctUsers(logs)
-		n := len(users)
-		if n < 2 || n > b.cfg.MaxGroupSize {
-			return
-		}
-		weight := 1.0
-		if !b.cfg.UniformWeights {
-			weight = 1.0 / float64(n)
-		}
-		t := graph.EdgeType(k.Type)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				// Errors are impossible here by construction (distinct
-				// users, positive weight, valid type).
-				_ = b.g.AddEdgeWeight(t, graph.NodeID(users[i]), graph.NodeID(users[j]), weight, expire)
-			}
-		}
-		b.edgeUpdates.Add(int64(n * (n - 1) / 2))
-	})
-}
+// span is the half-open event-time range [from, to) one window has to
+// materialize in a construction pass; from == to means nothing pending.
+type span struct{ from, to time.Time }
 
 // Advance processes, for every window size, all epochs that have fully
 // elapsed by now, then prunes expired edges. It returns the number of
-// epoch jobs executed. The BN server calls this periodically; jobs with
-// shorter windows naturally run more frequently (§V).
+// epoch jobs executed (Algorithm 1 runs one per window per epoch; §V
+// schedules shorter windows more often). The jobs are counted by
+// arithmetic and executed key-major: each window's pending epochs form
+// one contiguous span, and a single pass over the store's keys builds
+// every window's groups from that key's logs, so the cost follows the
+// pending logs, not the number of (possibly empty) epochs. Not safe to
+// call concurrently with itself or BuildRange.
 func (b *Builder) Advance(now time.Time) int {
 	jobs := 0
+	spans := make([]span, len(b.cfg.Windows))
 	for i, w := range b.cfg.Windows {
-		for !b.nextEpoch[i].Add(w).After(now) {
-			b.ProcessEpoch(w, b.nextEpoch[i])
-			b.nextEpoch[i] = b.nextEpoch[i].Add(w)
-			jobs++
+		n := max(now.Sub(b.nextEpoch[i])/w, 0)
+		spans[i] = span{b.nextEpoch[i], b.nextEpoch[i].Add(n * w)}
+		jobs += int(n)
+	}
+	if jobs > 0 {
+		// Every pending span lies inside [frontier, now).
+		b.store.ForEachKeyBetween(b.ProcessedThrough(), now, func(k behavior.Key, logs []behavior.Log) {
+			b.addKey(k, logs, spans)
+		})
+		for i := range spans {
+			b.nextEpoch[i] = spans[i].to
 		}
 	}
 	b.jobs.Add(int64(jobs))
@@ -212,34 +204,54 @@ func (b *Builder) ProcessedThrough() time.Time {
 	return time.Unix(0, b.processedThrough.Load())
 }
 
-// BuildRange batch-constructs the BN over [from, to), producing exactly
-// the same edges as running every window's epoch jobs, but iterating
-// key-by-key instead of epoch-by-epoch so the cost is
-// O(keys × windows × logs-per-key) rather than O(epochs × keys).
-// This is the offline path used to assemble training datasets. Edges are
-// not pruned; call Graph().Prune for TTL semantics.
+// BuildRange batch-constructs the BN over [from, to): the same key-major
+// pass as Advance with [from, to) as every window's span, leaving the
+// scheduling cursors alone. This is the offline path used to assemble
+// training datasets. Edges are not pruned; call Graph().Prune for TTL
+// semantics.
 func (b *Builder) BuildRange(from, to time.Time) {
-	b.store.ForEachKey(func(k behavior.Key, logs []behavior.Log) {
-		b.buildKey(k, logs, from, to)
+	spans := make([]span, len(b.cfg.Windows))
+	for i := range spans {
+		spans[i] = span{from, to}
+	}
+	b.store.ForEachKeyBetween(from, to, func(k behavior.Key, logs []behavior.Log) {
+		b.addKey(k, logs, spans)
 	})
 }
 
-// buildKey adds, for one (type, value) key, the contributions of every
-// window's epochs intersecting [from, to).
-func (b *Builder) buildKey(k behavior.Key, logs []behavior.Log, from, to time.Time) {
+// addKey adds, for one (type, value) key, the contributions of every
+// window's epochs inside that window's span (Algorithm 1 lines 5–8).
+// logs are the key's time-sorted logs, so within a window each run of
+// logs up to the next origin-anchored epoch boundary is one co-occurrence
+// group: its distinct users get the inverse-weighted pairwise edges,
+// expiring at the epoch end plus the TTL.
+func (b *Builder) addKey(k behavior.Key, logs []behavior.Log, spans []span) {
+	if len(logs) < 2 {
+		return
+	}
 	t := graph.EdgeType(k.Type)
-	for _, w := range b.cfg.Windows {
-		// Bucket logs by origin-anchored epoch index.
-		buckets := make(map[int64][]behavior.UserID)
-		for _, l := range logs {
-			if l.Time.Before(from) || !l.Time.Before(to) {
+	for wi, w := range b.cfg.Windows {
+		sp := spans[wi]
+		i := 0
+		for i < len(logs) && logs[i].Time.Before(sp.from) {
+			i++
+		}
+		for i < len(logs) && logs[i].Time.Before(sp.to) {
+			epochEnd := b.origin.Add((logs[i].Time.Sub(b.origin)/w + 1) * w)
+			runEnd := epochEnd
+			if sp.to.Before(runEnd) { // BuildRange bounds need not sit on the grid
+				runEnd = sp.to
+			}
+			users := b.users[:0]
+			for ; i < len(logs) && logs[i].Time.Before(runEnd); i++ {
+				users = append(users, logs[i].User)
+			}
+			b.users = users
+			if len(users) < 2 {
 				continue
 			}
-			idx := int64(l.Time.Sub(b.origin) / w)
-			buckets[idx] = append(buckets[idx], l.User)
-		}
-		for idx, us := range buckets {
-			users := dedupUsers(us)
+			slices.Sort(users)
+			users = slices.Compact(users)
 			n := len(users)
 			if n < 2 || n > b.cfg.MaxGroupSize {
 				continue
@@ -248,27 +260,17 @@ func (b *Builder) buildKey(k behavior.Key, logs []behavior.Log, from, to time.Ti
 			if !b.cfg.UniformWeights {
 				weight = 1.0 / float64(n)
 			}
-			epochEnd := b.origin.Add(time.Duration(idx+1) * w)
 			expire := epochEnd.Add(b.cfg.TTL)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					_ = b.g.AddEdgeWeight(t, graph.NodeID(users[i]), graph.NodeID(users[j]), weight, expire)
+			for x := 0; x < n; x++ {
+				for y := x + 1; y < n; y++ {
+					// Errors are impossible here by construction (distinct
+					// users, positive weight, valid type).
+					_ = b.g.AddEdgeWeight(t, graph.NodeID(users[x]), graph.NodeID(users[y]), weight, expire)
 				}
 			}
+			b.edgeUpdates.Add(int64(n * (n - 1) / 2))
 		}
 	}
-}
-
-func dedupUsers(us []behavior.UserID) []behavior.UserID {
-	seen := make(map[behavior.UserID]struct{}, len(us))
-	out := us[:0]
-	for _, u := range us {
-		if _, ok := seen[u]; !ok {
-			seen[u] = struct{}{}
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // NextEpochStart reports the start of the next unprocessed epoch for the
@@ -294,16 +296,4 @@ func (b *Builder) RestoreNextEpochs(ts []time.Time) error {
 	copy(b.nextEpoch, ts)
 	b.publishFrontier()
 	return nil
-}
-
-func distinctUsers(logs []behavior.Log) []behavior.UserID {
-	seen := make(map[behavior.UserID]struct{}, len(logs))
-	var users []behavior.UserID
-	for _, l := range logs {
-		if _, ok := seen[l.User]; !ok {
-			seen[l.User] = struct{}{}
-			users = append(users, l.User)
-		}
-	}
-	return users
 }

@@ -423,13 +423,19 @@ func (g *Graph) NormalizedWeight(t EdgeType, u, v NodeID) float64 {
 // undirected edges were dropped. Nodes whose adjacency becomes empty are
 // dropped from the per-shard adjacency index (reclaiming memory), but
 // stay in the registered-node set: isolated nodes remain registered.
+// The pass holds every shard's write lock (taken in ascending order,
+// like Snapshot's read locks and lockPair) and settles the edge counters
+// before releasing them, so no reader sees half of a pruned edge or
+// counters that disagree with the adjacency.
 func (g *Graph) Prune(now time.Time) int {
 	dropped := 0
 	var expired [][2]NodeID // fired once per undirected edge, outside locks
 	observing := g.deltaObs.Load() != nil
 	for i := range g.shards {
+		g.shards[i].mu.Lock()
+	}
+	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.mu.Lock()
 		for u, na := range sh.adj {
 			empty := true
 			for t := 0; t < g.numTypes; t++ {
@@ -463,9 +469,11 @@ func (g *Graph) Prune(now time.Time) int {
 				delete(sh.adj, u)
 			}
 		}
-		sh.mu.Unlock()
 	}
 	g.edgeCount.Add(int64(-dropped))
+	for i := range g.shards {
+		g.shards[i].mu.Unlock()
+	}
 	for _, p := range expired {
 		g.notifyDelta(p[0], p[1])
 	}

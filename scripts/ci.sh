@@ -23,6 +23,9 @@ go vet ./...
 echo "== go test -race (graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + log-bucketed histogram / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
+echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
+go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
+
 echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar, fused aggregate+transform bitwise vs unfused, f32 within tolerance of f64)"
 go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestAggTransformFusedBitwise|TestAggTransformSplitFusedBitwise|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
 
@@ -51,9 +54,12 @@ echo "== /metrics exposition golden test"
 go test -run 'TestExpositionGolden|TestMetricsEndpoint' ./internal/telemetry/... ./internal/server/...
 
 echo "== benchmark smoke (compile + one iteration of each hot-path benchmark)"
-go test -run 'XXX-none' -bench . -benchtime 1x ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/embed/
+go test -short -run 'XXX-none' -bench . -benchtime 1x ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/embed/ ./internal/bn/
 
 echo "== go test (full tier-1)"
 go test ./...
+
+echo "== benchmark module (its own go.mod, so neither go build ./... nor tier-1 compiles it)"
+(cd benchmark && go vet ./... && go test -short ./...)
 
 echo "CI OK"
