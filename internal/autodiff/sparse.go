@@ -79,22 +79,6 @@ func (c *CSR) MatMulRangeInto(dst, h *tensor.Matrix, lo, hi int) {
 	}
 }
 
-// MatMulRowInto computes row i of A × H into dst (1 × h.Cols), with the
-// identical per-row arithmetic of MatMulInto. dst must be zeroed.
-func (c *CSR) MatMulRowInto(dst, h *tensor.Matrix, i int) {
-	if h.Rows != c.NCols || dst.Rows != 1 || dst.Cols != h.Cols {
-		panic("autodiff: CSR row matmul shape mismatch")
-	}
-	drow := dst.Row(0)
-	for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-		w := c.Weights[p]
-		src := h.Row(c.ColIdx[p])
-		for j, v := range src {
-			drow[j] += w * v
-		}
-	}
-}
-
 // MatMulTrans computes Aᵀ × G, used for the backward pass.
 func (c *CSR) MatMulTrans(g *tensor.Matrix) *tensor.Matrix {
 	if g.Rows != c.NRows {

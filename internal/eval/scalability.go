@@ -55,14 +55,15 @@ func RunScalability(base datagen.Config, scales []int, h Hyper, seed uint64) []S
 		tc.Epochs = probeEpochs
 		stats := gnn.Train(m, b, a.TrainIdx, a.Labels, tc)
 
-		// Probe sampling + single-node prediction latency.
+		// Probe sampling + single-node prediction latency the way an audit
+		// pays them: the sample cut to the model's cone.
 		rng := tensor.NewRNG(seed)
 		const probes = 30
 		var sampleTotal, predictTotal time.Duration
 		for k := 0; k < probes; k++ {
 			u := a.Nodes[rng.Intn(len(a.Nodes))]
 			t0 := time.Now()
-			sg := a.Graph.Sample(u, graph.SampleOptions{Hops: 2, MaxNeighbors: 32})
+			sg := a.Graph.Sample(u, graph.SampleOptions{Hops: 2, MaxNeighbors: 32, Layers: gnn.Depth(m)})
 			sampleTotal += time.Since(t0)
 			x := tensor.New(sg.NumNodes(), a.X.Cols)
 			for i, n := range sg.Nodes {

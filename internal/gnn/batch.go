@@ -5,6 +5,7 @@
 package gnn
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -28,6 +29,11 @@ type Batch struct {
 	NumNodes   int
 	X          *tensor.Matrix      // NumNodes × F node features
 	TypedEdges [][]graph.LocalEdge // directed edges per type (both directions present)
+	// Depth is graph.Subgraph.Layers: positive when the sample was cut to
+	// node 0's computation cone for a model of that many layers, and then
+	// only node 0's score means anything, and only under a model no
+	// deeper (see admits). 0 is a full sample.
+	Depth int
 
 	mu           sync.Mutex        // guards every lazy field below
 	merged       []graph.LocalEdge // all types summed per (src,dst), sorted
@@ -57,7 +63,33 @@ func NewBatch(sg *graph.Subgraph, x *tensor.Matrix) *Batch {
 	if x.Rows != sg.NumNodes() {
 		panic("gnn: feature rows do not match subgraph nodes")
 	}
-	return &Batch{NumNodes: sg.NumNodes(), X: x, TypedEdges: sg.TypedEdges}
+	return &Batch{NumNodes: sg.NumNodes(), X: x, TypedEdges: sg.TypedEdges, Depth: sg.Layers}
+}
+
+// Depth returns the number of message-passing layers of m — the Layers
+// to sample with for m to score the target — or 0 when m does not
+// declare it, which samples in full.
+func Depth(m Model) int {
+	if es, ok := m.(EmbedServing); ok {
+		_, layers := es.EmbedSpec()
+		return layers
+	}
+	return 0
+}
+
+// ErrShallowSample reports a batch cut for a shallower model than the
+// one asked to score it: the model would read rows whose in-edges the
+// sampler dropped.
+var ErrShallowSample = errors.New("gnn: sample was cut for a shallower model")
+
+// admits reports whether m may score node 0 of b: always on a full
+// sample, on a cut one only when m declares a depth within the cut's.
+func (b *Batch) admits(m Model) bool {
+	if b.Depth == 0 {
+		return true
+	}
+	d := Depth(m)
+	return d > 0 && d <= b.Depth
 }
 
 // mergeEdges sums weights of parallel edges across types. The result is

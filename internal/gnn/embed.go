@@ -88,7 +88,7 @@ func CopyRows(dst, src *tensor.Matrix, lo, hi int) {
 // buildCSR would compile from the star's edges, applied to the gathered
 // embedding block h: raw weights in edge order (then the self-loop,
 // when the normalization includes one), the same normSum row scaling,
-// and the same accumulation order as CSR.MatMulRowInto. unweighted
+// and the same accumulation order as a row of CSR.MatMulInto. unweighted
 // replaces edge weights with 1, mirroring the Eq. 1–2 aggregations.
 func StarAggRow(f *Fwd, h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted bool) *tensor.Matrix {
 	out := f.Get(1, h.Cols)

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"turbo/internal/autodiff"
@@ -38,24 +39,25 @@ func CanInfer(m Model) bool {
 }
 
 // TargetInferer is an Inferer that can additionally compute a single
-// node's logit without materializing every node's. Only the last
-// message-passing layer reads other rows of its input, so the final
-// layer and the head collapse to one-row work — the row's arithmetic is
-// identical to the full forward, and single-target audits are what the
-// serving path does.
+// node's logit without materializing every node's: it runs the node's
+// computation cone (see Cone) and nothing else. The rows it does compute
+// go through the unchanged per-row kernels, so the logit is bitwise the
+// full forward's, and single-target audits are what the serving path
+// does.
 type TargetInferer interface {
 	Inferer
 	InferTarget(f *Fwd, b *Batch, node int) float64
 }
 
 // Fwd is a tape-free forward context. It keeps its scratch matrices
-// warm across Acquire/Release cycles: a model requests the same shape
-// sequence on every run, so a cursor into the retained list satisfies
-// warm Gets with two integer compares and a memclr — no pool hashing.
+// warm across Acquire/Release cycles: a model requests the same sequence
+// of widths on every run, so a cursor into the retained list satisfies
+// warm Gets with a capacity compare and a memclr — no pool round trip.
 // A Fwd is single-goroutine; concurrent inference uses one Fwd each.
 type Fwd struct {
 	mats []*tensor.Matrix
 	used int
+	cone Cone
 }
 
 // maxFwdMats caps how many warm matrices a pooled Fwd retains.
@@ -82,20 +84,12 @@ func ReleaseFwd(f *Fwd) {
 	fwdPool.Put(f)
 }
 
-// Get returns a zeroed rows×cols scratch matrix owned by f.
+// Get returns a zeroed rows×cols scratch matrix owned by f. A warm slot
+// is reshaped in place: the row count follows the sample and the cone,
+// so it differs from audit to audit while the capacity it needs does not.
 func (f *Fwd) Get(rows, cols int) *tensor.Matrix {
 	if f.used < len(f.mats) {
-		m := f.mats[f.used]
-		if m.Rows == rows && m.Cols == cols {
-			f.used++
-			clear(m.Data)
-			return m
-		}
-		// Shape drift (a different model reused this Fwd): swap the slot
-		// through the global pool.
-		tensor.PutMatrix(m)
-		m = tensor.GetMatrix(rows, cols)
-		f.mats[f.used] = m
+		m := f.mats[f.used].Reshape(rows, cols)
 		f.used++
 		return m
 	}
@@ -116,13 +110,6 @@ func (f *Fwd) MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 func (f *Fwd) Aggregate(a *autodiff.CSR, h *tensor.Matrix) *tensor.Matrix {
 	out := f.Get(a.NRows, h.Cols)
 	a.MatMulInto(out, h)
-	return out
-}
-
-// AggregateRow computes row i of A × h into 1×cols scratch.
-func (f *Fwd) AggregateRow(a *autodiff.CSR, h *tensor.Matrix, i int) *tensor.Matrix {
-	out := f.Get(1, h.Cols)
-	a.MatMulRowInto(out, h, i)
 	return out
 }
 
@@ -198,6 +185,109 @@ func (f *Fwd) SegmentSoftmax(a *tensor.Matrix, segments [][]int) *tensor.Matrix 
 	return v
 }
 
+// --- the computation cone ---------------------------------------------------
+
+// Cone is a target's computation cone on one aggregation matrix A
+// (out = A·H, so the columns of row i are i's in-neighbors): the rows
+// within some number of in-hops of the target, in breadth-first order —
+// the target, then its in-neighbors in entry order, then theirs. Layer ℓ
+// of an L-layer forward feeds the target's logit only through the rows
+// within L−ℓ in-hops, and those are a prefix of the order, so each
+// layer's output is a dense block whose leading rows are the next
+// layer's self input.
+//
+// The cone is read off the matrix the layer aggregates with, never off
+// Subgraph.Hops: that is a sampling label, and a node the sampler
+// reached at hop 2 can still be adjacent to the target.
+type Cone struct {
+	order []int // cone rows by ascending in-hop distance; order[0] is the target
+	upto  []int // upto[d] = number of rows within d in-hops
+	pos   []int // node → index in order, −1 outside the cone
+}
+
+// build resets c to the rows of a within hops in-hops of node.
+func (c *Cone) build(a *autodiff.CSR, node, hops int) {
+	c.pos = slices.Grow(c.pos[:0], a.NRows)[:a.NRows]
+	for i := range c.pos {
+		c.pos[i] = -1
+	}
+	c.pos[node] = 0
+	c.order = append(c.order[:0], node)
+	c.upto = append(c.upto[:0], 1)
+	for d, lo := 1, 0; d <= hops; d++ {
+		hi := len(c.order)
+		for _, i := range c.order[lo:hi] {
+			for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+				if c.pos[j] < 0 {
+					c.pos[j] = len(c.order)
+					c.order = append(c.order, j)
+				}
+			}
+		}
+		lo = hi
+		c.upto = append(c.upto, len(c.order))
+	}
+}
+
+// Rows returns the rows within d in-hops of the target, the target
+// first.
+func (c *Cone) Rows(d int) []int { return c.order[:c.upto[d]] }
+
+// NewCone returns the cone of node on a, hops in-hops deep.
+func NewCone(a *autodiff.CSR, node, hops int) *Cone {
+	c := new(Cone)
+	c.build(a, node, hops)
+	return c
+}
+
+// ConeForward runs a layers-deep message-passing stack for one node of
+// x over the aggregation a, computing at each layer only the rows the
+// node's logit depends on, and returns the last layer's 1-row output.
+// layer(l, h, hN) applies layer l to the self rows h and their
+// aggregated neighborhoods hN, both in cone order, with the model's
+// usual kernels; every kernel is row-independent, so the result is
+// bitwise the row the full forward computes.
+func (f *Fwd) ConeForward(a *autodiff.CSR, x *tensor.Matrix, node, layers int, layer func(l int, h, hN *tensor.Matrix) *tensor.Matrix) *tensor.Matrix {
+	c := &f.cone
+	c.build(a, node, layers-1)
+	h := f.SelectRows(x, c.Rows(layers-1))
+	for l := 0; l < layers; l++ {
+		rows := c.Rows(layers - 1 - l)
+		var hN *tensor.Matrix
+		if l == 0 {
+			hN = f.aggregateRows(a, x, rows, nil)
+		} else {
+			hN = f.aggregateRows(a, h, rows, c.pos)
+		}
+		if len(rows) < h.Rows {
+			h = h.RowsView(0, len(rows))
+		}
+		h = layer(l, h, hN)
+	}
+	return h
+}
+
+// aggregateRows computes the given rows of A × h into len(rows)×cols
+// scratch with the per-row arithmetic of CSR.MatMulInto. h holds node
+// j in row j, or in row pos[j] when pos is given.
+func (f *Fwd) aggregateRows(a *autodiff.CSR, h *tensor.Matrix, rows, pos []int) *tensor.Matrix {
+	out := f.Get(len(rows), h.Cols)
+	for k, i := range rows {
+		drow := out.Row(k)
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.ColIdx[p]
+			if pos != nil {
+				j = pos[j]
+			}
+			w := a.Weights[p]
+			for c, v := range h.Row(j) {
+				drow[c] += w * v
+			}
+		}
+	}
+	return out
+}
+
 // --- model Infer implementations -------------------------------------------
 
 // Infer implements Inferer: the evaluation-mode GCN forward without a
@@ -211,17 +301,12 @@ func (m *GCN) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 	return f.MLP(m.head, h)
 }
 
-// InferTarget implements TargetInferer: all but the last layer run in
-// full (their outputs feed every node's aggregation), then the last
-// layer and the head run on the target row alone.
+// InferTarget implements TargetInferer for GCN. The adjacency carries
+// the self-loops, so a layer reads only the aggregated rows.
 func (m *GCN) InferTarget(f *Fwd, b *Batch, node int) float64 {
-	adj := b.MergedRWCSR()
-	h := b.X
-	last := len(m.layers) - 1
-	for _, l := range m.layers[:last] {
-		h = tensor.ReLUInPlace(f.AggregateLinear(l, adj, h))
-	}
-	row := tensor.ReLUInPlace(f.Linear(m.layers[last], f.AggregateRow(adj, h, node)))
+	row := f.ConeForward(b.MergedRWCSR(), b.X, node, len(m.layers), func(l int, _, hN *tensor.Matrix) *tensor.Matrix {
+		return tensor.ReLUInPlace(f.Linear(m.layers[l], hN))
+	})
 	return f.MLP(m.head, row).Data[0]
 }
 
@@ -241,63 +326,14 @@ func (m *GraphSAGE) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 	return f.MLP(m.head, h)
 }
 
-// hopDist marks the target's in-hop neighborhood on adj: the returned
-// 1×n scratch holds hops(i)+1 for every node within maxHops in-hops of
-// the target (so dist 1 is the target itself) and 0 elsewhere.
-func (f *Fwd) hopDist(adj *autodiff.CSR, node, maxHops int) *tensor.Matrix {
-	d := f.Get(1, adj.NRows)
-	d.Data[node] = 1
-	for hop := 1; hop <= maxHops; hop++ {
-		for i, di := range d.Data {
-			if di != float64(hop) {
-				continue
-			}
-			for _, j := range adj.ColIdx[adj.RowPtr[i]:adj.RowPtr[i+1]] {
-				if d.Data[j] == 0 {
-					d.Data[j] = float64(hop + 1)
-				}
-			}
-		}
-	}
-	return d
-}
-
-// InferTarget implements TargetInferer for GraphSAGE. Beyond collapsing
-// the final layer to one row, the hidden layers skip every row outside
-// the target's in-hop frontier: layer l's output row i can reach the
-// target logit only if i is within last-l in-hops of it. The rows that
-// are computed run the unchanged per-row arithmetic (aggregate row,
-// split matmul, bias, ReLU), so the target logit stays bitwise equal to
-// the full forward's.
+// InferTarget implements TargetInferer for GraphSAGE, with the split
+// matmul of Infer on the cone's rows.
 func (m *GraphSAGE) InferTarget(f *Fwd, b *Batch, node int) float64 {
-	adj := b.MergedMeanCSR()
-	h := b.X
-	last := len(m.layers) - 1
-	dist := f.hopDist(adj, node, last)
-	for li, l := range m.layers[:last] {
-		out := f.Get(h.Rows, l.W.Value.Cols)
-		hn := f.Get(1, h.Cols)
-		hv := tensor.Matrix{Rows: 1, Cols: h.Cols}
-		ov := tensor.Matrix{Rows: 1, Cols: out.Cols}
-		reach := float64(last - li + 1) // dist encodes hops+1
-		for i, di := range dist.Data {
-			if di == 0 || di > reach {
-				continue
-			}
-			clear(hn.Data)
-			adj.MatMulRowInto(hn, h, i)
-			hv.Data = h.Row(i)
-			ov.Data = out.Row(i)
-			tensor.MatMulSplitInto(&ov, &hv, hn, l.W.Value)
-			tensor.ReLUInPlace(ov.AddRowVectorInPlace(l.B.Value))
-		}
-		h = out
-	}
-	l := m.layers[last]
-	hn := f.AggregateRow(adj, h, node)
-	out := f.Get(1, l.W.Value.Cols)
-	tensor.MatMulSplitInto(out, h.RowView(node), hn, l.W.Value)
-	row := tensor.ReLUInPlace(out.AddRowVectorInPlace(l.B.Value))
+	row := f.ConeForward(b.MergedMeanCSR(), b.X, node, len(m.layers), func(l int, h, hN *tensor.Matrix) *tensor.Matrix {
+		out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
+		tensor.MatMulSplitInto(out, h, hN, m.layers[l].W.Value)
+		return tensor.ReLUInPlace(out.AddRowVectorInPlace(m.layers[l].B.Value))
+	})
 	return f.MLP(m.head, row).Data[0]
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"turbo/internal/autodiff"
 	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
@@ -40,6 +41,8 @@ func CanInfer32(m Model) bool {
 type Fwd32 struct {
 	mats []*tensor.Matrix32
 	used int
+	cone Cone
+	cols []int32 // one row's columns mapped to cone positions
 }
 
 var fwd32Pool = sync.Pool{New: func() any { return new(Fwd32) }}
@@ -64,15 +67,7 @@ func ReleaseFwd32(f *Fwd32) {
 // Get returns a zeroed rows×cols scratch matrix owned by f.
 func (f *Fwd32) Get(rows, cols int) *tensor.Matrix32 {
 	if f.used < len(f.mats) {
-		m := f.mats[f.used]
-		if m.Rows == rows && m.Cols == cols {
-			f.used++
-			m.Zero()
-			return m
-		}
-		tensor.PutMatrix32(m)
-		m = tensor.GetMatrix32(rows, cols)
-		f.mats[f.used] = m
+		m := f.mats[f.used].Reshape(rows, cols)
 		f.used++
 		return m
 	}
@@ -120,10 +115,53 @@ func (f *Fwd32) Aggregate(a *tensor.CSR32, h *tensor.Matrix32) *tensor.Matrix32 
 	return out
 }
 
-// AggregateRow computes row i of A × h into 1×cols scratch.
-func (f *Fwd32) AggregateRow(a *tensor.CSR32, h *tensor.Matrix32, i int) *tensor.Matrix32 {
-	out := f.Get(1, h.Cols)
-	a.MatMulRowInto(out, h, i)
+// SelectRows gathers rows idx of m into scratch.
+func (f *Fwd32) SelectRows(m *tensor.Matrix32, idx []int) *tensor.Matrix32 {
+	out := f.Get(len(idx), m.Cols)
+	tensor.SelectRows32Into(out, m, idx)
+	return out
+}
+
+// ConeForward is the float32 mirror of Fwd.ConeForward. a32 is the
+// mirror of a (Batch.CSR32For); the cone is read off a, whose row
+// structure a32 shares.
+func (f *Fwd32) ConeForward(a *autodiff.CSR, a32 *tensor.CSR32, x *tensor.Matrix32, node, layers int, layer func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32) *tensor.Matrix32 {
+	c := &f.cone
+	c.build(a, node, layers-1)
+	h := f.SelectRows(x, c.Rows(layers-1))
+	for l := 0; l < layers; l++ {
+		rows := c.Rows(layers - 1 - l)
+		var hN *tensor.Matrix32
+		if l == 0 {
+			hN = f.aggregateRows(a32, x, rows, nil)
+		} else {
+			hN = f.aggregateRows(a32, h, rows, c.pos)
+		}
+		if len(rows) < h.Rows {
+			h = h.RowsView(0, len(rows))
+		}
+		h = layer(l, h, hN)
+	}
+	return h
+}
+
+// aggregateRows computes the given rows of A × h into len(rows)×cols
+// scratch through the CSR row kernel. h holds node j in row j, or in row
+// pos[j] when pos is given.
+func (f *Fwd32) aggregateRows(a *tensor.CSR32, h *tensor.Matrix32, rows, pos []int) *tensor.Matrix32 {
+	out := f.Get(len(rows), h.Cols)
+	for k, i := range rows {
+		s, e := a.RowPtr[i], a.RowPtr[i+1]
+		cols := a.ColIdx[s:e]
+		if pos != nil {
+			f.cols = f.cols[:0]
+			for _, j := range cols {
+				f.cols = append(f.cols, int32(pos[j]))
+			}
+			cols = f.cols
+		}
+		tensor.CSRRow32Into(out.Row(k), cols, a.Weights[s:e], h)
+	}
 	return out
 }
 
@@ -237,16 +275,12 @@ func (m *GCN) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 	return f.MLP(m.head, h)
 }
 
-// InferTarget32 implements TargetInferer32 for GCN: hidden layers run in
-// full, the last graph layer and the head on the target row alone.
+// InferTarget32 implements TargetInferer32 for GCN on the target's cone.
 func (m *GCN) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
-	adj := b.CSR32For(b.MergedRWCSR())
-	h := b.X32()
-	last := len(m.layers) - 1
-	for _, l := range m.layers[:last] {
-		h = tensor.ReLU32InPlace(f.Linear(l, f.Aggregate(adj, h)))
-	}
-	row := tensor.ReLU32InPlace(f.Linear(m.layers[last], f.AggregateRow(adj, h, node)))
+	adj := b.MergedRWCSR()
+	row := f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(m.layers), func(l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
+		return tensor.ReLU32InPlace(f.Linear(m.layers[l], hN))
+	})
 	return f.MLP(m.head, row).Data[0]
 }
 
@@ -263,23 +297,15 @@ func (m *GraphSAGE) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 	return f.MLP(m.head, h)
 }
 
-// InferTarget32 implements TargetInferer32 for GraphSAGE: hidden layers
-// in full, final layer and head on the target row.
+// InferTarget32 implements TargetInferer32 for GraphSAGE on the
+// target's cone.
 func (m *GraphSAGE) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
-	adj := b.CSR32For(b.MergedMeanCSR())
-	h := b.X32()
-	last := len(m.layers) - 1
-	for _, l := range m.layers[:last] {
-		hn := f.Aggregate(adj, h)
-		out := f.Get(h.Rows, l.W.Value.Cols)
-		tensor.MatMul32SplitInto(out, h, hn, l.W.Value32())
-		h = tensor.ReLU32InPlace(out.AddRowVectorInPlace(l.B.Value32()))
-	}
-	l := m.layers[last]
-	hn := f.AggregateRow(adj, h, node)
-	out := f.Get(1, l.W.Value.Cols)
-	tensor.MatMul32SplitInto(out, h.RowView(node), hn, l.W.Value32())
-	row := tensor.ReLU32InPlace(out.AddRowVectorInPlace(l.B.Value32()))
+	adj := b.MergedMeanCSR()
+	row := f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(m.layers), func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+		out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
+		tensor.MatMul32SplitInto(out, h, hN, m.layers[l].W.Value32())
+		return tensor.ReLU32InPlace(out.AddRowVectorInPlace(m.layers[l].B.Value32()))
+	})
 	return f.MLP(m.head, row).Data[0]
 }
 
@@ -340,10 +366,14 @@ func (m *GAT) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 // --- scoring and validation -------------------------------------------------
 
 // Score32 scores node 0 of the batch through the float32 path, and
-// reports false when the model does not implement it. The final
-// logit→probability sigmoid stays in float64, matching every other
-// scoring path.
+// reports false when the model does not implement it or the batch does
+// not admit it (the caller's float64 fallback, ScoreCtx, then names the
+// error). The final logit→probability sigmoid stays in float64, matching
+// every other scoring path.
 func Score32(m Model, b *Batch) (float64, bool) {
+	if !b.admits(m) {
+		return 0, false
+	}
 	if ti, ok := m.(TargetInferer32); ok {
 		f := AcquireFwd32()
 		s := tensor.SigmoidScalar(float64(ti.InferTarget32(f, b, 0)))

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -162,8 +163,16 @@ func TapeScores(m Model, b *Batch) []float64 {
 // Score returns the fraud probability of node 0 of the batch — by
 // convention the target node of a sampled computation subgraph — which
 // is the online-inference entry point. Inferer models take the
-// tape-free path.
+// tape-free path. It panics with ErrShallowSample on a batch that does
+// not admit m; ScoreCtx reports that as an error instead.
 func Score(m Model, b *Batch) float64 {
+	if !b.admits(m) {
+		panic(ErrShallowSample)
+	}
+	return score(m, b)
+}
+
+func score(m Model, b *Batch) float64 {
 	if ti, ok := m.(TargetInferer); ok {
 		f := AcquireFwd()
 		s := tensor.SigmoidScalar(ti.InferTarget(f, b, 0))
@@ -176,11 +185,18 @@ func Score(m Model, b *Batch) float64 {
 		ReleaseFwd(f)
 		return s
 	}
-	return TapeScore(m, b)
+	return tapeScore(m, b)
 }
 
 // TapeScore is Score on the tape-backed reference path.
 func TapeScore(m Model, b *Batch) float64 {
+	if !b.admits(m) {
+		panic(ErrShallowSample)
+	}
+	return tapeScore(m, b)
+}
+
+func tapeScore(m Model, b *Batch) float64 {
 	tape := autodiff.NewTape()
 	logits := m.Forward(tape, b, nil)
 	return tensor.SigmoidScalar(logits.Value.Data[0])
@@ -194,5 +210,8 @@ func ScoreCtx(ctx context.Context, m Model, b *Batch) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return Score(m, b), nil
+	if !b.admits(m) {
+		return 0, fmt.Errorf("gnn: scoring %s (%d layers) on a depth-%d sample: %w", m.Name(), Depth(m), b.Depth, ErrShallowSample)
+	}
+	return score(m, b), nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,6 +380,28 @@ func TestWriteDOT(t *testing.T) {
 	for _, want := range []string{"graph \"test\"", "n0", "salmon", "khaki", "--"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCapNeighborsKeepsHeaviest pins the bounded selection to a full
+// sort in cap order, ties included.
+func TestCapNeighborsKeepsHeaviest(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		n, max := 1+rng.Intn(60), 1+rng.Intn(12)
+		ns := make([]Neighbor, n)
+		for i := range ns {
+			ns[i] = Neighbor{Node: NodeID(i), Weight: float64(rng.Intn(5))}
+		}
+		rng.Shuffle(n, func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		want := slices.Clone(ns) // a row within the cap is kept as it is
+		if n > max {
+			slices.SortFunc(want, heavier)
+			want = want[:max]
+		}
+		if got := capNeighbors(ns, max, nil); !slices.Equal(got, want) {
+			t.Fatalf("n=%d max=%d: kept %v, want %v", n, max, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,26 +86,120 @@ func TestSnapshotMatchesLiveView(t *testing.T) {
 	}
 }
 
-// TestSnapshotSampleMatchesLive: deterministic sampling must produce the
-// same computation subgraph from either view.
-func TestSnapshotSampleMatchesLive(t *testing.T) {
-	g := randomGraph(7, 20, 120)
-	s := g.Snapshot()
-	for _, u := range g.Nodes() {
-		for _, opts := range []SampleOptions{
-			{Hops: 2},
-			{Hops: 2, MaxNeighbors: 3},
-			{Hops: 3, RawWeights: true},
-			{Hops: 2, Mask: MaskEdgeType(1)},
-		} {
-			a, b := g.Sample(u, opts), s.Sample(u, opts)
-			if !reflect.DeepEqual(a.Nodes, b.Nodes) || !reflect.DeepEqual(a.Hops, b.Hops) {
-				t.Fatalf("sample nodes differ for %d %+v", u, opts)
-			}
-			if !reflect.DeepEqual(a.TypedEdges, b.TypedEdges) {
-				t.Fatalf("sample edges differ for %d %+v", u, opts)
+// sameSample reports whether two samples agree on everything a reader
+// sees (a type with no edges may be nil or empty).
+func sameSample(a, b *Subgraph) bool {
+	if !reflect.DeepEqual(a.Nodes, b.Nodes) || !reflect.DeepEqual(a.Hops, b.Hops) ||
+		!reflect.DeepEqual(a.Index, b.Index) || a.Layers != b.Layers || len(a.TypedEdges) != len(b.TypedEdges) {
+		return false
+	}
+	for t := range a.TypedEdges {
+		if !slices.Equal(a.TypedEdges[t], b.TypedEdges[t]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSnapshotSampleMatchesReference: the snapshot's in-place walk must
+// return what the accessor-based SampleView returns, from the live graph
+// and from the snapshot itself, for every option including the cone cut.
+func TestSnapshotSampleMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{7, 8, 9} {
+		g := randomGraph(seed, 24, 160)
+		s := g.Snapshot()
+		even := func(n NodeID) bool { return n%2 == 0 }
+		for _, u := range append(g.Nodes(), 999) { // 999 is unregistered
+			for _, base := range []SampleOptions{
+				{Hops: 2},
+				{Hops: 2, MaxNeighbors: 3},
+				{Hops: 2, MaxNeighbors: 2, Filter: even},
+				{Hops: 3, RawWeights: true},
+				{Hops: 2, Mask: MaskEdgeType(1)},
+				{Hops: 1, MaxNeighbors: 2},
+			} {
+				for layers := 0; layers <= 3; layers++ {
+					opts := base
+					opts.Layers = layers
+					want := SampleView(s, u, opts)
+					if got := s.Sample(u, opts); !sameSample(got, want) {
+						t.Fatalf("seed %d node %d %+v: in-place walk differs from SampleView", seed, u, opts)
+					}
+					if got := g.Sample(u, opts); !sameSample(got, want) {
+						t.Fatalf("seed %d node %d %+v: live graph differs from snapshot", seed, u, opts)
+					}
+					// A random draw consumes the generator identically.
+					opts.MaxNeighbors = 2
+					opts.RNG = tensor.NewRNG(seed)
+					want = SampleView(s, u, opts)
+					opts.RNG = tensor.NewRNG(seed)
+					if got := s.Sample(u, opts); !sameSample(got, want) {
+						t.Fatalf("seed %d node %d %+v: random draw differs from SampleView", seed, u, opts)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestSampleConeCut pins what Layers keeps, on the case that breaks a
+// cut by BFS label: target 0 has four type-0 neighbors and a cap of
+// three, so node 4 is not expanded at hop 1 and re-enters at hop 2
+// through node 1, yet it is adjacent to the target in the induced edges.
+func TestSampleConeCut(t *testing.T) {
+	g := New(2)
+	exp := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	for v, w := range map[NodeID]float64{1: 4, 2: 3, 3: 2, 4: 1} {
+		_ = g.AddEdgeWeight(0, 0, v, w, exp)
+	}
+	_ = g.AddEdgeWeight(1, 1, 4, 1, exp) // 4 re-enters at hop 2
+	_ = g.AddEdgeWeight(1, 2, 5, 1, exp) // 5 is two induced hops away
+	_ = g.AddEdgeWeight(0, 5, 4, 1, exp)
+	_ = g.AddEdgeWeight(0, 5, 6, 1, exp) // 6 is out of reach
+	s := g.Snapshot()
+
+	full := s.Sample(0, SampleOptions{Hops: 2, MaxNeighbors: 3})
+	if got := full.Hops[full.Index[4]]; got != 2 {
+		t.Fatalf("node 4 labeled hop %d, want 2 (the cap must leave it to re-enter)", got)
+	}
+	if _, ok := full.Index[6]; ok {
+		t.Fatal("node 6 sampled")
+	}
+	type edge struct {
+		t        int
+		src, dst NodeID
+	}
+	edges := func(sg *Subgraph) map[edge]float64 {
+		m := make(map[edge]float64)
+		for t, es := range sg.TypedEdges {
+			for _, e := range es {
+				m[edge{t, sg.Nodes[e.Src], sg.Nodes[e.Dst]}] = e.Weight
+			}
+		}
+		return m
+	}
+	all := edges(full)
+	for layers, liveDst := range map[int][]NodeID{
+		1: {0},
+		2: {0, 1, 2, 3, 4},
+		3: {0, 1, 2, 3, 4, 5},
+	} {
+		cut := s.Sample(0, SampleOptions{Hops: 2, MaxNeighbors: 3, Layers: layers})
+		if cut.Layers != layers || !reflect.DeepEqual(cut.Nodes, full.Nodes) {
+			t.Fatalf("layers %d: depth %d, nodes %v (full %v)", layers, cut.Layers, cut.Nodes, full.Nodes)
+		}
+		want := make(map[edge]float64)
+		for e, w := range all {
+			if slices.Contains(liveDst, e.dst) {
+				want[e] = w
+			}
+		}
+		if got := edges(cut); !reflect.DeepEqual(got, want) {
+			t.Fatalf("layers %d kept %v, want %v", layers, got, want)
+		}
+	}
+	if n3, nFull := s.Sample(0, SampleOptions{Hops: 2, MaxNeighbors: 3, Layers: 3}).NumEdges(), full.NumEdges(); n3 != nFull {
+		t.Fatalf("a 3-layer cut of a 2-hop sample kept %d of %d edges, want all", n3, nFull)
 	}
 }
 

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"turbo/internal/tensor"
 )
@@ -23,7 +24,16 @@ type Subgraph struct {
 	Nodes      []NodeID
 	Index      map[NodeID]int
 	TypedEdges [][]LocalEdge
-	Hops       []int // hop distance of each node from the target
+	// Hops is the BFS label of each node: the hop at which sampling first
+	// reached it. It is not the node's distance in TypedEdges: a target
+	// neighbor beyond MaxNeighbors can re-enter at hop 2 and is still
+	// adjacent to the target.
+	Hops []int
+	// Layers is the SampleOptions.Layers the sample was cut for; 0 means
+	// every induced edge is present. A model deeper than a cut sample
+	// would read rows whose in-edges were dropped, so the scoring entry
+	// points of package gnn refuse that pairing.
+	Layers int
 }
 
 // NumNodes returns the node count.
@@ -57,6 +67,15 @@ type SampleOptions struct {
 	// Mask omits all edges of one type (Fig. 7 edge ablation). The zero
 	// value NoMask keeps every type; use MaskEdgeType to build a mask.
 	Mask EdgeMask
+	// Layers, when positive, is the number of message-passing layers of
+	// the model that will score the target, and cuts the sample to the
+	// target's computation cone: only edges whose destination is within
+	// Layers−1 hops of the target in the induced edges are emitted, since
+	// a target-row forward of that depth reads no other row's
+	// aggregation. Nodes, their order and the entry order of every kept
+	// destination row are those of the full sample. 0 keeps the full
+	// induced subgraph (training, DOT, all-node scoring).
+	Layers int
 }
 
 // EdgeMask optionally designates one edge type to exclude from sampling.
@@ -77,15 +96,10 @@ func (g *Graph) Sample(target NodeID, opts SampleOptions) *Subgraph {
 	return SampleView(g, target, opts)
 }
 
-// Sample extracts the computation subgraph of target from the snapshot,
-// acquiring no locks.
-func (s *Snapshot) Sample(target NodeID, opts SampleOptions) *Subgraph {
-	return SampleView(s, target, opts)
-}
-
 // SampleView extracts the computation subgraph of target under opts from
 // any GraphView. The target is always included even when Filter rejects
-// it.
+// it. It is the reference Snapshot.Sample is tested against; serving
+// reaches it only for a user registered after the last snapshot.
 func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 	if opts.Hops <= 0 {
 		opts.Hops = 2
@@ -97,6 +111,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 		Index:      map[NodeID]int{target: 0},
 		TypedEdges: make([][]LocalEdge, numTypes),
 		Hops:       []int{0},
+		Layers:     opts.Layers,
 	}
 	frontier := []NodeID{target}
 	for hop := 1; hop <= opts.Hops; hop++ {
@@ -158,7 +173,34 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 			}
 		}
 	}
+	if opts.Layers > 0 {
+		sg.cutToCone(opts.Layers)
+	}
 	return sg
+}
+
+// cutToCone drops, from a full sample, every edge whose destination is
+// more than layers−1 hops from the target. Distances are taken over the
+// sample's own edges (an edge Src→Dst makes Src an in-neighbor of Dst),
+// never from Hops.
+func (sg *Subgraph) cutToCone(layers int) {
+	dist := make([]int, len(sg.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[0] = 0
+	for d := 0; d < layers-1; d++ {
+		for _, es := range sg.TypedEdges {
+			for _, e := range es {
+				if dist[e.Dst] == d && dist[e.Src] < 0 {
+					dist[e.Src] = d + 1
+				}
+			}
+		}
+	}
+	for t, es := range sg.TypedEdges {
+		sg.TypedEdges[t] = slices.DeleteFunc(es, func(e LocalEdge) bool { return dist[e.Dst] < 0 })
+	}
 }
 
 func filterNeighbors(ns []Neighbor, filter func(NodeID) bool) []Neighbor {
@@ -174,23 +216,56 @@ func filterNeighbors(ns []Neighbor, filter func(NodeID) bool) []Neighbor {
 	return out
 }
 
+// heavier is the deterministic cap order: weight descending, ties by
+// ascending node ID.
+func heavier(a, b Neighbor) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.Node, b.Node)
+}
+
+// capNeighbors selects at most max of ns, reordering ns in place: the
+// heaviest in cap order when rng is nil, a uniform draw otherwise.
 func capNeighbors(ns []Neighbor, max int, rng *tensor.RNG) []Neighbor {
 	if max <= 0 || len(ns) <= max {
 		return ns
 	}
-	if rng == nil {
-		sorted := append([]Neighbor(nil), ns...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Weight != sorted[j].Weight {
-				return sorted[i].Weight > sorted[j].Weight
-			}
-			return sorted[i].Node < sorted[j].Node
-		})
-		return sorted[:max]
+	if rng != nil {
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		return ns[:max]
 	}
-	sampled := append([]Neighbor(nil), ns...)
-	rng.Shuffle(len(sampled), func(i, j int) { sampled[i], sampled[j] = sampled[j], sampled[i] })
-	return sampled[:max]
+	// A hub's row is many times the cap, so sorting all of it to keep the
+	// head is most of what sampling costs. Keep the max best so far in a
+	// heap with the worst on top, which rejects most of the row at one
+	// comparison each, and sort only the survivors.
+	top := ns[:max]
+	sift := func(i int) {
+		for {
+			worst := i
+			for c := 2*i + 1; c <= 2*i+2 && c < max; c++ {
+				if heavier(top[c], top[worst]) > 0 {
+					worst = c
+				}
+			}
+			if worst == i {
+				return
+			}
+			top[i], top[worst] = top[worst], top[i]
+			i = worst
+		}
+	}
+	for i := max/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	for _, nb := range ns[max:] {
+		if heavier(nb, top[0]) < 0 {
+			top[0] = nb
+			sift(0)
+		}
+	}
+	slices.SortFunc(top, heavier)
+	return top
 }
 
 // FraudRatioByHop delegates to FraudRatioByHopView on the live graph.

@@ -130,37 +130,32 @@ func (m *HAG) Infer(f *gnn.Fwd, b *gnn.Batch) *tensor.Matrix {
 	return f.MLP(m.head, m.inferEmbed(f, b))
 }
 
-// InferTarget implements gnn.TargetInferer. Only the last SAO layer of
-// each stream reads other rows of its input, so every stream's final
-// layer — plus the CFO micro-attention, the type fusion and the head —
-// runs on the target row alone. saoLayer.infer is row-wise throughout,
-// so feeding it 1-row views reproduces the full forward's target row
-// bitwise.
-func (m *HAG) InferTarget(f *gnn.Fwd, b *gnn.Batch, node int) float64 {
+// targetRow runs SAO stream r for one node over adj on the node's
+// computation cone (gnn.Fwd.ConeForward) and returns the stream's 1-row
+// embedding. saoLayer.infer is row-wise throughout, so the rows it is
+// fed reproduce the full forward's bitwise.
+func (m *HAG) targetRow(f *gnn.Fwd, b *gnn.Batch, adj *autodiff.CSR, r, node int) *tensor.Matrix {
 	gated := !m.cfg.DisableSAOGate
+	ls := m.streams[r]
+	return f.ConeForward(adj, b.X, node, len(ls), func(l int, h, hN *tensor.Matrix) *tensor.Matrix {
+		return ls[l].infer(f, h, hN, gated)
+	})
+}
+
+// InferTarget implements gnn.TargetInferer. Each stream runs on the
+// target's cone over the matrix that stream aggregates with — its own
+// edge type's, or the merged one under CFO(-) — so a stream in which
+// the target has no in-edges costs one row. The CFO micro-attention, the
+// type fusion and the head run on the target row alone.
+func (m *HAG) InferTarget(f *gnn.Fwd, b *gnn.Batch, node int) float64 {
 	if m.cfg.DisableCFO {
-		h := b.X
-		adj := b.MergedWeightedMeanCSR()
-		ls := m.streams[0]
-		for _, l := range ls[:len(ls)-1] {
-			h = l.inferFused(f, h, adj, gated)
-		}
-		l := ls[len(ls)-1]
-		row := l.infer(f, h.RowView(node), f.AggregateRow(adj, h, node), gated)
-		return f.MLP(m.head, row).Data[0]
+		return f.MLP(m.head, m.targetRow(f, b, b.MergedWeightedMeanCSR(), 0, node)).Data[0]
 	}
 	nTypes := m.cfg.NumEdgeTypes
 	scores := f.Get(1, nTypes)
 	rows := make([]*tensor.Matrix, nTypes)
 	for r := 0; r < nTypes; r++ {
-		h := b.X
-		adj := b.TypedMeanCSR(r)
-		ls := m.streams[r]
-		for _, l := range ls[:len(ls)-1] {
-			h = l.inferFused(f, h, adj, gated)
-		}
-		l := ls[len(ls)-1]
-		row := l.infer(f, h.RowView(node), f.AggregateRow(adj, h, node), gated)
+		row := m.targetRow(f, b, b.TypedMeanCSR(r), r, node)
 		rows[r] = row
 		s := f.MatMul(tensor.TanhInPlace(f.MatMul(row, m.cfo[r].wAtt.Value)), m.cfo[r].vAtt.Value)
 		scores.Set(0, r, s.Data[0])

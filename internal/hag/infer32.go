@@ -1,6 +1,7 @@
 package hag
 
 import (
+	"turbo/internal/autodiff"
 	"turbo/internal/gnn"
 	"turbo/internal/tensor"
 )
@@ -99,34 +100,26 @@ func (m *HAG) Infer32(f *gnn.Fwd32, b *gnn.Batch) *tensor.Matrix32 {
 	return f.MLP(m.head, m.inferEmbed32(f, b))
 }
 
-// InferTarget32 implements gnn.TargetInferer32: all but the last SAO
-// layer of each stream run in full, the final layer plus CFO and head
-// on the target row alone — the same decomposition as InferTarget.
-func (m *HAG) InferTarget32(f *gnn.Fwd32, b *gnn.Batch, node int) float32 {
+// targetRow32 is the float32 form of targetRow.
+func (m *HAG) targetRow32(f *gnn.Fwd32, b *gnn.Batch, adj *autodiff.CSR, r, node int) *tensor.Matrix32 {
 	gated := !m.cfg.DisableSAOGate
+	ls := m.streams[r]
+	return f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(ls), func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+		return ls[l].infer32(f, h, hN, gated)
+	})
+}
+
+// InferTarget32 implements gnn.TargetInferer32: the decomposition of
+// InferTarget, per stream on the target's cone.
+func (m *HAG) InferTarget32(f *gnn.Fwd32, b *gnn.Batch, node int) float32 {
 	if m.cfg.DisableCFO {
-		h := b.X32()
-		adj := b.CSR32For(b.MergedWeightedMeanCSR())
-		ls := m.streams[0]
-		for _, l := range ls[:len(ls)-1] {
-			h = l.infer32(f, h, f.Aggregate(adj, h), gated)
-		}
-		l := ls[len(ls)-1]
-		row := l.infer32(f, h.RowView(node), f.AggregateRow(adj, h, node), gated)
-		return f.MLP(m.head, row).Data[0]
+		return f.MLP(m.head, m.targetRow32(f, b, b.MergedWeightedMeanCSR(), 0, node)).Data[0]
 	}
 	nTypes := m.cfg.NumEdgeTypes
 	scores := f.Get(1, nTypes)
 	rows := make([]*tensor.Matrix32, nTypes)
 	for r := 0; r < nTypes; r++ {
-		h := b.X32()
-		adj := b.CSR32For(b.TypedMeanCSR(r))
-		ls := m.streams[r]
-		for _, l := range ls[:len(ls)-1] {
-			h = l.infer32(f, h, f.Aggregate(adj, h), gated)
-		}
-		l := ls[len(ls)-1]
-		row := l.infer32(f, h.RowView(node), f.AggregateRow(adj, h, node), gated)
+		row := m.targetRow32(f, b, b.TypedMeanCSR(r), r, node)
 		rows[r] = row
 		s := f.MatMul(tensor.Tanh32InPlace(f.MatMul(row, m.cfo[r].wAtt.Value32())), m.cfo[r].vAtt.Value32())
 		scores.Set(0, r, s.Data[0])

@@ -163,22 +163,6 @@ func TestFanoutWorkerCount(t *testing.T) {
 	}
 }
 
-// BenchmarkAuditHotPath measures the full serving path end to end:
-// sample, feature fan-out, batch compile and tape-free scoring.
-func BenchmarkAuditHotPath(b *testing.B) {
-	_, pred := newFanoutStack(b, 16)
-	at := t0.Add(3 * time.Hour)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := behavior.UserID(1 + i%16)
-		if _, err := pred.PredictCtx(ctx, u, at); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFeatureFanout isolates the feature stage at different worker
 // counts over a 16-node star subgraph.
 func BenchmarkFeatureFanout(b *testing.B) {

@@ -48,9 +48,9 @@ type BNServer struct {
 	g       *graph.Graph
 	snap    atomic.Pointer[graph.Snapshot]
 	// txnMu guards hasTxn. hasTxn marks users with transactions; only
-	// these belong to computation subgraphs (§III-A). The Sample filter
-	// closure reads it concurrently with RegisterTransaction, so every
-	// access takes txnMu.
+	// these belong to computation subgraphs (§III-A). Sampling reads it
+	// concurrently with RegisterTransaction, so every access takes txnMu:
+	// TxnFilter per call, a sample once for its whole walk.
 	txnMu  sync.RWMutex
 	hasTxn map[behavior.UserID]bool
 
@@ -429,41 +429,70 @@ func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 	}
 }
 
-// Sample extracts the computation subgraph of user u, restricted to
-// users with transactions, recording the sampling latency (Fig. 8a).
-// When u is in the current snapshot (the steady state), sampling walks
-// the immutable epoch and performs zero graph mutex acquisitions.
-func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph {
+// Sample extracts the full computation subgraph of user u (every induced
+// edge: what DOT export and an all-rows reference forward need),
+// restricted to users with transactions, recording the sampling latency
+// (Fig. 8a). When u is in the current snapshot (the steady state),
+// sampling walks the immutable epoch and performs zero graph mutex
+// acquisitions.
+func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph { return s.sample(u, 0) }
+
+// sample draws u's subgraph, cut to the computation cone of a
+// layers-deep model when layers is positive (graph.SampleOptions.Layers).
+func (s *BNServer) sample(u behavior.UserID, layers int) *graph.Subgraph {
 	var sg *graph.Subgraph
 	s.SamplingLatency.Time(func() {
-		filter := s.TxnFilter()
 		view := s.View(u)
 		if s.viewWrap != nil {
 			view = s.viewWrap(view)
 		}
+		// One txnMu.RLock for the whole walk, not one per neighbor. It is
+		// taken at the first neighbor the walk asks about rather than up
+		// front, so a delay injected by a wrapped view is not spent
+		// holding it against RegisterTransaction.
+		locked := false
+		defer func() {
+			if locked {
+				s.txnMu.RUnlock()
+			}
+		}()
 		sg = view.Sample(graph.NodeID(u), graph.SampleOptions{
 			Hops:         s.SampleHops,
 			MaxNeighbors: s.MaxNeighbors,
-			Filter:       filter,
+			Layers:       layers,
+			Filter: func(n graph.NodeID) bool {
+				if !locked {
+					s.txnMu.RLock()
+					locked = true
+				}
+				return s.hasTxn[behavior.UserID(n)]
+			},
 		})
 	})
 	return sg
 }
 
-// SampleCtx is Sample under a deadline. When ctx cannot expire it runs
-// inline; otherwise sampling runs in a goroutine and SampleCtx returns
+// SampleCtx is Sample under a deadline.
+func (s *BNServer) SampleCtx(ctx context.Context, u behavior.UserID) (*graph.Subgraph, error) {
+	return s.SampleConeCtx(ctx, u, 0)
+}
+
+// SampleConeCtx draws, under a deadline, the sample the audit path
+// scores: u's subgraph cut to the computation cone of a layers-deep
+// model (0 draws it in full). When ctx cannot expire it runs inline;
+// otherwise sampling runs in a goroutine and SampleConeCtx returns
 // ctx.Err() as soon as the deadline fires, leaving the (possibly hung)
 // sample to finish in the background — slow graph reads cost the audit
 // its sampling budget, never the whole request.
-func (s *BNServer) SampleCtx(ctx context.Context, u behavior.UserID) (*graph.Subgraph, error) {
+func (s *BNServer) SampleConeCtx(ctx context.Context, u behavior.UserID, layers int) (*graph.Subgraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("server: sampling user %d: %w", u, err)
 	}
 	if ctx.Done() == nil {
-		return s.Sample(u), nil
+		return s.sample(u, layers), nil
 	}
 	ch := make(chan *graph.Subgraph, 1)
-	go func() { ch <- s.Sample(u) }()
+	go func() { ch <- s.sample(u, layers) }()
 	select {
 	case sg := <-ch:
 		return sg, nil
@@ -503,7 +532,10 @@ type Prediction struct {
 	Probability   float64         `json:"probability"`
 	Fraud         bool            `json:"fraud"`
 	SubgraphNodes int             `json:"subgraph_nodes"`
-	SubgraphEdges int             `json:"subgraph_edges"`
+	// SubgraphEdges counts the directed typed edges of the sample that was
+	// scored: those into the target's computation cone, not every edge
+	// among the sampled nodes (GET /subgraph still draws all of them).
+	SubgraphEdges int `json:"subgraph_edges"`
 
 	// ServedBy names the degradation-ladder tier that produced the
 	// score; Degraded is true for every tier below TierFull.
@@ -1075,8 +1107,9 @@ func (p *PredictionServer) fanoutFeatures(ctx context.Context, feats feature.Sou
 	return x, nil
 }
 
-// predictFull is tier 1: sample the computation subgraph, fan out the
-// feature fetches, run the HAG model. Each stage honors its deadline.
+// predictFull is tier 1: sample the computation subgraph, cut to the
+// cone of the model about to score it, fan out the feature fetches, run
+// the model. Each stage honors its deadline.
 func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source, model gnn.Model, normalizer func([]float64) []float64, u behavior.UserID, at time.Time) (Prediction, error) {
 	if model == nil {
 		return Prediction{}, fmt.Errorf("server: no model attached")
@@ -1088,7 +1121,7 @@ func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source
 		sctx, cancel = context.WithTimeout(ctx, p.Deadlines.Sample)
 		defer cancel()
 	}
-	sg, err := p.bn.SampleCtx(sctx, u)
+	sg, err := p.bn.SampleConeCtx(sctx, u, gnn.Depth(model))
 	sampleDone := time.Now()
 	trace := telemetry.TraceFrom(ctx)
 	trace.AddSpan(StageSample, start, sampleDone.Sub(start), telemetry.Outcome(err))

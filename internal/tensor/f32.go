@@ -412,45 +412,46 @@ func (c *CSR32) MatMulColsInto(dst *Matrix32, off int, h *Matrix32, hcols int) {
 	})
 }
 
-// MatMulRowInto computes the single output row dst = c[row] × h, where
-// dst is 1×h.Cols and zeroed.
-func (c *CSR32) MatMulRowInto(dst, h *Matrix32, row int) {
-	if c.NCols != h.Rows || dst.Rows != 1 || dst.Cols != h.Cols {
-		panic("tensor: CSR32 MatMulRowInto shape mismatch")
-	}
-	s, e := c.RowPtr[row], c.RowPtr[row+1]
-	csrRow(dst.Data, c.ColIdx[s:e], c.Weights[s:e], h.Data, h.Cols)
+// CSRRow32Into accumulates Σ_p w[p]·h[cols[p]] into the zeroed drow:
+// the row kernel of CSR32.MatMulInto with the columns supplied by the
+// caller, so a cone forward can point them at a gathered block of rows.
+func CSRRow32Into(drow []float32, cols []int32, w []float32, h *Matrix32) {
+	csrRow(drow, cols, w, h.Data, h.Cols)
 }
 
 // ---- float32 scratch pools (mirrors of the float64 pools) ----
 
-var matrix32Pools sync.Map // shapeKey → *sync.Pool of *Matrix32
+var matrix32Headers = sync.Pool{New: func() any { return new(Matrix32) }}
 
-func matrix32Pool(rows, cols int) *sync.Pool {
-	k := shapeKey{rows, cols}
-	if p, ok := matrix32Pools.Load(k); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := matrix32Pools.LoadOrStore(k, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// GetMatrix32 returns a zeroed rows×cols float32 matrix from the shape
-// pool. Pair with PutMatrix32.
+// GetMatrix32 returns a zeroed rows×cols float32 matrix backed by the
+// float32 capacity-class pool. Pair with PutMatrix32.
 func GetMatrix32(rows, cols int) *Matrix32 {
-	if m, _ := matrix32Pool(rows, cols).Get().(*Matrix32); m != nil {
-		m.Zero()
-		return m
-	}
-	return New32(rows, cols)
+	m := matrix32Headers.Get().(*Matrix32)
+	m.Rows, m.Cols, m.Data = rows, cols, GetFloats32(rows*cols)
+	return m
 }
 
-// PutMatrix32 returns m to its shape pool.
+// PutMatrix32 returns m and its backing to the pools; see PutMatrix.
 func PutMatrix32(m *Matrix32) {
-	if m == nil || len(m.Data) == 0 {
+	if m == nil {
 		return
 	}
-	matrix32Pool(m.Rows, m.Cols).Put(m)
+	PutFloats32(m.Data)
+	m.Data = nil
+	matrix32Headers.Put(m)
+}
+
+// Reshape is the float32 mirror of Matrix.Reshape.
+func (m *Matrix32) Reshape(rows, cols int) *Matrix32 {
+	n := rows * cols
+	if n > cap(m.Data) {
+		PutFloats32(m.Data)
+		m.Rows, m.Cols, m.Data = rows, cols, GetFloats32(n)
+		return m
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	clear(m.Data)
+	return m
 }
 
 var (
@@ -475,6 +476,7 @@ func GetInts32(n int) []int32 {
 		}
 		return s
 	}
+	backingAllocs.Add(1)
 	return make([]int32, n, 1<<c)
 }
 
@@ -506,6 +508,7 @@ func GetFloats32(n int) []float32 {
 		}
 		return s
 	}
+	backingAllocs.Add(1)
 	return make([]float32, n, 1<<c)
 }
 

@@ -360,13 +360,13 @@ func TestCSR32MatMulAgainstGather(t *testing.T) {
 			}
 		}
 		row := New32(1, 16)
-		c.MatMulRowInto(row, h32, i)
+		CSRRow32Into(row.Data, c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]], c.Weights[c.RowPtr[i]:c.RowPtr[i+1]], h32)
 		for j := 0; j < 16; j++ {
 			if d := math.Abs(float64(dst.At(i, j)) - want[j]); d > 1e-4 {
 				t.Fatalf("row %d col %d differs by %g", i, j, d)
 			}
 			if dst.At(i, j) != row.At(0, j) {
-				t.Fatalf("MatMulRowInto row %d col %d differs from MatMulInto", i, j)
+				t.Fatalf("CSRRow32Into row %d col %d differs from MatMulInto", i, j)
 			}
 		}
 	}

@@ -3,53 +3,60 @@ package tensor
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
-// pool.go is the scratch arena behind the tape-free inference path: a
-// shape-keyed matrix pool plus capacity-class slice pools for the CSR
-// buffers compiled per audit. The audit hot path runs the same shapes
-// over and over (model layer sizes × sampled-subgraph sizes), so pooled
-// buffers hit almost always and the steady state allocates nothing.
+// pool.go is the scratch arena behind the tape-free inference path:
+// capacity-class slice pools for the CSR buffers compiled per audit, and
+// matrices whose backing comes from those same pools. On serving a
+// matrix's row count is the sample size or a cone's row count, so it
+// differs audit to audit; a pool keyed by capacity class serves all of
+// them from a fixed set of pools, where a pool per exact shape would
+// mint one per user and never hit.
 //
 // Ownership is strict: a Get hands out an exclusively owned buffer; a
 // Put transfers it back. Buffers are zeroed on Get, not on Put, so the
 // accumulate-style kernels (MatMulInto, CSR.MatMulInto) can use them
 // directly.
 
-// matrixPools maps an exact (rows, cols) shape to its sync.Pool. Exact
-// shape keying (rather than capacity classes) keeps Row slicing and the
-// kernels' dimension checks trivial; the shape population is small and
-// stable in practice.
-var matrixPools sync.Map // shapeKey → *sync.Pool of *Matrix
+// matrixHeaders recycles the Matrix structs themselves, so a warm
+// GetMatrix allocates nothing.
+var matrixHeaders = sync.Pool{New: func() any { return new(Matrix) }}
 
-type shapeKey struct{ rows, cols int }
-
-func matrixPool(rows, cols int) *sync.Pool {
-	k := shapeKey{rows, cols}
-	if p, ok := matrixPools.Load(k); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := matrixPools.LoadOrStore(k, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// GetMatrix returns a zeroed rows×cols matrix from the shape pool,
-// allocating only when the pool is empty. Pair with PutMatrix.
+// GetMatrix returns a zeroed rows×cols matrix backed by the float
+// capacity-class pool. Pair with PutMatrix.
 func GetMatrix(rows, cols int) *Matrix {
-	if m, _ := matrixPool(rows, cols).Get().(*Matrix); m != nil {
-		m.Zero()
-		return m
-	}
-	return New(rows, cols)
+	m := matrixHeaders.Get().(*Matrix)
+	m.Rows, m.Cols, m.Data = rows, cols, GetFloats(rows*cols)
+	return m
 }
 
-// PutMatrix returns m to its shape pool. m must not be used afterwards;
-// nil and zero-sized matrices are dropped.
+// PutMatrix returns m and its backing to the pools. m must not be used
+// afterwards. Backing that GetMatrix did not hand out (its capacity is
+// not a power of two) is dropped, as PutFloats does.
 func PutMatrix(m *Matrix) {
-	if m == nil || len(m.Data) == 0 {
+	if m == nil {
 		return
 	}
-	matrixPool(m.Rows, m.Cols).Put(m)
+	PutFloats(m.Data)
+	m.Data = nil
+	matrixHeaders.Put(m)
+}
+
+// Reshape returns m as a zeroed rows×cols matrix, reusing its backing
+// when it is large enough and swapping it through the pool otherwise.
+// The forward contexts keep their scratch warm with it across audits
+// whose row counts differ.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	n := rows * cols
+	if n > cap(m.Data) {
+		PutFloats(m.Data)
+		m.Rows, m.Cols, m.Data = rows, cols, GetFloats(n)
+		return m
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	clear(m.Data)
+	return m
 }
 
 // Slice pools are keyed by power-of-two capacity class. Get allocates
@@ -62,6 +69,15 @@ var (
 	intPools   [numSliceClasses]sync.Pool
 	floatPools [numSliceClasses]sync.Pool
 )
+
+// backingAllocs counts the pooled-class buffers the Get functions had to
+// allocate because their pool was empty.
+var backingAllocs atomic.Uint64
+
+// BackingAllocs returns how many pooled-class buffers have been
+// allocated so far. A serving path in its steady state leaves it still:
+// every buffer it asks for has been returned by an earlier audit.
+func BackingAllocs() uint64 { return backingAllocs.Load() }
 
 // sliceClass returns the pool class holding capacities of exactly 2^c
 // with 2^c >= n, or -1 when n is too large to pool.
@@ -93,6 +109,7 @@ func GetInts(n int) []int {
 		}
 		return s
 	}
+	backingAllocs.Add(1)
 	return make([]int, n, 1<<c)
 }
 
@@ -125,6 +142,7 @@ func GetFloats(n int) []float64 {
 		}
 		return s
 	}
+	backingAllocs.Add(1)
 	return make([]float64, n, 1<<c)
 }
 

@@ -29,7 +29,9 @@ go test -run 'XXX-none' -bench 'BenchmarkScoreTapeVsInfer|BenchmarkHAGScoreTapeV
     -benchtime "$BENCHTIME" -benchmem \
     ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/persist/ | tee "$RAW"
 
-# Parse `BenchmarkX-N  iters  ns/op  B/op  allocs/op` lines into JSON.
+# Parse `BenchmarkX-N  iters  ns/op  [custom metrics]  B/op  allocs/op`
+# lines into JSON; B/op and allocs/op are found by their unit, since
+# b.ReportMetric columns sit between them and ns/op.
 awk -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }
 /^Benchmark/ && NF >= 8 {
@@ -38,8 +40,10 @@ BEGIN { n = 0 }
     names[n] = name
     iters[n] = $2
     nsop[n] = $3
-    bop[n] = $5
-    allocs[n] = $7
+    for (f = 5; f <= NF; f++) {
+        if ($f == "B/op") bop[n] = $(f - 1)
+        if ($f == "allocs/op") allocs[n] = $(f - 1)
+    }
     n++
 }
 END {

@@ -41,6 +41,9 @@ go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|Tes
 echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant; dirty always falls back; randomized invalidation property under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay' ./internal/embed/
 
+echo "== cone parity smoke (seven variants x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; snapshot walk vs SampleView; under -race)"
+go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSampleConeCut' ./internal/server/ ./internal/graph/
+
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
 
