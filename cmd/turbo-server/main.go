@@ -88,7 +88,6 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive feature failures that open the breaker")
 	breakerCoolDown := flag.Duration("breaker-cooldown", 10*time.Second, "breaker open → half-open cool-down")
 	retryAttempts := flag.Int("retry-attempts", 2, "attempts per feature fetch (1 = no retry)")
-	fanoutWorkers := flag.Int("fanout-workers", 0, "concurrent feature fetches per audit (0 = adaptive: sequential for small subgraphs, min(8, GOMAXPROCS) for large; 1 = always sequential)")
 	sampleTimeout := flag.Duration("sample-timeout", 500*time.Millisecond, "subgraph sampling deadline (0 = none)")
 	featureTimeout := flag.Duration("feature-timeout", time.Second, "feature fan-out deadline (0 = none)")
 	totalTimeout := flag.Duration("total-timeout", 2*time.Second, "end-to-end audit deadline (0 = none)")
@@ -306,7 +305,6 @@ func main() {
 		OnStateChange:    tel.BreakerHook(),
 	})
 	pred.Retry = resilience.RetryConfig{Attempts: *retryAttempts, BaseDelay: 5 * time.Millisecond, Seed: *faultSeed}
-	pred.FanoutWorkers = *fanoutWorkers
 	pred.Deadlines = server.StageDeadlines{
 		Sample:  *sampleTimeout,
 		Feature: *featureTimeout,

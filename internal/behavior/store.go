@@ -12,19 +12,34 @@ import (
 // (for BN edge construction). Logs are kept sorted by time within each
 // index, which the BN builder and sliding-window feature counters rely
 // on for range scans.
+//
+// Every change to a user's logs stamps the user with a fresh version
+// from one store-wide sequence, so two equal versions always name the
+// same log set; a user without logs has version 0. The feature table
+// keys its exact rows on these versions.
 type Store struct {
-	mu     sync.RWMutex
-	byUser map[UserID][]Log
-	byKey  map[Key][]Log
-	count  int
+	mu      sync.RWMutex
+	byUser  map[UserID][]Log
+	byKey   map[Key][]Log
+	version map[UserID]uint64
+	seq     uint64
+	count   int
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		byUser: make(map[UserID][]Log),
-		byKey:  make(map[Key][]Log),
+		byUser:  make(map[UserID][]Log),
+		byKey:   make(map[Key][]Log),
+		version: make(map[UserID]uint64),
 	}
+}
+
+// touch stamps u's log set with a fresh version; s.mu must be held for
+// writing.
+func (s *Store) touch(u UserID) {
+	s.seq++
+	s.version[u] = s.seq
 }
 
 // Append adds one log to both indexes.
@@ -35,6 +50,7 @@ func (s *Store) Append(l Log) {
 	k := l.Key()
 	s.byKey[k] = insertSorted(s.byKey[k], l)
 	s.count++
+	s.touch(l.User)
 }
 
 // AppendBatch bulk-loads many logs: entries are appended to both indexes
@@ -55,6 +71,7 @@ func (s *Store) AppendBatch(logs []Log) {
 	s.count += len(logs)
 	for u := range touchedUsers {
 		sortLogs(s.byUser[u])
+		s.touch(u)
 	}
 	for k := range touchedKeys {
 		sortLogs(s.byKey[k])
@@ -115,6 +132,25 @@ func (s *Store) UserLogs(u UserID) []Log {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]Log(nil), s.byUser[u]...)
+}
+
+// Versions sets vers[i] to the log version of users[i], all under one
+// read lock. vers must be at least as long as users.
+func (s *Store) Versions(users []UserID, vers []uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, u := range users {
+		vers[i] = s.version[u]
+	}
+}
+
+// ViewUser calls fn with u's time-sorted logs and the version of that
+// log set, under one read lock: fn must not retain or mutate the slice,
+// nor call back into the store.
+func (s *Store) ViewUser(u UserID, fn func(logs []Log, version uint64)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn(s.byUser[u], s.version[u])
 }
 
 // UserLogsBetween returns the user's logs with Time in [from, to).
@@ -217,11 +253,16 @@ func (s *Store) DropBefore(cutoff time.Time) int {
 	removed := 0
 	for u, logs := range s.byUser {
 		kept := dropOld(logs, cutoff)
+		if len(kept) == len(logs) {
+			continue
+		}
 		removed += len(logs) - len(kept)
 		if len(kept) == 0 {
 			delete(s.byUser, u)
+			delete(s.version, u)
 		} else {
 			s.byUser[u] = kept
+			s.touch(u)
 		}
 	}
 	for k, logs := range s.byKey {

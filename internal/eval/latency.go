@@ -88,7 +88,7 @@ func RunLatencyStudy(cfg datagen.Config, opts LatencyOptions) LatencyStudy {
 
 	return LatencyStudy{
 		Cold: run(feature.Config{DisableCache: true, DBLatency: opts.DBLatency}),
-		Warm: run(feature.Config{DBLatency: opts.DBLatency, CacheTTL: time.Hour}),
+		Warm: run(feature.Config{DBLatency: opts.DBLatency}),
 	}
 }
 
@@ -123,7 +123,7 @@ type ModuleLatencySeries struct {
 // RunResponseTimeStudy serves n audits through a cached system and
 // returns the per-request module latencies (Fig. 8a).
 func RunResponseTimeStudy(a *Assembled, model gnn.Model, n int, seed uint64) ModuleLatencySeries {
-	sys := buildSystem(a, model, feature.Config{CacheTTL: time.Hour})
+	sys := buildSystem(a, model, feature.Config{})
 	rng := tensor.NewRNG(seed)
 	var out ModuleLatencySeries
 	for k := 0; k < n; k++ {

@@ -2,76 +2,36 @@ package feature
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"turbo/internal/behavior"
 )
 
-// bulk.go is the bulk retrieval path the full-graph sweep engine uses:
-// one call fetches the vectors of thousands of users with a bounded
-// worker pool instead of the audit path's per-subgraph fan-out. Results
-// are positionally aligned with the input so callers can assemble a
-// feature matrix without re-keying, and failures are reported per user —
-// a sweep skips the users it cannot feature rather than aborting.
-
-// defaultBulkWorkers bounds the bulk fan-out: enough to hide the
-// simulated database latency without monopolizing the scheduler.
-func defaultBulkWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w < 16 {
-		return w
-	}
-	return 16
-}
-
-// FetchVectors retrieves the feature vector of every user through src
-// with at most `workers` concurrent fetches (0 selects min(16,
-// GOMAXPROCS)). vecs[i] and errs[i] report user users[i]: exactly one of
-// the two is non-nil. Failures do not cancel sibling fetches — a context
+// FetchVectors is the bulk retrieval path of the full-graph sweep, the
+// embed rebuild and the lifecycle cohort: the vectors of many users
+// through src, positionally aligned with users so callers can assemble a
+// feature matrix without re-keying. vecs[i] and errs[i] report user
+// users[i]: exactly one of the two is non-nil. A failing user does not
+// abort the others — the gather resumes after it — so a context
 // cancellation surfaces as the per-user error of the remaining users,
-// and vectors fetched before it are kept.
-func FetchVectors(ctx context.Context, src Source, users []behavior.UserID, cutoff time.Time, workers int) (vecs [][]float64, errs []error) {
-	n := len(users)
-	vecs = make([][]float64, n)
-	errs = make([]error, n)
-	if n == 0 {
-		return vecs, errs
-	}
-	if workers <= 0 {
-		workers = defaultBulkWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i, u := range users {
-			vecs[i], errs[i] = src.VectorCtx(ctx, u, cutoff)
+// and vectors fetched before it are kept. The vectors are shared and
+// must not be mutated.
+func FetchVectors(ctx context.Context, src Source, users []behavior.UserID, cutoff time.Time) (vecs [][]float64, errs []error) {
+	vecs = make([][]float64, len(users))
+	errs = make([]error, len(users))
+	for start := 0; start < len(users); {
+		n, err := src.Gather(ctx, users[start:], cutoff, func(i int, vec []float64) { vecs[start+i] = vec })
+		if err == nil {
+			break
 		}
-		return vecs, errs
+		errs[start+n] = err
+		start += n + 1
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				vecs[i], errs[i] = src.VectorCtx(ctx, users[i], cutoff)
-			}
-		}()
-	}
-	wg.Wait()
 	return vecs, errs
 }
 
 // VectorsCtx is the service's bulk vector path: FetchVectors over the
-// service itself with the default worker bound.
+// service itself.
 func (s *Service) VectorsCtx(ctx context.Context, users []behavior.UserID, cutoff time.Time) ([][]float64, []error) {
-	return FetchVectors(ctx, s, users, cutoff, 0)
+	return FetchVectors(ctx, s, users, cutoff)
 }

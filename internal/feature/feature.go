@@ -4,8 +4,8 @@
 // over hierarchical windows (login counts, distinct devices/IPs/cells in
 // the last 1 h / 24 h / 72 h — §V). Two retrieval paths exist, matching
 // the §V optimization study: a cold path that recomputes X_s by scanning
-// the local database, and a cached path that memoizes vectors in the
-// in-memory store with a TTL.
+// the local database on every request, and a warm path that serves
+// exact rows from an in-memory table (table.go).
 package feature
 
 import (
@@ -18,13 +18,18 @@ import (
 )
 
 // Source is the read boundary the prediction server consumes: one
-// deadline-aware vector fetch. *Service implements it directly;
-// resilience.InjectFeatures wraps it with chaos faults.
+// deadline-aware gather of many users' vectors. *Service implements it
+// directly; resilience.InjectFeatures wraps it with chaos faults.
 type Source interface {
-	VectorCtx(ctx context.Context, u behavior.UserID, cutoff time.Time) ([]float64, error)
+	// Gather calls fn(i, vec) with the vector of users[i], in order, and
+	// returns how many rows it handed over. It stops at the first row it
+	// cannot serve: then users[n] is the lowest failing row and err its
+	// error. vec is read-only: fn may keep it but must not mutate it.
+	Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, fn func(i int, vec []float64)) (n int, err error)
 }
 
-// StatWindows are the statistical-feature windows.
+// StatWindows are the statistical-feature windows, shortest first (the
+// table's one-pass scan relies on the order).
 var StatWindows = []time.Duration{time.Hour, 24 * time.Hour, 72 * time.Hour}
 
 // statKinds are the per-window aggregates.
@@ -46,10 +51,9 @@ func NumStatFeatures() int { return len(StatWindows) * len(statKinds) }
 
 // Config parameterizes the service.
 type Config struct {
-	// CacheTTL bounds staleness of cached vectors; 0 selects 10 minutes.
-	CacheTTL time.Duration
 	// DBLatency simulates the round-trip cost of each local-database
-	// scan on the cold path (the paper's MySQL cluster is remote; our
+	// scan: every row the cold path serves and every row the warm path
+	// recomputes pays it (the paper's MySQL cluster is remote; our
 	// embedded store is not, so the latency study injects it here).
 	DBLatency time.Duration
 	// DisableCache forces the cold path on every request (§V baseline).
@@ -61,29 +65,27 @@ type Service struct {
 	cfg      Config
 	logs     *behavior.Store
 	profiles *store.ReplicatedTable // key: uid, value: []float64 X_u⊕X_τ
-	cache    *store.KV
+	table    table
 }
 
 // NewService builds a feature service over the given log store.
 func NewService(cfg Config, logs *behavior.Store) *Service {
-	if cfg.CacheTTL == 0 {
-		cfg.CacheTTL = 10 * time.Minute
-	}
 	return &Service{
 		cfg:      cfg,
 		logs:     logs,
 		profiles: store.NewReplicatedTable(),
-		cache:    store.NewKV(),
+		table:    table{slots: make(map[behavior.UserID]slot)},
 	}
 }
 
-// PutProfile stores a user's static X_u⊕X_τ vector (write-through: the
-// cached full vector, if any, is invalidated).
+// PutProfile stores a user's static X_u⊕X_τ vector. The user's profile
+// version moves after the write, so no table row built on the old
+// profile is served again.
 func (s *Service) PutProfile(u behavior.UserID, feats []float64) error {
 	if err := s.profiles.Put(profileKey(u), append([]float64(nil), feats...)); err != nil {
 		return err
 	}
-	s.cache.Delete(vectorKey(u))
+	s.table.bump(u)
 	return nil
 }
 
@@ -97,52 +99,53 @@ func (s *Service) Profile(u behavior.UserID) ([]float64, error) {
 }
 
 // Vector returns X_u⊕X_τ⊕X_s for user u with statistical features
-// computed over logs before the cutoff time. The cached path memoizes
-// the full vector; the cold path recomputes it, paying DBLatency per
-// database scan.
+// computed over logs before the cutoff time.
 func (s *Service) Vector(u behavior.UserID, cutoff time.Time) ([]float64, error) {
 	return s.VectorCtx(context.Background(), u, cutoff)
 }
 
 // VectorCtx is Vector with a deadline: the simulated database round-trip
 // is cut short when ctx expires, so a slow cold path cannot hold an
-// audit past its stage budget.
+// audit past its stage budget. The returned slice is shared and must not
+// be mutated.
 func (s *Service) VectorCtx(ctx context.Context, u behavior.UserID, cutoff time.Time) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	var vec []float64
+	_, err := s.Gather(ctx, []behavior.UserID{u}, cutoff, func(_ int, v []float64) { vec = v })
+	return vec, err
+}
+
+// dbRoundTrip pays the simulated database latency, or ctx's error if it
+// expires first.
+func (s *Service) dbRoundTrip(ctx context.Context, u behavior.UserID) error {
+	if s.cfg.DBLatency <= 0 {
+		return nil
 	}
-	key := vectorKey(u)
-	if !s.cfg.DisableCache {
-		if v, ok := s.cache.Get(key); ok {
-			return v.([]float64), nil
-		}
+	t := time.NewTimer(s.cfg.DBLatency)
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		t.Stop()
+		return fmt.Errorf("feature: vector of user %d: %w", u, ctx.Err())
 	}
+}
+
+// coldVector is the §V cold path: Profile ⊕ StatFeatures, recomputed
+// on every request.
+func (s *Service) coldVector(ctx context.Context, u behavior.UserID, cutoff time.Time) ([]float64, error) {
 	static, err := s.Profile(u)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.DBLatency > 0 {
-		t := time.NewTimer(s.cfg.DBLatency)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, fmt.Errorf("feature: vector of user %d: %w", u, ctx.Err())
-		}
+	if err := s.dbRoundTrip(ctx, u); err != nil {
+		return nil, err
 	}
-	stats := s.StatFeatures(u, cutoff)
-	vec := make([]float64, 0, len(static)+len(stats))
-	vec = append(vec, static...)
-	vec = append(vec, stats...)
-	if !s.cfg.DisableCache {
-		s.cache.SetTTL(key, vec, s.cfg.CacheTTL)
-	}
-	return vec, nil
+	return append(append(make([]float64, 0, len(static)+NumStatFeatures()), static...), s.StatFeatures(u, cutoff)...), nil
 }
 
 // StatFeatures computes X_s for u from logs in the windows ending at
 // cutoff: per window, the log count and the distinct devices, IPs and
-// GPS cells.
+// GPS cells. It is the reference the table's rows are exact against.
 func (s *Service) StatFeatures(u behavior.UserID, cutoff time.Time) []float64 {
 	out := make([]float64, 0, NumStatFeatures())
 	for _, w := range StatWindows {
@@ -165,16 +168,19 @@ func (s *Service) StatFeatures(u behavior.UserID, cutoff time.Time) []float64 {
 	return out
 }
 
-// CacheStats exposes cache hits/misses for the §V study.
-func (s *Service) CacheStats() (hits, misses int64) { return s.cache.Stats() }
+// CacheStats reports how many rows the warm path served from the table
+// (hits) and recomputed (misses), for the §V study.
+func (s *Service) CacheStats() (hits, misses int64) {
+	return s.table.hits.Load(), s.table.misses.Load()
+}
 
 // Profiles exposes the replicated profile table for failover tests.
 func (s *Service) Profiles() *store.ReplicatedTable { return s.profiles }
 
-// InvalidateUser drops any cached vector for u (called on new logs).
-func (s *Service) InvalidateUser(u behavior.UserID) { s.cache.Delete(vectorKey(u)) }
+// InvalidateUser forces the next read of u to recompute its row. New
+// logs need no call: they move the user's log version.
+func (s *Service) InvalidateUser(u behavior.UserID) { s.table.bump(u) }
 
 var _ Source = (*Service)(nil)
 
 func profileKey(u behavior.UserID) string { return fmt.Sprintf("p/%d", u) }
-func vectorKey(u behavior.UserID) string  { return fmt.Sprintf("v/%d", u) }

@@ -107,7 +107,7 @@ func TestVectorComposition(t *testing.T) {
 }
 
 func TestVectorCacheHit(t *testing.T) {
-	svc := newSvc(Config{CacheTTL: time.Hour}, nil)
+	svc := newSvc(Config{}, nil)
 	_ = svc.PutProfile(1, []float64{1})
 	if _, err := svc.Vector(1, t0); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestVectorDisableCache(t *testing.T) {
 }
 
 func TestPutProfileInvalidatesCachedVector(t *testing.T) {
-	svc := newSvc(Config{CacheTTL: time.Hour}, nil)
+	svc := newSvc(Config{}, nil)
 	_ = svc.PutProfile(1, []float64{1})
 	v1, _ := svc.Vector(1, t0)
 	_ = svc.PutProfile(1, []float64{42})
@@ -147,7 +147,7 @@ func TestInvalidateUser(t *testing.T) {
 	logs := []behavior.Log{}
 	store := behavior.NewStore()
 	store.AppendBatch(logs)
-	svc := NewService(Config{CacheTTL: time.Hour}, store)
+	svc := NewService(Config{}, store)
 	_ = svc.PutProfile(1, []float64{1})
 	v1, _ := svc.Vector(1, t0.Add(2*time.Hour))
 	// New behavior arrives; without invalidation the vector is stale.

@@ -142,19 +142,20 @@ type faultyFeatures struct {
 	inj *Injector
 }
 
-// InjectFeatures wraps src so every vector fetch first passes through
-// the injector — the feature-service outage knob of the chaos tests and
-// the turbo-server -fault.feature-* flags.
+// InjectFeatures wraps src so every gather first passes through the
+// injector, one roll per gather — the feature-service outage knob of the
+// chaos tests and the turbo-server -fault.feature-* flags. A fault fails
+// the gather at its first row.
 func InjectFeatures(src feature.Source, inj *Injector) feature.Source {
 	return &faultyFeatures{src: src, inj: inj}
 }
 
-// VectorCtx implements feature.Source.
-func (f *faultyFeatures) VectorCtx(ctx context.Context, u behavior.UserID, cutoff time.Time) ([]float64, error) {
+// Gather implements feature.Source.
+func (f *faultyFeatures) Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, fn func(i int, vec []float64)) (int, error) {
 	if err := f.inj.Fault(ctx); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return f.src.VectorCtx(ctx, u, cutoff)
+	return f.src.Gather(ctx, users, cutoff, fn)
 }
 
 // faultyView wraps a graph view with injected sampling latency.

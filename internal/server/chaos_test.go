@@ -104,11 +104,14 @@ func TestChaosNoFaultsIdenticalToFullPath(t *testing.T) {
 	// Hand-run the pre-resilience pipeline on the same stack.
 	sg := cs.bn.Sample(1)
 	x := tensor.New(sg.NumNodes(), 0)
-	feats := featureSource(cs.pred)
+	users := make([]behavior.UserID, sg.NumNodes())
 	for i, node := range sg.Nodes {
-		vec, err := feats.VectorCtx(context.Background(), behavior.UserID(node), at)
-		if err != nil {
-			t.Fatal(err)
+		users[i] = behavior.UserID(node)
+	}
+	vecs, errs := feature.FetchVectors(context.Background(), featureSource(cs.pred), users, at)
+	for i, vec := range vecs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
 		if x.Cols == 0 {
 			x = tensor.New(sg.NumNodes(), len(vec))
@@ -251,17 +254,24 @@ func TestChaosSamplingHangFallsBackToFeatureModel(t *testing.T) {
 	}
 }
 
-// TestChaosFeatureDelayDegradesFanOutOnly injects per-call latency that
-// blows the multi-node fan-out budget while a single call still fits:
-// the audit must land on the feature-only tier, proving the ladder
-// degrades one rung at a time rather than falling straight to static.
+// TestChaosFeatureDelayDegradesFanOutOnly gives every feature row a
+// latency that blows the multi-node fan-out budget while a single row
+// still fits: the audit must land on the feature-only tier, proving the
+// ladder degrades one rung at a time rather than falling straight to
+// static.
 func TestChaosFeatureDelayDegradesFanOutOnly(t *testing.T) {
-	cs := newChaosStack(t, resilience.FaultConfig{Delay: 100 * time.Millisecond, Seed: 3}, 100)
+	cs := newChaosStack(t, resilience.FaultConfig{}, 100)
 	cs.pred.Breaker = nil // isolate the deadline behavior
-	// Pin the sequential fan-out: this test exercises the deadline
-	// ladder via fan-out cost (2 sequential fetches > budget > 1 fetch),
-	// which parallel fetches would legitimately hide.
-	cs.pred.FanoutWorkers = 1
+	// The §V cold path pays its simulated database round trip per row,
+	// so the fan-out's cost grows with the subgraph (2 rows > budget >
+	// 1 row), where an injected fault costs the same once per gather.
+	cold := feature.NewService(feature.Config{DisableCache: true, DBLatency: 100 * time.Millisecond}, cs.bn.Store())
+	for u := behavior.UserID(1); u <= 3; u++ {
+		if err := cold.PutProfile(u, []float64{float64(u), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.pred.SetFeatureSource(cold)
 	cs.pred.Deadlines = StageDeadlines{Feature: 150 * time.Millisecond}
 
 	// User 1's subgraph has 2 nodes: the fan-out needs ~200ms > 150ms,

@@ -458,6 +458,16 @@ func BenchmarkAuditHotPath(b *testing.B) {
 			b.ReportMetric(edges/induced, "live-edge-share")
 			b.ReportMetric(edges/inputs, "edges/audit")
 		})
+		b.Run(fmt.Sprintf("layers=%d/features", layers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x, err := pred.gatherFeatures(ctx, w.feats, nil, sgs[i%inputs], user(i%inputs*7), w.at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tensor.PutMatrix(x)
+			}
+		})
 		b.Run(fmt.Sprintf("layers=%d/compile", layers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

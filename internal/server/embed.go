@@ -32,9 +32,6 @@ type EmbedEngine struct {
 
 	// Opts tunes the rebuild/refresh sweeps (worker count, row costs).
 	Opts sweep.Options
-	// FetchWorkers bounds the rebuild's bulk feature fan-out; 0 selects
-	// the feature package default.
-	FetchWorkers int
 
 	runMu    sync.Mutex // serializes rebuilds and refreshes
 	inflight atomic.Int64
@@ -197,7 +194,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), e.FetchWorkers)
+	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
 	if err := ctx.Err(); err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: feature fetch: %w", err)
 	}

@@ -79,7 +79,7 @@ func (e *SweepEngine) cohortRaw(ctx context.Context, limit int) (*graph.Snapshot
 	if len(users) == 0 {
 		return snap, nil, nil, nil
 	}
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), e.FetchWorkers)
+	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: cohort feature fetch: %w", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -603,13 +602,6 @@ type PredictionServer struct {
 	// embeddings when the target's neighborhood is clean, fall through
 	// otherwise. NewEmbedEngine installs it.
 	Embed *EmbedEngine
-	// FanoutWorkers bounds the concurrent feature fetches of one audit's
-	// fan-out. 0 is adaptive: sequential below serialFanoutThreshold
-	// nodes (goroutine spawn + synchronization dominates in-process
-	// fetches at typical subgraph sizes), min(8, GOMAXPROCS) workers
-	// above it. 1 forces the sequential fan-out. Every fetch keeps its
-	// full breaker/retry/deadline semantics regardless of the setting.
-	FanoutWorkers int
 
 	// Served counts audits by serving tier, plus "degraded", "shed" and
 	// "unknown" outcomes. It is backed by the telemetry registry's
@@ -632,10 +624,6 @@ type PredictionServer struct {
 	last        map[behavior.UserID]float64 // last-known scores (tier 3)
 	lastVersion int
 	maxVersion  int
-
-	// fanoutInFlight counts feature fetches currently in flight across
-	// all audits, exposed as turbo_feature_fanout_inflight.
-	fanoutInFlight atomic.Int64
 
 	// f32Enabled flips the opt-in float32 scoring path; f32Gate is the
 	// per-model tolerance validation ConfigureF32 installed, re-run on
@@ -681,9 +669,6 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 		}
 		return float64(p.Breaker.State())
 	})
-	tel.RegisterFanoutGauge(func() float64 {
-		return float64(p.fanoutInFlight.Load())
-	})
 	tel.RegisterAdmissionGauges(
 		func() float64 { return float64(p.Admission.InFlight()) },
 		func() float64 {
@@ -695,42 +680,6 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 		func() float64 { return p.Admission.Occupancy() },
 	)
 	return p
-}
-
-// defaultFanoutWorkers is the worker count for large adaptive fan-outs:
-// enough parallelism to hide feature-store latency without letting one
-// audit monopolize the scheduler.
-func defaultFanoutWorkers() int {
-	if w := runtime.GOMAXPROCS(0); w < 8 {
-		return w
-	}
-	return 8
-}
-
-// serialFanoutThreshold is the subgraph size below which the adaptive
-// fan-out (FanoutWorkers=0) stays sequential. Against the in-process
-// feature service, the worker pool's spawn/synchronization overhead
-// makes the parallel path ~2× slower than the serial loop at typical
-// subgraph sizes (see BENCH_infer.json); parallelism only pays once a
-// fan-out is large or the per-fetch latency is real network latency
-// (set FanoutWorkers explicitly for the latter).
-const serialFanoutThreshold = 32
-
-// fanoutWorkerCount resolves the worker count for one fan-out over n
-// nodes: an explicit FanoutWorkers is honored (clamped to n), 0 adapts
-// by subgraph size.
-func (p *PredictionServer) fanoutWorkerCount(n int) int {
-	workers := p.FanoutWorkers
-	if workers <= 0 {
-		if n < serialFanoutThreshold {
-			return 1
-		}
-		workers = defaultFanoutWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
 }
 
 // SwapModel atomically replaces the serving model and normalizer (the
@@ -972,28 +921,27 @@ func (p *PredictionServer) finish(pred *Prediction, u behavior.UserID, start tim
 	}
 }
 
-// fetchVector retrieves one user's feature vector through the breaker
-// and the retry policy. A missing profile is a definitive answer, not a
-// dependency failure: it is never retried and never trips the breaker.
-func (p *PredictionServer) fetchVector(ctx context.Context, feats feature.Source, u behavior.UserID, at time.Time) ([]float64, error) {
+// gather fetches the vectors of users through the breaker and the retry
+// policy: one breaker Allow/Record and one retry loop per call, however
+// many rows, with each retry resuming at the failing row. It returns the
+// lowest failing row with its error. A missing profile is a definitive
+// answer, not a dependency failure: it is never retried and never trips
+// the breaker.
+func (p *PredictionServer) gather(ctx context.Context, feats feature.Source, users []behavior.UserID, at time.Time, fn func(i int, vec []float64)) (int, error) {
 	if p.Breaker != nil {
 		if err := p.Breaker.Allow(); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	var vec []float64
-	attempts := 0
+	done, attempts := 0, 0
 	err := resilience.Retry(ctx, p.Retry, func(ctx context.Context) error {
 		attempts++
-		v, verr := feats.VectorCtx(ctx, u, at)
-		if verr != nil {
-			if errors.Is(verr, store.ErrNotFound) {
-				return resilience.Permanent(verr)
-			}
-			return verr
+		n, err := feats.Gather(ctx, users[done:], at, func(i int, vec []float64) { fn(done+i, vec) })
+		done += n
+		if errors.Is(err, store.ErrNotFound) {
+			return resilience.Permanent(err)
 		}
-		vec = v
-		return nil
+		return err
 	})
 	if attempts > 1 {
 		p.Tel.Retried(attempts - 1)
@@ -1002,10 +950,10 @@ func (p *PredictionServer) fetchVector(ctx context.Context, feats feature.Source
 	if p.Breaker != nil {
 		p.Breaker.Record(err == nil || errors.Is(err, store.ErrNotFound))
 	}
-	return vec, err
+	return done, err
 }
 
-// fanoutError wraps a fetch failure the way the audit path reports it:
+// fanoutError wraps a gather failure the way the audit path reports it:
 // a missing profile for the target user is ErrUnknownUser (HTTP 404),
 // anything else names the failing node.
 func fanoutError(node graph.NodeID, u behavior.UserID, verr error) error {
@@ -1015,101 +963,35 @@ func fanoutError(node graph.NodeID, u behavior.UserID, verr error) error {
 	return fmt.Errorf("server: features for node %d: %w", node, verr)
 }
 
-// fanoutFeatures fetches the feature vector of every subgraph node and
-// assembles the pooled feature matrix (the caller returns it with
-// tensor.PutMatrix). With FanoutWorkers > 1 the fetches run on a
-// bounded worker pool; each individual fetch keeps the sequential
-// path's breaker/retry/deadline semantics (fetchVector is unchanged),
-// and the first hard error cancels the remaining fetches. Error
-// reporting is deterministic under concurrency: a missing target
-// profile always surfaces as ErrUnknownUser, and otherwise the
-// lowest-indexed root-cause failure wins — cancellations induced by our
-// own fail-fast never mask it.
-func (p *PredictionServer) fanoutFeatures(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, sg *graph.Subgraph, u behavior.UserID, at time.Time) (*tensor.Matrix, error) {
+// gatherFeatures gathers the feature vector of every subgraph node,
+// normalized, into a pooled matrix (the caller returns it with
+// tensor.PutMatrix).
+func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, sg *graph.Subgraph, u behavior.UserID, at time.Time) (*tensor.Matrix, error) {
 	n := sg.NumNodes()
-	workers := p.fanoutWorkerCount(n)
-	if workers <= 1 {
-		var x *tensor.Matrix
-		for i, node := range sg.Nodes {
-			p.fanoutInFlight.Add(1)
-			vec, verr := p.fetchVector(ctx, feats, behavior.UserID(node), at)
-			p.fanoutInFlight.Add(-1)
-			if verr != nil {
-				tensor.PutMatrix(x)
-				return nil, fanoutError(node, u, verr)
-			}
-			if normalizer != nil {
-				vec = normalizer(vec)
-			}
-			if x == nil {
-				x = tensor.GetMatrix(n, len(vec))
-			}
-			copy(x.Row(i), vec)
-		}
-		return x, nil
+	users := make([]behavior.UserID, n)
+	for i, node := range sg.Nodes {
+		users[i] = behavior.UserID(node)
 	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	vecs := make([][]float64, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				p.fanoutInFlight.Add(1)
-				vec, verr := p.fetchVector(cctx, feats, behavior.UserID(sg.Nodes[i]), at)
-				p.fanoutInFlight.Add(-1)
-				if verr != nil {
-					errs[i] = verr
-					failed.Store(true)
-					cancel() // fail fast: abort in-flight sibling fetches
-					return
-				}
-				if normalizer != nil {
-					vec = normalizer(vec)
-				}
-				vecs[i] = vec
-			}
-		}()
-	}
-	wg.Wait()
-
-	var firstErr error
-	firstIdx := -1
-	for i, e := range errs {
-		if e == nil {
-			continue
+	var x *tensor.Matrix
+	failed, err := p.gather(ctx, feats, users, at, func(i int, vec []float64) {
+		if normalizer != nil {
+			vec = normalizer(vec)
 		}
-		if behavior.UserID(sg.Nodes[i]) == u && errors.Is(e, store.ErrNotFound) {
-			return nil, fanoutError(sg.Nodes[i], u, e)
+		if x == nil {
+			x = tensor.GetMatrix(n, len(vec))
 		}
-		if firstErr == nil ||
-			(errors.Is(firstErr, context.Canceled) && !errors.Is(e, context.Canceled)) {
-			firstErr, firstIdx = e, i
-		}
-	}
-	if firstErr != nil {
-		return nil, fanoutError(sg.Nodes[firstIdx], u, firstErr)
-	}
-	x := tensor.GetMatrix(n, len(vecs[0]))
-	for i, v := range vecs {
-		copy(x.Row(i), v)
+		copy(x.Row(i), vec)
+	})
+	if err != nil {
+		tensor.PutMatrix(x)
+		return nil, fanoutError(sg.Nodes[failed], u, err)
 	}
 	return x, nil
 }
 
 // predictFull is tier 1: sample the computation subgraph, cut to the
-// cone of the model about to score it, fan out the feature fetches, run
-// the model. Each stage honors its deadline.
+// cone of the model about to score it, gather the features, run the
+// model. Each stage honors its deadline.
 func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source, model gnn.Model, normalizer func([]float64) []float64, u behavior.UserID, at time.Time) (Prediction, error) {
 	if model == nil {
 		return Prediction{}, fmt.Errorf("server: no model attached")
@@ -1140,7 +1022,7 @@ func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source
 	var x *tensor.Matrix
 	var ferr error
 	p.FeatureLatency.Time(func() {
-		x, ferr = p.fanoutFeatures(fctx, feats, normalizer, sg, u, at)
+		x, ferr = p.gatherFeatures(fctx, feats, normalizer, sg, u, at)
 	})
 	featDone := time.Now()
 	trace.AddSpan(StageFeature, sampleDone, featDone.Sub(sampleDone), telemetry.Outcome(ferr))
@@ -1206,7 +1088,8 @@ func (p *PredictionServer) predictFallback(ctx context.Context, feats feature.So
 		defer cancel()
 	}
 	fstart := time.Now()
-	vec, err := p.fetchVector(fctx, feats, u, at)
+	var vec []float64
+	_, err := p.gather(fctx, feats, []behavior.UserID{u}, at, func(_ int, v []float64) { vec = v })
 	featDone := time.Now()
 	trace := telemetry.TraceFrom(ctx)
 	trace.AddSpan(StageFeature, fstart, featDone.Sub(fstart), telemetry.Outcome(err))

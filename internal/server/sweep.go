@@ -33,9 +33,6 @@ type SweepEngine struct {
 	// value selects one worker per core up to sweep.MaxWorkers with
 	// edge-count balancing.
 	Opts sweep.Options
-	// FetchWorkers bounds the bulk feature fan-out; 0 selects the feature
-	// package default.
-	FetchWorkers int
 
 	runMu    sync.Mutex // serializes sweeps
 	inflight atomic.Int64
@@ -110,7 +107,7 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), e.FetchWorkers)
+	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
 	if err := ctx.Err(); err != nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: feature fetch: %w", err)
 	}

@@ -43,7 +43,6 @@ type TelemetryOptions struct {
 //	turbo_faults_injected_total{kind}     chaos injections (error/delay/hang)
 //	turbo_traces_slow_total               audits over the slow threshold
 //	turbo_score_mode_total{mode}          scoring passes by path (tape vs tape-free infer)
-//	turbo_feature_fanout_inflight         feature fetches currently in flight
 //	turbo_bn_ingested_logs_total          behavior logs ingested
 //	turbo_bn_window_jobs_total            BN window epoch jobs executed
 //	turbo_bn_edge_updates_total           edge-weight contributions written
@@ -325,17 +324,6 @@ func (t *Telemetry) ScoreMode(infer bool) {
 	} else {
 		t.scoreTape.Inc()
 	}
-}
-
-// RegisterFanoutGauge registers turbo_feature_fanout_inflight as a
-// scrape-time gauge reading the prediction server's in-flight feature
-// fetch count. Re-registering replaces the callback.
-func (t *Telemetry) RegisterFanoutGauge(fn func() float64) {
-	if t == nil {
-		return
-	}
-	t.Registry.GaugeFunc("turbo_feature_fanout_inflight",
-		"Feature fetches currently in flight across the audit fan-out workers.", fn)
 }
 
 // RegisterBreakerGauge registers turbo_breaker_state as a scrape-time

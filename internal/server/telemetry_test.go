@@ -82,8 +82,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		// the tape-free path.
 		`turbo_score_mode_total{mode="infer"} 3`,
 		`turbo_score_mode_total{mode="tape"} 0`,
-		"turbo_feature_fanout_inflight 0",
-		"# TYPE turbo_feature_fanout_inflight gauge",
 		"turbo_traces_slow_total 0",
 		`turbo_faults_injected_total{kind="error"} 0`,
 		// Model lifecycle: no gate decision or rollback yet, gauges at

@@ -2,131 +2,8 @@ package store
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 )
-
-// fakeClock is a manually advanced clock for TTL tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-func TestKVSetGet(t *testing.T) {
-	kv := NewKV()
-	kv.Set("a", 42)
-	v, ok := kv.Get("a")
-	if !ok || v.(int) != 42 {
-		t.Fatalf("get: %v %v", v, ok)
-	}
-	if _, ok := kv.Get("missing"); ok {
-		t.Fatal("missing key found")
-	}
-}
-
-func TestKVTTLExpiry(t *testing.T) {
-	clock := &fakeClock{now: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
-	kv := NewKVWithClock(clock.Now)
-	kv.SetTTL("a", "x", time.Minute)
-	if _, ok := kv.Get("a"); !ok {
-		t.Fatal("fresh key should be live")
-	}
-	clock.Advance(2 * time.Minute)
-	if _, ok := kv.Get("a"); ok {
-		t.Fatal("expired key should be gone")
-	}
-	if kv.Len() != 0 {
-		t.Fatal("expired key not lazily evicted")
-	}
-}
-
-func TestKVZeroTTLNeverExpires(t *testing.T) {
-	clock := &fakeClock{now: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
-	kv := NewKVWithClock(clock.Now)
-	kv.SetTTL("a", 1, 0)
-	clock.Advance(1000 * time.Hour)
-	if _, ok := kv.Get("a"); !ok {
-		t.Fatal("no-TTL key expired")
-	}
-}
-
-func TestKVOverwriteRefreshesTTL(t *testing.T) {
-	clock := &fakeClock{now: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
-	kv := NewKVWithClock(clock.Now)
-	kv.SetTTL("a", 1, time.Minute)
-	clock.Advance(50 * time.Second)
-	kv.SetTTL("a", 2, time.Minute)
-	clock.Advance(30 * time.Second)
-	v, ok := kv.Get("a")
-	if !ok || v.(int) != 2 {
-		t.Fatalf("refreshed key should be live: %v %v", v, ok)
-	}
-}
-
-func TestKVStats(t *testing.T) {
-	kv := NewKV()
-	kv.Set("a", 1)
-	kv.Get("a")
-	kv.Get("a")
-	kv.Get("b")
-	hits, misses := kv.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats %d/%d", hits, misses)
-	}
-}
-
-func TestKVDeleteFlushSweep(t *testing.T) {
-	clock := &fakeClock{now: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
-	kv := NewKVWithClock(clock.Now)
-	kv.Set("keep", 1)
-	kv.SetTTL("dies", 1, time.Second)
-	kv.Set("del", 1)
-	kv.Delete("del")
-	clock.Advance(time.Minute)
-	if n := kv.Sweep(); n != 1 {
-		t.Fatalf("sweep evicted %d want 1", n)
-	}
-	if kv.Len() != 1 {
-		t.Fatalf("len %d", kv.Len())
-	}
-	kv.Flush()
-	if kv.Len() != 0 {
-		t.Fatal("flush left entries")
-	}
-}
-
-func TestKVConcurrent(t *testing.T) {
-	kv := NewKV()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			key := string(rune('a' + w))
-			for i := 0; i < 500; i++ {
-				kv.SetTTL(key, i, time.Minute)
-				kv.Get(key)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if kv.Len() != 8 {
-		t.Fatalf("len %d", kv.Len())
-	}
-}
 
 func TestTableCRUD(t *testing.T) {
 	tb := NewTable()

@@ -1,3 +1,7 @@
+// Package store provides the storage substrate of §V: an embedded table
+// store standing in for the MySQL cluster, with primary-and-replica
+// failover semantics. The feature management module keeps profiles here
+// and serves its warm path from its own table of exact rows.
 package store
 
 import (

@@ -20,8 +20,12 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
-echo "== go test -race (graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + log-bucketed histogram / tape-free infer / persist / full-graph sweep / model lifecycle)"
-go test -race ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
+echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + log-bucketed histogram / tape-free infer / persist / full-graph sweep / model lifecycle)"
+go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
+
+echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Profile ⊕ StatFeatures bitwise, burst after a cached read, concurrent ingest; full-path audit after a burst scores fresh features; under -race)"
+go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow' ./internal/feature/
+go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanout' ./internal/server/
 
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
 go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
