@@ -30,17 +30,36 @@ func benchWorld(b *testing.B) (*graph.Graph, *graph.Snapshot, *tensor.Matrix, []
 }
 
 // BenchmarkEmbedServe measures the lambda tier's serve path: one
-// TryServe on a clean node — star gather, final aggregation layer, head,
-// sigmoid. This is the ns/op the BENCH_embed.json speedup compares
-// against the per-audit inference paths below.
+// TryServe on a clean node. cold invalidates the row's score memo
+// before each op, so every op pays the star gather, final aggregation
+// layer, head and sigmoid — the first hit on a row after a refresh.
+// warm serves every row from its memo — every later hit. These are the
+// ns/op the BENCH_embed.json speedups compare against the per-audit
+// inference paths below.
 func BenchmarkEmbedServe(b *testing.B) {
-	_, snap, _, nodes, m, s := benchWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, r := s.TryServe(snap, nodes[i%len(nodes)], m); r != Hit {
-			b.Fatalf("result %v, want Hit", r)
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
 		}
+		b.Run(name, func(b *testing.B) {
+			_, snap, _, nodes, m, s := benchWorld(b)
+			tab := s.Table()
+			for _, u := range nodes {
+				s.TryServe(snap, u, m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := nodes[i%len(nodes)]
+				if !warm {
+					tab.memo[tab.Row(u)].Store(nil)
+				}
+				if _, r := s.TryServe(snap, u, m); r != Hit {
+					b.Fatalf("result %v, want Hit", r)
+				}
+			}
+		})
 	}
 }
 

@@ -82,6 +82,7 @@ func newTable(version int, model gnn.EmbedServing, widths []int, hops int, built
 		x:       x,
 		rows:    make([][]atomic.Pointer[[]float64], len(widths)),
 		stars:   make([]atomic.Pointer[gnn.EmbedStar], n),
+		memo:    make([]atomic.Pointer[scoreMemo], n),
 		dirty:   make([]atomic.Uint64, (n+63)/64),
 	}
 	for i, id := range ids {

@@ -89,8 +89,9 @@ func buildTable(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.N
 
 // TestEmbedServeParity pins the embedding tier to the full-graph sweep
 // for every model variant: the build's probabilities match gnn.Scores
-// bitwise (same sweep), and TryServe on every clean node reproduces the
-// full score within 1e-9.
+// bitwise (same sweep), TryServe on every clean node reproduces the
+// full score within 1e-9, and a warm serve (from the row's score memo)
+// is bitwise the cold one.
 func TestEmbedServeParity(t *testing.T) {
 	_, snap, x, nodes := testWorld(3, 40, 3, 6)
 	for _, m := range testModels(6, 3) {
@@ -113,6 +114,12 @@ func TestEmbedServeParity(t *testing.T) {
 			}
 			if d := math.Abs(prob - want[i]); d > embedTol {
 				t.Fatalf("%s node %d: embed %v, full %v (diff %g)", m.Name(), u, prob, want[i], d)
+			}
+			if res.Table.memo[i].Load() == nil {
+				t.Fatalf("%s node %d: a hit left no memo", m.Name(), u)
+			}
+			if warm, r := s.TryServe(snap, u, m); r != Hit || warm != prob {
+				t.Fatalf("%s node %d: warm serve %v (%v), cold %v", m.Name(), u, warm, r, prob)
 			}
 		}
 		// Unknown node and model skew both refuse.

@@ -50,7 +50,8 @@ func (r Result) String() string {
 // live table in place. writeGen is a seqlock around those writes —
 // odd while a refresh is publishing, bumped again when done. TryServe
 // snapshots writeGen before reading and rejects the serve if it moved,
-// so a score can never mix rows from two refresh generations.
+// so a score can never mix rows from two refresh generations. The same
+// even generation stamps each row's score memo (see scoreMemo).
 type Store struct {
 	table    atomic.Pointer[Table]
 	writeGen atomic.Uint64
@@ -181,12 +182,13 @@ func (s *Store) Install(tab *Table, snap *graph.Snapshot) {
 }
 
 // TryServe attempts to score node u from cached embeddings: final
-// aggregation layer plus head only, never a full multi-hop forward. A
-// non-Hit result carries no probability; the caller falls through to
-// the next serving tier. The model argument is the prediction path's
-// live model — identity mismatch (a swap the embed engine has not
-// caught up with) refuses rather than serving another artifact's
-// embeddings.
+// aggregation layer plus head only, never a full multi-hop forward,
+// and only once per row per refresh generation — later hits return the
+// row's memo after the same guards. A non-Hit result carries no
+// probability; the caller falls through to the next serving tier. The
+// model argument is the prediction path's live model — identity
+// mismatch (a swap the embed engine has not caught up with) refuses
+// rather than serving another artifact's embeddings.
 func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) (float64, Result) {
 	tab := s.table.Load()
 	if tab == nil {
@@ -217,26 +219,39 @@ func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) 
 			return 0, Dirty
 		}
 	}
-
-	f := gnn.AcquireFwd()
-	defer gnn.ReleaseFwd(f)
-	hs := make([]*tensor.Matrix, len(tab.rows))
-	for st := range tab.rows {
-		h := f.Get(len(star.Gather), tab.widths[st])
-		for i, gr := range star.Gather {
-			p := tab.rows[st][gr].Load()
-			if p == nil {
-				return 0, Fallback
-			}
-			copy(h.Row(i), *p)
-		}
-		hs[st] = h
+	if m := tab.memo[r].Load(); m != nil && m.gen == g1 && s.writeGen.Load() == g1 {
+		return m.prob, Hit
 	}
-	logit := tab.model.InferFinal(f, star, hs)
+
+	prob, ok := tab.score(star)
+	if !ok {
+		return 0, Fallback
+	}
 	if s.writeGen.Load() != g1 {
 		// A refresh republished rows underneath the read; the gathered
 		// block may mix generations.
 		return 0, Fallback
 	}
-	return tensor.SigmoidScalar(logit), Hit
+	tab.memo[r].Store(&scoreMemo{gen: g1, prob: prob})
+	return prob, Hit
+}
+
+// score runs the final aggregation layer, head and sigmoid for star over
+// its gathered rows as they are now. ok is false if a row is unset.
+func (t *Table) score(star *gnn.EmbedStar) (prob float64, ok bool) {
+	f := gnn.AcquireFwd()
+	defer gnn.ReleaseFwd(f)
+	hs := make([]*tensor.Matrix, len(t.rows))
+	for st := range t.rows {
+		h := f.Get(len(star.Gather), t.widths[st])
+		for i, gr := range star.Gather {
+			p := t.rows[st][gr].Load()
+			if p == nil {
+				return 0, false
+			}
+			copy(h.Row(i), *p)
+		}
+		hs[st] = h
+	}
+	return tensor.SigmoidScalar(t.model.InferFinal(f, star, hs)), true
 }

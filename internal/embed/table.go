@@ -17,6 +17,12 @@
 // structural staleness exactly (re-embedding dirty balls from the
 // frozen features); feature staleness is bounded by the periodic full
 // rebuild, which re-fetches features.
+//
+// Serving cost: a target's final layer runs once per refresh
+// generation. Its score is memoized on the row, stamped with the even
+// refresh generation it was computed under; until a refresh republishes
+// rows, every later hit re-checks the same guards (model, epoch,
+// generation, clean star) and returns the memo.
 package embed
 
 import (
@@ -49,9 +55,20 @@ type Table struct {
 
 	rows  [][]atomic.Pointer[[]float64] // [stream][row]
 	stars []atomic.Pointer[gnn.EmbedStar]
+	memo  []atomic.Pointer[scoreMemo] // [row]: last served score
 
 	dirty      []atomic.Uint64 // bitmap over rows
 	dirtyCount atomic.Int64
+}
+
+// scoreMemo is a served probability stamped with the even Store.writeGen
+// it was computed under. Rows and stars change only inside a refresh's
+// writeGen bracket and writeGen only grows, so a memo whose gen is the
+// current even generation is bitwise what the final layer would compute
+// now.
+type scoreMemo struct {
+	gen  uint64
+	prob float64
 }
 
 // Version returns the model artifact version the rows were computed

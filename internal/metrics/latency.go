@@ -2,27 +2,29 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
+
+	"turbo/internal/telemetry"
 )
 
 // LatencyRecorder collects durations and reports the percentile summary
-// used throughout §V (p50/p99/p999) and Fig. 8a.
+// used throughout §V (p50/p99/p999) and Fig. 8a. It is backed by a
+// telemetry.LogHistogram, so Record is atomic, allocation-free and
+// fixed-size however many samples arrive. A percentile is the upper
+// bound of the sub-bucket holding the nearest-rank sample, clamped to
+// the largest sample: never below the exact value, and above it by at
+// most one sub-bucket width, 1/16 of the value. The mean is exact.
 type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
+	h *telemetry.LogHistogram
 }
 
 // NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
+func NewLatencyRecorder() *LatencyRecorder {
+	return &LatencyRecorder{h: telemetry.NewLogHistogram()}
+}
 
 // Record adds one sample.
-func (l *LatencyRecorder) Record(d time.Duration) {
-	l.mu.Lock()
-	l.samples = append(l.samples, d)
-	l.mu.Unlock()
-}
+func (l *LatencyRecorder) Record(d time.Duration) { l.h.Observe(d) }
 
 // Time runs fn and records its wall-clock duration.
 func (l *LatencyRecorder) Time(fn func()) time.Duration {
@@ -34,53 +36,14 @@ func (l *LatencyRecorder) Time(fn func()) time.Duration {
 }
 
 // Count returns the number of samples.
-func (l *LatencyRecorder) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
+func (l *LatencyRecorder) Count() int { return int(l.h.Count()) }
 
-// Samples returns a copy of all recorded samples in arrival order.
-func (l *LatencyRecorder) Samples() []time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]time.Duration(nil), l.samples...)
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) by
-// nearest-rank on the sorted samples, or 0 with no samples.
-func (l *LatencyRecorder) Percentile(p float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.samples)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), l.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p/100*float64(n)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank]
-}
+// Percentile returns the p-th percentile (0 < p <= 100), or 0 with no
+// samples.
+func (l *LatencyRecorder) Percentile(p float64) time.Duration { return l.h.Quantile(p / 100) }
 
 // Mean returns the average sample, or 0 with no samples.
-func (l *LatencyRecorder) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range l.samples {
-		total += d
-	}
-	return total / time.Duration(len(l.samples))
-}
+func (l *LatencyRecorder) Mean() time.Duration { return l.h.Mean() }
 
 // Summary is the §V percentile digest.
 type Summary struct {
@@ -91,14 +54,15 @@ type Summary struct {
 	P999  time.Duration
 }
 
-// Summarize computes the digest.
+// Summarize computes the digest from one snapshot of the recorder.
 func (l *LatencyRecorder) Summarize() Summary {
+	s := l.h.Snapshot()
 	return Summary{
-		Count: l.Count(),
-		Mean:  l.Mean(),
-		P50:   l.Percentile(50),
-		P99:   l.Percentile(99),
-		P999:  l.Percentile(99.9),
+		Count: int(s.Count()),
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P99:   s.Quantile(0.99),
+		P999:  s.Quantile(0.999),
 	}
 }
 

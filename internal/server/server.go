@@ -854,11 +854,6 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 		}
 		defer p.Admission.Release()
 	}
-	if p.Deadlines.Total > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Deadlines.Total)
-		defer cancel()
-	}
 	p.mu.RLock()
 	feats, model, normalizer := p.feats, p.model, p.Normalizer
 	p.mu.RUnlock()
@@ -870,6 +865,15 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 			trace.SetTier(pred.ServedBy, pred.Degraded)
 			return pred, nil
 		}
+	}
+	// The total deadline is armed only on the full path: an embed hit
+	// has nothing to bound, and arming a timer is a large share of its
+	// cost.
+	// The budget still counts from start.
+	if p.Deadlines.Total > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, start.Add(p.Deadlines.Total))
+		defer cancel()
 	}
 	pred, err := p.predictFull(ctx, feats, model, normalizer, u, at)
 	if err == nil {

@@ -27,7 +27,7 @@ type Span struct {
 // appending from its goroutine while the request finishes.
 type Trace struct {
 	mu       sync.Mutex
-	id       string
+	seq      uint64 // tracer sequence number; with start, the trace ID
 	user     uint64
 	start    time.Time
 	total    time.Duration
@@ -40,12 +40,14 @@ type Trace struct {
 	errMsg   string
 }
 
-// ID returns the trace ID.
+// ID returns the trace ID: the start time's Unix nanoseconds and the
+// tracer's sequence number, in hex. It is formatted on read, not on
+// Start, because most audits never have their ID read.
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
-	return t.id
+	return fmt.Sprintf("%x-%x", t.start.UnixNano(), t.seq)
 }
 
 // Start returns the trace start time.
@@ -192,7 +194,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 		Error    string         `json:"error,omitempty"`
 		Spans    []Span         `json:"spans"`
 	}{
-		ID: t.id, User: t.user, Start: t.start,
+		ID: t.ID(), User: t.user, Start: t.start,
 		TotalNs: int64(t.total), Total: t.total.String(),
 		ServedBy: t.servedBy, Degraded: t.degraded, Breaker: t.breaker,
 		Retries: t.retries, Faults: t.faults, Error: t.errMsg,
@@ -341,7 +343,7 @@ func (tr *Tracer) Start(ctx context.Context, u uint64) (context.Context, *Trace)
 	}
 	now := time.Now()
 	t := &Trace{
-		id:    fmt.Sprintf("%x-%x", now.UnixNano(), tr.seq.Add(1)),
+		seq:   tr.seq.Add(1),
 		user:  u,
 		start: now,
 	}
@@ -360,7 +362,7 @@ func (tr *Tracer) Finish(t *Trace) {
 	var line string
 	if slow && tr.opts.Logf != nil {
 		line = fmt.Sprintf("slow audit trace=%s user=%d total=%v served_by=%s breaker=%s retries=%d spans: %s",
-			t.id, t.user, t.total, t.servedBy, t.breaker, t.retries, t.spanBreakdown())
+			t.ID(), t.user, t.total, t.servedBy, t.breaker, t.retries, t.spanBreakdown())
 	}
 	t.mu.Unlock()
 

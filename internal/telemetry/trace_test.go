@@ -15,15 +15,15 @@ import (
 func TestTraceRingBounded(t *testing.T) {
 	r := NewTraceRing(4)
 	for i := 0; i < 10; i++ {
-		r.Push(&Trace{id: fmt.Sprintf("t%d", i)})
+		r.Push(&Trace{seq: uint64(i)})
 	}
 	got := r.Last(100)
 	if len(got) != 4 {
 		t.Fatalf("ring returned %d traces, capacity 4", len(got))
 	}
 	for i, tr := range got {
-		if want := fmt.Sprintf("t%d", 9-i); tr.ID() != want {
-			t.Fatalf("Last[%d] = %s want %s (newest first)", i, tr.ID(), want)
+		if want := uint64(9 - i); tr.seq != want {
+			t.Fatalf("Last[%d] = trace %d want %d (newest first)", i, tr.seq, want)
 		}
 	}
 	if n := len(r.Last(2)); n != 2 {
@@ -38,9 +38,9 @@ func TestTraceRingBounded(t *testing.T) {
 // ring wraps.
 func TestTraceRingPartiallyFull(t *testing.T) {
 	r := NewTraceRing(8)
-	r.Push(&Trace{id: "only"})
+	r.Push(&Trace{seq: 7})
 	got := r.Last(8)
-	if len(got) != 1 || got[0].ID() != "only" {
+	if len(got) != 1 || got[0].seq != 7 {
 		t.Fatalf("partial ring read %v", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Push(&Trace{id: fmt.Sprintf("g%d-%d", g, i)})
+				r.Push(&Trace{seq: uint64(g*500 + i), start: time.Now()})
 				if i%16 == 0 {
 					for _, tr := range r.Last(16) {
 						_ = tr.ID()
@@ -112,6 +112,45 @@ func TestTracerLifecycle(t *testing.T) {
 	spans := decoded["spans"].([]any)
 	if len(spans) != 2 || spans[0].(map[string]any)["name"] != "sample" {
 		t.Fatalf("spans JSON %v", spans)
+	}
+}
+
+// TestTraceID pins the trace ID string, formatted on read, to the
+// format it had when Start formatted it: the start time's Unix
+// nanoseconds and the tracer's sequence number in hex. The ID in
+// /debug/traces JSON and in the slow-audit line is the same string.
+func TestTraceID(t *testing.T) {
+	fixed := &Trace{start: time.Unix(0, 0x16f2a3b4c5d6e7f8), seq: 0x2a}
+	if got, want := fixed.ID(), "16f2a3b4c5d6e7f8-2a"; got != want {
+		t.Fatalf("ID %q want %q", got, want)
+	}
+
+	var lines []string
+	tr := NewTracer(TracerOptions{
+		SlowThreshold: time.Nanosecond,
+		Logf:          func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	})
+	for seq := uint64(1); seq <= 2; seq++ {
+		_, trace := tr.Start(context.Background(), 9)
+		want := fmt.Sprintf("%x-%x", trace.Start().UnixNano(), seq)
+		if trace.ID() != want {
+			t.Fatalf("trace %d: ID %q want %q", seq, trace.ID(), want)
+		}
+		tr.Finish(trace)
+		raw, err := json.Marshal(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded struct{ ID string }
+		if err := json.Unmarshal(raw, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if decoded.ID != want {
+			t.Fatalf("JSON id %q want %q", decoded.ID, want)
+		}
+		if !strings.Contains(lines[len(lines)-1], "trace="+want+" ") {
+			t.Fatalf("slow line %q lacks trace=%s", lines[len(lines)-1], want)
+		}
 	}
 }
 

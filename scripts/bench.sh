@@ -117,10 +117,12 @@ END {
 echo "wrote $SWEEP_OUT (speedup $(grep '"speedup"' "$SWEEP_OUT" | tr -dc '0-9.')x)"
 
 # --- Embedding tier vs per-audit inference -----------------------------------
-# The lambda tier's TryServe (star gather + final layer + head) against
-# the full per-audit path it replaces (2-hop sample + batch compile +
-# TargetInferer) and the tape-backed reference, plus the incremental
-# refresh sweep at 1/10/50% dirty fractions.
+# The lambda tier's TryServe, cold (star gather + final layer + head:
+# the first hit on a row after a refresh) and warm (the row's score
+# memo: every later hit), against the full per-audit path it replaces
+# (2-hop sample + batch compile + TargetInferer) and the tape-backed
+# reference, plus the incremental refresh sweep at 1/10/50% dirty
+# fractions.
 EMBED_OUT="BENCH_embed.json"
 EMBED_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW" "$EMBED_RAW"' EXIT
@@ -130,20 +132,22 @@ go test -run 'XXX-none' -bench 'BenchmarkEmbedServe|BenchmarkEmbedTargetInfer|Be
     -benchtime "$BENCHTIME" ./internal/embed/ | tee "$EMBED_RAW"
 
 awk -v benchtime="$BENCHTIME" '
-/^BenchmarkEmbedServe[- \t]/           { embed = $3 }
+/^BenchmarkEmbedServe\/cold/            { cold = $3 }
+/^BenchmarkEmbedServe\/warm/            { warm = $3 }
 /^BenchmarkEmbedTargetInfer[- \t]/     { target = $3 }
 /^BenchmarkEmbedTapeScore[- \t]/       { tape = $3 }
 /^BenchmarkEmbedRefresh\/dirty-1pct/   { r1 = $3; rows1 = $5 }
 /^BenchmarkEmbedRefresh\/dirty-10pct/  { r10 = $3; rows10 = $5 }
 /^BenchmarkEmbedRefresh\/dirty-50pct/  { r50 = $3; rows50 = $5 }
 END {
-    if (embed == "" || target == "" || tape == "") { print "missing embed benchmark output" > "/dev/stderr"; exit 1 }
+    if (cold == "" || warm == "" || target == "" || tape == "") { print "missing embed benchmark output" > "/dev/stderr"; exit 1 }
     printf "{\n  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"embed_serve_ns_per_audit\": %s,\n", embed
+    printf "  \"embed_serve_cold_ns_per_audit\": %s,\n", cold
+    printf "  \"embed_serve_warm_ns_per_audit\": %s,\n", warm
     printf "  \"target_infer_ns_per_audit\": %s,\n", target
     printf "  \"tape_ns_per_audit\": %s,\n", tape
-    printf "  \"speedup_vs_target_infer\": %.2f,\n", target / embed
-    printf "  \"speedup_vs_tape\": %.2f,\n", tape / embed
+    printf "  \"speedup_vs_target_infer\": {\"cold\": %.2f, \"warm\": %.2f},\n", target / cold, target / warm
+    printf "  \"speedup_vs_tape\": {\"cold\": %.2f, \"warm\": %.2f},\n", tape / cold, tape / warm
     printf "  \"refresh\": [\n"
     printf "    {\"dirty_pct\": 1, \"ns_per_refresh\": %s, \"rows_per_refresh\": %s},\n", r1, rows1
     printf "    {\"dirty_pct\": 10, \"ns_per_refresh\": %s, \"rows_per_refresh\": %s},\n", r10, rows10
@@ -151,7 +155,7 @@ END {
     printf "  ]\n}\n"
 }' "$EMBED_RAW" > "$EMBED_OUT"
 
-echo "wrote $EMBED_OUT (embed tier $(grep '"speedup_vs_target_infer"' "$EMBED_OUT" | tr -dc '0-9.')x faster than per-audit inference)"
+echo "wrote $EMBED_OUT (embed serve cold $(sed -n 's/.*"embed_serve_cold_ns_per_audit": \([0-9.]*\).*/\1/p' "$EMBED_OUT") ns, warm $(sed -n 's/.*"embed_serve_warm_ns_per_audit": \([0-9.]*\).*/\1/p' "$EMBED_OUT") ns per audit)"
 
 # --- Open-loop load scoreboard ----------------------------------------------
 LOAD_QPS="${3:-150}"

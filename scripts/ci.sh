@@ -42,8 +42,8 @@ go test -race -run 'TestLoadgenSmoke|TestCoordinatedOmissionSafety' ./internal/l
 echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, all models)"
 go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation' ./internal/sweep/
 
-echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant; dirty always falls back; randomized invalidation property under -race)"
-go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay' ./internal/embed/
+echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; under -race)"
+go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
 
 echo "== cone parity smoke (seven variants x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; snapshot walk vs SampleView; under -race)"
 go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSampleConeCut' ./internal/server/ ./internal/graph/
