@@ -50,20 +50,16 @@ func ringWorld(t *testing.T) (*Batch, []int, []float64) {
 
 // fullSubgraph materializes every node and raw-weight edge of g.
 func fullSubgraph(g *graph.Graph, n int) *graph.Subgraph {
-	sg := &graph.Subgraph{
-		Index:      make(map[graph.NodeID]int),
-		TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes()),
-	}
+	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
 	for i := 0; i < n; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
-		sg.Index[graph.NodeID(i)] = i
 		sg.Hops = append(sg.Hops, 0)
 	}
 	for t := 0; t < g.NumEdgeTypes(); t++ {
 		for i := 0; i < n; i++ {
 			for _, nb := range g.NeighborsByType(graph.NodeID(i), graph.EdgeType(t)) {
 				sg.TypedEdges[t] = append(sg.TypedEdges[t],
-					graph.LocalEdge{Src: i, Dst: sg.Index[nb.Node], Weight: nb.Weight})
+					graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 			}
 		}
 	}

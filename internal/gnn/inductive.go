@@ -120,16 +120,14 @@ func pick(nodes []graph.NodeID, idx []int) []graph.NodeID {
 // Overlapping neighborhoods share nodes, so the merged batch is usually
 // far smaller than the sum of individual subgraphs.
 func SampleBatch(g graph.GraphView, feats FeatureFunc, targets []graph.NodeID, hops, maxNeighbors int, rng *tensor.RNG) (*Batch, []int) {
-	merged := &graph.Subgraph{
-		Index:      make(map[graph.NodeID]int),
-		TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes()),
-	}
+	merged := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
+	index := make(map[graph.NodeID]int)
 	addNode := func(n graph.NodeID, hop int) int {
-		if i, ok := merged.Index[n]; ok {
+		if i, ok := index[n]; ok {
 			return i
 		}
 		i := len(merged.Nodes)
-		merged.Index[n] = i
+		index[n] = i
 		merged.Nodes = append(merged.Nodes, n)
 		merged.Hops = append(merged.Hops, hop)
 		return i

@@ -49,12 +49,8 @@ func FullSubgraph(g GraphView, opts FullOptions) *Subgraph {
 	}
 	sg := &Subgraph{
 		Nodes:      nodes,
-		Index:      make(map[NodeID]int, len(nodes)),
 		TypedEdges: make([][]LocalEdge, g.NumEdgeTypes()),
 		Hops:       make([]int, len(nodes)),
-	}
-	for i, id := range sg.Nodes {
-		sg.Index[id] = i
 	}
 	masked := opts.Mask.masked()
 	if s, ok := g.(*Snapshot); ok {
@@ -70,6 +66,10 @@ func FullSubgraph(g GraphView, opts FullOptions) *Subgraph {
 // with full-graph typed weighted degrees — matches SampleView and the
 // snapshot fast path exactly.
 func fillFullSubgraphView(g GraphView, sg *Subgraph, masked int, rawWeights bool) {
+	index := make(map[NodeID]int, len(sg.Nodes))
+	for i, id := range sg.Nodes {
+		index[id] = i
+	}
 	for t := 0; t < g.NumEdgeTypes(); t++ {
 		if t == masked {
 			continue
@@ -80,7 +80,7 @@ func fillFullSubgraphView(g GraphView, sg *Subgraph, masked int, rawWeights bool
 				continue
 			}
 			for _, nb := range g.NeighborsByType(u, EdgeType(t)) {
-				j, ok := sg.Index[nb.Node]
+				j, ok := index[nb.Node]
 				if !ok {
 					continue
 				}
@@ -100,8 +100,8 @@ func fillFullSubgraphView(g GraphView, sg *Subgraph, masked int, rawWeights bool
 
 // fillFullSubgraph is the snapshot fast path: it walks the flat
 // per-type adjacency arrays directly — no Neighbor slice allocation, no
-// per-neighbor degree map lookups — and translates snapshot rows to
-// local indices through a dense table. Iteration order (types outer,
+// per-neighbor map lookup — and translates the neighbour rows it reads
+// to local indices through a dense table. Iteration order (types outer,
 // local rows in order, neighbors ascending by ID) and weight arithmetic
 // are identical to fillFullSubgraphView.
 func (s *Snapshot) fillFullSubgraph(sg *Subgraph, masked int, rawWeights bool) {
@@ -130,7 +130,7 @@ func (s *Snapshot) fillFullSubgraph(sg *Subgraph, masked int, rawWeights bool) {
 			}
 			lo, hi := s.offsets[t][r], s.offsets[t][r+1]
 			for k := lo; k < hi; k++ {
-				vr := s.row(s.nbr[t][k])
+				vr := s.nbr[t][k]
 				lj := local[vr]
 				if lj < 0 {
 					continue

@@ -116,11 +116,6 @@ func TestFullSubgraphCallerOrder(t *testing.T) {
 	if !reflect.DeepEqual(bwd.Nodes, rev) {
 		t.Fatalf("caller node order not preserved")
 	}
-	for i, id := range bwd.Nodes {
-		if bwd.Index[id] != i {
-			t.Fatalf("Index[%d] = %d, want %d", id, bwd.Index[id], i)
-		}
-	}
 	type edgeKey struct {
 		t    int
 		u, v NodeID

@@ -283,10 +283,10 @@ func TestSampleMaskExcludesType(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never)
 	_ = g.AddEdgeWeight(1, 0, 2, 1, never)
 	sg := g.Sample(0, SampleOptions{Hops: 1, Mask: MaskEdgeType(0)})
-	if _, ok := sg.Index[1]; ok {
+	if slices.Contains(sg.Nodes, 1) {
 		t.Fatal("masked-type neighbor included")
 	}
-	if _, ok := sg.Index[2]; !ok {
+	if !slices.Contains(sg.Nodes, 2) {
 		t.Fatal("unmasked neighbor missing")
 	}
 	if len(sg.TypedEdges[0]) != 0 {

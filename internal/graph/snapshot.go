@@ -2,7 +2,7 @@ package graph
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -12,19 +12,29 @@ import (
 // searches with no lock and no degree scan. Snapshots are published by
 // Graph.Snapshot() (copy-on-write: the live graph keeps mutating, the
 // snapshot never changes) and are safe for unbounded concurrent use.
+//
+// Nodes are addressed by dense rows assigned in ascending ID order, and
+// the adjacency stores neighbour rows, not IDs: a reader that walks
+// rows (Sample, FullSubgraph) indexes per-row arrays directly and never
+// hashes a neighbour. Because rows ascend with IDs, every "ascending
+// neighbour ID" order is also ascending row order.
 type Snapshot struct {
 	epoch    uint64
 	numTypes int
 
-	ids   []NodeID         // sorted registered node IDs
-	index map[NodeID]int32 // id → dense row
+	ids   []NodeID         // row → ID, ascending
+	index map[NodeID]int32 // ID → row
 
-	// Per type t, row i of node ids[i] spans nbr[t][offsets[t][i]:offsets[t][i+1]],
-	// sorted by neighbor ID; wts and exp run parallel to nbr.
+	// Per type t, row i spans [offsets[t][i], offsets[t][i+1]) of the flat
+	// arrays: nbr holds the neighbour rows in ascending order, wts and exp
+	// run parallel to it, and capOrd lists the same span's flat indices in
+	// cap order (weight descending, ties by ascending ID: heavier), so a
+	// deterministic MaxNeighbors cap is a prefix scan.
 	offsets [][]int32
-	nbr     [][]NodeID
+	nbr     [][]int32
 	wts     [][]float64
 	exp     [][]time.Time
+	capOrd  [][]int32
 	deg     [][]float64 // deg[t][i] = typed weighted degree of ids[i]
 
 	numEdges    int
@@ -33,9 +43,10 @@ type Snapshot struct {
 
 // Snapshot publishes an immutable view of the current graph state. It
 // briefly read-locks every shard simultaneously (so no half-written edge
-// is ever captured), copies adjacency into flat arrays, and stamps the
-// result with a monotonically increasing epoch. Cost is O(V + E); the
-// BN server calls it once per scheduler tick, off the prediction path.
+// is ever captured), copies adjacency into flat arrays, orders every row
+// for the cap, and stamps the result with a monotonically increasing
+// epoch. Cost is O(V + E log d); the BN server calls it once per
+// scheduler tick, off the prediction path.
 func (g *Graph) Snapshot() *Snapshot {
 	for i := range g.shards {
 		g.shards[i].mu.RLock()
@@ -62,7 +73,7 @@ func (g *Graph) Snapshot() *Snapshot {
 			s.ids = append(s.ids, id)
 		}
 	}
-	sort.Slice(s.ids, func(i, j int) bool { return s.ids[i] < s.ids[j] })
+	slices.Sort(s.ids)
 	n := len(s.ids)
 	s.index = make(map[NodeID]int32, n)
 	for i, id := range s.ids {
@@ -70,33 +81,88 @@ func (g *Graph) Snapshot() *Snapshot {
 	}
 
 	s.offsets = make([][]int32, g.numTypes)
-	s.nbr = make([][]NodeID, g.numTypes)
+	s.nbr = make([][]int32, g.numTypes)
 	s.wts = make([][]float64, g.numTypes)
 	s.exp = make([][]time.Time, g.numTypes)
+	s.capOrd = make([][]int32, g.numTypes)
 	s.deg = make([][]float64, g.numTypes)
 	for t := 0; t < g.numTypes; t++ {
 		halves := 2 * s.edgesByType[t]
 		s.offsets[t] = make([]int32, n+1)
-		s.nbr[t] = make([]NodeID, 0, halves)
+		s.nbr[t] = make([]int32, 0, halves)
 		s.wts[t] = make([]float64, 0, halves)
 		s.exp[t] = make([]time.Time, 0, halves)
+		s.capOrd[t] = make([]int32, 0, halves)
 		s.deg[t] = make([]float64, n)
 	}
+	var buf []int32
 	for i, id := range s.ids {
 		na := g.shards[shardOf(id)].adj[id]
 		for t := 0; t < g.numTypes; t++ {
 			if na != nil {
+				base := int32(len(s.nbr[t]))
 				for _, e := range na.byType[t] {
-					s.nbr[t] = append(s.nbr[t], e.to)
+					s.nbr[t] = append(s.nbr[t], s.index[e.to])
 					s.wts[t] = append(s.wts[t], e.weight)
 					s.exp[t] = append(s.exp[t], e.expireAt)
 				}
+				s.capOrd[t], buf = appendCapOrder(s.capOrd[t], buf, s.wts[t][base:], base)
 				s.deg[t][i] = na.deg[t]
 			}
 			s.offsets[t][i+1] = int32(len(s.nbr[t]))
 		}
 	}
 	return s
+}
+
+// capRun is the run length appendCapOrder insertion-sorts before it
+// merges; a row no longer than this is one run.
+const capRun = 32
+
+// appendCapOrder appends to ord the flat indices base, base+1, … of the
+// row whose weights are wts, in cap order, merging through buf (reused
+// scratch, returned grown). The entries arrive in ascending ID, so a
+// stable sort by weight alone is heavier's order: insertion sorts of
+// runs of capRun entries, which is all most BN rows need, then
+// bottom-up merges that take the earlier run's entry on a tie.
+func appendCapOrder(ord, buf []int32, wts []float64, base int32) ([]int32, []int32) {
+	lo := len(ord)
+	for j := range wts {
+		ord = append(ord, base+int32(j))
+	}
+	row, n := ord[lo:], len(wts)
+	for r := 0; r < n; r += capRun {
+		run := row[r:min(r+capRun, n)]
+		for i := 1; i < len(run); i++ {
+			k, w := run[i], wts[run[i]-base]
+			j := i
+			for ; j > 0 && wts[run[j-1]-base] < w; j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = k
+		}
+	}
+	if n <= capRun {
+		return ord, buf
+	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	src, dst := row, buf
+	for width := capRun; width < n; width *= 2 {
+		for a := 0; a < n; a += 2 * width {
+			m, b := min(a+width, n), min(a+2*width, n)
+			i, j := a, m
+			for k := a; k < b; k++ {
+				if j == b || i < m && wts[src[i]-base] >= wts[src[j]-base] {
+					dst[k], i = src[i], i+1
+				} else {
+					dst[k], j = src[j], j+1
+				}
+			}
+		}
+		src, dst = dst, src
+	}
+	copy(row, src)
+	return ord, buf
 }
 
 // Epoch returns the snapshot's monotonically increasing publication
@@ -150,7 +216,7 @@ func (s *Snapshot) NeighborsByType(u NodeID, t EdgeType) []Neighbor {
 	}
 	ns := make([]Neighbor, hi-lo)
 	for k := lo; k < hi; k++ {
-		ns[k-lo] = Neighbor{Node: s.nbr[t][k], Weight: s.wts[t][k]}
+		ns[k-lo] = Neighbor{Node: s.ids[s.nbr[t][k]], Weight: s.wts[t][k]}
 	}
 	return ns
 }
@@ -161,21 +227,19 @@ func (s *Snapshot) Neighbors(u NodeID) []NodeID {
 	if i < 0 {
 		return nil
 	}
-	seen := make(map[NodeID]struct{})
+	var rows []int32
 	for t := 0; t < s.numTypes; t++ {
-		lo, hi := s.offsets[t][i], s.offsets[t][i+1]
-		for k := lo; k < hi; k++ {
-			seen[s.nbr[t][k]] = struct{}{}
-		}
+		rows = append(rows, s.nbr[t][s.offsets[t][i]:s.offsets[t][i+1]]...)
 	}
-	if len(seen) == 0 {
+	if len(rows) == 0 {
 		return nil
 	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+	out := make([]NodeID, len(rows))
+	for k, r := range rows {
+		out[k] = s.ids[r]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -190,7 +254,7 @@ func (s *Snapshot) ForEachTypedNeighbor(u NodeID, t EdgeType, fn func(v NodeID, 
 		return
 	}
 	for k := lo; k < hi; k++ {
-		fn(s.nbr[t][k], s.wts[t][k])
+		fn(s.ids[s.nbr[t][k]], s.wts[t][k])
 	}
 }
 
@@ -205,7 +269,7 @@ func (s *Snapshot) ForEachNeighbor(u NodeID, fn func(v NodeID)) {
 	for t := 0; t < s.numTypes; t++ {
 		lo, hi := s.offsets[t][i], s.offsets[t][i+1]
 		for k := lo; k < hi; k++ {
-			fn(s.nbr[t][k])
+			fn(s.ids[s.nbr[t][k]])
 		}
 	}
 }
@@ -238,16 +302,14 @@ func (s *Snapshot) TypedWeightedDegree(u NodeID, t EdgeType) float64 {
 	return s.deg[t][i]
 }
 
-// findEdge binary-searches u's type-t row for v and returns the flat
-// index, or -1.
-func (s *Snapshot) findEdge(t EdgeType, u, v NodeID) int32 {
-	lo, hi, ok := s.rowSpan(u, t)
-	if !ok {
+// findEdge binary-searches row ur's type-t adjacency for row vr and
+// returns the flat index, or -1.
+func (s *Snapshot) findEdge(t EdgeType, ur, vr int32) int32 {
+	if int(t) >= s.numTypes || ur < 0 || vr < 0 {
 		return -1
 	}
-	row := s.nbr[t][lo:hi]
-	k := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	if k < len(row) && row[k] == v {
+	lo := s.offsets[t][ur]
+	if k, ok := slices.BinarySearch(s.nbr[t][lo:s.offsets[t][ur+1]], vr); ok {
 		return lo + int32(k)
 	}
 	return -1
@@ -255,7 +317,7 @@ func (s *Snapshot) findEdge(t EdgeType, u, v NodeID) int32 {
 
 // EdgeWeight returns the weight of the typed edge (u, v), or 0.
 func (s *Snapshot) EdgeWeight(t EdgeType, u, v NodeID) float64 {
-	if k := s.findEdge(t, u, v); k >= 0 {
+	if k := s.findEdge(t, s.row(u), s.row(v)); k >= 0 {
 		return s.wts[t][k]
 	}
 	return 0
@@ -265,12 +327,12 @@ func (s *Snapshot) EdgeWeight(t EdgeType, u, v NodeID) float64 {
 // O(log d) with no lock: a binary search for the edge plus two O(1)
 // precomputed degree lookups.
 func (s *Snapshot) NormalizedWeight(t EdgeType, u, v NodeID) float64 {
-	k := s.findEdge(t, u, v)
+	ur, vr := s.row(u), s.row(v)
+	k := s.findEdge(t, ur, vr)
 	if k < 0 {
 		return 0
 	}
-	du := s.deg[t][s.row(u)]
-	dv := s.TypedWeightedDegree(v, t)
+	du, dv := s.deg[t][ur], s.deg[t][vr]
 	if du == 0 || dv == 0 {
 		return 0
 	}
@@ -295,8 +357,8 @@ func (s *Snapshot) Edges() []Edge {
 		for i, u := range s.ids {
 			lo, hi := s.offsets[t][i], s.offsets[t][i+1]
 			for k := lo; k < hi; k++ {
-				if v := s.nbr[t][k]; u < v {
-					es = append(es, Edge{Type: EdgeType(t), U: u, V: v, Weight: s.wts[t][k], ExpireAt: s.exp[t][k]})
+				if r := s.nbr[t][k]; int32(i) < r {
+					es = append(es, Edge{Type: EdgeType(t), U: u, V: s.ids[r], Weight: s.wts[t][k], ExpireAt: s.exp[t][k]})
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,7 +91,7 @@ func TestSnapshotMatchesLiveView(t *testing.T) {
 // sees (a type with no edges may be nil or empty).
 func sameSample(a, b *Subgraph) bool {
 	if !reflect.DeepEqual(a.Nodes, b.Nodes) || !reflect.DeepEqual(a.Hops, b.Hops) ||
-		!reflect.DeepEqual(a.Index, b.Index) || a.Layers != b.Layers || len(a.TypedEdges) != len(b.TypedEdges) {
+		a.Layers != b.Layers || len(a.TypedEdges) != len(b.TypedEdges) {
 		return false
 	}
 	for t := range a.TypedEdges {
@@ -101,44 +102,222 @@ func sameSample(a, b *Subgraph) bool {
 	return true
 }
 
-// TestSnapshotSampleMatchesReference: the snapshot's in-place walk must
-// return what the accessor-based SampleView returns, from the live graph
-// and from the snapshot itself, for every option including the cone cut.
-func TestSnapshotSampleMatchesReference(t *testing.T) {
-	for _, seed := range []uint64{7, 8, 9} {
-		g := randomGraph(seed, 24, 160)
+// tiedGraph is randomGraph with small integer weights, so rows hold
+// many equal weights and the cap order falls back to ascending ID. Node
+// 0 is a hub: its type-0 and type-1 rows are several capRun long.
+func tiedGraph(seed uint64, nodes, edges int) *Graph {
+	rng := tensor.NewRNG(seed | 1)
+	g := New(3)
+	for i := 0; i < edges; i++ {
+		u, v := NodeID(rng.Intn(nodes)), NodeID(rng.Intn(nodes))
+		if u != v {
+			_ = g.AddEdgeWeight(EdgeType(rng.Intn(3)), u, v, float64(1+rng.Intn(2)), never)
+		}
+	}
+	for v := 1; v <= 5*capRun; v++ {
+		_ = g.AddEdgeWeight(EdgeType(v%2), 0, NodeID(nodes+v), float64(1+rng.Intn(3)), never)
+	}
+	return g
+}
+
+// TestSnapshotCapOrder: every published row's cap order is its
+// neighbours sorted by heavier, for short rows, rows of several runs and
+// rows with many ties.
+func TestSnapshotCapOrder(t *testing.T) {
+	for _, g := range []*Graph{randomGraph(3, 40, 400), tiedGraph(4, 40, 400)} {
 		s := g.Snapshot()
-		even := func(n NodeID) bool { return n%2 == 0 }
-		for _, u := range append(g.Nodes(), 999) { // 999 is unregistered
+		for _, u := range s.Nodes() {
+			r := s.row(u)
+			for typ := 0; typ < s.NumEdgeTypes(); typ++ {
+				want := s.NeighborsByType(u, EdgeType(typ))
+				slices.SortFunc(want, heavier)
+				var got []Neighbor
+				for _, k := range s.capOrd[typ][s.offsets[typ][r]:s.offsets[typ][r+1]] {
+					got = append(got, Neighbor{Node: s.ids[s.nbr[typ][k]], Weight: s.wts[typ][k]})
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("node %d type %d: cap order %v, want %v", u, typ, got, want)
+				}
+			}
+		}
+	}
+}
+
+// checkSample asserts that s.Sample, g.Sample and SampleView over s
+// agree on target u under opts, at every cut depth and under a random
+// cap, which must consume the generator identically.
+func checkSample(t *testing.T, name string, g *Graph, s *Snapshot, u NodeID, base SampleOptions) {
+	t.Helper()
+	for layers := 0; layers <= 3; layers++ {
+		opts := base
+		opts.Layers = layers
+		want := SampleView(s, u, opts)
+		if got := s.Sample(u, opts); !sameSample(got, want) {
+			t.Fatalf("%s node %d %+v: row-space walk differs from SampleView", name, u, opts)
+		}
+		if got := g.Sample(u, opts); !sameSample(got, want) {
+			t.Fatalf("%s node %d %+v: live graph differs from snapshot", name, u, opts)
+		}
+		opts.MaxNeighbors = 2
+		opts.RNG = tensor.NewRNG(uint64(u) + 1)
+		want = SampleView(s, u, opts)
+		opts.RNG = tensor.NewRNG(uint64(u) + 1)
+		if got := s.Sample(u, opts); !sameSample(got, want) {
+			t.Fatalf("%s node %d %+v: random draw differs from SampleView", name, u, opts)
+		}
+	}
+}
+
+// TestSnapshotSampleMatchesReference: the snapshot's row-space walk must
+// return what the accessor-based SampleView returns, from the live graph
+// and from the snapshot itself, for every option including the cone cut
+// and a random cap. The hand-built cases pin the traps of reading a cap
+// as a prefix of the published cap order.
+func TestSnapshotSampleMatchesReference(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"seed 7", randomGraph(7, 24, 160)},
+		{"seed 8", randomGraph(8, 24, 160)},
+		{"seed 9", randomGraph(9, 24, 160)},
+		{"tied weights", tiedGraph(10, 24, 200)},
+	}
+	even := func(n NodeID) bool { return n%2 == 0 }
+	for _, c := range graphs {
+		s := c.g.Snapshot()
+		for _, u := range append(c.g.Nodes(), 999) { // 999 is unregistered
+			notTarget := func(n NodeID) bool { return n != u }
 			for _, base := range []SampleOptions{
 				{Hops: 2},
 				{Hops: 2, MaxNeighbors: 3},
 				{Hops: 2, MaxNeighbors: 2, Filter: even},
+				{Hops: 2, MaxNeighbors: 2, Filter: notTarget},
 				{Hops: 3, RawWeights: true},
 				{Hops: 2, Mask: MaskEdgeType(1)},
 				{Hops: 1, MaxNeighbors: 2},
 			} {
-				for layers := 0; layers <= 3; layers++ {
-					opts := base
-					opts.Layers = layers
-					want := SampleView(s, u, opts)
-					if got := s.Sample(u, opts); !sameSample(got, want) {
-						t.Fatalf("seed %d node %d %+v: in-place walk differs from SampleView", seed, u, opts)
-					}
-					if got := g.Sample(u, opts); !sameSample(got, want) {
-						t.Fatalf("seed %d node %d %+v: live graph differs from snapshot", seed, u, opts)
-					}
-					// A random draw consumes the generator identically.
-					opts.MaxNeighbors = 2
-					opts.RNG = tensor.NewRNG(seed)
-					want = SampleView(s, u, opts)
-					opts.RNG = tensor.NewRNG(seed)
-					if got := s.Sample(u, opts); !sameSample(got, want) {
-						t.Fatalf("seed %d node %d %+v: random draw differs from SampleView", seed, u, opts)
+				checkSample(t, c.name, c.g, s, u, base)
+			}
+		}
+	}
+
+	// Each case is a star of type-0 edges (center, neighbour, weight)
+	// sampled from node 0 with a cap of two; want is the node order only
+	// the right reading produces.
+	for _, c := range []struct {
+		name   string
+		edges  [][3]float64
+		filter func(NodeID) bool
+		want   []NodeID
+	}{{
+		// Node 1's row is over the cap and its heaviest entry is the
+		// target. Filter rejects the target, so node 1 expands 2 and 3; a
+		// walk that took "already sampled" for "accepted" would expand
+		// the target and 2.
+		name:   "rejected target in an over-cap row",
+		edges:  [][3]float64{{0, 1, 1}, {1, 2, 5}, {1, 3, 4}, {1, 4, 3}, {1, 0, 8}},
+		filter: func(n NodeID) bool { return n != 0 },
+		want:   []NodeID{0, 1, 2, 3},
+	}, {
+		// Four entries, two accepted: capNeighbors leaves two of two in
+		// ID order, not in cap order (which would be 2, 1).
+		name:   "accepted count drops to the cap",
+		edges:  [][3]float64{{0, 1, 1}, {0, 2, 5}, {0, 3, 9}, {0, 4, 7}},
+		filter: func(n NodeID) bool { return n < 3 },
+		want:   []NodeID{0, 1, 2},
+	}, {
+		// Equal weights tie by ascending ID: 2 (weight 3), then 3 of the
+		// three at weight 2.
+		name:  "equal weights",
+		edges: [][3]float64{{0, 5, 2}, {0, 1, 1}, {0, 4, 2}, {0, 3, 2}, {0, 2, 3}},
+		want:  []NodeID{0, 2, 3},
+	}} {
+		g := New(3)
+		for _, e := range c.edges {
+			_ = g.AddEdgeWeight(0, NodeID(e[0]), NodeID(e[1]), e[2], never)
+		}
+		s := g.Snapshot()
+		opts := SampleOptions{Hops: 2, MaxNeighbors: 2, Filter: c.filter}
+		if got := s.Sample(0, opts).Nodes; !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: sampled %v, want %v", c.name, got, c.want)
+		}
+		for _, u := range g.Nodes() {
+			checkSample(t, c.name, g, s, u, opts)
+		}
+	}
+}
+
+// allZero reports whether the per-row tables hold no sample's state.
+func (sc *sampleScratch) allZero() bool {
+	return len(sc.touched) == 0 &&
+		!slices.ContainsFunc(sc.local, func(v int32) bool { return v != 0 }) &&
+		!slices.ContainsFunc(sc.verdict, func(v uint8) bool { return v != unasked })
+}
+
+// TestSnapshotSampleConcurrentPool: goroutines sample a snapshot taken
+// before the graph grew and one taken after, concurrently, so pooled
+// scratch sized for one serves the other. Every result must equal
+// SampleView, and every scratch must go back to the pool all-zero.
+func TestSnapshotSampleConcurrentPool(t *testing.T) {
+	g := randomGraph(21, 30, 200)
+	small := g.Snapshot()
+	rng := tensor.NewRNG(5)
+	for i := 0; i < 1500; i++ {
+		u, v := NodeID(rng.Intn(300)), NodeID(rng.Intn(300))
+		if u != v {
+			_ = g.AddEdgeWeight(EdgeType(rng.Intn(3)), u, v, rng.Float64()+0.01, never)
+		}
+	}
+	big := g.Snapshot()
+	if small.NumNodes()*5 > big.NumNodes() {
+		t.Fatalf("graph grew from %d to only %d nodes", small.NumNodes(), big.NumNodes())
+	}
+	odd := func(n NodeID) bool { return n%2 == 1 }
+	type job struct {
+		s    *Snapshot
+		u    NodeID
+		opts SampleOptions
+		want *Subgraph
+	}
+	var jobs []job
+	for _, s := range []*Snapshot{small, big} {
+		for _, u := range s.Nodes()[:24] {
+			for _, opts := range []SampleOptions{
+				{Hops: 2, MaxNeighbors: 3, Filter: odd},
+				{Hops: 2, MaxNeighbors: 4, Layers: 2},
+			} {
+				jobs = append(jobs, job{s, u, opts, SampleView(s, u, opts)})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for i := range jobs {
+					j := jobs[(i*7+w*13+round)%len(jobs)]
+					if got := j.s.Sample(j.u, j.opts); !sameSample(got, j.want) {
+						t.Errorf("%d-node snapshot, node %d %+v: differs from SampleView", j.s.NumNodes(), j.u, j.opts)
+						return
 					}
 				}
 			}
+		}(w)
+	}
+	wg.Wait()
+	var held []*sampleScratch
+	for i := 0; i < 16; i++ {
+		sc := sampleScratchPool.Get().(*sampleScratch)
+		if !sc.allZero() {
+			t.Fatalf("a scratch went back to the pool holding %d touched rows", len(sc.touched))
 		}
+		held = append(held, sc)
+	}
+	for _, sc := range held {
+		sampleScratchPool.Put(sc)
 	}
 }
 
@@ -159,10 +338,10 @@ func TestSampleConeCut(t *testing.T) {
 	s := g.Snapshot()
 
 	full := s.Sample(0, SampleOptions{Hops: 2, MaxNeighbors: 3})
-	if got := full.Hops[full.Index[4]]; got != 2 {
+	if got := full.Hops[slices.Index(full.Nodes, 4)]; got != 2 {
 		t.Fatalf("node 4 labeled hop %d, want 2 (the cap must leave it to re-enter)", got)
 	}
-	if _, ok := full.Index[6]; ok {
+	if slices.Contains(full.Nodes, 6) {
 		t.Fatal("node 6 sampled")
 	}
 	type edge struct {

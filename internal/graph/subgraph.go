@@ -22,7 +22,6 @@ type LocalEdge struct {
 // the §III-A symmetric normalized weights.
 type Subgraph struct {
 	Nodes      []NodeID
-	Index      map[NodeID]int
 	TypedEdges [][]LocalEdge
 	// Hops is the BFS label of each node: the hop at which sampling first
 	// reached it. It is not the node's distance in TypedEdges: a target
@@ -108,11 +107,11 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 	masked := opts.Mask.masked()
 	sg := &Subgraph{
 		Nodes:      []NodeID{target},
-		Index:      map[NodeID]int{target: 0},
 		TypedEdges: make([][]LocalEdge, numTypes),
 		Hops:       []int{0},
 		Layers:     opts.Layers,
 	}
+	index := map[NodeID]int{target: 0}
 	frontier := []NodeID{target}
 	for hop := 1; hop <= opts.Hops; hop++ {
 		var next []NodeID
@@ -125,8 +124,8 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 				ns = filterNeighbors(ns, opts.Filter)
 				ns = capNeighbors(ns, opts.MaxNeighbors, opts.RNG)
 				for _, nb := range ns {
-					if _, ok := sg.Index[nb.Node]; !ok {
-						sg.Index[nb.Node] = len(sg.Nodes)
+					if _, ok := index[nb.Node]; !ok {
+						index[nb.Node] = len(sg.Nodes)
 						sg.Nodes = append(sg.Nodes, nb.Node)
 						sg.Hops = append(sg.Hops, hop)
 						next = append(next, nb.Node)
@@ -155,7 +154,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 		}
 		for li, u := range sg.Nodes {
 			for _, nb := range g.NeighborsByType(u, EdgeType(t)) {
-				lj, ok := sg.Index[nb.Node]
+				lj, ok := index[nb.Node]
 				if !ok {
 					continue
 				}

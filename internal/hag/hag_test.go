@@ -24,16 +24,15 @@ func cliqueBatch(n int, seed uint64) *gnn.Batch {
 			_ = g.AddEdgeWeight(0, graph.NodeID(i), graph.NodeID(j), 1, never)
 		}
 	}
-	sg := &graph.Subgraph{Index: make(map[graph.NodeID]int), TypedEdges: make([][]graph.LocalEdge, 1)}
+	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, 1)}
 	for i := 0; i < n; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
-		sg.Index[graph.NodeID(i)] = i
 		sg.Hops = append(sg.Hops, 0)
 	}
 	for i := 0; i < n; i++ {
 		for _, nb := range g.NeighborsByType(graph.NodeID(i), 0) {
 			sg.TypedEdges[0] = append(sg.TypedEdges[0],
-				graph.LocalEdge{Src: i, Dst: sg.Index[nb.Node], Weight: nb.Weight})
+				graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 		}
 	}
 	x := tensor.RandNormal(n, 6, 1, tensor.NewRNG(seed))
@@ -118,17 +117,16 @@ func multiTypeBatch(t *testing.T) (*gnn.Batch, []int, []float64) {
 	for i := 0; i < 10; i++ {
 		g.AddNode(graph.NodeID(i))
 	}
-	sg := &graph.Subgraph{Index: make(map[graph.NodeID]int), TypedEdges: make([][]graph.LocalEdge, 2)}
+	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, 2)}
 	for i := 0; i < 10; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
-		sg.Index[graph.NodeID(i)] = i
 		sg.Hops = append(sg.Hops, 0)
 	}
 	for typ := 0; typ < 2; typ++ {
 		for i := 0; i < 10; i++ {
 			for _, nb := range g.NeighborsByType(graph.NodeID(i), graph.EdgeType(typ)) {
 				sg.TypedEdges[typ] = append(sg.TypedEdges[typ],
-					graph.LocalEdge{Src: i, Dst: sg.Index[nb.Node], Weight: nb.Weight})
+					graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 			}
 		}
 	}

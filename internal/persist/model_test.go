@@ -40,12 +40,8 @@ func testBatch(t *testing.T, numTypes, dim int) *gnn.Batch {
 			t.Fatal(err)
 		}
 	}
-	sg := &graph.Subgraph{
-		Index:      make(map[graph.NodeID]int),
-		TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes()),
-	}
+	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
 	for u := graph.NodeID(0); u < 6; u++ {
-		sg.Index[u] = len(sg.Nodes)
 		sg.Nodes = append(sg.Nodes, u)
 		sg.Hops = append(sg.Hops, 0)
 	}
@@ -53,7 +49,7 @@ func testBatch(t *testing.T, numTypes, dim int) *gnn.Batch {
 		for i, u := range sg.Nodes {
 			for _, nb := range g.NeighborsByType(u, graph.EdgeType(et)) {
 				sg.TypedEdges[et] = append(sg.TypedEdges[et], graph.LocalEdge{
-					Src: i, Dst: sg.Index[nb.Node], Weight: nb.Weight,
+					Src: i, Dst: int(nb.Node), Weight: nb.Weight,
 				})
 			}
 		}

@@ -436,15 +436,26 @@ func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 // acquisitions.
 func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph { return s.sample(u, 0) }
 
+// sampleView returns the view u is sampled from: View(u), decorated by
+// the view wrapper when one is installed.
+func (s *BNServer) sampleView(u behavior.UserID) graph.GraphView {
+	view := s.View(u)
+	if s.viewWrap != nil {
+		view = s.viewWrap(view)
+	}
+	return view
+}
+
 // sample draws u's subgraph, cut to the computation cone of a
 // layers-deep model when layers is positive (graph.SampleOptions.Layers).
 func (s *BNServer) sample(u behavior.UserID, layers int) *graph.Subgraph {
+	return s.sampleFrom(s.sampleView(u), u, layers)
+}
+
+// sampleFrom is sample on a view already chosen.
+func (s *BNServer) sampleFrom(view graph.GraphView, u behavior.UserID, layers int) *graph.Subgraph {
 	var sg *graph.Subgraph
 	s.SamplingLatency.Time(func() {
-		view := s.View(u)
-		if s.viewWrap != nil {
-			view = s.viewWrap(view)
-		}
 		// One txnMu.RLock for the whole walk, not one per neighbor. It is
 		// taken at the first neighbor the walk asks about rather than up
 		// front, so a delay injected by a wrapped view is not spent
@@ -478,8 +489,10 @@ func (s *BNServer) SampleCtx(ctx context.Context, u behavior.UserID) (*graph.Sub
 
 // SampleConeCtx draws, under a deadline, the sample the audit path
 // scores: u's subgraph cut to the computation cone of a layers-deep
-// model (0 draws it in full). When ctx cannot expire it runs inline;
-// otherwise sampling runs in a goroutine and SampleConeCtx returns
+// model (0 draws it in full). It runs inline when ctx cannot expire or
+// the view cannot block: an undecorated snapshot, which is in memory and
+// lock-free. Otherwise (the live graph, or a wrapped view that may
+// inject delays) sampling runs in a goroutine and SampleConeCtx returns
 // ctx.Err() as soon as the deadline fires, leaving the (possibly hung)
 // sample to finish in the background — slow graph reads cost the audit
 // its sampling budget, never the whole request.
@@ -487,11 +500,12 @@ func (s *BNServer) SampleConeCtx(ctx context.Context, u behavior.UserID, layers 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("server: sampling user %d: %w", u, err)
 	}
-	if ctx.Done() == nil {
-		return s.sample(u, layers), nil
+	view := s.sampleView(u)
+	if _, snap := view.(*graph.Snapshot); snap || ctx.Done() == nil {
+		return s.sampleFrom(view, u, layers), nil
 	}
 	ch := make(chan *graph.Subgraph, 1)
-	go func() { ch <- s.sample(u, layers) }()
+	go func() { ch <- s.sampleFrom(view, u, layers) }()
 	select {
 	case sg := <-ch:
 		return sg, nil

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Hot-path benchmark harness: runs the tape-vs-infer (float64 and
-# float32), batch-compile, audit, WAL-append and recovery-replay
+# float32), batch-compile, audit, snapshot-publish, WAL-append and recovery-replay
 # benchmarks with allocation reporting and writes a JSON snapshot to
 # BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then runs the
 # tensor kernel grid (matmul GFLOP/s per kernel tier and precision,
@@ -25,7 +25,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 echo "== go test -bench (benchtime=$BENCHTIME)"
-go test -run 'XXX-none' -bench 'BenchmarkScoreTapeVsInfer|BenchmarkHAGScoreTapeVsInfer|BenchmarkBatchCompile|BenchmarkAuditHotPath|BenchmarkFeatureFanout|BenchmarkWALAppend|BenchmarkRecoveryReplay' \
+go test -run 'XXX-none' -bench 'BenchmarkScoreTapeVsInfer|BenchmarkHAGScoreTapeVsInfer|BenchmarkBatchCompile|BenchmarkAuditHotPath|BenchmarkSnapshotPublish|BenchmarkFeatureFanout|BenchmarkWALAppend|BenchmarkRecoveryReplay' \
     -benchtime "$BENCHTIME" -benchmem \
     ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/persist/ | tee "$RAW"
 

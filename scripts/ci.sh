@@ -45,8 +45,8 @@ go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|Tes
 echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
 
-echo "== cone parity smoke (seven variants x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; snapshot walk vs SampleView; under -race)"
-go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSampleConeCut' ./internal/server/ ./internal/graph/
+echo "== cone parity smoke (seven variants x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
+go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut' ./internal/server/ ./internal/graph/
 
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
