@@ -25,7 +25,7 @@ import (
 	"turbo/internal/datagen"
 	"turbo/internal/eval"
 	"turbo/internal/graph"
-	"turbo/internal/metrics"
+	"turbo/internal/telemetry"
 )
 
 func main() {
@@ -250,16 +250,11 @@ func runFigure8a(a *eval.Assembled, h eval.Hyper) {
 		{"predict", series.Predict},
 		{"total", series.Total},
 	} {
-		rec := metricsRecorder(m.ds)
-		fmt.Printf("%-9s %12v %12v %12v\n", m.name, rec.Mean(), rec.Percentile(50), rec.Percentile(99))
+		h := telemetry.NewLogHistogram()
+		for _, d := range m.ds {
+			h.Observe(d)
+		}
+		fmt.Printf("%-9s %12v %12v %12v\n", m.name, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 	}
 	fmt.Println()
-}
-
-func metricsRecorder(ds []time.Duration) *metrics.LatencyRecorder {
-	rec := metrics.NewLatencyRecorder()
-	for _, d := range ds {
-		rec.Record(d)
-	}
-	return rec
 }

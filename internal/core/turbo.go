@@ -86,8 +86,7 @@ func (s *System) Recover() (persist.RecoveryStats, error) {
 // SetModel attaches the trained classification model and the feature
 // normalizer fitted at training time (nil = identity).
 func (s *System) SetModel(m gnn.Model, normalizer func([]float64) []float64) {
-	s.pred = server.NewPredictionServer(s.bn, s.feats, m, s.cfg.Threshold)
-	s.pred.Normalizer = normalizer
+	s.pred = server.NewPredictionServer(s.bn, s.feats, m, normalizer, s.cfg.Threshold)
 	s.sweeper = server.NewSweepEngine(s.bn, s.pred)
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"turbo/internal/core"
 	"turbo/internal/datagen"
-	"turbo/internal/metrics"
+	"turbo/internal/telemetry"
 	"turbo/internal/tensor"
 )
 
@@ -27,7 +27,7 @@ type ABTestResult struct {
 	OnlinePrecision float64
 	OnlineRecall    float64
 
-	Latency metrics.Summary
+	Latency telemetry.Summary
 }
 
 // String renders the result like §VI-E.
@@ -125,7 +125,7 @@ func RunABTest(histCfg datagen.Config, h Hyper, seed uint64) ABTestResult {
 	if tp+fn > 0 {
 		res.OnlineRecall = float64(tp) / float64(tp+fn)
 	}
-	res.Latency = sys.PredictionServer().TotalLatency.Summarize()
+	res.Latency = sys.PredictionServer().LatencySummaries()["total"]
 	return res
 }
 

@@ -9,7 +9,7 @@ import (
 	"turbo/internal/datagen"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
-	"turbo/internal/metrics"
+	"turbo/internal/telemetry"
 	"turbo/internal/tensor"
 )
 
@@ -19,8 +19,8 @@ import (
 // store with TTL). The paper's production numbers dropped from a 6.8 s
 // mean to 0.8 s; the shape to reproduce is roughly an order of magnitude.
 type LatencyStudy struct {
-	Cold map[string]metrics.Summary
-	Warm map[string]metrics.Summary
+	Cold map[string]telemetry.Summary
+	Warm map[string]telemetry.Summary
 }
 
 // String renders both pipelines' digests.
@@ -29,7 +29,7 @@ func (s LatencyStudy) String() string {
 	b.WriteString("§V latency optimization — cold (DB scans) vs cached (in-memory)\n")
 	for _, mode := range []struct {
 		name string
-		sums map[string]metrics.Summary
+		sums map[string]telemetry.Summary
 	}{{"cold", s.Cold}, {"warm", s.Warm}} {
 		for _, key := range []string{"sampling", "features", "predict", "total"} {
 			fmt.Fprintf(&b, "%-5s %-9s %v\n", mode.name, key, sums(mode.sums, key))
@@ -38,9 +38,9 @@ func (s LatencyStudy) String() string {
 	return b.String()
 }
 
-func sums(m map[string]metrics.Summary, key string) metrics.Summary {
+func sums(m map[string]telemetry.Summary, key string) telemetry.Summary {
 	if m == nil {
-		return metrics.Summary{}
+		return telemetry.Summary{}
 	}
 	return m[key]
 }
@@ -73,7 +73,7 @@ func RunLatencyStudy(cfg datagen.Config, opts LatencyOptions) LatencyStudy {
 	a := Assemble(cfg, AssembleOptions{SplitSeed: opts.Seed})
 	model, _ := TrainHAG(a, HAGFull, h, opts.Seed)
 
-	run := func(fc feature.Config) map[string]metrics.Summary {
+	run := func(fc feature.Config) map[string]telemetry.Summary {
 		sys := buildSystem(a, model, fc)
 		rng := tensor.NewRNG(opts.Seed)
 		users := a.Data.Users

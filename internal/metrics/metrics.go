@@ -1,6 +1,6 @@
 // Package metrics implements the evaluation metrics of §VI (precision,
-// recall, F-beta, ROC AUC, run variance) and the latency percentile
-// recorder used by the response-time study (§V, Fig. 8).
+// recall, F-beta, ROC AUC, run variance). Serving latencies and counters
+// live in internal/telemetry.
 package metrics
 
 import (

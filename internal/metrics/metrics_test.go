@@ -1,12 +1,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"turbo/internal/tensor"
 )
@@ -131,74 +128,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 	if Variance([]float64{5}) != 0 {
 		t.Fatal("single-element variance should be 0")
-	}
-}
-
-// TestLatencyPercentiles pins the recorder to the exact nearest-rank
-// percentile within the log histogram's error: never below it, above
-// it by at most one sub-bucket width (1/16 of the value), the largest
-// sample reported exactly, and the mean exact.
-func TestLatencyPercentiles(t *testing.T) {
-	within := func(name string, got, exact time.Duration) {
-		t.Helper()
-		if got < exact || got > exact+exact/16 {
-			t.Fatalf("%s = %v, exact %v: outside [exact, exact·17/16]", name, got, exact)
-		}
-	}
-
-	l := NewLatencyRecorder()
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	within("p50", l.Percentile(50), 50*time.Millisecond)
-	within("p99", l.Percentile(99), 99*time.Millisecond)
-	if p := l.Percentile(100); p != 100*time.Millisecond {
-		t.Fatalf("p100 %v", p)
-	}
-	if m := l.Mean(); m != 50500*time.Microsecond {
-		t.Fatalf("mean %v", m)
-	}
-
-	// Durations spread over seven decades, against a sorted oracle.
-	rng := tensor.NewRNG(5)
-	l = NewLatencyRecorder()
-	ds := make([]time.Duration, 5000)
-	for i := range ds {
-		ds[i] = time.Duration(math.Exp(rng.Float64()*math.Log(1e7)) * float64(time.Microsecond) / 10)
-		l.Record(ds[i])
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	for _, p := range []float64{1, 25, 50, 90, 99, 99.9} {
-		rank := int(math.Ceil(p / 100 * float64(len(ds))))
-		within(fmt.Sprintf("p%g", p), l.Percentile(p), ds[rank-1])
-	}
-	if s := l.Summarize(); s.Count != len(ds) || s.P999 != l.Percentile(99.9) {
-		t.Fatalf("summary %+v", s)
-	}
-}
-
-func TestLatencyEmpty(t *testing.T) {
-	l := NewLatencyRecorder()
-	if l.Percentile(50) != 0 || l.Mean() != 0 || l.Count() != 0 {
-		t.Fatal("empty recorder should return zeros")
-	}
-}
-
-func TestLatencyTimeAndSummary(t *testing.T) {
-	l := NewLatencyRecorder()
-	d := l.Time(func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Fatalf("timed duration %v", d)
-	}
-	s := l.Summarize()
-	if s.Count != 1 || s.P50 == 0 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-	if s.Mean != d || s.P50 != d {
-		t.Fatalf("one sample %v summarized as mean %v p50 %v", d, s.Mean, s.P50)
 	}
 }
 

@@ -77,11 +77,7 @@ func newChaosStack(t *testing.T, faults resilience.FaultConfig, threshold int) *
 
 // featureSource digs the real service back out of a fresh test stack so
 // the injector can wrap it.
-func featureSource(p *PredictionServer) feature.Source {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.feats
-}
+func featureSource(p *PredictionServer) feature.Source { return p.Serving().Feats }
 
 // TestChaosNoFaultsIdenticalToFullPath asserts the resilience machinery
 // is invisible when healthy: PredictCtx with breaker, retry, admission
@@ -90,7 +86,7 @@ func featureSource(p *PredictionServer) feature.Source {
 func TestChaosNoFaultsIdenticalToFullPath(t *testing.T) {
 	cs := newChaosStack(t, resilience.FaultConfig{}, 3)
 	cs.pred.Admission = resilience.NewAdmission(8)
-	cs.pred.Deadlines = StageDeadlines{Sample: time.Minute, Feature: time.Minute, Score: time.Minute, Total: time.Minute}
+	cs.pred.Deadlines = StageDeadlines{Sample: time.Minute, Feature: time.Minute, Total: time.Minute}
 	at := t0.Add(3 * time.Hour)
 
 	p, err := cs.pred.PredictCtx(context.Background(), 1, at)
@@ -118,14 +114,11 @@ func TestChaosNoFaultsIdenticalToFullPath(t *testing.T) {
 		}
 		copy(x.Row(i), vec)
 	}
-	cs.pred.mu.RLock()
-	model := cs.pred.model
-	cs.pred.mu.RUnlock()
-	want := gnn.Score(model, gnn.NewBatch(sg, x))
+	want := gnn.Score(cs.pred.Serving().Model, gnn.NewBatch(sg, x))
 	if p.Probability != want {
 		t.Fatalf("probability %v != hand-run full path %v", p.Probability, want)
 	}
-	if got := cs.pred.Served.Get(TierFull); got < 1 {
+	if got := cs.pred.ServedCounts()[TierFull]; got < 1 {
 		t.Fatalf("tier counter not bumped: %d", got)
 	}
 }
@@ -310,7 +303,7 @@ func TestChaosAdmissionSheds(t *testing.T) {
 	if !errors.Is(err, resilience.ErrOverloaded) {
 		t.Fatalf("concurrent audit not shed: %v", err)
 	}
-	if got := cs.pred.Served.Get("shed"); got != 1 {
+	if got := cs.pred.ServedCounts()["shed"]; got != 1 {
 		t.Fatalf("shed counter %d want 1", got)
 	}
 	if err := <-done; err != nil {

@@ -381,7 +381,7 @@ func TestAuditPoolsSteadyState(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	w := loadServingWorld(t)
-	pred := NewPredictionServer(w.bn, w.feats, w.servingModel(), 0.5)
+	pred := NewPredictionServer(w.bn, w.feats, w.servingModel(), nil, 0.5)
 	if _, ok := pred.ConfigureF32(func(gnn.Model) (float64, bool) { return 0, true }); !ok {
 		t.Fatal("float32 scoring did not enable")
 	}
@@ -465,7 +465,7 @@ func TestConeSampleAllocs(t *testing.T) {
 func BenchmarkAuditHotPath(b *testing.B) {
 	w := loadServingWorld(b)
 	model := w.servingModel()
-	pred := NewPredictionServer(w.bn, w.feats, model, 0.5)
+	pred := NewPredictionServer(w.bn, w.feats, model, nil, 0.5)
 	pred.ConfigureF32(func(gnn.Model) (float64, bool) { return 0, true })
 	ctx := context.Background()
 	user := func(i int) behavior.UserID { return w.users[i%len(w.users)] }

@@ -125,7 +125,6 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 		return Prediction{}, false
 	}
 	lat := time.Since(t0)
-	e.pred.PredictLatency.Record(lat)
 	e.pred.Tel.ObserveStage(StageScore, lat)
 	return Prediction{
 		User:           u,
@@ -155,14 +154,13 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	defer e.runMu.Unlock()
 
 	start := time.Now()
-	feats, model, norm := e.pred.Serving()
-	version := e.pred.ModelVersion()
-	if model == nil {
+	sv := e.pred.Serving()
+	if sv.Model == nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: no model attached")
 	}
-	rep := EmbedRebuildReport{At: start, Version: version}
-	es, servable := model.(gnn.EmbedServing)
-	if !servable || !gnn.CanEmbedServe(model) {
+	rep := EmbedRebuildReport{At: start, Version: sv.Version}
+	es, servable := sv.Model.(gnn.EmbedServing)
+	if !servable || !gnn.CanEmbedServe(sv.Model) {
 		e.store.Install(nil, e.bn.Snapshot())
 		rep.Elapsed = time.Since(start)
 		e.recordRebuild(rep)
@@ -194,7 +192,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
+	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now())
 	if err := ctx.Err(); err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: feature fetch: %w", err)
 	}
@@ -206,8 +204,8 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 			rep.Skipped++
 			continue
 		}
-		if norm != nil {
-			vec = norm(vec)
+		if sv.Norm != nil {
+			vec = sv.Norm(vec)
 		}
 		okUsers = append(okUsers, users[i])
 		okNodes = append(okNodes, graph.NodeID(users[i]))
@@ -225,7 +223,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	for i, vec := range okVecs {
 		copy(x.Row(i), vec)
 	}
-	res, err := embed.Build(snap, okNodes, x, es, version, e.Opts)
+	res, err := embed.Build(snap, okNodes, x, es, sv.Version, e.Opts)
 	if err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 	}
@@ -234,7 +232,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	// contains them.
 	e.store.Install(res.Table, e.bn.Snapshot())
 	installed = true
-	e.pred.RememberScoresFor(okUsers, res.Probs, version)
+	e.pred.RememberScoresFor(okUsers, res.Probs, sv.Version)
 
 	rep.Rows = len(okNodes)
 	rep.Elapsed = time.Since(start)

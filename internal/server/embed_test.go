@@ -94,11 +94,7 @@ func TestEmbedTierServesAndInvalidates(t *testing.T) {
 // re-opens it.
 func TestRememberScoresVersionTagging(t *testing.T) {
 	_, pred := newTestStack(t)
-	cacheLen := func() int {
-		pred.lastMu.Lock()
-		defer pred.lastMu.Unlock()
-		return len(pred.last)
-	}
+	cacheLen := func() int { return len(cachedScores(pred)) }
 
 	pred.SetModelVersion(7)
 	pred.RememberScoresFor([]behavior.UserID{1, 2}, []float64{0.4, 0.6}, 7)

@@ -37,7 +37,7 @@ func newFanoutStack(tb testing.TB, n int) (*BNServer, *PredictionServer) {
 		}
 	}
 	model := gnn.NewGraphSAGE(gnn.Config{InDim: dim, Hidden: []int{4}, MLPHidden: 2, Seed: 1})
-	pred := NewPredictionServer(bnServer, feats, model, 0.5)
+	pred := NewPredictionServer(bnServer, feats, model, nil, 0.5)
 	return bnServer, pred
 }
 
@@ -54,7 +54,7 @@ func TestFanoutParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sg, err := bnServer.SampleConeCtx(context.Background(), u, gnn.Depth(pred.model))
+		sg, err := bnServer.SampleConeCtx(context.Background(), u, gnn.Depth(pred.Serving().Model))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestFanoutParallelMatchesSequential(t *testing.T) {
 			}
 			copy(x.Row(i), vec)
 		}
-		if want := gnn.Score(pred.model, gnn.NewBatch(sg, x)); p.Probability != want || p.SubgraphNodes != sg.NumNodes() {
+		if want := gnn.Score(pred.Serving().Model, gnn.NewBatch(sg, x)); p.Probability != want || p.SubgraphNodes != sg.NumNodes() {
 			t.Fatalf("user %d: %+v differs from the per-node fetch (probability %v, %d nodes)", u, p, want, sg.NumNodes())
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkFeatureFanout(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		x, err := pred.gatherFeatures(ctx, pred.feats, nil, sg, 1, at)
+		x, err := pred.gatherFeatures(ctx, pred.Serving().Feats, nil, sg, 1, at)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestFullPathScoresFreshFeaturesAfterBurst(t *testing.T) {
 		}
 		copy(x.Row(i), vec)
 	}
-	want := gnn.TapeScore(pred.model, gnn.NewBatch(sg, x))
+	want := gnn.TapeScore(pred.Serving().Model, gnn.NewBatch(sg, x))
 	if after.ServedBy != TierFull || after.Probability != want {
 		t.Fatalf("after the burst: served %q %v, want %q %v (the tape over features at audit time)", after.ServedBy, after.Probability, TierFull, want)
 	}

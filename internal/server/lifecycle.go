@@ -49,7 +49,7 @@ type GateOptions struct {
 // Degraded the below-full tiers, Failed the outcomes that produced no
 // usable score (shed load, unknown users).
 func (p *PredictionServer) HealthSnapshot() lifecycle.Health {
-	c := p.Served.Snapshot()
+	c := p.ServedCounts()
 	served := c[TierFull] + c[TierFallback] + c[TierCache] + c[TierPrior]
 	failed := c["shed"] + c["unknown"]
 	return lifecycle.Health{
@@ -64,7 +64,7 @@ func (p *PredictionServer) HealthSnapshot() lifecycle.Health {
 // Users whose feature fetch fails are silently dropped — the cohort is
 // a sample, not a census.
 func (e *SweepEngine) cohortRaw(ctx context.Context, limit int) (*graph.Snapshot, []graph.NodeID, [][]float64, error) {
-	feats, _, _ := e.pred.Serving()
+	feats := e.pred.Serving().Feats
 	snap := e.bn.Snapshot()
 	filter := e.bn.TxnFilter()
 	var users []behavior.UserID
@@ -123,8 +123,8 @@ func (e *SweepEngine) scoreWith(snap *graph.Snapshot, nodes []graph.NodeID, raw 
 // immutable state (snapshot, model parameters, bulk-fetched vectors),
 // so it runs in parallel with ingestion and audits.
 func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm func([]float64) []float64, limit int) (candScores, liveScores []float64, err error) {
-	_, live, liveNorm := e.pred.Serving()
-	if live == nil {
+	live := e.pred.Serving()
+	if live.Model == nil {
 		return nil, nil, fmt.Errorf("server: shadow: no live model attached")
 	}
 	if cand == nil {
@@ -135,7 +135,7 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 		return nil, nil, err
 	}
 	candScores = e.scoreWith(snap, nodes, raw, cand, candNorm)
-	liveScores = e.scoreWith(snap, nodes, raw, live, liveNorm)
+	liveScores = e.scoreWith(snap, nodes, raw, live.Model, live.Norm)
 	return candScores, liveScores, nil
 }
 
@@ -143,13 +143,13 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 // the rollback monitor's score-shift probe compares this against the
 // pre-swap baseline captured by ShadowPair.
 func (e *SweepEngine) CohortScores(ctx context.Context, limit int) ([]float64, error) {
-	_, live, liveNorm := e.pred.Serving()
-	if live == nil {
+	live := e.pred.Serving()
+	if live.Model == nil {
 		return nil, fmt.Errorf("server: cohort: no live model attached")
 	}
 	snap, nodes, raw, err := e.cohortRaw(ctx, limit)
 	if err != nil || len(nodes) == 0 {
 		return nil, err
 	}
-	return e.scoreWith(snap, nodes, raw, live, liveNorm), nil
+	return e.scoreWith(snap, nodes, raw, live.Model, live.Norm), nil
 }

@@ -42,8 +42,7 @@ func TestGatedRetrainRejectQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feats, live, _ := pred.Serving()
-	_ = feats
+	live := pred.Serving().Model
 	if _, err := store.Save(live, persist.Extras{}); err != nil { // v1: the serving model
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestGatedRetrainAcceptSwaps(t *testing.T) {
 func TestGatedRetrainCohortShadow(t *testing.T) {
 	bnServer, pred := newTestStack(t)
 	eng := NewSweepEngine(bnServer, pred)
-	_, live, _ := pred.Serving()
+	live := pred.Serving().Model
 
 	mkMgr := func(cand gnn.Model, gate lifecycle.GateConfig) *ModelManager {
 		mgr := NewModelManager(pred, func() (gnn.Model, func([]float64) []float64, error) {
@@ -202,7 +201,7 @@ func TestAutoRollbackOnErrorRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, live, _ := pred.Serving()
+	live := pred.Serving().Model
 	if _, err := store.Save(live, persist.Extras{}); err != nil { // v1 = known-good
 		t.Fatal(err)
 	}

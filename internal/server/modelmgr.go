@@ -280,14 +280,14 @@ func (m *ModelManager) RetrainOnceCtx(ctx context.Context) (RetrainReport, error
 
 	// Accepted (or ungated): remember the pre-swap pair for rollback,
 	// swap, persist, and start the post-swap watch.
-	_, prevModel, prevNorm := m.pred.Serving()
+	prev := m.pred.Serving()
 	m.pred.SwapModel(model, norm)
 	rep.Accepted = true
 	m.mu.Lock()
 	m.retrains++
 	m.lastError = nil
 	m.lastSwap = time.Now()
-	m.prevModel, m.prevNorm = prevModel, prevNorm
+	m.prevModel, m.prevNorm = prev.Model, prev.Norm
 	store, extras := m.artifacts, m.extras
 	m.mu.Unlock()
 	if store != nil {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,6 @@ import (
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/metrics"
 	"turbo/internal/persist"
 	"turbo/internal/resilience"
 	"turbo/internal/store"
@@ -85,9 +85,8 @@ type BNServer struct {
 	// before serving.
 	prePublish func(*graph.Snapshot)
 
-	SampleHops      int
-	MaxNeighbors    int
-	SamplingLatency *metrics.LatencyRecorder
+	SampleHops   int
+	MaxNeighbors int
 }
 
 // NewBNServer builds a BN server anchored at t0.
@@ -99,13 +98,12 @@ func NewBNServer(cfg bn.Config, t0 time.Time) (*BNServer, error) {
 		return nil, err
 	}
 	s := &BNServer{
-		store:           store,
-		builder:         builder,
-		g:               g,
-		hasTxn:          make(map[behavior.UserID]bool),
-		SampleHops:      2,
-		MaxNeighbors:    32,
-		SamplingLatency: metrics.NewLatencyRecorder(),
+		store:        store,
+		builder:      builder,
+		g:            g,
+		hasTxn:       make(map[behavior.UserID]bool),
+		SampleHops:   2,
+		MaxNeighbors: 32,
 	}
 	s.snap.Store(g.Snapshot())
 	s.snapPublished.Store(time.Now().UnixNano())
@@ -430,10 +428,9 @@ func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 
 // Sample extracts the full computation subgraph of user u (every induced
 // edge: what DOT export and an all-rows reference forward need),
-// restricted to users with transactions, recording the sampling latency
-// (Fig. 8a). When u is in the current snapshot (the steady state),
-// sampling walks the immutable epoch and performs zero graph mutex
-// acquisitions.
+// restricted to users with transactions. When u is in the current
+// snapshot (the steady state), sampling walks the immutable epoch and
+// performs zero graph mutex acquisitions.
 func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph { return s.sample(u, 0) }
 
 // sampleView returns the view u is sampled from: View(u), decorated by
@@ -454,32 +451,28 @@ func (s *BNServer) sample(u behavior.UserID, layers int) *graph.Subgraph {
 
 // sampleFrom is sample on a view already chosen.
 func (s *BNServer) sampleFrom(view graph.GraphView, u behavior.UserID, layers int) *graph.Subgraph {
-	var sg *graph.Subgraph
-	s.SamplingLatency.Time(func() {
-		// One txnMu.RLock for the whole walk, not one per neighbor. It is
-		// taken at the first neighbor the walk asks about rather than up
-		// front, so a delay injected by a wrapped view is not spent
-		// holding it against RegisterTransaction.
-		locked := false
-		defer func() {
-			if locked {
-				s.txnMu.RUnlock()
+	// One txnMu.RLock for the whole walk, not one per neighbor. It is
+	// taken at the first neighbor the walk asks about rather than up
+	// front, so a delay injected by a wrapped view is not spent holding
+	// it against RegisterTransaction.
+	locked := false
+	defer func() {
+		if locked {
+			s.txnMu.RUnlock()
+		}
+	}()
+	return view.Sample(graph.NodeID(u), graph.SampleOptions{
+		Hops:         s.SampleHops,
+		MaxNeighbors: s.MaxNeighbors,
+		Layers:       layers,
+		Filter: func(n graph.NodeID) bool {
+			if !locked {
+				s.txnMu.RLock()
+				locked = true
 			}
-		}()
-		sg = view.Sample(graph.NodeID(u), graph.SampleOptions{
-			Hops:         s.SampleHops,
-			MaxNeighbors: s.MaxNeighbors,
-			Layers:       layers,
-			Filter: func(n graph.NodeID) bool {
-				if !locked {
-					s.txnMu.RLock()
-					locked = true
-				}
-				return s.hasTxn[behavior.UserID(n)]
-			},
-		})
+			return s.hasTxn[behavior.UserID(n)]
+		},
 	})
-	return sg
 }
 
 // SampleCtx is Sample under a deadline.
@@ -561,12 +554,12 @@ type Prediction struct {
 	TotalLatency   time.Duration `json:"total_latency_ns"`
 }
 
-// StageDeadlines bounds each stage of the audit path. Zero fields mean
-// no deadline for that stage; Total additionally caps the whole audit.
+// StageDeadlines bounds the audit path. Zero fields mean no deadline:
+// Sample and Feature bound their own stage, Total the whole full-path
+// audit, inside which the score stage checks the audit's context.
 type StageDeadlines struct {
 	Sample  time.Duration
 	Feature time.Duration
-	Score   time.Duration
 	Total   time.Duration
 }
 
@@ -577,23 +570,59 @@ type Fallback interface {
 	PredictProba(x *tensor.Matrix) []float64
 }
 
+// Serving is one published serving state of the prediction server: the
+// feature source, model and normalizer (nil = identity) an audit runs,
+// whether that model scores through float32, its artifact version, and
+// that version's tier-3 score cache. A published Serving is never
+// mutated: writers publish a new one, and an audit reads the state it
+// runs on with one atomic load.
+type Serving struct {
+	Feats   feature.Source
+	Model   gnn.Model
+	Norm    func([]float64) []float64
+	F32     bool
+	Version int
+	scores  *scoreCache
+}
+
+// scoreCache is the tier-3 last-known-score table of one artifact
+// version: user → cell holding the bits of the user's latest score. A
+// repeat write is one map load and one atomic store; it takes no lock
+// and allocates nothing.
+type scoreCache struct{ m sync.Map } // behavior.UserID → *atomic.Uint64
+
+func (c *scoreCache) store(u behavior.UserID, prob float64) {
+	bits := math.Float64bits(prob)
+	cell, ok := c.m.Load(u)
+	if !ok {
+		fresh := new(atomic.Uint64)
+		fresh.Store(bits)
+		if cell, ok = c.m.LoadOrStore(u, fresh); !ok {
+			return
+		}
+	}
+	cell.(*atomic.Uint64).Store(bits)
+}
+
+func (c *scoreCache) load(u behavior.UserID) (float64, bool) {
+	cell, ok := c.m.Load(u)
+	if !ok {
+		return 0, false
+	}
+	return math.Float64frombits(cell.(*atomic.Uint64).Load()), true
+}
+
 // PredictionServer runs the classification model over sampled subgraphs
 // with features from the feature service. The model is hot-swappable by
-// the ModelManager; swaps never block in-flight audits for long.
+// the ModelManager; a swap publishes a new Serving and never blocks an
+// audit.
 //
 // The exported resilience knobs (Breaker, Retry, Admission, Deadlines,
 // Fallback, Prior) are read on every audit; configure them before
 // serving.
 type PredictionServer struct {
-	bn    *BNServer
-	mu    sync.RWMutex
-	feats feature.Source
-	model gnn.Model
-	// Normalizer maps raw feature vectors to model inputs (z-scoring
-	// fitted at training time). Nil means identity. Set it via SwapModel
-	// or before serving.
-	Normalizer func([]float64) []float64
-	Threshold  float64
+	bn        *BNServer
+	Threshold float64
 
 	// Breaker guards the feature service: after FailureThreshold
 	// consecutive failures the fan-out fails fast until the cool-down
@@ -617,44 +646,32 @@ type PredictionServer struct {
 	// otherwise. NewEmbedEngine installs it.
 	Embed *EmbedEngine
 
-	// Served counts audits by serving tier, plus "degraded", "shed" and
-	// "unknown" outcomes. It is backed by the telemetry registry's
-	// turbo_audit_outcomes_total family, so /stats and /metrics report
-	// the same counts.
-	Served *metrics.CounterSet
-
-	// Tel is the shared telemetry layer (registry, stage histograms,
-	// audit tracer). NewPredictionServer adopts the BN server's layer or
-	// creates one; never nil afterwards, but all uses are nil-safe.
+	// Tel is the shared telemetry layer (registry, stage histograms and
+	// digests, outcome counters, audit tracer). NewPredictionServer
+	// adopts the BN server's layer or creates one; never nil afterwards,
+	// but all uses are nil-safe.
 	Tel *Telemetry
 
-	// lastMu guards the tier-3 cache and its version tag. lastVersion is
-	// the artifact version the cached scores were computed under; a model
-	// swap or rollback drops the cache so a feature outage never serves
-	// scores from a retired model. maxVersion tracks the highest version
-	// ever seen so synthetic bumps (swaps without an artifact store)
-	// never collide with a real artifact version.
-	lastMu      sync.RWMutex
-	last        map[behavior.UserID]float64 // last-known scores (tier 3)
-	lastVersion int
-	maxVersion  int
-
-	// f32Enabled flips the opt-in float32 scoring path; f32Gate is the
-	// per-model tolerance validation ConfigureF32 installed, re-run on
-	// every SwapModel. Gate failure falls the server back to float64.
-	f32Enabled atomic.Bool
+	// serving is the published serving state. writeMu serializes its
+	// writers (SwapModel, SetFeatureSource, SetModelVersion,
+	// ConfigureF32) and guards f32Gate and maxVersion; no audit takes
+	// it, and no gate runs under it. f32Gate is the float32 tolerance validation ConfigureF32
+	// installed, re-run on every SwapModel. maxVersion is the highest
+	// version ever published, so a synthetic version (a swap without an
+	// artifact store) never collides with a real artifact version.
+	serving    atomic.Pointer[Serving]
+	writeMu    sync.Mutex
 	f32Gate    func(m gnn.Model) (maxDelta float64, ok bool)
-
-	FeatureLatency *metrics.LatencyRecorder
-	PredictLatency *metrics.LatencyRecorder
-	TotalLatency   *metrics.LatencyRecorder
+	maxVersion int
 }
 
 // NewPredictionServer wires the three online modules together with the
 // default resilience posture: retries on, breaker on with defaults, no
-// admission cap, no deadlines, no fallback model. With a healthy feature
-// service the audit path is identical to the resilience-free pipeline.
-func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Model, threshold float64) *PredictionServer {
+// admission cap, no deadlines, no fallback model. normalizer maps raw
+// feature vectors to model inputs (nil = identity). With a healthy
+// feature service the audit path is identical to the resilience-free
+// pipeline.
+func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Model, normalizer func([]float64) []float64, threshold float64) *PredictionServer {
 	tel := bnServer.Telemetry()
 	if tel == nil {
 		tel = NewTelemetry(TelemetryOptions{})
@@ -662,21 +679,15 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 	}
 	p := &PredictionServer{
 		bn:        bnServer,
-		feats:     feats,
-		model:     model,
 		Threshold: threshold,
 		Breaker: resilience.NewBreaker(resilience.BreakerConfig{
 			OnStateChange: tel.BreakerHook(),
 		}),
-		Retry:          resilience.RetryConfig{Attempts: 2, BaseDelay: 5 * time.Millisecond},
-		Prior:          0.05,
-		Served:         metrics.NewCounterSetVec(tel.Outcomes()),
-		Tel:            tel,
-		last:           make(map[behavior.UserID]float64),
-		FeatureLatency: metrics.NewLatencyRecorder(),
-		PredictLatency: metrics.NewLatencyRecorder(),
-		TotalLatency:   metrics.NewLatencyRecorder(),
+		Retry: resilience.RetryConfig{Attempts: 2, BaseDelay: 5 * time.Millisecond},
+		Prior: 0.05,
+		Tel:   tel,
 	}
+	p.serving.Store(&Serving{Feats: feats, Model: model, Norm: normalizer, scores: new(scoreCache)})
 	tel.RegisterBreakerGauge(func() float64 {
 		if p.Breaker == nil {
 			return -1
@@ -696,130 +707,115 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 	return p
 }
 
-// SwapModel atomically replaces the serving model and normalizer (the
-// model management module calls this after each offline retrain). When
-// the float32 path was configured, the new model is re-validated against
-// the tolerance gate and f32 serving is disabled if it fails — a model
-// that quantizes badly must not serve quantized.
+// publish stores a copy of the serving state with edit applied and
+// returns it. The caller holds writeMu.
+func (p *PredictionServer) publish(edit func(s *Serving)) *Serving {
+	next := *p.serving.Load()
+	edit(&next)
+	p.serving.Store(&next)
+	return &next
+}
+
+// gateF32 runs gate on the model of s, a Serving its caller published
+// with F32 off, without holding writeMu, and publishes F32 on only if
+// the gate passes and s is still the published state: a verdict never
+// outlives the model, gate or state it was computed for. It reports
+// whether float32 scoring is now on.
+func (p *PredictionServer) gateF32(s *Serving, gate func(m gnn.Model) (float64, bool)) (float64, bool) {
+	if gate == nil || s.Model == nil {
+		return 0, false
+	}
+	maxDelta, ok := gate(s.Model)
+	if !ok {
+		return maxDelta, false
+	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	if p.serving.Load() != s {
+		return maxDelta, false
+	}
+	p.publish(func(next *Serving) { next.F32 = true })
+	return maxDelta, true
+}
+
+// SwapModel replaces the serving model and normalizer (the model
+// management module calls this after each offline retrain). The model
+// publishes at once under a never-before-used version with an empty
+// tier-3 cache, so no score of the retired model is served by tier 3;
+// the model manager pins the real artifact version right after
+// (SetModelVersion). It scores in float64 until the float32 gate
+// ConfigureF32 installed passes on this model: a model that quantizes
+// badly never serves quantized, not even while its gate runs.
 func (p *PredictionServer) SwapModel(m gnn.Model, normalizer func([]float64) []float64) {
-	p.mu.Lock()
-	p.model = m
-	p.Normalizer = normalizer
-	gate := p.f32Gate
-	p.mu.Unlock()
-	// Every swap retires the previous model's cached scores and moves the
-	// version tag to a never-before-used value; the model manager pins
-	// the real artifact version right after (SetModelVersion).
-	p.lastMu.Lock()
+	p.writeMu.Lock()
 	p.maxVersion++
-	p.lastVersion = p.maxVersion
-	p.last = make(map[behavior.UserID]float64)
-	p.lastMu.Unlock()
-	if gate != nil {
-		maxDelta, ok := gate(m)
-		p.f32Enabled.Store(ok)
-		if !ok {
-			log.Printf("server: f32 gate failed on swapped model %s (max delta %.3g), serving float64", m.Name(), maxDelta)
-		}
+	swapped := p.publish(func(s *Serving) {
+		s.Model, s.Norm, s.F32 = m, normalizer, false
+		s.Version, s.scores = p.maxVersion, new(scoreCache)
+	})
+	gate := p.f32Gate
+	p.writeMu.Unlock()
+	if maxDelta, ok := p.gateF32(swapped, gate); gate != nil && !ok {
+		log.Printf("server: f32 not enabled on swapped model %s (gate max delta %.3g), serving float64", m.Name(), maxDelta)
 	}
 }
 
 // ConfigureF32 installs the float32 tolerance gate (typically a closure
 // over gnn.ValidateF32 and a held-out validation batch) and runs it
 // against the current model, enabling float32 scoring when it passes.
-// It returns the gate's verdict. A nil validate disables the path.
+// It returns the gate's max delta and whether float32 scoring is now on.
+// A nil validate disables the path.
 func (p *PredictionServer) ConfigureF32(validate func(m gnn.Model) (maxDelta float64, ok bool)) (float64, bool) {
-	p.mu.Lock()
+	p.writeMu.Lock()
 	p.f32Gate = validate
-	m := p.model
-	p.mu.Unlock()
-	if validate == nil || m == nil {
-		p.f32Enabled.Store(false)
-		return 0, false
-	}
-	maxDelta, ok := validate(m)
-	p.f32Enabled.Store(ok)
-	return maxDelta, ok
+	s := p.publish(func(next *Serving) { next.F32 = false })
+	p.writeMu.Unlock()
+	return p.gateF32(s, validate)
 }
-
-// F32Enabled reports whether audits currently score through the float32
-// path.
-func (p *PredictionServer) F32Enabled() bool { return p.f32Enabled.Load() }
 
 // SetFeatureSource replaces the feature source (the fault injector wraps
 // the real service through this).
 func (p *PredictionServer) SetFeatureSource(src feature.Source) {
-	p.mu.Lock()
-	p.feats = src
-	p.mu.Unlock()
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	p.publish(func(s *Serving) { s.Feats = src })
 }
 
-// Serving returns the feature source, model and normalizer currently
-// serving audits, as one consistent read (the same triple PredictCtx
-// snapshots at the top of every audit).
-func (p *PredictionServer) Serving() (feature.Source, gnn.Model, func([]float64) []float64) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.feats, p.model, p.Normalizer
-}
+// Serving returns the serving state audits currently run on: feature
+// source, model, normalizer, float32 verdict and artifact version as one
+// consistent read.
+func (p *PredictionServer) Serving() *Serving { return p.serving.Load() }
 
-// RememberScores bulk-installs freshly computed scores into the
-// last-known-score cache (tier 3 of the degradation ladder) under the
-// current artifact version.
-func (p *PredictionServer) RememberScores(users []behavior.UserID, probs []float64) {
-	p.lastMu.Lock()
-	for i, u := range users {
-		p.last[u] = probs[i]
-	}
-	p.lastMu.Unlock()
-}
-
-// RememberScoresFor is RememberScores tagged with the artifact version
-// the scores were computed under: if a swap or rollback moved the
-// serving version while the sweep ran, the batch is dropped instead of
-// poisoning the new model's cache with the old model's scores.
+// RememberScoresFor installs freshly computed scores into the tier-3
+// cache of the artifact version they were computed under (a Serving's
+// Version): if a swap or rollback moved the serving version meanwhile,
+// the batch is dropped instead of poisoning the new model's cache with
+// the old model's scores.
 func (p *PredictionServer) RememberScoresFor(users []behavior.UserID, probs []float64, version int) {
-	p.lastMu.Lock()
-	defer p.lastMu.Unlock()
-	if version != p.lastVersion {
+	s := p.serving.Load()
+	if s.Version != version {
 		return
 	}
 	for i, u := range users {
-		p.last[u] = probs[i]
+		s.scores.store(u, probs[i])
 	}
 }
 
 // SetModelVersion pins the serving artifact version (the model manager
 // calls it after each accepted swap, rollback, or boot load). A version
-// change drops the tier-3 cache — its scores belong to the previous
-// artifact.
+// change starts an empty tier-3 cache — the old one holds the previous
+// artifact's scores.
 func (p *PredictionServer) SetModelVersion(v int) {
-	p.lastMu.Lock()
-	if v != p.lastVersion {
-		p.lastVersion = v
-		p.last = make(map[behavior.UserID]float64)
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	p.maxVersion = max(p.maxVersion, v)
+	if v != p.serving.Load().Version {
+		p.publish(func(s *Serving) { s.Version, s.scores = v, new(scoreCache) })
 	}
-	if v > p.maxVersion {
-		p.maxVersion = v
-	}
-	p.lastMu.Unlock()
-}
-
-// ModelVersion returns the serving artifact version tag. Engines
-// snapshot it before a long scoring pass and hand it back through
-// RememberScoresFor / embed.Build so stale batches are rejected.
-func (p *PredictionServer) ModelVersion() int {
-	p.lastMu.RLock()
-	defer p.lastMu.RUnlock()
-	return p.lastVersion
 }
 
 // ModelLoaded reports whether a serving model is attached (readiness).
-func (p *PredictionServer) ModelLoaded() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.model != nil
-}
+func (p *PredictionServer) ModelLoaded() bool { return p.serving.Load().Model != nil }
 
 // BreakerState names the breaker state for /readyz and /stats
 // ("disabled" when no breaker is configured).
@@ -831,7 +827,13 @@ func (p *PredictionServer) BreakerState() string {
 }
 
 // ServedCounts returns the per-tier audit counters.
-func (p *PredictionServer) ServedCounts() map[string]int64 { return p.Served.Snapshot() }
+func (p *PredictionServer) ServedCounts() map[string]int64 { return p.Tel.ServedCounts() }
+
+// LatencySummaries returns the §V digests of the three online modules
+// plus the end-to-end pipeline.
+func (p *PredictionServer) LatencySummaries() map[string]telemetry.Summary {
+	return p.Tel.LatencySummaries()
+}
 
 // Predict serves one audit request with no caller deadline.
 func (p *PredictionServer) Predict(u behavior.UserID, at time.Time) (Prediction, error) {
@@ -850,6 +852,7 @@ func (p *PredictionServer) Predict(u behavior.UserID, at time.Time) (Prediction,
 //	tier 3 (TierCache /    the user's last-known score, or the prior —
 //	        TierPrior):    total feature outage
 //
+// Every tier runs on the one Serving loaded at the top of the audit.
 // Only two conditions surface as errors: ErrUnknownUser (no profile
 // exists for u) and resilience.ErrOverloaded (admission shed the audit).
 func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at time.Time) (Prediction, error) {
@@ -860,7 +863,7 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 	}()
 	if p.Admission != nil {
 		if !p.Admission.TryAcquire() {
-			p.Served.Inc("shed")
+			p.Tel.Outcome("shed")
 			err := fmt.Errorf("server: audit of user %d: %w", u, resilience.ErrOverloaded)
 			trace.SetTier("shed", false)
 			trace.SetError(err)
@@ -868,14 +871,12 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 		}
 		defer p.Admission.Release()
 	}
-	p.mu.RLock()
-	feats, model, normalizer := p.feats, p.model, p.Normalizer
-	p.mu.RUnlock()
+	sv := p.serving.Load()
 
 	start := time.Now()
-	if p.Embed != nil && model != nil {
-		if pred, ok := p.Embed.TryPredict(u, model, p.Threshold); ok {
-			p.finish(&pred, u, start, true)
+	if p.Embed != nil && sv.Model != nil {
+		if pred, ok := p.Embed.TryPredict(u, sv.Model, p.Threshold); ok {
+			p.finish(sv, &pred, start, true)
 			trace.SetTier(pred.ServedBy, pred.Degraded)
 			return pred, nil
 		}
@@ -889,53 +890,51 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 		ctx, cancel = context.WithDeadline(ctx, start.Add(p.Deadlines.Total))
 		defer cancel()
 	}
-	pred, err := p.predictFull(ctx, feats, model, normalizer, u, at)
+	pred, err := p.predictFull(ctx, sv, u, at)
 	if err == nil {
-		p.finish(&pred, u, start, true)
+		p.finish(sv, &pred, start, true)
 		trace.SetTier(pred.ServedBy, pred.Degraded)
 		return pred, nil
 	}
 	if errors.Is(err, ErrUnknownUser) {
-		p.Served.Inc("unknown")
+		p.Tel.Outcome("unknown")
 		trace.SetTier("unknown", false)
 		trace.SetError(err)
 		return Prediction{}, err
 	}
 
-	pred, ferr := p.predictFallback(ctx, feats, normalizer, u, at)
+	pred, ferr := p.predictFallback(ctx, sv, u, at)
 	if ferr == nil {
-		p.finish(&pred, u, start, true)
+		p.finish(sv, &pred, start, true)
 		trace.SetTier(pred.ServedBy, pred.Degraded)
 		return pred, nil
 	}
 	if errors.Is(ferr, ErrUnknownUser) {
-		p.Served.Inc("unknown")
+		p.Tel.Outcome("unknown")
 		trace.SetTier("unknown", false)
 		trace.SetError(ferr)
 		return Prediction{}, ferr
 	}
 
-	pred = p.predictStatic(u)
-	p.finish(&pred, u, start, false)
+	pred = p.predictStatic(sv, u)
+	p.finish(sv, &pred, start, false)
 	trace.SetTier(pred.ServedBy, pred.Degraded)
 	return pred, nil
 }
 
-// finish stamps the end-to-end latency, bumps the tier counters and
-// stage histogram, records the tier on the trace and, for genuinely
-// computed scores, remembers the result for tier 3.
-func (p *PredictionServer) finish(pred *Prediction, u behavior.UserID, start time.Time, remember bool) {
+// finish stamps the end-to-end latency, records it and the tier once in
+// the telemetry layer and, for genuinely computed scores, remembers the
+// result in the tier-3 cache of the Serving that scored the audit — a
+// cache a swap since then has already retired.
+func (p *PredictionServer) finish(sv *Serving, pred *Prediction, start time.Time, remember bool) {
 	pred.TotalLatency = time.Since(start)
-	p.TotalLatency.Record(pred.TotalLatency)
 	p.Tel.ObserveStage(StageTotal, pred.TotalLatency)
-	p.Served.Inc(pred.ServedBy)
+	p.Tel.Outcome(pred.ServedBy)
 	if pred.Degraded {
-		p.Served.Inc("degraded")
+		p.Tel.Outcome("degraded")
 	}
 	if remember {
-		p.lastMu.Lock()
-		p.last[u] = pred.Probability
-		p.lastMu.Unlock()
+		sv.scores.store(pred.User, pred.Probability)
 	}
 }
 
@@ -1009,8 +1008,10 @@ func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Sou
 
 // predictFull is tier 1: sample the computation subgraph, cut to the
 // cone of the model about to score it, gather the features, run the
-// model. Each stage honors its deadline.
-func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source, model gnn.Model, normalizer func([]float64) []float64, u behavior.UserID, at time.Time) (Prediction, error) {
+// model. Sampling and the gather honor their stage deadlines; scoring
+// checks the audit's own context.
+func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behavior.UserID, at time.Time) (Prediction, error) {
+	model := sv.Model
 	if model == nil {
 		return Prediction{}, fmt.Errorf("server: no model attached")
 	}
@@ -1037,45 +1038,30 @@ func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source
 		defer cancel()
 	}
 	n := sg.NumNodes()
-	var x *tensor.Matrix
-	var ferr error
-	p.FeatureLatency.Time(func() {
-		x, ferr = p.gatherFeatures(fctx, feats, normalizer, sg, u, at)
-	})
+	x, err := p.gatherFeatures(fctx, sv.Feats, sv.Norm, sg, u, at)
 	featDone := time.Now()
-	trace.AddSpan(StageFeature, sampleDone, featDone.Sub(sampleDone), telemetry.Outcome(ferr))
+	trace.AddSpan(StageFeature, sampleDone, featDone.Sub(sampleDone), telemetry.Outcome(err))
 	p.Tel.ObserveStage(StageFeature, featDone.Sub(sampleDone))
-	if ferr != nil {
-		return Prediction{}, ferr
+	if err != nil {
+		return Prediction{}, err
 	}
 
+	batch := gnn.NewBatch(sg, x)
 	var prob float64
-	var serr error
-	p.PredictLatency.Time(func() {
-		scx := ctx
-		if p.Deadlines.Score > 0 {
-			var cancel context.CancelFunc
-			scx, cancel = context.WithTimeout(ctx, p.Deadlines.Score)
-			defer cancel()
-		}
-		batch := gnn.NewBatch(sg, x)
-		scored := false
-		if p.f32Enabled.Load() {
-			if serr = scx.Err(); serr == nil {
-				prob, scored = gnn.Score32(model, batch)
-			}
-		}
-		if serr == nil && !scored {
-			prob, serr = gnn.ScoreCtx(scx, model, batch)
-		}
-		batch.Release()
-		tensor.PutMatrix(x)
-	})
+	scored := false
+	if sv.F32 && ctx.Err() == nil {
+		prob, scored = gnn.Score32(model, batch)
+	}
+	if !scored {
+		prob, err = gnn.ScoreCtx(ctx, model, batch)
+	}
+	batch.Release()
+	tensor.PutMatrix(x)
 	end := time.Now()
-	trace.AddSpan(StageScore, featDone, end.Sub(featDone), telemetry.Outcome(serr))
+	trace.AddSpan(StageScore, featDone, end.Sub(featDone), telemetry.Outcome(err))
 	p.Tel.ObserveStage(StageScore, end.Sub(featDone))
-	if serr != nil {
-		return Prediction{}, serr
+	if err != nil {
+		return Prediction{}, err
 	}
 	p.Tel.ScoreMode(gnn.CanInfer(model))
 
@@ -1094,7 +1080,7 @@ func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source
 
 // predictFallback is tier 2: the feature-only fallback model over the
 // target user's own vector, with a fresh feature-stage budget.
-func (p *PredictionServer) predictFallback(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, u behavior.UserID, at time.Time) (Prediction, error) {
+func (p *PredictionServer) predictFallback(ctx context.Context, sv *Serving, u behavior.UserID, at time.Time) (Prediction, error) {
 	fb := p.Fallback
 	if fb == nil {
 		return Prediction{}, fmt.Errorf("server: no fallback model")
@@ -1107,7 +1093,7 @@ func (p *PredictionServer) predictFallback(ctx context.Context, feats feature.So
 	}
 	fstart := time.Now()
 	var vec []float64
-	_, err := p.gather(fctx, feats, []behavior.UserID{u}, at, func(_ int, v []float64) { vec = v })
+	_, err := p.gather(fctx, sv.Feats, []behavior.UserID{u}, at, func(_ int, v []float64) { vec = v })
 	featDone := time.Now()
 	trace := telemetry.TraceFrom(ctx)
 	trace.AddSpan(StageFeature, fstart, featDone.Sub(fstart), telemetry.Outcome(err))
@@ -1118,8 +1104,8 @@ func (p *PredictionServer) predictFallback(ctx context.Context, feats feature.So
 		}
 		return Prediction{}, fmt.Errorf("server: fallback features for user %d: %w", u, err)
 	}
-	if normalizer != nil {
-		vec = normalizer(vec)
+	if sv.Norm != nil {
+		vec = sv.Norm(vec)
 	}
 	x := tensor.New(1, len(vec))
 	copy(x.Row(0), vec)
@@ -1138,11 +1124,10 @@ func (p *PredictionServer) predictFallback(ctx context.Context, feats feature.So
 }
 
 // predictStatic is tier 3: no dependency is consulted at all. It serves
-// the user's last-known score when one exists, otherwise the prior.
-func (p *PredictionServer) predictStatic(u behavior.UserID) Prediction {
-	p.lastMu.RLock()
-	score, ok := p.last[u]
-	p.lastMu.RUnlock()
+// the user's last-known score under the audit's serving version when one
+// exists, otherwise the prior.
+func (p *PredictionServer) predictStatic(sv *Serving, u behavior.UserID) Prediction {
+	score, ok := sv.scores.load(u)
 	tier := TierCache
 	if !ok {
 		score = p.Prior
@@ -1154,16 +1139,5 @@ func (p *PredictionServer) predictStatic(u behavior.UserID) Prediction {
 		Fraud:       score >= p.Threshold,
 		ServedBy:    tier,
 		Degraded:    true,
-	}
-}
-
-// LatencySummaries returns the §V digests of the three online modules
-// plus the end-to-end pipeline.
-func (p *PredictionServer) LatencySummaries() map[string]metrics.Summary {
-	return map[string]metrics.Summary{
-		"sampling": p.bn.SamplingLatency.Summarize(),
-		"features": p.FeatureLatency.Summarize(),
-		"predict":  p.PredictLatency.Summarize(),
-		"total":    p.TotalLatency.Summarize(),
 	}
 }

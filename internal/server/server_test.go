@@ -44,8 +44,20 @@ func newTestStack(t testing.TB) (*BNServer, *PredictionServer) {
 		}
 	}
 	model := gnn.NewGraphSAGE(gnn.Config{InDim: dim, Hidden: []int{4}, MLPHidden: 2, Seed: 1})
-	pred := NewPredictionServer(bnServer, feats, model, 0.5)
+	pred := NewPredictionServer(bnServer, feats, model, nil, 0.5)
 	return bnServer, pred
+}
+
+// cachedScores copies the tier-3 cache of pred's current serving version.
+func cachedScores(pred *PredictionServer) map[behavior.UserID]float64 {
+	out := make(map[behavior.UserID]float64)
+	c := pred.Serving().scores
+	c.m.Range(func(k, _ any) bool {
+		u := k.(behavior.UserID)
+		out[u], _ = c.load(u)
+		return true
+	})
+	return out
 }
 
 func TestBNServerBuildsEdgesFromIngest(t *testing.T) {
@@ -74,8 +86,20 @@ func TestSampleFiltersToTransactionUsers(t *testing.T) {
 	if sg.NumNodes() != 1 {
 		t.Fatalf("non-transaction neighbor included: %d nodes", sg.NumNodes())
 	}
-	if bnServer.SamplingLatency.Count() != 1 {
-		t.Fatal("sampling latency not recorded")
+
+	// The audit path samples the same way, and records its sample once.
+	feats := feature.NewService(feature.Config{}, bnServer.Store())
+	if err := feats.PutProfile(1, []float64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	model := gnn.NewGraphSAGE(gnn.Config{InDim: 2 + feature.NumStatFeatures(), Hidden: []int{2}, MLPHidden: 2})
+	pred := NewPredictionServer(bnServer, feats, model, nil, 0.5)
+	p, err := pred.Predict(1, t0.Add(3*time.Hour))
+	if err != nil || p.SubgraphNodes != 1 {
+		t.Fatalf("audit %+v, %v: want a one-node sample", p, err)
+	}
+	if n := pred.LatencySummaries()["sampling"].Count; n != 1 {
+		t.Fatalf("sampling latency recorded %d times, want 1", n)
 	}
 }
 
@@ -110,7 +134,7 @@ func TestPredictMissingFeaturesErrors(t *testing.T) {
 	bnServer.RegisterTransaction(9)
 	feats := feature.NewService(feature.Config{}, bnServer.Store())
 	model := gnn.NewGraphSAGE(gnn.Config{InDim: 2 + feature.NumStatFeatures(), Hidden: []int{2}, MLPHidden: 2})
-	pred := NewPredictionServer(bnServer, feats, model, 0.5)
+	pred := NewPredictionServer(bnServer, feats, model, nil, 0.5)
 	if _, err := pred.Predict(9, t0); err == nil {
 		t.Fatal("expected error for user without a stored profile")
 	}
@@ -122,13 +146,13 @@ func TestPredictAppliesNormalizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.Normalizer = func(vec []float64) []float64 {
+	pred.SwapModel(pred.Serving().Model, func(vec []float64) []float64 {
 		out := make([]float64, len(vec))
 		for i := range vec {
 			out[i] = vec[i] * 100
 		}
 		return out
-	}
+	})
 	p2, err := pred.Predict(3, t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)

@@ -87,9 +87,8 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	defer e.runMu.Unlock()
 
 	start := time.Now()
-	feats, model, norm := e.pred.Serving()
-	version := e.pred.ModelVersion()
-	if model == nil {
+	sv := e.pred.Serving()
+	if sv.Model == nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: no model attached")
 	}
 	snap := e.bn.Snapshot()
@@ -107,7 +106,7 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
+	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now())
 	if err := ctx.Err(); err != nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: feature fetch: %w", err)
 	}
@@ -119,8 +118,8 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 			rep.Skipped++
 			continue
 		}
-		if norm != nil {
-			vec = norm(vec)
+		if sv.Norm != nil {
+			vec = sv.Norm(vec)
 		}
 		okUsers = append(okUsers, users[i])
 		okNodes = append(okNodes, graph.NodeID(users[i]))
@@ -140,11 +139,11 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	sg := graph.FullSubgraph(snap, graph.FullOptions{Nodes: okNodes})
 	b := gnn.NewBatch(sg, x)
 	out := make([]float64, len(okNodes))
-	st := sweep.ScoresInto(out, model, b, e.Opts)
+	st := sweep.ScoresInto(out, sv.Model, b, e.Opts)
 	b.Release()
 	tensor.PutMatrix(x)
 
-	e.pred.RememberScoresFor(okUsers, out, version)
+	e.pred.RememberScoresFor(okUsers, out, sv.Version)
 	rep.Edges = st.Edges
 	rep.Steps = st.Steps
 	rep.Workers = st.Workers

@@ -39,12 +39,7 @@ func TestSweepEngineRunOnce(t *testing.T) {
 	if last, ok := eng.LastReport(); !ok || last.Scored != 3 {
 		t.Fatalf("last report %+v ok=%v", last, ok)
 	}
-	swept := make(map[behavior.UserID]float64)
-	pred.lastMu.RLock()
-	for u, s := range pred.last {
-		swept[u] = s
-	}
-	pred.lastMu.RUnlock()
+	swept := cachedScores(pred)
 	if len(swept) != 3 {
 		t.Fatalf("score cache has %d entries, want 3", len(swept))
 	}

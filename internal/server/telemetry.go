@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"turbo/internal/lifecycle"
@@ -93,11 +94,12 @@ type Telemetry struct {
 	Tracer   *telemetry.Tracer
 
 	outcomes    *telemetry.CounterVec
+	outcome     [len(outcomeNames)]atomic.Pointer[telemetry.Counter]
 	stage       *telemetry.HistogramVec
-	stageSample *telemetry.Histogram
-	stageFeat   *telemetry.Histogram
-	stageScore  *telemetry.Histogram
-	stageTotal  *telemetry.Histogram
+	stageSample stageHist
+	stageFeat   stageHist
+	stageScore  stageHist
+	stageTotal  stageHist
 
 	retries     *telemetry.Counter
 	transitions *telemetry.CounterVec
@@ -148,6 +150,23 @@ const (
 	StageTotal   = "total"
 )
 
+// outcomeNames are the turbo_audit_outcomes_total label values the audit
+// path counts through a cached handle.
+var outcomeNames = [...]string{TierEmbed, TierFull, TierFallback, TierCache, TierPrior, "degraded", "shed", "unknown"}
+
+// stageHist records one audit stage once into both of its views: the
+// turbo_audit_stage_seconds histogram and the log-bucketed digest behind
+// /latency.
+type stageHist struct {
+	prom   *telemetry.Histogram
+	digest *telemetry.LogHistogram
+}
+
+func (s stageHist) observe(d time.Duration) {
+	s.prom.ObserveDuration(d)
+	s.digest.Observe(d)
+}
+
 // NewTelemetry builds a registry, registers the full metric catalog and
 // resolves the hot-path handles.
 func NewTelemetry(opts TelemetryOptions) *Telemetry {
@@ -159,10 +178,13 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 		"Audits by serving tier (hag/fallback/cache/prior) plus shed, degraded and unknown outcomes.", "outcome")
 	t.stage = reg.HistogramVec("turbo_audit_stage_seconds",
 		"Per-stage audit latency.", opts.Buckets, "stage")
-	t.stageSample = t.stage.With(StageSample)
-	t.stageFeat = t.stage.With(StageFeature)
-	t.stageScore = t.stage.With(StageScore)
-	t.stageTotal = t.stage.With(StageTotal)
+	stage := func(name string) stageHist {
+		return stageHist{prom: t.stage.With(name), digest: telemetry.NewLogHistogram()}
+	}
+	t.stageSample = stage(StageSample)
+	t.stageFeat = stage(StageFeature)
+	t.stageScore = stage(StageScore)
+	t.stageTotal = stage(StageTotal)
 
 	t.retries = reg.Counter("turbo_feature_retries_total",
 		"Feature fetches retried after a transient failure.")
@@ -277,31 +299,73 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	return t
 }
 
-// Outcomes exposes the tier/outcome counter family (the legacy
-// CounterSet shim wraps it so /stats and /metrics report one truth).
-func (t *Telemetry) Outcomes() *telemetry.CounterVec {
+// Outcome counts one audit outcome: its serving tier, "degraded", "shed"
+// or "unknown". A cell is resolved on its first count and cached, so an
+// outcome that never happened has no series on /metrics or /stats.
+func (t *Telemetry) Outcome(name string) {
 	if t == nil {
-		return nil
+		return
 	}
-	return t.outcomes
+	for i := range outcomeNames {
+		if outcomeNames[i] != name {
+			continue
+		}
+		c := t.outcome[i].Load()
+		if c == nil {
+			c = t.outcomes.With(name)
+			t.outcome[i].Store(c)
+		}
+		c.Inc()
+		return
+	}
+	t.outcomes.With(name).Inc()
 }
 
-// ObserveStage records one stage latency into the per-stage histogram.
+// ServedCounts returns every audit outcome counted so far, keyed by
+// label value (what /stats reports as served_by).
+func (t *Telemetry) ServedCounts() map[string]int64 {
+	out := make(map[string]int64)
+	if t == nil {
+		return out
+	}
+	t.outcomes.Walk(func(values []string, c *telemetry.Counter) {
+		out[values[0]] = c.Value()
+	})
+	return out
+}
+
+// ObserveStage records one stage latency into the per-stage histogram
+// and, for the four audit stages, into the stage's /latency digest.
 func (t *Telemetry) ObserveStage(stage string, d time.Duration) {
 	if t == nil {
 		return
 	}
 	switch stage {
 	case StageSample:
-		t.stageSample.ObserveDuration(d)
+		t.stageSample.observe(d)
 	case StageFeature:
-		t.stageFeat.ObserveDuration(d)
+		t.stageFeat.observe(d)
 	case StageScore:
-		t.stageScore.ObserveDuration(d)
+		t.stageScore.observe(d)
 	case StageTotal:
-		t.stageTotal.ObserveDuration(d)
+		t.stageTotal.observe(d)
 	default:
 		t.stage.With(stage).ObserveDuration(d)
+	}
+}
+
+// LatencySummaries returns the §V digests of the audit stages under the
+// names /latency reports: sampling, features, predict (the score stage)
+// and total.
+func (t *Telemetry) LatencySummaries() map[string]telemetry.Summary {
+	if t == nil {
+		return nil
+	}
+	return map[string]telemetry.Summary{
+		"sampling": t.stageSample.digest.Summarize(),
+		"features": t.stageFeat.digest.Summarize(),
+		"predict":  t.stageScore.digest.Summarize(),
+		"total":    t.stageTotal.digest.Summarize(),
 	}
 }
 

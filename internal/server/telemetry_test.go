@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,5 +417,52 @@ func TestTraceRecordsDegradedAudit(t *testing.T) {
 	}
 	if !sawFault {
 		t.Fatal("no trace recorded an injected fault")
+	}
+}
+
+// TestOutcomeCountersBasics pins the audit outcome counters behind
+// /stats served_by and turbo_audit_outcomes_total: a never-counted
+// outcome has no entry, each audit adds one, an outcome off the cached
+// list still counts, and ServedCounts returns a copy.
+func TestOutcomeCountersBasics(t *testing.T) {
+	tel := NewTelemetry(TelemetryOptions{})
+	if c := tel.ServedCounts(); len(c) != 0 {
+		t.Fatalf("fresh counters %v, want none", c)
+	}
+	tel.Outcome(TierFull)
+	tel.Outcome(TierFull)
+	tel.Outcome("degraded")
+	tel.Outcome("custom")
+	c := tel.ServedCounts()
+	if len(c) != 3 || c[TierFull] != 2 || c["degraded"] != 1 || c["custom"] != 1 {
+		t.Fatalf("counts %v, want hag=2 degraded=1 custom=1", c)
+	}
+	c[TierFull] = 99
+	if got := tel.ServedCounts()[TierFull]; got != 2 {
+		t.Fatalf("ServedCounts aliased the counters: hag=%d", got)
+	}
+	if body := scrapeMetrics(t, tel); !strings.Contains(body, `turbo_audit_outcomes_total{outcome="hag"} 2`) ||
+		strings.Contains(body, `outcome="shed"`) {
+		t.Fatalf("exposition disagrees with ServedCounts:\n%s", body)
+	}
+}
+
+// TestOutcomeCountersConcurrent asserts outcome counts add up exactly
+// under concurrent audits.
+func TestOutcomeCountersConcurrent(t *testing.T) {
+	tel := NewTelemetry(TelemetryOptions{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				tel.Outcome(TierFull)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tel.ServedCounts()[TierFull]; got != 8000 {
+		t.Fatalf("count %d want 8000", got)
 	}
 }

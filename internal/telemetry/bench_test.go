@@ -7,9 +7,9 @@ import (
 )
 
 // legacyCounterSet reproduces the pre-telemetry metrics.CounterSet hot
-// path — a mutex-guarded map — as the benchmark baseline. The real
-// CounterSet is now a shim over this package, so the old implementation
-// lives here for comparison only.
+// path — a mutex-guarded map — as the benchmark baseline. The online
+// stack now counts through resolved handles of this package, so the old
+// implementation lives here for comparison only.
 type legacyCounterSet struct {
 	mu     sync.RWMutex
 	counts map[string]int64
@@ -49,7 +49,7 @@ func BenchmarkAtomicCounterInc(b *testing.B) {
 
 // BenchmarkCounterVecWith measures the labeled path including the
 // per-observation map resolve — what callers pay when they do NOT cache
-// the handle (the CounterSet shim path).
+// the handle.
 func BenchmarkCounterVecWith(b *testing.B) {
 	v := NewCounterVec("outcome")
 	b.SetParallelism(8)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -233,4 +234,31 @@ func (s LogSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return s.Max()
+}
+
+// Summary is the §V percentile digest (Fig. 8a): count, exact mean and
+// the p50/p99/p999 quantiles of one snapshot.
+type Summary struct {
+	Count int
+	Mean  time.Duration
+	P50   time.Duration
+	P99   time.Duration
+	P999  time.Duration
+}
+
+// Summarize computes the digest from one snapshot of the histogram.
+func (h *LogHistogram) Summarize() Summary {
+	s := h.Snapshot()
+	return Summary{
+		Count: int(s.Count()),
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P99:   s.Quantile(0.99),
+		P999:  s.Quantile(0.999),
+	}
+}
+
+// String renders the digest in the §V style.
+func (s Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v", s.Count, s.Mean, s.P50, s.P99, s.P999)
 }

@@ -1,10 +1,14 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"turbo/internal/tensor"
 )
 
 // TestLogHistogramExactBelowBand asserts values below the first
@@ -75,6 +79,18 @@ func TestLogHistogramEmpty(t *testing.T) {
 	}
 }
 
+// TestLogHistogramEmptySummary asserts the digest of an empty histogram
+// is all zeros, count and mean included.
+func TestLogHistogramEmptySummary(t *testing.T) {
+	h := NewLogHistogram()
+	if s := h.Summarize(); s != (Summary{}) {
+		t.Fatalf("empty summary %+v, want zeros", s)
+	}
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatalf("empty histogram: count=%d mean=%v p50=%v", h.Count(), h.Mean(), h.Quantile(0.5))
+	}
+}
+
 // TestLogHistogramQuantiles records a known distribution and checks the
 // quantiles land within one bucket width of the true values, never
 // undershooting and never exceeding the recorded max.
@@ -113,6 +129,63 @@ func TestLogHistogramQuantiles(t *testing.T) {
 	}
 	if mean := h.Mean(); mean < 480*time.Microsecond || mean > 520*time.Microsecond {
 		t.Errorf("mean %v, want ≈500µs", mean)
+	}
+}
+
+// TestLogHistogramPercentiles checks quantiles against exact values:
+// over 1..100 ms the top quantile is the largest sample and the mean is
+// exact, and over seven decades each quantile is the nearest-rank sample
+// of a sorted oracle, never undershot and overshot by at most 1/16.
+func TestLogHistogramPercentiles(t *testing.T) {
+	h := NewLogHistogram()
+	for i := 1; i <= 100; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	within := func(name string, got, exact time.Duration) {
+		t.Helper()
+		if got < exact || got > exact+exact/16 {
+			t.Fatalf("%s = %v, exact %v: outside [exact, exact·17/16]", name, got, exact)
+		}
+	}
+	within("p50", h.Quantile(0.50), 50*time.Millisecond)
+	within("p99", h.Quantile(0.99), 99*time.Millisecond)
+	if p := h.Quantile(1); p != 100*time.Millisecond {
+		t.Fatalf("p100 %v", p)
+	}
+	if m := h.Mean(); m != 50500*time.Microsecond {
+		t.Fatalf("mean %v", m)
+	}
+
+	// Durations spread over seven decades, against a sorted oracle.
+	rng := tensor.NewRNG(5)
+	h = NewLogHistogram()
+	ds := make([]time.Duration, 5000)
+	for i := range ds {
+		ds[i] = time.Duration(math.Exp(rng.Float64()*math.Log(1e7)) * float64(time.Microsecond) / 10)
+		h.Observe(ds[i])
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	for _, p := range []float64{1, 25, 50, 90, 99, 99.9} {
+		rank := int(math.Ceil(p / 100 * float64(len(ds))))
+		within(fmt.Sprintf("p%g", p), h.Quantile(p/100), ds[rank-1])
+	}
+	if s := h.Summarize(); s.Count != len(ds) || s.P999 != h.Quantile(0.999) || s.P50 != h.Quantile(0.5) || s.Mean != h.Mean() {
+		t.Fatalf("summary %+v", s)
+	}
+}
+
+// TestLogHistogramSummary asserts a one-sample digest reports that
+// sample as its mean and every quantile, and renders in the §V style.
+func TestLogHistogramSummary(t *testing.T) {
+	h := NewLogHistogram()
+	d := 1234567 * time.Nanosecond
+	h.Observe(d)
+	s := h.Summarize()
+	if s.Count != 1 || s.Mean != d || s.P50 != d || s.P99 != d || s.P999 != d {
+		t.Fatalf("one sample %v summarized as %+v", d, s)
+	}
+	if got, want := s.String(), "n=1 mean=1.234567ms p50=1.234567ms p99=1.234567ms p999=1.234567ms"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 

@@ -28,8 +28,7 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n < 0 is tolerated for the CounterSet compatibility shim,
-// but genuine counters must only go up).
+// Add adds n. Counters must only go up: n must not be negative.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -212,8 +211,8 @@ type CounterVec struct {
 	*vec[*Counter]
 }
 
-// NewCounterVec builds an unregistered counter vec (the CounterSet shim
-// uses this); Registry.CounterVec is the registered path.
+// NewCounterVec builds an unregistered counter vec; Registry.CounterVec
+// is the registered path.
 func NewCounterVec(labels ...string) *CounterVec {
 	return &CounterVec{newVec(labels, func() *Counter { return &Counter{} })}
 }
