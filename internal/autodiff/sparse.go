@@ -55,30 +55,6 @@ func (c *CSR) MatMulInto(dst, h *tensor.Matrix) {
 	})
 }
 
-// MatMulRangeInto computes rows [lo, hi) of A × H sequentially,
-// accumulating into zeroed dst rows. It is the caller-partitioned
-// variant of MatMulInto: per-row arithmetic is identical, so any
-// contiguous partition of [0, NRows) yields results bitwise equal to
-// one MatMulInto call. dst rows outside [lo, hi) are untouched.
-func (c *CSR) MatMulRangeInto(dst, h *tensor.Matrix, lo, hi int) {
-	if h.Rows != c.NCols || dst.Rows != c.NRows || dst.Cols != h.Cols {
-		panic("autodiff: CSR range matmul shape mismatch")
-	}
-	if lo < 0 || hi > c.NRows || lo > hi {
-		panic("autodiff: CSR range matmul bad range")
-	}
-	for i := lo; i < hi; i++ {
-		drow := dst.Row(i)
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			w := c.Weights[p]
-			src := h.Row(c.ColIdx[p])
-			for j, v := range src {
-				drow[j] += w * v
-			}
-		}
-	}
-}
-
 // MatMulTrans computes Aᵀ × G, used for the backward pass.
 func (c *CSR) MatMulTrans(g *tensor.Matrix) *tensor.Matrix {
 	if g.Rows != c.NRows {
@@ -100,129 +76,6 @@ func (c *CSR) addMatMulTrans(dst, g *tensor.Matrix) {
 			}
 		}
 	}
-}
-
-// fusedPanelRows is the row-panel height of the fused
-// aggregate+transform kernels below: A×H is materialized only
-// fusedPanelRows rows at a time in a pooled scratch panel that stays
-// L1/L2-resident while it is immediately consumed by the dense layer
-// transform, instead of round-tripping a full N×d intermediate through
-// memory.
-const fusedPanelRows = 32
-
-// AggTransformRangeInto computes rows [lo, hi) of dst = (A × H) × W
-// without materializing the full aggregation. Per output element the
-// arithmetic is exactly CSR.MatMulRangeInto followed by
-// tensor.MatMulRangeInto, so results are bitwise equal to the unfused
-// pair and independent of the row partition. dst rows must be zeroed.
-func (c *CSR) AggTransformRangeInto(dst, h, w *tensor.Matrix, lo, hi int) {
-	c.aggTransformRange(dst, nil, h, w, nil, lo, hi)
-}
-
-// AggTransform2RangeInto is AggTransformRangeInto with two transforms
-// sharing one aggregation: dst1 = (A×H)×W1 and dst2 = (A×H)×W2. The
-// aggregated panel is computed once and consumed twice (the HAG gated
-// layer needs both the neighbor transform and the attention projection
-// of the same aggregate).
-func (c *CSR) AggTransform2RangeInto(dst1, dst2, h, w1, w2 *tensor.Matrix, lo, hi int) {
-	c.aggTransformRange(dst1, dst2, h, w1, w2, lo, hi)
-}
-
-func (c *CSR) aggTransformRange(dst1, dst2, h, w1, w2 *tensor.Matrix, lo, hi int) {
-	if h.Rows != c.NCols || w1.Rows != h.Cols || dst1.Rows != c.NRows || dst1.Cols != w1.Cols {
-		panic("autodiff: CSR fused agg+transform shape mismatch")
-	}
-	if dst2 != nil && (w2.Rows != h.Cols || dst2.Rows != c.NRows || dst2.Cols != w2.Cols) {
-		panic("autodiff: CSR fused agg+transform shape mismatch (second output)")
-	}
-	if lo < 0 || hi > c.NRows || lo > hi {
-		panic("autodiff: CSR fused agg+transform bad range")
-	}
-	panel := tensor.GetMatrix(fusedPanelRows, h.Cols)
-	for r0 := lo; r0 < hi; r0 += fusedPanelRows {
-		r1 := r0 + fusedPanelRows
-		if r1 > hi {
-			r1 = hi
-		}
-		pv := panel.RowsView(0, r1-r0)
-		pv.Zero()
-		for i := r0; i < r1; i++ {
-			drow := pv.Row(i - r0)
-			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-				wgt := c.Weights[p]
-				src := h.Row(c.ColIdx[p])
-				for j, v := range src {
-					drow[j] += wgt * v
-				}
-			}
-		}
-		tensor.MatMulRangeInto(dst1.RowsView(r0, r1), pv, w1, 0, r1-r0)
-		if dst2 != nil {
-			tensor.MatMulRangeInto(dst2.RowsView(r0, r1), pv, w2, 0, r1-r0)
-		}
-	}
-	tensor.PutMatrix(panel)
-}
-
-// AggTransformInto computes dst = (A × H) × W with the fused panel
-// kernel, fanning row ranges out across the worker pool like MatMulInto.
-func (c *CSR) AggTransformInto(dst, h, w *tensor.Matrix) {
-	work := (c.NNZ() + c.NRows*w.Cols) * h.Cols
-	tensor.ParallelRows(c.NRows, work, func(lo, hi int) {
-		c.AggTransformRangeInto(dst, h, w, lo, hi)
-	})
-}
-
-// AggTransform2Into is the parallel wrapper of AggTransform2RangeInto.
-func (c *CSR) AggTransform2Into(dst1, dst2, h, w1, w2 *tensor.Matrix) {
-	work := (c.NNZ() + c.NRows*(w1.Cols+w2.Cols)) * h.Cols
-	tensor.ParallelRows(c.NRows, work, func(lo, hi int) {
-		c.AggTransform2RangeInto(dst1, dst2, h, w1, w2, lo, hi)
-	})
-}
-
-// AggTransformSplitRangeInto computes rows [lo, hi) of
-// dst = [H | A×H] × W — the GraphSAGE self‖neighbor step — with the
-// aggregated half fused through the same panel scheme. Bitwise equal to
-// aggregating fully and calling tensor.MatMulSplitRangeInto. dst rows
-// must be zeroed.
-func (c *CSR) AggTransformSplitRangeInto(dst, h, w *tensor.Matrix, lo, hi int) {
-	if h.Rows != c.NCols || 2*h.Cols != w.Rows || dst.Rows != c.NRows || dst.Cols != w.Cols {
-		panic("autodiff: CSR fused split agg+transform shape mismatch")
-	}
-	if lo < 0 || hi > c.NRows || lo > hi {
-		panic("autodiff: CSR fused split agg+transform bad range")
-	}
-	panel := tensor.GetMatrix(fusedPanelRows, h.Cols)
-	for r0 := lo; r0 < hi; r0 += fusedPanelRows {
-		r1 := r0 + fusedPanelRows
-		if r1 > hi {
-			r1 = hi
-		}
-		pv := panel.RowsView(0, r1-r0)
-		pv.Zero()
-		for i := r0; i < r1; i++ {
-			drow := pv.Row(i - r0)
-			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-				wgt := c.Weights[p]
-				src := h.Row(c.ColIdx[p])
-				for j, v := range src {
-					drow[j] += wgt * v
-				}
-			}
-		}
-		tensor.MatMulSplitRangeInto(dst.RowsView(r0, r1), h.RowsView(r0, r1), pv, w, 0, r1-r0)
-	}
-	tensor.PutMatrix(panel)
-}
-
-// AggTransformSplitInto is the parallel wrapper of
-// AggTransformSplitRangeInto.
-func (c *CSR) AggTransformSplitInto(dst, h, w *tensor.Matrix) {
-	work := (c.NNZ() + 2*c.NRows*w.Cols) * h.Cols
-	tensor.ParallelRows(c.NRows, work, func(lo, hi int) {
-		c.AggTransformSplitRangeInto(dst, h, w, lo, hi)
-	})
 }
 
 // Aggregate records out = A × h on the tape, propagating gradients

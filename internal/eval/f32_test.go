@@ -7,6 +7,7 @@ import (
 
 	"turbo/internal/gnn"
 	"turbo/internal/metrics"
+	"turbo/internal/tensor"
 )
 
 // servingF32Tol is the default -infer.f32-tol the prediction server
@@ -30,10 +31,13 @@ func TestF32HoldoutEquivalence(t *testing.T) {
 	t.Logf("holdout f32 gate: max logit delta %.3g over %d nodes", maxDelta, batch.NumNodes)
 
 	want := gnn.Scores(m, batch)
+	f := gnn.AcquireFwd32()
+	logits := m.Infer32(f, batch)
 	got := make([]float64, batch.NumNodes)
-	if !gnn.Scores32Into(got, m, batch) {
-		t.Fatal("HAG lacks the f32 scoring path")
+	for i := range got {
+		got[i] = tensor.SigmoidScalar(float64(logits.Data[i]))
 	}
+	gnn.ReleaseFwd32(f)
 
 	// Probabilities move less than logits through the sigmoid (slope ≤ 1/4).
 	const probTol = servingF32Tol

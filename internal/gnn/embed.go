@@ -15,12 +15,13 @@ import (
 // forward into one aggregation row, one dense layer, and the MLP head.
 //
 // Equivalence contract: InferFinal replicates the per-row arithmetic of
-// the corresponding full forward — the same weight assembly and
-// normalization order as the Batch CSR compilers, the same kernel
-// sequence as InferTarget/BuildSweep on the target row — over a compact
-// gathered block of embedding rows. Scores agree with the full-graph
-// forward to ≤1e-9 (the gathered block's dense matmuls may tile
-// differently than the full-height ones, so equality is tolerance-
+// the corresponding full forward — StarAggRow rebuilds the target's row
+// of the aggregation matrix with the Batch CSR compilers' weight
+// assembly and normalization order, and a Spec's InferFinal then runs
+// the model's own last Layer and Readout on it (see spec.go) — over a
+// compact gathered block of embedding rows. Scores agree with the
+// full-graph forward to ≤1e-9 (the gathered block's dense matmuls may
+// tile differently than the full-height ones, so equality is tolerance-
 // bounded rather than bitwise).
 
 // StarEdge is one in-edge of a serving target in local gathered
@@ -76,14 +77,6 @@ func CanEmbedServe(m Model) bool {
 	return ok
 }
 
-// CopyRows copies rows [lo, hi) of src into dst (same Cols). Sweep
-// steps use it to capture their input into a caller-owned buffer: the
-// barrier before the step guarantees the rows are final, and writing
-// only the step's own row range keeps the step row-partitionable.
-func CopyRows(dst, src *tensor.Matrix, lo, hi int) {
-	copy(dst.Data[lo*dst.Cols:hi*dst.Cols], src.Data[lo*src.Cols:hi*src.Cols])
-}
-
 // StarAggRow computes the target's row of the aggregation matrix that
 // buildCSR would compile from the star's edges, applied to the gathered
 // embedding block h: raw weights in edge order (then the self-loop,
@@ -124,49 +117,6 @@ func StarAggRow(f *Fwd, h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted
 		}
 	}
 	return out
-}
-
-// EmbedSpec implements EmbedServing for GCN: the penultimate width is
-// the last layer's input dimension.
-func (m *GCN) EmbedSpec() (widths []int, hops int) {
-	return []int{m.layers[len(m.layers)-1].W.Value.Rows}, len(m.layers)
-}
-
-// BuildEmbedSweep implements EmbedServing for GCN.
-func (m *GCN) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
-	return m.buildSweep(b, capture[0])
-}
-
-// InferFinal implements EmbedServing for GCN: the Eq. 1 random-walk
-// aggregation row (unweighted, with self-loop) over cached embeddings,
-// then the last linear layer and the head — the tail of InferTarget.
-func (m *GCN) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 {
-	l := m.layers[len(m.layers)-1]
-	row := tensor.ReLUInPlace(f.Linear(l, StarAggRow(f, hs[0], star.Merged, true, true)))
-	return f.MLP(m.head, row).Data[0]
-}
-
-// EmbedSpec implements EmbedServing for GraphSAGE. The layer weight is
-// 2·in × out (concat form), so the penultimate width is Rows/2.
-func (m *GraphSAGE) EmbedSpec() (widths []int, hops int) {
-	return []int{m.layers[len(m.layers)-1].W.Value.Rows / 2}, len(m.layers)
-}
-
-// BuildEmbedSweep implements EmbedServing for GraphSAGE.
-func (m *GraphSAGE) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
-	return m.buildSweep(b, capture[0])
-}
-
-// InferFinal implements EmbedServing for GraphSAGE: neighbor mean (no
-// self-loop), split matmul against the target's own cached row, bias,
-// ReLU, head — the tail of InferTarget.
-func (m *GraphSAGE) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 {
-	l := m.layers[len(m.layers)-1]
-	hn := StarAggRow(f, hs[0], star.Merged, false, true)
-	out := f.Get(1, l.W.Value.Cols)
-	tensor.MatMulSplitInto(out, hs[0].RowView(0), hn, l.W.Value)
-	row := tensor.ReLUInPlace(out.AddRowVectorInPlace(l.B.Value))
-	return f.MLP(m.head, row).Data[0]
 }
 
 // EmbedSpec implements EmbedServing for GAT.

@@ -58,6 +58,11 @@ type Fwd struct {
 	mats []*tensor.Matrix
 	used int
 	cone Cone
+	hs   []*tensor.Matrix // one block per stack, handed to a Spec's readout
+	// serial runs the dense kernels on the calling goroutine: set while a
+	// sweep step computes one shard of the rows, since the other shards'
+	// workers already occupy the remaining cores.
+	serial bool
 }
 
 // maxFwdMats caps how many warm matrices a pooled Fwd retains.
@@ -102,30 +107,29 @@ func (f *Fwd) Get(rows, cols int) *tensor.Matrix {
 // MatMul computes a × b into scratch (same kernel as the tape MatMul).
 func (f *Fwd) MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 	out := f.Get(a.Rows, b.Cols)
-	tensor.MatMulInto(out, a, b)
+	if f.serial {
+		tensor.MatMulRangeInto(out, a, b, 0, a.Rows)
+	} else {
+		tensor.MatMulInto(out, a, b)
+	}
 	return out
 }
 
-// Aggregate computes A × h into scratch (the tape Aggregate kernel).
-func (f *Fwd) Aggregate(a *autodiff.CSR, h *tensor.Matrix) *tensor.Matrix {
-	out := f.Get(a.NRows, h.Cols)
-	a.MatMulInto(out, h)
+// MatMulSplit computes [a1 | a2] × b into scratch without materializing
+// the concatenation (tensor.MatMulSplitInto).
+func (f *Fwd) MatMulSplit(a1, a2, b *tensor.Matrix) *tensor.Matrix {
+	out := f.Get(a1.Rows, b.Cols)
+	if f.serial {
+		tensor.MatMulSplitRangeInto(out, a1, a2, b, 0, a1.Rows)
+	} else {
+		tensor.MatMulSplitInto(out, a1, a2, b)
+	}
 	return out
 }
 
 // Linear applies y = xW + b into scratch, mirroring nn.Linear.Forward.
 func (f *Fwd) Linear(l *nn.Linear, x *tensor.Matrix) *tensor.Matrix {
 	return f.MatMul(x, l.W.Value).AddRowVectorInPlace(l.B.Value)
-}
-
-// AggregateLinear computes l(A × h) with the fused aggregate+transform
-// kernel: the aggregation is materialized only panel-by-panel inside
-// the CSR kernel instead of as a full n×d scratch matrix. Bitwise equal
-// to f.Linear(l, f.Aggregate(a, h)).
-func (f *Fwd) AggregateLinear(l *nn.Linear, a *autodiff.CSR, h *tensor.Matrix) *tensor.Matrix {
-	out := f.Get(a.NRows, l.W.Value.Cols)
-	a.AggTransformInto(out, h, l.W.Value)
-	return out.AddRowVectorInPlace(l.B.Value)
 }
 
 // MLP runs an MLP forward into scratch, mirroring nn.MLP.Forward.
@@ -273,69 +277,50 @@ func (f *Fwd) ConeForward(a *autodiff.CSR, x *tensor.Matrix, node, layers int, l
 func (f *Fwd) aggregateRows(a *autodiff.CSR, h *tensor.Matrix, rows, pos []int) *tensor.Matrix {
 	out := f.Get(len(rows), h.Cols)
 	for k, i := range rows {
-		drow := out.Row(k)
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			if pos != nil {
-				j = pos[j]
-			}
-			w := a.Weights[p]
-			for c, v := range h.Row(j) {
-				drow[c] += w * v
-			}
-		}
+		aggregateRow(out.Row(k), a, i, h, pos)
 	}
 	return out
 }
 
+// aggregateRange computes rows [lo, hi) of A × h into (hi−lo)×cols
+// scratch, row by row exactly as CSR.MatMulInto, so any partition of the
+// rows reproduces the full product bitwise.
+func (f *Fwd) aggregateRange(a *autodiff.CSR, h *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	out := f.Get(hi-lo, h.Cols)
+	rows := func(r0, r1 int) {
+		for k := r0; k < r1; k++ {
+			aggregateRow(out.Row(k), a, lo+k, h, nil)
+		}
+	}
+	if f.serial {
+		rows(0, hi-lo)
+	} else {
+		tensor.ParallelRows(hi-lo, (a.RowPtr[hi]-a.RowPtr[lo])*h.Cols, rows)
+	}
+	return out
+}
+
+// aggregateRow accumulates row i of A × h into the zeroed drow.
+func aggregateRow(drow []float64, a *autodiff.CSR, i int, h *tensor.Matrix, pos []int) {
+	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+		j := a.ColIdx[p]
+		if pos != nil {
+			j = pos[j]
+		}
+		w := a.Weights[p]
+		for c, v := range h.Row(j) {
+			drow[c] += w * v
+		}
+	}
+}
+
+// stackRows returns f's one-block-per-stack slice, resized to n.
+func (f *Fwd) stackRows(n int) []*tensor.Matrix {
+	f.hs = slices.Grow(f.hs[:0], n)[:n]
+	return f.hs
+}
+
 // --- model Infer implementations -------------------------------------------
-
-// Infer implements Inferer: the evaluation-mode GCN forward without a
-// tape. Dropout is identity in evaluation mode and is omitted.
-func (m *GCN) Infer(f *Fwd, b *Batch) *tensor.Matrix {
-	adj := b.MergedRWCSR()
-	h := b.X
-	for _, l := range m.layers {
-		h = tensor.ReLUInPlace(f.AggregateLinear(l, adj, h))
-	}
-	return f.MLP(m.head, h)
-}
-
-// InferTarget implements TargetInferer for GCN. The adjacency carries
-// the self-loops, so a layer reads only the aggregated rows.
-func (m *GCN) InferTarget(f *Fwd, b *Batch, node int) float64 {
-	row := f.ConeForward(b.MergedRWCSR(), b.X, node, len(m.layers), func(l int, _, hN *tensor.Matrix) *tensor.Matrix {
-		return tensor.ReLUInPlace(f.Linear(m.layers[l], hN))
-	})
-	return f.MLP(m.head, row).Data[0]
-}
-
-// Infer implements Inferer for GraphSAGE. The concat-linear of each
-// layer runs as a split matmul — W's top rows against h, bottom rows
-// against the aggregated neighbors — which is bitwise identical to the
-// tape's MatMul(ConcatCols(h, hn), W) without materializing the n×2d
-// concatenation.
-func (m *GraphSAGE) Infer(f *Fwd, b *Batch) *tensor.Matrix {
-	adj := b.MergedMeanCSR()
-	h := b.X
-	for _, l := range m.layers {
-		out := f.Get(h.Rows, l.W.Value.Cols)
-		adj.AggTransformSplitInto(out, h, l.W.Value)
-		h = tensor.ReLUInPlace(out.AddRowVectorInPlace(l.B.Value))
-	}
-	return f.MLP(m.head, h)
-}
-
-// InferTarget implements TargetInferer for GraphSAGE, with the split
-// matmul of Infer on the cone's rows.
-func (m *GraphSAGE) InferTarget(f *Fwd, b *Batch, node int) float64 {
-	row := f.ConeForward(b.MergedMeanCSR(), b.X, node, len(m.layers), func(l int, h, hN *tensor.Matrix) *tensor.Matrix {
-		out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
-		tensor.MatMulSplitInto(out, h, hN, m.layers[l].W.Value)
-		return tensor.ReLUInPlace(out.AddRowVectorInPlace(m.layers[l].B.Value))
-	})
-	return f.MLP(m.head, row).Data[0]
-}
 
 // Infer implements Inferer for GAT, with two algebraic shortcuts the
 // tape cannot take (it must materialize every intermediate as a node):

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"turbo/internal/autodiff"
@@ -42,7 +43,8 @@ type Fwd32 struct {
 	mats []*tensor.Matrix32
 	used int
 	cone Cone
-	cols []int32 // one row's columns mapped to cone positions
+	cols []int32            // one row's columns mapped to cone positions
+	hs   []*tensor.Matrix32 // one block per stack, handed to a Spec32's readout
 }
 
 var fwd32Pool = sync.Pool{New: func() any { return new(Fwd32) }}
@@ -165,6 +167,12 @@ func (f *Fwd32) aggregateRows(a *tensor.CSR32, h *tensor.Matrix32, rows, pos []i
 	return out
 }
 
+// stackRows returns f's one-block-per-stack slice, resized to n.
+func (f *Fwd32) stackRows(n int) []*tensor.Matrix32 {
+	f.hs = slices.Grow(f.hs[:0], n)[:n]
+	return f.hs
+}
+
 func abs32(x float32) float32 {
 	return math.Float32frombits(math.Float32bits(x) &^ (1 << 31))
 }
@@ -265,50 +273,6 @@ func (f *Fwd32) edgeSoftmax(whx *tensor.Matrix32, scoreOff int, rowPtr []int, no
 
 // --- model Infer32 implementations -----------------------------------------
 
-// Infer32 implements Inferer32 for GCN.
-func (m *GCN) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
-	adj := b.CSR32For(b.MergedRWCSR())
-	h := b.X32()
-	for _, l := range m.layers {
-		h = tensor.ReLU32InPlace(f.Linear(l, f.Aggregate(adj, h)))
-	}
-	return f.MLP(m.head, h)
-}
-
-// InferTarget32 implements TargetInferer32 for GCN on the target's cone.
-func (m *GCN) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
-	adj := b.MergedRWCSR()
-	row := f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(m.layers), func(l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
-		return tensor.ReLU32InPlace(f.Linear(m.layers[l], hN))
-	})
-	return f.MLP(m.head, row).Data[0]
-}
-
-// Infer32 implements Inferer32 for GraphSAGE via the split matmul.
-func (m *GraphSAGE) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
-	adj := b.CSR32For(b.MergedMeanCSR())
-	h := b.X32()
-	for _, l := range m.layers {
-		hn := f.Aggregate(adj, h)
-		out := f.Get(h.Rows, l.W.Value.Cols)
-		tensor.MatMul32SplitInto(out, h, hn, l.W.Value32())
-		h = tensor.ReLU32InPlace(out.AddRowVectorInPlace(l.B.Value32()))
-	}
-	return f.MLP(m.head, h)
-}
-
-// InferTarget32 implements TargetInferer32 for GraphSAGE on the
-// target's cone.
-func (m *GraphSAGE) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
-	adj := b.MergedMeanCSR()
-	row := f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(m.layers), func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
-		out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
-		tensor.MatMul32SplitInto(out, h, hN, m.layers[l].W.Value32())
-		return tensor.ReLU32InPlace(out.AddRowVectorInPlace(m.layers[l].B.Value32()))
-	})
-	return f.MLP(m.head, row).Data[0]
-}
-
 // Infer32 implements Inferer32 for GAT with the same two algebraic
 // shortcuts as the float64 Infer (node-level score projections, a
 // weighted sparse matmul for the aggregation).
@@ -387,21 +351,6 @@ func Score32(m Model, b *Batch) (float64, bool) {
 		return s, true
 	}
 	return 0, false
-}
-
-// Scores32Into scores every node of the batch through the float32 path.
-func Scores32Into(out []float64, m Model, b *Batch) bool {
-	inf, ok := m.(Inferer32)
-	if !ok {
-		return false
-	}
-	f := AcquireFwd32()
-	defer ReleaseFwd32(f)
-	logits := inf.Infer32(f, b)
-	for i := range out[:b.NumNodes] {
-		out[i] = tensor.SigmoidScalar(float64(logits.Data[i]))
-	}
-	return true
 }
 
 // ValidateF32 compares the float32 logits against the float64 reference

@@ -62,25 +62,6 @@ func TestInferTarget32MatchesFull(t *testing.T) {
 	}
 }
 
-// TestScores32IntoMatchesScores pins the all-node float32 scoring used
-// by validation against the float64 Scores on every node.
-func TestScores32IntoMatchesScores(t *testing.T) {
-	for _, m := range inferModels(5) {
-		b := randomBatch(t, 7, 30, 2, 5)
-		want := Scores(m, b)
-		got := make([]float64, b.NumNodes)
-		if !Scores32Into(got, m, b) {
-			t.Fatalf("%s: Scores32Into reported unsupported", m.Name())
-		}
-		for i := range want {
-			if math.Abs(want[i]-got[i]) > f32LogitTol {
-				t.Errorf("%s node %d: f64 %.8g vs f32 %.8g", m.Name(), i, want[i], got[i])
-			}
-		}
-		b.Release()
-	}
-}
-
 // BenchmarkScoreTapeVsInfer32 extends the tape-vs-infer benchmark with
 // the float32 serving path on the same batch shape; bench.sh's infer
 // section picks these rows up by the shared name prefix.

@@ -72,10 +72,6 @@ func TestInferMatchesTape(t *testing.T) {
 	}
 }
 
-// TestInferMatchesTrainingModeNoDropout cross-checks Infer against the
-// training-mode forward with dropout disabled (rate 0, non-nil RNG):
-// the only difference from evaluation mode must be the dropout ops, so
-// with rate 0 the logits agree exactly.
 // TestInferTargetMatchesTape pins the single-target fast path to the
 // tape scores at every node index, for the models that implement it.
 func TestInferTargetMatchesTape(t *testing.T) {
@@ -97,6 +93,10 @@ func TestInferTargetMatchesTape(t *testing.T) {
 	}
 }
 
+// TestInferMatchesTrainingModeNoDropout cross-checks Infer against the
+// training-mode forward with dropout disabled (rate 0, non-nil RNG):
+// the only difference from evaluation mode must be the dropout ops, so
+// with rate 0 the logits agree exactly.
 func TestInferMatchesTrainingModeNoDropout(t *testing.T) {
 	for _, m := range inferModels(5) {
 		b := randomBatch(t, 11, 16, 2, 5)

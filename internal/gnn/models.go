@@ -60,6 +60,8 @@ func newHead(name string, in int, c Config, rng *tensor.RNG) *nn.MLP {
 // ReLU(W · mean over Ñ(v) of h_u) on the type-merged adjacency with
 // self-loops.
 type GCN struct {
+	Spec
+	Spec32
 	cfg    Config
 	layers []*nn.Linear
 	head   *nn.MLP
@@ -75,7 +77,32 @@ func NewGCN(cfg Config) *GCN {
 		m.layers = append(m.layers, nn.NewLinear(fmt.Sprintf("gcn.l%d", i), sizes[i], sizes[i+1], rng))
 	}
 	m.head = newHead("gcn", sizes[len(sizes)-1], cfg, rng)
+	// The adjacency carries the self-loops, so a layer reads only the
+	// aggregated rows.
+	m.Spec = Spec{
+		Stacks: []Stack{{Agg: MergedRW, Widths: sizes, Layer: func(f *Fwd, l int, _, hN *tensor.Matrix) *tensor.Matrix {
+			return tensor.ReLUInPlace(f.Linear(m.layers[l], hN))
+		}}},
+		Readout: headReadout(m.head),
+	}
+	m.Spec32 = Spec32{
+		Stacks: []Stack32{{Agg: MergedRW, Layers: len(m.layers), Layer: func(f *Fwd32, l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
+			return tensor.ReLU32InPlace(f.Linear(m.layers[l], hN))
+		}}},
+		Readout: headReadout32(m.head),
+	}
 	return m
+}
+
+// headReadout is the readout of a single-stack model: the classification
+// MLP on the stack's final rows.
+func headReadout(head *nn.MLP) func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix {
+	return func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix { return f.MLP(head, hs[0]) }
+}
+
+// headReadout32 is headReadout on quantized weights.
+func headReadout32(head *nn.MLP) func(f *Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 {
+	return func(f *Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 { return f.MLP(head, hs[0]) }
 }
 
 // Name implements Model.
@@ -110,6 +137,8 @@ func (m *GCN) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff
 // GraphSAGE is the skip-connection baseline of Eq. 2: each layer computes
 // ReLU(W · [h_v ; mean over N(v) of h_u]).
 type GraphSAGE struct {
+	Spec
+	Spec32
 	cfg    Config
 	layers []*nn.Linear
 	head   *nn.MLP
@@ -125,6 +154,24 @@ func NewGraphSAGE(cfg Config) *GraphSAGE {
 		m.layers = append(m.layers, nn.NewLinear(fmt.Sprintf("sage.l%d", i), 2*sizes[i], sizes[i+1], rng))
 	}
 	m.head = newHead("sage", sizes[len(sizes)-1], cfg, rng)
+	// The concat-linear of each layer runs as a split matmul — W's top
+	// rows against h, bottom rows against the neighbour mean — which is
+	// bitwise the tape's MatMul(ConcatCols(h, hN), W) without
+	// materializing the 2d-wide concatenation.
+	m.Spec = Spec{
+		Stacks: []Stack{{Agg: MergedMean, Widths: sizes, Layer: func(f *Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix {
+			return tensor.ReLUInPlace(f.MatMulSplit(h, hN, m.layers[l].W.Value).AddRowVectorInPlace(m.layers[l].B.Value))
+		}}},
+		Readout: headReadout(m.head),
+	}
+	m.Spec32 = Spec32{
+		Stacks: []Stack32{{Agg: MergedMean, Layers: len(m.layers), Layer: func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+			out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
+			tensor.MatMul32SplitInto(out, h, hN, m.layers[l].W.Value32())
+			return tensor.ReLU32InPlace(out.AddRowVectorInPlace(m.layers[l].B.Value32()))
+		}}},
+		Readout: headReadout32(m.head),
+	}
 	return m
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
 
@@ -18,12 +17,12 @@ import (
 // the decomposition correct — an aggregation step may read any row of
 // its input, so the previous step must have finished everywhere.
 //
-// Equivalence contract: every step runs the exact per-row arithmetic of
-// the model's Infer kernels (the range variants in tensor/autodiff are
-// bitwise-identical per row to their full-matrix forms), so a completed
-// program's Logits match Infer on the same Batch bitwise, and the
-// per-node Score path to ≤1e-12 (subgraph-local index order can permute
-// within-row summation).
+// Equivalence contract: a Spec's steps call the model's own Layer and
+// Readout on each row range (see spec.go), and Infer is that same row-range
+// forward over [0, n); GAT's steps run the per-row arithmetic of its
+// Infer kernels. So a completed program's Logits match Infer and the tape
+// forward on the same Batch bitwise, and the per-node Score path to
+// ≤1e-12 (subgraph-local index order can permute within-row summation).
 
 // SweepStep is one barrier-separated stage of a sweep: Run computes
 // output rows [lo, hi) and may read any row of matrices produced by
@@ -35,7 +34,7 @@ type SweepStep struct {
 
 // SweepProgram is a compiled layer-at-a-time forward over one Batch.
 // Activation buffers come from the tensor pool and are recycled across
-// steps with build-time liveness (Alloc/Retire), so only about two
+// steps with build-time liveness (alloc/retire), so only about two
 // layers of activations are resident however deep the model is. After
 // the final step, Logits holds every node's fraud logit. Release the
 // program when the logits have been consumed.
@@ -73,21 +72,35 @@ func BuildSweepFor(m Model, b *Batch) (*SweepProgram, bool) {
 	return si.BuildSweep(b), true
 }
 
-// NewSweepProgram starts an empty program over n nodes.
-func NewSweepProgram(n int) *SweepProgram {
+// newSweepProgram starts an empty program over n nodes.
+func newSweepProgram(n int) *SweepProgram {
 	return &SweepProgram{NumNodes: n, free: make(map[[2]int][]*tensor.Matrix)}
 }
 
-// Step appends a barrier-separated stage.
-func (p *SweepProgram) Step(name string, run func(f *Fwd, lo, hi int)) {
+// step appends a barrier-separated stage.
+func (p *SweepProgram) step(name string, run func(f *Fwd, lo, hi int)) {
 	p.Steps = append(p.Steps, SweepStep{Name: name, Run: run})
 }
 
-// Alloc returns a rows×cols activation buffer, recycling a retired one
+// rowStep appends a stage whose run computes its rows on f's scratch. The
+// scratch is handed back when the run returns, so the next step reuses
+// it instead of stacking its own on top; and a strict sub-range — one
+// shard of a parallel sweep — runs its dense kernels serially, since the
+// other shards' workers already occupy the remaining cores.
+func (p *SweepProgram) rowStep(name string, run func(f *Fwd, lo, hi int)) {
+	p.step(name, func(f *Fwd, lo, hi int) {
+		used := f.used
+		f.serial = hi-lo < p.NumNodes
+		run(f, lo, hi)
+		f.used, f.serial = used, false
+	})
+}
+
+// alloc returns a rows×cols activation buffer, recycling a retired one
 // of the same shape when available. Recycled buffers hold a dead earlier
-// step's run-time values, so every step must clear the row range it
-// accumulates into before accumulating (see ClearRows).
-func (p *SweepProgram) Alloc(rows, cols int) *tensor.Matrix {
+// step's run-time values, so every step must overwrite or clear the row
+// range it writes (see clearRows).
+func (p *SweepProgram) alloc(rows, cols int) *tensor.Matrix {
 	k := [2]int{rows, cols}
 	if l := p.free[k]; len(l) > 0 {
 		m := l[len(l)-1]
@@ -99,12 +112,12 @@ func (p *SweepProgram) Alloc(rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// Retire marks buffers dead for recycling. Call at build time, after
+// retire marks buffers dead for recycling. Call at build time, after
 // appending the last step that reads the buffer: a later step's output
 // may then share its storage, which is safe at run time because steps
 // execute strictly in order with barriers. Never retire b.X — the
 // program does not own it.
-func (p *SweepProgram) Retire(ms ...*tensor.Matrix) {
+func (p *SweepProgram) retire(ms ...*tensor.Matrix) {
 	for _, m := range ms {
 		k := [2]int{m.Rows, m.Cols}
 		p.free[k] = append(p.free[k], m)
@@ -130,115 +143,43 @@ func (p *SweepProgram) RunSerial(f *Fwd) *tensor.Matrix {
 	return p.Logits
 }
 
-// ClearRows zeroes rows [lo, hi) of m: accumulate-style kernels require
+// clearRows zeroes rows [lo, hi) of m: accumulate-style kernels require
 // zeroed destinations, and recycled sweep buffers arrive dirty.
-func ClearRows(m *tensor.Matrix, lo, hi int) {
+func clearRows(m *tensor.Matrix, lo, hi int) {
 	clear(m.Data[lo*m.Cols : hi*m.Cols])
 }
 
-// AppendHead appends the classification MLP as one rowwise step (dense
-// matmuls read only their own input rows, so no barriers are needed
-// between MLP layers) and sets Logits. The arithmetic mirrors Fwd.MLP.
-func (p *SweepProgram) AppendHead(head *nn.MLP, h *tensor.Matrix, x *tensor.Matrix) {
-	outs := make([]*tensor.Matrix, len(head.Layers))
-	for i, l := range head.Layers {
-		outs[i] = p.Alloc(p.NumNodes, l.W.Value.Cols)
-	}
-	p.Step("head", func(f *Fwd, lo, hi int) {
-		cur := h
-		for i, l := range head.Layers {
-			out := outs[i]
-			ClearRows(out, lo, hi)
-			tensor.MatMulRangeInto(out, cur, l.W.Value, lo, hi)
-			ov := out.RowsView(lo, hi)
-			ov.AddRowVectorInPlace(l.B.Value)
-			if i+1 < len(head.Layers) {
-				head.Hidden.ApplyInPlace(ov)
-			}
-			cur = out
+// copyRows copies rows [lo, hi) of src into dst (same Cols). Sweep steps
+// use it to capture their input into a caller-owned buffer: the barrier
+// before the step guarantees the rows are final, and writing only the
+// step's own row range keeps the step row-partitionable.
+func copyRows(dst, src *tensor.Matrix, lo, hi int) {
+	copy(dst.Data[lo*dst.Cols:hi*dst.Cols], src.Data[lo*src.Cols:hi*src.Cols])
+}
+
+// putRows writes the block into dst's rows starting at lo.
+func putRows(dst *tensor.Matrix, lo int, block *tensor.Matrix) {
+	copy(dst.Data[lo*dst.Cols:], block.Data)
+}
+
+// appendReadout appends the readout over the final rows hs as one
+// row-wise step and sets Logits, retiring hs (except x, which the
+// program does not own).
+func (p *SweepProgram) appendReadout(readout func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix, hs []*tensor.Matrix, x *tensor.Matrix) {
+	logits := p.alloc(p.NumNodes, 1)
+	p.rowStep("readout", func(f *Fwd, lo, hi int) {
+		rows := f.stackRows(len(hs))
+		for i, h := range hs {
+			rows[i] = h.RowsView(lo, hi)
 		}
+		putRows(logits, lo, readout(f, rows))
 	})
-	if h != x {
-		p.Retire(h)
+	for _, h := range hs {
+		if h != x {
+			p.retire(h)
+		}
 	}
-	p.Retire(outs[:len(outs)-1]...)
-	p.Logits = outs[len(outs)-1]
-}
-
-// BuildSweep implements SweepInferer for GCN: one step per graph layer
-// (gather rows of A×h, then the row's linear+bias+ReLU — identical
-// per-row arithmetic to Infer), then the head.
-func (m *GCN) BuildSweep(b *Batch) *SweepProgram { return m.buildSweep(b, nil) }
-
-// buildSweep is BuildSweep with optional penultimate capture: when
-// capture is non-nil, the last layer's step first copies its input rows
-// (h^{L-1}, the embedding-serving state) into the caller-owned buffer —
-// free of extra barriers, since the prior step's barrier already
-// finalized those rows.
-func (m *GCN) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
-	adj := b.MergedRWCSR()
-	p := NewSweepProgram(b.NumNodes)
-	h := b.X
-	for li, l := range m.layers {
-		in, l := h, l
-		var cp *tensor.Matrix
-		if li == len(m.layers)-1 {
-			cp = capture
-		}
-		out := p.Alloc(b.NumNodes, l.W.Value.Cols)
-		p.Step(fmt.Sprintf("gcn.l%d", li), func(f *Fwd, lo, hi int) {
-			if cp != nil {
-				CopyRows(cp, in, lo, hi)
-			}
-			ClearRows(out, lo, hi)
-			// Fused aggregate+transform: the A×h panel never leaves cache,
-			// and the full-graph agg buffer disappears from the program.
-			adj.AggTransformRangeInto(out, in, l.W.Value, lo, hi)
-			ov := out.RowsView(lo, hi)
-			tensor.ReLUInPlace(ov.AddRowVectorInPlace(l.B.Value))
-		})
-		if in != b.X {
-			p.Retire(in)
-		}
-		h = out
-	}
-	p.AppendHead(m.head, h, b.X)
-	return p
-}
-
-// BuildSweep implements SweepInferer for GraphSAGE: each layer gathers
-// the neighbor mean and runs the split matmul of Infer on its row range.
-func (m *GraphSAGE) BuildSweep(b *Batch) *SweepProgram { return m.buildSweep(b, nil) }
-
-// buildSweep is BuildSweep with optional penultimate capture (see the
-// GCN variant for the contract).
-func (m *GraphSAGE) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
-	adj := b.MergedMeanCSR()
-	p := NewSweepProgram(b.NumNodes)
-	h := b.X
-	for li, l := range m.layers {
-		in, l := h, l
-		var cp *tensor.Matrix
-		if li == len(m.layers)-1 {
-			cp = capture
-		}
-		out := p.Alloc(b.NumNodes, l.W.Value.Cols)
-		p.Step(fmt.Sprintf("sage.l%d", li), func(f *Fwd, lo, hi int) {
-			if cp != nil {
-				CopyRows(cp, in, lo, hi)
-			}
-			ClearRows(out, lo, hi)
-			adj.AggTransformSplitRangeInto(out, in, l.W.Value, lo, hi)
-			ov := out.RowsView(lo, hi)
-			tensor.ReLUInPlace(ov.AddRowVectorInPlace(l.B.Value))
-		})
-		if in != b.X {
-			p.Retire(in)
-		}
-		h = out
-	}
-	p.AppendHead(m.head, h, b.X)
-	return p
+	p.Logits = logits
 }
 
 // BuildSweep implements SweepInferer for GAT. Each layer compiles to two
@@ -252,12 +193,13 @@ func (m *GraphSAGE) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
 // block of the concatenated output.
 func (m *GAT) BuildSweep(b *Batch) *SweepProgram { return m.buildSweep(b, nil) }
 
-// buildSweep is BuildSweep with optional penultimate capture (see the
-// GCN variant for the contract). The copy rides in the last layer's
-// projection step, which is the step that reads the captured input.
+// buildSweep is BuildSweep with optional penultimate capture: when
+// capture is non-nil, the last layer's projection step — the step that
+// reads h^{L-1} — first copies its input rows into the caller-owned
+// buffer, free of extra barriers.
 func (m *GAT) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
 	st := b.gatStruct()
-	p := NewSweepProgram(b.NumNodes)
+	p := newSweepProgram(b.NumNodes)
 	n := b.NumNodes
 	nE := len(st.src)
 	h := b.X
@@ -273,27 +215,27 @@ func (m *GAT) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
 		sSrcs := make([]*tensor.Matrix, len(heads))
 		sDsts := make([]*tensor.Matrix, len(heads))
 		for k := range heads {
-			whs[k] = p.Alloc(n, headCols)
-			sSrcs[k] = p.Alloc(n, 1)
-			sDsts[k] = p.Alloc(n, 1)
+			whs[k] = p.alloc(n, headCols)
+			sSrcs[k] = p.alloc(n, 1)
+			sDsts[k] = p.alloc(n, 1)
 		}
-		score := p.Alloc(nE, 1)
-		alpha := p.Alloc(nE, 1)
-		out := p.Alloc(n, headCols*len(heads))
-		p.Step(fmt.Sprintf("gat.l%d.proj", li), func(f *Fwd, lo, hi int) {
+		score := p.alloc(nE, 1)
+		alpha := p.alloc(nE, 1)
+		out := p.alloc(n, headCols*len(heads))
+		p.step(fmt.Sprintf("gat.l%d.proj", li), func(f *Fwd, lo, hi int) {
 			if cp != nil {
-				CopyRows(cp, in, lo, hi)
+				copyRows(cp, in, lo, hi)
 			}
 			for k, hd := range heads {
-				ClearRows(whs[k], lo, hi)
+				clearRows(whs[k], lo, hi)
 				tensor.MatMulRangeInto(whs[k], in, hd.w.Value, lo, hi)
-				ClearRows(sSrcs[k], lo, hi)
+				clearRows(sSrcs[k], lo, hi)
 				tensor.MatMulRangeInto(sSrcs[k], whs[k], hd.attSrc.Value, lo, hi)
-				ClearRows(sDsts[k], lo, hi)
+				clearRows(sDsts[k], lo, hi)
 				tensor.MatMulRangeInto(sDsts[k], whs[k], hd.attDst.Value, lo, hi)
 			}
 		})
-		p.Step(fmt.Sprintf("gat.l%d.attn", li), func(f *Fwd, lo, hi int) {
+		p.step(fmt.Sprintf("gat.l%d.attn", li), func(f *Fwd, lo, hi int) {
 			for k := range heads {
 				wh, sSrc, sDst := whs[k], sSrcs[k], sDsts[k]
 				off := k * headCols
@@ -334,15 +276,15 @@ func (m *GAT) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
 			}
 			tensor.ReLUInPlace(out.RowsView(lo, hi))
 		})
-		p.Retire(score, alpha)
+		p.retire(score, alpha)
 		for k := range heads {
-			p.Retire(whs[k], sSrcs[k], sDsts[k])
+			p.retire(whs[k], sSrcs[k], sDsts[k])
 		}
 		if in != b.X {
-			p.Retire(in)
+			p.retire(in)
 		}
 		h = out
 	}
-	p.AppendHead(m.head, h, b.X)
+	p.appendReadout(headReadout(m.head), []*tensor.Matrix{h}, b.X)
 	return p
 }

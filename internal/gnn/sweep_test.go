@@ -4,18 +4,21 @@ import (
 	"testing"
 )
 
-// inferLogits runs the tape-free forward and copies out the logits.
-func inferLogits(m Model, b *Batch) []float64 {
+// sweepScores runs the program on the serial reference executor and
+// returns its fraud probabilities through the shared serving sigmoid.
+func sweepScores(prog *SweepProgram) []float64 {
 	f := AcquireFwd()
 	defer ReleaseFwd(f)
-	logits := m.(Inferer).Infer(f, b)
-	return append([]float64(nil), logits.Data[:b.NumNodes]...)
+	logits := prog.RunSerial(f)
+	out := make([]float64, prog.NumNodes)
+	SigmoidScoresInto(out, logits.Data[:prog.NumNodes])
+	return out
 }
 
 // TestSweepProgramMatchesInfer pins the compiled sweep program, executed
-// by the serial reference executor, to Infer's logits bitwise for every
-// baseline model: the steps run the identical per-row kernels over the
-// same batch, so any difference at all is a compilation bug.
+// by the serial reference executor, to the tape forward bitwise for
+// every baseline model. Infer is the same row-range forward over [0, n), so
+// the oracle is the tape: any difference at all is a compilation bug.
 func TestSweepProgramMatchesInfer(t *testing.T) {
 	for _, m := range inferModels(5) {
 		if !CanSweep(m) {
@@ -23,20 +26,16 @@ func TestSweepProgramMatchesInfer(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			b := randomBatch(t, seed, 24, 2, 5)
-			want := inferLogits(m, b)
+			want := TapeScores(m, b)
 			prog, ok := BuildSweepFor(m, b)
 			if !ok {
 				t.Fatalf("%s: BuildSweepFor refused", m.Name())
 			}
-			f := AcquireFwd()
-			out := prog.RunSerial(f)
-			for i, w := range want {
-				if out.Data[i] != w {
-					t.Fatalf("%s seed %d node %d: sweep logit %v, infer %v",
-						m.Name(), seed, i, out.Data[i], w)
+			for i, got := range sweepScores(prog) {
+				if got != want[i] {
+					t.Fatalf("%s seed %d node %d: sweep %v, tape %v", m.Name(), seed, i, got, want[i])
 				}
 			}
-			ReleaseFwd(f)
 			prog.Release()
 		}
 	}
@@ -45,8 +44,8 @@ func TestSweepProgramMatchesInfer(t *testing.T) {
 // TestSweepProgramRecyclesBuffers checks the build-time liveness pass: a
 // deep same-width GCN must reuse retired activation buffers (so resident
 // memory stays ~two layers regardless of depth), and the recycled —
-// hence dirty — buffers must still produce Infer's exact logits because
-// every step clears its destination rows.
+// hence dirty — buffers must still produce the tape's exact scores
+// because every step overwrites its destination rows.
 func TestSweepProgramRecyclesBuffers(t *testing.T) {
 	cfg := Config{InDim: 6, Hidden: []int{8, 8, 8, 8, 8}, MLPHidden: 4, Seed: 3}
 	m := NewGCN(cfg)
@@ -58,15 +57,12 @@ func TestSweepProgramRecyclesBuffers(t *testing.T) {
 	if len(prog.owned) >= naive {
 		t.Fatalf("no buffer recycling: %d owned buffers, naive count %d", len(prog.owned), naive)
 	}
-	want := inferLogits(m, b)
-	f := AcquireFwd()
-	out := prog.RunSerial(f)
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("recycled program diverges at node %d: %v vs %v", i, out.Data[i], w)
+	want := TapeScores(m, b)
+	for i, got := range sweepScores(prog) {
+		if got != want[i] {
+			t.Fatalf("recycled program diverges at node %d: %v vs %v", i, got, want[i])
 		}
 	}
-	ReleaseFwd(f)
 	prog.Release()
 }
 

@@ -67,7 +67,6 @@ type saoLayer struct {
 	ws  *nn.Parameter // in × t, self attention projection W_s
 	wn  *nn.Parameter // in × t, neighborhood attention projection W_n
 	p   *nn.Parameter // 2t × 1, attention vector p
-	out int
 }
 
 func newSAOLayer(name string, in, out, att int, rng *tensor.RNG) *saoLayer {
@@ -77,7 +76,6 @@ func newSAOLayer(name string, in, out, att int, rng *tensor.RNG) *saoLayer {
 		ws:  nn.NewParameter(name+".Ws", tensor.GlorotUniform(in, att, rng)),
 		wn:  nn.NewParameter(name+".Wn", tensor.GlorotUniform(in, att, rng)),
 		p:   nn.NewParameter(name+".p", tensor.GlorotUniform(2*att, 1, rng)),
-		out: out,
 	}
 }
 
@@ -118,8 +116,11 @@ type cfoType struct {
 }
 
 // HAG is the full model: per-type SAO stacks fused by CFO, classified by
-// an MLP head.
+// an MLP head. Its tape-free forward is one gnn.Spec per precision: a
+// stack per SAO stream and the CFO fusion plus head as the readout.
 type HAG struct {
+	gnn.Spec
+	gnn.Spec32
 	cfg Config
 	// streams[r][l] is SAO layer l of edge type r; with DisableCFO there
 	// is a single stream over the merged graph.
@@ -158,6 +159,20 @@ func New(cfg Config) *HAG {
 		headIn = cfg.FusedDim
 	}
 	m.head = nn.NewMLP("hag.head", []int{headIn, cfg.MLPHidden, 1}, nn.ActReLU, rng)
+	gated := !cfg.DisableSAOGate
+	for r, stack := range m.streams {
+		agg := gnn.TypedMean(r)
+		if cfg.DisableCFO {
+			agg = gnn.MergedWeightedMean
+		}
+		m.Spec.Stacks = append(m.Spec.Stacks, gnn.Stack{Agg: agg, Widths: sizes, Layer: func(f *gnn.Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix {
+			return stack[l].infer(f, h, hN, gated)
+		}})
+		m.Spec32.Stacks = append(m.Spec32.Stacks, gnn.Stack32{Agg: agg, Layers: len(stack), Layer: func(f *gnn.Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+			return stack[l].infer32(f, h, hN, gated)
+		}})
+	}
+	m.Spec.Readout, m.Spec32.Readout = m.readout, m.readout32
 	return m
 }
 

@@ -1,7 +1,6 @@
 package hag
 
 import (
-	"turbo/internal/autodiff"
 	"turbo/internal/gnn"
 	"turbo/internal/tensor"
 )
@@ -51,27 +50,11 @@ func scaleRowsByCol32(m, alpha *tensor.Matrix32, col int) {
 	}
 }
 
-// inferEmbed32 computes the float32 evaluation-mode embeddings.
-func (m *HAG) inferEmbed32(f *gnn.Fwd32, b *gnn.Batch) *tensor.Matrix32 {
-	gated := !m.cfg.DisableSAOGate
-	if m.cfg.DisableCFO {
-		h := b.X32()
-		adj := b.CSR32For(b.MergedWeightedMeanCSR())
-		for _, l := range m.streams[0] {
-			h = l.infer32(f, h, f.Aggregate(adj, h), gated)
-		}
-		return h
-	}
-	n := b.NumNodes
-	scores := f.Get(n, m.cfg.NumEdgeTypes)
-	typeEmb := make([]*tensor.Matrix32, m.cfg.NumEdgeTypes)
-	for r := 0; r < m.cfg.NumEdgeTypes; r++ {
-		h := b.X32()
-		adj := b.CSR32For(b.TypedMeanCSR(r))
-		for _, l := range m.streams[r] {
-			h = l.infer32(f, h, f.Aggregate(adj, h), gated)
-		}
-		typeEmb[r] = h
+// fuse32 is the float32 form of fuse.
+func (m *HAG) fuse32(f *gnn.Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 {
+	n := hs[0].Rows
+	scores := f.Get(n, len(hs))
+	for r, h := range hs {
 		s := f.MatMul(tensor.Tanh32InPlace(f.MatMul(h, m.cfo[r].wAtt.Value32())), m.cfo[r].vAtt.Value32())
 		for i := 0; i < n; i++ {
 			scores.Set(i, r, s.Data[i])
@@ -79,8 +62,8 @@ func (m *HAG) inferEmbed32(f *gnn.Fwd32, b *gnn.Batch) *tensor.Matrix32 {
 	}
 	alpha := tensor.SoftmaxRows32InPlace(scores)
 	var fused *tensor.Matrix32
-	for r := 0; r < m.cfg.NumEdgeTypes; r++ {
-		term := f.MatMul(typeEmb[r], m.cfo[r].m.Value32())
+	for r, h := range hs {
+		term := f.MatMul(h, m.cfo[r].m.Value32())
 		if fused == nil {
 			fused = term
 			scaleRowsByCol32(fused, alpha, r)
@@ -95,47 +78,10 @@ func (m *HAG) inferEmbed32(f *gnn.Fwd32, b *gnn.Batch) *tensor.Matrix32 {
 	return fused
 }
 
-// Infer32 implements gnn.Inferer32.
-func (m *HAG) Infer32(f *gnn.Fwd32, b *gnn.Batch) *tensor.Matrix32 {
-	return f.MLP(m.head, m.inferEmbed32(f, b))
-}
-
-// targetRow32 is the float32 form of targetRow.
-func (m *HAG) targetRow32(f *gnn.Fwd32, b *gnn.Batch, adj *autodiff.CSR, r, node int) *tensor.Matrix32 {
-	gated := !m.cfg.DisableSAOGate
-	ls := m.streams[r]
-	return f.ConeForward(adj, b.CSR32For(adj), b.X32(), node, len(ls), func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
-		return ls[l].infer32(f, h, hN, gated)
-	})
-}
-
-// InferTarget32 implements gnn.TargetInferer32: the decomposition of
-// InferTarget, per stream on the target's cone.
-func (m *HAG) InferTarget32(f *gnn.Fwd32, b *gnn.Batch, node int) float32 {
+// readout32 is the float32 form of readout.
+func (m *HAG) readout32(f *gnn.Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 {
 	if m.cfg.DisableCFO {
-		return f.MLP(m.head, m.targetRow32(f, b, b.MergedWeightedMeanCSR(), 0, node)).Data[0]
+		return f.MLP(m.head, hs[0])
 	}
-	nTypes := m.cfg.NumEdgeTypes
-	scores := f.Get(1, nTypes)
-	rows := make([]*tensor.Matrix32, nTypes)
-	for r := 0; r < nTypes; r++ {
-		row := m.targetRow32(f, b, b.TypedMeanCSR(r), r, node)
-		rows[r] = row
-		s := f.MatMul(tensor.Tanh32InPlace(f.MatMul(row, m.cfo[r].wAtt.Value32())), m.cfo[r].vAtt.Value32())
-		scores.Set(0, r, s.Data[0])
-	}
-	alpha := tensor.SoftmaxRows32InPlace(scores)
-	var fused *tensor.Matrix32
-	for r := 0; r < nTypes; r++ {
-		term := f.MatMul(rows[r], m.cfo[r].m.Value32())
-		if fused == nil {
-			fused = term
-			scaleRowsByCol32(fused, alpha, r)
-		} else {
-			for i := 0; i < fused.Rows; i++ {
-				tensor.Axpy32(fused.Row(i), term.Row(i), alpha.At(i, r))
-			}
-		}
-	}
-	return f.MLP(m.head, fused).Data[0]
+	return f.MLP(m.head, m.fuse32(f, hs))
 }

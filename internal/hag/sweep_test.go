@@ -6,10 +6,10 @@ import (
 	"turbo/internal/gnn"
 )
 
-// TestHAGSweepMatchesInfer pins the compiled sweep program to Infer's
-// logits bitwise for every ablation variant (gated/ungated SAO × with/
-// without CFO): the per-(stream,layer) steps and the CFO fusion step run
-// the identical per-row kernels over the same batch.
+// TestHAGSweepMatchesInfer pins the compiled sweep program to the tape
+// forward bitwise for every ablation variant (gated/ungated SAO × with/
+// without CFO). Infer is the same row-range forward over [0, n), so the
+// oracle is the tape.
 func TestHAGSweepMatchesInfer(t *testing.T) {
 	for _, m := range hagVariants(1) {
 		if !gnn.CanSweep(m) {
@@ -17,23 +17,22 @@ func TestHAGSweepMatchesInfer(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 4; seed++ {
 			b := randomHagBatch(seed, 24, 2, 5)
-			f := gnn.AcquireFwd()
-			want := append([]float64(nil), m.Infer(f, b).Data[:b.NumNodes]...)
-			gnn.ReleaseFwd(f)
+			want := gnn.TapeScores(m, b)
 			prog, ok := gnn.BuildSweepFor(m, b)
 			if !ok {
 				t.Fatalf("%s: BuildSweepFor refused", m.Name())
 			}
-			f2 := gnn.AcquireFwd()
-			out := prog.RunSerial(f2)
+			f := gnn.AcquireFwd()
+			logits := prog.RunSerial(f)
+			got := make([]float64, b.NumNodes)
+			gnn.SigmoidScoresInto(got, logits.Data[:b.NumNodes])
+			gnn.ReleaseFwd(f)
+			prog.Release()
 			for i, w := range want {
-				if out.Data[i] != w {
-					t.Fatalf("%s seed %d node %d: sweep logit %v, infer %v",
-						m.Name(), seed, i, out.Data[i], w)
+				if got[i] != w {
+					t.Fatalf("%s seed %d node %d: sweep %v, tape %v", m.Name(), seed, i, got[i], w)
 				}
 			}
-			gnn.ReleaseFwd(f2)
-			prog.Release()
 		}
 	}
 }

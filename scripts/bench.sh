@@ -3,9 +3,8 @@
 # float32), batch-compile, audit, snapshot-publish, WAL-append and recovery-replay
 # benchmarks with allocation reporting and writes a JSON snapshot to
 # BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then runs the
-# tensor kernel grid (matmul GFLOP/s per kernel tier and precision,
-# fused-vs-unfused CSR aggregate+transform, pool crossover, false
-# sharing) into BENCH_kernels.json, races the full-graph sweep against
+# tensor kernel grid (matmul GFLOP/s per kernel tier and precision, pool
+# crossover, false sharing) into BENCH_kernels.json, races the full-graph sweep against
 # the naive score-everyone loop into BENCH_sweep.json, races the lambda
 # embedding tier against the per-audit inference paths (plus the
 # refresh-sweep cost at several dirty fractions) into BENCH_embed.json,
@@ -59,16 +58,16 @@ echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 
 # --- Tensor kernel grid ------------------------------------------------------
 # GFLOP/s for every matmul kernel tier (serial naive, blocked, blocked +
-# worker pool; float64 and float32) plus the fused-vs-unfused CSR
-# aggregate+transform step and the pool-crossover / false-sharing
-# microbenchmarks behind the tuning constants in internal/tensor.
+# worker pool; float64 and float32) plus the pool-crossover /
+# false-sharing microbenchmarks behind the tuning constants in
+# internal/tensor.
 KERNEL_OUT="BENCH_kernels.json"
 KERNEL_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$KERNEL_RAW"' EXIT
 
 echo "== go test -bench kernels (benchtime=$BENCHTIME)"
-go test -run 'XXX-none' -bench 'BenchmarkMatMulKernels|BenchmarkFusedAggTransform|BenchmarkParallelCrossover|BenchmarkFalseSharing' \
-    -benchtime "$BENCHTIME" ./internal/tensor/ ./internal/autodiff/ | tee "$KERNEL_RAW"
+go test -run 'XXX-none' -bench 'BenchmarkMatMulKernels|BenchmarkParallelCrossover|BenchmarkFalseSharing' \
+    -benchtime "$BENCHTIME" ./internal/tensor/ | tee "$KERNEL_RAW"
 
 awk -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }

@@ -30,8 +30,8 @@ go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanou
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
 go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
 
-echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar, fused aggregate+transform bitwise vs unfused, f32 within tolerance of f64)"
-go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestAggTransformFusedBitwise|TestAggTransformSplitFusedBitwise|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition, f32 within tolerance of f64)"
+go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64' ./internal/tensor/ ./internal/gnn/ ./internal/hag/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
@@ -39,8 +39,9 @@ go test -race -short ./internal/loadgen/ ./internal/datagen/
 echo "== loadgen smoke (open-loop schedule vs in-process server: deterministic seed, schema-valid scoreboard JSON, coordinated-omission stall injection)"
 go test -race -run 'TestLoadgenSmoke|TestCoordinatedOmissionSafety' ./internal/loadgen/
 
-echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, all models)"
-go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation' ./internal/sweep/
+echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, all models; serial sweep programs vs the tape forward, buffer recycling; a Spec-only test variant's Infer, InferTarget, serial and sharded sweep and InferFinal vs its own tape forward)"
+go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/sweep/
+go test -race -run 'TestSweepProgramMatchesInfer|TestSweepProgramRecyclesBuffers|TestHAGSweepMatchesInfer' ./internal/gnn/ ./internal/hag/
 
 echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
