@@ -46,9 +46,8 @@ type Batch struct {
 
 	// float32 serving caches: quantized features and CSR mirrors keyed by
 	// the float64 structure they shadow, built lazily by the Infer32 path.
-	x32       *tensor.Matrix32
-	csr32     map[*autodiff.CSR]*tensor.CSR32
-	nodeCol32 []int32 // gatStructure.nodeCol as int32
+	x32   *tensor.Matrix32
+	csr32 map[*autodiff.CSR]*tensor.CSR32
 
 	pooledInts    [][]int     // buffers borrowed from the tensor pools,
 	pooledFloats  [][]float64 // returned by Release
@@ -186,7 +185,7 @@ func (b *Batch) Release() {
 	b.merged, b.mergedBuilt = nil, false
 	b.mergedRW, b.mergedMean, b.mergedWeight = nil, nil, nil
 	b.typedMean, b.gat = nil, nil
-	b.x32, b.csr32, b.nodeCol32 = nil, nil, nil
+	b.x32, b.csr32 = nil, nil
 }
 
 // X32 returns the batch features quantized to float32, built on first
@@ -228,21 +227,6 @@ func (b *Batch) CSR32For(c *autodiff.CSR) *tensor.CSR32 {
 	q := &tensor.CSR32{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: ci, Weights: ws}
 	b.csr32[c] = q
 	return q
-}
-
-// gatNodeCol32 returns st.nodeCol widened to the int32 column type of
-// the f32 CSR kernels.
-func (b *Batch) gatNodeCol32(st *gatStructure) []int32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.nodeCol32 == nil {
-		b.nodeCol32 = tensor.GetInts32(len(st.nodeCol))
-		b.pooledInts32 = append(b.pooledInts32, b.nodeCol32)
-		for i, v := range st.nodeCol {
-			b.nodeCol32[i] = int32(v)
-		}
-	}
-	return b.nodeCol32
 }
 
 // normMode selects the row normalization of an aggregation matrix.

@@ -1,8 +1,6 @@
 package gnn
 
 import (
-	"math"
-
 	"turbo/internal/tensor"
 )
 
@@ -117,82 +115,4 @@ func StarAggRow(f *Fwd, h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted
 		}
 	}
 	return out
-}
-
-// EmbedSpec implements EmbedServing for GAT.
-func (m *GAT) EmbedSpec() (widths []int, hops int) {
-	return []int{m.layers[len(m.layers)-1].heads[0].w.Value.Rows}, len(m.layers)
-}
-
-// BuildEmbedSweep implements EmbedServing for GAT.
-func (m *GAT) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
-	return m.buildSweep(b, capture[0])
-}
-
-// InferFinal implements EmbedServing for GAT: per head, project the
-// gathered block, score the target's incident edges (merged order, then
-// the self-loop — the segment order of buildGATStructure), LeakyReLU,
-// max-subtracted segment softmax, and α-weighted aggregation into the
-// head's column block; then ReLU over the concatenated row and the head
-// MLP. The per-edge arithmetic mirrors the attn step of BuildSweep.
-func (m *GAT) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 {
-	h := hs[0]
-	layer := m.layers[len(m.layers)-1]
-	heads := layer.heads
-	headCols := heads[0].w.Value.Cols
-	nE := len(star.Merged) + 1 // incident edges plus the target's self-loop
-	out := f.Get(1, headCols*len(heads))
-	score := f.Get(nE, 1)
-	alpha := f.Get(nE, 1)
-	for k, hd := range heads {
-		wh := f.MatMul(h, hd.w.Value)
-		sSrc := f.MatMul(wh, hd.attSrc.Value)
-		sDst := f.MatMul(wh, hd.attDst.Value)
-		d := sDst.Data[0]
-		mx := math.Inf(-1)
-		for i, e := range star.Merged {
-			s := sSrc.Data[e.Row] + d
-			if s <= 0 {
-				s *= 0.2
-			}
-			score.Data[i] = s
-			if s > mx {
-				mx = s
-			}
-		}
-		s := sSrc.Data[0] + d // self-loop scores last, as in the sweep
-		if s <= 0 {
-			s *= 0.2
-		}
-		score.Data[nE-1] = s
-		if s > mx {
-			mx = s
-		}
-		var sum float64
-		for i := 0; i < nE; i++ {
-			x := math.Exp(score.Data[i] - mx)
-			alpha.Data[i] = x
-			sum += x
-		}
-		if sum != 0 {
-			for i := 0; i < nE; i++ {
-				alpha.Data[i] /= sum
-			}
-		}
-		drow := out.Data[k*headCols : (k+1)*headCols]
-		for i, e := range star.Merged {
-			w := alpha.Data[i]
-			src := wh.Row(int(e.Row))
-			for j, v := range src {
-				drow[j] += w * v
-			}
-		}
-		w := alpha.Data[nE-1]
-		src := wh.Row(0)
-		for j, v := range src {
-			drow[j] += w * v
-		}
-	}
-	row := tensor.ReLUInPlace(out)
-	return f.MLP(m.head, row).Data[0]
 }

@@ -59,6 +59,7 @@ type Fwd struct {
 	used int
 	cone Cone
 	hs   []*tensor.Matrix // one block per stack, handed to a Spec's readout
+	cols []int            // a star's attention segment
 	// serial runs the dense kernels on the calling goroutine: set while a
 	// sweep step computes one shard of the rows, since the other shards'
 	// workers already occupy the remaining cores.
@@ -158,37 +159,6 @@ func (f *Fwd) SelectRows(m *tensor.Matrix, idx []int) *tensor.Matrix {
 	return out
 }
 
-// SegmentSoftmax computes the grouped softmax of an E×1 score vector
-// into scratch, with the exact algorithm of the tape op: rows not
-// covered by any segment stay zero, and each group divides by its sum.
-func (f *Fwd) SegmentSoftmax(a *tensor.Matrix, segments [][]int) *tensor.Matrix {
-	if a.Cols != 1 {
-		panic("gnn: SegmentSoftmax wants an E×1 score vector")
-	}
-	v := f.Get(a.Rows, 1)
-	for _, seg := range segments {
-		mx := math.Inf(-1)
-		for _, i := range seg {
-			if x := a.Data[i]; x > mx {
-				mx = x
-			}
-		}
-		var sum float64
-		for _, i := range seg {
-			e := math.Exp(a.Data[i] - mx)
-			v.Data[i] = e
-			sum += e
-		}
-		if sum == 0 {
-			continue
-		}
-		for _, i := range seg {
-			v.Data[i] /= sum
-		}
-	}
-	return v
-}
-
 // --- the computation cone ---------------------------------------------------
 
 // Cone is a target's computation cone on one aggregation matrix A
@@ -244,58 +214,70 @@ func NewCone(a *autodiff.CSR, node, hops int) *Cone {
 	return c
 }
 
-// ConeForward runs a layers-deep message-passing stack for one node of
-// x over the aggregation a, computing at each layer only the rows the
-// node's logit depends on, and returns the last layer's 1-row output.
-// layer(l, h, hN) applies layer l to the self rows h and their
-// aggregated neighborhoods hN, both in cone order, with the model's
-// usual kernels; every kernel is row-independent, so the result is
-// bitwise the row the full forward computes.
-func (f *Fwd) ConeForward(a *autodiff.CSR, x *tensor.Matrix, node, layers int, layer func(l int, h, hN *tensor.Matrix) *tensor.Matrix) *tensor.Matrix {
+// ConeForward runs stack st for one node of x over the aggregation a,
+// computing at each layer only the rows the node's logit depends on, and
+// returns the last layer's 1-row output. Layer l's self rows and their
+// aggregated neighbourhoods are both in cone order and go through the
+// stack's usual kernels; every kernel is row-independent, so the result
+// is bitwise the row the full forward computes. An attention stack's
+// cone is one hop deeper: layer l projects every source its rows read,
+// the rows within L−l in-hops, so layer 0 projects the gathered cone
+// rather than reading x in place.
+func (f *Fwd) ConeForward(st *Stack, a *autodiff.CSR, x *tensor.Matrix, node int) *tensor.Matrix {
+	layers := st.layers()
+	depth := layers - 1
+	if st.Project != nil {
+		depth = layers
+	}
 	c := &f.cone
-	c.build(a, node, layers-1)
-	h := f.SelectRows(x, c.Rows(layers-1))
+	c.build(a, node, depth)
+	h := f.SelectRows(x, c.Rows(depth))
 	for l := 0; l < layers; l++ {
 		rows := c.Rows(layers - 1 - l)
 		var hN *tensor.Matrix
-		if l == 0 {
-			hN = f.aggregateRows(a, x, rows, nil)
-		} else {
-			hN = f.aggregateRows(a, h, rows, c.pos)
+		switch {
+		case st.Project != nil:
+			hN = f.aggregateRows(st, l, a, st.Project(f, l, h), rows, c.pos)
+		case l == 0:
+			hN = f.aggregateRows(st, l, a, x, rows, nil)
+		default:
+			hN = f.aggregateRows(st, l, a, h, rows, c.pos)
 		}
 		if len(rows) < h.Rows {
 			h = h.RowsView(0, len(rows))
 		}
-		h = layer(l, h, hN)
+		h = st.Layer(f, l, h, hN)
 	}
 	return h
 }
 
-// aggregateRows computes the given rows of A × h into len(rows)×cols
-// scratch with the per-row arithmetic of CSR.MatMulInto. h holds node
-// j in row j, or in row pos[j] when pos is given.
-func (f *Fwd) aggregateRows(a *autodiff.CSR, h *tensor.Matrix, rows, pos []int) *tensor.Matrix {
-	out := f.Get(len(rows), h.Cols)
+// aggregateRows computes the given rows of stack st's layer-l
+// aggregation over src into len(rows)×width scratch, each row with the
+// per-row arithmetic of the full forward. src holds node j in row j, or
+// in row pos[j] when pos is given.
+func (f *Fwd) aggregateRows(st *Stack, l int, a *autodiff.CSR, src *tensor.Matrix, rows, pos []int) *tensor.Matrix {
+	out := f.Get(len(rows), st.aggWidth(l, src))
 	for k, i := range rows {
-		aggregateRow(out.Row(k), a, i, h, pos)
+		st.aggregateRow(out.Row(k), a, i, src, pos)
 	}
 	return out
 }
 
-// aggregateRange computes rows [lo, hi) of A × h into (hi−lo)×cols
-// scratch, row by row exactly as CSR.MatMulInto, so any partition of the
-// rows reproduces the full product bitwise.
-func (f *Fwd) aggregateRange(a *autodiff.CSR, h *tensor.Matrix, lo, hi int) *tensor.Matrix {
-	out := f.Get(hi-lo, h.Cols)
+// aggregateRange computes rows [lo, hi) of stack st's layer-l
+// aggregation over the full-height src into (hi−lo)×width scratch, row
+// by row, so any partition of the rows reproduces the full product
+// bitwise.
+func (f *Fwd) aggregateRange(st *Stack, l int, a *autodiff.CSR, src *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	out := f.Get(hi-lo, st.aggWidth(l, src))
 	rows := func(r0, r1 int) {
 		for k := r0; k < r1; k++ {
-			aggregateRow(out.Row(k), a, lo+k, h, nil)
+			st.aggregateRow(out.Row(k), a, lo+k, src, nil)
 		}
 	}
 	if f.serial {
 		rows(0, hi-lo)
 	} else {
-		tensor.ParallelRows(hi-lo, (a.RowPtr[hi]-a.RowPtr[lo])*h.Cols, rows)
+		tensor.ParallelRows(hi-lo, (a.RowPtr[hi]-a.RowPtr[lo])*src.Cols, rows)
 	}
 	return out
 }
@@ -314,56 +296,77 @@ func aggregateRow(drow []float64, a *autodiff.CSR, i int, h *tensor.Matrix, pos 
 	}
 }
 
+// attendRow accumulates one destination row of an attention aggregation
+// into the zeroed drow with the arithmetic of GAT's tape forward: per
+// head k, each in-edge scores LeakyReLU(source's head-k source score +
+// destination's head-k destination score), a max-shifted softmax runs
+// over the segment, and the α-weighted head-k features of the sources
+// sum into drow's head-k block. z is the layer input's projection (see
+// Stack.Project); the destination is z's row self and the segment's
+// sources are z's rows cols, in entry order — or pos[cols[p]] when pos
+// is given. α is recomputed per pass instead of stored: exp is
+// deterministic, so the third pass multiplies by the very α the tape's
+// SegmentSoftmax produces, and no scratch is shared between rows.
+func attendRow(drow []float64, z *tensor.Matrix, heads, self int, cols, pos []int) {
+	d := len(drow) / heads
+	src := func(p int) []float64 {
+		if pos != nil {
+			return z.Row(pos[cols[p]])
+		}
+		return z.Row(cols[p])
+	}
+	for k := 0; k < heads; k++ {
+		sc := len(drow) + 2*k
+		sd := z.At(self, sc+1)
+		score := func(p int) float64 {
+			s := src(p)[sc] + sd
+			if s <= 0 {
+				s *= 0.2 // LeakyReLU, the tape's slope
+			}
+			return s
+		}
+		mx := math.Inf(-1)
+		for p := range cols {
+			if s := score(p); s > mx {
+				mx = s
+			}
+		}
+		var sum float64
+		for p := range cols {
+			sum += math.Exp(score(p) - mx)
+		}
+		out := drow[k*d : (k+1)*d]
+		for p := range cols {
+			w := math.Exp(score(p) - mx)
+			if sum != 0 {
+				w /= sum
+			}
+			for c, v := range src(p)[k*d : (k+1)*d] {
+				out[c] += w * v
+			}
+		}
+	}
+}
+
+// attendStar is attendRow on the target's star: z projects the gathered
+// block, whose row 0 is the target and whose edges name their sources'
+// rows, and the segment lists the in-edges, then the self-loop when the
+// stack's matrix has one — buildCSR's entry order.
+func (f *Fwd) attendStar(st *Stack, l int, z *tensor.Matrix, edges []StarEdge, selfLoop bool) *tensor.Matrix {
+	f.cols = f.cols[:0]
+	for _, e := range edges {
+		f.cols = append(f.cols, int(e.Row))
+	}
+	if selfLoop {
+		f.cols = append(f.cols, 0)
+	}
+	out := f.Get(1, st.Widths[l+1])
+	attendRow(out.Row(0), z, st.Heads, 0, f.cols, nil)
+	return out
+}
+
 // stackRows returns f's one-block-per-stack slice, resized to n.
 func (f *Fwd) stackRows(n int) []*tensor.Matrix {
 	f.hs = slices.Grow(f.hs[:0], n)[:n]
 	return f.hs
-}
-
-// --- model Infer implementations -------------------------------------------
-
-// Infer implements Inferer for GAT, with two algebraic shortcuts the
-// tape cannot take (it must materialize every intermediate as a node):
-//
-//   - Attention scores gather from node-level projections: the tape's
-//     MatMul(SelectRows(wh, src), attSrc) row e is the dot product of
-//     wh row src[e] with attSrc, so computing s = wh×attSrc once (same
-//     kernel, same per-row arithmetic) and indexing s[src[e]] yields
-//     bitwise-equal scores at n·d instead of E·d multiplies.
-//   - Aggregation runs as an α-weighted sparse matmul directly over wh:
-//     the scatter formulation adds 1·(α_e·wh[src[e]]) per edge, this one
-//     adds α_e·wh[src[e]] at the same positions in the same order —
-//     the identical rounding sequence, without the E×d intermediate.
-func (m *GAT) Infer(f *Fwd, b *Batch) *tensor.Matrix {
-	st := b.gatStruct()
-	h := b.X
-	n := b.NumNodes
-	nE := len(st.src)
-	for _, layer := range m.layers {
-		var outs *tensor.Matrix
-		for _, hd := range layer.heads {
-			wh := f.MatMul(h, hd.w.Value)
-			sSrc := f.MatMul(wh, hd.attSrc.Value)
-			sDst := f.MatMul(wh, hd.attDst.Value)
-			score := f.Get(nE, 1)
-			for e, s := range st.src {
-				score.Data[e] = sSrc.Data[s] + sDst.Data[st.dst[e]]
-			}
-			alpha := f.SegmentSoftmax(tensor.LeakyReLUInPlace(score, 0.2), st.segments)
-			w := f.Get(nE, 1)
-			for p, e := range st.scatter.ColIdx {
-				w.Data[p] = alpha.Data[e]
-			}
-			adj := autodiff.CSR{NRows: n, NCols: n, RowPtr: st.scatter.RowPtr, ColIdx: st.nodeCol, Weights: w.Data}
-			agg := f.Get(n, wh.Cols)
-			adj.MatMulInto(agg, wh)
-			if outs == nil {
-				outs = agg
-			} else {
-				outs = f.ConcatCols(outs, agg)
-			}
-		}
-		h = tensor.ReLUInPlace(outs)
-	}
-	return f.MLP(m.head, h)
 }

@@ -34,10 +34,7 @@ func TestInfer32MatchesFloat64(t *testing.T) {
 // the full float32 forward's row, and both to the float64 target logit.
 func TestInferTarget32MatchesFull(t *testing.T) {
 	for _, m := range inferModels(5) {
-		ti, ok := m.(TargetInferer32)
-		if !ok {
-			continue // GAT has no target decomposition in either precision
-		}
+		ti := m.(TargetInferer32)
 		for seed := uint64(1); seed <= 3; seed++ {
 			b := randomBatch(t, seed, 20, 2, 5)
 			f := AcquireFwd32()

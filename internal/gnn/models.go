@@ -86,7 +86,7 @@ func NewGCN(cfg Config) *GCN {
 		Readout: headReadout(m.head),
 	}
 	m.Spec32 = Spec32{
-		Stacks: []Stack32{{Agg: MergedRW, Layers: len(m.layers), Layer: func(f *Fwd32, l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
+		Stacks: []Stack32{{Agg: MergedRW, Widths: sizes, Layer: func(f *Fwd32, l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
 			return tensor.ReLU32InPlace(f.Linear(m.layers[l], hN))
 		}}},
 		Readout: headReadout32(m.head),
@@ -165,7 +165,7 @@ func NewGraphSAGE(cfg Config) *GraphSAGE {
 		Readout: headReadout(m.head),
 	}
 	m.Spec32 = Spec32{
-		Stacks: []Stack32{{Agg: MergedMean, Layers: len(m.layers), Layer: func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+		Stacks: []Stack32{{Agg: MergedMean, Widths: sizes, Layer: func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
 			out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
 			tensor.MatMul32SplitInto(out, h, hN, m.layers[l].W.Value32())
 			return tensor.ReLU32InPlace(out.AddRowVectorInPlace(m.layers[l].B.Value32()))
@@ -215,10 +215,62 @@ type gatHead struct {
 	attDst *nn.Parameter // out × 1
 }
 
+// project maps a block of layer input rows to the attention projection
+// a Stack's Project returns: per head k, wh_k = h·W_k in column block k,
+// then the head's scores wh_k·a_src and wh_k·a_dst — the same kernels,
+// row for row, as the tape's MatMul(h, W) and its score MatMuls.
+func (g *gatLayer) project(f *Fwd, h *tensor.Matrix) *tensor.Matrix {
+	d := g.heads[0].w.Value.Cols
+	sc := len(g.heads) * d
+	z := f.Get(h.Rows, sc+2*len(g.heads))
+	for k, hd := range g.heads {
+		wh := f.MatMul(h, hd.w.Value)
+		sSrc, sDst := f.MatMul(wh, hd.attSrc.Value), f.MatMul(wh, hd.attDst.Value)
+		for i := 0; i < h.Rows; i++ {
+			row := z.Row(i)
+			copy(row[k*d:], wh.Row(i))
+			row[sc+2*k], row[sc+2*k+1] = sSrc.Data[i], sDst.Data[i]
+		}
+	}
+	return z
+}
+
+// project32 is project on quantized weights, folded into one matmul:
+// since (h·W)·a = h·(W·a), the heads' W side by side, augmented with the
+// columns W_k·a_src and W_k·a_dst, yield the features and every score in
+// one product. Under the vector kernels the operand is zero-padded to
+// full 8-column tiles so the whole product stays on the FMA path; the
+// pad columns are never read.
+func (g *gatLayer) project32(f *Fwd32, h *tensor.Matrix32) *tensor.Matrix32 {
+	d := g.heads[0].w.Value.Cols
+	sc := len(g.heads) * d
+	cols := sc + 2*len(g.heads)
+	if tensor.SIMDEnabled() {
+		cols = (cols + 7) &^ 7
+	}
+	waug := f.Get(h.Cols, cols)
+	for k, hd := range g.heads {
+		w, aS, aD := hd.w.Value32(), hd.attSrc.Value32(), hd.attDst.Value32()
+		for r := 0; r < w.Rows; r++ {
+			row, wrow := waug.Row(r), w.Row(r)
+			copy(row[k*d:], wrow)
+			var s, t float32
+			for j, x := range wrow {
+				s += x * aS.Data[j]
+				t += x * aD.Data[j]
+			}
+			row[sc+2*k], row[sc+2*k+1] = s, t
+		}
+	}
+	return f.MatMul(h, waug)
+}
+
 // GAT implements multi-head graph attention (Veličković et al.) on the
 // type-merged graph, with self-loops so isolated nodes keep their own
 // representation.
 type GAT struct {
+	Spec
+	Spec32
 	cfg    Config
 	layers []*gatLayer
 	head   *nn.MLP
@@ -230,11 +282,13 @@ func NewGAT(cfg Config) *GAT {
 	rng := tensor.NewRNG(cfg.Seed)
 	m := &GAT{cfg: cfg}
 	sizes := cfg.layerSizes()
+	widths := []int{sizes[0]}
 	for i := 0; i+1 < len(sizes); i++ {
 		out := sizes[i+1] / cfg.Heads
 		if out == 0 {
 			out = 1
 		}
+		widths = append(widths, out*cfg.Heads)
 		layer := &gatLayer{}
 		for h := 0; h < cfg.Heads; h++ {
 			name := fmt.Sprintf("gat.l%d.h%d", i, h)
@@ -246,11 +300,27 @@ func NewGAT(cfg Config) *GAT {
 		}
 		m.layers = append(m.layers, layer)
 	}
-	lastOut := (sizes[len(sizes)-1] / cfg.Heads) * cfg.Heads
-	if lastOut == 0 {
-		lastOut = cfg.Heads
+	m.head = newHead("gat", widths[len(widths)-1], cfg, rng)
+	// Attention runs over MergedRW's pattern: its row i lists i's merged
+	// in-edges in edge order, then the self-loop — the softmax segments of
+	// the tape's gatStructure, in the same order. A layer is the ReLU of
+	// the heads' concatenated aggregations.
+	m.Spec = Spec{
+		Stacks: []Stack{{
+			Agg: MergedRW, Widths: widths, Heads: cfg.Heads,
+			Project: func(f *Fwd, l int, h *tensor.Matrix) *tensor.Matrix { return m.layers[l].project(f, h) },
+			Layer:   func(_ *Fwd, _ int, _, hN *tensor.Matrix) *tensor.Matrix { return tensor.ReLUInPlace(hN) },
+		}},
+		Readout: headReadout(m.head),
 	}
-	m.head = newHead("gat", lastOut, cfg, rng)
+	m.Spec32 = Spec32{
+		Stacks: []Stack32{{
+			Agg: MergedRW, Widths: widths, Heads: cfg.Heads,
+			Project: func(f *Fwd32, l int, h *tensor.Matrix32) *tensor.Matrix32 { return m.layers[l].project32(f, h) },
+			Layer:   func(_ *Fwd32, _ int, _, hN *tensor.Matrix32) *tensor.Matrix32 { return tensor.ReLU32InPlace(hN) },
+		}},
+		Readout: headReadout32(m.head),
+	}
 	return m
 }
 
@@ -271,15 +341,12 @@ func (m *GAT) Parameters() []*nn.Parameter {
 	return append(ps, m.head.Parameters()...)
 }
 
-// gatStructure caches the per-batch edge bookkeeping GAT attention needs.
+// gatStructure caches the per-batch edge bookkeeping of GAT's tape
+// forward, the reference its Spec is checked against.
 type gatStructure struct {
 	src, dst []int   // per edge, including self-loops
 	segments [][]int // edge indices grouped by destination
 	scatter  *autodiff.CSR
-	// nodeCol mirrors scatter.ColIdx with each edge id replaced by the
-	// edge's source node, so the tape-free path can aggregate α-weighted
-	// source features directly from wh (same positions, same order).
-	nodeCol []int
 }
 
 // gatStruct returns the batch's cached GAT edge structure, building it on
@@ -338,10 +405,6 @@ func (b *Batch) buildGATStructure(merged []graph.LocalEdge) *gatStructure {
 	s.segments = make([][]int, n)
 	for i := 0; i < n; i++ {
 		s.segments[i] = colIdx[rowPtr[i]:rowPtr[i+1]]
-	}
-	s.nodeCol = b.getInts(nE)
-	for p, e := range colIdx {
-		s.nodeCol[p] = s.src[e]
 	}
 	return s
 }

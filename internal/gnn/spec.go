@@ -11,10 +11,12 @@ import (
 // forward once, and where the three forwards that run that description
 // live. A description is a set of stacks — message-passing streams, each
 // a sequence of layers over one aggregation matrix — and a readout over
-// the stacks' final rows. Every layer and the readout are row-wise: row i
-// of the output depends only on row i of the self input and row i of the
-// aggregated neighbourhood. That is what lets one definition serve every
-// row set:
+// the stacks' final rows. A stack aggregates either by the matrix's fixed
+// weights or, when it has a Project, by edge attention over the matrix's
+// sparsity pattern (GAT). Every layer, projection and readout is
+// row-wise: row i of the output depends only on row i of the self input
+// and row i of the aggregated neighbourhood. That is what lets one
+// definition serve every row set:
 //
 //   - the target's cone (InferTarget): the rows within L−ℓ in-hops of the
 //     target at layer ℓ, via ConeForward;
@@ -58,18 +60,19 @@ func (a Agg) csr(b *Batch) *autodiff.CSR {
 	return b.TypedMeanCSR(int(a))
 }
 
-// starRow is the target's row of the matrix a names, applied to the
-// gathered embedding block h of star.
-func (a Agg) starRow(f *Fwd, h *tensor.Matrix, star *EmbedStar) *tensor.Matrix {
+// star returns the target's row of the matrix a names, as star's edges:
+// the in-edges, whether the row ends with the self-loop, and whether it
+// ignores the edge weights (see StarAggRow).
+func (a Agg) star(s *EmbedStar) (edges []StarEdge, selfLoop, unweighted bool) {
 	switch a {
 	case MergedRW:
-		return StarAggRow(f, h, star.Merged, true, true)
+		return s.Merged, true, true
 	case MergedMean:
-		return StarAggRow(f, h, star.Merged, false, true)
+		return s.Merged, false, true
 	case MergedWeightedMean:
-		return StarAggRow(f, h, star.Merged, false, false)
+		return s.Merged, false, false
 	}
-	return StarAggRow(f, h, star.Typed[a], false, false)
+	return s.Typed[a], false, false
 }
 
 // Stack is one float64 message-passing stream.
@@ -80,6 +83,16 @@ type Stack struct {
 	// len(Widths)−1 layers and Widths[len−2] is the width of the
 	// penultimate rows the embedding tier captures.
 	Widths []int
+	// Project, when set, makes the stack aggregate by edge attention with
+	// Heads heads: Agg's matrix then fixes only each destination's segment
+	// (its sources, in entry order), not the weights. Project maps a block
+	// of layer l's input rows, row by row, to their transformed rows on
+	// f's scratch: Widths[l+1] feature columns, head k's in the block
+	// [k·d, (k+1)·d) with d = Widths[l+1]/Heads, then each head's source
+	// and destination scores in columns Widths[l+1]+2k and +2k+1. The
+	// aggregated row is Widths[l+1] wide (see attendRow).
+	Heads   int
+	Project func(f *Fwd, l int, h *tensor.Matrix) *tensor.Matrix
 	// Layer applies layer l to a block of self rows h and their
 	// aggregated neighbourhoods hN (row i of hN belongs to row i of h) and
 	// returns the block's output rows on f's scratch. It must compute
@@ -89,6 +102,30 @@ type Stack struct {
 }
 
 func (st *Stack) layers() int { return len(st.Widths) - 1 }
+
+// aggWidth is the width of layer l's aggregated rows over src.
+func (st *Stack) aggWidth(l int, src *tensor.Matrix) int {
+	if st.Project != nil {
+		return st.Widths[l+1]
+	}
+	return src.Cols
+}
+
+// aggregateRow accumulates row i of layer l's aggregation over a into
+// the zeroed drow: A's weights applied to src, or attention over src,
+// the layer input's projection. src holds node j in row j, or in row
+// pos[j] when pos is given.
+func (st *Stack) aggregateRow(drow []float64, a *autodiff.CSR, i int, src *tensor.Matrix, pos []int) {
+	if st.Project == nil {
+		aggregateRow(drow, a, i, src, pos)
+		return
+	}
+	self := i
+	if pos != nil {
+		self = pos[i]
+	}
+	attendRow(drow, src, st.Heads, self, a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], pos)
+}
 
 // Spec is a model's float64 evaluation-mode forward: its stacks and the
 // readout over their final rows. A model embeds its Spec and so gets
@@ -110,7 +147,11 @@ func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 		a := st.Agg.csr(b)
 		h := b.X
 		for l := 0; l < st.layers(); l++ {
-			h = f.layerRows(st, a, l, h, 0, b.NumNodes)
+			src := h
+			if st.Project != nil {
+				src = st.Project(f, l, h)
+			}
+			h = st.Layer(f, l, h, f.aggregateRange(st, l, a, src, 0, b.NumNodes))
 		}
 		hs[i] = h
 	}
@@ -123,10 +164,7 @@ func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 func (s *Spec) InferTarget(f *Fwd, b *Batch, node int) float64 {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		hs[i] = f.ConeForward(st.Agg.csr(b), b.X, node, st.layers(), func(l int, h, hN *tensor.Matrix) *tensor.Matrix {
-			return st.Layer(f, l, h, hN)
-		})
+		hs[i] = f.ConeForward(&s.Stacks[i], s.Stacks[i].Agg.csr(b), b.X, node)
 	}
 	return s.Readout(f, hs).Data[0]
 }
@@ -148,7 +186,15 @@ func (s *Spec) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 
 	rows := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
-		rows[i] = st.Layer(f, st.layers()-1, hs[i].RowView(0), st.Agg.starRow(f, hs[i], star))
+		l := st.layers() - 1
+		edges, selfLoop, unweighted := st.Agg.star(star)
+		var hN *tensor.Matrix
+		if st.Project != nil {
+			hN = f.attendStar(st, l, st.Project(f, l, hs[i]), edges, selfLoop)
+		} else {
+			hN = StarAggRow(f, hs[i], edges, selfLoop, unweighted)
+		}
+		rows[i] = st.Layer(f, l, hs[i].RowView(0), hN)
 	}
 	return s.Readout(f, rows).Data[0]
 }
@@ -157,12 +203,14 @@ func (s *Spec) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 
 func (s *Spec) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, nil) }
 
 // BuildEmbedSweep implements EmbedServing: one step per stack and layer
-// that runs the layer on the step's row range, then the readout step.
-// Stacks compile one after another, so a stack's layer buffers are
-// recycled by the next stack's. Only the layer outputs are full height;
-// each step's intermediates live in the worker's Fwd. With capture, the
-// step of a stack's last layer first copies its input rows into
-// capture[s] — the prior step's barrier has already finalized them.
+// that runs the layer on the step's row range, then the readout step. An
+// attention layer first gets a projection step: its aggregation reads
+// the projected rows of any source, so they must all be final. Stacks
+// compile one after another, so a stack's layer buffers are recycled by
+// the next stack's. Only the layer outputs and projections are full
+// height; each step's intermediates live in the worker's Fwd. With
+// capture, the first step of a stack's last layer copies its input rows
+// into capture[s] — the prior step's barrier has already finalized them.
 func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
 	n := b.NumNodes
 	p := newSweepProgram(n)
@@ -177,12 +225,26 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 			if capture != nil && l == st.layers()-1 {
 				cp = capture[i]
 			}
+			src := in
+			if st.Project != nil {
+				z := p.alloc(n, st.Widths[l+1]+2*st.Heads)
+				p.rowStep(fmt.Sprintf("s%d.l%d.proj", i, l), func(f *Fwd, lo, hi int) {
+					if cp != nil {
+						copyRows(cp, in, lo, hi)
+					}
+					putRows(z, lo, st.Project(f, l, in.RowsView(lo, hi)))
+				})
+				src = z
+			}
 			p.rowStep(fmt.Sprintf("s%d.l%d", i, l), func(f *Fwd, lo, hi int) {
-				if cp != nil {
+				if cp != nil && st.Project == nil {
 					copyRows(cp, in, lo, hi)
 				}
-				putRows(out, lo, f.layerRows(st, a, l, in, lo, hi))
+				putRows(out, lo, st.Layer(f, l, in.RowsView(lo, hi), f.aggregateRange(st, l, a, src, lo, hi)))
 			})
+			if src != in {
+				p.retire(src)
+			}
 			if in != b.X {
 				p.retire(in)
 			}
@@ -194,20 +256,19 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 	return p
 }
 
-// layerRows computes rows [lo, hi) of stack st's layer l from the layer's
-// full-height input in and the stack's aggregation matrix a.
-func (f *Fwd) layerRows(st *Stack, a *autodiff.CSR, l int, in *tensor.Matrix, lo, hi int) *tensor.Matrix {
-	return st.Layer(f, l, in.RowsView(lo, hi), f.aggregateRange(a, in, lo, hi))
+// Stack32 is one float32 message-passing stream: the quantized mirror of
+// a Stack (same Agg, Widths and Heads), whose Project and Layer run on
+// quantized weights under the float32 tolerance contract. Project's rows
+// may carry padding columns past the scores; attention never reads them.
+type Stack32 struct {
+	Agg     Agg
+	Widths  []int
+	Heads   int
+	Project func(f *Fwd32, l int, h *tensor.Matrix32) *tensor.Matrix32
+	Layer   func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32
 }
 
-// Stack32 is one float32 message-passing stream: the quantized mirror of
-// a Stack (same Agg, same layer count), whose Layer runs on quantized
-// weights under the float32 tolerance contract.
-type Stack32 struct {
-	Agg    Agg
-	Layers int
-	Layer  func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32
-}
+func (st *Stack32) layers() int { return len(st.Widths) - 1 }
 
 // Spec32 is a model's float32 forward, the mirror of its Spec. Embedding
 // it gives the model Infer32 and InferTarget32.
@@ -223,8 +284,12 @@ func (s *Spec32) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 		st := &s.Stacks[i]
 		a := b.CSR32For(st.Agg.csr(b))
 		h := b.X32()
-		for l := 0; l < st.Layers; l++ {
-			h = st.Layer(f, l, h, f.Aggregate(a, h))
+		for l := 0; l < st.layers(); l++ {
+			src := h
+			if st.Project != nil {
+				src = st.Project(f, l, h)
+			}
+			h = st.Layer(f, l, h, f.aggregate(st, l, a, src, nil, nil))
 		}
 		hs[i] = h
 	}
@@ -235,11 +300,8 @@ func (s *Spec32) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 func (s *Spec32) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		a := st.Agg.csr(b)
-		hs[i] = f.ConeForward(a, b.CSR32For(a), b.X32(), node, st.Layers, func(l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
-			return st.Layer(f, l, h, hN)
-		})
+		a := s.Stacks[i].Agg.csr(b)
+		hs[i] = f.ConeForward(&s.Stacks[i], a, b.CSR32For(a), b.X32(), node)
 	}
 	return s.Readout(f, hs).Data[0]
 }

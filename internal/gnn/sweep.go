@@ -1,9 +1,6 @@
 package gnn
 
 import (
-	"fmt"
-	"math"
-
 	"turbo/internal/tensor"
 )
 
@@ -17,11 +14,10 @@ import (
 // the decomposition correct — an aggregation step may read any row of
 // its input, so the previous step must have finished everywhere.
 //
-// Equivalence contract: a Spec's steps call the model's own Layer and
-// Readout on each row range (see spec.go), and Infer is that same row-range
-// forward over [0, n); GAT's steps run the per-row arithmetic of its
-// Infer kernels. So a completed program's Logits match Infer and the tape
-// forward on the same Batch bitwise, and the per-node Score path to
+// Equivalence contract: a Spec's steps call the model's own Project,
+// Layer and Readout on each row range (see spec.go), and Infer is that
+// same row-range forward over [0, n). So a completed program's Logits
+// match Infer and the tape forward on the same Batch bitwise, and the per-node Score path to
 // ≤1e-12 (subgraph-local index order can permute within-row summation).
 
 // SweepStep is one barrier-separated stage of a sweep: Run computes
@@ -180,111 +176,4 @@ func (p *SweepProgram) appendReadout(readout func(f *Fwd, hs []*tensor.Matrix) *
 		}
 	}
 	p.Logits = logits
-}
-
-// BuildSweep implements SweepInferer for GAT. Each layer compiles to two
-// steps. Projection: per head, wh = h×W and the node-level attention
-// scores s = wh×att (rowwise). Attention: for each destination row, the
-// incident edges' scores, LeakyReLU, segment softmax and α-weighted
-// aggregation — every edge belongs to exactly one destination segment,
-// so partitioning by destination rows partitions the edges, and the
-// per-edge/per-segment arithmetic replicates Infer's SegmentSoftmax and
-// scatter matmul exactly. Heads aggregate directly into their column
-// block of the concatenated output.
-func (m *GAT) BuildSweep(b *Batch) *SweepProgram { return m.buildSweep(b, nil) }
-
-// buildSweep is BuildSweep with optional penultimate capture: when
-// capture is non-nil, the last layer's projection step — the step that
-// reads h^{L-1} — first copies its input rows into the caller-owned
-// buffer, free of extra barriers.
-func (m *GAT) buildSweep(b *Batch, capture *tensor.Matrix) *SweepProgram {
-	st := b.gatStruct()
-	p := newSweepProgram(b.NumNodes)
-	n := b.NumNodes
-	nE := len(st.src)
-	h := b.X
-	for li, layer := range m.layers {
-		in, layer := h, layer
-		var cp *tensor.Matrix
-		if li == len(m.layers)-1 {
-			cp = capture
-		}
-		heads := layer.heads
-		headCols := heads[0].w.Value.Cols
-		whs := make([]*tensor.Matrix, len(heads))
-		sSrcs := make([]*tensor.Matrix, len(heads))
-		sDsts := make([]*tensor.Matrix, len(heads))
-		for k := range heads {
-			whs[k] = p.alloc(n, headCols)
-			sSrcs[k] = p.alloc(n, 1)
-			sDsts[k] = p.alloc(n, 1)
-		}
-		score := p.alloc(nE, 1)
-		alpha := p.alloc(nE, 1)
-		out := p.alloc(n, headCols*len(heads))
-		p.step(fmt.Sprintf("gat.l%d.proj", li), func(f *Fwd, lo, hi int) {
-			if cp != nil {
-				copyRows(cp, in, lo, hi)
-			}
-			for k, hd := range heads {
-				clearRows(whs[k], lo, hi)
-				tensor.MatMulRangeInto(whs[k], in, hd.w.Value, lo, hi)
-				clearRows(sSrcs[k], lo, hi)
-				tensor.MatMulRangeInto(sSrcs[k], whs[k], hd.attSrc.Value, lo, hi)
-				clearRows(sDsts[k], lo, hi)
-				tensor.MatMulRangeInto(sDsts[k], whs[k], hd.attDst.Value, lo, hi)
-			}
-		})
-		p.step(fmt.Sprintf("gat.l%d.attn", li), func(f *Fwd, lo, hi int) {
-			for k := range heads {
-				wh, sSrc, sDst := whs[k], sSrcs[k], sDsts[k]
-				off := k * headCols
-				for i := lo; i < hi; i++ {
-					seg := st.segments[i]
-					mx := math.Inf(-1)
-					for _, e := range seg {
-						s := sSrc.Data[st.src[e]] + sDst.Data[st.dst[e]]
-						if s <= 0 {
-							s *= 0.2
-						}
-						score.Data[e] = s
-						if s > mx {
-							mx = s
-						}
-					}
-					var sum float64
-					for _, e := range seg {
-						x := math.Exp(score.Data[e] - mx)
-						alpha.Data[e] = x
-						sum += x
-					}
-					if sum != 0 {
-						for _, e := range seg {
-							alpha.Data[e] /= sum
-						}
-					}
-					drow := out.Data[i*out.Cols+off : i*out.Cols+off+headCols]
-					clear(drow)
-					for pp := st.scatter.RowPtr[i]; pp < st.scatter.RowPtr[i+1]; pp++ {
-						w := alpha.Data[st.scatter.ColIdx[pp]]
-						src := wh.Row(st.nodeCol[pp])
-						for j, v := range src {
-							drow[j] += w * v
-						}
-					}
-				}
-			}
-			tensor.ReLUInPlace(out.RowsView(lo, hi))
-		})
-		p.retire(score, alpha)
-		for k := range heads {
-			p.retire(whs[k], sSrcs[k], sDsts[k])
-		}
-		if in != b.X {
-			p.retire(in)
-		}
-		h = out
-	}
-	p.appendReadout(headReadout(m.head), []*tensor.Matrix{h}, b.X)
-	return p
 }

@@ -162,8 +162,8 @@ func TapeScores(m Model, b *Batch) []float64 {
 
 // Score returns the fraud probability of node 0 of the batch — by
 // convention the target node of a sampled computation subgraph — which
-// is the online-inference entry point. Inferer models take the
-// tape-free path. It panics with ErrShallowSample on a batch that does
+// is the online-inference entry point. TargetInferer models take the
+// tape-free path on the node's cone. It panics with ErrShallowSample on a batch that does
 // not admit m; ScoreCtx reports that as an error instead.
 func Score(m Model, b *Batch) float64 {
 	if !b.admits(m) {
@@ -176,12 +176,6 @@ func score(m Model, b *Batch) float64 {
 	if ti, ok := m.(TargetInferer); ok {
 		f := AcquireFwd()
 		s := tensor.SigmoidScalar(ti.InferTarget(f, b, 0))
-		ReleaseFwd(f)
-		return s
-	}
-	if inf, ok := m.(Inferer); ok {
-		f := AcquireFwd()
-		s := tensor.SigmoidScalar(inf.Infer(f, b).Data[0])
 		ReleaseFwd(f)
 		return s
 	}

@@ -168,7 +168,7 @@ func New(cfg Config) *HAG {
 		m.Spec.Stacks = append(m.Spec.Stacks, gnn.Stack{Agg: agg, Widths: sizes, Layer: func(f *gnn.Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix {
 			return stack[l].infer(f, h, hN, gated)
 		}})
-		m.Spec32.Stacks = append(m.Spec32.Stacks, gnn.Stack32{Agg: agg, Layers: len(stack), Layer: func(f *gnn.Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
+		m.Spec32.Stacks = append(m.Spec32.Stacks, gnn.Stack32{Agg: agg, Widths: sizes, Layer: func(f *gnn.Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
 			return stack[l].infer32(f, h, hN, gated)
 		}})
 	}

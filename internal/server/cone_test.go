@@ -113,20 +113,14 @@ func sevenVariants(dim, types int, hidden []int) []gnn.Model {
 func targetLogit64(m gnn.Model, b *gnn.Batch) float64 {
 	f := gnn.AcquireFwd()
 	defer gnn.ReleaseFwd(f)
-	if ti, ok := m.(gnn.TargetInferer); ok {
-		return ti.InferTarget(f, b, 0)
-	}
-	return m.(gnn.Inferer).Infer(f, b).Data[0]
+	return m.(gnn.TargetInferer).InferTarget(f, b, 0)
 }
 
 // targetLogit32 is node 0's logit on the path gnn.Score32 takes.
 func targetLogit32(m gnn.Model, b *gnn.Batch) float32 {
 	f := gnn.AcquireFwd32()
 	defer gnn.ReleaseFwd32(f)
-	if ti, ok := m.(gnn.TargetInferer32); ok {
-		return ti.InferTarget32(f, b, 0)
-	}
-	return m.(gnn.Inferer32).Infer32(f, b).Data[0]
+	return m.(gnn.TargetInferer32).InferTarget32(f, b, 0)
 }
 
 // targetRowTol bounds a float32 target-row forward against the full
@@ -138,8 +132,7 @@ const targetRowTol = 1e-5
 // the float64 target logit is bitwise the same from the tape, from Infer
 // and from the target driver, on the full sample and on the sample cut
 // for the model's depth; the float32 one is bitwise the same on both
-// samples (for the variants with a float32 target driver) and within
-// targetRowTol of Infer32.
+// samples and within targetRowTol of Infer32.
 func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.Matrix) {
 	t.Helper()
 	bFull, bCut := gnn.NewBatch(full, x), gnn.NewBatch(cut, x)
@@ -164,12 +157,9 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.M
 	all := m.(gnn.Inferer32).Infer32(f32, bFull).Data[0]
 	gnn.ReleaseFwd32(f32)
 	tol := targetRowTol * math.Max(1, math.Abs(float64(all)))
-	if _, cone := m.(gnn.TargetInferer32); cone && l32Full != l32Cut {
+	if l32Full != l32Cut {
 		t.Fatalf("%s: float32 target logit %v on the full sample, %v on the cut one", m.Name(), l32Full, l32Cut)
 	}
-	// GAT has no target driver: its all-rows forward runs one vectorized
-	// exp over every edge, and an edge's lane depends on how many edges
-	// precede it.
 	for name, got := range map[string]float32{"full": l32Full, "cut": l32Cut} {
 		if d := math.Abs(float64(got) - float64(all)); d > tol {
 			t.Fatalf("%s: float32 target logit on the %s sample %v vs Infer32 row 0 %v (|Δ| %g > %g)", m.Name(), name, got, all, d, tol)

@@ -2,8 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -49,38 +47,6 @@ func BenchmarkParallelCrossover(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFalseSharing pins the cache-line padding of workerStat: a
-// packed counter array forces every increment through a shared line,
-// the padded layout gives each worker its own. The same pattern
-// motivates per-worker accumulator state in the matmul kernels.
-func BenchmarkFalseSharing(b *testing.B) {
-	const workers = 4
-	const incs = 1 << 16
-	run := func(b *testing.B, bump func(w int)) {
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for k := 0; k < incs; k++ {
-						bump(w)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	b.Run("packed", func(b *testing.B) {
-		var counters [workers]atomic.Uint64
-		run(b, func(w int) { counters[w].Add(1) })
-	})
-	b.Run("padded", func(b *testing.B) {
-		var counters [workers]workerStat
-		run(b, func(w int) { counters[w].tasks.Add(1) })
-	})
 }
 
 // serialNaiveMatMul is the pre-blocking scalar kernel, kept as the

@@ -244,21 +244,6 @@ func (m *Matrix32) AddRowVectorInPlace(v *Matrix32) *Matrix32 {
 	return m
 }
 
-// MulColVectorInPlace scales each row i of m by v[i] (v is Rows×1).
-func (m *Matrix32) MulColVectorInPlace(v *Matrix32) *Matrix32 {
-	if v.Cols != 1 || v.Rows != m.Rows {
-		panic(fmt.Sprintf("tensor: mulColVector32 wants %dx1, got %dx%d", m.Rows, v.Rows, v.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		s := v.Data[i]
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-	return m
-}
-
 // ConcatCols32Into writes [a ; b] stacked horizontally into dst.
 func ConcatCols32Into(dst, a, b *Matrix32) {
 	if a.Rows != b.Rows {
@@ -296,16 +281,6 @@ func ReLU32InPlace(m *Matrix32) *Matrix32 {
 	for i, v := range d {
 		if v < 0 {
 			d[i] = 0
-		}
-	}
-	return m
-}
-
-// LeakyReLU32InPlace applies x → x if x > 0 else slope·x in place.
-func LeakyReLU32InPlace(m *Matrix32, slope float32) *Matrix32 {
-	for i, v := range m.Data {
-		if v <= 0 {
-			m.Data[i] = slope * v
 		}
 	}
 	return m
@@ -388,35 +363,15 @@ func (c *CSR32) MatMulInto(dst, h *Matrix32) {
 	})
 }
 
-// MatMulColsInto accumulates c × h[:, :hcols] into the column block
-// [off, off+hcols) of dst, so multi-head attention can aggregate each
-// head directly into its slot of the concatenated layer output instead
-// of materializing per-head matrices and copying them together. hcols
-// may be smaller than h.Cols, letting callers aggregate a leading
-// column block of a wider scratch matrix (h.Cols stays the row stride).
-func (c *CSR32) MatMulColsInto(dst *Matrix32, off int, h *Matrix32, hcols int) {
-	if c.NCols != h.Rows || dst.Rows != c.NRows || off < 0 || hcols > h.Cols || off+hcols > dst.Cols {
-		panic("tensor: CSR32 MatMulColsInto shape mismatch")
+// CSRRow32Into accumulates Σ_p w[p]·h[cols[p], off:off+len(drow)] into
+// the zeroed drow: the row kernel of CSR32.MatMulInto with the columns
+// supplied by the caller, so a cone forward can point them at a gathered
+// block of rows and multi-head attention at one head's column block.
+func CSRRow32Into(drow []float32, cols []int32, w []float32, h *Matrix32, off int) {
+	if off < 0 || off+len(drow) > h.Cols {
+		panic("tensor: CSRRow32Into column block out of range")
 	}
-	n := hcols
-	ld := dst.Cols
-	nnz := 0
-	if len(c.RowPtr) > 0 {
-		nnz = c.RowPtr[len(c.RowPtr)-1]
-	}
-	ParallelRows(c.NRows, nnz*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, e := c.RowPtr[i], c.RowPtr[i+1]
-			csrRow(dst.Data[i*ld+off:i*ld+off+n], c.ColIdx[s:e], c.Weights[s:e], h.Data, h.Cols)
-		}
-	})
-}
-
-// CSRRow32Into accumulates Σ_p w[p]·h[cols[p]] into the zeroed drow:
-// the row kernel of CSR32.MatMulInto with the columns supplied by the
-// caller, so a cone forward can point them at a gathered block of rows.
-func CSRRow32Into(drow []float32, cols []int32, w []float32, h *Matrix32) {
-	csrRow(drow, cols, w, h.Data, h.Cols)
+	csrRow(drow, cols, w, h.Data[off:], h.Cols)
 }
 
 // ---- float32 scratch pools (mirrors of the float64 pools) ----

@@ -360,7 +360,7 @@ func TestCSR32MatMulAgainstGather(t *testing.T) {
 			}
 		}
 		row := New32(1, 16)
-		CSRRow32Into(row.Data, c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]], c.Weights[c.RowPtr[i]:c.RowPtr[i+1]], h32)
+		CSRRow32Into(row.Data, c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]], c.Weights[c.RowPtr[i]:c.RowPtr[i+1]], h32, 0)
 		for j := 0; j < 16; j++ {
 			if d := math.Abs(float64(dst.At(i, j)) - want[j]); d > 1e-4 {
 				t.Fatalf("row %d col %d differs by %g", i, j, d)
@@ -372,12 +372,13 @@ func TestCSR32MatMulAgainstGather(t *testing.T) {
 	}
 }
 
-// TestCSR32MatMulColsInto pins the strided column-block aggregation
-// (multi-head attention writing each head into its slot) to the plain
-// MatMulInto on a fresh destination.
-func TestCSR32MatMulColsInto(t *testing.T) {
+// TestCSRRow32IntoColumnBlock pins the column-block form of the row
+// kernel (multi-head attention aggregating one head's block of a wider
+// projection) to CSR32.MatMulInto over that block alone, and checks it
+// writes only the destination it is given.
+func TestCSRRow32IntoColumnBlock(t *testing.T) {
 	rng := NewRNG(41)
-	h := Quantize(randMat(rng, 10, 8))
+	h := Quantize(randMat(rng, 10, 20))
 	c := &CSR32{
 		NRows:   4,
 		NCols:   10,
@@ -385,55 +386,24 @@ func TestCSR32MatMulColsInto(t *testing.T) {
 		ColIdx:  []int32{1, 3, 0, 9, 2, 7},
 		Weights: []float32{0.5, 0.25, 1, -1, 2, 0.125},
 	}
-	want := New32(4, 8)
-	c.MatMulInto(want, h)
-	dst := New32(4, 20)
-	for i := range dst.Data {
-		dst.Data[i] = -7 // poison outside the block
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			dst.Data[i*20+5+j] = 0
+	for _, blk := range []struct{ off, width int }{{0, 8}, {5, 8}, {12, 8}, {13, 5}, {16, 4}} {
+		block := New32(10, blk.width)
+		for r := 0; r < 10; r++ {
+			copy(block.Row(r), h.Row(r)[blk.off:blk.off+blk.width])
 		}
-	}
-	c.MatMulColsInto(dst, 5, h, 8)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 20; j++ {
-			switch {
-			case j < 5 || j >= 13:
-				if dst.At(i, j) != -7 {
-					t.Fatalf("row %d col %d outside the block was written", i, j)
-				}
-			default:
-				if dst.At(i, j) != want.At(i, j-5) {
-					t.Fatalf("row %d col %d: got %g want %g", i, j, dst.At(i, j), want.At(i, j-5))
-				}
+		want := New32(4, blk.width)
+		c.MatMulInto(want, block)
+		for i := 0; i < c.NRows; i++ {
+			row := make([]float32, blk.width+2)
+			row[0], row[blk.width+1] = -7, -7 // poison around the block
+			s, e := c.RowPtr[i], c.RowPtr[i+1]
+			CSRRow32Into(row[1:blk.width+1], c.ColIdx[s:e], c.Weights[s:e], h, blk.off)
+			if row[0] != -7 || row[blk.width+1] != -7 {
+				t.Fatalf("block %+v row %d: wrote outside its destination", blk, i)
 			}
-		}
-	}
-
-	// hcols < h.Cols: aggregate only the leading 5 columns of h, with
-	// h.Cols staying the row stride.
-	narrow := New32(4, 20)
-	for i := range narrow.Data {
-		narrow.Data[i] = -7
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			narrow.Data[i*20+5+j] = 0
-		}
-	}
-	c.MatMulColsInto(narrow, 5, h, 5)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 20; j++ {
-			switch {
-			case j < 5 || j >= 10:
-				if narrow.At(i, j) != -7 {
-					t.Fatalf("narrow row %d col %d outside the block was written", i, j)
-				}
-			default:
-				if narrow.At(i, j) != want.At(i, j-5) {
-					t.Fatalf("narrow row %d col %d: got %g want %g", i, j, narrow.At(i, j), want.At(i, j-5))
+			for j := 0; j < blk.width; j++ {
+				if row[j+1] != want.At(i, j) {
+					t.Fatalf("block %+v row %d col %d: got %g want %g", blk, i, j, row[j+1], want.At(i, j))
 				}
 			}
 		}

@@ -432,22 +432,6 @@ func (m *Matrix) MulColVector(v *Matrix) *Matrix {
 	return out
 }
 
-// MulColVectorInPlace scales each row i of m by v[i] (v is Rows×1) and
-// returns m.
-func (m *Matrix) MulColVectorInPlace(v *Matrix) *Matrix {
-	if v.Cols != 1 || v.Rows != m.Rows {
-		panic(fmt.Sprintf("tensor: mulColVector wants %dx1, got %dx%d", m.Rows, v.Rows, v.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		s := v.Data[i]
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-	return m
-}
-
 // ConcatCols returns [m ; o] stacked horizontally (same row count).
 func (m *Matrix) ConcatCols(o *Matrix) *Matrix {
 	if m.Rows != o.Rows {

@@ -44,16 +44,6 @@ func SigmoidInPlace(m *Matrix) *Matrix {
 	return m
 }
 
-// LeakyReLUInPlace applies x → x if x > 0 else slope·x in place.
-func LeakyReLUInPlace(m *Matrix, slope float64) *Matrix {
-	for i, v := range m.Data {
-		if v <= 0 {
-			m.Data[i] = slope * v
-		}
-	}
-	return m
-}
-
 // SigmoidScalar computes the logistic function with overflow protection.
 func SigmoidScalar(v float64) float64 {
 	if v >= 0 {

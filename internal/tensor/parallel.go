@@ -3,7 +3,6 @@ package tensor
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // parallelThreshold is the flop count above which matrix kernels fan out
@@ -23,19 +22,9 @@ type task struct {
 	wg     *sync.WaitGroup
 }
 
-// workerStat is one pool worker's counters, padded out to a cache line
-// so neighboring workers' updates never share one (false sharing turns
-// independent counters into a coherence ping-pong; see
-// BenchmarkFalseSharing for the measured effect).
-type workerStat struct {
-	tasks atomic.Uint64
-	_     [7]uint64
-}
-
 var (
 	poolOnce  sync.Once
 	poolTasks chan task
-	poolStats []workerStat
 )
 
 // startPool spawns the persistent worker goroutines. Workers live for
@@ -49,29 +38,14 @@ func startPool() {
 		n = 1
 	}
 	poolTasks = make(chan task, 4*n)
-	poolStats = make([]workerStat, n)
 	for w := 0; w < n; w++ {
-		go func(w int) {
+		go func() {
 			for t := range poolTasks {
 				t.fn(t.lo, t.hi)
-				poolStats[w].tasks.Add(1)
 				t.wg.Done()
 			}
-		}(w)
+		}()
 	}
-}
-
-// PoolTaskCounts returns the number of range tasks each pool worker has
-// executed (nil before the pool has started). Diagnostic only.
-func PoolTaskCounts() []uint64 {
-	if poolStats == nil {
-		return nil
-	}
-	out := make([]uint64, len(poolStats))
-	for i := range poolStats {
-		out[i] = poolStats[i].tasks.Load()
-	}
-	return out
 }
 
 // ParallelRows runs fn over [0, rows) split into contiguous ranges when

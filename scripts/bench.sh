@@ -4,7 +4,7 @@
 # benchmarks with allocation reporting and writes a JSON snapshot to
 # BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then runs the
 # tensor kernel grid (matmul GFLOP/s per kernel tier and precision, pool
-# crossover, false sharing) into BENCH_kernels.json, races the full-graph sweep against
+# crossover) into BENCH_kernels.json, races the full-graph sweep against
 # the naive score-everyone loop into BENCH_sweep.json, races the lambda
 # embedding tier against the per-audit inference paths (plus the
 # refresh-sweep cost at several dirty fractions) into BENCH_embed.json,
@@ -58,15 +58,14 @@ echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 
 # --- Tensor kernel grid ------------------------------------------------------
 # GFLOP/s for every matmul kernel tier (serial naive, blocked, blocked +
-# worker pool; float64 and float32) plus the pool-crossover /
-# false-sharing microbenchmarks behind the tuning constants in
-# internal/tensor.
+# worker pool; float64 and float32) plus the pool-crossover
+# microbenchmark behind the tuning constant in internal/tensor.
 KERNEL_OUT="BENCH_kernels.json"
 KERNEL_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$KERNEL_RAW"' EXIT
 
 echo "== go test -bench kernels (benchtime=$BENCHTIME)"
-go test -run 'XXX-none' -bench 'BenchmarkMatMulKernels|BenchmarkParallelCrossover|BenchmarkFalseSharing' \
+go test -run 'XXX-none' -bench 'BenchmarkMatMulKernels|BenchmarkParallelCrossover' \
     -benchtime "$BENCHTIME" ./internal/tensor/ | tee "$KERNEL_RAW"
 
 awk -v benchtime="$BENCHTIME" '
@@ -164,7 +163,7 @@ LOAD_ADDR="127.0.0.1:18091"
 TMPBIN="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
-    rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW"
+    rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW" "$EMBED_RAW"
     rm -rf "$TMPBIN"
     [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
 }
