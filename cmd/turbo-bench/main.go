@@ -250,7 +250,7 @@ func runFigure8a(a *eval.Assembled, h eval.Hyper) {
 		{"predict", series.Predict},
 		{"total", series.Total},
 	} {
-		h := telemetry.NewLogHistogram()
+		h := telemetry.NewHistogram()
 		for _, d := range m.ds {
 			h.Observe(d)
 		}

@@ -42,8 +42,6 @@ import (
 	"net/http/pprof"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -129,15 +127,9 @@ func main() {
 
 	// Telemetry.
 	debugAddr := flag.String("debug.addr", "", "separate listen address for net/http/pprof (empty = disabled)")
-	telBuckets := flag.String("telemetry.buckets", "", "comma-separated latency histogram bucket bounds in seconds (empty = defaults)")
 	traceRingSize := flag.Int("telemetry.trace-ring", 256, "completed-trace ring size behind /debug/traces")
 	slowThreshold := flag.Duration("telemetry.slow-threshold", 500*time.Millisecond, "log the span breakdown of audits at least this slow (0 = off)")
 	flag.Parse()
-
-	buckets, err := parseBuckets(*telBuckets)
-	if err != nil {
-		log.Fatalf("-telemetry.buckets: %v", err)
-	}
 
 	var cfg datagen.Config
 	switch *preset {
@@ -163,7 +155,6 @@ func main() {
 	sys, err := core.New(core.Config{
 		Threshold: *threshold,
 		Telemetry: server.TelemetryOptions{
-			Buckets:       buckets,
 			TraceRingSize: *traceRingSize,
 			SlowThreshold: *slowThreshold,
 			Logger:        log.Default(),
@@ -619,24 +610,4 @@ func main() {
 		}
 	}
 	log.Printf("drained; bye")
-}
-
-// parseBuckets parses "0.001,0.01,0.1" into ascending bucket bounds.
-func parseBuckets(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad bound %q: %v", p, err)
-		}
-		if len(out) > 0 && v <= out[len(out)-1] {
-			return nil, fmt.Errorf("bounds must be strictly ascending: %v after %v", v, out[len(out)-1])
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -208,8 +208,8 @@ const maxPending = 1 << 20
 
 // endpointStats accumulates one endpoint's counters within a stage.
 type endpointStats struct {
-	latency *telemetry.LogHistogram // intended start → response complete
-	service *telemetry.LogHistogram // request sent → response complete
+	latency *telemetry.Histogram // intended start → response complete
+	service *telemetry.Histogram // request sent → response complete
 	ok      atomic.Int64
 	shed    atomic.Int64 // 429
 	notF    atomic.Int64 // 404 (healthy answer for a cold uid)
@@ -218,7 +218,7 @@ type endpointStats struct {
 }
 
 func newEndpointStats() *endpointStats {
-	return &endpointStats{latency: telemetry.NewLogHistogram(), service: telemetry.NewLogHistogram()}
+	return &endpointStats{latency: telemetry.NewHistogram(), service: telemetry.NewHistogram()}
 }
 
 func (s *endpointStats) record(status int, err error, latency, service time.Duration) {

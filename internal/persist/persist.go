@@ -155,6 +155,6 @@ func add(c *telemetry.Counter, n int64) {
 
 func observe(h *telemetry.Histogram, d time.Duration) {
 	if h != nil {
-		h.ObserveDuration(d)
+		h.Observe(d)
 	}
 }

@@ -1110,8 +1110,9 @@ func (p *PredictionServer) predictFallback(ctx context.Context, sv *Serving, u b
 	x := tensor.New(1, len(vec))
 	copy(x.Row(0), vec)
 	prob := fb.PredictProba(x)[0]
-	trace.AddSpan(StageScore, featDone, time.Since(featDone), "ok")
-	p.Tel.ObserveStage(StageScore, time.Since(featDone))
+	scoreTook := time.Since(featDone)
+	trace.AddSpan(StageScore, featDone, scoreTook, "ok")
+	p.Tel.ObserveStage(StageScore, scoreTook)
 	return Prediction{
 		User:           u,
 		Probability:    prob,
@@ -1119,7 +1120,7 @@ func (p *PredictionServer) predictFallback(ctx context.Context, sv *Serving, u b
 		ServedBy:       TierFallback,
 		Degraded:       true,
 		FeatureLatency: featDone.Sub(fstart),
-		PredictLatency: time.Since(featDone),
+		PredictLatency: scoreTook,
 	}, nil
 }
 

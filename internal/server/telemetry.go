@@ -13,11 +13,8 @@ import (
 )
 
 // TelemetryOptions configures the online stack's telemetry layer. Zero
-// values select DefBuckets, a 256-trace ring and no slow-audit logging.
+// values select a 256-trace ring and no slow-audit logging.
 type TelemetryOptions struct {
-	// Buckets are the latency histogram upper bounds in seconds; nil
-	// selects telemetry.DefBuckets.
-	Buckets []float64
 	// TraceRingSize bounds the completed-trace ring served at
 	// /debug/traces. 0 selects 256.
 	TraceRingSize int
@@ -95,11 +92,10 @@ type Telemetry struct {
 
 	outcomes    *telemetry.CounterVec
 	outcome     [len(outcomeNames)]atomic.Pointer[telemetry.Counter]
-	stage       *telemetry.HistogramVec
-	stageSample stageHist
-	stageFeat   stageHist
-	stageScore  stageHist
-	stageTotal  stageHist
+	stageSample *telemetry.Histogram
+	stageFeat   *telemetry.Histogram
+	stageScore  *telemetry.Histogram
+	stageTotal  *telemetry.Histogram
 
 	retries     *telemetry.Counter
 	transitions *telemetry.CounterVec
@@ -154,19 +150,6 @@ const (
 // path counts through a cached handle.
 var outcomeNames = [...]string{TierEmbed, TierFull, TierFallback, TierCache, TierPrior, "degraded", "shed", "unknown"}
 
-// stageHist records one audit stage once into both of its views: the
-// turbo_audit_stage_seconds histogram and the log-bucketed digest behind
-// /latency.
-type stageHist struct {
-	prom   *telemetry.Histogram
-	digest *telemetry.LogHistogram
-}
-
-func (s stageHist) observe(d time.Duration) {
-	s.prom.ObserveDuration(d)
-	s.digest.Observe(d)
-}
-
 // NewTelemetry builds a registry, registers the full metric catalog and
 // resolves the hot-path handles.
 func NewTelemetry(opts TelemetryOptions) *Telemetry {
@@ -176,15 +159,12 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 
 	t.outcomes = reg.CounterVec("turbo_audit_outcomes_total",
 		"Audits by serving tier (hag/fallback/cache/prior) plus shed, degraded and unknown outcomes.", "outcome")
-	t.stage = reg.HistogramVec("turbo_audit_stage_seconds",
-		"Per-stage audit latency.", opts.Buckets, "stage")
-	stage := func(name string) stageHist {
-		return stageHist{prom: t.stage.With(name), digest: telemetry.NewLogHistogram()}
-	}
-	t.stageSample = stage(StageSample)
-	t.stageFeat = stage(StageFeature)
-	t.stageScore = stage(StageScore)
-	t.stageTotal = stage(StageTotal)
+	stage := reg.HistogramVec("turbo_audit_stage_seconds",
+		"Per-stage audit latency.", "stage")
+	t.stageSample = stage.With(StageSample)
+	t.stageFeat = stage.With(StageFeature)
+	t.stageScore = stage.With(StageScore)
+	t.stageTotal = stage.With(StageTotal)
 
 	t.retries = reg.Counter("turbo_feature_retries_total",
 		"Feature fetches retried after a transient failure.")
@@ -219,9 +199,9 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 		AppendErrors: reg.Counter("turbo_wal_append_errors_total",
 			"WAL writes that failed; the event was applied in memory but durability was lost."),
 		FsyncSeconds: reg.Histogram("turbo_wal_fsync_seconds",
-			"WAL fsync latency.", opts.Buckets),
+			"WAL fsync latency."),
 		CheckpointSeconds: reg.Histogram("turbo_checkpoint_seconds",
-			"Checkpoint capture + write + truncation latency.", opts.Buckets),
+			"Checkpoint capture + write + truncation latency."),
 		Checkpoints: reg.Counter("turbo_checkpoints_total",
 			"Full-state checkpoints written."),
 		CheckpointErrors: reg.Counter("turbo_checkpoint_errors_total",
@@ -257,9 +237,9 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 		"Model swaps withdrawn by the rollback monitor or an operator.")
 
 	t.sweepSeconds = reg.Histogram("turbo_sweep_seconds",
-		"Full-graph sweep wall-clock latency.", opts.Buckets)
+		"Full-graph sweep wall-clock latency.")
 	t.sweepShardSeconds = reg.Histogram("turbo_sweep_shard_seconds",
-		"Per-shard compute time within full-graph sweeps (spread = shard imbalance).", opts.Buckets)
+		"Per-shard compute time within full-graph sweeps (spread = shard imbalance).")
 	t.sweepNodes = reg.Counter("turbo_sweep_nodes_total",
 		"Nodes scored by full-graph sweeps.")
 
@@ -270,7 +250,7 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	t.embedMiss = t.embedServe.With("miss")
 	t.embedFallback = t.embedServe.With("fallback")
 	t.embedRefreshSec = reg.Histogram("turbo_embedding_refresh_seconds",
-		"Incremental embedding-refresh latency (dirty-ball re-embed).", opts.Buckets)
+		"Incremental embedding-refresh latency (dirty-ball re-embed).")
 	t.embedRefreshed = reg.Counter("turbo_embedding_refreshed_rows_total",
 		"Embedding rows recomputed by incremental refreshes.")
 	// Default embed gauges: -1/0 until an embed engine re-registers them
@@ -334,38 +314,37 @@ func (t *Telemetry) ServedCounts() map[string]int64 {
 	return out
 }
 
-// ObserveStage records one stage latency into the per-stage histogram
-// and, for the four audit stages, into the stage's /latency digest.
+// ObserveStage records one latency of an audit stage (StageSample,
+// StageFeature, StageScore or StageTotal) into its
+// turbo_audit_stage_seconds cell, the histogram /latency also reads.
 func (t *Telemetry) ObserveStage(stage string, d time.Duration) {
 	if t == nil {
 		return
 	}
 	switch stage {
 	case StageSample:
-		t.stageSample.observe(d)
+		t.stageSample.Observe(d)
 	case StageFeature:
-		t.stageFeat.observe(d)
+		t.stageFeat.Observe(d)
 	case StageScore:
-		t.stageScore.observe(d)
+		t.stageScore.Observe(d)
 	case StageTotal:
-		t.stageTotal.observe(d)
-	default:
-		t.stage.With(stage).ObserveDuration(d)
+		t.stageTotal.Observe(d)
 	}
 }
 
 // LatencySummaries returns the §V digests of the audit stages under the
 // names /latency reports: sampling, features, predict (the score stage)
-// and total.
+// and total. Each summarizes the stage's turbo_audit_stage_seconds cell.
 func (t *Telemetry) LatencySummaries() map[string]telemetry.Summary {
 	if t == nil {
 		return nil
 	}
 	return map[string]telemetry.Summary{
-		"sampling": t.stageSample.digest.Summarize(),
-		"features": t.stageFeat.digest.Summarize(),
-		"predict":  t.stageScore.digest.Summarize(),
-		"total":    t.stageTotal.digest.Summarize(),
+		"sampling": t.stageSample.Summarize(),
+		"features": t.stageFeat.Summarize(),
+		"predict":  t.stageScore.Summarize(),
+		"total":    t.stageTotal.Summarize(),
 	}
 }
 
@@ -549,10 +528,10 @@ func (t *Telemetry) ObserveSweep(elapsed time.Duration, nodes int, shards []time
 	if t == nil {
 		return
 	}
-	t.sweepSeconds.ObserveDuration(elapsed)
+	t.sweepSeconds.Observe(elapsed)
 	t.sweepNodes.Add(int64(nodes))
 	for _, d := range shards {
-		t.sweepShardSeconds.ObserveDuration(d)
+		t.sweepShardSeconds.Observe(d)
 	}
 }
 
@@ -582,7 +561,7 @@ func (t *Telemetry) ObserveEmbedRefresh(elapsed time.Duration, rows int) {
 	if t == nil {
 		return
 	}
-	t.embedRefreshSec.ObserveDuration(elapsed)
+	t.embedRefreshSec.Observe(elapsed)
 	t.embedRefreshed.Add(int64(rows))
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +15,7 @@ import (
 
 	"turbo/internal/behavior"
 	"turbo/internal/resilience"
+	"turbo/internal/telemetry"
 )
 
 // scrapeMetrics renders the stack's registry in Prometheus text format.
@@ -464,5 +467,134 @@ func TestOutcomeCountersConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := tel.ServedCounts()[TierFull]; got != 8000 {
 		t.Fatalf("count %d want 8000", got)
+	}
+}
+
+// latencyDigest is the numeric half of one GET /latency digest.
+type latencyDigest struct {
+	Count  int64 `json:"count"`
+	MeanNs int64 `json:"mean_ns"`
+	P50Ns  int64 `json:"p50_ns"`
+	P99Ns  int64 `json:"p99_ns"`
+	P999Ns int64 `json:"p999_ns"`
+}
+
+// latencyDigests fetches GET /latency.
+func latencyDigests(t *testing.T, base string) map[string]latencyDigest {
+	t.Helper()
+	resp, err := http.Get(base + "/latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]latencyDigest
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// timedAudits sends n audits of the known users over HTTP, timing each
+// client-side into one histogram.
+func timedAudits(t *testing.T, base string, n int) *telemetry.Histogram {
+	t.Helper()
+	client := telemetry.NewHistogram()
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		resp, err := http.Get(fmt.Sprintf("%s/predict?uid=%d", base, 1+i%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		client.Observe(time.Since(start))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("audit %d: status %d, %v", i, resp.StatusCode, err)
+		}
+	}
+	return client
+}
+
+// TestLatencyWithinClientView times audits client-side into the same
+// histogram type /latency reads and asserts the server's total p50, p99
+// and p999 never exceed the client's. Each server duration lies inside
+// its request's client duration and both sides share one slot layout,
+// so the inequality is exact: no tolerance.
+func TestLatencyWithinClientView(t *testing.T) {
+	bnServer, pred := newTestStack(t)
+	srv := httptest.NewServer(NewAPI(pred, bnServer))
+	defer srv.Close()
+
+	const n = 300
+	client := timedAudits(t, srv.URL, n).Summarize()
+	server := latencyDigests(t, srv.URL)["total"]
+	if server.Count != n || client.Count != n {
+		t.Fatalf("server saw %d audits, client %d, want %d", server.Count, client.Count, n)
+	}
+	for _, q := range []struct {
+		name           string
+		server, client int64
+	}{
+		{"p50", server.P50Ns, int64(client.P50)},
+		{"p99", server.P99Ns, int64(client.P99)},
+		{"p999", server.P999Ns, int64(client.P999)},
+	} {
+		if q.server > q.client {
+			t.Errorf("server total %s %v exceeds the client's %v", q.name, time.Duration(q.server), time.Duration(q.client))
+		}
+	}
+}
+
+// TestStageMetricsMatchLatency asserts /metrics and /latency read one
+// histogram per audit stage: each turbo_audit_stage_seconds cell's
+// _count equals the /latency count, and its _sum equals count × mean up
+// to the mean's integer-division remainder.
+func TestStageMetricsMatchLatency(t *testing.T) {
+	bnServer, pred := newTestStack(t)
+	srv := httptest.NewServer(NewAPI(pred, bnServer))
+	defer srv.Close()
+
+	timedAudits(t, srv.URL, 20)
+	digests := latencyDigests(t, srv.URL)
+	body := scrapeMetrics(t, pred.Tel)
+	for stage, name := range map[string]string{StageSample: "sampling", StageFeature: "features", StageScore: "predict", StageTotal: "total"} {
+		d := digests[name]
+		count := metricValue(t, body, `turbo_audit_stage_seconds_count{stage="`+stage+`"}`)
+		sumNs := int64(math.Round(metricValue(t, body, `turbo_audit_stage_seconds_sum{stage="`+stage+`"}`) * 1e9))
+		if int64(count) != d.Count || d.Count != 20 {
+			t.Errorf("stage %s: _count %v, /latency %s count %d, want both 20", stage, count, name, d.Count)
+		}
+		if rem := sumNs - d.Count*d.MeanNs; rem < 0 || rem >= d.Count {
+			t.Errorf("stage %s: _sum %dns vs count×mean %d×%dns (remainder %d)", stage, sumNs, d.Count, d.MeanNs, rem)
+		}
+	}
+}
+
+// TestFallbackMeasuresScoreOnce asserts the tier-2 fallback measures its
+// score stage once: the trace's score span, the score histogram and
+// PredictLatency all carry the same duration.
+func TestFallbackMeasuresScoreOnce(t *testing.T) {
+	_, pred := newTestStack(t)
+	pred.SwapModel(nil, nil) // no model: every audit falls to tier 2
+	pred.Fallback = constFallback(0.9)
+	var total time.Duration
+	for i := 0; i < 20; i++ {
+		p, err := pred.Predict(1, t0.Add(3*time.Hour))
+		if err != nil || p.ServedBy != TierFallback {
+			t.Fatalf("audit served %+v, %v; want the fallback tier", p, err)
+		}
+		total += p.PredictLatency
+		var span *telemetry.Span
+		for _, s := range pred.Tel.Tracer.Ring().Last(1)[0].Spans() {
+			if s.Name == StageScore {
+				span = &s
+			}
+		}
+		if span == nil || span.Duration != p.PredictLatency {
+			t.Fatalf("audit %d: PredictLatency %v, trace score span %+v", i, p.PredictLatency, span)
+		}
+	}
+	if sum := pred.Tel.stageScore.Sum(); sum != total {
+		t.Fatalf("score histogram sum %v, want the PredictLatency sum %v", sum, total)
 	}
 }

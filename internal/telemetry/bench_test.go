@@ -64,13 +64,13 @@ func BenchmarkCounterVecWith(b *testing.B) {
 // BenchmarkHistogramObserve measures a latency observation on a
 // resolved histogram handle.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	b.SetParallelism(8)
 	b.ReportAllocs()
 	d := 3 * time.Millisecond
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			h.ObserveDuration(d)
+			h.Observe(d)
 		}
 	})
 }

@@ -8,28 +8,31 @@ import (
 	"time"
 )
 
-// LogHistogram is an HDR-style log-bucketed histogram for nanosecond
-// latency values, built for open-loop load measurement where the
-// recorded range spans six orders of magnitude (microseconds to
-// minutes) and the tail matters more than the mean.
+// Histogram is the one latency histogram of the stack: an HDR-style
+// log-bucketed histogram of nanosecond durations. The server records
+// every audit stage and every background latency into it, /latency
+// summarizes it, /metrics renders exact Prometheus buckets from it
+// (writeHistogram), and the load generator records client-side latency
+// into the same layout, so server and client views compare slot for
+// slot.
 //
 // Values are bucketed into power-of-two bands, each band split into
 // 2^subBucketBits linear sub-buckets, so any recorded value lands in a
 // bucket whose width is at most value/2^(subBucketBits-1) — a bounded
 // relative error (≈6% worst case at subBucketBits=5) at a fixed, small
 // memory footprint that covers the full int64 range. This is the
-// HdrHistogram layout; unlike the fixed-bucket Histogram in metrics.go
-// it needs no a-priori bucket choice and never overflows into +Inf.
+// HdrHistogram layout: it needs no a-priori bucket choice and never
+// overflows.
 //
 // Observe is lock-free and allocation-free (three atomic adds plus two
 // CAS loops for min/max). Quantile and Snapshot are for the reporting
 // path and take no locks either; a scrape concurrent with observations
-// sees a consistent-enough view the same way Histogram.Snapshot does.
-// The zero value is NOT ready to use; call NewLogHistogram.
-type LogHistogram struct {
+// sees each slot's count at some instant during the scrape.
+// The zero value is NOT ready to use; call NewHistogram.
+type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
-	sum    atomic.Int64 // total nanoseconds, saturating on overflow in practice irrelevant
+	sum    atomic.Int64 // total nanoseconds
 	min    atomic.Int64
 	max    atomic.Int64
 }
@@ -46,10 +49,10 @@ const (
 	logCountsLen = (bucketCount + 1) * subBucketHalfCount
 )
 
-// NewLogHistogram returns an empty histogram covering [0, MaxInt64]
+// NewHistogram returns an empty histogram covering [0, MaxInt64]
 // nanoseconds.
-func NewLogHistogram() *LogHistogram {
-	h := &LogHistogram{counts: make([]atomic.Int64, logCountsLen)}
+func NewHistogram() *Histogram {
+	h := &Histogram{counts: make([]atomic.Int64, logCountsLen)}
 	h.min.Store(math.MaxInt64)
 	return h
 }
@@ -88,10 +91,10 @@ func bucketBounds(idx int) (lo, hi int64) {
 	return lo, hi
 }
 
-// ObserveNs records one latency value in nanoseconds. Negative values
-// are clamped to zero (a scheduler can report an op that ran ahead of
-// its intended start).
-func (h *LogHistogram) ObserveNs(v int64) {
+// Observe records one duration. Negative values are clamped to zero (a
+// scheduler can report an op that ran ahead of its intended start).
+func (h *Histogram) Observe(d time.Duration) {
+	v := int64(d)
 	if v < 0 {
 		v = 0
 	}
@@ -112,17 +115,14 @@ func (h *LogHistogram) ObserveNs(v int64) {
 	}
 }
 
-// Observe records one duration.
-func (h *LogHistogram) Observe(d time.Duration) { h.ObserveNs(int64(d)) }
-
 // Count returns the number of recorded values.
-func (h *LogHistogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the total of all recorded values.
-func (h *LogHistogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Mean returns the arithmetic mean, or 0 when empty.
-func (h *LogHistogram) Mean() time.Duration {
+func (h *Histogram) Mean() time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -131,7 +131,7 @@ func (h *LogHistogram) Mean() time.Duration {
 }
 
 // Min returns the smallest recorded value, or 0 when empty.
-func (h *LogHistogram) Min() time.Duration {
+func (h *Histogram) Min() time.Duration {
 	v := h.min.Load()
 	if v == math.MaxInt64 {
 		return 0
@@ -140,19 +140,19 @@ func (h *LogHistogram) Min() time.Duration {
 }
 
 // Max returns the largest recorded value, or 0 when empty.
-func (h *LogHistogram) Max() time.Duration { return time.Duration(h.max.Load()) }
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile returns the value at quantile q in [0, 1]: the upper bound
 // of the first bucket whose cumulative count reaches q·Count (so the
 // reported value is ≥ the true quantile, by at most one bucket width).
 // Returns 0 for an empty histogram; q outside [0,1] is clamped.
-func (h *LogHistogram) Quantile(q float64) time.Duration {
+func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Snapshot().Quantile(q)
 }
 
-// LogSnapshot is a point-in-time copy of a LogHistogram for consistent
-// multi-quantile reporting.
-type LogSnapshot struct {
+// Snapshot is a point-in-time copy of a Histogram for consistent
+// multi-quantile reporting and exposition.
+type Snapshot struct {
 	counts []int64
 	count  int64
 	sum    int64
@@ -161,8 +161,8 @@ type LogSnapshot struct {
 }
 
 // Snapshot copies the current state.
-func (h *LogHistogram) Snapshot() LogSnapshot {
-	s := LogSnapshot{
+func (h *Histogram) Snapshot() Snapshot {
+	s := Snapshot{
 		counts: make([]int64, len(h.counts)),
 		sum:    h.sum.Load(),
 		min:    h.min.Load(),
@@ -181,13 +181,13 @@ func (h *LogHistogram) Snapshot() LogSnapshot {
 }
 
 // Count returns the number of values in the snapshot.
-func (s LogSnapshot) Count() int64 { return s.count }
+func (s Snapshot) Count() int64 { return s.count }
 
 // Sum returns the total of the snapshot's values.
-func (s LogSnapshot) Sum() time.Duration { return time.Duration(s.sum) }
+func (s Snapshot) Sum() time.Duration { return time.Duration(s.sum) }
 
 // Mean returns the snapshot mean, or 0 when empty.
-func (s LogSnapshot) Mean() time.Duration {
+func (s Snapshot) Mean() time.Duration {
 	if s.count == 0 {
 		return 0
 	}
@@ -195,7 +195,7 @@ func (s LogSnapshot) Mean() time.Duration {
 }
 
 // Min returns the smallest recorded value, or 0 when empty.
-func (s LogSnapshot) Min() time.Duration {
+func (s Snapshot) Min() time.Duration {
 	if s.min == math.MaxInt64 {
 		return 0
 	}
@@ -203,10 +203,10 @@ func (s LogSnapshot) Min() time.Duration {
 }
 
 // Max returns the largest recorded value, or 0 when empty.
-func (s LogSnapshot) Max() time.Duration { return time.Duration(s.max) }
+func (s Snapshot) Max() time.Duration { return time.Duration(s.max) }
 
-// Quantile returns the value at quantile q (see LogHistogram.Quantile).
-func (s LogSnapshot) Quantile(q float64) time.Duration {
+// Quantile returns the value at quantile q (see Histogram.Quantile).
+func (s Snapshot) Quantile(q float64) time.Duration {
 	if s.count == 0 {
 		return 0
 	}
@@ -247,7 +247,7 @@ type Summary struct {
 }
 
 // Summarize computes the digest from one snapshot of the histogram.
-func (h *LogHistogram) Summarize() Summary {
+func (h *Histogram) Summarize() Summary {
 	s := h.Snapshot()
 	return Summary{
 		Count: int(s.Count()),

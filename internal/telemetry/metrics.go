@@ -1,11 +1,12 @@
 // Package telemetry is the observability layer of the online stack: a
-// metrics registry with typed counters, gauges and fixed-bucket latency
-// histograms exposed in Prometheus text format, plus per-request audit
-// traces collected in a bounded lock-free ring (see trace.go).
+// metrics registry with typed counters, gauges and log-bucketed latency
+// histograms (histogram.go) exposed in Prometheus text format, plus
+// per-request audit traces collected in a bounded lock-free ring (see
+// trace.go).
 //
 // The hot path is built for the audit loop of §V: an observation on a
-// resolved handle is one or two atomic operations — no lock, no map
-// lookup, no allocation. Labeled metrics are resolved once via With()
+// resolved handle is a few atomic operations (one for a counter, five
+// for a histogram) — no lock, no map lookup, no allocation. Labeled metrics are resolved once via With()
 // and the returned handle is cached by the instrumented component;
 // exposition (a scrape) is the only code path that takes locks.
 package telemetry
@@ -16,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing int64. The zero value is ready
@@ -55,90 +55,6 @@ func (g *Gauge) Add(d float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// atomicFloat accumulates a float64 sum with CAS (histogram sums).
-type atomicFloat struct {
-	bits atomic.Uint64
-}
-
-func (f *atomicFloat) add(d float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) value() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// DefBuckets is the default latency bucket layout in seconds, spanning
-// 100 µs to 10 s — the §V / Fig. 8 audit latency range.
-var DefBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
-}
-
-// Histogram counts observations into fixed cumulative-on-scrape buckets
-// (Prometheus semantics: bucket le=U counts observations ≤ U, +Inf is
-// implicit). Observe is lock-free and allocation-free: a binary search
-// over the bucket bounds plus two atomic updates.
-type Histogram struct {
-	upper  []float64 // ascending upper bounds, +Inf excluded
-	counts []atomic.Uint64
-	sum    atomicFloat
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds
-// (nil selects DefBuckets). Bounds must be strictly ascending.
-func NewHistogram(buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic("telemetry: histogram buckets must be strictly ascending")
-		}
-	}
-	upper := append([]float64(nil), buckets...)
-	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.counts[sort.SearchFloat64s(h.upper, v)].Add(1)
-	h.sum.add(v)
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// HistogramSnapshot is a consistent-enough scrape of a histogram:
-// Cumulative[i] counts observations ≤ Upper[i]; the final entry is the
-// +Inf bucket and equals Count.
-type HistogramSnapshot struct {
-	Upper      []float64 // bucket upper bounds, +Inf excluded
-	Cumulative []uint64  // len(Upper)+1, last entry is +Inf
-	Count      uint64
-	Sum        float64
-}
-
-// Snapshot returns the current bucket state. Count is derived from the
-// buckets, so the +Inf bucket always equals Count even mid-observation.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Upper:      h.upper,
-		Cumulative: make([]uint64, len(h.counts)),
-		Sum:        h.sum.value(),
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		s.Cumulative[i] = cum
-	}
-	s.Count = cum
-	return s
-}
 
 // keySep joins label values into cell map keys; label values containing
 // it still produce distinct keys in practice because it never appears in
@@ -245,10 +161,9 @@ type HistogramVec struct {
 	*vec[*Histogram]
 }
 
-// NewHistogramVec builds an unregistered histogram vec with the given
-// bucket layout (nil selects DefBuckets).
-func NewHistogramVec(buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{newVec(labels, func() *Histogram { return NewHistogram(buckets) })}
+// NewHistogramVec builds an unregistered histogram vec.
+func NewHistogramVec(labels ...string) *HistogramVec {
+	return &HistogramVec{newVec(labels, NewHistogram)}
 }
 
 // With resolves the cell for the given label values.

@@ -134,11 +134,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	g.mu.Unlock()
 }
 
-// Histogram registers (or returns) the named histogram with the given
-// bucket upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+// Histogram registers (or returns) the named histogram. Every histogram
+// is a duration rendered in seconds (see writeHistogram), so name it
+// *_seconds.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.register(name, help, "histogram", nil, func() (any, func(*bufio.Writer)) {
-		h := NewHistogram(buckets)
+		h := NewHistogram()
 		return h, func(w *bufio.Writer) {
 			writeHistogram(w, name, nil, nil, h)
 		}
@@ -146,10 +147,10 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // HistogramVec registers (or returns) the named labeled histogram
-// family with the given bucket upper bounds (nil selects DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+// family.
+func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
 	return r.register(name, help, "histogram", labels, func() (any, func(*bufio.Writer)) {
-		v := NewHistogramVec(buckets, labels...)
+		v := NewHistogramVec(labels...)
 		return v, func(w *bufio.Writer) {
 			v.Walk(func(values []string, h *Histogram) {
 				writeHistogram(w, name, labels, values, h)
@@ -217,17 +218,38 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// writeHistogram renders one histogram cell: cumulative _bucket lines
-// ending in +Inf, then _sum and _count.
+// The exposition layout: one le per power of two of nanoseconds, from
+// 2^10 ns (≈1 µs, below every GC pause) to 2^35 ns (≈34 s, above every
+// checkpoint). Every power of two starts a histogram slot, so the le
+// labelled 2^k−1 ns is a slot's inclusive upper edge and each _bucket
+// line counts exactly the observations ≤ its le.
+const expoMinShift, expoMaxShift = 10, 35
+
+// expoLe holds the le label values of the layout, in seconds.
+var expoLe = func() []string {
+	le := make([]string, 0, expoMaxShift-expoMinShift+1)
+	for k := expoMinShift; k <= expoMaxShift; k++ {
+		le = append(le, formatFloat(float64(int64(1)<<k-1)/1e9))
+	}
+	return le
+}()
+
+// writeHistogram renders one histogram cell from one snapshot:
+// cumulative _bucket lines over the exposition layout ending in +Inf,
+// then _sum (the nanosecond sum in seconds) and _count.
 func writeHistogram(w *bufio.Writer, name string, labels, values []string, h *Histogram) {
 	s := h.Snapshot()
-	for i, ub := range s.Upper {
-		fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, labelStringLe(labels, values, formatFloat(ub)), s.Cumulative[i])
+	var cum int64
+	slot := 0
+	for i, le := range expoLe {
+		for end := countsIndexOf(1 << (expoMinShift + i)); slot < end; slot++ {
+			cum += s.counts[slot]
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelStringLe(labels, values, le), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelStringLe(labels, values, "+Inf"), s.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(labels, values), formatFloat(s.Sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(labels, values), s.Count)
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelStringLe(labels, values, "+Inf"), s.count)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(labels, values), formatFloat(float64(s.sum)/1e9))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(labels, values), s.count)
 }
 
 // labelString renders {l1="v1",l2="v2"}, or "" with no labels.

@@ -4,16 +4,9 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
+	"sync"
+	"time"
 )
-
-// GCPauseBuckets is the bucket layout for the GC pause histogram:
-// stop-the-world pauses in a healthy Go program sit in the tens of
-// microseconds, so the layout leans low while still resolving the
-// multi-millisecond pathologies that matter under ingest load.
-var GCPauseBuckets = []float64{
-	10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
-	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
-}
 
 // runtimeCollector refreshes Go runtime health metrics at scrape time.
 // Saturation diagnosis needs these next to the service metrics: a p99
@@ -30,6 +23,10 @@ type runtimeCollector struct {
 	schedP50    *Gauge
 	schedP99    *Gauge
 
+	// mu serializes collect: scrape hooks run outside the registry
+	// lock, and two concurrent scrapes must not both drain the same
+	// pauses or see lastNumGC move past the NumGC they read.
+	mu        sync.Mutex
 	lastNumGC uint32
 	schedOK   bool
 	sample    []metrics.Sample
@@ -49,7 +46,7 @@ func RegisterRuntimeMetrics(r *Registry) {
 		heapSys:     r.Gauge("turbo_go_heap_sys_bytes", "Bytes of heap memory obtained from the OS."),
 		heapObjects: r.Gauge("turbo_go_heap_objects", "Number of allocated heap objects."),
 		gcCycles:    r.Counter("turbo_go_gc_cycles_total", "Completed GC cycles."),
-		gcPause:     r.Histogram("turbo_go_gc_pause_seconds", "Stop-the-world GC pause durations.", GCPauseBuckets),
+		gcPause:     r.Histogram("turbo_go_gc_pause_seconds", "Stop-the-world GC pause durations."),
 		schedP50:    r.Gauge("turbo_go_sched_latency_p50_seconds", "Median goroutine scheduling latency since process start."),
 		schedP99:    r.Gauge("turbo_go_sched_latency_p99_seconds", "P99 goroutine scheduling latency since process start."),
 		sample:      []metrics.Sample{{Name: "/sched/latencies:seconds"}},
@@ -68,6 +65,8 @@ func RegisterRuntimeMetrics(r *Registry) {
 
 // collect refreshes every runtime family. Runs on the scrape path only.
 func (c *runtimeCollector) collect() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.goroutines.Set(float64(runtime.NumGoroutine()))
 
 	var ms runtime.MemStats
@@ -86,7 +85,7 @@ func (c *runtimeCollector) collect() {
 		for i := uint32(0); i < n; i++ {
 			cycle := ms.NumGC - i
 			pause := ms.PauseNs[(cycle+255)%256]
-			c.gcPause.Observe(float64(pause) / 1e9)
+			c.gcPause.Observe(time.Duration(pause))
 		}
 		c.gcCycles.Add(int64(ms.NumGC - c.lastNumGC))
 		c.lastNumGC = ms.NumGC

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -75,6 +77,53 @@ func TestRuntimeCollector(t *testing.T) {
 	after := famValue(t, sb.String(), "turbo_go_gc_pause_seconds_count")
 	if after != before {
 		t.Errorf("pause count moved %v → %v without a GC cycle", before, after)
+	}
+}
+
+// TestRuntimeCollectorConcurrentScrapes races scrapes against forced GC
+// cycles: four goroutines each loop runtime.GC() + WritePrometheus. The
+// collector must drain every cycle exactly once, so after a final scrape
+// turbo_go_gc_cycles_total equals the NumGC delta since registration —
+// no cycle counted twice by two scrapes, and no uint32 wrap from a
+// scrape that read NumGC before another stored a larger one. Automatic
+// GC is off so forced cycles are the only ones. Run it under -race.
+func TestRuntimeCollectorConcurrentScrapes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.NumGC
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sb strings.Builder
+			for i := 0; i < 25; i++ {
+				runtime.GC()
+				sb.Reset()
+				if err := r.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	want := float64(ms.NumGC - base)
+	if got := famValue(t, sb.String(), "turbo_go_gc_cycles_total"); got != want {
+		t.Fatalf("gc cycles counter %v, want the NumGC delta %v", got, want)
+	}
+	if got := famValue(t, sb.String(), "turbo_go_gc_pause_seconds_count"); got != want {
+		t.Fatalf("gc pause count %v, want one pause per cycle (%v)", got, want)
 	}
 }
 

@@ -20,7 +20,7 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
-echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + log-bucketed histogram / tape-free infer / persist / full-graph sweep / model lifecycle)"
+echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
 echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Profile ⊕ StatFeatures bitwise, burst after a cached read, concurrent ingest; full-path audit after a burst scores fresh features; under -race)"
@@ -58,8 +58,8 @@ go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRat
 echo "== fuzz smoke (WAL payload decoder, 10s)"
 go test -fuzz FuzzDecodeBehavior -fuzztime 10s -run 'XXX-none' ./internal/behavior/
 
-echo "== /metrics exposition golden test"
-go test -run 'TestExpositionGolden|TestMetricsEndpoint' ./internal/telemetry/... ./internal/server/...
+echo "== /metrics exposition (golden text; every _bucket exact at the 2^k-1 ns le edges, +Inf = _count; concurrent scrapes vs forced GC count each cycle once; /latency total p50/p99/p999 never above the client-side view, stage _count/_sum = /latency; fallback score measured once; under -race)"
+go test -race -count=1 -run 'TestExpositionGolden|TestExpositionBucketsExact|TestHistogramInvariants|TestRuntimeCollectorConcurrentScrapes|TestMetricsEndpoint|TestLatencyWithinClientView|TestStageMetricsMatchLatency|TestFallbackMeasuresScoreOnce' ./internal/telemetry/... ./internal/server/...
 
 echo "== benchmark smoke (compile + one iteration of each hot-path benchmark)"
 go test -short -run 'XXX-none' -bench . -benchtime 1x ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/embed/ ./internal/bn/
