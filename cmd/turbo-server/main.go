@@ -48,7 +48,6 @@ import (
 	"turbo/internal/baselines"
 	"turbo/internal/core"
 	"turbo/internal/datagen"
-	"turbo/internal/embed"
 	"turbo/internal/eval"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
@@ -72,7 +71,6 @@ func main() {
 	// Lambda embedding-serving tier.
 	embedServe := flag.Bool("embed.serve", true, "serve clean-neighborhood audits from precomputed penultimate embeddings (dirty neighborhoods always fall through to full scoring)")
 	embedRefreshEvery := flag.Duration("embed.refresh-every", time.Second, "background incremental re-embed period for the dirty set")
-	embedTrustBoot := flag.Bool("embed.trust-boot-table", false, "serve a reloaded embedding table without re-embedding it first (assert no edges changed while the process was down)")
 
 	// Durable state (all off unless -data.dir is set).
 	dataDir := flag.String("data.dir", "", "data directory for the WAL, checkpoints and model artifacts (empty = memory-only)")
@@ -334,35 +332,14 @@ func main() {
 
 	// Lambda embedding tier: install the engine (delta observer +
 	// mark-before-publish hook) before any retrain machinery references
-	// it; the table itself is built or reloaded after the artifact
-	// version is pinned below.
+	// it; the table itself is built below, once the serving artifact
+	// version is pinned.
 	var embedEng *server.EmbedEngine
-	var embedStore *persist.EmbedStore
 	if *embedServe {
 		var eerr error
 		embedEng, eerr = sys.EnableEmbedTier()
 		if eerr != nil {
 			log.Fatal(eerr)
-		}
-		if modelStore != nil {
-			embedStore, eerr = persist.NewEmbedStore(modelStore.Dir(), log.Printf)
-			if eerr != nil {
-				log.Fatal(eerr)
-			}
-		}
-	}
-	saveEmbedTable := func() {
-		if embedEng == nil || embedStore == nil {
-			return
-		}
-		tab := embedEng.Store().Table()
-		if tab == nil {
-			return
-		}
-		if d := tab.Export(); d != nil {
-			if err := embedStore.Save(d); err != nil {
-				log.Printf("persisting embed table: %v", err)
-			}
 		}
 	}
 
@@ -373,32 +350,16 @@ func main() {
 		return m, a.Norm.Apply, nil
 	}
 	mgr := server.NewModelManager(pred, trainFn)
-	// After every accepted swap, re-score the whole graph so cached
-	// scores reflect the new model immediately. With the embedding tier
-	// on, the table rebuild doubles as that sweep (its sweep scores the
-	// final layer anyway and refreshes the tier-3 cache).
+	// After every accepted swap and rollback, re-score the whole graph so
+	// the embedding tier and the cached scores follow the new model
+	// immediately (core.System.Rescore picks the pass).
 	mgr.SetResweep(func() {
-		if embedEng != nil {
-			rep, err := embedEng.RebuildOnce(ctx)
-			if err != nil {
-				log.Printf("post-retrain embed rebuild: %v", err)
-				return
-			}
-			if rep.Servable {
-				log.Printf("post-retrain embed rebuild: %d rows in %v (%d skipped)",
-					rep.Rows, rep.Elapsed, rep.Skipped)
-				saveEmbedTable()
-				return
-			}
-			log.Printf("post-retrain: model has no embedding decomposition; sweeping")
-		}
-		rep, err := sys.Resweep(ctx)
+		msg, err := sys.Rescore(ctx)
 		if err != nil {
-			log.Printf("post-retrain sweep: %v", err)
+			log.Printf("post-swap re-score: %v", err)
 			return
 		}
-		log.Printf("post-retrain sweep: %d/%d users re-scored in %v (%d workers, %d skipped)",
-			rep.Scored, rep.Candidates, rep.Elapsed, rep.Workers, rep.Skipped)
+		log.Printf("post-swap %s", msg)
 	})
 	if modelStore != nil {
 		mgr.SetArtifacts(modelStore, func() persist.Extras {
@@ -456,51 +417,17 @@ func main() {
 		}
 	}
 
-	// Embedding-table boot recovery: reload the table persisted for the
-	// serving artifact version when one exists (re-embedding it unless
-	// the operator vouches no edges changed while down), else run the
-	// initial rebuild sweep. Then start the background dirty-set refresh.
+	// Build the embedding table against the recovered graph and the
+	// serving model — at every boot, so it never carries a previous
+	// process's features or misses edges the WAL replay restored. The
+	// rebuild's sweep also refills the tier-3 score cache. Then start the
+	// background dirty-set refresh.
 	if embedEng != nil {
-		loadedTable := false
-		if embedStore != nil && servingVersion > 0 {
-			d, lerr := embedStore.Load(servingVersion)
-			switch {
-			case lerr == nil:
-				if es, ok := model.(gnn.EmbedServing); ok {
-					snap := sys.BNServer().Snapshot()
-					tab, ierr := embed.ImportTable(d, es, snap, 0)
-					if ierr != nil {
-						log.Printf("embed table v%d unusable: %v; rebuilding", servingVersion, ierr)
-					} else {
-						if !*embedTrustBoot {
-							tab.MarkAll()
-						}
-						embedEng.Store().Install(tab, snap)
-						loadedTable = true
-						log.Printf("loaded embed table v%d (%d rows, built %s)",
-							servingVersion, tab.NumRows(), d.BuiltAt.Format(time.RFC3339))
-					}
-				}
-			case errors.Is(lerr, persist.ErrNoEmbedTable):
-				// First boot on this artifact: rebuild below.
-			default:
-				log.Printf("embed table artifacts: %v; rebuilding", lerr)
-			}
-		}
-		if !loadedTable {
-			rep, rerr := embedEng.RebuildOnce(ctx)
-			if rerr != nil {
-				log.Printf("embed rebuild: %v", rerr)
-			} else if rep.Servable {
-				log.Printf("embed table built: %d rows in %v (%d skipped)", rep.Rows, rep.Elapsed, rep.Skipped)
-				saveEmbedTable()
-			} else {
-				log.Printf("embedding tier idle: model has no embedding decomposition")
-			}
-		} else if !*embedTrustBoot {
-			rep := embedEng.RefreshOnce()
-			log.Printf("embed boot re-embed: %d rows refreshed in %v", rep.Ball, rep.Elapsed)
-			saveEmbedTable()
+		rep, rerr := embedEng.RebuildOnce(ctx)
+		if rerr != nil {
+			log.Printf("embed rebuild: %v", rerr)
+		} else {
+			log.Printf("embed table built: %d rows in %v (%d skipped)", rep.Rows, rep.Elapsed, rep.Skipped)
 		}
 		go embedEng.RunRefreshLoop(ctx, *embedRefreshEvery)
 	}

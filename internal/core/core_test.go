@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"turbo/internal/bn"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
+	"turbo/internal/server"
 )
 
 var t0 = time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -120,4 +122,61 @@ func TestRegisterApplicationStoresProfile(t *testing.T) {
 	if !sys.BNServer().Graph().HasNode(5) {
 		t.Fatal("transaction node not registered")
 	}
+}
+
+// TestEmbedTierServesAfterRetrainAndRollback swaps the model under a
+// running embedding tier, by retrain and then by rollback: after each,
+// an audit of a clean user is still answered from the table. The table
+// serves only the model it was built for, so this holds only if the
+// post-swap pass rebuilt it.
+func TestEmbedTierServesAfterRetrainAndRollback(t *testing.T) {
+	sys := newSystem(t)
+	attachModel(t, sys)
+	sys.Ingest(mk(1, behavior.DeviceID, "dev", 10*time.Minute))
+	sys.Ingest(mk(2, behavior.DeviceID, "dev", 20*time.Minute))
+	for u := behavior.UserID(1); u <= 2; u++ {
+		if err := sys.RegisterApplication(u, []float64{float64(u), 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Advance(t0.Add(2 * time.Hour))
+	eng, err := sys.EnableEmbedTier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RebuildOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	at := t0.Add(3 * time.Hour)
+	audit := func(step string) {
+		t.Helper()
+		for u := behavior.UserID(1); u <= 2; u++ {
+			p, err := sys.Audit(u, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.ServedBy != server.TierEmbed {
+				t.Fatalf("%s: user %d served by %q, want %q", step, u, p.ServedBy, server.TierEmbed)
+			}
+		}
+	}
+	audit("boot")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dim := 2 + feature.NumStatFeatures()
+	mgr, err := sys.StartRetraining(ctx, time.Hour, func() (gnn.Model, func([]float64) []float64, error) {
+		return gnn.NewGraphSAGE(gnn.Config{InDim: dim, Hidden: []int{4}, MLPHidden: 2, Seed: 2}), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.RetrainOnce(); err != nil {
+		t.Fatal(err)
+	}
+	audit("retrain")
+	if err := mgr.Rollback("test"); err != nil {
+		t.Fatal(err)
+	}
+	audit("rollback")
 }

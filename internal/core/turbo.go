@@ -174,12 +174,28 @@ func (s *System) EmbedEngine() *server.EmbedEngine { return s.embedEng }
 // user from the published snapshot.
 func (s *System) Sweeper() *server.SweepEngine { return s.sweeper }
 
-// Resweep re-scores every audit-eligible user through the sweep engine.
-func (s *System) Resweep(ctx context.Context) (server.SweepReport, error) {
+// Rescore re-scores every audit-eligible user under the serving model:
+// the one pass that follows a model swap or rollback. With the
+// embedding tier on it is the table rebuild, whose sweep scores the
+// final layer anyway and so also refills the tier-3 cache; otherwise it
+// is the full-graph sweep. It returns a one-line summary for the log.
+func (s *System) Rescore(ctx context.Context) (string, error) {
 	if s.sweeper == nil {
-		return server.SweepReport{}, fmt.Errorf("core: no model attached; call SetModel first")
+		return "", fmt.Errorf("core: no model attached; call SetModel first")
 	}
-	return s.sweeper.RunOnce(ctx)
+	if s.embedEng != nil {
+		rep, err := s.embedEng.RebuildOnce(ctx)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("embed table built: %d rows in %v (%d skipped)", rep.Rows, rep.Elapsed, rep.Skipped), nil
+	}
+	rep, err := s.sweeper.RunOnce(ctx)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("sweep: %d/%d users re-scored in %v (%d workers, %d skipped)",
+		rep.Scored, rep.Candidates, rep.Elapsed, rep.Workers, rep.Skipped), nil
 }
 
 // BNServer exposes the BN server (stats, direct sampling).
@@ -204,9 +220,10 @@ func (s *System) StartRetraining(ctx context.Context, interval time.Duration, tr
 		return nil, fmt.Errorf("core: attach an initial model with SetModel before StartRetraining")
 	}
 	mgr := server.NewModelManager(s.pred, train)
-	// Every accepted swap is followed by a full-graph re-score, so the
-	// last-known-score cache serves the new model's scores immediately.
-	mgr.SetResweep(func() { _, _ = s.sweeper.RunOnce(context.Background()) })
+	// Every accepted swap and rollback is followed by a full re-score, so
+	// the embedding tier and the last-known-score cache serve the new
+	// model immediately.
+	mgr.SetResweep(func() { _, _ = s.Rescore(context.Background()) })
 	go mgr.Run(ctx, interval)
 	return mgr, nil
 }
@@ -226,7 +243,7 @@ func (s *System) StartRetrainingGated(ctx context.Context, interval time.Duratio
 		opts.Engine = s.sweeper
 	}
 	mgr.EnableGate(opts)
-	mgr.SetResweep(func() { _, _ = s.sweeper.RunOnce(context.Background()) })
+	mgr.SetResweep(func() { _, _ = s.Rescore(context.Background()) })
 	go mgr.Run(ctx, interval)
 	return mgr, nil
 }

@@ -16,11 +16,10 @@ func benchWorld(b *testing.B) (*graph.Graph, *graph.Snapshot, *tensor.Matrix, []
 	b.Helper()
 	g, snap, x, nodes := testWorld(21, 400, 3, 8)
 	m := testModels(8, 3)[3] // full HAG
-	es := m.(gnn.EmbedServing)
 	ids := append([]graph.NodeID(nil), nodes...)
 	xc := tensor.New(x.Rows, x.Cols)
 	copy(xc.Data, x.Data)
-	res, err := Build(snap, ids, xc, es, 1, sweep.Options{Workers: 4})
+	res, err := Build(snap, ids, xc, m, 1, sweep.Options{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func auditBatch(snap *graph.Snapshot, x *tensor.Matrix, u graph.NodeID) *gnn.Bat
 
 // BenchmarkEmbedTargetInfer is the comparator the embedding tier
 // replaces: per-audit subgraph sampling + batch compile + the tape-free
-// TargetInferer score, exactly what predictFull pays per request.
+// InferTarget score, exactly what predictFull pays per request.
 func BenchmarkEmbedTargetInfer(b *testing.B) {
 	_, snap, x, nodes, m, _ := benchWorld(b)
 	b.ReportAllocs()

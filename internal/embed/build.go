@@ -31,7 +31,7 @@ type BuildResult struct {
 // epoch is snap's: rows are valid for snap and any later snapshot whose
 // deltas have been dirty-marked through Store.Flush. Build takes
 // ownership of ids and x; the caller must not mutate them afterwards.
-func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn.EmbedServing, version int, opts sweep.Options) (*BuildResult, error) {
+func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn.Model, version int, opts sweep.Options) (*BuildResult, error) {
 	n := len(ids)
 	if x.Rows != n {
 		return nil, fmt.Errorf("embed: %d feature rows for %d universe nodes", x.Rows, n)
@@ -69,7 +69,7 @@ func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn
 // newTable allocates an empty table over the universe ids with frozen
 // features x (both owned by the table afterwards): row and star
 // pointers unset, nothing dirty.
-func newTable(version int, model gnn.EmbedServing, widths []int, hops int, builtAt time.Time, ids []graph.NodeID, x *tensor.Matrix) *Table {
+func newTable(version int, model gnn.Model, widths []int, hops int, builtAt time.Time, ids []graph.NodeID, x *tensor.Matrix) *Table {
 	n := len(ids)
 	t := &Table{
 		version: version,

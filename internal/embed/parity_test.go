@@ -73,14 +73,10 @@ func fullScores(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.N
 // buildTable builds a table for m over the whole node set.
 func buildTable(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.NodeID, x *tensor.Matrix) *BuildResult {
 	t.Helper()
-	es, ok := m.(gnn.EmbedServing)
-	if !ok {
-		t.Fatalf("%s: not EmbedServing", m.Name())
-	}
 	ids := append([]graph.NodeID(nil), nodes...)
 	xc := tensor.New(x.Rows, x.Cols)
 	copy(xc.Data, x.Data)
-	res, err := Build(snap, ids, xc, es, 1, sweep.Options{Workers: 4})
+	res, err := Build(snap, ids, xc, m, 1, sweep.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("%s: build: %v", m.Name(), err)
 	}
@@ -95,9 +91,6 @@ func buildTable(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.N
 func TestEmbedServeParity(t *testing.T) {
 	_, snap, x, nodes := testWorld(3, 40, 3, 6)
 	for _, m := range testModels(6, 3) {
-		if !gnn.CanEmbedServe(m) {
-			t.Fatalf("%s: CanEmbedServe is false", m.Name())
-		}
 		want := fullScores(t, m, snap, nodes, x)
 		res := buildTable(t, m, snap, nodes, x)
 		for i := range want {

@@ -168,11 +168,10 @@ func (s *Store) AbortRebuild() {
 }
 
 // Install publishes a freshly built table, replaying deltas logged
-// since BeginRebuild onto it against the current snapshot. Installing
-// nil drops the table (model swap to a non-servable artifact).
+// since BeginRebuild onto it against the current snapshot.
 func (s *Store) Install(tab *Table, snap *graph.Snapshot) {
 	s.mu.Lock()
-	if tab != nil && len(s.rebuildLog) > 0 {
+	if len(s.rebuildLog) > 0 {
 		s.markBallLocked(tab, snap, s.rebuildLog)
 	}
 	s.table.Store(tab)
@@ -194,7 +193,7 @@ func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) 
 	if tab == nil {
 		return 0, Miss
 	}
-	if any(tab.model) != any(model) {
+	if tab.model != model {
 		return 0, Fallback
 	}
 	if snap != nil && snap.Epoch() < tab.Epoch() {

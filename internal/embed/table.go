@@ -2,8 +2,8 @@
 // versioned table of penultimate-layer (h^{L-1}) activations for every
 // node of a behavior-network snapshot, populated by the full-graph
 // sweep, invalidated incrementally by edge-delta dirty marking, and
-// served through the final-layer-only scoring split of
-// gnn.EmbedServing. The BRIGHT/lambda-architecture observation this
+// served through the model's final-layer-only scoring split
+// (gnn.Model.InferFinal). The BRIGHT/lambda-architecture observation this
 // encodes: only the last graph layer of a GNN reads other nodes' state,
 // so freezing everything below it turns an audit from a multi-hop
 // forward into one aggregation row plus a dense layer and the head.
@@ -27,6 +27,7 @@ package embed
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +44,7 @@ import (
 // universe means a new Table.
 type Table struct {
 	version int
-	model   gnn.EmbedServing
+	model   gnn.Model
 	widths  []int
 	hops    int
 	builtAt time.Time
@@ -76,7 +77,7 @@ type scoreMemo struct {
 func (t *Table) Version() int { return t.version }
 
 // Model returns the model identity the table serves for.
-func (t *Table) Model() gnn.EmbedServing { return t.model }
+func (t *Table) Model() gnn.Model { return t.model }
 
 // Hops returns the model's graph-layer count L.
 func (t *Table) Hops() int { return t.hops }
@@ -150,37 +151,17 @@ func (t *Table) clearRow(r int32) {
 	}
 }
 
-// MarkAll marks every row dirty — the conservative boot state for a
-// reloaded table whose graph may have moved on.
-func (t *Table) MarkAll() {
-	for r := int32(0); r < int32(len(t.ids)); r++ {
-		t.markRow(r)
-	}
-}
-
 // dirtyRows collects the rows currently marked dirty, ascending.
 func (t *Table) dirtyRows() []int32 {
 	var out []int32
 	for wi := range t.dirty {
 		w := t.dirty[wi].Load()
 		for w != 0 {
-			b := w & (-w)
-			r := int32(wi*64) + int32(popcountBelow(b))
-			out = append(out, r)
-			w &^= b
+			out = append(out, int32(wi*64+bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 	return out
-}
-
-// popcountBelow returns the bit index of the single set bit b.
-func popcountBelow(b uint64) int {
-	n := 0
-	for b > 1 {
-		b >>= 1
-		n++
-	}
-	return n
 }
 
 // ballRows runs a universe-restricted BFS from the seed rows and

@@ -66,14 +66,10 @@ func NewBatch(sg *graph.Subgraph, x *tensor.Matrix) *Batch {
 }
 
 // Depth returns the number of message-passing layers of m — the Layers
-// to sample with for m to score the target — or 0 when m does not
-// declare it, which samples in full.
+// to sample with for m to score the target.
 func Depth(m Model) int {
-	if es, ok := m.(EmbedServing); ok {
-		_, layers := es.EmbedSpec()
-		return layers
-	}
-	return 0
+	_, layers := m.EmbedSpec()
+	return layers
 }
 
 // ErrShallowSample reports a batch cut for a shallower model than the
@@ -82,13 +78,9 @@ func Depth(m Model) int {
 var ErrShallowSample = errors.New("gnn: sample was cut for a shallower model")
 
 // admits reports whether m may score node 0 of b: always on a full
-// sample, on a cut one only when m declares a depth within the cut's.
+// sample, on a cut one only when m is no deeper than the cut.
 func (b *Batch) admits(m Model) bool {
-	if b.Depth == 0 {
-		return true
-	}
-	d := Depth(m)
-	return d > 0 && d <= b.Depth
+	return b.Depth == 0 || Depth(m) <= b.Depth
 }
 
 // mergeEdges sums weights of parallel edges across types. The result is

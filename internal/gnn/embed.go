@@ -50,31 +50,6 @@ type EmbedStar struct {
 	Merged []StarEdge
 }
 
-// EmbedServing is a model that supports the precomputed-embedding
-// serving split: it can emit penultimate activations during a full
-// sweep and score one target from cached rows.
-type EmbedServing interface {
-	Inferer
-	// EmbedSpec returns the width of each penultimate activation stream
-	// (one stream for the homogeneous models, one per edge type for
-	// CFO-enabled HAG) and the number of graph layers L.
-	EmbedSpec() (widths []int, hops int)
-	// BuildEmbedSweep compiles the model's full-graph sweep with capture:
-	// the program additionally copies each stream's penultimate
-	// activations into capture[s] (NumNodes × widths[s], caller-owned).
-	BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
-	// InferFinal computes the target's fraud logit from gathered
-	// penultimate rows: hs[s] row i holds the embedding of star.Gather[i]
-	// in stream s.
-	InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64
-}
-
-// CanEmbedServe reports whether m supports the embedding serving split.
-func CanEmbedServe(m Model) bool {
-	_, ok := m.(EmbedServing)
-	return ok
-}
-
 // StarAggRow computes the target's row of the aggregation matrix that
 // buildCSR would compile from the star's edges, applied to the gathered
 // embedding block h: raw weights in edge order (then the self-loop,

@@ -25,30 +25,6 @@ import (
 // Infer therefore match the tape forward bitwise; the infer tests pin
 // this to ≤1e-12.
 
-// Inferer is a Model that additionally supports the tape-free forward
-// path. The returned logits matrix is Fwd scratch: read it before
-// releasing the Fwd, and do not retain it.
-type Inferer interface {
-	Infer(f *Fwd, b *Batch) *tensor.Matrix
-}
-
-// CanInfer reports whether a model routes through the tape-free path.
-func CanInfer(m Model) bool {
-	_, ok := m.(Inferer)
-	return ok
-}
-
-// TargetInferer is an Inferer that can additionally compute a single
-// node's logit without materializing every node's: it runs the node's
-// computation cone (see Cone) and nothing else. The rows it does compute
-// go through the unchanged per-row kernels, so the logit is bitwise the
-// full forward's, and single-target audits are what the serving path
-// does.
-type TargetInferer interface {
-	Inferer
-	InferTarget(f *Fwd, b *Batch, node int) float64
-}
-
 // Fwd is a tape-free forward context. It keeps its scratch matrices
 // warm across Acquire/Release cycles: a model requests the same sequence
 // of widths on every run, so a cursor into the retained list satisfies

@@ -259,17 +259,16 @@ func Score32(m Model, b *Batch) (float64, bool) {
 
 // ValidateF32 compares the float32 logits against the float64 reference
 // on every node of b and reports the largest absolute gap. ok is false
-// when the model lacks either path or the gap exceeds tol — the caller
+// when the model lacks the float32 path or the gap exceeds tol — the caller
 // must then serve float64.
 func ValidateF32(m Model, b *Batch, tol float64) (maxDelta float64, ok bool) {
-	inf, ok64 := m.(Inferer)
-	inf32, ok32 := m.(Inferer32)
-	if !ok64 || !ok32 {
+	inf32, ok := m.(Inferer32)
+	if !ok {
 		return 0, false
 	}
 	f := AcquireFwd()
 	defer ReleaseFwd(f)
-	want := inf.Infer(f, b)
+	want := m.Infer(f, b)
 	f2 := AcquireFwd32()
 	defer ReleaseFwd32(f2)
 	got := inf32.Infer32(f2, b)

@@ -52,9 +52,6 @@ func inferModels(dim int) []Model {
 // their kernels, so the tolerance is far below 1e-12 in practice.
 func TestInferMatchesTape(t *testing.T) {
 	for _, m := range inferModels(5) {
-		if !CanInfer(m) {
-			t.Fatalf("%s does not implement Inferer", m.Name())
-		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			b := randomBatch(t, seed, 20, 2, 5)
 			want := TapeScores(m, b)
@@ -73,18 +70,14 @@ func TestInferMatchesTape(t *testing.T) {
 }
 
 // TestInferTargetMatchesTape pins the single-target fast path to the
-// tape scores at every node index, for the models that implement it.
+// tape scores at every node index.
 func TestInferTargetMatchesTape(t *testing.T) {
 	for _, m := range inferModels(5) {
-		ti, ok := m.(TargetInferer)
-		if !ok {
-			continue
-		}
 		b := randomBatch(t, 9, 18, 2, 5)
 		want := TapeScores(m, b)
 		for node := 0; node < b.NumNodes; node++ {
 			f := AcquireFwd()
-			got := tensor.SigmoidScalar(ti.InferTarget(f, b, node))
+			got := tensor.SigmoidScalar(m.InferTarget(f, b, node))
 			ReleaseFwd(f)
 			if math.Abs(got-want[node]) > 1e-12 {
 				t.Fatalf("%s node %d: target-infer %v vs tape %v", m.Name(), node, got, want[node])
@@ -104,7 +97,7 @@ func TestInferMatchesTrainingModeNoDropout(t *testing.T) {
 		logits := m.Forward(tape, b, tensor.NewRNG(3))
 
 		f := AcquireFwd()
-		inferred := m.(Inferer).Infer(f, b)
+		inferred := m.Infer(f, b)
 		for i := 0; i < b.NumNodes; i++ {
 			if math.Abs(inferred.Data[i]-logits.Value.Data[i]) > 1e-12 {
 				t.Fatalf("%s node %d: infer logit %v vs training-mode %v",

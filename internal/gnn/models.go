@@ -10,11 +10,37 @@ import (
 )
 
 // Model is a node classifier over a Batch, producing one fraud logit per
-// node. A nil dropRNG selects evaluation mode (no dropout).
+// node. Forward is the training path on the autodiff tape (a nil dropRNG
+// selects evaluation mode, no dropout); every other method is the
+// tape-free evaluation forward a model gets by embedding its Spec (see
+// spec.go), so training, per-audit scoring, full-graph sweeps and
+// embedding serving all run one model definition.
 type Model interface {
 	nn.Module
 	Name() string
 	Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff.Node
+
+	// Infer computes every node's logit without the tape. The returned
+	// matrix is Fwd scratch: read it before releasing the Fwd, and do not
+	// retain it.
+	Infer(f *Fwd, b *Batch) *tensor.Matrix
+	// InferTarget computes one node's logit on its computation cone (see
+	// Cone) and nothing else, bitwise the full forward's row.
+	InferTarget(f *Fwd, b *Batch, node int) float64
+	// BuildSweep compiles the forward into a layer-at-a-time full-graph
+	// program. It references only b and the model's parameters and is run
+	// after BuildSweep returns, possibly concurrently across row ranges.
+	BuildSweep(b *Batch) *SweepProgram
+	// EmbedSpec returns the width of each penultimate activation stream
+	// (one per stack) and the number of graph layers L.
+	EmbedSpec() (widths []int, hops int)
+	// BuildEmbedSweep is BuildSweep that additionally copies each
+	// stream's penultimate activations into capture[s] (NumNodes ×
+	// widths[s], caller-owned).
+	BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
+	// InferFinal computes the target's logit from gathered penultimate
+	// rows: hs[s] row i holds the embedding of star.Gather[i] in stream s.
+	InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64
 }
 
 // Config holds the shared GNN hyperparameters of §VI-A: two graph layers

@@ -139,7 +139,7 @@ type Spec struct {
 	Readout func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix
 }
 
-// Infer implements Inferer: the row-range forward over every row.
+// Infer implements Model: the row-range forward over every row.
 func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
@@ -158,7 +158,7 @@ func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 	return s.Readout(f, hs)
 }
 
-// InferTarget implements TargetInferer: every stack on the target's cone
+// InferTarget implements Model: every stack on the target's cone
 // over its own aggregation matrix, so a stack in which the target has no
 // in-edges costs one row, then the readout on the target row alone.
 func (s *Spec) InferTarget(f *Fwd, b *Batch, node int) float64 {
@@ -169,7 +169,7 @@ func (s *Spec) InferTarget(f *Fwd, b *Batch, node int) float64 {
 	return s.Readout(f, hs).Data[0]
 }
 
-// EmbedSpec implements EmbedServing: one captured stream per stack.
+// EmbedSpec implements Model: one captured stream per stack.
 func (s *Spec) EmbedSpec() (widths []int, hops int) {
 	widths = make([]int, len(s.Stacks))
 	for i := range s.Stacks {
@@ -179,7 +179,7 @@ func (s *Spec) EmbedSpec() (widths []int, hops int) {
 	return widths, s.Stacks[0].layers()
 }
 
-// InferFinal implements EmbedServing: each stack's last layer on the
+// InferFinal implements Model: each stack's last layer on the
 // target's aggregation row over the gathered penultimate block, then the
 // readout.
 func (s *Spec) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 {
@@ -199,10 +199,10 @@ func (s *Spec) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 
 	return s.Readout(f, rows).Data[0]
 }
 
-// BuildSweep implements SweepInferer.
+// BuildSweep implements Model.
 func (s *Spec) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, nil) }
 
-// BuildEmbedSweep implements EmbedServing: one step per stack and layer
+// BuildEmbedSweep implements Model: one step per stack and layer
 // that runs the layer on the step's row range, then the readout step. An
 // attention layer first gets a projection step: its aggregation reads
 // the projected rows of any source, so they must all be final. Stacks

@@ -44,30 +44,6 @@ type SweepProgram struct {
 	owned []*tensor.Matrix
 }
 
-// SweepInferer is an Inferer that can compile itself into a sweep. The
-// program must only reference b and the model's parameters; it is run
-// after BuildSweep returns, possibly concurrently across row ranges.
-type SweepInferer interface {
-	Inferer
-	BuildSweep(b *Batch) *SweepProgram
-}
-
-// CanSweep reports whether m compiles to a full-graph sweep.
-func CanSweep(m Model) bool {
-	_, ok := m.(SweepInferer)
-	return ok
-}
-
-// BuildSweepFor compiles m's sweep program over b, or reports false for
-// models without a sweep decomposition.
-func BuildSweepFor(m Model, b *Batch) (*SweepProgram, bool) {
-	si, ok := m.(SweepInferer)
-	if !ok {
-		return nil, false
-	}
-	return si.BuildSweep(b), true
-}
-
 // newSweepProgram starts an empty program over n nodes.
 func newSweepProgram(n int) *SweepProgram {
 	return &SweepProgram{NumNodes: n, free: make(map[[2]int][]*tensor.Matrix)}

@@ -21,16 +21,10 @@ func sweepScores(prog *SweepProgram) []float64 {
 // the oracle is the tape: any difference at all is a compilation bug.
 func TestSweepProgramMatchesInfer(t *testing.T) {
 	for _, m := range inferModels(5) {
-		if !CanSweep(m) {
-			t.Fatalf("%s does not implement SweepInferer", m.Name())
-		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			b := randomBatch(t, seed, 24, 2, 5)
 			want := TapeScores(m, b)
-			prog, ok := BuildSweepFor(m, b)
-			if !ok {
-				t.Fatalf("%s: BuildSweepFor refused", m.Name())
-			}
+			prog := m.BuildSweep(b)
 			for i, got := range sweepScores(prog) {
 				if got != want[i] {
 					t.Fatalf("%s seed %d node %d: sweep %v, tape %v", m.Name(), seed, i, got, want[i])
@@ -66,40 +60,21 @@ func TestSweepProgramRecyclesBuffers(t *testing.T) {
 	prog.Release()
 }
 
-// tapeOnlyModel hides Inferer/SweepInferer so only the tape path remains.
-type tapeOnlyModel struct{ Model }
-
-// TestScoresDispatch pins the shared kernel-dispatch helper: Inferer
-// models score through InferScoresInto, non-Inferer models fall back to
-// the tape, and Scores agrees with both bitwise.
+// TestScoresDispatch pins how logits become probabilities: Scores, the
+// sweep program and the tape reference share one sigmoid, so the three
+// agree bitwise.
 func TestScoresDispatch(t *testing.T) {
 	cfg := Config{InDim: 5, Hidden: []int{8, 6}, MLPHidden: 4, Seed: 2}
 	m := NewGCN(cfg)
 	b := randomBatch(t, 4, 20, 2, 5)
 
-	out := make([]float64, b.NumNodes)
-	if !InferScoresInto(out, m, b) {
-		t.Fatalf("InferScoresInto refused an Inferer model")
-	}
 	got := Scores(m, b)
-	for i := range out {
-		if got[i] != out[i] {
-			t.Fatalf("Scores diverges from InferScoresInto at node %d", i)
-		}
-	}
-
-	wrapped := tapeOnlyModel{m}
-	if CanInfer(wrapped) || CanSweep(wrapped) {
-		t.Fatalf("wrapper failed to hide the fast paths")
-	}
-	if InferScoresInto(out, wrapped, b) {
-		t.Fatalf("InferScoresInto accepted a tape-only model")
-	}
 	tape := TapeScores(m, b)
-	gotTape := Scores(wrapped, b)
-	for i := range tape {
-		if gotTape[i] != tape[i] {
-			t.Fatalf("tape fallback diverges at node %d", i)
+	prog := m.BuildSweep(b)
+	defer prog.Release()
+	for i, sw := range sweepScores(prog) {
+		if got[i] != tape[i] || sw != tape[i] {
+			t.Fatalf("node %d: Scores %v, sweep %v, tape %v", i, got[i], sw, tape[i])
 		}
 	}
 }

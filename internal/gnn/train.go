@@ -108,34 +108,14 @@ func Train(m Model, b *Batch, trainIdx []int, labels []float64, cfg TrainConfig)
 	return TrainStats{Epochs: cfg.Epochs, FinalLoss: lastLoss, Elapsed: time.Since(start)}
 }
 
-// Scores runs the model in evaluation mode and returns the sigmoid fraud
-// probability of every node in the batch. Models implementing Inferer
-// are scored on the tape-free fast path (identical arithmetic, no tape
-// or gradient bookkeeping); others fall back to TapeScores.
+// Scores runs the model in evaluation mode on the tape-free forward
+// and returns the sigmoid fraud probability of every node in the batch.
 func Scores(m Model, b *Batch) []float64 {
 	out := make([]float64, b.NumNodes)
-	if InferScoresInto(out, m, b) {
-		return out
-	}
-	return TapeScores(m, b)
-}
-
-// InferScoresInto is the shared kernel dispatch behind Scores and the
-// full-graph sweep engine's fallback: it scores every node of the batch
-// through the tape-free Infer kernels into out (length NumNodes) and
-// reports false for models without an Infer implementation. Keeping one
-// dispatch point means the tape, infer, and sweep paths cannot drift in
-// how logits become probabilities.
-func InferScoresInto(out []float64, m Model, b *Batch) bool {
-	inf, ok := m.(Inferer)
-	if !ok {
-		return false
-	}
 	f := AcquireFwd()
 	defer ReleaseFwd(f)
-	logits := inf.Infer(f, b)
-	SigmoidScoresInto(out, logits.Data[:b.NumNodes])
-	return true
+	SigmoidScoresInto(out, m.Infer(f, b).Data[:b.NumNodes])
+	return out
 }
 
 // SigmoidScoresInto converts a logit slice to fraud probabilities with
@@ -147,9 +127,8 @@ func SigmoidScoresInto(dst, logits []float64) {
 	}
 }
 
-// TapeScores is the tape-backed evaluation path, kept for models without
-// an Infer implementation and as the reference the equivalence tests and
-// benchmarks compare the fast path against.
+// TapeScores is the tape-backed evaluation path, kept as the reference
+// the equivalence tests and benchmarks compare the fast path against.
 func TapeScores(m Model, b *Batch) []float64 {
 	tape := autodiff.NewTape()
 	logits := m.Forward(tape, b, nil)
@@ -162,8 +141,8 @@ func TapeScores(m Model, b *Batch) []float64 {
 
 // Score returns the fraud probability of node 0 of the batch — by
 // convention the target node of a sampled computation subgraph — which
-// is the online-inference entry point. TargetInferer models take the
-// tape-free path on the node's cone. It panics with ErrShallowSample on a batch that does
+// is the online-inference entry point. It runs the tape-free forward on
+// the node's cone. It panics with ErrShallowSample on a batch that does
 // not admit m; ScoreCtx reports that as an error instead.
 func Score(m Model, b *Batch) float64 {
 	if !b.admits(m) {
@@ -173,13 +152,10 @@ func Score(m Model, b *Batch) float64 {
 }
 
 func score(m Model, b *Batch) float64 {
-	if ti, ok := m.(TargetInferer); ok {
-		f := AcquireFwd()
-		s := tensor.SigmoidScalar(ti.InferTarget(f, b, 0))
-		ReleaseFwd(f)
-		return s
-	}
-	return tapeScore(m, b)
+	f := AcquireFwd()
+	s := tensor.SigmoidScalar(m.InferTarget(f, b, 0))
+	ReleaseFwd(f)
+	return s
 }
 
 // TapeScore is Score on the tape-backed reference path.
@@ -187,12 +163,7 @@ func TapeScore(m Model, b *Batch) float64 {
 	if !b.admits(m) {
 		panic(ErrShallowSample)
 	}
-	return tapeScore(m, b)
-}
-
-func tapeScore(m Model, b *Batch) float64 {
-	tape := autodiff.NewTape()
-	logits := m.Forward(tape, b, nil)
+	logits := m.Forward(autodiff.NewTape(), b, nil)
 	return tensor.SigmoidScalar(logits.Value.Data[0])
 }
 

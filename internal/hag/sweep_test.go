@@ -12,16 +12,10 @@ import (
 // oracle is the tape.
 func TestHAGSweepMatchesInfer(t *testing.T) {
 	for _, m := range hagVariants(1) {
-		if !gnn.CanSweep(m) {
-			t.Fatalf("%s does not implement gnn.SweepInferer", m.Name())
-		}
 		for seed := uint64(1); seed <= 4; seed++ {
 			b := randomHagBatch(seed, 24, 2, 5)
 			want := gnn.TapeScores(m, b)
-			prog, ok := gnn.BuildSweepFor(m, b)
-			if !ok {
-				t.Fatalf("%s: BuildSweepFor refused", m.Name())
-			}
+			prog := m.BuildSweep(b)
 			f := gnn.AcquireFwd()
 			logits := prog.RunSerial(f)
 			got := make([]float64, b.NumNodes)

@@ -172,9 +172,6 @@ func NewModelStore(dir string, logf func(string, ...any)) (*ModelStore, error) {
 	return &ModelStore{dir: dir, logf: logf}, nil
 }
 
-// Dir returns the artifact directory.
-func (s *ModelStore) Dir() string { return s.dir }
-
 func modelName(v int) string { return fmt.Sprintf("model-%06d%s", v, modelSuffix) }
 
 // versions returns the on-disk artifact versions, ascending.

@@ -113,7 +113,7 @@ func sevenVariants(dim, types int, hidden []int) []gnn.Model {
 func targetLogit64(m gnn.Model, b *gnn.Batch) float64 {
 	f := gnn.AcquireFwd()
 	defer gnn.ReleaseFwd(f)
-	return m.(gnn.TargetInferer).InferTarget(f, b, 0)
+	return m.InferTarget(f, b, 0)
 }
 
 // targetLogit32 is node 0's logit on the path gnn.Score32 takes.
@@ -138,8 +138,8 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.M
 	bFull, bCut := gnn.NewBatch(full, x), gnn.NewBatch(cut, x)
 	want := m.Forward(autodiff.NewTape(), bFull, nil).Value.Data[0]
 	f := gnn.AcquireFwd()
-	inferRow := m.(gnn.Inferer).Infer(f, bFull).Data[0]
-	inferCutRow := m.(gnn.Inferer).Infer(f, bCut).Data[0]
+	inferRow := m.Infer(f, bFull).Data[0]
+	inferCutRow := m.Infer(f, bCut).Data[0]
 	gnn.ReleaseFwd(f)
 	for name, got := range map[string]float64{
 		"Infer row 0":             inferRow,

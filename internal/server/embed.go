@@ -50,8 +50,8 @@ type EmbedRebuildReport struct {
 	Version    int           `json:"model_version"`
 	Candidates int           `json:"candidates"`
 	Rows       int           `json:"rows"`
-	Skipped    int           `json:"skipped"` // users whose feature fetch failed
-	Servable   bool          `json:"servable"`
+	Skipped    int           `json:"skipped"`  // users whose feature fetch failed
+	Servable   bool          `json:"servable"` // a table was installed
 	Elapsed    time.Duration `json:"elapsed_ns"`
 }
 
@@ -92,7 +92,7 @@ func NewEmbedEngine(bn *BNServer, pred *PredictionServer) *EmbedEngine {
 	return e
 }
 
-// Store exposes the underlying embedding store (tests and persistence).
+// Store exposes the underlying embedding store (tests and benchmarks).
 func (e *EmbedEngine) Store() *embed.Store { return e.store }
 
 // InFlight reports the number of rebuild/refresh passes currently
@@ -144,9 +144,6 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 // sweep scores the final layer anyway, so the rebuild doubles as a
 // full-graph score sweep: the probabilities refresh the tier-3 cache
 // under the build's version tag.
-//
-// A model with no embedding decomposition clears the table (every
-// serve misses until a servable model is swapped in).
 func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, error) {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
@@ -159,19 +156,9 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: no model attached")
 	}
 	rep := EmbedRebuildReport{At: start, Version: sv.Version}
-	es, servable := sv.Model.(gnn.EmbedServing)
-	if !servable || !gnn.CanEmbedServe(sv.Model) {
-		e.store.Install(nil, e.bn.Snapshot())
-		rep.Elapsed = time.Since(start)
-		e.recordRebuild(rep)
-		return rep, nil
-	}
-	rep.Servable = true
-
 	e.store.BeginRebuild()
-	installed := false
 	defer func() {
-		if !installed {
+		if !rep.Servable {
 			e.store.AbortRebuild()
 		}
 	}()
@@ -223,7 +210,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	for i, vec := range okVecs {
 		copy(x.Row(i), vec)
 	}
-	res, err := embed.Build(snap, okNodes, x, es, sv.Version, e.Opts)
+	res, err := embed.Build(snap, okNodes, x, sv.Model, sv.Version, e.Opts)
 	if err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 	}
@@ -231,7 +218,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	// rebuild log's delta balls must be walked on an adjacency that
 	// contains them.
 	e.store.Install(res.Table, e.bn.Snapshot())
-	installed = true
+	rep.Servable = true
 	e.pred.RememberScoresFor(okUsers, res.Probs, sv.Version)
 
 	rep.Rows = len(okNodes)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -27,6 +28,35 @@ func newEmbedStack(t *testing.T) (*BNServer, *PredictionServer, *EmbedEngine) {
 		t.Fatalf("rebuild not servable: %+v", rep)
 	}
 	return bnServer, pred, eng
+}
+
+// TestRebuildWarmsScoreCache pins what a boot depends on: the rebuild's
+// sweep scores every built user, so with the table detached a
+// total-feature-outage audit of each one is served from tier 3 with the
+// rebuild's probability, and that probability is the full path's fresh
+// gnn.Score to 1e-9.
+func TestRebuildWarmsScoreCache(t *testing.T) {
+	_, pred, eng := newEmbedStack(t)
+	rep, _ := eng.LastRebuild()
+	rebuilt := cachedScores(pred)
+	if len(rebuilt) != rep.Rows {
+		t.Fatalf("rebuild of %d rows left %d cached scores", rep.Rows, len(rebuilt))
+	}
+	pred.Embed = nil // audits take the ladder, not the table
+	src := featureSource(pred)
+	for u, want := range rebuilt {
+		if p := auditDuringOutage(t, pred, src, u); p.ServedBy != TierCache || p.Probability != want {
+			t.Fatalf("user %d outage audit: served by %q with %v, want %q with the rebuild's %v", u, p.ServedBy, p.Probability, TierCache, want)
+		}
+		// The rebuild fetched features as of its own start.
+		p, err := pred.Predict(u, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ServedBy != TierFull || math.Abs(p.Probability-want) > 1e-9 {
+			t.Fatalf("user %d: rebuild %v, fresh gnn.Score %v (served by %q)", u, want, p.Probability, p.ServedBy)
+		}
+	}
 }
 
 // TestEmbedTierServesAndInvalidates walks the tier through its

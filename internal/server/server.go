@@ -1063,7 +1063,6 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 	if err != nil {
 		return Prediction{}, err
 	}
-	p.Tel.ScoreMode(gnn.CanInfer(model))
 
 	return Prediction{
 		User:           u,

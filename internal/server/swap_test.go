@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/behavior"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
@@ -16,22 +15,22 @@ import (
 	"turbo/internal/tensor"
 )
 
-// blockingModel parks in Forward until release closes, signalling entered
-// on its first call. Wrapping hides the inner model's tape-free paths, so
-// every score goes through Forward.
+// blockingModel parks in InferTarget — the forward every full-path
+// audit runs — until release closes, signalling entered on its first
+// call.
 type blockingModel struct {
 	gnn.Model
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (m *blockingModel) Forward(t *autodiff.Tape, b *gnn.Batch, rng *tensor.RNG) *autodiff.Node {
+func (m *blockingModel) InferTarget(f *gnn.Fwd, b *gnn.Batch, node int) float64 {
 	select {
 	case m.entered <- struct{}{}:
 	default:
 	}
 	<-m.release
-	return m.Model.Forward(t, b, rng)
+	return m.Model.InferTarget(f, b, node)
 }
 
 // auditDuringOutage audits u with every feature fetch failing, so the

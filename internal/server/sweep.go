@@ -52,7 +52,6 @@ type SweepReport struct {
 	Edges      int           `json:"edges"`
 	Steps      int           `json:"steps"`
 	Workers    int           `json:"workers"`
-	Fallback   bool          `json:"fallback"` // model had no sweep decomposition
 	Elapsed    time.Duration `json:"elapsed_ns"`
 }
 
@@ -147,7 +146,6 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	rep.Edges = st.Edges
 	rep.Steps = st.Steps
 	rep.Workers = st.Workers
-	rep.Fallback = st.Fallback
 	rep.Elapsed = time.Since(start)
 	e.pred.Tel.ObserveSweep(rep.Elapsed, rep.Scored, st.ShardCompute)
 	e.record(rep)

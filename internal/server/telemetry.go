@@ -40,7 +40,6 @@ type TelemetryOptions struct {
 //	turbo_breaker_transitions_total{to}   breaker state transitions
 //	turbo_faults_injected_total{kind}     chaos injections (error/delay/hang)
 //	turbo_traces_slow_total               audits over the slow threshold
-//	turbo_score_mode_total{mode}          scoring passes by path (tape vs tape-free infer)
 //	turbo_bn_ingested_logs_total          behavior logs ingested
 //	turbo_bn_window_jobs_total            BN window epoch jobs executed
 //	turbo_bn_edge_updates_total           edge-weight contributions written
@@ -99,9 +98,6 @@ type Telemetry struct {
 
 	retries     *telemetry.Counter
 	transitions *telemetry.CounterVec
-
-	scoreTape  *telemetry.Counter
-	scoreInfer *telemetry.Counter
 
 	faultErrs, faultDelays, faultHangs *telemetry.Counter
 
@@ -168,10 +164,6 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 
 	t.retries = reg.Counter("turbo_feature_retries_total",
 		"Feature fetches retried after a transient failure.")
-	scoreMode := reg.CounterVec("turbo_score_mode_total",
-		"Model scoring passes by forward path: tape-free infer vs autodiff tape.", "mode")
-	t.scoreTape = scoreMode.With("tape")
-	t.scoreInfer = scoreMode.With("infer")
 	t.transitions = reg.CounterVec("turbo_breaker_transitions_total",
 		"Feature breaker state transitions by destination state.", "to")
 
@@ -354,19 +346,6 @@ func (t *Telemetry) Retried(n int) {
 		return
 	}
 	t.retries.Add(int64(n))
-}
-
-// ScoreMode counts one scoring pass on the infer (tape-free) or tape
-// path.
-func (t *Telemetry) ScoreMode(infer bool) {
-	if t == nil {
-		return
-	}
-	if infer {
-		t.scoreInfer.Inc()
-	} else {
-		t.scoreTape.Inc()
-	}
 }
 
 // RegisterBreakerGauge registers turbo_breaker_state as a scrape-time

@@ -82,10 +82,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"turbo_bn_snapshot_age_seconds",
 		"turbo_bn_shard_skew",
 		"turbo_feature_retries_total 0",
-		// GraphSAGE implements gnn.Inferer, so all three audits score on
-		// the tape-free path.
-		`turbo_score_mode_total{mode="infer"} 3`,
-		`turbo_score_mode_total{mode="tape"} 0`,
 		"turbo_traces_slow_total 0",
 		`turbo_faults_injected_total{kind="error"} 0`,
 		// Model lifecycle: no gate decision or rollback yet, gauges at

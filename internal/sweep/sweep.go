@@ -42,9 +42,6 @@ type Stats struct {
 	// ShardCompute holds each worker's pure compute time (barrier waits
 	// excluded): the spread is the shard-balance signal.
 	ShardCompute []time.Duration
-	// Fallback marks a model without a sweep decomposition that was
-	// scored through the shared per-batch dispatch instead.
-	Fallback bool
 }
 
 func (o Options) workers(rows int) int {
@@ -208,19 +205,9 @@ func EdgeCosts(b *gnn.Batch) []int {
 }
 
 // ScoresInto scores every node of the batch into out (length NumNodes)
-// with a shard-parallel sweep when the model supports it, falling back
-// to the shared per-batch kernel dispatch (gnn.InferScoresInto /
-// TapeScores) otherwise — the same dispatch gnn.Scores uses, so the
-// three paths cannot drift.
+// with a shard-parallel sweep of the model's program.
 func ScoresInto(out []float64, m gnn.Model, b *gnn.Batch, opts Options) Stats {
-	prog, ok := gnn.BuildSweepFor(m, b)
-	if !ok {
-		start := time.Now()
-		if !gnn.InferScoresInto(out, m, b) {
-			copy(out, gnn.TapeScores(m, b))
-		}
-		return Stats{Nodes: b.NumNodes, Workers: 1, Elapsed: time.Since(start), Fallback: true}
-	}
+	prog := m.BuildSweep(b)
 	defer prog.Release()
 	if opts.RowCost == nil {
 		opts.RowCost = EdgeCosts(b)

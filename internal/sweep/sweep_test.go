@@ -68,9 +68,6 @@ func TestSweepMatchesBatchScores(t *testing.T) {
 		want := gnn.Scores(m, b)
 		for _, w := range []int{1, 4} {
 			got, st := Scores(m, b, Options{Workers: w})
-			if st.Fallback {
-				t.Fatalf("%s: unexpected fallback", m.Name())
-			}
 			if st.Workers != w || st.Nodes != b.NumNodes || len(st.ShardCompute) != w {
 				t.Fatalf("%s workers=%d: stats %+v", m.Name(), w, st)
 			}
@@ -161,7 +158,7 @@ func TestSweepSnapshotIsolation(t *testing.T) {
 // per row, and the stats account for every shard.
 func TestRunEmitCoverage(t *testing.T) {
 	_, _, b, _, _ := testWorld(17, 50, 3, 6)
-	m := testModels(6, 3)[0].(gnn.SweepInferer)
+	m := testModels(6, 3)[0]
 	prog := m.BuildSweep(b)
 	defer prog.Release()
 	var mu sync.Mutex
@@ -238,25 +235,5 @@ func TestEdgeCosts(t *testing.T) {
 	}
 	if want := 4*b.NumNodes + len(b.MergedEdges()); sum != want {
 		t.Fatalf("total cost %d, want %d", sum, want)
-	}
-}
-
-// tapeOnly hides the Inferer/SweepInferer fast paths.
-type tapeOnly struct{ gnn.Model }
-
-// TestScoresFallback checks that a model without a sweep decomposition
-// scores through the shared per-batch dispatch and says so in the stats.
-func TestScoresFallback(t *testing.T) {
-	_, _, b, _, _ := testWorld(13, 25, 2, 4)
-	base := testModels(4, 2)[0]
-	got, st := Scores(tapeOnly{base}, b, Options{})
-	if !st.Fallback {
-		t.Fatalf("tape-only model did not fall back: %+v", st)
-	}
-	want := gnn.TapeScores(base, b)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fallback node %d: %v vs %v", i, got[i], want[i])
-		}
 	}
 }

@@ -43,8 +43,9 @@ echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.
 go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/sweep/
 go test -race -run 'TestSweepProgramMatchesInfer|TestSweepProgramRecyclesBuffers|TestHAGSweepMatchesInfer' ./internal/gnn/ ./internal/hag/
 
-echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; under -race)"
+echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores within 1e-9 of a fresh gnn.Score, as every boot relies on; under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
+go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
 echo "== cone parity smoke (seven variants, all with a target driver, x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
 go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut' ./internal/server/ ./internal/graph/
@@ -52,8 +53,9 @@ go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSnapsh
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
 
-echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, under -race)"
+echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, the embedding tier keeps serving after a core retrain and rollback, under -race)"
 go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRate|TestModelStoreQuarantinedNeverAutoLoaded|TestSwapRetiresInFlightScore|TestSwapScoresF64UntilGateVerdict' ./internal/server/ ./internal/persist/
+go test -race -run 'TestEmbedTierServesAfterRetrainAndRollback' ./internal/core/
 
 echo "== fuzz smoke (WAL payload decoder, 10s)"
 go test -fuzz FuzzDecodeBehavior -fuzztime 10s -run 'XXX-none' ./internal/behavior/
