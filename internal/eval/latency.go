@@ -15,8 +15,8 @@ import (
 
 // LatencyStudy is the §V optimization experiment: the same audit
 // workload served by a cold pipeline (every request recomputes X_s with
-// simulated database round-trips) versus the cached pipeline (in-memory
-// store with TTL). The paper's production numbers dropped from a 6.8 s
+// simulated database round-trips) versus the cached pipeline (the
+// feature service's table of exact, version-stamped rows). The paper's production numbers dropped from a 6.8 s
 // mean to 0.8 s; the shape to reproduce is roughly an order of magnitude.
 type LatencyStudy struct {
 	Cold map[string]telemetry.Summary

@@ -78,16 +78,29 @@ func NewService(cfg Config, logs *behavior.Store) *Service {
 	}
 }
 
-// PutProfile stores a user's static X_u⊕X_τ vector. The user's profile
-// version moves after the write, so no table row built on the old
-// profile is served again.
+// PutProfile stores a user's static X_u⊕X_τ vector and moves the user's
+// profile version, so no table row built on the old profile is served
+// again. Both happen under the table's lock: a gather's snapshot of the
+// slots is taken either before the write or after the move, never
+// between, where it would serve the old row as current although the new
+// profile is already readable.
 func (s *Service) PutProfile(u behavior.UserID, feats []float64) error {
+	t := &s.table
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := s.profiles.Put(profileKey(u), append([]float64(nil), feats...)); err != nil {
 		return err
 	}
-	s.table.bump(u)
+	if afterProfileWrite != nil {
+		afterProfileWrite(u)
+	}
+	t.bumpLocked(u)
 	return nil
 }
+
+// afterProfileWrite, when a test sets it, runs inside PutProfile between
+// the profile write and the version move.
+var afterProfileWrite func(behavior.UserID)
 
 // Profile returns the stored static vector of u.
 func (s *Service) Profile(u behavior.UserID) ([]float64, error) {

@@ -64,9 +64,14 @@ type gatherScratch struct {
 // bump moves u's profile version and drops its row.
 func (t *table) bump(u behavior.UserID) {
 	t.mu.Lock()
+	t.bumpLocked(u)
+	t.mu.Unlock()
+}
+
+// bumpLocked is bump with t.mu held.
+func (t *table) bumpLocked(u behavior.UserID) {
 	t.seq++
 	t.slots[u] = slot{profile: t.seq}
-	t.mu.Unlock()
 }
 
 // store keeps r as u's row unless u's profile moved while it was built.

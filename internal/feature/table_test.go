@@ -171,6 +171,60 @@ func TestGatherStopsAtLowestFailingRow(t *testing.T) {
 	}
 }
 
+// TestGatherDuringPutProfile parks a PutProfile between its profile
+// write and its version move and gathers the user meanwhile. A read that
+// starts there already sees the new profile, so the gather must not serve
+// the row built on the old one, whether it answers while the write is
+// parked or waits for it. This is the interleaving behind the rare
+// failures of TestTableExactUnderConcurrentIngest, made to happen on
+// every run.
+func TestGatherDuringPutProfile(t *testing.T) {
+	svc := NewService(Config{}, behavior.NewStore())
+	const u = behavior.UserID(1)
+	cutoff := t0.Add(time.Hour)
+	if err := svc.PutProfile(u, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Vector(u, cutoff); err != nil { // the table now holds a row on profile 1
+		t.Fatal(err)
+	}
+	written, release := make(chan struct{}), make(chan struct{})
+	afterProfileWrite = func(behavior.UserID) {
+		close(written)
+		<-release
+	}
+	defer func() { afterProfileWrite = nil }()
+	put := make(chan error, 1)
+	go func() { put <- svc.PutProfile(u, []float64{2}) }()
+	<-written
+	if p, err := svc.Profile(u); err != nil || p[0] != 2 {
+		t.Fatalf("profile read during the parked PutProfile: %v, %v; want [2]", p, err)
+	}
+	gathered := make(chan []float64, 1)
+	go func() {
+		v, err := svc.Vector(u, cutoff)
+		if err != nil {
+			v = []float64{math.NaN()}
+		}
+		gathered <- v
+	}()
+	var v []float64
+	select {
+	case v = <-gathered:
+	case <-time.After(200 * time.Millisecond): // the gather waits for the write
+	}
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if v == nil {
+		v = <-gathered
+	}
+	if v[0] != 2 {
+		t.Fatalf("gather served profile %v after profile 2 was readable", v[0])
+	}
+}
+
 // TestTableExactUnderConcurrentIngest runs gathers against concurrent
 // Append, AppendBatch and PutProfile (run with -race). Logs only grow
 // and profiles only count up, so a served row must lie between what the

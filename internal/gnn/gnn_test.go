@@ -96,7 +96,7 @@ func TestMergedEdgesSumAcrossTypes(t *testing.T) {
 
 func TestMergedRWCSRRowsSumToOne(t *testing.T) {
 	b, _, _ := ringWorld(t)
-	csr := b.MergedRWCSR()
+	csr := b.CSR(MergedRW)
 	for i := 0; i < csr.NRows; i++ {
 		var sum float64
 		for p := csr.RowPtr[i]; p < csr.RowPtr[i+1]; p++ {
@@ -113,7 +113,7 @@ func TestMergedRWCSRIsUnweighted(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 100, never) // heavy edge
 	_ = g.AddEdgeWeight(0, 0, 2, 1, never)   // light edge
 	b := NewBatch(fullSubgraph(g, 3), tensor.New(3, 1))
-	csr := b.MergedRWCSR()
+	csr := b.CSR(MergedRW)
 	// Row 0: neighbors {1, 2} + self, all weight 1/3 despite raw weights.
 	for p := csr.RowPtr[0]; p < csr.RowPtr[1]; p++ {
 		if math.Abs(csr.Weights[p]-1.0/3.0) > 1e-12 {
@@ -145,7 +145,7 @@ func TestIsolatedNodeAggregationIsZeroSafe(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never)
 	g.AddNode(2) // isolated
 	b := NewBatch(fullSubgraph(g, 3), tensor.FromRows([][]float64{{1}, {2}, {3}}))
-	out := b.MergedMeanCSR().MatMul(b.X)
+	out := b.CSR(MergedMean).MatMul(b.X)
 	if out.At(2, 0) != 0 {
 		t.Fatalf("isolated node aggregate should be 0: %v", out.At(2, 0))
 	}

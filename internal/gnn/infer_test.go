@@ -234,16 +234,16 @@ func TestMergeEdgesDeterministic(t *testing.T) {
 // not build the others.
 func TestLazyCSRBuild(t *testing.T) {
 	b := randomBatch(t, 41, 10, 2, 3)
-	if b.mergedBuilt || b.mergedRW != nil || b.mergedMean != nil || b.mergedWeight != nil || b.typedMean != nil || b.gat != nil {
+	if b.mergedBuilt || len(b.aggs) != 0 || b.gat != nil {
 		t.Fatal("NewBatch compiled adjacency eagerly")
 	}
 	b.TypedMeanCSR(0)
-	if b.mergedBuilt {
-		t.Fatal("TypedMeanCSR built the merged edge list it does not need")
+	if b.mergedBuilt || len(b.aggs) != 1 {
+		t.Fatal("TypedMeanCSR built the merged edge list or a matrix it does not need")
 	}
-	b.MergedRWCSR()
-	if !b.mergedBuilt || b.mergedRW == nil {
-		t.Fatal("MergedRWCSR did not compile")
+	b.CSR(MergedRW)
+	if !b.mergedBuilt || len(b.aggs) != 2 || b.aggs[1].agg != MergedRW {
+		t.Fatal("CSR(MergedRW) did not compile")
 	}
 }
 
@@ -280,7 +280,7 @@ func BenchmarkBatchCompile(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			batch := NewBatch(sg, x)
-			batch.MergedMeanCSR()
+			batch.CSR(MergedMean)
 			batch.Release()
 		}
 	})

@@ -41,6 +41,8 @@ type Model interface {
 	// InferFinal computes the target's logit from gathered penultimate
 	// rows: hs[s] row i holds the embedding of star.Gather[i] in stream s.
 	InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64
+
+	spec() *Spec // the description every method above runs
 }
 
 // Config holds the shared GNN hyperparameters of §VI-A: two graph layers
@@ -149,7 +151,7 @@ func (m *GCN) Parameters() []*nn.Parameter {
 
 // Forward implements Model.
 func (m *GCN) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff.Node {
-	adj := b.MergedRWCSR()
+	adj := b.CSR(MergedRW)
 	h := t.Const(b.X)
 	for _, l := range m.layers {
 		h = t.ReLU(l.Forward(t, t.Aggregate(adj, h)))
@@ -218,7 +220,7 @@ func (m *GraphSAGE) Parameters() []*nn.Parameter {
 
 // Forward implements Model.
 func (m *GraphSAGE) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff.Node {
-	adj := b.MergedMeanCSR()
+	adj := b.CSR(MergedMean)
 	h := t.Const(b.X)
 	for _, l := range m.layers {
 		hn := t.Aggregate(adj, h)

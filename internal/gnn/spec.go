@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"turbo/internal/autodiff"
+	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
 
@@ -32,47 +33,61 @@ import (
 // contract), the three agree bitwise with each other and with the tape
 // forward on the rows they share.
 
-// Agg names the aggregation matrix a stack reads, and with it the row of
-// that matrix the embedding tier rebuilds from a serving star.
+// Agg names the aggregation matrix a stack reads (Batch.CSR), and with it
+// the row of that matrix the embedding tier rebuilds from a serving star.
+// Each is dst-indexed (out = A·H means out[dst] = Σ_src A[dst,src]·H[src])
+// and row-normalized to sum to 1.
 type Agg int
 
 // The merged-graph aggregations. TypedMean(r) names the per-type ones.
 const (
-	MergedRW           Agg = -1 - iota // Eq. 1: unweighted random walk with self-loops (GCN)
-	MergedMean                         // Eq. 2: unweighted neighbour mean (GraphSAGE)
-	MergedWeightedMean                 // Eq. 6 collapsed across types (HAG's CFO(-) stream)
+	// MergedRW is Eq. 1, the paper's inductive GCN baseline: an
+	// unweighted mean over Ñ(v), self-loop included, so nodes inside
+	// large cliques retain only a 1/|Ñ| share of themselves — the
+	// over-smoothing setting of Theorem 1.
+	MergedRW Agg = -1 - iota
+	// MergedMean is Eq. 2, GraphSAGE's h_{N_v}: the unweighted neighbour
+	// mean without self-loops.
+	MergedMean
+	// MergedWeightedMean is Eq. 6 collapsed across types, the weighted
+	// neighbour mean HAG's CFO(-) ablation aggregates its one SAO stream
+	// with.
+	MergedWeightedMean
 )
 
-// TypedMean is the Eq. 6 weighted neighbour mean on edge type r's
-// homogeneous subgraph (one HAG stream per type).
+// TypedMean is the Eq. 6 aggregation on edge type r's homogeneous
+// subgraph (one HAG stream per type). Unlike Eqs. 1–2 it keeps the BN
+// edge weights, so HAG exploits the certainty signal of the inverse
+// weight assignment and hierarchical windows. It normalizes by the
+// weight sum rather than Eq. 6's literal 1/deg(v): the literal form also
+// preserves absolute weight magnitude but destabilized training in our
+// reduced configuration.
 func TypedMean(r int) Agg { return Agg(r) }
 
-// csr returns the matrix of b that a names.
-func (a Agg) csr(b *Batch) *autodiff.CSR {
+// form says how the matrix a names is built: over edge type t, or the
+// merged graph when t is graph.AllTypes; whether each row ends with its
+// self-loop; whether it ignores the edge weights.
+func (a Agg) form() (t int, selfLoop, unweighted bool) {
 	switch a {
 	case MergedRW:
-		return b.MergedRWCSR()
+		return graph.AllTypes, true, true
 	case MergedMean:
-		return b.MergedMeanCSR()
+		return graph.AllTypes, false, true
 	case MergedWeightedMean:
-		return b.MergedWeightedMeanCSR()
+		return graph.AllTypes, false, false
 	}
-	return b.TypedMeanCSR(int(a))
+	return int(a), false, false
 }
 
 // star returns the target's row of the matrix a names, as star's edges:
 // the in-edges, whether the row ends with the self-loop, and whether it
 // ignores the edge weights (see StarAggRow).
 func (a Agg) star(s *EmbedStar) (edges []StarEdge, selfLoop, unweighted bool) {
-	switch a {
-	case MergedRW:
-		return s.Merged, true, true
-	case MergedMean:
-		return s.Merged, false, true
-	case MergedWeightedMean:
-		return s.Merged, false, false
+	t, selfLoop, unweighted := a.form()
+	if t == graph.AllTypes {
+		return s.Merged, selfLoop, unweighted
 	}
-	return s.Typed[a], false, false
+	return s.Typed[t], selfLoop, unweighted
 }
 
 // Stack is one float64 message-passing stream.
@@ -139,12 +154,14 @@ type Spec struct {
 	Readout func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix
 }
 
+func (s *Spec) spec() *Spec { return s }
+
 // Infer implements Model: the row-range forward over every row.
 func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
-		a := st.Agg.csr(b)
+		a := b.CSR(st.Agg)
 		h := b.X
 		for l := 0; l < st.layers(); l++ {
 			src := h
@@ -164,7 +181,7 @@ func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
 func (s *Spec) InferTarget(f *Fwd, b *Batch, node int) float64 {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
-		hs[i] = f.ConeForward(&s.Stacks[i], s.Stacks[i].Agg.csr(b), b.X, node)
+		hs[i] = f.ConeForward(&s.Stacks[i], b.CSR(s.Stacks[i].Agg), b.X, node)
 	}
 	return s.Readout(f, hs).Data[0]
 }
@@ -217,7 +234,7 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 	hs := make([]*tensor.Matrix, len(s.Stacks))
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
-		a := st.Agg.csr(b)
+		a := b.CSR(st.Agg)
 		h := b.X
 		for l := 0; l < st.layers(); l++ {
 			in, out := h, p.alloc(n, st.Widths[l+1])
@@ -282,7 +299,7 @@ func (s *Spec32) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
-		a := b.CSR32For(st.Agg.csr(b))
+		a := b.CSR32For(b.CSR(st.Agg))
 		h := b.X32()
 		for l := 0; l < st.layers(); l++ {
 			src := h
@@ -300,7 +317,7 @@ func (s *Spec32) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
 func (s *Spec32) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
-		a := s.Stacks[i].Agg.csr(b)
+		a := b.CSR(s.Stacks[i].Agg)
 		hs[i] = f.ConeForward(&s.Stacks[i], a, b.CSR32For(a), b.X32(), node)
 	}
 	return s.Readout(f, hs).Data[0]

@@ -213,7 +213,7 @@ func (m *HAG) Embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *t
 	gated := !m.cfg.DisableSAOGate
 	if m.cfg.DisableCFO {
 		h := x
-		adj := b.MergedWeightedMeanCSR()
+		adj := b.CSR(gnn.MergedWeightedMean)
 		for _, l := range m.streams[0] {
 			h = l.forward(t, h, t.Aggregate(adj, h), gated)
 			h = t.Dropout(h, m.cfg.Dropout, dropRNG)

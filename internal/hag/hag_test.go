@@ -76,7 +76,7 @@ func TestSAOResistsCliqueOversmoothing(t *testing.T) {
 
 	// GCN-style: one unweighted mean over Ñ(v) (no transform, to isolate
 	// the aggregation operator itself).
-	gcnAgg := b.MergedRWCSR().MatMul(b.X)
+	gcnAgg := b.CSR(gnn.MergedRW).MatMul(b.X)
 	gcnSpread := embeddingSpread(gcnAgg)
 	inputSpread := embeddingSpread(b.X)
 	if gcnSpread > 0.25*inputSpread {

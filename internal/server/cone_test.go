@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
 	"turbo/internal/hag"
+	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
 
@@ -73,6 +75,11 @@ func loadServingWorld(tb testing.TB) *servingWorld {
 		tb.Fatal("serving world failed to load")
 	}
 	return serving
+}
+
+// options are the sample options the world's BN server draws with.
+func (w *servingWorld) options() graph.SampleOptions {
+	return graph.SampleOptions{Hops: w.bn.SampleHops, MaxNeighbors: w.bn.MaxNeighbors, Filter: w.bn.TxnFilter()}
 }
 
 // servingModel is HAG-full at the widths the benchmark trains
@@ -130,11 +137,14 @@ const targetRowTol = 1e-5
 
 // checkCone asserts the differential contract on one (model, target):
 // the float64 target logit is bitwise the same from the tape, from Infer
-// and from the target driver, on the full sample and on the sample cut
-// for the model's depth; the float32 one is bitwise the same on both
-// samples and within targetRowTol of Infer32.
-func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.Matrix) {
+// and from the target driver, on the full sample, on the sample cut for
+// the model's depth and on direct, the batch the audit path compiles
+// straight from the snapshot (SampleCone, its rows filled from x); the
+// float32 one is bitwise the same on all three and within targetRowTol
+// of Infer32. checkCone releases direct.
+func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, direct *gnn.Batch, x *tensor.Matrix) {
 	t.Helper()
+	defer direct.Release()
 	bFull, bCut := gnn.NewBatch(full, x), gnn.NewBatch(cut, x)
 	want := m.Forward(autodiff.NewTape(), bFull, nil).Value.Data[0]
 	f := gnn.AcquireFwd()
@@ -147,6 +157,7 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.M
 		"target driver":           targetLogit64(m, bFull),
 		"target driver, cut":      targetLogit64(m, bCut),
 		"tape, cut sample":        m.Forward(autodiff.NewTape(), bCut, nil).Value.Data[0],
+		"target driver, direct":   targetLogit64(m, direct),
 	} {
 		if got != want {
 			t.Fatalf("%s: %s logit %v, tape %v (Δ %g): float64 paths must agree bitwise", m.Name(), name, got, want, got-want)
@@ -160,11 +171,29 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, x *tensor.M
 	if l32Full != l32Cut {
 		t.Fatalf("%s: float32 target logit %v on the full sample, %v on the cut one", m.Name(), l32Full, l32Cut)
 	}
+	if l32 := targetLogit32(m, direct); l32 != l32Cut {
+		t.Fatalf("%s: float32 target logit %v on the direct batch, %v on NewBatch over the cut sample", m.Name(), l32, l32Cut)
+	}
 	for name, got := range map[string]float32{"full": l32Full, "cut": l32Cut} {
 		if d := math.Abs(float64(got) - float64(all)); d > tol {
 			t.Fatalf("%s: float32 target logit on the %s sample %v vs Infer32 row 0 %v (|Δ| %g > %g)", m.Name(), name, got, all, d, tol)
 		}
 	}
+}
+
+// direct compiles target's cone for m straight from snap, as the audit
+// path does, and fills its rows from x, whose rows follow the nodes of
+// Snapshot.Sample under the same options.
+func direct(t *testing.T, snap *graph.Snapshot, target graph.NodeID, opts graph.SampleOptions, m gnn.Model, x *tensor.Matrix) *gnn.Batch {
+	t.Helper()
+	b, nodes, _ := gnn.SampleCone(snap, target, opts, m)
+	if nodes[0] != target || len(nodes) != x.Rows {
+		t.Fatalf("SampleCone drew %d nodes from %d, the sample %d", len(nodes), nodes[0], x.Rows)
+	}
+	for i := range nodes {
+		b.SetRow(i, x.Row(i))
+	}
+	return b
 }
 
 // heteroGraph is a random graph over several edge types, dense enough
@@ -179,6 +208,21 @@ func heteroGraph(seed uint64, nodes, edges, types int) *graph.Graph {
 			_ = g.AddEdgeWeight(graph.EdgeType(rng.Intn(types)), u, v, rng.Float64()+0.05, exp)
 		}
 	}
+	return g
+}
+
+// trapGraph is the re-entry trap built by hand: target 0 has four type-0
+// neighbors under a cap of three, and node 4 re-enters at hop 2 through
+// node 1.
+func trapGraph(types int) *graph.Graph {
+	g := graph.New(types)
+	exp := t0.Add(1000 * time.Hour)
+	for v, w := range map[graph.NodeID]float64{1: 4, 2: 3, 3: 2, 4: 1} {
+		_ = g.AddEdgeWeight(0, 0, v, w, exp)
+	}
+	_ = g.AddEdgeWeight(1, 1, 4, 1, exp)
+	_ = g.AddEdgeWeight(2, 2, 5, 1, exp)
+	_ = g.AddEdgeWeight(0, 5, 4, 1, exp)
 	return g
 }
 
@@ -220,7 +264,7 @@ func TestConeParity(t *testing.T) {
 				sawReentrant = sawReentrant || reentrant(full)
 				x := tensor.RandNormal(full.NumNodes(), dim, 1, rng)
 				for _, m := range models {
-					checkCone(t, m, full, cut, x)
+					checkCone(t, m, full, cut, direct(t, snap, u, sample, m, x), x)
 				}
 			}
 		}
@@ -229,18 +273,8 @@ func TestConeParity(t *testing.T) {
 		}
 	})
 
-	// The trap, built by hand: target 0 has four type-0 neighbors under a
-	// cap of three, and node 4 re-enters at hop 2 through node 1.
 	t.Run("over-cap neighbor re-enters at hop 2", func(t *testing.T) {
-		g := graph.New(types)
-		exp := t0.Add(1000 * time.Hour)
-		for v, w := range map[graph.NodeID]float64{1: 4, 2: 3, 3: 2, 4: 1} {
-			_ = g.AddEdgeWeight(0, 0, v, w, exp)
-		}
-		_ = g.AddEdgeWeight(1, 1, 4, 1, exp)
-		_ = g.AddEdgeWeight(2, 2, 5, 1, exp)
-		_ = g.AddEdgeWeight(0, 5, 4, 1, exp)
-		snap := g.Snapshot()
+		snap := trapGraph(types).Snapshot()
 		full := snap.Sample(0, sample)
 		if !reentrant(full) {
 			t.Fatal("node 4 did not re-enter at hop 2")
@@ -249,7 +283,7 @@ func TestConeParity(t *testing.T) {
 		cutOpts.Layers = 2
 		x := tensor.RandNormal(full.NumNodes(), dim, 1, tensor.NewRNG(9))
 		for _, m := range sevenVariants(dim, types, []int{8, 6}) {
-			checkCone(t, m, full, snap.Sample(0, cutOpts), x)
+			checkCone(t, m, full, snap.Sample(0, cutOpts), direct(t, snap, 0, sample, m, x), x)
 		}
 	})
 
@@ -273,7 +307,7 @@ func TestConeParity(t *testing.T) {
 				if gnn.Depth(m) != 3 {
 					t.Fatalf("%s reports depth %d, want 3", m.Name(), gnn.Depth(m))
 				}
-				checkCone(t, m, full, cut, x)
+				checkCone(t, m, full, cut, direct(t, snap, u, sample, m, x), x)
 			}
 		}
 	})
@@ -323,7 +357,7 @@ func TestConeParity(t *testing.T) {
 			u := w.users[i*len(w.users)/audits]
 			full, cut := w.bn.sample(u, 0), w.bn.sample(u, gnn.Depth(model))
 			x := w.features(t, full)
-			checkCone(t, model, full, cut, x)
+			checkCone(t, model, full, cut, direct(t, w.bn.Snapshot(), graph.NodeID(u), w.options(), model, x), x)
 			nodes += float64(full.NumNodes())
 			fullEdges += float64(full.NumEdges())
 			liveEdges += float64(cut.NumEdges())
@@ -336,6 +370,105 @@ func TestConeParity(t *testing.T) {
 			t.Fatalf("cone is not small on the serving shape: live share %.2f, %.1f rows per audit", share, coneRows/audits)
 		}
 	})
+}
+
+// aggProbe is a model that reads every aggregation the seven variants
+// use, one stack each, so one SampleCone writes them all. It is compiled,
+// never scored.
+type aggProbe struct{ gnn.Spec }
+
+func (*aggProbe) Name() string                { return "aggregation probe" }
+func (*aggProbe) Parameters() []*nn.Parameter { return nil }
+func (*aggProbe) Forward(*autodiff.Tape, *gnn.Batch, *tensor.RNG) *autodiff.Node {
+	panic("aggProbe is never scored")
+}
+
+// newAggProbe returns a layers-deep probe over types edge types, with
+// the aggregations it reads.
+func newAggProbe(types, layers int) (*aggProbe, []gnn.Agg) {
+	aggs := []gnn.Agg{gnn.MergedRW, gnn.MergedMean, gnn.MergedWeightedMean}
+	for r := 0; r < types; r++ {
+		aggs = append(aggs, gnn.TypedMean(r))
+	}
+	p := &aggProbe{}
+	for _, a := range aggs {
+		p.Stacks = append(p.Stacks, gnn.Stack{Agg: a, Widths: make([]int, layers+1)})
+	}
+	return p, aggs
+}
+
+// checkConeCSR asserts that the batch SampleCone writes for target holds
+// bitwise the matrices NewBatch compiles over Snapshot.Sample cut to the
+// same cone, and float32 mirrors that are float32 of them; and that it
+// reports the sample's nodes and edge count.
+func checkConeCSR(t *testing.T, snap *graph.Snapshot, target graph.NodeID, opts graph.SampleOptions, layers int) {
+	t.Helper()
+	probe, aggs := newAggProbe(snap.NumEdgeTypes(), layers)
+	cutOpts := opts
+	cutOpts.Layers = layers
+	sg := snap.Sample(target, cutOpts)
+	ref := gnn.NewBatch(sg, nil)
+	b, nodes, edges := gnn.SampleCone(snap, target, opts, probe)
+	defer b.Release()
+	if !slices.Equal(nodes, sg.Nodes) || edges != sg.NumEdges() || b.NumNodes != sg.NumNodes() || b.Depth != layers {
+		t.Fatalf("node %d: SampleCone drew %d nodes, %d edges, depth %d; the sample has %d nodes, %d edges",
+			target, len(nodes), edges, b.Depth, sg.NumNodes(), sg.NumEdges())
+	}
+	for _, a := range aggs {
+		want, got := ref.CSR(a), b.CSR(a)
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) ||
+			!slices.EqualFunc(got.Weights, want.Weights, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("node %d, aggregation %d: SampleCone's matrix differs from NewBatch's\n got %v %v %v\nwant %v %v %v",
+				target, a, got.RowPtr, got.ColIdx, got.Weights, want.RowPtr, want.ColIdx, want.Weights)
+		}
+		q := b.CSR32For(got)
+		for k, w := range got.Weights {
+			if q.ColIdx[k] != int32(got.ColIdx[k]) || math.Float32bits(q.Weights[k]) != math.Float32bits(float32(w)) {
+				t.Fatalf("node %d, aggregation %d, entry %d: mirror (%d, %v), want (%d, %v)", target, a, k, q.ColIdx[k], q.Weights[k], got.ColIdx[k], float32(w))
+			}
+		}
+	}
+}
+
+// TestConeCSRMatchesNewBatch pins the one CSR writer: the matrices the
+// snapshot walk writes for the audit path are the ones NewBatch builds
+// over the sample, bitwise, for every aggregation the seven variants
+// read: over the serving-shaped world, and over random heterogeneous
+// graphs with over-cap rows and hop-2 re-entry, under a Filter that
+// rejects nodes, with a masked type, and cut for three layers.
+func TestConeCSRMatchesNewBatch(t *testing.T) {
+	t.Run("serving-shaped world", func(t *testing.T) {
+		w := loadServingWorld(t)
+		for i := 0; i < 40; i++ {
+			checkConeCSR(t, w.bn.Snapshot(), graph.NodeID(w.users[i*len(w.users)/40]), w.options(), 2)
+		}
+	})
+	const types = 4
+	base := graph.SampleOptions{Hops: 2, MaxNeighbors: 3}
+	t.Run("over-cap neighbor re-enters at hop 2", func(t *testing.T) {
+		snap := trapGraph(types).Snapshot()
+		if !reentrant(snap.Sample(0, base)) {
+			t.Fatal("node 4 did not re-enter at hop 2")
+		}
+		checkConeCSR(t, snap, 0, base, 2)
+	})
+	filtered, masked := base, base
+	filtered.Filter = func(n graph.NodeID) bool { return n%5 != 2 }
+	masked.Mask = graph.MaskEdgeType(1)
+	for _, c := range []struct {
+		name   string
+		opts   graph.SampleOptions
+		layers int
+	}{{"random graphs", base, 2}, {"filter rejections", filtered, 2}, {"masked type", masked, 2}, {"three layers", base, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				snap := heteroGraph(seed, 30, 260, types).Snapshot()
+				for _, u := range snap.Nodes()[:12] {
+					checkConeCSR(t, snap, u, c.opts, c.layers)
+				}
+			}
+		})
+	}
 }
 
 // hiddenConeRows counts the rows the hidden layers of a layers-deep
@@ -412,25 +545,38 @@ func TestAuditPoolsSteadyState(t *testing.T) {
 	if err := audit(w.users[700:]); err != nil {
 		t.Fatal(err)
 	}
-	// An audit borrows some 60 buffers. The few that are allowed to be
+	// An audit's batch and forward scratch stay warm across audits and
+	// borrow from the pools only to grow. The few buffers allowed to be
 	// new are a larger sample than any before it reaching a capacity
-	// class for the first time.
-	if grew := tensor.BackingAllocs() - before; grew > 30 {
+	// class for the first time, or a P whose warm batch a migrated
+	// goroutine left on another.
+	if grew := tensor.BackingAllocs() - before; grew > 15 {
 		t.Fatalf("300 audits of users not seen before allocated %d new pooled buffers in the steady state", grew)
+	}
+	// What is left allocates per audit is bookkeeping: the trace, the
+	// sample's filter, the gather's retry closures. Measured: 15.
+	if a := testing.AllocsPerRun(50, func() { _ = audit(w.users[700:701]) }); a > 20 {
+		t.Fatalf("a full-path audit made %v allocations, want at most 20", a)
 	}
 }
 
 // TestConeSampleAllocs pins what a cone sample allocates on the serving-
-// shaped world: its result (the Subgraph, Nodes, Hops, TypedEdges and
-// one edge list per type with a live edge) and the BN server's two
-// sampling closures. The walk's own state, per-row tables included, is
-// pooled. Measured: 16 allocations for a 163-node sample with live edges
-// on all ten types.
+// shaped world. The audit's, drawn straight into a batch off the
+// snapshot, allocates only the BN server's eligibility filter and its
+// method value: the batch, its matrices and the walk's state are
+// pooled. A Subgraph cone sample (SampleConeCtx, which the live graph and
+// wrapped views take) allocates its result as well: the Subgraph, Nodes,
+// Hops, TypedEdges and one edge list per type with a live edge.
+// Measured: 2, and 16 for a 163-node sample with live edges on all ten
+// types.
 func TestConeSampleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	w := loadServingWorld(t)
+	model := w.servingModel()
+	pred := NewPredictionServer(w.bn, w.feats, model, nil, 0.5)
+	ctx := context.Background()
 	for _, i := range []int{0, 7, 100, 500} {
 		u := w.users[i]
 		sg := w.bn.sample(u, 2)
@@ -442,6 +588,16 @@ func TestConeSampleAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { w.bn.sample(u, 2) }); got > want {
 			t.Errorf("user %d (%d nodes): a cone sample made %v allocations, want at most %v", u, sg.NumNodes(), got, want)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			b, _, _, err := pred.sampleBatch(ctx, u, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Release()
+		})
+		if got > 2 {
+			t.Errorf("user %d (%d nodes): the audit's sample made %v allocations, want at most 2", u, sg.NumNodes(), got)
 		}
 	}
 }
@@ -498,14 +654,28 @@ func BenchmarkAuditHotPath(b *testing.B) {
 			b.ReportMetric(edges/induced, "live-edge-share")
 			b.ReportMetric(edges/inputs, "edges/audit")
 		})
+		if layers == gnn.Depth(model) {
+			// What an audit runs: the snapshot walk writing the batch.
+			b.Run(fmt.Sprintf("layers=%d/sample+compile", layers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					batch, _, _, err := pred.sampleBatch(ctx, user(i*7), model)
+					if err != nil {
+						b.Fatal(err)
+					}
+					batch.Release()
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("layers=%d/features", layers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x, err := pred.gatherFeatures(ctx, w.feats, nil, sgs[i%inputs], user(i%inputs*7), w.at)
-				if err != nil {
+				sg := sgs[i%inputs]
+				batch := gnn.NewBatch(sg, nil)
+				if err := pred.gatherFeatures(ctx, w.feats, nil, sg.Nodes, batch, user(i%inputs*7), w.at); err != nil {
 					b.Fatal(err)
 				}
-				tensor.PutMatrix(x)
+				batch.Release()
 			}
 		})
 		b.Run(fmt.Sprintf("layers=%d/compile", layers), func(b *testing.B) {

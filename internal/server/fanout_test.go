@@ -129,10 +129,10 @@ func BenchmarkFeatureFanout(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		x, err := pred.gatherFeatures(ctx, pred.Serving().Feats, nil, sg, 1, at)
-		if err != nil {
+		batch := gnn.NewBatch(sg, nil)
+		if err := pred.gatherFeatures(ctx, pred.Serving().Feats, nil, sg.Nodes, batch, 1, at); err != nil {
 			b.Fatal(err)
 		}
-		tensor.PutMatrix(x)
+		batch.Release()
 	}
 }

@@ -451,28 +451,39 @@ func (s *BNServer) sample(u behavior.UserID, layers int) *graph.Subgraph {
 
 // sampleFrom is sample on a view already chosen.
 func (s *BNServer) sampleFrom(view graph.GraphView, u behavior.UserID, layers int) *graph.Subgraph {
-	// One txnMu.RLock for the whole walk, not one per neighbor. It is
-	// taken at the first neighbor the walk asks about rather than up
-	// front, so a delay injected by a wrapped view is not spent holding
-	// it against RegisterTransaction.
-	locked := false
-	defer func() {
-		if locked {
-			s.txnMu.RUnlock()
-		}
-	}()
-	return view.Sample(graph.NodeID(u), graph.SampleOptions{
-		Hops:         s.SampleHops,
-		MaxNeighbors: s.MaxNeighbors,
-		Layers:       layers,
-		Filter: func(n graph.NodeID) bool {
-			if !locked {
-				s.txnMu.RLock()
-				locked = true
-			}
-			return s.hasTxn[behavior.UserID(n)]
-		},
-	})
+	f := txnWalk{s: s}
+	defer f.done()
+	return view.Sample(graph.NodeID(u), s.sampleOptions(layers, &f))
+}
+
+// sampleOptions returns the options every sample of this server is drawn
+// with, filtered by f.
+func (s *BNServer) sampleOptions(layers int, f *txnWalk) graph.SampleOptions {
+	return graph.SampleOptions{Hops: s.SampleHops, MaxNeighbors: s.MaxNeighbors, Layers: layers, Filter: f.accept}
+}
+
+// txnWalk is one sample's Filter: users with a transaction. It takes
+// txnMu's read lock once for the whole walk, at the first neighbour it is
+// asked about rather than up front, so a delay injected by a wrapped
+// view is not spent holding it against RegisterTransaction; done drops
+// it.
+type txnWalk struct {
+	s      *BNServer
+	locked bool
+}
+
+func (f *txnWalk) accept(n graph.NodeID) bool {
+	if !f.locked {
+		f.s.txnMu.RLock()
+		f.locked = true
+	}
+	return f.s.hasTxn[behavior.UserID(n)]
+}
+
+func (f *txnWalk) done() {
+	if f.locked {
+		f.s.txnMu.RUnlock()
+	}
 }
 
 // SampleCtx is Sample under a deadline.
@@ -480,20 +491,24 @@ func (s *BNServer) SampleCtx(ctx context.Context, u behavior.UserID) (*graph.Sub
 	return s.SampleConeCtx(ctx, u, 0)
 }
 
-// SampleConeCtx draws, under a deadline, the sample the audit path
-// scores: u's subgraph cut to the computation cone of a layers-deep
-// model (0 draws it in full). It runs inline when ctx cannot expire or
-// the view cannot block: an undecorated snapshot, which is in memory and
-// lock-free. Otherwise (the live graph, or a wrapped view that may
-// inject delays) sampling runs in a goroutine and SampleConeCtx returns
-// ctx.Err() as soon as the deadline fires, leaving the (possibly hung)
-// sample to finish in the background — slow graph reads cost the audit
-// its sampling budget, never the whole request.
+// SampleConeCtx draws, under a deadline, u's subgraph cut to the
+// computation cone of a layers-deep model (0 draws it in full). It runs
+// inline when ctx cannot expire or the view cannot block: an undecorated
+// snapshot, which is in memory and lock-free. Otherwise (the live graph,
+// or a wrapped view that may inject delays) sampling runs in a goroutine
+// and SampleConeCtx returns ctx.Err() as soon as the deadline fires,
+// leaving the (possibly hung) sample to finish in the background — slow
+// graph reads cost the audit its sampling budget, never the whole
+// request.
 func (s *BNServer) SampleConeCtx(ctx context.Context, u behavior.UserID, layers int) (*graph.Subgraph, error) {
+	return s.sampleCone(ctx, s.sampleView(u), u, layers)
+}
+
+// sampleCone is SampleConeCtx on a view already chosen.
+func (s *BNServer) sampleCone(ctx context.Context, view graph.GraphView, u behavior.UserID, layers int) (*graph.Subgraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("server: sampling user %d: %w", u, err)
 	}
-	view := s.sampleView(u)
 	if _, snap := view.(*graph.Snapshot); snap || ctx.Done() == nil {
 		return s.sampleFrom(view, u, layers), nil
 	}
@@ -505,6 +520,37 @@ func (s *BNServer) SampleConeCtx(ctx context.Context, u behavior.UserID, layers 
 	case <-ctx.Done():
 		return nil, fmt.Errorf("server: sampling user %d: %w", u, ctx.Err())
 	}
+}
+
+// sampleBatch draws the batch an audit of u scores under model, without
+// features: u's sample cut to model's computation cone. Off an
+// undecorated snapshot, the steady state, gnn.SampleCone writes the
+// model's matrices straight from the walk, inline and with no timer: the
+// snapshot cannot block. Any other view may, so the sample is drawn
+// under the sample deadline (sampleCone) and compiled by gnn.NewBatch.
+// It also returns the sample's nodes (valid until the batch's Release)
+// and its typed edge count.
+func (p *PredictionServer) sampleBatch(ctx context.Context, u behavior.UserID, model gnn.Model) (*gnn.Batch, []graph.NodeID, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, fmt.Errorf("server: sampling user %d: %w", u, err)
+	}
+	view := p.bn.sampleView(u)
+	if snap, ok := view.(*graph.Snapshot); ok {
+		f := txnWalk{s: p.bn}
+		defer f.done()
+		b, nodes, edges := gnn.SampleCone(snap, graph.NodeID(u), p.bn.sampleOptions(0, &f), model)
+		return b, nodes, edges, nil
+	}
+	if p.Deadlines.Sample > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.Deadlines.Sample)
+		defer cancel()
+	}
+	sg, err := p.bn.sampleCone(ctx, view, u, gnn.Depth(model))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return gnn.NewBatch(sg, nil), sg.Nodes, sg.NumEdges(), nil
 }
 
 // Serving tiers of the degradation ladder, reported in
@@ -980,49 +1026,42 @@ func fanoutError(node graph.NodeID, u behavior.UserID, verr error) error {
 	return fmt.Errorf("server: features for node %d: %w", node, verr)
 }
 
-// gatherFeatures gathers the feature vector of every subgraph node,
-// normalized, into a pooled matrix (the caller returns it with
-// tensor.PutMatrix).
-func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, sg *graph.Subgraph, u behavior.UserID, at time.Time) (*tensor.Matrix, error) {
-	n := sg.NumNodes()
-	users := make([]behavior.UserID, n)
-	for i, node := range sg.Nodes {
-		users[i] = behavior.UserID(node)
+// userBufs recycles gatherFeatures' user lists.
+var userBufs = sync.Pool{New: func() any { return new([]behavior.UserID) }}
+
+// gatherFeatures gathers the feature vector of every sampled node,
+// normalized, into b's rows: X and its float32 mirror together.
+func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, nodes []graph.NodeID, b *gnn.Batch, u behavior.UserID, at time.Time) error {
+	buf := userBufs.Get().(*[]behavior.UserID)
+	defer userBufs.Put(buf)
+	users := (*buf)[:0]
+	for _, node := range nodes {
+		users = append(users, behavior.UserID(node))
 	}
-	var x *tensor.Matrix
+	*buf = users
 	failed, err := p.gather(ctx, feats, users, at, func(i int, vec []float64) {
 		if normalizer != nil {
 			vec = normalizer(vec)
 		}
-		if x == nil {
-			x = tensor.GetMatrix(n, len(vec))
-		}
-		copy(x.Row(i), vec)
+		b.SetRow(i, vec)
 	})
 	if err != nil {
-		tensor.PutMatrix(x)
-		return nil, fanoutError(sg.Nodes[failed], u, err)
+		return fanoutError(nodes[failed], u, err)
 	}
-	return x, nil
+	return nil
 }
 
-// predictFull is tier 1: sample the computation subgraph, cut to the
-// cone of the model about to score it, gather the features, run the
-// model. Sampling and the gather honor their stage deadlines; scoring
-// checks the audit's own context.
+// predictFull is tier 1: sample the computation cone of the model about
+// to score it, straight into a batch, gather the features into the
+// batch, run the model. The sample honors its deadline where it can
+// block, the gather its own; scoring checks the audit's context.
 func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behavior.UserID, at time.Time) (Prediction, error) {
 	model := sv.Model
 	if model == nil {
 		return Prediction{}, fmt.Errorf("server: no model attached")
 	}
 	start := time.Now()
-	sctx := ctx
-	if p.Deadlines.Sample > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, p.Deadlines.Sample)
-		defer cancel()
-	}
-	sg, err := p.bn.SampleConeCtx(sctx, u, gnn.Depth(model))
+	batch, nodes, edges, err := p.sampleBatch(ctx, u, model)
 	sampleDone := time.Now()
 	trace := telemetry.TraceFrom(ctx)
 	trace.AddSpan(StageSample, start, sampleDone.Sub(start), telemetry.Outcome(err))
@@ -1030,6 +1069,7 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 	if err != nil {
 		return Prediction{}, err
 	}
+	defer batch.Release()
 
 	fctx := ctx
 	if p.Deadlines.Feature > 0 {
@@ -1037,8 +1077,7 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 		fctx, cancel = context.WithTimeout(ctx, p.Deadlines.Feature)
 		defer cancel()
 	}
-	n := sg.NumNodes()
-	x, err := p.gatherFeatures(fctx, sv.Feats, sv.Norm, sg, u, at)
+	err = p.gatherFeatures(fctx, sv.Feats, sv.Norm, nodes, batch, u, at)
 	featDone := time.Now()
 	trace.AddSpan(StageFeature, sampleDone, featDone.Sub(sampleDone), telemetry.Outcome(err))
 	p.Tel.ObserveStage(StageFeature, featDone.Sub(sampleDone))
@@ -1046,7 +1085,6 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 		return Prediction{}, err
 	}
 
-	batch := gnn.NewBatch(sg, x)
 	var prob float64
 	scored := false
 	if sv.F32 && ctx.Err() == nil {
@@ -1055,8 +1093,6 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 	if !scored {
 		prob, err = gnn.ScoreCtx(ctx, model, batch)
 	}
-	batch.Release()
-	tensor.PutMatrix(x)
 	end := time.Now()
 	trace.AddSpan(StageScore, featDone, end.Sub(featDone), telemetry.Outcome(err))
 	p.Tel.ObserveStage(StageScore, end.Sub(featDone))
@@ -1068,8 +1104,8 @@ func (p *PredictionServer) predictFull(ctx context.Context, sv *Serving, u behav
 		User:           u,
 		Probability:    prob,
 		Fraud:          prob >= p.Threshold,
-		SubgraphNodes:  n,
-		SubgraphEdges:  sg.NumEdges(),
+		SubgraphNodes:  len(nodes),
+		SubgraphEdges:  edges,
 		ServedBy:       TierFull,
 		SampleLatency:  sampleDone.Sub(start),
 		FeatureLatency: featDone.Sub(sampleDone),

@@ -49,7 +49,7 @@ func (m *meanMLP) Parameters() []*nn.Parameter {
 }
 
 func (m *meanMLP) Forward(t *autodiff.Tape, b *gnn.Batch, _ *tensor.RNG) *autodiff.Node {
-	adj := b.MergedWeightedMeanCSR()
+	adj := b.CSR(gnn.MergedWeightedMean)
 	h := t.Const(b.X)
 	for _, l := range m.layers {
 		h = t.ReLU(l.Forward(t, t.Aggregate(adj, h)))

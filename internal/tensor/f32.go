@@ -41,8 +41,13 @@ func QuantizeInto(dst *Matrix32, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: quantize shape mismatch %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
 	}
-	for i, v := range src.Data {
-		dst.Data[i] = float32(v)
+	QuantizeRow(dst.Data, src.Data)
+}
+
+// QuantizeRow writes float32(src[i]) into dst[i] for every i of src.
+func QuantizeRow(dst []float32, src []float64) {
+	for i, v := range src {
+		dst[i] = float32(v)
 	}
 }
 
@@ -88,32 +93,37 @@ func MatMul32Into(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMul32Into shape mismatch")
 	}
+	// Below the threshold the rows run here, with no closure: a closure
+	// handed to the worker pool escapes, and on the serving path it would
+	// be most of what an audit allocates.
+	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows <= 1 {
+		matMul32Rows(dst, a, b, 0, a.Rows)
+		return
+	}
+	parallelRows(a.Rows, func(lo, hi int) { matMul32Rows(dst, a, b, lo, hi) })
+}
+
+// matMul32Rows is MatMul32Into on rows [lo, hi).
+func matMul32Rows(dst, a, b *Matrix32, lo, hi int) {
 	n := b.Cols
 	kd := a.Cols
-	if n == 1 {
+	switch {
+	case n == 1:
 		// Single-column product: per-row dots against the contiguous
 		// vector b. The tiled kernels need ≥8 output columns; the generic
 		// tail would run one dependent accumulator chain per row.
-		ParallelRows(a.Rows, a.Rows*kd, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst.Data[i] += sdot(a.Data[i*kd:(i+1)*kd], b.Data)
-			}
-		})
-		return
-	}
-	if n == 2 {
+		for i := lo; i < hi; i++ {
+			dst.Data[i] += sdot(a.Data[i*kd:(i+1)*kd], b.Data)
+		}
+	case n == 2:
 		// Two-column product (e.g. interleaved attention src/dst
 		// projections): both dots in one pass over each row of a.
-		ParallelRows(a.Rows, a.Rows*kd*2, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d0, d1 := sdot2(a.Data[i*kd:(i+1)*kd], b.Data)
-				dst.Data[2*i] += d0
-				dst.Data[2*i+1] += d1
-			}
-		})
-		return
-	}
-	ParallelRows(a.Rows, a.Rows*kd*n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d0, d1 := sdot2(a.Data[i*kd:(i+1)*kd], b.Data)
+			dst.Data[2*i] += d0
+			dst.Data[2*i+1] += d1
+		}
+	default:
 		i := lo
 		if simdEnabled {
 			// Four-row register tiles: the B panel is loaded once per k
@@ -125,7 +135,7 @@ func MatMul32Into(dst, a, b *Matrix32) {
 		for ; i < hi; i++ {
 			sgemmRow(dst.Data[i*n:(i+1)*n], a.Data[i*kd:(i+1)*kd], b.Data, n)
 		}
-	})
+	}
 }
 
 // sdot returns Σ_k a[k]·v[k] over len(a) elements, unrolled into four
@@ -173,31 +183,36 @@ func MatMul32SplitInto(dst, a1, a2, b *Matrix32) {
 	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMul32SplitInto shape mismatch")
 	}
+	if a1.Rows*(a1.Cols+a2.Cols)*b.Cols < parallelThreshold || a1.Rows <= 1 {
+		matMul32SplitRows(dst, a1, a2, b, 0, a1.Rows)
+		return
+	}
+	parallelRows(a1.Rows, func(lo, hi int) { matMul32SplitRows(dst, a1, a2, b, lo, hi) })
+}
+
+// matMul32SplitRows is MatMul32SplitInto on rows [lo, hi).
+func matMul32SplitRows(dst, a1, a2, b *Matrix32, lo, hi int) {
 	n := b.Cols
 	off := a1.Cols * n
 	if n == 1 {
-		ParallelRows(a1.Rows, a1.Rows*(a1.Cols+a2.Cols), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst.Data[i] += sdot(a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data) +
-					sdot(a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:])
-			}
-		})
+		for i := lo; i < hi; i++ {
+			dst.Data[i] += sdot(a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data) +
+				sdot(a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:])
+		}
 		return
 	}
-	ParallelRows(a1.Rows, a1.Rows*(a1.Cols+a2.Cols)*n, func(lo, hi int) {
-		i := lo
-		if simdEnabled {
-			for ; i+4 <= hi; i += 4 {
-				sgemmRows4(dst.Data[i*n:], n, a1.Data[i*a1.Cols:], a1.Cols, a1.Cols, n, b.Data, n)
-				sgemmRows4(dst.Data[i*n:], n, a2.Data[i*a2.Cols:], a2.Cols, a2.Cols, n, b.Data[off:], n)
-			}
+	i := lo
+	if simdEnabled {
+		for ; i+4 <= hi; i += 4 {
+			sgemmRows4(dst.Data[i*n:], n, a1.Data[i*a1.Cols:], a1.Cols, a1.Cols, n, b.Data, n)
+			sgemmRows4(dst.Data[i*n:], n, a2.Data[i*a2.Cols:], a2.Cols, a2.Cols, n, b.Data[off:], n)
 		}
-		for ; i < hi; i++ {
-			drow := dst.Data[i*n : (i+1)*n]
-			sgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
-			sgemmRow(drow, a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:], n)
-		}
-	})
+	}
+	for ; i < hi; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		sgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
+		sgemmRow(drow, a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:], n)
+	}
 }
 
 // AddInPlace adds o into m and returns m. The AVX2 bulk goes through

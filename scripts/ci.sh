@@ -23,8 +23,9 @@ go vet ./...
 echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
-echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Profile ⊕ StatFeatures bitwise, burst after a cached read, concurrent ingest; full-path audit after a burst scores fresh features; under -race)"
-go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow' ./internal/feature/
+echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Profile ⊕ StatFeatures bitwise, burst after a cached read, concurrent ingest ten times over, a gather parked inside PutProfile never serves the old profile's row; full-path audit after a burst scores fresh features; under -race)"
+go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow|TestGatherDuringPutProfile' ./internal/feature/
+go test -race -count=10 -run 'TestTableExactUnderConcurrentIngest' ./internal/feature/
 go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanout' ./internal/server/
 
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
@@ -47,8 +48,8 @@ echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every 
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
 go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
-echo "== cone parity smoke (seven variants, all with a target driver, x {full, cut} sample: f64 target logit bitwise vs tape, f32 equal on both samples; hop-2 re-entry, 3 layers over 2 hops, shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
-go test -race -run 'TestConeParity|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut' ./internal/server/ ./internal/graph/
+echo "== cone parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
+go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut' ./internal/server/ ./internal/graph/
 
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
