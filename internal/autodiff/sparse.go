@@ -35,24 +35,13 @@ func (c *CSR) MatMul(h *tensor.Matrix) *tensor.Matrix {
 
 // MatMulInto computes A × H, accumulating into a zeroed dst of shape
 // NRows × h.Cols. dst must not alias h. Shared with the tape-free
-// inference path so both paths run the identical kernel (same parallel
-// row partition, same accumulation order).
+// inference path so both paths run the identical kernel
+// (tensor.CSRMatMulInto: same row kernel, same accumulation order).
 func (c *CSR) MatMulInto(dst, h *tensor.Matrix) {
 	if h.Rows != c.NCols || dst.Rows != c.NRows || dst.Cols != h.Cols {
 		panic("autodiff: CSR matmul shape mismatch")
 	}
-	tensor.ParallelRows(c.NRows, c.NNZ()*h.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst.Row(i)
-			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-				w := c.Weights[p]
-				src := h.Row(c.ColIdx[p])
-				for j, v := range src {
-					drow[j] += w * v
-				}
-			}
-		}
-	})
+	tensor.CSRMatMulInto(dst, c.RowPtr, c.ColIdx, c.Weights, h)
 }
 
 // MatMulTrans computes Aᵀ × G, used for the backward pass.

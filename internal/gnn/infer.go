@@ -258,20 +258,6 @@ func (f *Fwd) aggregateRange(st *Stack, l int, a *autodiff.CSR, src *tensor.Matr
 	return out
 }
 
-// aggregateRow accumulates row i of A × h into the zeroed drow.
-func aggregateRow(drow []float64, a *autodiff.CSR, i int, h *tensor.Matrix, pos []int) {
-	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-		j := a.ColIdx[p]
-		if pos != nil {
-			j = pos[j]
-		}
-		w := a.Weights[p]
-		for c, v := range h.Row(j) {
-			drow[c] += w * v
-		}
-	}
-}
-
 // attendRow accumulates one destination row of an attention aggregation
 // into the zeroed drow with the arithmetic of GAT's tape forward: per
 // head k, each in-edge scores LeakyReLU(source's head-k source score +

@@ -131,15 +131,16 @@ func (st *Stack) aggWidth(l int, src *tensor.Matrix) int {
 // the layer input's projection. src holds node j in row j, or in row
 // pos[j] when pos is given.
 func (st *Stack) aggregateRow(drow []float64, a *autodiff.CSR, i int, src *tensor.Matrix, pos []int) {
+	s, e := a.RowPtr[i], a.RowPtr[i+1]
 	if st.Project == nil {
-		aggregateRow(drow, a, i, src, pos)
+		tensor.CSRRowInto(drow, a.ColIdx[s:e], a.Weights[s:e], src, pos)
 		return
 	}
 	self := i
 	if pos != nil {
 		self = pos[i]
 	}
-	attendRow(drow, src, st.Heads, self, a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], pos)
+	attendRow(drow, src, st.Heads, self, a.ColIdx[s:e], pos)
 }
 
 // Spec is a model's float64 evaluation-mode forward: its stacks and the

@@ -102,6 +102,44 @@ func (w *servingWorld) features(tb testing.TB, sg *graph.Subgraph) *tensor.Matri
 	return x
 }
 
+// fittedNormalizer z-scores each feature column by its mean and
+// deviation over every user's row at w.at and clamps to ±10σ, returning
+// a fresh slice per call: the contract of eval.Normalizer.Apply, which
+// turbo-server and the benchmark pass to SetModel. (eval imports this
+// package, so the test cannot call it.)
+func (w *servingWorld) fittedNormalizer(tb testing.TB) func([]float64) []float64 {
+	tb.Helper()
+	mean, std := make([]float64, w.dim), make([]float64, w.dim)
+	rows := make([][]float64, len(w.users))
+	for i, u := range w.users {
+		v, err := w.feats.VectorCtx(context.Background(), u, w.at)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rows[i] = append([]float64(nil), v...)
+		for j, x := range v {
+			mean[j] += x / float64(len(w.users))
+		}
+	}
+	for _, v := range rows {
+		for j, x := range v {
+			std[j] += (x - mean[j]) * (x - mean[j]) / float64(len(rows))
+		}
+	}
+	for j := range std {
+		if std[j] = math.Sqrt(std[j]); std[j] == 0 {
+			std[j] = 1
+		}
+	}
+	return func(vec []float64) []float64 {
+		out := make([]float64, len(vec))
+		for j, v := range vec {
+			out[j] = tensor.Clamp((v-mean[j])/std[j], -10, 10)
+		}
+		return out
+	}
+}
+
 // sevenVariants builds every model variant at the given depth.
 func sevenVariants(dim, types int, hidden []int) []gnn.Model {
 	gc := gnn.Config{InDim: dim, Hidden: hidden, MLPHidden: 4, Seed: 3}
@@ -620,6 +658,18 @@ func BenchmarkAuditHotPath(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := pred.PredictCtx(ctx, user(i), w.at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// What a deployment serves: the same audit behind a fitted
+	// normalizer, which allocates one slice per gathered row.
+	normed := NewPredictionServer(w.bn, w.feats, model, w.fittedNormalizer(b), 0.5)
+	normed.ConfigureF32(func(gnn.Model) (float64, bool) { return 0, true })
+	b.Run("audit/normalized", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := normed.PredictCtx(ctx, user(i), w.at); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -75,8 +75,9 @@ func reportGFLOPS(b *testing.B, m, k, n int) {
 }
 
 // BenchmarkMatMulKernels is the kernel grid: square sizes × {serial
-// naive, blocked serial, blocked+pool} × {f64, f32}. scripts/bench.sh
-// turns this into BENCH_kernels.json.
+// naive, blocked serial, blocked+pool} × {f64, f32}, where "blocked" is
+// the register-tiled row kernel. scripts/bench.sh turns this into
+// BENCH_kernels.json.
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		a := benchMatrix(n, n, uint64(71+n))
@@ -119,5 +120,27 @@ func BenchmarkMatMulKernels(b *testing.B) {
 			}
 			reportGFLOPS(b, n, n, n)
 		})
+	}
+}
+
+// BenchmarkF64RowTiles times the float64 dense row kernel at the
+// serving shapes — k inner terms (27 raw features, 32 and 64 hidden
+// widths) by n output columns (1 for the attention vector and the
+// logit head, 8 for a GAT head, 16 and 32 for hidden layers) — and
+// reports ns per row.
+func BenchmarkF64RowTiles(b *testing.B) {
+	const rows = 64
+	for _, k := range []int{27, 32, 64} {
+		for _, n := range []int{1, 8, 16, 32} {
+			a := benchMatrix(rows, k, uint64(k))
+			w := benchMatrix(k, n, uint64(n))
+			dst := New(rows, n)
+			b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matMulRange(dst, a, w, 0, rows)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			})
+		}
 	}
 }

@@ -46,6 +46,215 @@ daxpy_loop:
 	VZEROUPPER
 	RET
 
+// func dgemmRowJ16(drow, arow, b []float64, ldb int)
+// 16-column float64 output tile held in Y1..Y4 across the whole k loop.
+// Per k: skip when arow[k] is ±0 (its bits shifted left by one are
+// zero; NaN is never skipped), else broadcast arow[k], VMULPD it
+// against B row k and VADDPD the product (first operand) into the
+// tile. Never FMA, k ascending: bitwise the scalar loop per element.
+TEXT ·dgemmRowJ16(SB), NOSPLIT, $0-80
+	MOVQ    drow_base+0(FP), DI
+	MOVQ    arow_base+24(FP), SI
+	MOVQ    arow_len+32(FP), CX
+	MOVQ    b_base+48(FP), DX
+	MOVQ    ldb+72(FP), R8
+	SHLQ    $3, R8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	TESTQ   CX, CX
+	JZ      dgemm16_done
+
+dgemm16_loop:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           dgemm16_next
+	VBROADCASTSD (SI), Y0
+	VMULPD       (DX), Y0, Y5
+	VMULPD       32(DX), Y0, Y6
+	VMULPD       64(DX), Y0, Y7
+	VMULPD       96(DX), Y0, Y8
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	VADDPD       Y3, Y7, Y3
+	VADDPD       Y4, Y8, Y4
+
+dgemm16_next:
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  dgemm16_loop
+
+dgemm16_done:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	VZEROUPPER
+	RET
+
+// func dgemmRowJ8(drow, arow, b []float64, ldb int)
+// The 8-column variant of dgemmRowJ16.
+TEXT ·dgemmRowJ8(SB), NOSPLIT, $0-80
+	MOVQ    drow_base+0(FP), DI
+	MOVQ    arow_base+24(FP), SI
+	MOVQ    arow_len+32(FP), CX
+	MOVQ    b_base+48(FP), DX
+	MOVQ    ldb+72(FP), R8
+	SHLQ    $3, R8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	TESTQ   CX, CX
+	JZ      dgemm8_done
+
+dgemm8_loop:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           dgemm8_next
+	VBROADCASTSD (SI), Y0
+	VMULPD       (DX), Y0, Y5
+	VMULPD       32(DX), Y0, Y6
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+
+dgemm8_next:
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  dgemm8_loop
+
+dgemm8_done:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VZEROUPPER
+	RET
+
+// func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+// Gathered-row aggregate: drow[j] += w[p]*h[r*ldh+j] over all p, where
+// r = cols[p], or pos[cols[p]] when pos is non-nil, with the 16-column
+// tile in Y1..Y4 throughout. No zero test (the scalar CSR loops have
+// none); VMULPD then VADDPD with the product first, never FMA. Each
+// gathered index is bounds-checked (cols[p] against len(pos), r against
+// rows) with one unsigned compare, so a negative or too-large index
+// never reads memory: the first bad p is returned and drow is left
+// unwritten. bad is -1 when every row was in range.
+TEXT ·dcsrRowJ16(SB), NOSPLIT, $0-144
+	MOVQ    drow_base+0(FP), DI
+	MOVQ    cols_base+24(FP), SI
+	MOVQ    cols_len+32(FP), CX
+	MOVQ    pos_base+48(FP), BX
+	MOVQ    pos_len+56(FP), R10
+	MOVQ    w_base+72(FP), R9
+	MOVQ    h_base+96(FP), DX
+	MOVQ    ldh+120(FP), R8
+	MOVQ    rows+128(FP), R11
+	SHLQ    $3, R8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	TESTQ   CX, CX
+	JZ      dcsr16_done
+
+dcsr16_loop:
+	MOVQ         (SI), AX
+	TESTQ        BX, BX
+	JZ           dcsr16_row
+	CMPQ         AX, R10
+	JAE          dcsr16_bad
+	MOVQ         (BX)(AX*8), AX
+
+dcsr16_row:
+	CMPQ         AX, R11
+	JAE          dcsr16_bad
+	IMULQ        R8, AX
+	ADDQ         DX, AX
+	VBROADCASTSD (R9), Y0
+	VMULPD       (AX), Y0, Y5
+	VMULPD       32(AX), Y0, Y6
+	VMULPD       64(AX), Y0, Y7
+	VMULPD       96(AX), Y0, Y8
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	VADDPD       Y3, Y7, Y3
+	VADDPD       Y4, Y8, Y4
+	ADDQ         $8, SI
+	ADDQ         $8, R9
+	DECQ         CX
+	JNZ          dcsr16_loop
+
+dcsr16_done:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	MOVQ    $-1, bad+136(FP)
+	VZEROUPPER
+	RET
+
+dcsr16_bad:
+	MOVQ cols_len+32(FP), AX
+	SUBQ CX, AX
+	MOVQ AX, bad+136(FP)
+	VZEROUPPER
+	RET
+
+// func dcsrRowJ8(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+// The 8-column variant of dcsrRowJ16, with the same bounds checks.
+TEXT ·dcsrRowJ8(SB), NOSPLIT, $0-144
+	MOVQ    drow_base+0(FP), DI
+	MOVQ    cols_base+24(FP), SI
+	MOVQ    cols_len+32(FP), CX
+	MOVQ    pos_base+48(FP), BX
+	MOVQ    pos_len+56(FP), R10
+	MOVQ    w_base+72(FP), R9
+	MOVQ    h_base+96(FP), DX
+	MOVQ    ldh+120(FP), R8
+	MOVQ    rows+128(FP), R11
+	SHLQ    $3, R8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	TESTQ   CX, CX
+	JZ      dcsr8_done
+
+dcsr8_loop:
+	MOVQ         (SI), AX
+	TESTQ        BX, BX
+	JZ           dcsr8_row
+	CMPQ         AX, R10
+	JAE          dcsr8_bad
+	MOVQ         (BX)(AX*8), AX
+
+dcsr8_row:
+	CMPQ         AX, R11
+	JAE          dcsr8_bad
+	IMULQ        R8, AX
+	ADDQ         DX, AX
+	VBROADCASTSD (R9), Y0
+	VMULPD       (AX), Y0, Y5
+	VMULPD       32(AX), Y0, Y6
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	ADDQ         $8, SI
+	ADDQ         $8, R9
+	DECQ         CX
+	JNZ          dcsr8_loop
+
+dcsr8_done:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	MOVQ    $-1, bad+136(FP)
+	VZEROUPPER
+	RET
+
+dcsr8_bad:
+	MOVQ cols_len+32(FP), AX
+	SUBQ CX, AX
+	MOVQ AX, bad+136(FP)
+	VZEROUPPER
+	RET
+
 // func saxpyAVX2(dst, src []float32, alpha float32)
 // dst[j] += alpha*src[j]; len(dst) is a positive multiple of 8. FMA.
 TEXT ·saxpyAVX2(SB), NOSPLIT, $0-52

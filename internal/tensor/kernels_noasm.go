@@ -7,6 +7,18 @@ package tensor
 
 func daxpyAVX2(dst, src []float64, alpha float64) { panic("tensor: simd kernel on non-amd64") }
 
+func dgemmRowJ16(drow, arow, b []float64, ldb int) { panic("tensor: simd kernel on non-amd64") }
+
+func dgemmRowJ8(drow, arow, b []float64, ldb int) { panic("tensor: simd kernel on non-amd64") }
+
+func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int) {
+	panic("tensor: simd kernel on non-amd64")
+}
+
+func dcsrRowJ8(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int) {
+	panic("tensor: simd kernel on non-amd64")
+}
+
 func saxpyAVX2(dst, src []float32, alpha float32) { panic("tensor: simd kernel on non-amd64") }
 
 func sgemmRowJ32(drow, arow, b []float32, ldb int) { panic("tensor: simd kernel on non-amd64") }

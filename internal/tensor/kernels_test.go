@@ -39,15 +39,15 @@ func randMat(rng *RNG, rows, cols int) *Matrix {
 }
 
 // TestMatMulBlockedBitwiseEqualsNaive is the kernel-equivalence smoke
-// pinned by scripts/ci.sh: the blocked (and SIMD, when available)
-// float64 kernel must be bitwise-identical to the naive scalar loop for
-// shapes on both sides of the panel and parallel thresholds.
+// pinned by scripts/ci.sh: the register-tiled (and SIMD, when
+// available) float64 kernel must be bitwise-identical to the naive
+// scalar loop for shapes on both sides of the parallel threshold.
 func TestMatMulBlockedBitwiseEqualsNaive(t *testing.T) {
 	rng := NewRNG(7)
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {64, 16, 32}, {64, 33, 9},
-		{128, 200, 300}, // kd*n exceeds one panel → blocked path
-		{257, 300, 129}, // blocked + parallel path
+		{128, 200, 300}, // B wider than any model's weight
+		{257, 300, 129}, // parallel path
 	}
 	for _, s := range shapes {
 		a := randMat(rng, s[0], s[1])
@@ -55,7 +55,7 @@ func TestMatMulBlockedBitwiseEqualsNaive(t *testing.T) {
 		got := a.MatMul(b)
 		want := naiveMatMul(a, b)
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
+			if !sameBits(got.Data[i], want.Data[i]) {
 				t.Fatalf("shape %v: element %d differs: %v vs %v", s, i, got.Data[i], want.Data[i])
 			}
 		}
@@ -80,7 +80,7 @@ func TestMatMulPartitionIndependence(t *testing.T) {
 		MatMulRangeInto(parts, a, b, lo, hi)
 	}
 	for i := range whole.Data {
-		if whole.Data[i] != parts.Data[i] {
+		if !sameBits(whole.Data[i], parts.Data[i]) {
 			t.Fatalf("element %d differs across partitions", i)
 		}
 	}
@@ -103,9 +103,214 @@ func TestDaxpyBitwiseEqualsScalar(t *testing.T) {
 			ref[i] += alpha * src[i]
 		}
 		for i := range ref {
-			if dst[i] != ref[i] {
+			if !sameBits(dst[i], ref[i]) {
 				t.Fatalf("n=%d: element %d differs: %v vs %v", n, i, dst[i], ref[i])
 			}
+		}
+	}
+}
+
+// sameBits is bit equality, except that any two NaNs are equal: a NaN's
+// payload depends on operand order, which the kernels do not pin.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+// specialRand draws mostly normal values over a wide exponent range
+// (so reordered or fused arithmetic would round differently) with 0,
+// −0, subnormals, ±Inf and NaN sprinkled in.
+func specialRand(rng *RNG) float64 {
+	switch r := rng.Intn(64); {
+	case r < 5:
+		return 0
+	case r < 9:
+		return math.Copysign(0, -1)
+	case r < 11:
+		return float64(rng.Intn(1000)-500) * math.SmallestNonzeroFloat64
+	case r == 11:
+		return math.Inf(1)
+	case r == 12:
+		return math.Inf(-1)
+	case r == 13:
+		return math.NaN()
+	default:
+		return math.Ldexp(rng.NormFloat64(), rng.Intn(80)-40)
+	}
+}
+
+func specialMat(rng *RNG, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = specialRand(rng)
+	}
+	return m
+}
+
+// TestF64KernelsBitwiseProperty holds every float64 row kernel —
+// matMulRange, matMulSplitRange and the CSR gather, with and without a
+// pos remap — bitwise to its scalar loop (skip-zero for the dense
+// kernels, none for CSR; float64(a*b) added to the accumulator in
+// ascending order) for every width n in 1..40 and every inner length k
+// in 0..70, from an accumulator that is not zero, with the SIMD tiles
+// both on and off.
+func TestF64KernelsBitwiseProperty(t *testing.T) {
+	hasSIMD := simdEnabled
+	defer func() { simdEnabled = hasSIMD }()
+	for _, simd := range []bool{false, true} {
+		if simd && !hasSIMD {
+			t.Log("no AVX2 on this machine: portable kernels only")
+			continue
+		}
+		simdEnabled = simd
+		rng := NewRNG(101)
+		const rows, hRows = 3, 9
+		for n := 1; n <= 40; n++ {
+			for k := 0; k <= 70; k++ {
+				a, b, acc := specialMat(rng, rows, k), specialMat(rng, k, n), specialMat(rng, rows, n)
+				want := acc.Clone()
+				for i := 0; i < rows; i++ {
+					drow := want.Row(i)
+					for kk, av := range a.Row(i) {
+						if av == 0 {
+							continue
+						}
+						for j, bv := range b.Row(kk) {
+							drow[j] += float64(av * bv)
+						}
+					}
+				}
+				got := acc.Clone()
+				matMulRange(got, a, b, 0, rows)
+				checkBits(t, "matMulRange", simd, n, k, got, want)
+
+				k1 := k / 3
+				got = acc.Clone()
+				matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, k1*n, 0, rows)
+				checkBits(t, "matMulSplitRange", simd, n, k, got, want)
+
+				// k nonzeros per row over hRows source rows; pos permutes them.
+				h := specialMat(rng, hRows, n)
+				w := make([]float64, rows*k)
+				cols := make([]int, rows*k)
+				rowPtr := make([]int, rows+1)
+				for p := range cols {
+					cols[p], w[p] = rng.Intn(hRows), specialRand(rng)
+				}
+				for i := range rowPtr {
+					rowPtr[i] = i * k
+				}
+				pos := rng.Perm(hRows)
+				for _, remap := range []bool{false, true} {
+					want = acc.Clone()
+					for i := 0; i < rows; i++ {
+						drow := want.Row(i)
+						for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+							r := cols[p]
+							if remap {
+								r = pos[r]
+							}
+							for j, v := range h.Row(r) {
+								drow[j] += float64(w[p] * v)
+							}
+						}
+					}
+					got = acc.Clone()
+					if remap {
+						for i := 0; i < rows; i++ {
+							s, e := rowPtr[i], rowPtr[i+1]
+							CSRRowInto(got.Row(i), cols[s:e], w[s:e], h, pos)
+						}
+						checkBits(t, "CSRRowInto/pos", simd, n, k, got, want)
+					} else {
+						CSRMatMulInto(got, rowPtr, cols, w, h)
+						checkBits(t, "CSRMatMulInto", simd, n, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkBits(t *testing.T, kernel string, simd bool, n, k int, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("%s simd=%v n=%d k=%d: element %d is %v (%#x), scalar %v (%#x)", kernel, simd, n, k, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// TestCSRGatherOutOfRangePanics pins the gather's bounds checks: a
+// cols entry outside pos or outside h, or a pos entry of -1 (a node
+// outside the cone) or past h's last row, panics instead of reading
+// memory around h. Widths 3, 8, 16 and 27 reach the portable loop and
+// both vector tiles; SIMD runs on and off.
+func TestCSRGatherOutOfRangePanics(t *testing.T) {
+	hasSIMD := simdEnabled
+	defer func() { simdEnabled = hasSIMD }()
+	cases := []struct {
+		name string
+		cols []int
+		pos  []int
+	}{
+		{"pos -1", []int{0, 1}, []int{2, -1, 0}},
+		{"pos past h", []int{1, 2}, []int{0, 1, 4}},
+		{"cols past pos", []int{0, 3}, []int{0, 1, 2}},
+		{"cols -1 through pos", []int{-1}, []int{0, 1, 2}},
+		{"cols past h", []int{0, 4}, nil},
+		{"cols -1", []int{2, -1}, nil},
+	}
+	for _, simd := range []bool{false, true} {
+		if simd && !hasSIMD {
+			continue
+		}
+		simdEnabled = simd
+		for _, n := range []int{3, 8, 16, 27} {
+			h := randMat(NewRNG(17), 4, n)
+			for _, c := range cases {
+				drow := make([]float64, n)
+				w := make([]float64, len(c.cols))
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("simd=%v n=%d %s: gathered without a panic: %v", simd, n, c.name, drow)
+						}
+					}()
+					CSRRowInto(drow, c.cols, w, h, c.pos)
+				}()
+				if c.pos == nil {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("simd=%v n=%d %s: CSRMatMulInto gathered without a panic", simd, n, c.name)
+							}
+						}()
+						CSRMatMulInto(New(1, n), []int{0, len(c.cols)}, c.cols, w, h)
+					}()
+				}
+			}
+		}
+	}
+}
+
+// TestF64KernelsSerialAllocFree pins the serial short-circuit: below
+// the parallel threshold the float64 matmuls and the CSR product run
+// inline without building a pool closure.
+func TestF64KernelsSerialAllocFree(t *testing.T) {
+	rng := NewRNG(13)
+	a, b := randMat(rng, 4, 27), randMat(rng, 27, 32)
+	a1, a2 := a.SliceCols(0, 11), a.SliceCols(11, 27)
+	h := randMat(rng, 6, 32)
+	rowPtr, cols, w := []int{0, 2, 2, 5, 6}, []int{1, 3, 0, 5, 2, 4}, []float64{0.5, 0.25, 1, -1, 2, 0.125}
+	dst := New(4, 32)
+	for name, fn := range map[string]func(){
+		"MatMulInto":      func() { MatMulInto(dst, a, b) },
+		"MatMulSplitInto": func() { MatMulSplitInto(dst, a1, a2, b) },
+		"CSRMatMulInto":   func() { CSRMatMulInto(dst, rowPtr, cols, w, h) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s below the parallel threshold: %v allocs per call, want 0", name, allocs)
 		}
 	}
 }

@@ -112,75 +112,35 @@ func (m *Matrix) MatMul(o *Matrix) *Matrix {
 
 // MatMulInto computes dst = a × b, accumulating into a zeroed dst.
 // dst must not alias a or b. Large products are split across the worker
-// pool by row ranges, which keeps writes disjoint.
+// pool by row ranges, which keeps writes disjoint; below the parallel
+// threshold the call runs inline and allocates nothing.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMulInto shape mismatch")
 	}
-	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
+	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows <= 1 {
+		matMulRange(dst, a, b, 0, a.Rows)
+		return
+	}
+	parallelRows(a.Rows, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
 }
 
-// B-panel blocking bounds for matMulRange: when B exceeds one panel,
-// the k×j iteration space is tiled so each (k-panel × j-panel) slab of
-// B (≤ mmPanelK·mmPanelJ·8 B = 256 KiB, L2-sized) is streamed across
-// all rows of the range before moving on, instead of re-fetching all of
-// B per output row.
-const (
-	mmPanelJ = 256
-	mmPanelK = 128
-)
-
-// matMulRange computes rows [lo, hi) of dst = a×b.
+// matMulRange computes rows [lo, hi) of dst = a×b, one dgemmRow per
+// row. The row kernel streams all of B per output row. No model's
+// weight exceeds kd·n = 16,384 (GraphSAGE's 256×64 concat layer at the
+// paper hyper-parameters, 128 KiB), so B stays cache-resident.
 //
 // Bitwise contract: for every output element (i, j) the contributions
 // a[i,k]*b[k,j] are added in strictly ascending k with the same
 // skip-zero test and round(round(mul)+acc) arithmetic as the historical
-// scalar triple loop, regardless of blocking or SIMD (daxpy never uses
-// FMA on float64). Tape, infer, and sweep all funnel through this
-// kernel, so their logits remain bitwise-equal to each other.
+// scalar triple loop, SIMD or not (dgemmRow never uses FMA). Tape,
+// infer, and sweep all funnel through this kernel, so their logits
+// remain bitwise-equal to each other.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	kd := a.Cols
-	if kd*n <= mmPanelJ*mmPanelK {
-		for i := lo; i < hi; i++ {
-			matMulRowKernel(dst.Data[i*n:(i+1)*n], a.Data[i*kd:(i+1)*kd], b.Data, n)
-		}
-		return
-	}
-	for k0 := 0; k0 < kd; k0 += mmPanelK {
-		k1 := k0 + mmPanelK
-		if k1 > kd {
-			k1 = kd
-		}
-		for j0 := 0; j0 < n; j0 += mmPanelJ {
-			j1 := j0 + mmPanelJ
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.Data[i*kd+k0 : i*kd+k1]
-				drow := dst.Data[i*n+j0 : i*n+j1]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					k := k0 + kk
-					daxpy(drow, b.Data[k*n+j0:k*n+j1], av)
-				}
-			}
-		}
-	}
-}
-
-// matMulRowKernel accumulates one output row: drow += arow × b, where b
-// is row-major with stride n and len(drow) == n. Shared by every matmul
-// variant so they all inherit the same bitwise contract.
-func matMulRowKernel(drow, arow, b []float64, n int) {
-	for k, av := range arow {
-		if av == 0 {
-			continue
-		}
-		daxpy(drow, b[k*n:k*n+n], av)
+	for i := lo; i < hi; i++ {
+		dgemmRow(dst.Data[i*n:(i+1)*n], a.Data[i*kd:(i+1)*kd], b.Data, n)
 	}
 }
 
@@ -233,28 +193,70 @@ func MatMulSplitRangeInto(dst, a1, a2, b *Matrix, lo, hi int) {
 // rest with a2. The accumulation order (and the parallel row partition)
 // is exactly that of MatMulInto on the concatenated matrix, so results
 // are bitwise identical. dst must be zeroed and must not alias a1, a2
-// or b.
+// or b. Below the parallel threshold it runs inline and allocates
+// nothing.
 func MatMulSplitInto(dst, a1, a2, b *Matrix) {
 	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMulSplitInto shape mismatch")
 	}
-	n := b.Cols
-	off := a1.Cols * n
-	work := a1.Rows * (a1.Cols + a2.Cols) * n
-	ParallelRows(a1.Rows, work, func(lo, hi int) { matMulSplitRange(dst, a1, a2, b, off, lo, hi) })
+	off := a1.Cols * b.Cols
+	if a1.Rows*b.Rows*b.Cols < parallelThreshold || a1.Rows <= 1 {
+		matMulSplitRange(dst, a1, a2, b, off, 0, a1.Rows)
+		return
+	}
+	parallelRows(a1.Rows, func(lo, hi int) { matMulSplitRange(dst, a1, a2, b, off, lo, hi) })
 }
 
-// matMulSplitRange runs rows [lo, hi) of MatMulSplitInto. A top-level
-// function rather than a closure so the sequential path — which the
-// single-row inference kernels hit once per computed row — stays
-// allocation-free.
+// matMulSplitRange runs rows [lo, hi) of MatMulSplitInto: each row
+// accumulates a1's terms, then a2's, so k ascends over the
+// concatenation.
 func matMulSplitRange(dst, a1, a2, b *Matrix, off, lo, hi int) {
 	n := b.Cols
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
-		matMulRowKernel(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
-		matMulRowKernel(drow, a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:], n)
+		dgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
+		dgemmRow(drow, a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:], n)
 	}
+}
+
+// CSRMatMulInto computes dst = A × h for the sparse A whose row i holds
+// the entries (cols[p], w[p]) for p in [rowPtr[i], rowPtr[i+1]),
+// accumulating into a zeroed dst of len(rowPtr)−1 rows and h.Cols
+// columns. Each row runs CSRRowInto's kernel, so any row partition —
+// this call's pool split, or a caller's own row loop — is bitwise the
+// same product. dst must not alias h. Below the parallel threshold it
+// runs inline and allocates nothing.
+func CSRMatMulInto(dst *Matrix, rowPtr, cols []int, w []float64, h *Matrix) {
+	rows := len(rowPtr) - 1
+	if dst.Rows != rows || dst.Cols != h.Cols || len(w) < len(cols) || len(h.Data) < h.Rows*h.Cols {
+		panic("tensor: CSRMatMulInto shape mismatch")
+	}
+	if rowPtr[rows]*h.Cols < parallelThreshold || rows <= 1 {
+		csrRange(dst, rowPtr, cols, w, h, 0, rows)
+		return
+	}
+	parallelRows(rows, func(lo, hi int) { csrRange(dst, rowPtr, cols, w, h, lo, hi) })
+}
+
+func csrRange(dst *Matrix, rowPtr, cols []int, w []float64, h *Matrix, lo, hi int) {
+	n := h.Cols
+	for i := lo; i < hi; i++ {
+		s, e := rowPtr[i], rowPtr[i+1]
+		dcsrRow(dst.Data[i*n:(i+1)*n], cols[s:e], nil, w[s:e], h)
+	}
+}
+
+// CSRRowInto accumulates Σ_p w[p]·h[r(p)] into the zeroed drow, p
+// ascending, where r(p) is cols[p], or pos[cols[p]] when pos is non-nil
+// (a cone forward's gathered block of rows). It is the row kernel of
+// CSRMatMulInto: same arithmetic, no zero test. A gathered row outside
+// h — a cols[p] outside pos, or a -1 that pos keeps for a node outside
+// the cone — panics.
+func CSRRowInto(drow []float64, cols []int, w []float64, h *Matrix, pos []int) {
+	if len(drow) != h.Cols || len(w) < len(cols) || len(h.Data) < h.Rows*h.Cols {
+		panic("tensor: CSRRowInto shape mismatch")
+	}
+	dcsrRow(drow, cols, pos, w, h)
 }
 
 // MatMulTransB returns m × oᵀ.

@@ -20,6 +20,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== portable build (no amd64 assembly: the kernels_noasm.go stubs must keep compiling and vetting)"
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/gnn/ ./internal/autodiff/
+
 echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
@@ -31,8 +34,8 @@ go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanou
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
 go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
 
-echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition, f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row)"
-go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull' ./internal/tensor/ ./internal/gnn/ ./internal/hag/
+echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition; every f64 row kernel — dense, split, CSR, CSR through a pos remap — bit-for-bit its scalar loop for n 1..40 x k 0..70 with ±0, subnormals, ±Inf and NaN, SIMD on and off; f64 kernels allocation-free below the parallel threshold; a CSR gather outside h or pos panics; f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row)"
+go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
