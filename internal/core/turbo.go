@@ -85,6 +85,13 @@ func (s *System) Recover() (persist.RecoveryStats, error) {
 
 // SetModel attaches the trained classification model and the feature
 // normalizer fitted at training time (nil = identity).
+//
+// The normalizer contract, which every place that takes one refers to
+// here: a normalizer is a pure function of its input (the same input
+// always gives the same output), it never mutates its input, and its
+// caller treats the result as read-only. The feature table relies on it
+// to memoize each row's normalized vector for the serving model, and
+// the lifecycle shadow to score one raw cohort under two normalizers.
 func (s *System) SetModel(m gnn.Model, normalizer func([]float64) []float64) {
 	s.pred = server.NewPredictionServer(s.bn, s.feats, m, normalizer, s.cfg.Threshold)
 	s.sweeper = server.NewSweepEngine(s.bn, s.pred)

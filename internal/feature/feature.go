@@ -24,8 +24,33 @@ type Source interface {
 	// Gather calls fn(i, vec) with the vector of users[i], in order, and
 	// returns how many rows it handed over. It stops at the first row it
 	// cannot serve: then users[n] is the lowest failing row and err its
-	// error. vec is read-only: fn may keep it but must not mutate it.
-	Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, fn func(i int, vec []float64)) (n int, err error)
+	// error. vec is norm.Apply of the raw row, or the raw row for a nil
+	// norm. vec is read-only: fn may keep it but must not mutate it.
+	Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, norm *Norm, fn func(i int, vec []float64)) (n int, err error)
+}
+
+// Norm is a serving normalizer: Apply maps a raw row to a model input
+// under the contract core.System.SetModel states (a pure function of its
+// input, which it never mutates; its result is read-only). The table
+// memoizes Apply's output per row and tells normalizers apart by the
+// Norm's address, so a new normalizer must come as a new Norm, never by
+// reassigning Apply.
+type Norm struct{ Apply func([]float64) []float64 }
+
+// NewNorm wraps apply, or returns nil (raw rows) for a nil apply.
+func NewNorm(apply func([]float64) []float64) *Norm {
+	if apply == nil {
+		return nil
+	}
+	return &Norm{Apply: apply}
+}
+
+// Func returns n's Apply, nil for a nil n.
+func (n *Norm) Func() func([]float64) []float64 {
+	if n == nil {
+		return nil
+	}
+	return n.Apply
 }
 
 // StatWindows are the statistical-feature windows, shortest first (the
@@ -123,7 +148,7 @@ func (s *Service) Vector(u behavior.UserID, cutoff time.Time) ([]float64, error)
 // be mutated.
 func (s *Service) VectorCtx(ctx context.Context, u behavior.UserID, cutoff time.Time) ([]float64, error) {
 	var vec []float64
-	_, err := s.Gather(ctx, []behavior.UserID{u}, cutoff, func(_ int, v []float64) { vec = v })
+	_, err := s.Gather(ctx, []behavior.UserID{u}, cutoff, nil, func(_ int, v []float64) { vec = v })
 	return vec, err
 }
 

@@ -28,14 +28,42 @@ import (
 //     window's newest older log would enter.
 //
 // A row that fails any part of its stamp is rebuilt; there is no TTL.
+//
+// A row also memoizes one normalizer's output of its vector: the serving
+// model's input, so a gather through that normalizer neither recomputes
+// nor allocates it (see Norm).
 
-// row is one user's vector with its stamp. It is never mutated once
-// stored.
+// row is one user's vector with its stamp. Its vector and stamp are
+// never mutated once stored; only the memo moves.
 type row struct {
 	vec     []float64
 	logs    uint64 // behavior.Store log version the X_s scan saw
 	profile uint64 // profile version read before the profile
 	lo, hi  int64  // valid cutoffs, Unix ns, half-open
+	normed  atomic.Pointer[normedVec]
+}
+
+// normedVec is norm.Apply(vec) of the row that holds it. Holding norm
+// keeps its address from being reused while the memo refers to it.
+type normedVec struct {
+	norm *Norm
+	vec  []float64
+}
+
+// input returns what a gather through norm hands over for r: the raw
+// vector for a nil norm, otherwise norm's output of it, memoized. A memo
+// of another Norm is replaced, never served: the vector is immutable and
+// Apply a pure function of it, so the memo is bitwise Apply(vec).
+func (r *row) input(norm *Norm) []float64 {
+	if norm == nil {
+		return r.vec
+	}
+	if m := r.normed.Load(); m != nil && m.norm == norm {
+		return m.vec
+	}
+	m := &normedVec{norm: norm, vec: norm.Apply(r.vec)}
+	r.normed.Store(m)
+	return m.vec
 }
 
 // slot is a user's current profile version and the newest row built on
@@ -85,9 +113,11 @@ func (t *table) store(u behavior.UserID, r *row) {
 
 // Gather implements Source: one snapshot of the table's slots and of the
 // store's log versions for all users, then per row either the stored
-// vector (its stamp holds) or a rebuilt one. With DisableCache every row
-// takes the cold path. fn is called with no lock held.
-func (s *Service) Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, fn func(i int, vec []float64)) (int, error) {
+// vector (its stamp holds) or a rebuilt one, handed over through norm
+// (row.input). With DisableCache every row takes the cold path, which
+// applies norm per call and memoizes nothing. fn is called with no lock
+// held.
+func (s *Service) Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, norm *Norm, fn func(i int, vec []float64)) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -96,6 +126,9 @@ func (s *Service) Gather(ctx context.Context, users []behavior.UserID, cutoff ti
 			vec, err := s.coldVector(ctx, u, cutoff)
 			if err != nil {
 				return i, err
+			}
+			if norm != nil {
+				vec = norm.Apply(vec)
 			}
 			fn(i, vec)
 		}
@@ -136,7 +169,7 @@ func (s *Service) Gather(ctx context.Context, users []behavior.UserID, cutoff ti
 				return i, err
 			}
 		}
-		fn(i, r.vec)
+		fn(i, r.input(norm))
 	}
 	return len(users), nil
 }

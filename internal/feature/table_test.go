@@ -37,6 +37,32 @@ func bitwiseEqual(a, b []float64) bool {
 	return true
 }
 
+// affineNorm is a normalizer in the shape of eval.Normalizer.Apply: a
+// fresh slice, the input untouched.
+func affineNorm(scale, shift float64) *Norm {
+	return NewNorm(func(vec []float64) []float64 {
+		out := make([]float64, len(vec))
+		for j, v := range vec {
+			out[j] = v*scale + shift
+		}
+		return out
+	})
+}
+
+// taggedNorm prefixes the raw row with tag, so a served vector names the
+// normalizer it went through and still carries the raw row.
+func taggedNorm(tag float64) *Norm {
+	return NewNorm(func(vec []float64) []float64 { return append([]float64{tag}, vec...) })
+}
+
+// applied is what a gather through norm must serve for the raw row.
+func applied(norm *Norm, raw []float64) []float64 {
+	if norm == nil {
+		return raw
+	}
+	return norm.Apply(raw)
+}
+
 // randomLog draws a log on a 15-minute grid, so cutoffs and log times
 // often sit exactly on each other and on window boundaries, in any
 // order relative to what is already stored.
@@ -53,9 +79,13 @@ func randomLog(rng *rand.Rand, users int) behavior.Log {
 // TestTableExactUnderRandomInterleavings interleaves every write the
 // table's stamp must see (Append, AppendBatch, DropBefore, PutProfile,
 // InvalidateUser) with gathers at rising, falling and repeated cutoffs,
-// and checks every served row bitwise against Profile ⊕ StatFeatures.
+// each through one of two normalizers or none, and checks every served
+// row bitwise against Apply(Profile ⊕ StatFeatures) for the normalizer
+// asked for: a row's memo of one normalizer is never served for the
+// other.
 func TestTableExactUnderRandomInterleavings(t *testing.T) {
 	const users = 6
+	norms := []*Norm{nil, affineNorm(1.0/3, -0.5), affineNorm(-2, 7)}
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		logs := behavior.NewStore()
@@ -102,9 +132,10 @@ func TestTableExactUnderRandomInterleavings(t *testing.T) {
 				for i := range batch {
 					batch[i] = behavior.UserID(1 + rng.Intn(users))
 				}
-				n, err := svc.Gather(context.Background(), batch, cutoff, func(i int, vec []float64) {
-					if want := reference(t, svc, batch[i], cutoff); !bitwiseEqual(vec, want) {
-						t.Fatalf("seed %d step %d: user %d at %v served %v, want %v", seed, step, batch[i], cutoff, vec, want)
+				k := rng.Intn(len(norms))
+				n, err := svc.Gather(context.Background(), batch, cutoff, norms[k], func(i int, vec []float64) {
+					if want := applied(norms[k], reference(t, svc, batch[i], cutoff)); !bitwiseEqual(vec, want) {
+						t.Fatalf("seed %d step %d: user %d at %v through norm %d served %v, want %v", seed, step, batch[i], cutoff, k, vec, want)
 					}
 				})
 				if err != nil || n != len(batch) {
@@ -161,7 +192,7 @@ func TestGatherStopsAtLowestFailingRow(t *testing.T) {
 		}
 	}
 	var served []int
-	n, err := svc.Gather(context.Background(), []behavior.UserID{1, 2, 3, 4, 5}, t0, func(i int, _ []float64) { served = append(served, i) })
+	n, err := svc.Gather(context.Background(), []behavior.UserID{1, 2, 3, 4, 5}, t0, nil, func(i int, _ []float64) { served = append(served, i) })
 	if n != 2 || !errors.Is(err, store.ErrNotFound) || len(served) != 2 {
 		t.Fatalf("gather served %v, stopped at %d with %v; want rows 0-1 then not-found at 2", served, n, err)
 	}
@@ -231,6 +262,23 @@ func TestGatherDuringPutProfile(t *testing.T) {
 // store held before its gather and after it; once writers stop, every
 // row must be exact again.
 func TestTableExactUnderConcurrentIngest(t *testing.T) {
+	gatherUnderConcurrentIngest(t, []*Norm{nil})
+}
+
+// TestTableExactNormsUnderConcurrentIngest is the same race with the
+// readers gathering through two normalizers and none in turn, so rows
+// are rebuilt and their memos replaced while other readers serve them:
+// every served vector must come from the normalizer asked for, over a
+// raw row within the same bounds.
+func TestTableExactNormsUnderConcurrentIngest(t *testing.T) {
+	gatherUnderConcurrentIngest(t, []*Norm{taggedNorm(-1), taggedNorm(-2), nil})
+}
+
+// gatherUnderConcurrentIngest is the concurrent-ingest race, reader r's
+// rep-th gather going through norms[(r+rep)%len(norms)]; a norm must be
+// nil or a taggedNorm.
+func gatherUnderConcurrentIngest(t *testing.T, norms []*Norm) {
+	t.Helper()
 	const users = 4
 	logs := behavior.NewStore()
 	svc := NewService(Config{}, logs)
@@ -274,27 +322,36 @@ func TestTableExactUnderConcurrentIngest(t *testing.T) {
 	}
 	errc := make(chan error, 2)
 	for r := 0; r < 2; r++ {
-		go func() {
+		go func(r int) {
 			for rep := 0; rep < 300; rep++ {
+				norm := norms[(r+rep)%len(norms)]
 				lo := make([][2]float64, len(all))
 				for i, u := range all {
 					lo[i] = [2]float64{version(u), count(u)}
 				}
 				got := make([][]float64, len(all))
-				if _, err := svc.Gather(context.Background(), all, cutoff, func(i int, vec []float64) { got[i] = vec }); err != nil {
+				if _, err := svc.Gather(context.Background(), all, cutoff, norm, func(i int, vec []float64) { got[i] = vec }); err != nil {
 					errc <- err
 					return
 				}
 				for i, u := range all {
+					raw := got[i]
+					if norm != nil {
+						if tag := norm.Apply(nil)[0]; raw[0] != tag {
+							errc <- fmt.Errorf("user %d: gather through norm %v served norm %v's vector", u, tag, raw[0])
+							return
+						}
+						raw = raw[1:]
+					}
 					hi := [2]float64{version(u), count(u)}
-					if v, n := got[i][0], got[i][1+8]; v < lo[i][0] || v > hi[0] || n < lo[i][1] || n > hi[1] {
+					if v, n := raw[0], raw[1+8]; v < lo[i][0] || v > hi[0] || n < lo[i][1] || n > hi[1] {
 						errc <- fmt.Errorf("user %d: served profile %v / 72h logs %v outside [%v, %v]", u, v, n, lo[i], hi)
 						return
 					}
 				}
 			}
 			errc <- nil
-		}()
+		}(r)
 	}
 	for r := 0; r < 2; r++ {
 		if err := <-errc; err != nil {
@@ -303,13 +360,64 @@ func TestTableExactUnderConcurrentIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	for _, u := range all {
-		got, err := svc.Vector(u, cutoff)
-		if err != nil {
+	for _, norm := range norms {
+		if _, err := svc.Gather(context.Background(), all, cutoff, norm, func(i int, got []float64) {
+			if want := applied(norm, reference(t, svc, all[i], cutoff)); !bitwiseEqual(got, want) {
+				t.Fatalf("after ingest stopped, user %d served %v, want %v", all[i], got, want)
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if want := reference(t, svc, u, cutoff); !bitwiseEqual(got, want) {
-			t.Fatalf("after ingest stopped, user %d served %v, want %v", u, got, want)
+	}
+}
+
+// TestGatherMemoizesPerNorm pins what the row memo saves: a warm row
+// hands over one normalizer's output without calling it again (the same
+// slice), a second normalizer replaces the memo, a raw gather leaves it,
+// a rebuilt row calls the normalizer afresh, and the cold path calls it
+// on every gather.
+func TestGatherMemoizesPerNorm(t *testing.T) {
+	calls := 0
+	counting := func(scale float64) *Norm {
+		inner := affineNorm(scale, 0)
+		return NewNorm(func(vec []float64) []float64 { calls++; return inner.Apply(vec) })
+	}
+	a, b := counting(2), counting(3)
+	cutoff := t0.Add(2 * time.Hour)
+	for _, cfg := range []Config{{}, {DisableCache: true}} {
+		logs := behavior.NewStore()
+		logs.Append(mk(1, behavior.DeviceID, "d0", time.Hour))
+		svc := NewService(cfg, logs)
+		if err := svc.PutProfile(1, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+		gather := func(norm *Norm) []float64 {
+			var got []float64
+			if _, err := svc.Gather(context.Background(), []behavior.UserID{1}, cutoff, norm, func(_ int, v []float64) { got = v }); err != nil {
+				t.Fatal(err)
+			}
+			served := calls
+			if want := applied(norm, reference(t, svc, 1, cutoff)); !bitwiseEqual(got, want) {
+				t.Fatalf("%+v: served %v, want %v", cfg, got, want)
+			}
+			calls = served
+			return got
+		}
+		calls = 0
+		first, second := gather(a), gather(a)
+		gather(b)
+		gather(nil)
+		gather(b)
+		logs.Append(mk(1, behavior.IPv4, "i0", 90*time.Minute)) // moves the log version: the row is rebuilt
+		gather(b)
+		want := 3
+		if cfg.DisableCache {
+			want = 5
+		} else if &first[0] != &second[0] {
+			t.Fatal("a warm row's memo was recomputed, not handed over")
+		}
+		if calls != want {
+			t.Fatalf("%+v: the normalizers ran %d times over six gathers, want %d", cfg, calls, want)
 		}
 	}
 }

@@ -151,11 +151,11 @@ func InjectFeatures(src feature.Source, inj *Injector) feature.Source {
 }
 
 // Gather implements feature.Source.
-func (f *faultyFeatures) Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, fn func(i int, vec []float64)) (int, error) {
+func (f *faultyFeatures) Gather(ctx context.Context, users []behavior.UserID, cutoff time.Time, norm *feature.Norm, fn func(i int, vec []float64)) (int, error) {
 	if err := f.inj.Fault(ctx); err != nil {
 		return 0, err
 	}
-	return f.src.Gather(ctx, users, cutoff, fn)
+	return f.src.Gather(ctx, users, cutoff, norm, fn)
 }
 
 // faultyView wraps a graph view with injected sampling latency.

@@ -104,7 +104,7 @@ func TestChaosNoFaultsIdenticalToFullPath(t *testing.T) {
 	for i, node := range sg.Nodes {
 		users[i] = behavior.UserID(node)
 	}
-	vecs, errs := feature.FetchVectors(context.Background(), featureSource(cs.pred), users, at)
+	vecs, errs := feature.FetchVectors(context.Background(), featureSource(cs.pred), users, at, nil)
 	for i, vec := range vecs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

@@ -103,10 +103,11 @@ func (w *servingWorld) features(tb testing.TB, sg *graph.Subgraph) *tensor.Matri
 }
 
 // fittedNormalizer z-scores each feature column by its mean and
-// deviation over every user's row at w.at and clamps to ±10σ, returning
-// a fresh slice per call: the contract of eval.Normalizer.Apply, which
-// turbo-server and the benchmark pass to SetModel. (eval imports this
-// package, so the test cannot call it.)
+// deviation over every user's row at w.at and clamps to ±10σ into a
+// fresh slice: eval.Normalizer.Apply, which turbo-server and the
+// benchmark pass to SetModel. The feature table calls it once per row
+// and serving model, not once per audit. (eval imports this package, so
+// the test cannot call it.)
 func (w *servingWorld) fittedNormalizer(tb testing.TB) func([]float64) []float64 {
 	tb.Helper()
 	mean, std := make([]float64, w.dim), make([]float64, w.dim)
@@ -640,6 +641,42 @@ func TestConeSampleAllocs(t *testing.T) {
 	}
 }
 
+// TestNormalizedAuditAllocs pins what the feature table's row memo
+// saves: on the serving-shaped world, a warm full-path audit behind a
+// fitted normalizer allocates no more than the same audit with none,
+// because every gathered row hands over its memoized normalized vector.
+func TestNormalizedAuditAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	w := loadServingWorld(t)
+	model := w.servingModel()
+	ctx := context.Background()
+	users := w.users[:8]
+	perAudit := func(normalizer func([]float64) []float64) float64 {
+		pred := NewPredictionServer(w.bn, w.feats, model, normalizer, 0.5)
+		pred.ConfigureF32(func(gnn.Model) (float64, bool) { return 0, true })
+		audit := func() {
+			for _, u := range users {
+				if _, err := pred.PredictCtx(ctx, u, w.at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		audit() // warm: rows built, memos filled, pools primed
+		least := math.Inf(1)
+		for try := 0; try < 3; try++ { // a GC mid-run empties the pools
+			least = min(least, testing.AllocsPerRun(20, audit))
+		}
+		return least / float64(len(users))
+	}
+	plain, normed := perAudit(nil), perAudit(w.fittedNormalizer(t))
+	t.Logf("allocations per warm audit: %v with no normalizer, %v with a fitted one", plain, normed)
+	if normed > plain {
+		t.Fatalf("a warm normalized audit made %v allocations, a nil-normalizer one %v", normed, plain)
+	}
+}
+
 // BenchmarkAuditHotPath measures the full serving path on the serving-
 // shaped world (≈170 nodes / ≈8k induced edges / 10 edge types per
 // audit), end to end and stage by stage, drawing the sample in full
@@ -663,9 +700,10 @@ func BenchmarkAuditHotPath(b *testing.B) {
 		}
 	})
 	// What a deployment serves: the same audit behind a fitted
-	// normalizer, which allocates one slice per gathered row.
+	// normalizer, whose output the feature table memoizes per row.
 	normed := NewPredictionServer(w.bn, w.feats, model, w.fittedNormalizer(b), 0.5)
 	normed.ConfigureF32(func(gnn.Model) (float64, bool) { return 0, true })
+	norm := normed.Serving().Norm
 	b.Run("audit/normalized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -717,12 +755,13 @@ func BenchmarkAuditHotPath(b *testing.B) {
 				}
 			})
 		}
+		// An audit's gather, through the serving normalizer.
 		b.Run(fmt.Sprintf("layers=%d/features", layers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sg := sgs[i%inputs]
 				batch := gnn.NewBatch(sg, nil)
-				if err := pred.gatherFeatures(ctx, w.feats, nil, sg.Nodes, batch, user(i%inputs*7), w.at); err != nil {
+				if err := pred.gatherFeatures(ctx, w.feats, norm, sg.Nodes, batch, user(i%inputs*7), w.at); err != nil {
 					b.Fatal(err)
 				}
 				batch.Release()

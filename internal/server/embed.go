@@ -179,7 +179,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now())
+	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now(), sv.Norm)
 	if err := ctx.Err(); err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: feature fetch: %w", err)
 	}
@@ -190,9 +190,6 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		if errs[i] != nil {
 			rep.Skipped++
 			continue
-		}
-		if sv.Norm != nil {
-			vec = sv.Norm(vec)
 		}
 		okUsers = append(okUsers, users[i])
 		okNodes = append(okNodes, graph.NodeID(users[i]))

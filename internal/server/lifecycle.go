@@ -79,7 +79,7 @@ func (e *SweepEngine) cohortRaw(ctx context.Context, limit int) (*graph.Snapshot
 	if len(users) == 0 {
 		return snap, nil, nil, nil
 	}
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now())
+	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), nil)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("server: cohort feature fetch: %w", err)
 	}
@@ -96,14 +96,17 @@ func (e *SweepEngine) cohortRaw(ctx context.Context, limit int) (*graph.Snapshot
 }
 
 // scoreWith scores the cohort's raw vectors under one (model,
-// normalizer) pair via the shard-parallel sweep kernels. The raw
-// vectors are never mutated — each model normalizes its own copy, so
-// the same cohort can be scored under the candidate and the live model.
+// normalizer) pair via the shard-parallel sweep kernels. A normalizer
+// never mutates its input (core.System.SetModel), so the same raw cohort
+// can be scored under the candidate and the live model. The cohort is
+// gathered raw and each normalizer applied here, not through the
+// feature table's row memo: the memo holds one normalizer per row, and
+// a shadow run must not evict the live model's.
 func (e *SweepEngine) scoreWith(snap *graph.Snapshot, nodes []graph.NodeID, raw [][]float64, model gnn.Model, norm func([]float64) []float64) []float64 {
 	x := tensor.GetMatrix(len(raw), len(raw[0]))
 	for i, vec := range raw {
 		if norm != nil {
-			vec = norm(append([]float64(nil), vec...))
+			vec = norm(vec)
 		}
 		copy(x.Row(i), vec)
 	}
@@ -135,7 +138,7 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 		return nil, nil, err
 	}
 	candScores = e.scoreWith(snap, nodes, raw, cand, candNorm)
-	liveScores = e.scoreWith(snap, nodes, raw, live.Model, live.Norm)
+	liveScores = e.scoreWith(snap, nodes, raw, live.Model, live.Norm.Func())
 	return candScores, liveScores, nil
 }
 
@@ -151,5 +154,5 @@ func (e *SweepEngine) CohortScores(ctx context.Context, limit int) ([]float64, e
 	if err != nil || len(nodes) == 0 {
 		return nil, err
 	}
-	return e.scoreWith(snap, nodes, raw, live.Model, live.Norm), nil
+	return e.scoreWith(snap, nodes, raw, live.Model, live.Norm.Func()), nil
 }

@@ -15,7 +15,8 @@ import (
 
 // TrainFunc produces a freshly trained model and its feature normalizer
 // from whatever data the caller accumulates (the offline side of the
-// model management module).
+// model management module). The normalizer keeps the contract
+// core.System.SetModel states.
 type TrainFunc func() (gnn.Model, func([]float64) []float64, error)
 
 // ErrCandidateRejected is returned by RetrainOnce when the validation
@@ -145,7 +146,8 @@ func (m *ModelManager) EnableGate(opts GateOptions) {
 }
 
 // SetNormBuilder installs the factory reconstructing a serving
-// normalizer from persisted mean/std statistics. Without it, rollback
+// normalizer from persisted mean/std statistics; what it builds keeps
+// the contract core.System.SetModel states. Without it, rollback
 // falls back to the in-memory pre-swap model instead of the artifact
 // store's bitwise reload.
 func (m *ModelManager) SetNormBuilder(fn func(mean, std []float64) func([]float64) []float64) {
@@ -287,7 +289,7 @@ func (m *ModelManager) RetrainOnceCtx(ctx context.Context) (RetrainReport, error
 	m.retrains++
 	m.lastError = nil
 	m.lastSwap = time.Now()
-	m.prevModel, m.prevNorm = prev.Model, prev.Norm
+	m.prevModel, m.prevNorm = prev.Model, prev.Norm.Func()
 	store, extras := m.artifacts, m.extras
 	m.mu.Unlock()
 	if store != nil {

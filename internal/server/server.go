@@ -625,7 +625,7 @@ type Fallback interface {
 type Serving struct {
 	Feats   feature.Source
 	Model   gnn.Model
-	Norm    func([]float64) []float64
+	Norm    *feature.Norm
 	F32     bool
 	Version int
 	scores  *scoreCache
@@ -733,7 +733,7 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 		Prior: 0.05,
 		Tel:   tel,
 	}
-	p.serving.Store(&Serving{Feats: feats, Model: model, Norm: normalizer, scores: new(scoreCache)})
+	p.serving.Store(&Serving{Feats: feats, Model: model, Norm: feature.NewNorm(normalizer), scores: new(scoreCache)})
 	tel.RegisterBreakerGauge(func() float64 {
 		if p.Breaker == nil {
 			return -1
@@ -785,7 +785,8 @@ func (p *PredictionServer) gateF32(s *Serving, gate func(m gnn.Model) (float64, 
 }
 
 // SwapModel replaces the serving model and normalizer (the model
-// management module calls this after each offline retrain). The model
+// management module calls this after each offline retrain); the
+// normalizer keeps the contract core.System.SetModel states. The model
 // publishes at once under a never-before-used version with an empty
 // tier-3 cache, so no score of the retired model is served by tier 3;
 // the model manager pins the real artifact version right after
@@ -796,7 +797,7 @@ func (p *PredictionServer) SwapModel(m gnn.Model, normalizer func([]float64) []f
 	p.writeMu.Lock()
 	p.maxVersion++
 	swapped := p.publish(func(s *Serving) {
-		s.Model, s.Norm, s.F32 = m, normalizer, false
+		s.Model, s.Norm, s.F32 = m, feature.NewNorm(normalizer), false
 		s.Version, s.scores = p.maxVersion, new(scoreCache)
 	})
 	gate := p.f32Gate
@@ -984,13 +985,13 @@ func (p *PredictionServer) finish(sv *Serving, pred *Prediction, start time.Time
 	}
 }
 
-// gather fetches the vectors of users through the breaker and the retry
-// policy: one breaker Allow/Record and one retry loop per call, however
-// many rows, with each retry resuming at the failing row. It returns the
-// lowest failing row with its error. A missing profile is a definitive
-// answer, not a dependency failure: it is never retried and never trips
-// the breaker.
-func (p *PredictionServer) gather(ctx context.Context, feats feature.Source, users []behavior.UserID, at time.Time, fn func(i int, vec []float64)) (int, error) {
+// gather fetches the vectors of users, normalized by norm (nil = raw),
+// through the breaker and the retry policy: one breaker Allow/Record and
+// one retry loop per call, however many rows, with each retry resuming
+// at the failing row. It returns the lowest failing row with its error.
+// A missing profile is a definitive answer, not a dependency failure: it
+// is never retried and never trips the breaker.
+func (p *PredictionServer) gather(ctx context.Context, feats feature.Source, norm *feature.Norm, users []behavior.UserID, at time.Time, fn func(i int, vec []float64)) (int, error) {
 	if p.Breaker != nil {
 		if err := p.Breaker.Allow(); err != nil {
 			return 0, err
@@ -999,7 +1000,7 @@ func (p *PredictionServer) gather(ctx context.Context, feats feature.Source, use
 	done, attempts := 0, 0
 	err := resilience.Retry(ctx, p.Retry, func(ctx context.Context) error {
 		attempts++
-		n, err := feats.Gather(ctx, users[done:], at, func(i int, vec []float64) { fn(done+i, vec) })
+		n, err := feats.Gather(ctx, users[done:], at, norm, func(i int, vec []float64) { fn(done+i, vec) })
 		done += n
 		if errors.Is(err, store.ErrNotFound) {
 			return resilience.Permanent(err)
@@ -1030,8 +1031,8 @@ func fanoutError(node graph.NodeID, u behavior.UserID, verr error) error {
 var userBufs = sync.Pool{New: func() any { return new([]behavior.UserID) }}
 
 // gatherFeatures gathers the feature vector of every sampled node,
-// normalized, into b's rows: X and its float32 mirror together.
-func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Source, normalizer func([]float64) []float64, nodes []graph.NodeID, b *gnn.Batch, u behavior.UserID, at time.Time) error {
+// normalized by norm, into b's rows: X and its float32 mirror together.
+func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Source, norm *feature.Norm, nodes []graph.NodeID, b *gnn.Batch, u behavior.UserID, at time.Time) error {
 	buf := userBufs.Get().(*[]behavior.UserID)
 	defer userBufs.Put(buf)
 	users := (*buf)[:0]
@@ -1039,12 +1040,7 @@ func (p *PredictionServer) gatherFeatures(ctx context.Context, feats feature.Sou
 		users = append(users, behavior.UserID(node))
 	}
 	*buf = users
-	failed, err := p.gather(ctx, feats, users, at, func(i int, vec []float64) {
-		if normalizer != nil {
-			vec = normalizer(vec)
-		}
-		b.SetRow(i, vec)
-	})
+	failed, err := p.gather(ctx, feats, norm, users, at, b.SetRow)
 	if err != nil {
 		return fanoutError(nodes[failed], u, err)
 	}
@@ -1128,7 +1124,7 @@ func (p *PredictionServer) predictFallback(ctx context.Context, sv *Serving, u b
 	}
 	fstart := time.Now()
 	var vec []float64
-	_, err := p.gather(fctx, sv.Feats, []behavior.UserID{u}, at, func(_ int, v []float64) { vec = v })
+	_, err := p.gather(fctx, sv.Feats, sv.Norm, []behavior.UserID{u}, at, func(_ int, v []float64) { vec = v })
 	featDone := time.Now()
 	trace := telemetry.TraceFrom(ctx)
 	trace.AddSpan(StageFeature, fstart, featDone.Sub(fstart), telemetry.Outcome(err))
@@ -1138,9 +1134,6 @@ func (p *PredictionServer) predictFallback(ctx context.Context, sv *Serving, u b
 			return Prediction{}, fmt.Errorf("%w %d: %v", ErrUnknownUser, u, err)
 		}
 		return Prediction{}, fmt.Errorf("server: fallback features for user %d: %w", u, err)
-	}
-	if sv.Norm != nil {
-		vec = sv.Norm(vec)
 	}
 	x := tensor.New(1, len(vec))
 	copy(x.Row(0), vec)

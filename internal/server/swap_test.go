@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -222,4 +223,126 @@ func TestScoreCacheRepeatWriteAllocFree(t *testing.T) {
 	if got, ok := c.load(u); !ok || got != prob {
 		t.Fatalf("load = %v, %v; want %v", got, ok, prob)
 	}
+}
+
+// scaleNorm is a normalizer in the shape of eval.Normalizer.Apply: a
+// fresh slice, the input untouched.
+func scaleNorm(scale, shift float64) func([]float64) []float64 {
+	return func(vec []float64) []float64 {
+		out := make([]float64, len(vec))
+		for j, v := range vec {
+			out[j] = v*scale + shift
+		}
+		return out
+	}
+}
+
+// linearFallback scores a row by a logistic of a weighted sum of every
+// feature, so its score moves with whatever the normalizer hands it.
+type linearFallback struct{}
+
+func (linearFallback) PredictProba(x *tensor.Matrix) []float64 {
+	out := make([]float64, x.Rows)
+	for i := range out {
+		z := 0.0
+		for j, v := range x.Row(i) {
+			z += v * float64(j+1) / 10
+		}
+		out[i] = 1 / (1 + math.Exp(-z))
+	}
+	return out
+}
+
+// servesLike checks that pred's next full-path audit and fallback audit
+// of every user, sweep and embed rebuild score bitwise what a fresh
+// PredictionServer built with model and norm scores on a fresh copy of
+// the test stack, whose feature table holds no memo.
+func servesLike(t *testing.T, pred *PredictionServer, emb *EmbedEngine, sweep *SweepEngine, model gnn.Model, norm func([]float64) []float64) {
+	t.Helper()
+	refBN, stack := newTestStack(t)
+	ref := NewPredictionServer(refBN, featureSource(stack), model, norm, 0.5)
+	ref.Fallback = pred.Fallback
+	refEmb := NewEmbedEngine(refBN, ref)
+	ctx := context.Background()
+	// The sweep and the rebuild gather as of now; audits as of now too
+	// serve the same table rows, so every step starts on rows memoized
+	// under the normalizer it retires.
+	at := time.Now()
+	same := func(what string, u behavior.UserID, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s of user %d scored %v, a fresh server %v", what, u, got, want)
+		}
+	}
+	for u := behavior.UserID(1); u <= 3; u++ {
+		for _, tier := range []struct {
+			name  string
+			score func(*PredictionServer) (Prediction, error)
+		}{
+			{"full-path audit", func(p *PredictionServer) (Prediction, error) { return p.predictFull(ctx, p.Serving(), u, at) }},
+			{"fallback audit", func(p *PredictionServer) (Prediction, error) { return p.predictFallback(ctx, p.Serving(), u, at) }},
+		} {
+			got, err := tier.score(pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tier.score(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(tier.name, u, got.Probability, want.Probability)
+		}
+	}
+	sameCaches := func(what string) {
+		t.Helper()
+		got, want := cachedScores(pred), cachedScores(ref)
+		if len(got) != len(want) {
+			t.Fatalf("%s cached %d scores, a fresh server %d", what, len(got), len(want))
+		}
+		for u, w := range want {
+			same(what, u, got[u], w)
+		}
+	}
+	if _, err := sweep.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSweepEngine(refBN, ref).RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sameCaches("sweep")
+	if _, err := emb.RebuildOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refEmb.RebuildOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sameCaches("embed rebuild")
+}
+
+// TestSwapAndRollbackServeNewNormalizer is the risk of the feature
+// table's row memo: rows memoized under one normalizer must not be
+// served after SwapModel or ModelManager.Rollback installs another. Each
+// step first fills every row's memo under the normalizer it retires.
+func TestSwapAndRollbackServeNewNormalizer(t *testing.T) {
+	bnServer, stack := newTestStack(t)
+	live := stack.Serving().Model
+	normA, normB := scaleNorm(0.5, -1), scaleNorm(-3, 2)
+	pred := NewPredictionServer(bnServer, featureSource(stack), live, normA, 0.5)
+	pred.Fallback = linearFallback{}
+	emb, sweep := NewEmbedEngine(bnServer, pred), NewSweepEngine(bnServer, pred)
+	servesLike(t, pred, emb, sweep, live, normA)
+
+	pred.SwapModel(live, normB) // the same model: only the normalizer moves
+	servesLike(t, pred, emb, sweep, live, normB)
+
+	next := sageModel(2)
+	mgr := NewModelManager(pred, func() (gnn.Model, func([]float64) []float64, error) { return next, normA, nil })
+	if err := mgr.RetrainOnce(); err != nil {
+		t.Fatal(err)
+	}
+	servesLike(t, pred, emb, sweep, next, normA)
+	if err := mgr.Rollback("normalizer swap test"); err != nil {
+		t.Fatal(err)
+	}
+	servesLike(t, pred, emb, sweep, live, normB)
 }

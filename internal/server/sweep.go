@@ -105,7 +105,7 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 		return rep, nil
 	}
 
-	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now())
+	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now(), sv.Norm)
 	if err := ctx.Err(); err != nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: feature fetch: %w", err)
 	}
@@ -116,9 +116,6 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 		if errs[i] != nil {
 			rep.Skipped++
 			continue
-		}
-		if sv.Norm != nil {
-			vec = sv.Norm(vec)
 		}
 		okUsers = append(okUsers, users[i])
 		okNodes = append(okNodes, graph.NodeID(users[i]))

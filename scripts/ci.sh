@@ -26,9 +26,9 @@ GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal
 echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
-echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Profile ⊕ StatFeatures bitwise, burst after a cached read, concurrent ingest ten times over, a gather parked inside PutProfile never serves the old profile's row; full-path audit after a burst scores fresh features; under -race)"
-go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow|TestGatherDuringPutProfile' ./internal/feature/
-go test -race -count=10 -run 'TestTableExactUnderConcurrentIngest' ./internal/feature/
+echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Apply(Profile ⊕ StatFeatures) bitwise through two normalizers and none, burst after a cached read, concurrent ingest ten times over raw and through two normalizers, a gather parked inside PutProfile never serves the old profile's row, a warm row hands over its normalizer memo and the cold path memoizes nothing; full-path audit after a burst scores fresh features; under -race)"
+go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow|TestGatherDuringPutProfile|TestGatherMemoizesPerNorm' ./internal/feature/
+go test -race -count=10 -run 'TestTableExactUnderConcurrentIngest|TestTableExactNormsUnderConcurrentIngest' ./internal/feature/
 go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanout' ./internal/server/
 
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
@@ -57,8 +57,8 @@ go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSample
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
 
-echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, the embedding tier keeps serving after a core retrain and rollback, under -race)"
-go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRate|TestModelStoreQuarantinedNeverAutoLoaded|TestSwapRetiresInFlightScore|TestSwapScoresF64UntilGateVerdict' ./internal/server/ ./internal/persist/
+echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, after a swap and a rollback to another normalizer the full path, fallback, sweep and embed rebuild score bitwise a fresh server's, the embedding tier keeps serving after a core retrain and rollback, under -race)"
+go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRate|TestModelStoreQuarantinedNeverAutoLoaded|TestSwapRetiresInFlightScore|TestSwapScoresF64UntilGateVerdict|TestSwapAndRollbackServeNewNormalizer' ./internal/server/ ./internal/persist/
 go test -race -run 'TestEmbedTierServesAfterRetrainAndRollback' ./internal/core/
 
 echo "== fuzz smoke (WAL payload decoder, 10s)"
