@@ -90,8 +90,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 
 	// Validation-gated model lifecycle (gate off unless -gate is set).
-	inferF32 := flag.Bool("infer.f32", false, "serve audits through the float32 kernel path when the model passes the logit-tolerance gate (float64 stays the reference; re-validated on every model swap)")
-	inferF32Tol := flag.Float64("infer.f32-tol", 5e-3, "max per-node |float64−float32| logit gap allowed by the -infer.f32 gate")
 	gateEnable := flag.Bool("gate", false, "validation-gate retrained models: shadow-evaluate each candidate, quarantine rejects, monitor accepted swaps")
 	gateMinAUC := flag.Float64("gate.min-auc", 0.75, "holdout ROC-AUC floor a candidate must reach")
 	gateMinRecall := flag.Float64("gate.min-recall", 0.5, "recall floor at -gate.precision-floor on the holdout")
@@ -399,22 +397,17 @@ func main() {
 			*gateMinAUC, *gateMinRecall, *gatePrecisionFloor, *gateMaxPSI, *gateMaxKS, *gateMaxDisagree, *monWindow)
 	}
 
-	if *inferF32 {
-		// Validate the quantized path against the float64 reference on the
-		// assembled full graph; the closure re-runs on every model swap.
-		vb := a.FullBatch()
-		tol := *inferF32Tol
-		maxDelta, ok := pred.ConfigureF32(func(m gnn.Model) (float64, bool) {
-			if !gnn.CanInfer32(m) {
-				return 0, false
-			}
-			return gnn.ValidateF32(m, vb, tol)
-		})
-		if ok {
-			log.Printf("f32 inference on: max logit delta %.3g within tol %.1g (%d validation nodes)", maxDelta, tol, vb.NumNodes)
-		} else {
-			log.Printf("f32 inference requested but gate failed (max logit delta %.3g, tol %.1g): serving float64", maxDelta, tol)
-		}
+	// Audits score through the float32 forward whenever the model passes
+	// the logit-tolerance gate against the float64 reference on the
+	// assembled full graph; the gate re-runs on every model swap, and a
+	// version that fails it is scored in float64.
+	vb := a.FullBatch()
+	if maxDelta, ok := pred.ConfigureF32(func(m gnn.Model) (float64, bool) {
+		return gnn.ValidateF32(m, vb, gnn.F32Tol)
+	}); ok {
+		log.Printf("f32 inference on: max logit delta %.3g within tol %.1g (%d validation nodes)", maxDelta, gnn.F32Tol, vb.NumNodes)
+	} else {
+		log.Printf("f32 gate failed (max logit delta %.3g, tol %.1g): serving float64", maxDelta, gnn.F32Tol)
 	}
 
 	// Build the embedding table against the recovered graph and the

@@ -238,7 +238,7 @@ func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) 
 // score runs the final aggregation layer, head and sigmoid for star over
 // its gathered rows as they are now. ok is false if a row is unset.
 func (t *Table) score(star *gnn.EmbedStar) (prob float64, ok bool) {
-	f := gnn.AcquireFwd()
+	f := gnn.AcquireFwd[float64]()
 	defer gnn.ReleaseFwd(f)
 	hs := make([]*tensor.Matrix, len(t.rows))
 	for st := range t.rows {

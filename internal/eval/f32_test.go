@@ -10,10 +10,9 @@ import (
 	"turbo/internal/tensor"
 )
 
-// servingF32Tol is the default -infer.f32-tol the prediction server
-// gates quantized serving on; these tests hold a trained model to the
-// same bound on the real holdout.
-const servingF32Tol = 5e-3
+// servingF32Tol is the gate the prediction server serves float32 under;
+// these tests hold a trained model to the same bound on the real holdout.
+const servingF32Tol = gnn.F32Tol
 
 // TestF32HoldoutEquivalence trains HAG on the tiny dataset and checks
 // the float32 serving contract on the evaluation holdout: per-node
@@ -31,13 +30,13 @@ func TestF32HoldoutEquivalence(t *testing.T) {
 	t.Logf("holdout f32 gate: max logit delta %.3g over %d nodes", maxDelta, batch.NumNodes)
 
 	want := gnn.Scores(m, batch)
-	f := gnn.AcquireFwd32()
+	f := gnn.AcquireFwd[float32]()
 	logits := m.Infer32(f, batch)
 	got := make([]float64, batch.NumNodes)
 	for i := range got {
 		got[i] = tensor.SigmoidScalar(float64(logits.Data[i]))
 	}
-	gnn.ReleaseFwd32(f)
+	gnn.ReleaseFwd(f)
 
 	// Probabilities move less than logits through the sigmoid (slope ≤ 1/4).
 	const probTol = servingF32Tol

@@ -82,7 +82,7 @@ var conePool = sync.Pool{New: func() any { return &Batch{sampled: true} }}
 // until Release), and its typed edge count.
 func SampleCone(snap *graph.Snapshot, target graph.NodeID, opts graph.SampleOptions, m Model) (*Batch, []graph.NodeID, int) {
 	b := conePool.Get().(*Batch)
-	stacks := m.spec().Stacks
+	stacks := m.specs().F64.Stacks
 	b.forms = b.forms[:0]
 	for _, st := range stacks {
 		if !slices.ContainsFunc(b.aggs, func(c compiled) bool { return c.agg == st.Agg }) {
@@ -127,7 +127,7 @@ func (b *Batch) SetRow(i int, vec []float64) {
 
 // Depth returns the number of message-passing layers of m — the Layers
 // to sample with for m to score the target.
-func Depth(m Model) int { return m.spec().Stacks[0].layers() }
+func Depth(m Model) int { return m.specs().F64.Stacks[0].layers() }
 
 // ErrShallowSample reports a batch cut for a shallower model than the
 // one asked to score it: the model would read rows whose in-edges the

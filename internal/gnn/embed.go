@@ -56,7 +56,7 @@ type EmbedStar struct {
 // when the normalization includes one), the same normSum row scaling,
 // and the same accumulation order as a row of CSR.MatMulInto. unweighted
 // replaces edge weights with 1, mirroring the Eq. 1–2 aggregations.
-func StarAggRow(f *Fwd, h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted bool) *tensor.Matrix {
+func StarAggRow(f *Fwd[float64], h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted bool) *tensor.Matrix {
 	out := f.Get(1, h.Cols)
 	var s float64
 	for _, e := range edges {

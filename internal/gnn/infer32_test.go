@@ -17,7 +17,7 @@ const f32LogitTol = 1e-3
 func TestInfer32MatchesFloat64(t *testing.T) {
 	for _, m := range inferModels(5) {
 		if !CanInfer32(m) {
-			t.Fatalf("%s does not implement Inferer32", m.Name())
+			t.Fatalf("%s has no float32 forward", m.Name())
 		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			b := randomBatch(t, seed, 20, 2, 5)
@@ -34,15 +34,14 @@ func TestInfer32MatchesFloat64(t *testing.T) {
 // the full float32 forward's row, and both to the float64 target logit.
 func TestInferTarget32MatchesFull(t *testing.T) {
 	for _, m := range inferModels(5) {
-		ti := m.(TargetInferer32)
 		for seed := uint64(1); seed <= 3; seed++ {
 			b := randomBatch(t, seed, 20, 2, 5)
-			f := AcquireFwd32()
-			full := m.(Inferer32).Infer32(f, b).Data[0]
-			ReleaseFwd32(f)
-			f = AcquireFwd32()
-			row := ti.InferTarget32(f, b, 0)
-			ReleaseFwd32(f)
+			f := AcquireFwd[float32]()
+			full := m.Infer32(f, b).Data[0]
+			ReleaseFwd(f)
+			f = AcquireFwd[float32]()
+			row := m.InferTarget32(f, b, 0)
+			ReleaseFwd(f)
 			if row != full {
 				t.Errorf("%s seed %d: InferTarget32 %.8g != Infer32 row 0 %.8g", m.Name(), seed, row, full)
 			}

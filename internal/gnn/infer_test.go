@@ -76,7 +76,7 @@ func TestInferTargetMatchesTape(t *testing.T) {
 		b := randomBatch(t, 9, 18, 2, 5)
 		want := TapeScores(m, b)
 		for node := 0; node < b.NumNodes; node++ {
-			f := AcquireFwd()
+			f := AcquireFwd[float64]()
 			got := tensor.SigmoidScalar(m.InferTarget(f, b, node))
 			ReleaseFwd(f)
 			if math.Abs(got-want[node]) > 1e-12 {
@@ -96,7 +96,7 @@ func TestInferMatchesTrainingModeNoDropout(t *testing.T) {
 		tape := autodiff.NewTape()
 		logits := m.Forward(tape, b, tensor.NewRNG(3))
 
-		f := AcquireFwd()
+		f := AcquireFwd[float64]()
 		inferred := m.Infer(f, b)
 		for i := 0; i < b.NumNodes; i++ {
 			if math.Abs(inferred.Data[i]-logits.Value.Data[i]) > 1e-12 {

@@ -12,9 +12,9 @@ import (
 // Model is a node classifier over a Batch, producing one fraud logit per
 // node. Forward is the training path on the autodiff tape (a nil dropRNG
 // selects evaluation mode, no dropout); every other method is the
-// tape-free evaluation forward a model gets by embedding its Spec (see
-// spec.go), so training, per-audit scoring, full-graph sweeps and
-// embedding serving all run one model definition.
+// tape-free evaluation forward a model gets by embedding its Specs (see
+// spec.go), so training, per-audit scoring at both precisions,
+// full-graph sweeps and embedding serving all run one model definition.
 type Model interface {
 	nn.Module
 	Name() string
@@ -23,10 +23,14 @@ type Model interface {
 	// Infer computes every node's logit without the tape. The returned
 	// matrix is Fwd scratch: read it before releasing the Fwd, and do not
 	// retain it.
-	Infer(f *Fwd, b *Batch) *tensor.Matrix
+	Infer(f *Fwd[float64], b *Batch) *tensor.Matrix
 	// InferTarget computes one node's logit on its computation cone (see
 	// Cone) and nothing else, bitwise the full forward's row.
-	InferTarget(f *Fwd, b *Batch, node int) float64
+	InferTarget(f *Fwd[float64], b *Batch, node int) float64
+	// Infer32 and InferTarget32 are Infer and InferTarget on the float32
+	// instantiation of the same forward (see CanInfer32).
+	Infer32(f *Fwd[float32], b *Batch) *tensor.Matrix32
+	InferTarget32(f *Fwd[float32], b *Batch, node int) float32
 	// BuildSweep compiles the forward into a layer-at-a-time full-graph
 	// program. It references only b and the model's parameters and is run
 	// after BuildSweep returns, possibly concurrently across row ranges.
@@ -40,9 +44,9 @@ type Model interface {
 	BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 	// InferFinal computes the target's logit from gathered penultimate
 	// rows: hs[s] row i holds the embedding of star.Gather[i] in stream s.
-	InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64
+	InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix) float64
 
-	spec() *Spec // the description every method above runs
+	specs() *Specs // the description every method above runs
 }
 
 // Config holds the shared GNN hyperparameters of §VI-A: two graph layers
@@ -88,8 +92,7 @@ func newHead(name string, in int, c Config, rng *tensor.RNG) *nn.MLP {
 // ReLU(W · mean over Ñ(v) of h_u) on the type-merged adjacency with
 // self-loops.
 type GCN struct {
-	Spec
-	Spec32
+	Specs
 	cfg    Config
 	layers []*nn.Linear
 	head   *nn.MLP
@@ -105,32 +108,35 @@ func NewGCN(cfg Config) *GCN {
 		m.layers = append(m.layers, nn.NewLinear(fmt.Sprintf("gcn.l%d", i), sizes[i], sizes[i+1], rng))
 	}
 	m.head = newHead("gcn", sizes[len(sizes)-1], cfg, rng)
-	// The adjacency carries the self-loops, so a layer reads only the
-	// aggregated rows.
-	m.Spec = Spec{
-		Stacks: []Stack{{Agg: MergedRW, Widths: sizes, Layer: func(f *Fwd, l int, _, hN *tensor.Matrix) *tensor.Matrix {
+	m.Specs = Specs{F64: gcnSpec[float64](m, sizes), F32: gcnSpec[float32](m, sizes)}
+	return m
+}
+
+// gcnSpec is GCN's forward at precision F. The adjacency carries the
+// self-loops, so a layer reads only the aggregated rows.
+func gcnSpec[F tensor.Float](m *GCN, sizes []int) Spec[F] {
+	return Spec[F]{
+		Stacks: []Stack[F]{{Agg: MergedRW, Widths: sizes, Layer: func(f *Fwd[F], l int, _, hN *tensor.Mat[F]) *tensor.Mat[F] {
 			return tensor.ReLUInPlace(f.Linear(m.layers[l], hN))
 		}}},
-		Readout: headReadout(m.head),
+		Readout: headReadout[F](m.head),
 	}
-	m.Spec32 = Spec32{
-		Stacks: []Stack32{{Agg: MergedRW, Widths: sizes, Layer: func(f *Fwd32, l int, _, hN *tensor.Matrix32) *tensor.Matrix32 {
-			return tensor.ReLU32InPlace(f.Linear(m.layers[l], hN))
-		}}},
-		Readout: headReadout32(m.head),
+}
+
+// linearParams lists the parameters of a stack of linear layers, then
+// the head's.
+func linearParams(layers []*nn.Linear, head *nn.MLP) []*nn.Parameter {
+	var ps []*nn.Parameter
+	for _, l := range layers {
+		ps = append(ps, l.Parameters()...)
 	}
-	return m
+	return append(ps, head.Parameters()...)
 }
 
 // headReadout is the readout of a single-stack model: the classification
 // MLP on the stack's final rows.
-func headReadout(head *nn.MLP) func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix {
-	return func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix { return f.MLP(head, hs[0]) }
-}
-
-// headReadout32 is headReadout on quantized weights.
-func headReadout32(head *nn.MLP) func(f *Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 {
-	return func(f *Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32 { return f.MLP(head, hs[0]) }
+func headReadout[F tensor.Float](head *nn.MLP) func(f *Fwd[F], hs []*tensor.Mat[F]) *tensor.Mat[F] {
+	return func(f *Fwd[F], hs []*tensor.Mat[F]) *tensor.Mat[F] { return f.MLP(head, hs[0]) }
 }
 
 // Name implements Model.
@@ -141,13 +147,7 @@ func (m *GCN) Name() string { return "GCN" }
 func (m *GCN) Config() Config { return m.cfg }
 
 // Parameters implements nn.Module.
-func (m *GCN) Parameters() []*nn.Parameter {
-	var ps []*nn.Parameter
-	for _, l := range m.layers {
-		ps = append(ps, l.Parameters()...)
-	}
-	return append(ps, m.head.Parameters()...)
-}
+func (m *GCN) Parameters() []*nn.Parameter { return linearParams(m.layers, m.head) }
 
 // Forward implements Model.
 func (m *GCN) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff.Node {
@@ -165,8 +165,7 @@ func (m *GCN) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff
 // GraphSAGE is the skip-connection baseline of Eq. 2: each layer computes
 // ReLU(W · [h_v ; mean over N(v) of h_u]).
 type GraphSAGE struct {
-	Spec
-	Spec32
+	Specs
 	cfg    Config
 	layers []*nn.Linear
 	head   *nn.MLP
@@ -182,25 +181,22 @@ func NewGraphSAGE(cfg Config) *GraphSAGE {
 		m.layers = append(m.layers, nn.NewLinear(fmt.Sprintf("sage.l%d", i), 2*sizes[i], sizes[i+1], rng))
 	}
 	m.head = newHead("sage", sizes[len(sizes)-1], cfg, rng)
-	// The concat-linear of each layer runs as a split matmul — W's top
-	// rows against h, bottom rows against the neighbour mean — which is
-	// bitwise the tape's MatMul(ConcatCols(h, hN), W) without
-	// materializing the 2d-wide concatenation.
-	m.Spec = Spec{
-		Stacks: []Stack{{Agg: MergedMean, Widths: sizes, Layer: func(f *Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix {
-			return tensor.ReLUInPlace(f.MatMulSplit(h, hN, m.layers[l].W.Value).AddRowVectorInPlace(m.layers[l].B.Value))
-		}}},
-		Readout: headReadout(m.head),
-	}
-	m.Spec32 = Spec32{
-		Stacks: []Stack32{{Agg: MergedMean, Widths: sizes, Layer: func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
-			out := f.Get(h.Rows, m.layers[l].W.Value.Cols)
-			tensor.MatMul32SplitInto(out, h, hN, m.layers[l].W.Value32())
-			return tensor.ReLU32InPlace(out.AddRowVectorInPlace(m.layers[l].B.Value32()))
-		}}},
-		Readout: headReadout32(m.head),
-	}
+	m.Specs = Specs{F64: sageSpec[float64](m, sizes), F32: sageSpec[float32](m, sizes)}
 	return m
+}
+
+// sageSpec is GraphSAGE's forward at precision F. The concat-linear of
+// each layer runs as a split matmul — W's top rows against h, bottom rows
+// against the neighbour mean — which is bitwise the tape's
+// MatMul(ConcatCols(h, hN), W) without materializing the 2d-wide
+// concatenation.
+func sageSpec[F tensor.Float](m *GraphSAGE, sizes []int) Spec[F] {
+	return Spec[F]{
+		Stacks: []Stack[F]{{Agg: MergedMean, Widths: sizes, Layer: func(f *Fwd[F], l int, h, hN *tensor.Mat[F]) *tensor.Mat[F] {
+			return tensor.ReLUInPlace(f.MatMulSplit(h, hN, f.Value(m.layers[l].W)).AddRowVectorInPlace(f.Value(m.layers[l].B)))
+		}}},
+		Readout: headReadout[F](m.head),
+	}
 }
 
 // Name implements Model.
@@ -210,13 +206,7 @@ func (m *GraphSAGE) Name() string { return "G-SAGE" }
 func (m *GraphSAGE) Config() Config { return m.cfg }
 
 // Parameters implements nn.Module.
-func (m *GraphSAGE) Parameters() []*nn.Parameter {
-	var ps []*nn.Parameter
-	for _, l := range m.layers {
-		ps = append(ps, l.Parameters()...)
-	}
-	return append(ps, m.head.Parameters()...)
-}
+func (m *GraphSAGE) Parameters() []*nn.Parameter { return linearParams(m.layers, m.head) }
 
 // Forward implements Model.
 func (m *GraphSAGE) Forward(t *autodiff.Tape, b *Batch, dropRNG *tensor.RNG) *autodiff.Node {
@@ -243,11 +233,22 @@ type gatHead struct {
 	attDst *nn.Parameter // out × 1
 }
 
-// project maps a block of layer input rows to the attention projection
-// a Stack's Project returns: per head k, wh_k = h·W_k in column block k,
-// then the head's scores wh_k·a_src and wh_k·a_dst — the same kernels,
-// row for row, as the tape's MatMul(h, W) and its score MatMuls.
-func (g *gatLayer) project(f *Fwd, h *tensor.Matrix) *tensor.Matrix {
+// gatProject maps a block of layer input rows to the attention
+// projection a Stack's Project returns. It is the one GAT primitive
+// whose arithmetic differs by precision: project at float64, the folded
+// project32 at float32.
+func gatProject[F tensor.Float](f *Fwd[F], g *gatLayer, h *tensor.Mat[F]) *tensor.Mat[F] {
+	if f64, ok := any(f).(*Fwd[float64]); ok {
+		return any(g.project(f64, any(h).(*tensor.Matrix))).(*tensor.Mat[F])
+	}
+	return any(g.project32(any(f).(*Fwd[float32]), any(h).(*tensor.Matrix32))).(*tensor.Mat[F])
+}
+
+// project is gatProject at float64: per head k, wh_k = h·W_k in column
+// block k, then the head's scores wh_k·a_src and wh_k·a_dst — the same
+// kernels, row for row, as the tape's MatMul(h, W) and its score
+// MatMuls.
+func (g *gatLayer) project(f *Fwd[float64], h *tensor.Matrix) *tensor.Matrix {
 	d := g.heads[0].w.Value.Cols
 	sc := len(g.heads) * d
 	z := f.Get(h.Rows, sc+2*len(g.heads))
@@ -263,13 +264,13 @@ func (g *gatLayer) project(f *Fwd, h *tensor.Matrix) *tensor.Matrix {
 	return z
 }
 
-// project32 is project on quantized weights, folded into one matmul:
-// since (h·W)·a = h·(W·a), the heads' W side by side, augmented with the
+// project32 is gatProject at float32, folded into one matmul: since
+// (h·W)·a = h·(W·a), the heads' W side by side, augmented with the
 // columns W_k·a_src and W_k·a_dst, yield the features and every score in
 // one product. Under the vector kernels the operand is zero-padded to
 // full 8-column tiles so the whole product stays on the FMA path; the
 // pad columns are never read.
-func (g *gatLayer) project32(f *Fwd32, h *tensor.Matrix32) *tensor.Matrix32 {
+func (g *gatLayer) project32(f *Fwd[float32], h *tensor.Matrix32) *tensor.Matrix32 {
 	d := g.heads[0].w.Value.Cols
 	sc := len(g.heads) * d
 	cols := sc + 2*len(g.heads)
@@ -297,8 +298,7 @@ func (g *gatLayer) project32(f *Fwd32, h *tensor.Matrix32) *tensor.Matrix32 {
 // type-merged graph, with self-loops so isolated nodes keep their own
 // representation.
 type GAT struct {
-	Spec
-	Spec32
+	Specs
 	cfg    Config
 	layers []*gatLayer
 	head   *nn.MLP
@@ -329,27 +329,24 @@ func NewGAT(cfg Config) *GAT {
 		m.layers = append(m.layers, layer)
 	}
 	m.head = newHead("gat", widths[len(widths)-1], cfg, rng)
-	// Attention runs over MergedRW's pattern: its row i lists i's merged
-	// in-edges in edge order, then the self-loop — the softmax segments of
-	// the tape's gatStructure, in the same order. A layer is the ReLU of
-	// the heads' concatenated aggregations.
-	m.Spec = Spec{
-		Stacks: []Stack{{
-			Agg: MergedRW, Widths: widths, Heads: cfg.Heads,
-			Project: func(f *Fwd, l int, h *tensor.Matrix) *tensor.Matrix { return m.layers[l].project(f, h) },
-			Layer:   func(_ *Fwd, _ int, _, hN *tensor.Matrix) *tensor.Matrix { return tensor.ReLUInPlace(hN) },
-		}},
-		Readout: headReadout(m.head),
-	}
-	m.Spec32 = Spec32{
-		Stacks: []Stack32{{
-			Agg: MergedRW, Widths: widths, Heads: cfg.Heads,
-			Project: func(f *Fwd32, l int, h *tensor.Matrix32) *tensor.Matrix32 { return m.layers[l].project32(f, h) },
-			Layer:   func(_ *Fwd32, _ int, _, hN *tensor.Matrix32) *tensor.Matrix32 { return tensor.ReLU32InPlace(hN) },
-		}},
-		Readout: headReadout32(m.head),
-	}
+	m.Specs = Specs{F64: gatSpec[float64](m, widths), F32: gatSpec[float32](m, widths)}
 	return m
+}
+
+// gatSpec is GAT's forward at precision F. Attention runs over
+// MergedRW's pattern: its row i lists i's merged in-edges in edge order,
+// then the self-loop — the softmax segments of the tape's gatStructure,
+// in the same order. A layer is the ReLU of the heads' concatenated
+// aggregations.
+func gatSpec[F tensor.Float](m *GAT, widths []int) Spec[F] {
+	return Spec[F]{
+		Stacks: []Stack[F]{{
+			Agg: MergedRW, Widths: widths, Heads: m.cfg.Heads,
+			Project: func(f *Fwd[F], l int, h *tensor.Mat[F]) *tensor.Mat[F] { return gatProject(f, m.layers[l], h) },
+			Layer:   func(_ *Fwd[F], _ int, _, hN *tensor.Mat[F]) *tensor.Mat[F] { return tensor.ReLUInPlace(hN) },
+		}},
+		Readout: headReadout[F](m.head),
+	}
 }
 
 // Name implements Model.

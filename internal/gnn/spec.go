@@ -3,14 +3,15 @@ package gnn
 import (
 	"fmt"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
 
 // spec.go is where a message-passing model describes its evaluation-mode
 // forward once, and where the three forwards that run that description
-// live. A description is a set of stacks — message-passing streams, each
+// live. The description is generic in the precision F: a variant writes
+// it as one function returning a Spec[F] and its constructor calls that
+// function at float64 and at float32 (see Specs). A description is a set of stacks — message-passing streams, each
 // a sequence of layers over one aggregation matrix — and a readout over
 // the stacks' final rows. A stack aggregates either by the matrix's fixed
 // weights or, when it has a Project, by edge attention over the matrix's
@@ -90,8 +91,8 @@ func (a Agg) star(s *EmbedStar) (edges []StarEdge, selfLoop, unweighted bool) {
 	return s.Typed[t], selfLoop, unweighted
 }
 
-// Stack is one float64 message-passing stream.
-type Stack struct {
+// Stack is one message-passing stream at precision F.
+type Stack[F tensor.Float] struct {
 	Agg Agg
 	// Widths holds the stream's activation widths: Widths[l] is layer l's
 	// input width and Widths[l+1] its output width, so the stream has
@@ -104,121 +105,139 @@ type Stack struct {
 	// of layer l's input rows, row by row, to their transformed rows on
 	// f's scratch: Widths[l+1] feature columns, head k's in the block
 	// [k·d, (k+1)·d) with d = Widths[l+1]/Heads, then each head's source
-	// and destination scores in columns Widths[l+1]+2k and +2k+1. The
+	// and destination scores in columns Widths[l+1]+2k and +2k+1; any
+	// columns past those are padding attention never reads. The
 	// aggregated row is Widths[l+1] wide (see attendRow).
 	Heads   int
-	Project func(f *Fwd, l int, h *tensor.Matrix) *tensor.Matrix
+	Project func(f *Fwd[F], l int, h *tensor.Mat[F]) *tensor.Mat[F]
 	// Layer applies layer l to a block of self rows h and their
 	// aggregated neighbourhoods hN (row i of hN belongs to row i of h) and
 	// returns the block's output rows on f's scratch. It must compute
 	// every row independently and write neither h nor hN: in a sweep, h
 	// is a view into a buffer other workers are reading.
-	Layer func(f *Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix
+	Layer func(f *Fwd[F], l int, h, hN *tensor.Mat[F]) *tensor.Mat[F]
 }
 
-func (st *Stack) layers() int { return len(st.Widths) - 1 }
+func (st *Stack[F]) layers() int { return len(st.Widths) - 1 }
+
+// heads is the attention head count, 0 for a weighted-aggregation stack.
+func (st *Stack[F]) heads() int {
+	if st.Project == nil {
+		return 0
+	}
+	return st.Heads
+}
 
 // aggWidth is the width of layer l's aggregated rows over src.
-func (st *Stack) aggWidth(l int, src *tensor.Matrix) int {
+func (st *Stack[F]) aggWidth(l int, src *tensor.Mat[F]) int {
 	if st.Project != nil {
 		return st.Widths[l+1]
 	}
 	return src.Cols
 }
 
-// aggregateRow accumulates row i of layer l's aggregation over a into
-// the zeroed drow: A's weights applied to src, or attention over src,
-// the layer input's projection. src holds node j in row j, or in row
-// pos[j] when pos is given.
-func (st *Stack) aggregateRow(drow []float64, a *autodiff.CSR, i int, src *tensor.Matrix, pos []int) {
-	s, e := a.RowPtr[i], a.RowPtr[i+1]
-	if st.Project == nil {
-		tensor.CSRRowInto(drow, a.ColIdx[s:e], a.Weights[s:e], src, pos)
-		return
-	}
-	self := i
-	if pos != nil {
-		self = pos[i]
-	}
-	attendRow(drow, src, st.Heads, self, a.ColIdx[s:e], pos)
-}
-
-// Spec is a model's float64 evaluation-mode forward: its stacks and the
-// readout over their final rows. A model embeds its Spec and so gets
-// Infer, InferTarget, BuildSweep, EmbedSpec, BuildEmbedSweep and
-// InferFinal, all running the one description.
-type Spec struct {
-	Stacks []Stack
+// Spec is a model's evaluation-mode forward at precision F: its stacks
+// and the readout over their final rows.
+type Spec[F tensor.Float] struct {
+	Stacks []Stack[F]
 	// Readout maps a block of rows — hs[s] holds the rows' final output
 	// of stack s — to the block's logits, one column, on f's scratch. Like
 	// Layer it is row-wise and writes none of its inputs.
-	Readout func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix
+	Readout func(f *Fwd[F], hs []*tensor.Mat[F]) *tensor.Mat[F]
 }
 
-func (s *Spec) spec() *Spec { return s }
-
-// Infer implements Model: the row-range forward over every row.
-func (s *Spec) Infer(f *Fwd, b *Batch) *tensor.Matrix {
+// Infer is the row-range forward over every row.
+func (s *Spec[F]) Infer(f *Fwd[F], b *Batch) *tensor.Mat[F] {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
-		a := b.CSR(st.Agg)
-		h := b.X
+		op := operandFor[F](b, st.Agg)
+		h := inputFor[F](b)
 		for l := 0; l < st.layers(); l++ {
 			src := h
 			if st.Project != nil {
 				src = st.Project(f, l, h)
 			}
-			h = st.Layer(f, l, h, f.aggregateRange(st, l, a, src, 0, b.NumNodes))
+			h = st.Layer(f, l, h, f.aggregateRange(st, l, op, src, 0, b.NumNodes))
 		}
 		hs[i] = h
 	}
 	return s.Readout(f, hs)
 }
 
-// InferTarget implements Model: every stack on the target's cone
-// over its own aggregation matrix, so a stack in which the target has no
-// in-edges costs one row, then the readout on the target row alone.
-func (s *Spec) InferTarget(f *Fwd, b *Batch, node int) float64 {
+// InferTarget runs every stack on the target's cone over its own
+// aggregation matrix, so a stack in which the target has no in-edges
+// costs one row, then the readout on the target row alone.
+func (s *Spec[F]) InferTarget(f *Fwd[F], b *Batch, node int) F {
 	hs := f.stackRows(len(s.Stacks))
 	for i := range s.Stacks {
-		hs[i] = f.ConeForward(&s.Stacks[i], b.CSR(s.Stacks[i].Agg), b.X, node)
+		hs[i] = f.ConeForward(&s.Stacks[i], b, node)
 	}
 	return s.Readout(f, hs).Data[0]
 }
 
+// Specs is a model's forward at both precisions: one generic Spec
+// definition, instantiated by the model's constructor at float64 and at
+// float32. Embedding it gives a model every tape-free method of Model.
+// The float64 instantiation is the bitwise reference that the sweep and
+// the embedding tier also run; the float32 one serves audits under
+// ValidateF32's gate. A Specs whose F32 has no stacks has no float32
+// path (CanInfer32).
+type Specs struct {
+	F64 Spec[float64]
+	F32 Spec[float32]
+}
+
+func (s *Specs) specs() *Specs { return s }
+
+// Infer implements Model: the float64 forward over every row.
+func (s *Specs) Infer(f *Fwd[float64], b *Batch) *tensor.Matrix { return s.F64.Infer(f, b) }
+
+// InferTarget implements Model on the target's float64 cone.
+func (s *Specs) InferTarget(f *Fwd[float64], b *Batch, node int) float64 {
+	return s.F64.InferTarget(f, b, node)
+}
+
+// Infer32 implements Model: the float32 forward over every row.
+func (s *Specs) Infer32(f *Fwd[float32], b *Batch) *tensor.Matrix32 { return s.F32.Infer(f, b) }
+
+// InferTarget32 implements Model on the target's float32 cone.
+func (s *Specs) InferTarget32(f *Fwd[float32], b *Batch, node int) float32 {
+	return s.F32.InferTarget(f, b, node)
+}
+
 // EmbedSpec implements Model: one captured stream per stack.
-func (s *Spec) EmbedSpec() (widths []int, hops int) {
-	widths = make([]int, len(s.Stacks))
-	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		widths[i] = st.Widths[st.layers()-1]
+func (s *Specs) EmbedSpec() (widths []int, hops int) {
+	stacks := s.F64.Stacks
+	widths = make([]int, len(stacks))
+	for i := range stacks {
+		widths[i] = stacks[i].Widths[stacks[i].layers()-1]
 	}
-	return widths, s.Stacks[0].layers()
+	return widths, stacks[0].layers()
 }
 
 // InferFinal implements Model: each stack's last layer on the
 // target's aggregation row over the gathered penultimate block, then the
 // readout.
-func (s *Spec) InferFinal(f *Fwd, star *EmbedStar, hs []*tensor.Matrix) float64 {
-	rows := f.stackRows(len(s.Stacks))
-	for i := range s.Stacks {
-		st := &s.Stacks[i]
+func (s *Specs) InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix) float64 {
+	rows := f.stackRows(len(s.F64.Stacks))
+	for i := range s.F64.Stacks {
+		st := &s.F64.Stacks[i]
 		l := st.layers() - 1
 		edges, selfLoop, unweighted := st.Agg.star(star)
 		var hN *tensor.Matrix
 		if st.Project != nil {
-			hN = f.attendStar(st, l, st.Project(f, l, hs[i]), edges, selfLoop)
+			hN = attendStar(f, st, l, st.Project(f, l, hs[i]), edges, selfLoop)
 		} else {
 			hN = StarAggRow(f, hs[i], edges, selfLoop, unweighted)
 		}
 		rows[i] = st.Layer(f, l, hs[i].RowView(0), hN)
 	}
-	return s.Readout(f, rows).Data[0]
+	return s.F64.Readout(f, rows).Data[0]
 }
 
 // BuildSweep implements Model.
-func (s *Spec) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, nil) }
+func (s *Specs) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, nil) }
 
 // BuildEmbedSweep implements Model: one step per stack and layer
 // that runs the layer on the step's row range, then the readout step. An
@@ -229,13 +248,13 @@ func (s *Spec) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, 
 // height; each step's intermediates live in the worker's Fwd. With
 // capture, the first step of a stack's last layer copies its input rows
 // into capture[s] — the prior step's barrier has already finalized them.
-func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
+func (s *Specs) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
 	n := b.NumNodes
 	p := newSweepProgram(n)
-	hs := make([]*tensor.Matrix, len(s.Stacks))
-	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		a := b.CSR(st.Agg)
+	hs := make([]*tensor.Matrix, len(s.F64.Stacks))
+	for i := range s.F64.Stacks {
+		st := &s.F64.Stacks[i]
+		op := operandFor[float64](b, st.Agg)
 		h := b.X
 		for l := 0; l < st.layers(); l++ {
 			in, out := h, p.alloc(n, st.Widths[l+1])
@@ -246,7 +265,7 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 			src := in
 			if st.Project != nil {
 				z := p.alloc(n, st.Widths[l+1]+2*st.Heads)
-				p.rowStep(fmt.Sprintf("s%d.l%d.proj", i, l), func(f *Fwd, lo, hi int) {
+				p.rowStep(fmt.Sprintf("s%d.l%d.proj", i, l), func(f *Fwd[float64], lo, hi int) {
 					if cp != nil {
 						copyRows(cp, in, lo, hi)
 					}
@@ -254,11 +273,11 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 				})
 				src = z
 			}
-			p.rowStep(fmt.Sprintf("s%d.l%d", i, l), func(f *Fwd, lo, hi int) {
+			p.rowStep(fmt.Sprintf("s%d.l%d", i, l), func(f *Fwd[float64], lo, hi int) {
 				if cp != nil && st.Project == nil {
 					copyRows(cp, in, lo, hi)
 				}
-				putRows(out, lo, st.Layer(f, l, in.RowsView(lo, hi), f.aggregateRange(st, l, a, src, lo, hi)))
+				putRows(out, lo, st.Layer(f, l, in.RowsView(lo, hi), f.aggregateRange(st, l, op, src, lo, hi)))
 			})
 			if src != in {
 				p.retire(src)
@@ -270,56 +289,6 @@ func (s *Spec) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
 		}
 		hs[i] = h
 	}
-	p.appendReadout(s.Readout, hs, b.X)
+	p.appendReadout(s.F64.Readout, hs, b.X)
 	return p
-}
-
-// Stack32 is one float32 message-passing stream: the quantized mirror of
-// a Stack (same Agg, Widths and Heads), whose Project and Layer run on
-// quantized weights under the float32 tolerance contract. Project's rows
-// may carry padding columns past the scores; attention never reads them.
-type Stack32 struct {
-	Agg     Agg
-	Widths  []int
-	Heads   int
-	Project func(f *Fwd32, l int, h *tensor.Matrix32) *tensor.Matrix32
-	Layer   func(f *Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32
-}
-
-func (st *Stack32) layers() int { return len(st.Widths) - 1 }
-
-// Spec32 is a model's float32 forward, the mirror of its Spec. Embedding
-// it gives the model Infer32 and InferTarget32.
-type Spec32 struct {
-	Stacks  []Stack32
-	Readout func(f *Fwd32, hs []*tensor.Matrix32) *tensor.Matrix32
-}
-
-// Infer32 implements Inferer32: every stack over every row.
-func (s *Spec32) Infer32(f *Fwd32, b *Batch) *tensor.Matrix32 {
-	hs := f.stackRows(len(s.Stacks))
-	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		a := b.CSR32For(b.CSR(st.Agg))
-		h := b.X32()
-		for l := 0; l < st.layers(); l++ {
-			src := h
-			if st.Project != nil {
-				src = st.Project(f, l, h)
-			}
-			h = st.Layer(f, l, h, f.aggregate(st, l, a, src, nil, nil))
-		}
-		hs[i] = h
-	}
-	return s.Readout(f, hs)
-}
-
-// InferTarget32 implements TargetInferer32 on the target's cone.
-func (s *Spec32) InferTarget32(f *Fwd32, b *Batch, node int) float32 {
-	hs := f.stackRows(len(s.Stacks))
-	for i := range s.Stacks {
-		a := b.CSR(s.Stacks[i].Agg)
-		hs[i] = f.ConeForward(&s.Stacks[i], a, b.CSR32For(a), b.X32(), node)
-	}
-	return s.Readout(f, hs).Data[0]
 }

@@ -25,7 +25,7 @@ import (
 // earlier steps, but must write only state owned by its row range.
 type SweepStep struct {
 	Name string
-	Run  func(f *Fwd, lo, hi int)
+	Run  func(f *Fwd[float64], lo, hi int)
 }
 
 // SweepProgram is a compiled layer-at-a-time forward over one Batch.
@@ -49,29 +49,24 @@ func newSweepProgram(n int) *SweepProgram {
 	return &SweepProgram{NumNodes: n, free: make(map[[2]int][]*tensor.Matrix)}
 }
 
-// step appends a barrier-separated stage.
-func (p *SweepProgram) step(name string, run func(f *Fwd, lo, hi int)) {
-	p.Steps = append(p.Steps, SweepStep{Name: name, Run: run})
-}
-
-// rowStep appends a stage whose run computes its rows on f's scratch. The
+// rowStep appends a barrier-separated stage whose run computes its rows on f's scratch. The
 // scratch is handed back when the run returns, so the next step reuses
 // it instead of stacking its own on top; and a strict sub-range — one
 // shard of a parallel sweep — runs its dense kernels serially, since the
 // other shards' workers already occupy the remaining cores.
-func (p *SweepProgram) rowStep(name string, run func(f *Fwd, lo, hi int)) {
-	p.step(name, func(f *Fwd, lo, hi int) {
+func (p *SweepProgram) rowStep(name string, run func(f *Fwd[float64], lo, hi int)) {
+	p.Steps = append(p.Steps, SweepStep{Name: name, Run: func(f *Fwd[float64], lo, hi int) {
 		used := f.used
 		f.serial = hi-lo < p.NumNodes
 		run(f, lo, hi)
 		f.used, f.serial = used, false
-	})
+	}})
 }
 
 // alloc returns a rows×cols activation buffer, recycling a retired one
 // of the same shape when available. Recycled buffers hold a dead earlier
-// step's run-time values, so every step must overwrite or clear the row
-// range it writes (see clearRows).
+// step's run-time values, so every step must overwrite the row range it
+// writes.
 func (p *SweepProgram) alloc(rows, cols int) *tensor.Matrix {
 	k := [2]int{rows, cols}
 	if l := p.free[k]; len(l) > 0 {
@@ -108,17 +103,11 @@ func (p *SweepProgram) Release() {
 // RunSerial executes the program on a single goroutine — the reference
 // executor the parallel engine is tested against, and a convenient way
 // to run a program without pulling in internal/sweep.
-func (p *SweepProgram) RunSerial(f *Fwd) *tensor.Matrix {
+func (p *SweepProgram) RunSerial(f *Fwd[float64]) *tensor.Matrix {
 	for _, st := range p.Steps {
 		st.Run(f, 0, p.NumNodes)
 	}
 	return p.Logits
-}
-
-// clearRows zeroes rows [lo, hi) of m: accumulate-style kernels require
-// zeroed destinations, and recycled sweep buffers arrive dirty.
-func clearRows(m *tensor.Matrix, lo, hi int) {
-	clear(m.Data[lo*m.Cols : hi*m.Cols])
 }
 
 // copyRows copies rows [lo, hi) of src into dst (same Cols). Sweep steps
@@ -137,9 +126,9 @@ func putRows(dst *tensor.Matrix, lo int, block *tensor.Matrix) {
 // appendReadout appends the readout over the final rows hs as one
 // row-wise step and sets Logits, retiring hs (except x, which the
 // program does not own).
-func (p *SweepProgram) appendReadout(readout func(f *Fwd, hs []*tensor.Matrix) *tensor.Matrix, hs []*tensor.Matrix, x *tensor.Matrix) {
+func (p *SweepProgram) appendReadout(readout func(f *Fwd[float64], hs []*tensor.Matrix) *tensor.Matrix, hs []*tensor.Matrix, x *tensor.Matrix) {
 	logits := p.alloc(p.NumNodes, 1)
-	p.rowStep("readout", func(f *Fwd, lo, hi int) {
+	p.rowStep("readout", func(f *Fwd[float64], lo, hi int) {
 		rows := f.stackRows(len(hs))
 		for i, h := range hs {
 			rows[i] = h.RowsView(lo, hi)

@@ -7,7 +7,7 @@ import (
 // sweepScores runs the program on the serial reference executor and
 // returns its fraud probabilities through the shared serving sigmoid.
 func sweepScores(prog *SweepProgram) []float64 {
-	f := AcquireFwd()
+	f := AcquireFwd[float64]()
 	defer ReleaseFwd(f)
 	logits := prog.RunSerial(f)
 	out := make([]float64, prog.NumNodes)

@@ -112,7 +112,7 @@ func Train(m Model, b *Batch, trainIdx []int, labels []float64, cfg TrainConfig)
 // and returns the sigmoid fraud probability of every node in the batch.
 func Scores(m Model, b *Batch) []float64 {
 	out := make([]float64, b.NumNodes)
-	f := AcquireFwd()
+	f := AcquireFwd[float64]()
 	defer ReleaseFwd(f)
 	SigmoidScoresInto(out, m.Infer(f, b).Data[:b.NumNodes])
 	return out
@@ -152,7 +152,7 @@ func Score(m Model, b *Batch) float64 {
 }
 
 func score(m Model, b *Batch) float64 {
-	f := AcquireFwd()
+	f := AcquireFwd[float64]()
 	s := tensor.SigmoidScalar(m.InferTarget(f, b, 0))
 	ReleaseFwd(f)
 	return s
@@ -179,4 +179,51 @@ func ScoreCtx(ctx context.Context, m Model, b *Batch) (float64, error) {
 		return 0, fmt.Errorf("gnn: scoring %s (%d layers) on a depth-%d sample: %w", m.Name(), Depth(m), b.Depth, ErrShallowSample)
 	}
 	return score(m, b), nil
+}
+
+// F32Tol is the float32 serving gate: the largest per-node
+// |float64 − float32| logit gap ValidateF32 lets a model serve audits
+// through the float32 forward with. A model version that exceeds it is
+// scored in float64.
+const F32Tol = 5e-3
+
+// CanInfer32 reports whether m has a float32 instantiation of its
+// forward.
+func CanInfer32(m Model) bool { return len(m.specs().F32.Stacks) > 0 }
+
+// Score32 scores node 0 of the batch through the float32 forward, and
+// reports false when the model has none or the batch does not admit it
+// (the caller's float64 fallback, ScoreCtx, then names the error). The
+// final logit→probability sigmoid stays in float64, matching every other
+// scoring path.
+func Score32(m Model, b *Batch) (float64, bool) {
+	if !b.admits(m) || !CanInfer32(m) {
+		return 0, false
+	}
+	f := AcquireFwd[float32]()
+	s := tensor.SigmoidScalar(float64(m.InferTarget32(f, b, 0)))
+	ReleaseFwd(f)
+	return s, true
+}
+
+// ValidateF32 compares the float32 logits against the float64 reference
+// on every node of b and reports the largest absolute gap. ok is false
+// when the model lacks the float32 forward or the gap exceeds tol — the
+// caller must then serve float64.
+func ValidateF32(m Model, b *Batch, tol float64) (maxDelta float64, ok bool) {
+	if !CanInfer32(m) {
+		return 0, false
+	}
+	f := AcquireFwd[float64]()
+	defer ReleaseFwd(f)
+	want := m.Infer(f, b)
+	f32 := AcquireFwd[float32]()
+	defer ReleaseFwd(f32)
+	got := m.Infer32(f32, b)
+	for i := 0; i < b.NumNodes; i++ {
+		if d := math.Abs(want.Data[i] - float64(got.Data[i])); d > maxDelta {
+			maxDelta = d
+		}
+	}
+	return maxDelta, maxDelta <= tol
 }

@@ -116,11 +116,11 @@ type cfoType struct {
 }
 
 // HAG is the full model: per-type SAO stacks fused by CFO, classified by
-// an MLP head. Its tape-free forward is one gnn.Spec per precision: a
-// stack per SAO stream and the CFO fusion plus head as the readout.
+// an MLP head. Its tape-free forward is one generic gnn.Spec (spec),
+// instantiated at both precisions: a stack per SAO stream and the CFO
+// fusion plus head as the readout.
 type HAG struct {
-	gnn.Spec
-	gnn.Spec32
+	gnn.Specs
 	cfg Config
 	// streams[r][l] is SAO layer l of edge type r; with DisableCFO there
 	// is a single stream over the merged graph.
@@ -159,20 +159,7 @@ func New(cfg Config) *HAG {
 		headIn = cfg.FusedDim
 	}
 	m.head = nn.NewMLP("hag.head", []int{headIn, cfg.MLPHidden, 1}, nn.ActReLU, rng)
-	gated := !cfg.DisableSAOGate
-	for r, stack := range m.streams {
-		agg := gnn.TypedMean(r)
-		if cfg.DisableCFO {
-			agg = gnn.MergedWeightedMean
-		}
-		m.Spec.Stacks = append(m.Spec.Stacks, gnn.Stack{Agg: agg, Widths: sizes, Layer: func(f *gnn.Fwd, l int, h, hN *tensor.Matrix) *tensor.Matrix {
-			return stack[l].infer(f, h, hN, gated)
-		}})
-		m.Spec32.Stacks = append(m.Spec32.Stacks, gnn.Stack32{Agg: agg, Widths: sizes, Layer: func(f *gnn.Fwd32, l int, h, hN *tensor.Matrix32) *tensor.Matrix32 {
-			return stack[l].infer32(f, h, hN, gated)
-		}})
-	}
-	m.Spec.Readout, m.Spec32.Readout = m.readout, m.readout32
+	m.Specs = gnn.Specs{F64: spec[float64](m, sizes), F32: spec[float32](m, sizes)}
 	return m
 }
 
@@ -210,6 +197,13 @@ func (m *HAG) Parameters() []*nn.Parameter {
 // feature node x, exposed separately so influence analysis can seed
 // gradients at the embedding level while keeping x a tape leaf.
 func (m *HAG) Embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *tensor.RNG) *autodiff.Node {
+	fused, _ := m.embed(t, b, x, dropRNG)
+	return fused
+}
+
+// embed is Embed that also returns the CFO attention α (nil under
+// CFO(-)).
+func (m *HAG) embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *tensor.RNG) (fused, alpha *autodiff.Node) {
 	gated := !m.cfg.DisableSAOGate
 	if m.cfg.DisableCFO {
 		h := x
@@ -218,10 +212,9 @@ func (m *HAG) Embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *t
 			h = l.forward(t, h, t.Aggregate(adj, h), gated)
 			h = t.Dropout(h, m.cfg.Dropout, dropRNG)
 		}
-		return h
+		return h, nil
 	}
 	// Eq. 10: one SAO stream per edge type on its homogeneous subgraph.
-	var fused *autodiff.Node
 	var scores *autodiff.Node
 	typeEmb := make([]*autodiff.Node, m.cfg.NumEdgeTypes)
 	for r := 0; r < m.cfg.NumEdgeTypes; r++ {
@@ -241,7 +234,7 @@ func (m *HAG) Embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *t
 		}
 	}
 	// Eq. 12: node-wise softmax over types.
-	alpha := t.SoftmaxRows(scores)
+	alpha = t.SoftmaxRows(scores)
 	// Eq. 13–15: H_v = Σ_r α_{v,r} · (h_{v,r} M_r), the macro-level
 	// per-type transforms aggregated by the micro-level coefficients.
 	for r := 0; r < m.cfg.NumEdgeTypes; r++ {
@@ -252,7 +245,7 @@ func (m *HAG) Embed(t *autodiff.Tape, b *gnn.Batch, x *autodiff.Node, dropRNG *t
 			fused = t.Add(fused, term)
 		}
 	}
-	return fused
+	return fused, alpha
 }
 
 // Forward implements gnn.Model.
@@ -268,21 +261,6 @@ func (m *HAG) TypeAttention(b *gnn.Batch) *tensor.Matrix {
 		return nil
 	}
 	t := autodiff.NewTape()
-	x := t.Const(b.X)
-	gated := !m.cfg.DisableSAOGate
-	var scores *autodiff.Node
-	for r := 0; r < m.cfg.NumEdgeTypes; r++ {
-		h := x
-		adj := b.TypedMeanCSR(r)
-		for _, l := range m.streams[r] {
-			h = l.forward(t, h, t.Aggregate(adj, h), gated)
-		}
-		s := t.MatMul(t.Tanh(t.MatMul(h, m.cfo[r].wAtt.Node(t))), m.cfo[r].vAtt.Node(t))
-		if scores == nil {
-			scores = s
-		} else {
-			scores = t.ConcatCols(scores, s)
-		}
-	}
-	return tensor.SoftmaxRows(scores.Value)
+	_, alpha := m.embed(t, b, t.Const(b.X), nil)
+	return alpha.Value
 }

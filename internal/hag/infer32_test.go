@@ -14,7 +14,7 @@ const f32LogitTol = 1e-3
 func TestHAGInfer32MatchesFloat64(t *testing.T) {
 	for _, m := range hagVariants(1) {
 		if !gnn.CanInfer32(m) {
-			t.Fatalf("%s does not implement gnn.Inferer32", m.Name())
+			t.Fatalf("%s has no float32 forward", m.Name())
 		}
 		for seed := uint64(1); seed <= 5; seed++ {
 			b := randomHagBatch(seed, 20, 2, 5)
@@ -41,12 +41,12 @@ func TestHAGInferTarget32MatchesFull(t *testing.T) {
 	for _, m := range hagVariants(2) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			b := randomHagBatch(seed, 20, 2, 5)
-			f := gnn.AcquireFwd32()
+			f := gnn.AcquireFwd[float32]()
 			full := m.Infer32(f, b).Data[0]
-			gnn.ReleaseFwd32(f)
-			f = gnn.AcquireFwd32()
+			gnn.ReleaseFwd(f)
+			f = gnn.AcquireFwd[float32]()
 			row := m.InferTarget32(f, b, 0)
-			gnn.ReleaseFwd32(f)
+			gnn.ReleaseFwd(f)
 			if math.Abs(float64(row)-float64(full)) > targetRowTol {
 				t.Errorf("%s seed %d: InferTarget32 %.8g != Infer32 row 0 %.8g", m.Name(), seed, row, full)
 			}

@@ -77,7 +77,7 @@ func TestHAGInferTargetMatchesTape(t *testing.T) {
 		b := randomHagBatch(17, 18, 2, 5)
 		want := gnn.TapeScores(m, b)
 		for node := 0; node < b.NumNodes; node++ {
-			f := gnn.AcquireFwd()
+			f := gnn.AcquireFwd[float64]()
 			got := tensor.SigmoidScalar(m.InferTarget(f, b, node))
 			gnn.ReleaseFwd(f)
 			if math.Abs(got-want[node]) > 1e-12 {
@@ -96,7 +96,7 @@ func TestHAGInferMatchesTrainingModeNoDropout(t *testing.T) {
 		tape := autodiff.NewTape()
 		logits := m.Forward(tape, b, tensor.NewRNG(3))
 
-		f := gnn.AcquireFwd()
+		f := gnn.AcquireFwd[float64]()
 		inferred := m.Infer(f, b)
 		for i := 0; i < b.NumNodes; i++ {
 			if math.Abs(inferred.Data[i]-logits.Value.Data[i]) > 1e-12 {

@@ -16,7 +16,7 @@ func TestHAGSweepMatchesInfer(t *testing.T) {
 			b := randomHagBatch(seed, 24, 2, 5)
 			want := gnn.TapeScores(m, b)
 			prog := m.BuildSweep(b)
-			f := gnn.AcquireFwd()
+			f := gnn.AcquireFwd[float64]()
 			logits := prog.RunSerial(f)
 			got := make([]float64, b.NumNodes)
 			gnn.SigmoidScoresInto(got, logits.Data[:b.NumNodes])

@@ -54,17 +54,6 @@ func (p *Parameter) Value32() *tensor.Matrix32 {
 	return q
 }
 
-// SetValue32 installs a pre-quantized value (e.g. loaded from a model
-// artifact) as the f32 cache, validating its shape against Value.
-func (p *Parameter) SetValue32(q *tensor.Matrix32) error {
-	if q.Rows != p.Value.Rows || q.Cols != p.Value.Cols {
-		return fmt.Errorf("nn: %s f32 shape mismatch: %dx%d vs %dx%d",
-			p.Name, q.Rows, q.Cols, p.Value.Rows, p.Value.Cols)
-	}
-	p.v32.Store(q)
-	return nil
-}
-
 // InvalidateQuant drops the cached float32 value after Value changed.
 func (p *Parameter) InvalidateQuant() { p.v32.Store(nil) }
 
@@ -145,7 +134,12 @@ func (a Activation) Apply(t *autodiff.Tape, x *autodiff.Node) *autodiff.Node {
 
 // ApplyInPlace applies the activation to m in place, tape-free, using
 // the same element formulas as the tape ops.
-func (a Activation) ApplyInPlace(m *tensor.Matrix) *tensor.Matrix {
+func (a Activation) ApplyInPlace(m *tensor.Matrix) *tensor.Matrix { return Activate(a, m) }
+
+// Activate is ApplyInPlace at either precision. At float32, tanh and
+// sigmoid use the fast approximations, so it is tolerance-equivalent
+// (not bitwise) to the float64 form.
+func Activate[F tensor.Float](a Activation, m *tensor.Mat[F]) *tensor.Mat[F] {
 	switch a {
 	case ActReLU:
 		return tensor.ReLUInPlace(m)
@@ -153,22 +147,6 @@ func (a Activation) ApplyInPlace(m *tensor.Matrix) *tensor.Matrix {
 		return tensor.TanhInPlace(m)
 	case ActSigmoid:
 		return tensor.SigmoidInPlace(m)
-	default:
-		return m
-	}
-}
-
-// Apply32InPlace is the float32 serving form of ApplyInPlace; tanh and
-// sigmoid use the fast float32 approximations, so it is
-// tolerance-equivalent (not bitwise) to the float64 path.
-func (a Activation) Apply32InPlace(m *tensor.Matrix32) *tensor.Matrix32 {
-	switch a {
-	case ActReLU:
-		return tensor.ReLU32InPlace(m)
-	case ActTanh:
-		return tensor.Tanh32InPlace(m)
-	case ActSigmoid:
-		return tensor.Sigmoid32InPlace(m)
 	default:
 		return m
 	}

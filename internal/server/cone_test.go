@@ -157,16 +157,16 @@ func sevenVariants(dim, types int, hidden []int) []gnn.Model {
 
 // targetLogit64 is node 0's logit on the path gnn.Score takes.
 func targetLogit64(m gnn.Model, b *gnn.Batch) float64 {
-	f := gnn.AcquireFwd()
+	f := gnn.AcquireFwd[float64]()
 	defer gnn.ReleaseFwd(f)
 	return m.InferTarget(f, b, 0)
 }
 
 // targetLogit32 is node 0's logit on the path gnn.Score32 takes.
 func targetLogit32(m gnn.Model, b *gnn.Batch) float32 {
-	f := gnn.AcquireFwd32()
-	defer gnn.ReleaseFwd32(f)
-	return m.(gnn.TargetInferer32).InferTarget32(f, b, 0)
+	f := gnn.AcquireFwd[float32]()
+	defer gnn.ReleaseFwd(f)
+	return m.InferTarget32(f, b, 0)
 }
 
 // targetRowTol bounds a float32 target-row forward against the full
@@ -186,7 +186,7 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, direct *gnn
 	defer direct.Release()
 	bFull, bCut := gnn.NewBatch(full, x), gnn.NewBatch(cut, x)
 	want := m.Forward(autodiff.NewTape(), bFull, nil).Value.Data[0]
-	f := gnn.AcquireFwd()
+	f := gnn.AcquireFwd[float64]()
 	inferRow := m.Infer(f, bFull).Data[0]
 	inferCutRow := m.Infer(f, bCut).Data[0]
 	gnn.ReleaseFwd(f)
@@ -203,9 +203,9 @@ func checkCone(t *testing.T, m gnn.Model, full, cut *graph.Subgraph, direct *gnn
 		}
 	}
 	l32Full, l32Cut := targetLogit32(m, bFull), targetLogit32(m, bCut)
-	f32 := gnn.AcquireFwd32()
-	all := m.(gnn.Inferer32).Infer32(f32, bFull).Data[0]
-	gnn.ReleaseFwd32(f32)
+	f32 := gnn.AcquireFwd[float32]()
+	all := m.Infer32(f32, bFull).Data[0]
+	gnn.ReleaseFwd(f32)
 	tol := targetRowTol * math.Max(1, math.Abs(float64(all)))
 	if l32Full != l32Cut {
 		t.Fatalf("%s: float32 target logit %v on the full sample, %v on the cut one", m.Name(), l32Full, l32Cut)
@@ -414,7 +414,7 @@ func TestConeParity(t *testing.T) {
 // aggProbe is a model that reads every aggregation the seven variants
 // use, one stack each, so one SampleCone writes them all. It is compiled,
 // never scored.
-type aggProbe struct{ gnn.Spec }
+type aggProbe struct{ gnn.Specs }
 
 func (*aggProbe) Name() string                { return "aggregation probe" }
 func (*aggProbe) Parameters() []*nn.Parameter { return nil }
@@ -431,7 +431,7 @@ func newAggProbe(types, layers int) (*aggProbe, []gnn.Agg) {
 	}
 	p := &aggProbe{}
 	for _, a := range aggs {
-		p.Stacks = append(p.Stacks, gnn.Stack{Agg: a, Widths: make([]int, layers+1)})
+		p.F64.Stacks = append(p.F64.Stacks, gnn.Stack[float64]{Agg: a, Widths: make([]int, layers+1)})
 	}
 	return p, aggs
 }
@@ -712,6 +712,17 @@ func BenchmarkAuditHotPath(b *testing.B) {
 			}
 		}
 	})
+	// The same deployment without the float32 gate: every audit scores
+	// in float64. Beside audit/normalized it is what float32 buys.
+	normed64 := NewPredictionServer(w.bn, w.feats, model, w.fittedNormalizer(b), 0.5)
+	b.Run("audit/normalized/f64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := normed64.PredictCtx(ctx, user(i), w.at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, layers := range []int{0, gnn.Depth(model)} {
 		// A fixed set of inputs per depth, so compile and score time the
 		// same samples the sample stage draws.
@@ -784,6 +795,19 @@ func BenchmarkAuditHotPath(b *testing.B) {
 				if _, ok := gnn.Score32(model, batches[i%inputs]); !ok {
 					b.Fatal("float32 path refused the batch")
 				}
+			}
+			b.ReportMetric(rows/inputs, "rows/audit")
+		})
+		// The same batches through the float64 forward (gnn.Score).
+		b.Run(fmt.Sprintf("layers=%d/score64", layers), func(b *testing.B) {
+			batches := make([]*gnn.Batch, inputs)
+			for i := range batches {
+				batches[i] = compile(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gnn.Score(model, batches[i%inputs])
 			}
 			b.ReportMetric(rows/inputs, "rows/audit")
 		})

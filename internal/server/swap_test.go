@@ -25,7 +25,7 @@ type blockingModel struct {
 	release chan struct{}
 }
 
-func (m *blockingModel) InferTarget(f *gnn.Fwd, b *gnn.Batch, node int) float64 {
+func (m *blockingModel) InferTarget(f *gnn.Fwd[float64], b *gnn.Batch, node int) float64 {
 	select {
 	case m.entered <- struct{}{}:
 	default:

@@ -142,7 +142,7 @@ func Run(prog *gnn.SweepProgram, opts Options, emit func(lo, hi int, probs []flo
 	}
 	bounds := partition(n, w, opts.RowCost)
 	if w == 1 {
-		f := gnn.AcquireFwd()
+		f := gnn.AcquireFwd[float64]()
 		for _, step := range prog.Steps {
 			step.Run(f, 0, n)
 		}
@@ -158,7 +158,7 @@ func Run(prog *gnn.SweepProgram, opts Options, emit func(lo, hi int, probs []flo
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			f := gnn.AcquireFwd()
+			f := gnn.AcquireFwd[float64]()
 			defer gnn.ReleaseFwd(f)
 			var compute time.Duration
 			for _, step := range prog.Steps {

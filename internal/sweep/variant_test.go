@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"turbo/internal/autodiff"
@@ -14,9 +15,10 @@ import (
 // meanMLP is a model that exists only in this file: two weighted-mean
 // layers, ReLU(W · Σ_u w_uv h_u / Σ_u w_uv), over the merged graph and an
 // MLP head. It is defined by nothing but its stack, its readout and its
-// tape Forward; every tape-free path comes from the embedded gnn.Spec.
+// tape Forward; every tape-free path, at both precisions, comes from the
+// embedded gnn.Specs, which instantiates its one generic spec twice.
 type meanMLP struct {
-	gnn.Spec
+	gnn.Specs
 	layers []*nn.Linear
 	head   *nn.MLP
 }
@@ -29,13 +31,17 @@ func newMeanMLP(in int) *meanMLP {
 		m.layers = append(m.layers, nn.NewLinear(fmt.Sprintf("mean.l%d", l), widths[l], widths[l+1], rng))
 	}
 	m.head = nn.NewMLP("mean.head", []int{widths[len(widths)-1], 4, 1}, nn.ActReLU, rng)
-	m.Spec = gnn.Spec{
-		Stacks: []gnn.Stack{{Agg: gnn.MergedWeightedMean, Widths: widths, Layer: func(f *gnn.Fwd, l int, _, hN *tensor.Matrix) *tensor.Matrix {
+	m.Specs = gnn.Specs{F64: meanMLPSpec[float64](m, widths), F32: meanMLPSpec[float32](m, widths)}
+	return m
+}
+
+func meanMLPSpec[F tensor.Float](m *meanMLP, widths []int) gnn.Spec[F] {
+	return gnn.Spec[F]{
+		Stacks: []gnn.Stack[F]{{Agg: gnn.MergedWeightedMean, Widths: widths, Layer: func(f *gnn.Fwd[F], l int, _, hN *tensor.Mat[F]) *tensor.Mat[F] {
 			return tensor.ReLUInPlace(f.Linear(m.layers[l], hN))
 		}}},
-		Readout: func(f *gnn.Fwd, hs []*tensor.Matrix) *tensor.Matrix { return f.MLP(m.head, hs[0]) },
+		Readout: func(f *gnn.Fwd[F], hs []*tensor.Mat[F]) *tensor.Mat[F] { return f.MLP(m.head, hs[0]) },
 	}
-	return m
 }
 
 func (m *meanMLP) Name() string { return "mean-MLP" }
@@ -58,15 +64,31 @@ func (m *meanMLP) Forward(t *autodiff.Tape, b *gnn.Batch, _ *tensor.RNG) *autodi
 }
 
 // TestSpecVariantMatchesTape is the one-file acceptance for a new
-// message-passing variant: declared only by its Spec and tape Forward,
-// it gets Infer, InferTarget, the serial and sharded sweep and the
-// embedding star's InferFinal, and each matches its own tape forward at
-// the tolerance the built-in models are held to.
+// message-passing variant: declared only by its generic Spec and tape
+// Forward, it gets Infer, InferTarget, the serial and sharded sweep and
+// the embedding star's InferFinal, and each matches its own tape forward
+// at the tolerance the built-in models are held to; and, with no float32
+// code of its own, a float32 forward whose full and target paths agree
+// bitwise and which passes the serving gate.
 func TestSpecVariantMatchesTape(t *testing.T) {
 	_, _, b, _, _ := testWorld(19, 40, 3, 6)
-	var m gnn.Model = newMeanMLP(6) // the Spec gives it every float64 path
-	if gnn.CanInfer32(m) {
-		t.Fatal("a variant without a Spec32 got the float32 path")
+	var m gnn.Model = newMeanMLP(6) // the Specs give it every path
+	if !gnn.CanInfer32(m) {
+		t.Fatal("a variant declared by a generic spec lacks the float32 path")
+	}
+	if d, ok := gnn.ValidateF32(m, b, gnn.F32Tol); !ok {
+		t.Fatalf("float32 logits %.3g from float64, gate %.1g", d, gnn.F32Tol)
+	}
+	f32 := gnn.AcquireFwd[float32]()
+	all32 := slices.Clone(m.Infer32(f32, b).Data[:b.NumNodes])
+	gnn.ReleaseFwd(f32)
+	for node, want := range all32 {
+		f32 := gnn.AcquireFwd[float32]()
+		got := m.InferTarget32(f32, b, node)
+		gnn.ReleaseFwd(f32)
+		if got != want {
+			t.Fatalf("node %d: InferTarget32 %v, Infer32 row %v", node, got, want)
+		}
 	}
 	want := gnn.TapeScores(m, b)
 	check := func(path string, got []float64, tol float64) {
@@ -81,7 +103,7 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 
 	target := make([]float64, b.NumNodes)
 	for node := range target {
-		f := gnn.AcquireFwd()
+		f := gnn.AcquireFwd[float64]()
 		target[node] = tensor.SigmoidScalar(m.InferTarget(f, b, node))
 		gnn.ReleaseFwd(f)
 	}
@@ -112,7 +134,7 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 				star.Gather = append(star.Gather, int32(e.Src))
 			}
 		}
-		f := gnn.AcquireFwd()
+		f := gnn.AcquireFwd[float64]()
 		h := f.Get(len(star.Gather), widths[0])
 		for i, g := range star.Gather {
 			copy(h.Row(i), capture.Row(int(g)))

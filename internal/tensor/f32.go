@@ -1,30 +1,14 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// f32.go is the float32 serving backend: a Matrix32/CSR32 mirror of the
-// float64 types driven by the FMA kernel set in kernels.go. It exists
-// only for opt-in inference — training and the reference scoring path
+// f32.go holds the float32 serving kernels: the dense and CSR products
+// over Matrix32/CSR32, driven by the FMA kernel set in kernels.go, and
+// the float32 bodies the generic element-wise entry points dispatch to.
+// They serve inference only — training and the reference scoring path
 // stay float64 — so the contract here is a bounded |Δlogit| versus the
 // float64 kernels (gated at enable time, see internal/gnn ValidateF32),
-// never bitwise equality.
-
-// Matrix32 is a dense row-major matrix of float32 values.
-type Matrix32 struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-// New32 returns a zero-initialized float32 matrix of the given shape.
-func New32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
+// never bitwise equality with them.
 
 // Quantize returns a freshly allocated float32 copy of m. Quantization
 // is plain float32(x) per element (round-to-nearest-even), so quantizing
@@ -51,59 +35,10 @@ func QuantizeRow(dst []float32, src []float64) {
 	}
 }
 
-// At returns element (i, j).
-func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
+// MatMul32Into is MulInto on float32 matrices.
+func MatMul32Into(dst, a, b *Matrix32) { MulInto(dst, a, b, false) }
 
-// Set assigns element (i, j).
-func (m *Matrix32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a view (no copy) of row i.
-func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// RowView returns a 1×Cols matrix sharing row i's storage with m.
-func (m *Matrix32) RowView(i int) *Matrix32 {
-	return &Matrix32{Rows: 1, Cols: m.Cols, Data: m.Row(i)}
-}
-
-// RowsView returns a (hi−lo)×Cols matrix sharing rows [lo, hi) of m.
-func (m *Matrix32) RowsView(lo, hi int) *Matrix32 {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: rowsView [%d,%d) of %d rows", lo, hi, m.Rows))
-	}
-	return &Matrix32{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// Zero resets every element to 0 in place.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Clone returns a deep copy.
-func (m *Matrix32) Clone() *Matrix32 {
-	c := New32(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MatMul32Into computes dst = a × b, accumulating into a zeroed dst.
-// dst must not alias a or b.
-func MatMul32Into(dst, a, b *Matrix32) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMul32Into shape mismatch")
-	}
-	// Below the threshold the rows run here, with no closure: a closure
-	// handed to the worker pool escapes, and on the serving path it would
-	// be most of what an audit allocates.
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows <= 1 {
-		matMul32Rows(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) { matMul32Rows(dst, a, b, lo, hi) })
-}
-
-// matMul32Rows is MatMul32Into on rows [lo, hi).
+// matMul32Rows is MulInto's float32 row range [lo, hi).
 func matMul32Rows(dst, a, b *Matrix32, lo, hi int) {
 	n := b.Cols
 	kd := a.Cols
@@ -177,20 +112,7 @@ func sdot2(a, v []float32) (float32, float32) {
 	return s0 + s1, t0 + t1
 }
 
-// MatMul32SplitInto computes [a1 | a2] × b into a zeroed dst without
-// materializing the concatenation (float32 mirror of MatMulSplitInto).
-func MatMul32SplitInto(dst, a1, a2, b *Matrix32) {
-	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMul32SplitInto shape mismatch")
-	}
-	if a1.Rows*(a1.Cols+a2.Cols)*b.Cols < parallelThreshold || a1.Rows <= 1 {
-		matMul32SplitRows(dst, a1, a2, b, 0, a1.Rows)
-		return
-	}
-	parallelRows(a1.Rows, func(lo, hi int) { matMul32SplitRows(dst, a1, a2, b, lo, hi) })
-}
-
-// matMul32SplitRows is MatMul32SplitInto on rows [lo, hi).
+// matMul32SplitRows is MulSplitInto's float32 row range [lo, hi).
 func matMul32SplitRows(dst, a1, a2, b *Matrix32, lo, hi int) {
 	n := b.Cols
 	off := a1.Cols * n
@@ -215,17 +137,6 @@ func matMul32SplitRows(dst, a1, a2, b *Matrix32, lo, hi int) {
 	}
 }
 
-// AddInPlace adds o into m and returns m. The AVX2 bulk goes through
-// the FMA axpy kernel with α = 1, which rounds exactly like the scalar
-// add (the multiply by 1.0 is exact).
-func (m *Matrix32) AddInPlace(o *Matrix32) *Matrix32 {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: add32 shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	saxpy(m.Data, o.Data, 1)
-	return m
-}
-
 // Scale32 computes v[j] *= s (8-wide on AVX2, scalar tail).
 func Scale32(v []float32, s float32) {
 	if simdEnabled && len(v) >= 8 {
@@ -245,81 +156,22 @@ func Axpy32(dst, src []float32, s float32) {
 	saxpy(dst, src, s)
 }
 
-// AddRowVectorInPlace adds the 1×Cols vector v to each row of m.
-func (m *Matrix32) AddRowVectorInPlace(v *Matrix32) *Matrix32 {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowVector32 wants 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v.Data {
-			row[j] += b
-		}
-	}
-	return m
-}
-
-// ConcatCols32Into writes [a ; b] stacked horizontally into dst.
-func ConcatCols32Into(dst, a, b *Matrix32) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: concatCols32 row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic(fmt.Sprintf("tensor: concatCols32Into wants %dx%d, got %dx%d", a.Rows, a.Cols+b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		copy(dst.Data[i*dst.Cols:], a.Row(i))
-		copy(dst.Data[i*dst.Cols+a.Cols:], b.Row(i))
-	}
-}
-
-// SelectRows32Into gathers the given row indices of m into dst.
-func SelectRows32Into(dst, m *Matrix32, idx []int) {
-	if dst.Rows != len(idx) || dst.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: selectRows32Into wants %dx%d, got %dx%d", len(idx), m.Cols, dst.Rows, dst.Cols))
-	}
-	for i, r := range idx {
-		copy(dst.Row(i), m.Row(r))
-	}
-}
-
-// ReLU32InPlace clamps negative elements to 0 in place and returns m
-// (8-wide on AVX2; the vector lanes also map -0 to +0, which nothing
-// downstream can observe).
-func ReLU32InPlace(m *Matrix32) *Matrix32 {
-	d := m.Data
-	if simdEnabled && len(d) >= 8 {
-		k := len(d) &^ 7
-		relu32AVX2(d[:k])
-		d = d[k:]
-	}
+// relu32 clamps negative elements to 0 in place (8-wide on AVX2; the
+// vector lanes also map -0 to +0, which nothing downstream can observe).
+func relu32(d []float32) {
+	d = vec8(d, relu32AVX2)
 	for i, v := range d {
 		if v < 0 {
 			d[i] = 0
 		}
 	}
-	return m
 }
 
-// Tanh32InPlace applies the fast float32 tanh element-wise in place
-// (8-wide on AVX2).
-func Tanh32InPlace(m *Matrix32) *Matrix32 {
-	tanh32Slice(m.Data)
-	return m
-}
-
-// Sigmoid32InPlace applies the fast float32 sigmoid element-wise in
-// place (8-wide on AVX2).
-func Sigmoid32InPlace(m *Matrix32) *Matrix32 {
-	sigmoid32Slice(m.Data)
-	return m
-}
-
-// SoftmaxRows32InPlace computes row-wise softmax in place (same
-// max-subtraction scheme as SoftmaxRowsInto) and returns m. The
+// softmaxRows32 computes row-wise softmax in place with the fast
+// float32 exp (same max-subtraction scheme as SoftmaxRowsInto). The
 // exponentials run as one vectorized pass over the whole matrix between
 // the per-row shift and normalize passes.
-func SoftmaxRows32InPlace(m *Matrix32) *Matrix32 {
+func softmaxRows32(m *Matrix32) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		mx := negInf32
@@ -347,7 +199,6 @@ func SoftmaxRows32InPlace(m *Matrix32) *Matrix32 {
 			row[j] *= inv
 		}
 	}
-	return m
 }
 
 // CSR32 is a float32 compressed-sparse-row adjacency operand. RowPtr may
@@ -387,108 +238,4 @@ func CSRRow32Into(drow []float32, cols []int32, w []float32, h *Matrix32, off in
 		panic("tensor: CSRRow32Into column block out of range")
 	}
 	csrRow(drow, cols, w, h.Data[off:], h.Cols)
-}
-
-// ---- float32 scratch pools (mirrors of the float64 pools) ----
-
-var matrix32Headers = sync.Pool{New: func() any { return new(Matrix32) }}
-
-// GetMatrix32 returns a zeroed rows×cols float32 matrix backed by the
-// float32 capacity-class pool. Pair with PutMatrix32.
-func GetMatrix32(rows, cols int) *Matrix32 {
-	m := matrix32Headers.Get().(*Matrix32)
-	m.Rows, m.Cols, m.Data = rows, cols, GetFloats32(rows*cols)
-	return m
-}
-
-// PutMatrix32 returns m and its backing to the pools; see PutMatrix.
-func PutMatrix32(m *Matrix32) {
-	if m == nil {
-		return
-	}
-	PutFloats32(m.Data)
-	m.Data = nil
-	matrix32Headers.Put(m)
-}
-
-// Reshape is the float32 mirror of Matrix.Reshape.
-func (m *Matrix32) Reshape(rows, cols int) *Matrix32 {
-	n := rows * cols
-	if n > cap(m.Data) {
-		PutFloats32(m.Data)
-		m.Rows, m.Cols, m.Data = rows, cols, GetFloats32(n)
-		return m
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	clear(m.Data)
-	return m
-}
-
-var (
-	int32Pools   [numSliceClasses]sync.Pool
-	float32Pools [numSliceClasses]sync.Pool
-)
-
-// GetInts32 returns a zeroed length-n int32 slice from the
-// capacity-class pool. Pair with PutInts32.
-func GetInts32(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	c := sliceClass(n)
-	if c < 0 {
-		return make([]int32, n)
-	}
-	if s, _ := int32Pools[c].Get().([]int32); s != nil {
-		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	backingAllocs.Add(1)
-	return make([]int32, n, 1<<c)
-}
-
-// PutInts32 returns s to its capacity-class pool; see PutInts.
-func PutInts32(s []int32) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	if cls := sliceClass(c); cls >= 0 {
-		int32Pools[cls].Put(s[:0]) //nolint:staticcheck // slice header boxing is accepted
-	}
-}
-
-// GetFloats32 returns a zeroed length-n float32 slice from the
-// capacity-class pool. Pair with PutFloats32.
-func GetFloats32(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	c := sliceClass(n)
-	if c < 0 {
-		return make([]float32, n)
-	}
-	if s, _ := float32Pools[c].Get().([]float32); s != nil {
-		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	backingAllocs.Add(1)
-	return make([]float32, n, 1<<c)
-}
-
-// PutFloats32 returns s to its capacity-class pool; see PutInts.
-func PutFloats32(s []float32) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	if cls := sliceClass(c); cls >= 0 {
-		float32Pools[cls].Put(s[:0]) //nolint:staticcheck // slice header boxing is accepted
-	}
 }

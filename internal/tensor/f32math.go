@@ -51,17 +51,24 @@ func Exp32(x float32) float32 {
 	return y * math.Float32frombits(uint32(n+127)<<23)
 }
 
+// vec8 runs the 8-wide kernel over the bulk of v when the vector
+// kernels are on, and returns the tail left to the scalar loop.
+func vec8(v []float32, kernel func([]float32)) []float32 {
+	if simdEnabled && len(v) >= 8 {
+		m := len(v) &^ 7
+		kernel(v[:m])
+		return v[m:]
+	}
+	return v
+}
+
 // Exp32InPlace applies Exp32 element-wise. On AVX2 the bulk runs
 // 8-wide; vector lanes clamp out-of-range and non-finite inputs to
 // [-87, 88] and may differ from the scalar Exp32 in the final ulp (FMA
 // reduction, round-to-nearest-even n), both far inside the f32 path's
 // tolerance. The scalar Exp32 handles the tail.
 func Exp32InPlace(v []float32) {
-	if simdEnabled && len(v) >= 8 {
-		m := len(v) &^ 7
-		exp32AVX2(v[:m])
-		v = v[m:]
-	}
+	v = vec8(v, exp32AVX2)
 	for i, x := range v {
 		v[i] = Exp32(x)
 	}
@@ -70,11 +77,7 @@ func Exp32InPlace(v []float32) {
 // tanh32Slice applies Tanh32 element-wise with the 8-wide kernel on the
 // bulk; same last-ulp caveats as Exp32InPlace.
 func tanh32Slice(v []float32) {
-	if simdEnabled && len(v) >= 8 {
-		m := len(v) &^ 7
-		tanh32AVX2(v[:m])
-		v = v[m:]
-	}
+	v = vec8(v, tanh32AVX2)
 	for i, x := range v {
 		v[i] = Tanh32(x)
 	}
@@ -83,11 +86,7 @@ func tanh32Slice(v []float32) {
 // sigmoid32Slice applies Sigmoid32 element-wise with the 8-wide kernel
 // on the bulk; same last-ulp caveats as Exp32InPlace.
 func sigmoid32Slice(v []float32) {
-	if simdEnabled && len(v) >= 8 {
-		m := len(v) &^ 7
-		sigmoid32AVX2(v[:m])
-		v = v[m:]
-	}
+	v = vec8(v, sigmoid32AVX2)
 	for i, x := range v {
 		v[i] = Sigmoid32(x)
 	}

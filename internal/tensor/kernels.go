@@ -148,6 +148,16 @@ func panicGather(cols, pos []int, p, rows int) {
 	panic(fmt.Sprintf("tensor: CSR entry %d gathers row %d of %d", p, r, rows))
 }
 
+// pick returns whichever of k64 and k32 is a K — the float64 kernel
+// when F is float64, the float32 one when F is float32: the one
+// precision dispatch of a generic kernel entry.
+func pick[F Float, K any](k64, k32 any) K {
+	if k, ok := k64.(K); ok {
+		return k
+	}
+	return k32.(K)
+}
+
 // saxpy is the float32 counterpart of daxpy. The AVX2 version uses FMA,
 // so results may differ from the portable loop in the last ulp.
 func saxpy(dst, src []float32, alpha float32) {

@@ -185,7 +185,7 @@ func TestF64KernelsBitwiseProperty(t *testing.T) {
 
 				k1 := k / 3
 				got = acc.Clone()
-				matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, k1*n, 0, rows)
+				matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, 0, rows)
 				checkBits(t, "matMulSplitRange", simd, n, k, got, want)
 
 				// k nonzeros per row over hRows source rows; pos permutes them.
@@ -464,7 +464,7 @@ func TestReLU32InPlaceMatchesScalar(t *testing.T) {
 			want[i] = 0
 		}
 	}
-	ReLU32InPlace(m)
+	ReLUInPlace(m)
 	for i := range want {
 		if m.Data[i] != want[i] {
 			t.Fatalf("element %d: got %g want %g", i, m.Data[i], want[i])

@@ -1,5 +1,12 @@
-// Package tensor provides dense float64 matrices and the numeric kernels
-// used by the autodiff engine and every model in the repository.
+// Package tensor provides dense matrices and the numeric kernels used by
+// the autodiff engine and every model in the repository. One generic
+// Mat[F] serves both precisions: Matrix (float64) carries training and
+// the bitwise reference forwards, Matrix32 (float32) the quantized
+// serving forward. Methods whose arithmetic is the same at both
+// precisions are written once; the kernels whose arithmetic differs —
+// the dense and CSR row kernels, tanh/exp/sigmoid, the FMA axpy — stay
+// typed, and a generic entry point picks one with a single type switch
+// per call, never per row or element.
 //
 // Matrices are row-major. All operations either allocate a fresh result or
 // write into the receiver in place; in-place variants are suffixed with
@@ -14,19 +21,35 @@ import (
 	"strings"
 )
 
-// Matrix is a dense row-major matrix of float64 values.
-type Matrix struct {
+// Float is the element type of a Mat: float64 or float32, nothing else,
+// so a type switch over *Matrix and *Matrix32 is exhaustive.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix of F values.
+type Mat[F Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []F
 }
 
-// New returns a zero-initialized matrix of the given shape.
-func New(rows, cols int) *Matrix {
+// Matrix is a dense row-major matrix of float64 values.
+type Matrix = Mat[float64]
+
+// Matrix32 is a dense row-major matrix of float32 values.
+type Matrix32 = Mat[float32]
+
+// newMat returns a zero-initialized matrix of the given shape.
+func newMat[F Float](rows, cols int) *Mat[F] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[F]{Rows: rows, Cols: cols, Data: make([]F, rows*cols)}
 }
+
+// New returns a zero-initialized float64 matrix of the given shape.
+func New(rows, cols int) *Matrix { return newMat[float64](rows, cols) }
+
+// New32 returns a zero-initialized float32 matrix of the given shape.
+func New32(rows, cols int) *Matrix32 { return newMat[float32](rows, cols) }
 
 // FromSlice wraps data (length rows*cols) in a Matrix without copying.
 func FromSlice(rows, cols int, data []float64) *Matrix {
@@ -62,68 +85,94 @@ func Identity(n int) *Matrix {
 }
 
 // At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Mat[F]) At(i, j int) F { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Mat[F]) Set(i, j int, v F) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (no copy) of row i.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Mat[F]) Row(i int) []F { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+func (m *Mat[F]) Clone() *Mat[F] {
+	c := newMat[F](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // Zero resets every element to 0 in place.
-func (m *Matrix) Zero() {
+func (m *Mat[F]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets every element to v in place.
-func (m *Matrix) Fill(v float64) {
+func (m *Mat[F]) Fill(v F) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *Mat[F]) SameShape(o *Mat[F]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
-func (m *Matrix) assertSameShape(o *Matrix, op string) {
+func (m *Mat[F]) assertSameShape(o *Mat[F], op string) {
 	if !m.SameShape(o) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
 // MatMul returns m × o.
-func (m *Matrix) MatMul(o *Matrix) *Matrix {
+func (m *Mat[F]) MatMul(o *Mat[F]) *Mat[F] {
 	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	out := New(m.Rows, o.Cols)
-	MatMulInto(out, m, o)
+	out := newMat[F](m.Rows, o.Cols)
+	MulInto(out, m, o, false)
 	return out
 }
 
-// MatMulInto computes dst = a × b, accumulating into a zeroed dst.
-// dst must not alias a or b. Large products are split across the worker
-// pool by row ranges, which keeps writes disjoint; below the parallel
-// threshold the call runs inline and allocates nothing.
-func MatMulInto(dst, a, b *Matrix) {
+// MulInto computes dst = a × b, accumulating into a zeroed dst, with
+// F's row kernel: matMulRange at float64, matMul32Rows at float32. dst
+// must not alias a or b. Large products are split across the worker pool
+// by row ranges, which keeps writes disjoint, unless serial keeps every
+// row on the calling goroutine (one shard of a sweep); below the
+// parallel threshold the call runs inline and allocates nothing.
+func MulInto[F Float](dst, a, b *Mat[F], serial bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMulInto shape mismatch")
+		panic("tensor: MulInto shape mismatch")
 	}
-	if a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows <= 1 {
-		matMulRange(dst, a, b, 0, a.Rows)
+	rows := pick[F, func(dst, a, b *Mat[F], lo, hi int)](matMulRange, matMul32Rows)
+	if serial || a.Rows*a.Cols*b.Cols < parallelThreshold || a.Rows <= 1 {
+		rows(dst, a, b, 0, a.Rows)
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
+	parallelRows(a.Rows, func(lo, hi int) { rows(dst, a, b, lo, hi) })
 }
+
+// MulSplitInto is MulInto on the column concatenation [a1 | a2],
+// without materializing it: b's first a1.Cols rows pair with a1, the
+// rest with a2. The accumulation order (and the parallel row partition)
+// is exactly that of MulInto on the concatenated matrix, so results are
+// bitwise identical. dst must be zeroed and must not alias a1, a2 or b.
+func MulSplitInto[F Float](dst, a1, a2, b *Mat[F], serial bool) {
+	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
+		panic("tensor: MulSplitInto shape mismatch")
+	}
+	rows := pick[F, func(dst, a1, a2, b *Mat[F], lo, hi int)](matMulSplitRange, matMul32SplitRows)
+	if serial || a1.Rows*b.Rows*b.Cols < parallelThreshold || a1.Rows <= 1 {
+		rows(dst, a1, a2, b, 0, a1.Rows)
+		return
+	}
+	parallelRows(a1.Rows, func(lo, hi int) { rows(dst, a1, a2, b, lo, hi) })
+}
+
+// MatMulInto is MulInto on float64 matrices, never serial.
+func MatMulInto(dst, a, b *Matrix) { MulInto(dst, a, b, false) }
+
+// MatMulSplitInto is MulSplitInto on float64 matrices, never serial.
+func MatMulSplitInto(dst, a1, a2, b *Matrix) { MulSplitInto(dst, a1, a2, b, false) }
 
 // matMulRange computes rows [lo, hi) of dst = a×b, one dgemmRow per
 // row. The row kernel streams all of B per output row. No model's
@@ -146,17 +195,17 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 
 // RowView returns a 1×Cols matrix sharing row i's storage with m.
 // Mutating the view mutates m.
-func (m *Matrix) RowView(i int) *Matrix {
-	return &Matrix{Rows: 1, Cols: m.Cols, Data: m.Row(i)}
+func (m *Mat[F]) RowView(i int) *Mat[F] {
+	return &Mat[F]{Rows: 1, Cols: m.Cols, Data: m.Row(i)}
 }
 
 // RowsView returns a (hi−lo)×Cols matrix sharing rows [lo, hi) of m's
 // storage. Mutating the view mutates m.
-func (m *Matrix) RowsView(lo, hi int) *Matrix {
+func (m *Mat[F]) RowsView(lo, hi int) *Mat[F] {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: rowsView [%d,%d) of %d rows", lo, hi, m.Rows))
 	}
-	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	return &Mat[F]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
 // MatMulRangeInto computes rows [lo, hi) of dst = a × b sequentially,
@@ -175,43 +224,12 @@ func MatMulRangeInto(dst, a, b *Matrix, lo, hi int) {
 	matMulRange(dst, a, b, lo, hi)
 }
 
-// MatMulSplitRangeInto computes rows [lo, hi) of [a1 | a2] × b into dst
-// sequentially; the caller-partitioned variant of MatMulSplitInto with
-// the same bitwise-equality guarantee as MatMulRangeInto.
-func MatMulSplitRangeInto(dst, a1, a2, b *Matrix, lo, hi int) {
-	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMulSplitRangeInto shape mismatch")
-	}
-	if lo < 0 || hi > a1.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: MatMulSplitRangeInto range [%d,%d) of %d rows", lo, hi, a1.Rows))
-	}
-	matMulSplitRange(dst, a1, a2, b, a1.Cols*b.Cols, lo, hi)
-}
-
-// MatMulSplitInto computes [a1 | a2] × b into dst without materializing
-// the column concatenation: b's first a1.Cols rows pair with a1, the
-// rest with a2. The accumulation order (and the parallel row partition)
-// is exactly that of MatMulInto on the concatenated matrix, so results
-// are bitwise identical. dst must be zeroed and must not alias a1, a2
-// or b. Below the parallel threshold it runs inline and allocates
-// nothing.
-func MatMulSplitInto(dst, a1, a2, b *Matrix) {
-	if a1.Rows != a2.Rows || a1.Cols+a2.Cols != b.Rows || dst.Rows != a1.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMulSplitInto shape mismatch")
-	}
-	off := a1.Cols * b.Cols
-	if a1.Rows*b.Rows*b.Cols < parallelThreshold || a1.Rows <= 1 {
-		matMulSplitRange(dst, a1, a2, b, off, 0, a1.Rows)
-		return
-	}
-	parallelRows(a1.Rows, func(lo, hi int) { matMulSplitRange(dst, a1, a2, b, off, lo, hi) })
-}
-
 // matMulSplitRange runs rows [lo, hi) of MatMulSplitInto: each row
 // accumulates a1's terms, then a2's, so k ascends over the
 // concatenation.
-func matMulSplitRange(dst, a1, a2, b *Matrix, off, lo, hi int) {
+func matMulSplitRange(dst, a1, a2, b *Matrix, lo, hi int) {
 	n := b.Cols
+	off := a1.Cols * n
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
 		dgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
@@ -260,11 +278,11 @@ func CSRRowInto(drow []float64, cols []int, w []float64, h *Matrix, pos []int) {
 }
 
 // MatMulTransB returns m × oᵀ.
-func (m *Matrix) MatMulTransB(o *Matrix) *Matrix {
+func (m *Mat[F]) MatMulTransB(o *Mat[F]) *Mat[F] {
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d × (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	out := New(m.Rows, o.Rows)
+	out := newMat[F](m.Rows, o.Rows)
 	// Dot-product form: the sequential k-sum is part of the training
 	// numerics (backward passes), so it is dispatched to the pool but
 	// never re-associated or vectorized.
@@ -273,7 +291,7 @@ func (m *Matrix) MatMulTransB(o *Matrix) *Matrix {
 			arow := m.Row(i)
 			for j := 0; j < o.Rows; j++ {
 				brow := o.Row(j)
-				var s float64
+				var s F
 				for k, av := range arow {
 					s += av * brow[k]
 				}
@@ -285,11 +303,12 @@ func (m *Matrix) MatMulTransB(o *Matrix) *Matrix {
 }
 
 // MatMulTransA returns mᵀ × o.
-func (m *Matrix) MatMulTransA(o *Matrix) *Matrix {
+func (m *Mat[F]) MatMulTransA(o *Mat[F]) *Mat[F] {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ × %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	out := New(m.Cols, o.Cols)
+	out := newMat[F](m.Cols, o.Cols)
+	axpy := pick[F, func(dst, src []F, alpha F)](daxpy, saxpy)
 	// One kernel for both the serial and pooled paths (the old serial
 	// copy of this loop nest predated ParallelRows and skipped the
 	// parallel dispatch entirely). Output rows (columns of m) are
@@ -305,7 +324,7 @@ func (m *Matrix) MatMulTransA(o *Matrix) *Matrix {
 					continue
 				}
 				i := lo + di
-				daxpy(out.Data[i*o.Cols:(i+1)*o.Cols], brow, av)
+				axpy(out.Data[i*o.Cols:(i+1)*o.Cols], brow, av)
 			}
 		}
 	})
@@ -313,8 +332,8 @@ func (m *Matrix) MatMulTransA(o *Matrix) *Matrix {
 }
 
 // Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
+func (m *Mat[F]) Transpose() *Mat[F] {
+	out := newMat[F](m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
@@ -324,18 +343,17 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // Add returns m + o element-wise.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	m.assertSameShape(o, "add")
-	out := m.Clone()
-	for i, v := range o.Data {
-		out.Data[i] += v
-	}
-	return out
-}
+func (m *Mat[F]) Add(o *Mat[F]) *Mat[F] { return m.Clone().AddInPlace(o) }
 
-// AddInPlace adds o into m and returns m.
-func (m *Matrix) AddInPlace(o *Matrix) *Matrix {
+// AddInPlace adds o into m and returns m. At float32 the AVX2 bulk goes
+// through the FMA axpy kernel with α = 1, which rounds exactly like the
+// scalar add (the multiply by 1.0 is exact).
+func (m *Mat[F]) AddInPlace(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "add")
+	if m32, ok := any(m).(*Matrix32); ok {
+		saxpy(m32.Data, any(o).(*Matrix32).Data, 1)
+		return m
+	}
 	for i, v := range o.Data {
 		m.Data[i] += v
 	}
@@ -343,7 +361,7 @@ func (m *Matrix) AddInPlace(o *Matrix) *Matrix {
 }
 
 // AddScaledInPlace adds s*o into m and returns m.
-func (m *Matrix) AddScaledInPlace(o *Matrix, s float64) *Matrix {
+func (m *Mat[F]) AddScaledInPlace(o *Mat[F], s F) *Mat[F] {
 	m.assertSameShape(o, "addScaled")
 	for i, v := range o.Data {
 		m.Data[i] += s * v
@@ -352,7 +370,7 @@ func (m *Matrix) AddScaledInPlace(o *Matrix, s float64) *Matrix {
 }
 
 // Sub returns m − o element-wise.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
+func (m *Mat[F]) Sub(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "sub")
 	out := m.Clone()
 	for i, v := range o.Data {
@@ -362,7 +380,7 @@ func (m *Matrix) Sub(o *Matrix) *Matrix {
 }
 
 // Mul returns the element-wise (Hadamard) product m ⊙ o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
+func (m *Mat[F]) Mul(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "mul")
 	out := m.Clone()
 	for i, v := range o.Data {
@@ -372,16 +390,10 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 }
 
 // Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
+func (m *Mat[F]) Scale(s F) *Mat[F] { return m.Clone().ScaleInPlace(s) }
 
 // ScaleInPlace multiplies every element by s and returns m.
-func (m *Matrix) ScaleInPlace(s float64) *Matrix {
+func (m *Mat[F]) ScaleInPlace(s F) *Mat[F] {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
@@ -389,23 +401,11 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 }
 
 // AddRowVector returns m with the 1×Cols vector v added to each row.
-func (m *Matrix) AddRowVector(v *Matrix) *Matrix {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowVector wants 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
-	}
-	out := m.Clone()
-	for i := 0; i < m.Rows; i++ {
-		row := out.Row(i)
-		for j, b := range v.Data {
-			row[j] += b
-		}
-	}
-	return out
-}
+func (m *Mat[F]) AddRowVector(v *Mat[F]) *Mat[F] { return m.Clone().AddRowVectorInPlace(v) }
 
 // AddRowVectorInPlace adds the 1×Cols vector v to each row of m and
 // returns m.
-func (m *Matrix) AddRowVectorInPlace(v *Matrix) *Matrix {
+func (m *Mat[F]) AddRowVectorInPlace(v *Mat[F]) *Mat[F] {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: addRowVector wants 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
 	}
@@ -419,7 +419,7 @@ func (m *Matrix) AddRowVectorInPlace(v *Matrix) *Matrix {
 }
 
 // MulColVector returns m with each row i scaled by v[i] (v is Rows×1).
-func (m *Matrix) MulColVector(v *Matrix) *Matrix {
+func (m *Mat[F]) MulColVector(v *Mat[F]) *Mat[F] {
 	if v.Cols != 1 || v.Rows != m.Rows {
 		panic(fmt.Sprintf("tensor: mulColVector wants %dx1, got %dx%d", m.Rows, v.Rows, v.Cols))
 	}
@@ -435,21 +435,18 @@ func (m *Matrix) MulColVector(v *Matrix) *Matrix {
 }
 
 // ConcatCols returns [m ; o] stacked horizontally (same row count).
-func (m *Matrix) ConcatCols(o *Matrix) *Matrix {
+func (m *Mat[F]) ConcatCols(o *Mat[F]) *Mat[F] {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("tensor: concatCols row mismatch %d vs %d", m.Rows, o.Rows))
 	}
-	out := New(m.Rows, m.Cols+o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Data[i*out.Cols:], m.Row(i))
-		copy(out.Data[i*out.Cols+m.Cols:], o.Row(i))
-	}
+	out := newMat[F](m.Rows, m.Cols+o.Cols)
+	ConcatColsInto(out, m, o)
 	return out
 }
 
 // ConcatColsInto writes [a ; b] stacked horizontally into dst, which
 // must be a.Rows × (a.Cols+b.Cols) and must not alias a or b.
-func ConcatColsInto(dst, a, b *Matrix) {
+func ConcatColsInto[F Float](dst, a, b *Mat[F]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: concatCols row mismatch %d vs %d", a.Rows, b.Rows))
 	}
@@ -463,22 +460,22 @@ func ConcatColsInto(dst, a, b *Matrix) {
 }
 
 // ConcatRows returns m stacked on top of o (same column count).
-func (m *Matrix) ConcatRows(o *Matrix) *Matrix {
+func (m *Mat[F]) ConcatRows(o *Mat[F]) *Mat[F] {
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: concatRows col mismatch %d vs %d", m.Cols, o.Cols))
 	}
-	out := New(m.Rows+o.Rows, m.Cols)
+	out := newMat[F](m.Rows+o.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	copy(out.Data[len(m.Data):], o.Data)
 	return out
 }
 
 // SliceCols returns columns [from, to) as a new matrix.
-func (m *Matrix) SliceCols(from, to int) *Matrix {
+func (m *Mat[F]) SliceCols(from, to int) *Mat[F] {
 	if from < 0 || to > m.Cols || from > to {
 		panic(fmt.Sprintf("tensor: sliceCols [%d,%d) of %d cols", from, to, m.Cols))
 	}
-	out := New(m.Rows, to-from)
+	out := newMat[F](m.Rows, to-from)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i)[from:to])
 	}
@@ -486,17 +483,15 @@ func (m *Matrix) SliceCols(from, to int) *Matrix {
 }
 
 // SelectRows gathers the given row indices into a new matrix.
-func (m *Matrix) SelectRows(idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	for i, r := range idx {
-		copy(out.Row(i), m.Row(r))
-	}
+func (m *Mat[F]) SelectRows(idx []int) *Mat[F] {
+	out := newMat[F](len(idx), m.Cols)
+	SelectRowsInto(out, m, idx)
 	return out
 }
 
 // SelectRowsInto gathers the given row indices of m into dst, which
 // must be len(idx) × m.Cols and must not alias m.
-func SelectRowsInto(dst, m *Matrix, idx []int) {
+func SelectRowsInto[F Float](dst, m *Mat[F], idx []int) {
 	if dst.Rows != len(idx) || dst.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: selectRowsInto wants %dx%d, got %dx%d", len(idx), m.Cols, dst.Rows, dst.Cols))
 	}
@@ -506,8 +501,8 @@ func SelectRowsInto(dst, m *Matrix, idx []int) {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
+func (m *Mat[F]) Sum() F {
+	var s F
 	for _, v := range m.Data {
 		s += v
 	}
@@ -515,18 +510,18 @@ func (m *Matrix) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean of all elements (0 for empty).
-func (m *Matrix) Mean() float64 {
+func (m *Mat[F]) Mean() F {
 	if len(m.Data) == 0 {
 		return 0
 	}
-	return m.Sum() / float64(len(m.Data))
+	return m.Sum() / F(len(m.Data))
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
+func (m *Mat[F]) MaxAbs() F {
+	var mx F
 	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
+		if a := F(math.Abs(float64(v))); a > mx {
 			mx = a
 		}
 	}
@@ -534,17 +529,17 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // FrobeniusNorm returns sqrt(Σ mᵢⱼ²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
+func (m *Mat[F]) FrobeniusNorm() F {
+	var s F
 	for _, v := range m.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return F(math.Sqrt(float64(s)))
 }
 
 // Apply returns a new matrix with f applied element-wise.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Mat[F]) Apply(f func(F) F) *Mat[F] {
+	out := newMat[F](m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
@@ -552,12 +547,12 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 }
 
 // Equal reports element-wise equality within tolerance eps.
-func (m *Matrix) Equal(o *Matrix, eps float64) bool {
+func (m *Mat[F]) Equal(o *Mat[F], eps F) bool {
 	if !m.SameShape(o) {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > eps {
+		if F(math.Abs(float64(v-o.Data[i]))) > eps {
 			return false
 		}
 	}
@@ -565,7 +560,7 @@ func (m *Matrix) Equal(o *Matrix, eps float64) bool {
 }
 
 // String renders the matrix for debugging.
-func (m *Matrix) String() string {
+func (m *Mat[F]) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix %dx%d [", m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {

@@ -12,8 +12,13 @@ func ReLU(m *Matrix) *Matrix {
 	})
 }
 
-// ReLUInPlace clamps negative elements to 0 in place and returns m.
-func ReLUInPlace(m *Matrix) *Matrix {
+// ReLUInPlace clamps negative elements to 0 in place and returns m
+// (float32 through the 8-wide relu32).
+func ReLUInPlace[F Float](m *Mat[F]) *Mat[F] {
+	if m32, ok := any(m).(*Matrix32); ok {
+		relu32(m32.Data)
+		return m
+	}
 	for i, v := range m.Data {
 		if v < 0 {
 			m.Data[i] = 0
@@ -23,23 +28,36 @@ func ReLUInPlace(m *Matrix) *Matrix {
 }
 
 // Tanh returns tanh(x) element-wise.
-func Tanh(m *Matrix) *Matrix { return m.Apply(math.Tanh) }
+func Tanh(m *Matrix) *Matrix { return TanhInPlace(m.Clone()) }
 
-// TanhInPlace applies tanh element-wise in place and returns m.
-func TanhInPlace(m *Matrix) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = math.Tanh(v)
+// TanhInPlace applies tanh element-wise in place and returns m:
+// math.Tanh at float64, the fast Tanh32 (8-wide on AVX2) at float32.
+func TanhInPlace[F Float](m *Mat[F]) *Mat[F] {
+	switch m := any(m).(type) {
+	case *Matrix:
+		for i, v := range m.Data {
+			m.Data[i] = math.Tanh(v)
+		}
+	case *Matrix32:
+		tanh32Slice(m.Data)
 	}
 	return m
 }
 
 // Sigmoid returns 1/(1+e^-x) element-wise, computed stably.
-func Sigmoid(m *Matrix) *Matrix { return m.Apply(SigmoidScalar) }
+func Sigmoid(m *Matrix) *Matrix { return SigmoidInPlace(m.Clone()) }
 
-// SigmoidInPlace applies the stable logistic element-wise in place.
-func SigmoidInPlace(m *Matrix) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = SigmoidScalar(v)
+// SigmoidInPlace applies the stable logistic element-wise in place:
+// SigmoidScalar at float64, the fast Sigmoid32 (8-wide on AVX2) at
+// float32.
+func SigmoidInPlace[F Float](m *Mat[F]) *Mat[F] {
+	switch m := any(m).(type) {
+	case *Matrix:
+		for i, v := range m.Data {
+			m.Data[i] = SigmoidScalar(v)
+		}
+	case *Matrix32:
+		sigmoid32Slice(m.Data)
 	}
 	return m
 }
@@ -61,9 +79,15 @@ func SoftmaxRows(m *Matrix) *Matrix {
 	return out
 }
 
-// SoftmaxRowsInPlace computes row-wise softmax in place and returns m.
-func SoftmaxRowsInPlace(m *Matrix) *Matrix {
-	SoftmaxRowsInto(m, m)
+// SoftmaxRowsInPlace computes row-wise softmax in place and returns m:
+// SoftmaxRowsInto at float64, the vectorized softmaxRows32 at float32.
+func SoftmaxRowsInPlace[F Float](m *Mat[F]) *Mat[F] {
+	switch m := any(m).(type) {
+	case *Matrix:
+		SoftmaxRowsInto(m, m)
+	case *Matrix32:
+		softmaxRows32(m)
+	}
 	return m
 }
 

@@ -19,39 +19,65 @@ import (
 // accumulate-style kernels (MatMulInto, CSR.MatMulInto) can use them
 // directly.
 
-// matrixHeaders recycles the Matrix structs themselves, so a warm
-// GetMatrix allocates nothing.
-var matrixHeaders = sync.Pool{New: func() any { return new(Matrix) }}
+// matPools holds one precision's matrix pools: the Mat headers
+// themselves, so a warm GetMat allocates nothing, and the capacity-class
+// backing pools.
+type matPools[F Float] struct {
+	headers sync.Pool
+	data    slicePools[F]
+}
 
-// GetMatrix returns a zeroed rows×cols matrix backed by the float
-// capacity-class pool. Pair with PutMatrix.
-func GetMatrix(rows, cols int) *Matrix {
-	m := matrixHeaders.Get().(*Matrix)
-	m.Rows, m.Cols, m.Data = rows, cols, GetFloats(rows*cols)
+var (
+	mats64 = &matPools[float64]{headers: sync.Pool{New: func() any { return new(Matrix) }}}
+	mats32 = &matPools[float32]{headers: sync.Pool{New: func() any { return new(Matrix32) }}}
+)
+
+// poolsFor returns F's matrix pools.
+func poolsFor[F Float]() *matPools[F] {
+	if p, ok := any(mats64).(*matPools[F]); ok {
+		return p
+	}
+	return any(mats32).(*matPools[F])
+}
+
+// GetMat returns a zeroed rows×cols matrix backed by F's capacity-class
+// pool. Pair with PutMat.
+func GetMat[F Float](rows, cols int) *Mat[F] {
+	p := poolsFor[F]()
+	m := p.headers.Get().(*Mat[F])
+	m.Rows, m.Cols, m.Data = rows, cols, p.data.get(rows*cols)
 	return m
 }
 
-// PutMatrix returns m and its backing to the pools. m must not be used
-// afterwards. Backing that GetMatrix did not hand out (its capacity is
-// not a power of two) is dropped, as PutFloats does.
-func PutMatrix(m *Matrix) {
+// PutMat returns m and its backing to the pools. m must not be used
+// afterwards. Backing that GetMat did not hand out (its capacity is not
+// a power of two) is dropped, as PutFloats does.
+func PutMat[F Float](m *Mat[F]) {
 	if m == nil {
 		return
 	}
-	PutFloats(m.Data)
+	p := poolsFor[F]()
+	p.data.put(m.Data)
 	m.Data = nil
-	matrixHeaders.Put(m)
+	p.headers.Put(m)
 }
+
+// GetMatrix is GetMat for float64. Pair with PutMatrix.
+func GetMatrix(rows, cols int) *Matrix { return GetMat[float64](rows, cols) }
+
+// PutMatrix is PutMat for float64.
+func PutMatrix(m *Matrix) { PutMat(m) }
 
 // Reshape returns m as a zeroed rows×cols matrix, reusing its backing
 // when it is large enough and swapping it through the pool otherwise.
 // The forward contexts keep their scratch warm with it across audits
 // whose row counts differ.
-func (m *Matrix) Reshape(rows, cols int) *Matrix {
+func (m *Mat[F]) Reshape(rows, cols int) *Mat[F] {
 	n := rows * cols
 	if n > cap(m.Data) {
-		PutFloats(m.Data)
-		m.Rows, m.Cols, m.Data = rows, cols, GetFloats(n)
+		p := &poolsFor[F]().data
+		p.put(m.Data)
+		m.Rows, m.Cols, m.Data = rows, cols, p.get(n)
 		return m
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
@@ -65,9 +91,12 @@ func (m *Matrix) Reshape(rows, cols int) *Matrix {
 // silently dropped rather than poisoning a class.
 const numSliceClasses = 28 // up to 2^27 elements (1 GiB of float64)
 
+// slicePools is one element type's capacity-class pools.
+type slicePools[T any] [numSliceClasses]sync.Pool
+
 var (
-	intPools   [numSliceClasses]sync.Pool
-	floatPools [numSliceClasses]sync.Pool
+	intPools   slicePools[int]
+	int32Pools slicePools[int32]
 )
 
 // backingAllocs counts the pooled-class buffers the Get functions had to
@@ -92,67 +121,59 @@ func sliceClass(n int) int {
 	return c
 }
 
-// GetInts returns a zeroed length-n int slice from the capacity-class
-// pool. Pair with PutInts.
-func GetInts(n int) []int {
+// get returns a zeroed length-n slice from the capacity-class pool.
+func (p *slicePools[T]) get(n int) []T {
 	if n == 0 {
 		return nil
 	}
 	c := sliceClass(n)
 	if c < 0 {
-		return make([]int, n)
+		return make([]T, n)
 	}
-	if s, _ := intPools[c].Get().([]int); s != nil {
+	if s, _ := p[c].Get().([]T); s != nil {
 		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
+		clear(s)
 		return s
 	}
 	backingAllocs.Add(1)
-	return make([]int, n, 1<<c)
+	return make([]T, n, 1<<c)
 }
+
+// put returns s to its capacity-class pool. Slices whose capacity is not
+// an exact power of two (not produced by get) are dropped.
+func (p *slicePools[T]) put(s []T) {
+	c := cap(s)
+	if c == 0 || c&(c-1) != 0 {
+		return
+	}
+	if cls := sliceClass(c); cls >= 0 {
+		p[cls].Put(s[:0]) //nolint:staticcheck // slice header boxing is accepted
+	}
+}
+
+// GetInts returns a zeroed length-n int slice from the capacity-class
+// pool. Pair with PutInts.
+func GetInts(n int) []int { return intPools.get(n) }
 
 // PutInts returns s to its capacity-class pool. Slices whose capacity is
 // not an exact power of two (not produced by GetInts) are dropped.
-func PutInts(s []int) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	if cls := sliceClass(c); cls >= 0 {
-		intPools[cls].Put(s[:0]) //nolint:staticcheck // slice header boxing is accepted
-	}
-}
+func PutInts(s []int) { intPools.put(s) }
 
 // GetFloats returns a zeroed length-n float64 slice from the
 // capacity-class pool. Pair with PutFloats.
-func GetFloats(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	c := sliceClass(n)
-	if c < 0 {
-		return make([]float64, n)
-	}
-	if s, _ := floatPools[c].Get().([]float64); s != nil {
-		s = s[:n]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	backingAllocs.Add(1)
-	return make([]float64, n, 1<<c)
-}
+func GetFloats(n int) []float64 { return mats64.data.get(n) }
 
 // PutFloats returns s to its capacity-class pool; see PutInts.
-func PutFloats(s []float64) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	if cls := sliceClass(c); cls >= 0 {
-		floatPools[cls].Put(s[:0]) //nolint:staticcheck // slice header boxing is accepted
-	}
-}
+func PutFloats(s []float64) { mats64.data.put(s) }
+
+// GetInts32 is GetInts for int32. Pair with PutInts32.
+func GetInts32(n int) []int32 { return int32Pools.get(n) }
+
+// PutInts32 returns s to its capacity-class pool; see PutInts.
+func PutInts32(s []int32) { int32Pools.put(s) }
+
+// GetFloats32 is GetFloats for float32. Pair with PutFloats32.
+func GetFloats32(n int) []float32 { return mats32.data.get(n) }
+
+// PutFloats32 returns s to its capacity-class pool; see PutInts.
+func PutFloats32(s []float32) { mats32.data.put(s) }

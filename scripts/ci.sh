@@ -34,8 +34,11 @@ go test -race -count=1 -run 'TestFullPathScoresFreshFeaturesAfterBurst|TestFanou
 echo "== graph shard-locking regression (Prune vs Snapshot vs writers, 20 rounds under -race)"
 go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
 
-echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition; every f64 row kernel — dense, split, CSR, CSR through a pos remap — bit-for-bit its scalar loop for n 1..40 x k 0..70 with ±0, subnormals, ±Inf and NaN, SIMD on and off; f64 kernels allocation-free below the parallel threshold; a CSR gather outside h or pos panics; f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row)"
-go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition; every f64 row kernel — dense, split, CSR, CSR through a pos remap — bit-for-bit its scalar loop for n 1..40 x k 0..70 with ±0, subnormals, ±Inf and NaN, SIMD on and off; f64 kernels allocation-free below the parallel threshold; a CSR gather outside h or pos panics; f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row; every variant's f32 Infer32/InferTarget32 bits equal the recorded golden bits, SIMD on and off)"
+go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull|TestFloat32Golden' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+
+echo "== portable kernels (TURBO_NOSIMD=1: every generic entry point's precision dispatch must reach the portable arm and keep its parity tests green)"
+TURBO_NOSIMD=1 go test -count=1 ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/ ./internal/sweep/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
@@ -43,7 +46,7 @@ go test -race -short ./internal/loadgen/ ./internal/datagen/
 echo "== loadgen smoke (open-loop schedule vs in-process server: deterministic seed, schema-valid scoreboard JSON, coordinated-omission stall injection)"
 go test -race -run 'TestLoadgenSmoke|TestCoordinatedOmissionSafety' ./internal/loadgen/
 
-echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, whose target driver all seven variants have; serial sweep programs vs the tape forward, buffer recycling; a Spec-only test variant's Infer, InferTarget, serial and sharded sweep and InferFinal vs its own tape forward)"
+echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, whose target driver all seven variants have; serial sweep programs vs the tape forward, buffer recycling; a test variant declared only by a generic spec: Infer, InferTarget, serial and sharded sweep and InferFinal vs its own tape forward, and its float32 instantiation's target rows bitwise its full float32 forward and within the serving gate)"
 go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/sweep/
 go test -race -run 'TestSweepProgramMatchesInfer|TestSweepProgramRecyclesBuffers|TestHAGSweepMatchesInfer' ./internal/gnn/ ./internal/hag/
 
