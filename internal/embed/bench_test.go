@@ -131,6 +131,29 @@ func BenchmarkEmbedRefresh(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileStars compiles every star of a 1,000-node table once
+// per op, serially: compiler is the row-space star compiler a Build or
+// Refresh runs (its dense row maps included), reference the map-and-sort
+// builder it replaced.
+func BenchmarkCompileStars(b *testing.B) {
+	_, snap, _, nodes := testWorld(21, 1000, 3, 8)
+	tab := newTable(1, nil, nil, 2, never, nodes, nil)
+	b.Run("compiler", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab.compileStars(snap, 1)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for r := range nodes {
+				tab.stars[r].Store(tab.buildStar(snap, int32(r)))
+			}
+		}
+	})
+}
+
 func sprintfPct(pct int) string {
 	switch pct {
 	case 1:

@@ -24,17 +24,24 @@ type BuildResult struct {
 	Stats sweep.Stats
 }
 
-// Build runs one full embedding sweep over the universe ids (sorted
-// snapshot node IDs, typically transaction-filtered) with the frozen,
-// ids-aligned feature matrix x, capturing every stream's penultimate
-// activations and compiling per-node aggregation stars. The table's
-// epoch is snap's: rows are valid for snap and any later snapshot whose
-// deltas have been dirty-marked through Store.Flush. Build takes
-// ownership of ids and x; the caller must not mutate them afterwards.
+// Build runs one full embedding sweep over the universe ids (strictly
+// ascending snapshot node IDs, typically transaction-filtered; anything
+// else is an error, since star compilation relies on the order) with
+// the frozen, ids-aligned feature matrix x, capturing every stream's
+// penultimate activations and compiling per-node aggregation stars. The
+// table's epoch is snap's: rows are valid for snap and any later
+// snapshot whose deltas have been dirty-marked through Store.Flush.
+// Build takes ownership of ids and x; the caller must not mutate them
+// afterwards.
 func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn.Model, version int, opts sweep.Options) (*BuildResult, error) {
 	n := len(ids)
 	if x.Rows != n {
 		return nil, fmt.Errorf("embed: %d feature rows for %d universe nodes", x.Rows, n)
+	}
+	for i := 1; i < n; i++ {
+		if ids[i-1] >= ids[i] {
+			return nil, fmt.Errorf("embed: universe not strictly ascending at row %d (%d after %d)", i, ids[i], ids[i-1])
+		}
 	}
 	widths, hops := model.EmbedSpec()
 	t := newTable(version, model, widths, hops, time.Now(), ids, x)
@@ -55,10 +62,14 @@ func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn
 	})
 	prog.Release()
 
+	// One header block per stream, not one heap header per row: Build
+	// publishes into a fresh table, and Refresh stores fresh headers, so
+	// no published header is ever written again.
 	for s := range widths {
-		for i := 0; i < n; i++ {
-			row := capture[s].Row(i)
-			t.rows[s][i].Store(&row)
+		hdrs := make([][]float64, n)
+		for i := range hdrs {
+			hdrs[i] = capture[s].Row(i)
+			t.rows[s][i].Store(&hdrs[i])
 		}
 	}
 	t.compileStars(snap, opts.Workers)
@@ -95,8 +106,10 @@ func newTable(version int, model gnn.Model, widths []int, hops int, builtAt time
 }
 
 // compileStars (re)builds every node's aggregation star against snap.
-// Stars walk every node's neighborhood; shard across cores.
+// Stars walk every node's neighborhood; shard across cores, one scratch
+// per worker.
 func (t *Table) compileStars(snap *graph.Snapshot, workers int) {
+	c := newStarCompiler(t, snap)
 	n := len(t.ids)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,8 +130,9 @@ func (t *Table) compileStars(snap *graph.Snapshot, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			var sc starScratch
 			for r := lo; r < hi; r++ {
-				t.stars[r].Store(t.buildStar(snap, int32(r)))
+				t.stars[r].Store(c.compile(&sc, int32(r)))
 			}
 		}(lo, hi)
 	}

@@ -56,7 +56,8 @@ func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
 	s.mu.Unlock()
 
 	st.Dirty = len(dirty)
-	ball := tab.ballRows(snap, dirty, tab.hops-1)
+	c := newStarCompiler(tab, snap)
+	ball := c.ballRows(dirty, tab.hops-1)
 	st.Ball = len(ball)
 
 	// Gather the ball's frozen features and run the embedding sweep over
@@ -82,21 +83,22 @@ func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
 	b.Release()
 
 	// Rebuild the dirty rows' stars against the refresh snapshot.
-	ballPos := make(map[int32]int, len(ball))
-	for i, r := range ball {
-		ballPos[r] = i
-	}
+	var sc starScratch
 	stars := make([]*gnn.EmbedStar, len(dirty))
 	for i, r := range dirty {
-		stars[i] = tab.buildStar(snap, r)
+		stars[i] = c.compile(&sc, r)
 	}
 
 	// Publish under the seqlock: rows and stars for D swap together, and
 	// any concurrent TryServe that overlaps the window retries as a
-	// fallback rather than mixing generations.
+	// fallback rather than mixing generations. D and its ball both
+	// ascend, so one forward walk finds each dirty row's ball position.
 	s.writeGen.Add(1)
+	bi := 0
 	for i, r := range dirty {
-		bi := ballPos[r]
+		for ball[bi] != r {
+			bi++
+		}
 		for st2 := range tab.rows {
 			row := capture[st2].Row(bi)
 			tab.rows[st2][r].Store(&row)

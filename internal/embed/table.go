@@ -164,42 +164,6 @@ func (t *Table) dirtyRows() []int32 {
 	return out
 }
 
-// ballRows runs a universe-restricted BFS from the seed rows and
-// returns the closed ball of the given radius as ascending universe
-// rows. Aggregation reads only universe rows, so staleness propagates
-// only through universe members — restricting the walk is exact, not an
-// approximation.
-func (t *Table) ballRows(snap *graph.Snapshot, seeds []int32, radius int) []int32 {
-	visited := make([]bool, len(t.ids))
-	frontier := make([]int32, 0, len(seeds))
-	for _, r := range seeds {
-		if !visited[r] {
-			visited[r] = true
-			frontier = append(frontier, r)
-		}
-	}
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
-		var next []int32
-		for _, r := range frontier {
-			snap.ForEachNeighbor(t.ids[r], func(v graph.NodeID) {
-				vr, ok := t.index[v]
-				if ok && !visited[vr] {
-					visited[vr] = true
-					next = append(next, vr)
-				}
-			})
-		}
-		frontier = next
-	}
-	out := make([]int32, 0, len(seeds))
-	for r := int32(0); r < int32(len(visited)); r++ {
-		if visited[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // AgeSeconds returns seconds since the rows were built, or -1 for a nil
 // table (the gauge convention on /metrics).
 func (t *Table) AgeSeconds() float64 {

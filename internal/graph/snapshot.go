@@ -195,6 +195,28 @@ func (s *Snapshot) row(u NodeID) int32 {
 	return -1
 }
 
+// Row returns u's dense row (rows ascend with IDs), or -1 when u was
+// not registered at snapshot time.
+func (s *Snapshot) Row(u NodeID) int32 { return s.row(u) }
+
+// Adjacency is one edge type's flat adjacency, indexed by dense row: row
+// i's neighbour rows are Nbr[Offsets[i]:Offsets[i+1]] in ascending
+// order, Wts holds their raw edge weights in parallel, and Deg[i] is row
+// i's typed weighted degree. It aliases the snapshot's arrays and is
+// read-only.
+type Adjacency struct {
+	Offsets []int32
+	Nbr     []int32
+	Wts     []float64
+	Deg     []float64
+}
+
+// TypedAdjacency returns type t's flat adjacency, for readers that walk
+// whole neighbourhoods in row space (the embedding star compiler).
+func (s *Snapshot) TypedAdjacency(t EdgeType) Adjacency {
+	return Adjacency{Offsets: s.offsets[t], Nbr: s.nbr[t], Wts: s.wts[t], Deg: s.deg[t]}
+}
+
 // rowSpan returns the [lo, hi) span of u's type-t adjacency.
 func (s *Snapshot) rowSpan(u NodeID, t EdgeType) (int32, int32, bool) {
 	if int(t) >= s.numTypes {
@@ -245,9 +267,8 @@ func (s *Snapshot) Neighbors(u NodeID) []NodeID {
 
 // ForEachTypedNeighbor calls fn for every type-t neighbor of u in
 // ascending node-ID order, with the raw (un-normalized) edge weight.
-// Zero-allocation — the embedding star builder and the dirty-set BFS
-// walk whole neighborhoods per node, where the allocating accessors
-// would dominate.
+// Zero-allocation; a reader that walks many whole neighbourhoods should
+// read TypedAdjacency in row space instead.
 func (s *Snapshot) ForEachTypedNeighbor(u NodeID, t EdgeType, fn func(v NodeID, w float64)) {
 	lo, hi, ok := s.rowSpan(u, t)
 	if !ok {

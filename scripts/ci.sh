@@ -50,8 +50,8 @@ echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.
 go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/sweep/
 go test -race -run 'TestSweepProgramMatchesInfer|TestSweepProgramRecyclesBuffers|TestHAGSweepMatchesInfer' ./internal/gnn/ ./internal/hag/
 
-echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores within 1e-9 of a fresh gnn.Score, as every boot relies on; under -race)"
-go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh' ./internal/embed/
+echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores within 1e-9 of a fresh gnn.Score, as every boot relies on; the row-space star compiler bitwise the map-and-sort reference on Build and Refresh stars, at most four allocations per star; under -race)"
+go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsMatchReference|TestStarCompileAllocs' ./internal/embed/
 go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
 echo "== cone parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
