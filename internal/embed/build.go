@@ -47,8 +47,7 @@ func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn
 	t := newTable(version, model, widths, hops, time.Now(), ids, x)
 	t.epoch.Store(snap.Epoch())
 
-	sg := graph.FullSubgraph(snap, graph.FullOptions{Nodes: ids})
-	b := gnn.NewBatch(sg, x)
+	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: ids})
 	defer b.Release()
 
 	capture := make([]*tensor.Matrix, len(widths))

@@ -71,8 +71,7 @@ func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
 	for i, r := range ball {
 		copy(x.Row(i), tab.x.Row(int(r)))
 	}
-	sg := graph.FullSubgraph(snap, graph.FullOptions{Nodes: ballIDs})
-	b := gnn.NewBatch(sg, x)
+	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: ballIDs})
 	capture := make([]*tensor.Matrix, len(tab.widths))
 	for st2, w := range tab.widths {
 		capture[st2] = tensor.New(len(ball), w)

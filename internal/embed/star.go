@@ -9,14 +9,14 @@ import (
 
 // star.go compiles per-target aggregation stars: the incoming §III-A
 // weighted edge rows of one node, restricted to the table universe,
-// with weights bitwise-equal to graph.FullSubgraph over the same node
-// set. The final-layer CSR row for target u holds one entry per
-// universe neighbor v in ascending-ID order with weight
-// w(u,v)/√(deg_t(u)·deg_t(v)) — exactly what fillFullSubgraph emits for
-// (Src=v, Dst=u), since undirected storage makes w symmetric and
-// ascending neighbor ID equals ascending universe row. Merged entries
-// fold duplicate (type, neighbor) pairs in type order, matching
-// gnn.mergeEdges' stable sort.
+// with weights bitwise-equal to the full-graph batch the build sweep
+// reads (graph.Snapshot.FullCSR over the same node set). The final-layer
+// CSR row for target u holds one entry per universe neighbor v in
+// ascending-ID order with weight w(u,v)/√(deg_t(u)·deg_t(v)) — exactly
+// the snapshot row writer's entry for source v in row u, and ascending
+// neighbor ID equals ascending universe row. Merged entries fold
+// duplicate (type, neighbor) pairs in type order, as the writer's merged
+// rows do.
 
 // starCompiler compiles the aggregation stars of one table against one
 // snapshot. It walks the snapshot's flat per-type adjacency in row space

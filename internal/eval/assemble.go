@@ -28,8 +28,8 @@ type Assembled struct {
 	// Graph is an immutable snapshot of the constructed BN. Assembly
 	// freezes the graph once built, so every experiment scan (figures,
 	// homophily walks, full-batch compilation, baselines) reads the
-	// lock-free GraphView and can safely run in parallel.
-	Graph graph.GraphView
+	// lock-free snapshot and can safely run in parallel.
+	Graph *graph.Snapshot
 	Feat  *feature.Service
 
 	Nodes  []graph.NodeID // node i is user ID i
@@ -127,36 +127,21 @@ func standardizeOnTrain(x *tensor.Matrix, trainIdx []int) *tensor.Matrix {
 }
 
 // FullBatch compiles the whole BN (restricted to user nodes, which is
-// all nodes here) into a GNN batch whose node order matches a.Nodes.
+// all nodes here) into a GNN batch whose node order matches a.Nodes, with
+// the snapshot writer the sweep engine and the audits use.
 func (a *Assembled) FullBatch() *gnn.Batch {
-	sg := a.fullSubgraph(graph.NoMask, false)
-	return gnn.NewBatch(sg, a.X)
+	return gnn.FullBatch(a.Graph, a.X, graph.FullOptions{Nodes: a.Nodes})
 }
 
 // FullBatchRaw is FullBatch without the §III-A symmetric edge-weight
 // normalization (the normalization ablation bench).
 func (a *Assembled) FullBatchRaw() *gnn.Batch {
-	sg := a.fullSubgraph(graph.NoMask, true)
-	return gnn.NewBatch(sg, a.X)
+	return gnn.FullBatch(a.Graph, a.X, graph.FullOptions{Nodes: a.Nodes, RawWeights: true})
 }
 
 // MaskedBatch compiles the BN with one edge type removed (Fig. 7).
 func (a *Assembled) MaskedBatch(t behavior.Type) *gnn.Batch {
-	sg := a.fullSubgraph(graph.MaskEdgeType(graph.EdgeType(t)), false)
-	return gnn.NewBatch(sg, a.X)
-}
-
-// fullSubgraph builds a Subgraph containing every user node in a.Nodes
-// order with all (unmasked) typed edges, delegating to the shared
-// full-graph export so experiments and the sweep engine compile the
-// identical edge set and §III-A normalization. The snapshot a.Graph
-// holds takes the export's lock-free fast path.
-func (a *Assembled) fullSubgraph(mask graph.EdgeMask, rawWeights bool) *graph.Subgraph {
-	return graph.FullSubgraph(a.Graph, graph.FullOptions{
-		Nodes:      a.Nodes,
-		RawWeights: rawWeights,
-		Mask:       mask,
-	})
+	return gnn.FullBatch(a.Graph, a.X, graph.FullOptions{Nodes: a.Nodes, Mask: graph.MaskEdgeType(graph.EdgeType(t))})
 }
 
 // TestLabels returns the boolean labels of the test split, aligned with

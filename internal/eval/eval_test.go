@@ -104,15 +104,18 @@ func TestFullBatchStructure(t *testing.T) {
 	if b.NumEdgeTypes() != a.Graph.NumEdgeTypes() {
 		t.Fatal("edge type count mismatch")
 	}
-	// All typed edges appear in both directions (symmetric counts).
-	for typ, es := range b.TypedEdges {
+	// All typed edges appear in both directions (symmetric patterns).
+	for typ := 0; typ < b.NumEdgeTypes(); typ++ {
+		c := b.TypedMeanCSR(typ)
 		dir := make(map[[2]int]bool)
-		for _, e := range es {
-			dir[[2]int{e.Src, e.Dst}] = true
+		for j := 0; j < c.NRows; j++ {
+			for p := c.RowPtr[j]; p < c.RowPtr[j+1]; p++ {
+				dir[[2]int{c.ColIdx[p], j}] = true
+			}
 		}
-		for _, e := range es {
-			if !dir[[2]int{e.Dst, e.Src}] {
-				t.Fatalf("type %d edge %d->%d missing reverse", typ, e.Src, e.Dst)
+		for e := range dir {
+			if !dir[[2]int{e[1], e[0]}] {
+				t.Fatalf("type %d edge %d->%d missing reverse", typ, e[0], e[1])
 			}
 		}
 	}
@@ -123,8 +126,8 @@ func TestMaskedBatchDropsType(t *testing.T) {
 	full := a.FullBatch()
 	// Pick a type that actually has edges.
 	typ := -1
-	for i, es := range full.TypedEdges {
-		if len(es) > 0 {
+	for i := 0; i < full.NumEdgeTypes(); i++ {
+		if full.TypedMeanCSR(i).NNZ() > 0 {
 			typ = i
 			break
 		}
@@ -133,7 +136,7 @@ func TestMaskedBatchDropsType(t *testing.T) {
 		t.Fatal("no edges in tiny BN")
 	}
 	masked := a.MaskedBatch(behavior.Type(typ))
-	if len(masked.TypedEdges[typ]) != 0 {
+	if masked.TypedMeanCSR(typ).NNZ() != 0 {
 		t.Fatal("masked type still has edges")
 	}
 }

@@ -38,7 +38,7 @@ func (a *Assembled) HoldoutGate(thresh, precisionFloor float64) server.HoldoutFu
 				copy(x.Row(i), norm(append([]float64(nil), a.RawX.Row(i)...)))
 			}
 		}
-		b := gnn.NewBatch(a.fullSubgraph(graph.NoMask, false), x)
+		b := gnn.FullBatch(a.Graph, x, graph.FullOptions{Nodes: a.Nodes})
 		scores := a.ScoresAt(gnn.Scores(model, b))
 		labels := a.TestLabels()
 		rep := metrics.Evaluate(scores, labels, thresh)

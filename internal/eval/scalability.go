@@ -12,8 +12,10 @@ import (
 )
 
 // ScalePoint is one x-position of Fig. 8b: BN size versus full-graph
-// training epoch time, subgraph sampling latency, and single-prediction
-// latency.
+// training epoch time, and the two halves of an audit's graph work.
+// Sample is drawing the target's cone straight into a batch
+// (gnn.SampleCone); Predict is writing the cone's feature rows into it,
+// scoring the target and releasing the batch.
 type ScalePoint struct {
 	Scale      int
 	Nodes      int
@@ -56,21 +58,22 @@ func RunScalability(base datagen.Config, scales []int, h Hyper, seed uint64) []S
 		stats := gnn.Train(m, b, a.TrainIdx, a.Labels, tc)
 
 		// Probe sampling + single-node prediction latency the way an audit
-		// pays them: the sample cut to the model's cone.
+		// pays them: the cone sampled straight into a batch, then the
+		// feature rows, the score and the release.
 		rng := tensor.NewRNG(seed)
 		const probes = 30
 		var sampleTotal, predictTotal time.Duration
 		for k := 0; k < probes; k++ {
 			u := a.Nodes[rng.Intn(len(a.Nodes))]
 			t0 := time.Now()
-			sg := a.Graph.Sample(u, graph.SampleOptions{Hops: 2, MaxNeighbors: 32, Layers: gnn.Depth(m)})
-			sampleTotal += time.Since(t0)
-			x := tensor.New(sg.NumNodes(), a.X.Cols)
-			for i, n := range sg.Nodes {
-				copy(x.Row(i), a.X.Row(int(n)))
-			}
+			cb, nodes, _ := gnn.SampleCone(a.Graph, u, graph.SampleOptions{Hops: 2, MaxNeighbors: 32}, m)
 			t1 := time.Now()
-			gnn.Score(m, gnn.NewBatch(sg, x))
+			for i, n := range nodes {
+				cb.SetRow(i, a.X.Row(int(n)))
+			}
+			gnn.Score(m, cb)
+			cb.Release()
+			sampleTotal += t1.Sub(t0)
 			predictTotal += time.Since(t1)
 		}
 		out = append(out, ScalePoint{

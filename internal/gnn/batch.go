@@ -17,29 +17,33 @@ import (
 
 // Batch is a computation subgraph compiled for model forward passes:
 // node features plus the aggregation matrices the models read (Agg),
-// each with a float32 mirror. NewBatch compiles a Subgraph's edge lists,
-// each matrix under an internal lock the first time a model asks for it,
-// so concurrent scoring over one Batch is safe. SampleCone compiles the
-// audit path's cone straight from the snapshot walk, every matrix its
-// model reads written up front. finishCSR writes the values either way.
+// each with a float32 mirror. FullBatch compiles a snapshot's node set
+// with the snapshot's row writer and NewBatch a Subgraph's edge lists
+// (the reference), each matrix under an internal lock the first time a
+// model asks for it, so concurrent scoring over one Batch is safe.
+// SampleCone compiles the audit path's cone with the same row writer,
+// every matrix its model reads written up front. finishCSR writes the
+// values every way.
 // A Batch must not be copied by value. Release returns a serving batch's
 // buffers; training code never calls it.
 type Batch struct {
 	NumNodes   int
 	X          *tensor.Matrix      // NumNodes × F node features
-	TypedEdges [][]graph.LocalEdge // directed edges per type (both directions present); nil from SampleCone
+	TypedEdges [][]graph.LocalEdge // directed edges per type (both directions present); nil from FullBatch and SampleCone
 	// Depth is graph.Subgraph.Layers: positive when the sample was cut to
 	// node 0's computation cone for a model of that many layers, and then
 	// only node 0's score means anything, and only under a model no
 	// deeper (see admits). 0 is a full sample.
 	Depth int
 
-	mu          sync.Mutex        // guards every lazy field below
-	merged      []graph.LocalEdge // all types summed per (src,dst), sorted
-	mergedBuilt bool
-	aggs        []compiled       // the aggregation matrices built so far
-	gat         *gatStructure    // GAT edge bookkeeping
-	x32         *tensor.Matrix32 // X quantized, by X32 or SetRow
+	// FullBatch's source: each matrix is compiled from it on first use.
+	snap *graph.Snapshot
+	full graph.FullOptions
+
+	mu   sync.Mutex       // guards every lazy field below
+	aggs []compiled       // the aggregation matrices built so far
+	gat  *gatStructure    // GAT edge bookkeeping
+	x32  *tensor.Matrix32 // X quantized, by X32 or SetRow
 
 	xBuf   tensor.Matrix   // X when SetRow sized it
 	x32Buf tensor.Matrix32 // X's mirror
@@ -69,6 +73,23 @@ func NewBatch(sg *graph.Subgraph, x *tensor.Matrix) *Batch {
 		panic("gnn: feature rows do not match subgraph nodes")
 	}
 	return &Batch{NumNodes: sg.NumNodes(), X: x, TypedEdges: sg.TypedEdges, Depth: sg.Layers}
+}
+
+// FullBatch compiles snap over opts.Nodes (nil: every node, in ID order)
+// with its node feature matrix, nil to leave the features to SetRow. Like
+// NewBatch, it compiles each matrix when a model first asks for it: the
+// snapshot's row writer (Snapshot.FullCSR) writes its raw rows and
+// finishCSR normalizes them. They are bitwise NewBatch's over
+// graph.FullSubgraph with the same options.
+func FullBatch(snap *graph.Snapshot, x *tensor.Matrix, opts graph.FullOptions) *Batch {
+	n := len(opts.Nodes)
+	if opts.Nodes == nil {
+		n = snap.NumNodes()
+	}
+	if x != nil && x.Rows != n {
+		panic("gnn: feature rows do not match batch nodes")
+	}
+	return &Batch{NumNodes: n, X: x, snap: snap, full: opts}
 }
 
 // conePool recycles SampleCone's batches with their arrays.
@@ -173,25 +194,6 @@ func mergeEdges(typed [][]graph.LocalEdge) []graph.LocalEdge {
 	return out
 }
 
-// MergedEdges returns the type-merged directed edge list, sorted by
-// (src, dst).
-func (b *Batch) MergedEdges() []graph.LocalEdge {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.mergedEdgesLocked()
-}
-
-func (b *Batch) mergedEdgesLocked() []graph.LocalEdge {
-	if b.sampled {
-		panic("gnn: a batch SampleCone compiled has no edge lists")
-	}
-	if !b.mergedBuilt {
-		b.merged = mergeEdges(b.TypedEdges)
-		b.mergedBuilt = true
-	}
-	return b.merged
-}
-
 // getInts and getFloats borrow pooled slices that Release returns.
 // Callers must hold b.mu.
 func (b *Batch) getInts(n int) []int {
@@ -215,7 +217,7 @@ func (b *Batch) Release() {
 	if b.X == &b.xBuf {
 		b.X = nil
 	}
-	b.x32, b.merged, b.mergedBuilt, b.gat = nil, nil, false, nil
+	b.x32, b.gat = nil, nil
 	if b.sampled {
 		b.aggs = b.aggs[:0]
 		b.mu.Unlock()
@@ -316,15 +318,23 @@ func (b *Batch) CSR(a Agg) *autodiff.CSR {
 }
 
 // buildCSR assembles the dst-indexed matrix a names (out = A·H means
-// out[dst] = Σ_src A[dst,src]·H[src]) from the edge lists into pooled
-// flat arrays, registered for Release: a counting sort by destination
-// that keeps the edges' input order within a row, then the self-loop if
-// a has one, then finishCSR. Callers must hold b.mu.
+// out[dst] = Σ_src A[dst,src]·H[src]), then finishCSR. A FullBatch's
+// snapshot writes its rows. Otherwise the edge lists are compiled into
+// pooled flat arrays, registered for Release: a counting sort by
+// destination that keeps the edges' input order within a row, then the
+// self-loop if a has one. Callers must hold b.mu.
 func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
 	t, selfLoop, unweighted := a.form()
+	if b.snap != nil {
+		var out graph.ConeCSR
+		b.snap.FullCSR(b.full, []graph.CSRForm{{Type: t, SelfLoop: selfLoop}}, &out)
+		c := &out.Mats[0]
+		finishCSR(c, true, unweighted, nil)
+		return c
+	}
 	var es []graph.LocalEdge
 	if t == graph.AllTypes {
-		es = b.mergedEdgesLocked()
+		es = mergeEdges(b.TypedEdges)
 	} else {
 		es = b.TypedEdges[t]
 	}
@@ -364,8 +374,25 @@ func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
 	return c
 }
 
+// Matrices returns the aggregation matrices compiled so far, in the
+// order they were first asked for.
+func (b *Batch) Matrices() []*autodiff.CSR {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]*autodiff.CSR, len(b.aggs))
+	for i, c := range b.aggs {
+		out[i] = c.csr
+	}
+	return out
+}
+
 // TypedMeanCSR is CSR(TypedMean(t)).
 func (b *Batch) TypedMeanCSR(t int) *autodiff.CSR { return b.CSR(TypedMean(t)) }
 
 // NumEdgeTypes returns the number of edge types in the batch.
-func (b *Batch) NumEdgeTypes() int { return len(b.TypedEdges) }
+func (b *Batch) NumEdgeTypes() int {
+	if b.snap != nil {
+		return b.snap.NumEdgeTypes()
+	}
+	return len(b.TypedEdges)
+}

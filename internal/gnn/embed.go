@@ -25,8 +25,9 @@ import (
 // StarEdge is one in-edge of a serving target in local gathered
 // coordinates: Row indexes the gathered embedding block (row 0 is the
 // target itself; see EmbedStar), Weight is the §III-A-normalized edge
-// weight exactly as FullSubgraph would emit it. Aggregation-row
-// normalization (the normSum of buildCSR) happens inside StarAggRow.
+// weight exactly as the snapshot's row writer puts it in the full-graph
+// batch (one snapshot writer compiles cone and full-graph batches).
+// Aggregation-row normalization (finishCSR's) happens inside StarAggRow.
 type StarEdge struct {
 	Row    int32
 	Weight float64
@@ -45,15 +46,15 @@ type EmbedStar struct {
 	// TypedMeanCSR aggregation before row normalization.
 	Typed [][]StarEdge
 	// Merged is the type-merged edge list: the same sources with
-	// duplicate weights summed in type order, matching mergeEdges'
-	// stable sort.
+	// duplicate weights summed in type order, as the batch's merged
+	// matrices sum them.
 	Merged []StarEdge
 }
 
 // StarAggRow computes the target's row of the aggregation matrix that
 // buildCSR would compile from the star's edges, applied to the gathered
 // embedding block h: raw weights in edge order (then the self-loop,
-// when the normalization includes one), the same normSum row scaling,
+// when the normalization includes one), the same finishCSR row scaling,
 // and the same accumulation order as a row of CSR.MatMulInto. unweighted
 // replaces edge weights with 1, mirroring the Eq. 1–2 aggregations.
 func StarAggRow(f *Fwd[float64], h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted bool) *tensor.Matrix {

@@ -83,7 +83,7 @@ func TestMergedEdgesSumAcrossTypes(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never)
 	_ = g.AddEdgeWeight(1, 0, 1, 2, never)
 	b := NewBatch(fullSubgraph(g, 2), tensor.New(2, 1))
-	merged := b.MergedEdges()
+	merged := mergeEdges(b.TypedEdges)
 	if len(merged) != 2 { // both directions
 		t.Fatalf("merged edges %d", len(merged))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"turbo/internal/autodiff"
-	"turbo/internal/graph"
 	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
@@ -375,61 +374,56 @@ type gatStructure struct {
 }
 
 // gatStruct returns the batch's cached GAT edge structure, building it on
-// first use (the structure is per-batch, not per-model, so training
-// epochs reuse it).
+// first use from the batch's MergedRW matrix (the structure is per-batch,
+// not per-model, so training epochs reuse it).
 func (b *Batch) gatStruct() *gatStructure {
+	rw := b.CSR(MergedRW)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.gat == nil {
-		b.gat = b.buildGATStructure(b.mergedEdgesLocked())
+		b.gat = b.buildGATStructure(rw)
 	}
 	return b.gat
 }
 
 // buildGATStructure compiles the edge bookkeeping for GAT attention into
-// pooled flat arrays. The scatter matrix groups edges by destination (in
-// edge order, as the old per-row build did) and its ColIdx rows double
-// as the softmax segments. Callers must hold b.mu.
-func (b *Batch) buildGATStructure(merged []graph.LocalEdge) *gatStructure {
-	n := b.NumNodes
-	nE := len(merged) + n // plus self-loops
+// pooled flat arrays: the merged edges sorted by (src, dst), then one
+// self-loop per node. rw's rows are destinations, each ending with its
+// self-loop, so a counting sort of its other entries by column lists the
+// edges in that order. The scatter matrix (scatter[dst, e] = 1, summing
+// the α-weighted per-edge source features per node) shares rw's row
+// pointers: row j lists j's edges by ascending source, hence ascending
+// edge index, then its self-loop. Its ColIdx rows double as the softmax
+// segments. Callers must hold b.mu.
+func (b *Batch) buildGATStructure(rw *autodiff.CSR) *gatStructure {
+	n, nE := b.NumNodes, rw.NNZ()
+	m := nE - n // the merged edges
 	s := &gatStructure{src: b.getInts(nE), dst: b.getInts(nE)}
-	for i, e := range merged {
-		s.src[i] = e.Src
-		s.dst[i] = e.Dst
+	colIdx, weights := b.getInts(nE), b.getFloats(nE)
+	next := tensor.GetInts(n + 1)
+	for _, i := range rw.ColIdx {
+		next[i+1]++
 	}
-	for i := 0; i < n; i++ { // self-loops
-		s.src[len(merged)+i] = i
-		s.dst[len(merged)+i] = i
-	}
-	// scatter[dst, e] = 1: multiplies the α-weighted per-edge source
-	// features into per-node sums.
-	rowPtr := b.getInts(n + 1)
-	colIdx := b.getInts(nE)
-	weights := b.getFloats(nE)
-	next := tensor.GetInts(n)
-	for _, d := range s.dst {
-		next[d]++
-	}
-	sum := 0
 	for i := 0; i < n; i++ {
-		c := next[i]
-		rowPtr[i] = sum
-		next[i] = sum
-		sum += c
+		next[i+1] += next[i] - 1 // less i's self-loop
 	}
-	rowPtr[n] = sum
-	for e, d := range s.dst {
-		p := next[d]
-		next[d]++
-		colIdx[p] = e
-		weights[p] = 1
+	for j := 0; j < n; j++ {
+		last := rw.RowPtr[j+1] - 1
+		for p := rw.RowPtr[j]; p < last; p++ {
+			i := rw.ColIdx[p]
+			s.src[next[i]], s.dst[next[i]], colIdx[p] = i, j, next[i]
+			next[i]++
+		}
+		s.src[m+j], s.dst[m+j], colIdx[last] = j, j, m+j
 	}
 	tensor.PutInts(next)
-	s.scatter = &autodiff.CSR{NRows: n, NCols: nE, RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
+	for p := range weights {
+		weights[p] = 1
+	}
+	s.scatter = &autodiff.CSR{NRows: n, NCols: nE, RowPtr: rw.RowPtr, ColIdx: colIdx, Weights: weights}
 	s.segments = make([][]int, n)
-	for i := 0; i < n; i++ {
-		s.segments[i] = colIdx[rowPtr[i]:rowPtr[i+1]]
+	for i := range s.segments {
+		s.segments[i] = colIdx[rw.RowPtr[i]:rw.RowPtr[i+1]]
 	}
 	return s
 }

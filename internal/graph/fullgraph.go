@@ -1,25 +1,23 @@
 package graph
 
-import "math"
+import "slices"
 
-// fullgraph.go flattens an entire GraphView into one Subgraph — the
-// full-graph analogue of SampleView. The layer-at-a-time sweep engine
-// (internal/sweep) compiles this once per snapshot instead of sampling a
-// computation subgraph once per audited user, and the eval harness
-// delegates its full-batch compilation here so both paths share one
-// definition of the §III-A edge set and normalization.
+// fullgraph.go compiles a whole node set rather than one target's sample.
+// One snapshot writer compiles cone and full-graph batches: FullCSR seeds
+// the walk scratch SampleCSR uses with every given node, then runs
+// SampleCSR's own row writer, so the full-graph scorers (sweep, lifecycle
+// shadow, embed build and refresh, eval batches) and an audit's cone share
+// one copy of the §III-A arithmetic and the type merge. FullSubgraph is
+// the edge-list reference FullCSR is tested against.
 
-// FullOptions controls FullSubgraph extraction.
+// FullOptions controls full-graph extraction.
 type FullOptions struct {
-	// Nodes, when non-nil, fixes the subgraph's node set and row order.
-	// Callers with an established alignment between rows and feature
-	// vectors (eval's Assembled.Nodes) pass it so activations line up
-	// with their feature matrix. Nil selects every node of the view in
-	// sorted-ID order.
+	// Nodes, when non-nil, fixes the node set and row order; the IDs
+	// must be distinct. Callers with an established alignment between
+	// rows and feature vectors (eval's Assembled.Nodes) pass it so
+	// activations line up with their feature matrix. Nil selects every
+	// node of the view in sorted-ID order.
 	Nodes []NodeID
-	// Filter, when non-nil, restricts the node set (ignored when Nodes
-	// is given); the sweep engine keeps only users with transactions.
-	Filter func(NodeID) bool
 	// RawWeights disables the §III-A symmetric normalization (ablation
 	// benches).
 	RawWeights bool
@@ -28,123 +26,69 @@ type FullOptions struct {
 }
 
 // FullSubgraph builds a Subgraph over the given nodes with every
-// (unmasked) typed edge among them. Edges of type t appear grouped by
-// type, then by source row in node order, then by ascending neighbor ID
-// — the deterministic order the GNN batch compiler relies on. Rows whose
-// typed weighted degree is zero contribute no edges of that type (they
-// have none), and edges to nodes outside the set are dropped, so the
-// result is self-contained. A *Snapshot view takes a lock-free fast path
-// over its flat adjacency arrays; any other view goes through the
-// GraphView interface. Both paths produce bitwise-identical weights.
+// (unmasked) typed edge among them, through the GraphView interface, with
+// SampleView's edge order and arithmetic (addInducedEdges). Edges to
+// nodes outside the set are dropped, so the result is self-contained.
 func FullSubgraph(g GraphView, opts FullOptions) *Subgraph {
-	var nodes []NodeID
-	if opts.Nodes != nil {
-		nodes = append([]NodeID(nil), opts.Nodes...)
-	} else {
-		for _, id := range g.Nodes() {
-			if opts.Filter == nil || opts.Filter(id) {
-				nodes = append(nodes, id)
-			}
-		}
+	nodes := opts.Nodes
+	if nodes == nil {
+		nodes = g.Nodes()
 	}
-	sg := &Subgraph{
-		Nodes:      nodes,
-		TypedEdges: make([][]LocalEdge, g.NumEdgeTypes()),
-		Hops:       make([]int, len(nodes)),
+	sg := &Subgraph{Nodes: append([]NodeID(nil), nodes...), Hops: make([]int, len(nodes))}
+	index := make(map[NodeID]int, len(nodes))
+	for i, id := range nodes {
+		index[id] = i
 	}
-	masked := opts.Mask.masked()
-	if s, ok := g.(*Snapshot); ok {
-		s.fillFullSubgraph(sg, masked, opts.RawWeights)
-	} else {
-		fillFullSubgraphView(g, sg, masked, opts.RawWeights)
-	}
+	sg.addInducedEdges(g, index, opts.Mask.masked(), opts.RawWeights)
 	return sg
 }
 
-// fillFullSubgraphView materializes the typed edges through the
-// GraphView interface. The per-edge arithmetic — w = weight/√(du·dv)
-// with full-graph typed weighted degrees — matches SampleView and the
-// snapshot fast path exactly.
-func fillFullSubgraphView(g GraphView, sg *Subgraph, masked int, rawWeights bool) {
-	index := make(map[NodeID]int, len(sg.Nodes))
-	for i, id := range sg.Nodes {
-		index[id] = i
+// FullCSR writes the matrices forms name over opts.Nodes (nil: every
+// node, in ID order) into out, as SampleCSR writes a cone's: every node
+// is live, nothing is expanded, capped or filtered. Row j lists j's
+// in-edges from the other given nodes, sources ascending by position in
+// the node list, so the matrices are bitwise those gnn.NewBatch compiles
+// from FullSubgraph with the same options. An ID absent from the
+// snapshot gets a row with no edges.
+func (s *Snapshot) FullCSR(opts FullOptions, forms []CSRForm, out *ConeCSR) {
+	nodes := opts.Nodes
+	if nodes == nil {
+		nodes = s.ids
 	}
-	for t := 0; t < g.NumEdgeTypes(); t++ {
-		if t == masked {
-			continue
+	sc := acquireSampleScratch(len(s.ids))
+	defer sc.release()
+	w := sampleWalk{s: s, sc: sc, raw: opts.RawWeights, masked: opts.Mask.masked()}
+	sc.rows, sc.live = sc.rows[:0], sc.live[:0]
+	for li, id := range nodes {
+		r := s.row(id)
+		if r >= 0 {
+			sc.touched = append(sc.touched, r)
+			sc.local[r] = int32(li) + 1
 		}
-		for i, u := range sg.Nodes {
-			du := g.TypedWeightedDegree(u, EdgeType(t))
-			if du == 0 {
-				continue
-			}
-			for _, nb := range g.NeighborsByType(u, EdgeType(t)) {
-				j, ok := index[nb.Node]
-				if !ok {
-					continue
-				}
-				w := nb.Weight
-				if !rawWeights {
-					dv := g.TypedWeightedDegree(nb.Node, EdgeType(t))
-					if dv == 0 {
-						continue
-					}
-					w = nb.Weight / math.Sqrt(du*dv)
-				}
-				sg.TypedEdges[t] = append(sg.TypedEdges[t], LocalEdge{Src: i, Dst: j, Weight: w})
-			}
-		}
+		sc.rows = append(sc.rows, r)
+		sc.live = append(sc.live, li)
 	}
-}
+	out.Nodes = append(out.Nodes[:0], nodes...)
 
-// fillFullSubgraph is the snapshot fast path: it walks the flat
-// per-type adjacency arrays directly — no Neighbor slice allocation, no
-// per-neighbor map lookup — and translates the neighbour rows it reads
-// to local indices through a dense table. Iteration order (types outer,
-// local rows in order, neighbors ascending by ID) and weight arithmetic
-// are identical to fillFullSubgraphView.
-func (s *Snapshot) fillFullSubgraph(sg *Subgraph, masked int, rawWeights bool) {
-	rows := make([]int32, len(sg.Nodes))
-	local := make([]int32, len(s.ids))
-	for i := range local {
-		local[i] = -1
-	}
-	for li, id := range sg.Nodes {
-		rows[li] = s.row(id)
-		if rows[li] >= 0 {
-			local[rows[li]] = int32(li)
-		}
-	}
-	for t := 0; t < s.numTypes; t++ {
-		if t == masked {
-			continue
-		}
-		for li, r := range rows {
-			if r < 0 {
+	// Size the arrays once, from the given rows' adjacency: growing them
+	// row by row would allocate several times a full graph's entries.
+	nnz := 0
+	for _, f := range forms {
+		for t := range s.numTypes {
+			if f.Type != AllTypes && f.Type != t {
 				continue
 			}
-			du := s.deg[t][r]
-			if du == 0 {
-				continue
-			}
-			lo, hi := s.offsets[t][r], s.offsets[t][r+1]
-			for k := lo; k < hi; k++ {
-				vr := s.nbr[t][k]
-				lj := local[vr]
-				if lj < 0 {
-					continue
+			for _, r := range sc.rows {
+				if r >= 0 {
+					nnz += int(s.offsets[t][r+1] - s.offsets[t][r])
 				}
-				w := s.wts[t][k]
-				if !rawWeights {
-					dv := s.deg[t][vr]
-					if dv == 0 {
-						continue
-					}
-					w = s.wts[t][k] / math.Sqrt(du*dv)
-				}
-				sg.TypedEdges[t] = append(sg.TypedEdges[t], LocalEdge{Src: li, Dst: int(lj), Weight: w})
 			}
 		}
+		if f.SelfLoop {
+			nnz += len(nodes)
+		}
 	}
+	out.colIdx = slices.Grow(out.colIdx[:0], nnz)
+	out.weights = slices.Grow(out.weights[:0], nnz)
+	w.writeCSR(forms, out)
 }

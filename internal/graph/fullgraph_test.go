@@ -30,14 +30,9 @@ func fullGraph(seed uint64, nodes, edges int) *Graph {
 	return g
 }
 
-// viewOnly hides the concrete *Snapshot type so FullSubgraph takes the
-// generic GraphView path instead of the flat-array fast path.
-type viewOnly struct{ GraphView }
-
-// TestFullSubgraphPathsAgree pins the snapshot fast path, the generic
-// path over the same snapshot, and the generic path over the live store
-// to bitwise-identical subgraphs for raw and normalized weights and for
-// edge-type masking.
+// TestFullSubgraphPathsAgree pins FullSubgraph over a snapshot and over
+// the live store it was taken from to bitwise-identical subgraphs for raw
+// and normalized weights and for edge-type masking.
 func TestFullSubgraphPathsAgree(t *testing.T) {
 	g := fullGraph(3, 40, 400)
 	s := g.Snapshot()
@@ -45,21 +40,17 @@ func TestFullSubgraphPathsAgree(t *testing.T) {
 	for _, raw := range []bool{false, true} {
 		for _, mask := range []EdgeMask{NoMask, MaskEdgeType(1)} {
 			opts := FullOptions{Nodes: nodes, RawWeights: raw, Mask: mask}
-			fast := FullSubgraph(s, opts)
-			generic := FullSubgraph(viewOnly{s}, opts)
+			snap := FullSubgraph(s, opts)
 			live := FullSubgraph(g, opts)
-			for _, sg := range []*Subgraph{fast, generic, live} {
+			for _, sg := range []*Subgraph{snap, live} {
 				if len(sg.TypedEdges[1]) != 0 && mask.masked() == 1 {
 					t.Fatalf("masked type still has edges")
 				}
 			}
-			if !reflect.DeepEqual(fast.Nodes, generic.Nodes) || !reflect.DeepEqual(fast.Nodes, live.Nodes) {
-				t.Fatalf("raw=%v node order differs across paths", raw)
+			if !reflect.DeepEqual(snap.Nodes, live.Nodes) {
+				t.Fatalf("raw=%v node order differs across views", raw)
 			}
-			if !reflect.DeepEqual(fast.TypedEdges, generic.TypedEdges) {
-				t.Fatalf("raw=%v mask=%d: fast path edges differ from generic path", raw, mask.masked())
-			}
-			if !reflect.DeepEqual(fast.TypedEdges, live.TypedEdges) {
+			if !reflect.DeepEqual(snap.TypedEdges, live.TypedEdges) {
 				t.Fatalf("raw=%v mask=%d: snapshot edges differ from live view", raw, mask.masked())
 			}
 		}
@@ -67,8 +58,8 @@ func TestFullSubgraphPathsAgree(t *testing.T) {
 }
 
 // TestFullSubgraphDefaultsAndFilter checks the default node set (every
-// node in sorted-ID order), the Filter restriction, and that a filtered
-// export equals the equivalent explicit-Nodes export.
+// node in sorted-ID order) and that it equals the explicit-Nodes export
+// of the same list.
 func TestFullSubgraphDefaultsAndFilter(t *testing.T) {
 	g := fullGraph(7, 30, 250)
 	s := g.Snapshot()
@@ -76,27 +67,9 @@ func TestFullSubgraphDefaultsAndFilter(t *testing.T) {
 	if !reflect.DeepEqual(all.Nodes, s.Nodes()) {
 		t.Fatalf("default node set is not the sorted snapshot node list")
 	}
-	even := func(id NodeID) bool { return id%2 == 0 }
-	filtered := FullSubgraph(s, FullOptions{Filter: even})
-	var want []NodeID
-	for _, id := range s.Nodes() {
-		if even(id) {
-			want = append(want, id)
-		}
-	}
-	if !reflect.DeepEqual(filtered.Nodes, want) {
-		t.Fatalf("filtered nodes %v, want %v", filtered.Nodes, want)
-	}
-	explicit := FullSubgraph(s, FullOptions{Nodes: want})
-	if !reflect.DeepEqual(filtered.TypedEdges, explicit.TypedEdges) {
-		t.Fatalf("filter path and explicit-Nodes path disagree")
-	}
-	for t2, edges := range filtered.TypedEdges {
-		for _, e := range edges {
-			if filtered.Nodes[e.Src]%2 != 0 || filtered.Nodes[e.Dst]%2 != 0 {
-				t.Fatalf("type %d edge %v escapes the filtered set", t2, e)
-			}
-		}
+	explicit := FullSubgraph(s, FullOptions{Nodes: s.Nodes()})
+	if !reflect.DeepEqual(all.TypedEdges, explicit.TypedEdges) {
+		t.Fatalf("default path and explicit-Nodes path disagree")
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 //
 // Nodes are addressed by dense rows assigned in ascending ID order, and
 // the adjacency stores neighbour rows, not IDs: a reader that walks
-// rows (Sample, FullSubgraph) indexes per-row arrays directly and never
-// hashes a neighbour. Because rows ascend with IDs, every "ascending
+// rows (Sample, and SampleCSR and FullCSR, the one writer of cone and
+// full-graph batches) indexes per-row arrays directly and never hashes a
+// neighbour. Because rows ascend with IDs, every "ascending
 // neighbour ID" order is also ascending row order.
 type Snapshot struct {
 	epoch    uint64

@@ -145,12 +145,12 @@ type CSRForm struct {
 	SelfLoop bool
 }
 
-// ConeCSR is a sample written as aggregation matrices instead of edge
-// lists (SampleCSR). Its arrays are reused from one SampleCSR to the
-// next, so it must not be shared while in use.
+// ConeCSR is a sample (SampleCSR) or a whole node set (FullCSR) written
+// as aggregation matrices instead of edge lists. Its arrays are reused
+// from one call to the next, so it must not be shared while in use.
 type ConeCSR struct {
-	Nodes []NodeID // target first, as Subgraph.Nodes
-	Edges int      // the directed typed edges: Subgraph.NumEdges
+	Nodes []NodeID // a sample's target first, as Subgraph.Nodes
+	Edges int      // the directed typed edges forms read: Subgraph.NumEdges
 	// Mats[k] is forms[k]'s matrix over the sample's local indices: row j
 	// lists j's in-edges, sources ascending by local index, each with its
 	// §III-A weight (summed over types in a merged form), then the
@@ -169,12 +169,20 @@ type ConeCSR struct {
 func (s *Snapshot) SampleCSR(target NodeID, opts SampleOptions, forms []CSRForm, out *ConeCSR) {
 	w := s.walk(target, opts)
 	defer w.sc.release()
-	sc := w.sc
+	out.Nodes = s.appendNodes(out.Nodes[:0], target, w.sc.rows)
+	slices.Sort(w.sc.live)
+	w.writeCSR(forms, out)
+}
+
+// writeCSR is the one row writer of SampleCSR and FullCSR: it writes the
+// matrices forms name over the walk's nodes into out, each live row from
+// its adjacency, every other row empty but for a self-loop. live must
+// ascend.
+func (w *sampleWalk) writeCSR(forms []CSRForm, out *ConeCSR) {
+	s, sc := w.s, w.sc
 	n := len(sc.rows)
-	out.Nodes = s.appendNodes(out.Nodes[:0], target, sc.rows)
 	out.Edges = 0
 	live := sc.live
-	slices.Sort(live)
 
 	// A row's entries arrive in neighbour ID order, but gnn.NewBatch's rows
 	// list their sources by ascending local index. So each live row is

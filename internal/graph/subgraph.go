@@ -105,12 +105,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 	}
 	numTypes := g.NumEdgeTypes()
 	masked := opts.Mask.masked()
-	sg := &Subgraph{
-		Nodes:      []NodeID{target},
-		TypedEdges: make([][]LocalEdge, numTypes),
-		Hops:       []int{0},
-		Layers:     opts.Layers,
-	}
+	sg := &Subgraph{Nodes: []NodeID{target}, Hops: []int{0}, Layers: opts.Layers}
 	index := map[NodeID]int{target: 0}
 	frontier := []NodeID{target}
 	for hop := 1; hop <= opts.Hops; hop++ {
@@ -138,15 +133,27 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 			break
 		}
 	}
-	// Materialize all typed edges among included nodes. Typed weighted
-	// degrees (over the full graph, as the paper normalizes) are cached
-	// per subgraph node to avoid rescanning adjacency per edge.
-	for t := 0; t < numTypes; t++ {
+	sg.addInducedEdges(g, index, masked, opts.RawWeights)
+	if opts.Layers > 0 {
+		sg.cutToCone(opts.Layers)
+	}
+	return sg
+}
+
+// addInducedEdges sets sg.TypedEdges to every typed edge among sg.Nodes
+// (index maps each to its position) except the masked type's, grouped by
+// type, then by source in node order, then by ascending neighbor ID.
+// Unless raw, an edge's weight is its §III-A normalization with
+// full-graph typed weighted degrees, cached per node; an edge with a
+// zero-degree endpoint or a non-positive weight is skipped.
+func (sg *Subgraph) addInducedEdges(g GraphView, index map[NodeID]int, masked int, raw bool) {
+	sg.TypedEdges = make([][]LocalEdge, g.NumEdgeTypes())
+	for t := range sg.TypedEdges {
 		if t == masked {
 			continue
 		}
 		var deg []float64
-		if !opts.RawWeights {
+		if !raw {
 			deg = make([]float64, len(sg.Nodes))
 			for li, u := range sg.Nodes {
 				deg[li] = g.TypedWeightedDegree(u, EdgeType(t))
@@ -159,7 +166,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 					continue
 				}
 				w := nb.Weight
-				if !opts.RawWeights {
+				if !raw {
 					if deg[li] == 0 || deg[lj] == 0 {
 						continue
 					}
@@ -172,10 +179,6 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 			}
 		}
 	}
-	if opts.Layers > 0 {
-		sg.cutToCone(opts.Layers)
-	}
-	return sg
 }
 
 // cutToCone drops, from a full sample, every edge whose destination is

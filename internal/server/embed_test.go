@@ -12,6 +12,8 @@ import (
 	"turbo/internal/behavior"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
+	"turbo/internal/graph"
+	"turbo/internal/tensor"
 )
 
 // newEmbedStack is newTestStack with the lambda tier enabled and a
@@ -55,6 +57,58 @@ func TestRebuildWarmsScoreCache(t *testing.T) {
 		}
 		if p.ServedBy != TierFull || math.Abs(p.Probability-want) > 1e-9 {
 			t.Fatalf("user %d: rebuild %v, fresh gnn.Score %v (served by %q)", u, want, p.Probability, p.ServedBy)
+		}
+	}
+}
+
+// TestFullGraphScorersAgree checks the full-graph scorers against each
+// other at serving size, where rows have dozens of neighbours: on the
+// serving-shaped world at float64, every user's tier-3 score after
+// RebuildOnce and after a sweep's RunOnce is within 1e-9 of the tape
+// forward over NewBatch(FullSubgraph(…)), the edge-list reference.
+func TestFullGraphScorersAgree(t *testing.T) {
+	w := loadServingWorld(t)
+	model, norm := w.servingModel(), w.fittedNormalizer(t)
+	ctx := context.Background()
+	t.Cleanup(func() {
+		w.bn.Graph().SetDeltaObserver(nil)
+		w.bn.SetPrePublish(nil)
+	})
+	rebuildPred := NewPredictionServer(w.bn, w.feats, model, norm, 0.5)
+	if _, err := NewEmbedEngine(w.bn, rebuildPred).RebuildOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sweepPred := NewPredictionServer(w.bn, w.feats, model, norm, 0.5)
+	if _, err := NewSweepEngine(w.bn, sweepPred).RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, filter := w.bn.Snapshot(), w.bn.TxnFilter()
+	var users []behavior.UserID
+	var nodes []graph.NodeID
+	for _, id := range snap.Nodes() {
+		if filter(id) {
+			users, nodes = append(users, behavior.UserID(id)), append(nodes, id)
+		}
+	}
+	sv := rebuildPred.Serving()
+	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now(), sv.Norm)
+	x := tensor.New(len(users), w.dim)
+	for i, vec := range vecs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		copy(x.Row(i), vec)
+	}
+	want := gnn.TapeScores(model, gnn.NewBatch(graph.FullSubgraph(snap, graph.FullOptions{Nodes: nodes}), x))
+
+	rebuilt, swept := cachedScores(rebuildPred), cachedScores(sweepPred)
+	if len(users) < 900 || len(rebuilt) != len(users) || len(swept) != len(users) {
+		t.Fatalf("%d users, %d rebuilt scores, %d swept scores", len(users), len(rebuilt), len(swept))
+	}
+	for i, u := range users {
+		if math.Abs(rebuilt[u]-want[i]) > 1e-9 || math.Abs(swept[u]-want[i]) > 1e-9 {
+			t.Fatalf("user %d: rebuild %v, sweep %v, tape over FullSubgraph %v", u, rebuilt[u], swept[u], want[i])
 		}
 	}
 }

@@ -110,8 +110,7 @@ func (e *SweepEngine) scoreWith(snap *graph.Snapshot, nodes []graph.NodeID, raw 
 		}
 		copy(x.Row(i), vec)
 	}
-	sg := graph.FullSubgraph(snap, graph.FullOptions{Nodes: nodes})
-	b := gnn.NewBatch(sg, x)
+	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: nodes})
 	out := make([]float64, len(nodes))
 	sweep.ScoresInto(out, model, b, e.Opts)
 	b.Release()

@@ -132,8 +132,7 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	for i, vec := range okVecs {
 		copy(x.Row(i), vec)
 	}
-	sg := graph.FullSubgraph(snap, graph.FullOptions{Nodes: okNodes})
-	b := gnn.NewBatch(sg, x)
+	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: okNodes})
 	out := make([]float64, len(okNodes))
 	st := sweep.ScoresInto(out, sv.Model, b, e.Opts)
 	b.Release()

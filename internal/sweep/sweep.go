@@ -27,15 +27,15 @@ const MaxWorkers = 32
 type Options struct {
 	// Workers is the shard count; 0 selects min(GOMAXPROCS, MaxWorkers).
 	Workers int
-	// RowCost optionally weights the row partition (typically incident
-	// edge counts, see EdgeCosts); nil splits rows evenly.
+	// RowCost optionally weights the row partition (typically row
+	// lengths, see EdgeCosts); nil splits rows evenly.
 	RowCost []int
 }
 
 // Stats reports one sweep execution.
 type Stats struct {
 	Nodes   int
-	Edges   int // merged directed edges (0 when Run is called directly)
+	Edges   int // entries of the aggregation matrices the model read (0 when Run is called directly)
 	Steps   int
 	Workers int
 	Elapsed time.Duration
@@ -190,16 +190,19 @@ func emitShard(prog *gnn.SweepProgram, emit func(lo, hi int, probs []float64), l
 	emit(lo, hi, probs)
 }
 
-// EdgeCosts estimates per-row sweep cost from the batch's merged
-// adjacency: incident edge count plus a constant for the dense per-row
-// work. The partition balances shard compute with this weighting.
+// EdgeCosts estimates per-row sweep cost from the aggregation matrices
+// compiled on the batch (the model's, once BuildSweep has run): the row's
+// entries across them plus a constant for the dense per-row work. The
+// partition balances shard compute with this weighting.
 func EdgeCosts(b *gnn.Batch) []int {
 	cost := make([]int, b.NumNodes)
 	for i := range cost {
 		cost[i] = 4
 	}
-	for _, e := range b.MergedEdges() {
-		cost[e.Dst]++
+	for _, c := range b.Matrices() {
+		for i := range cost {
+			cost[i] += c.RowPtr[i+1] - c.RowPtr[i]
+		}
 	}
 	return cost
 }
@@ -215,7 +218,9 @@ func ScoresInto(out []float64, m gnn.Model, b *gnn.Batch, opts Options) Stats {
 	st := Run(prog, opts, func(lo, hi int, probs []float64) {
 		copy(out[lo:hi], probs)
 	})
-	st.Edges = len(b.MergedEdges())
+	for _, c := range b.Matrices() {
+		st.Edges += c.NNZ()
+	}
 	return st
 }
 

@@ -219,21 +219,31 @@ func TestPartition(t *testing.T) {
 }
 
 // TestEdgeCosts checks the per-row cost model: a constant per row plus
-// one unit per incident merged edge.
+// the row's entries in every aggregation matrix compiled on the batch.
 func TestEdgeCosts(t *testing.T) {
 	_, _, b, _, _ := testWorld(11, 20, 2, 4)
+	for i, c := range EdgeCosts(b) {
+		if c != 4 {
+			t.Fatalf("row %d costs %d before any matrix is compiled, want 4", i, c)
+		}
+	}
+	merged, typed := b.CSR(gnn.MergedMean), b.TypedMeanCSR(0)
+	if merged.NNZ() != len(mergedEdges(b)) {
+		t.Fatalf("merged matrix has %d entries, want the %d merged edges", merged.NNZ(), len(mergedEdges(b)))
+	}
 	cost := EdgeCosts(b)
 	if len(cost) != b.NumNodes {
 		t.Fatalf("cost length %d, want %d", len(cost), b.NumNodes)
 	}
 	sum := 0
-	for _, c := range cost {
-		if c < 4 {
-			t.Fatalf("row cost below the dense floor: %d", c)
+	for i, c := range cost {
+		rows := merged.RowPtr[i+1] - merged.RowPtr[i] + typed.RowPtr[i+1] - typed.RowPtr[i]
+		if c != 4+rows {
+			t.Fatalf("row %d costs %d, want 4 + %d entries", i, c, rows)
 		}
 		sum += c
 	}
-	if want := 4*b.NumNodes + len(b.MergedEdges()); sum != want {
+	if want := 4*b.NumNodes + merged.NNZ() + typed.NNZ(); sum != want {
 		t.Fatalf("total cost %d, want %d", sum, want)
 	}
 }

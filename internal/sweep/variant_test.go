@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"turbo/internal/autodiff"
 	"turbo/internal/gnn"
+	"turbo/internal/graph"
 	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
@@ -124,7 +126,7 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 	prog := m.BuildEmbedSweep(b, []*tensor.Matrix{capture})
 	Run(prog, Options{Workers: 4}, nil)
 	prog.Release()
-	merged := b.MergedEdges()
+	merged := mergedEdges(b)
 	final := make([]float64, b.NumNodes)
 	for v := range final {
 		star := &gnn.EmbedStar{Gather: []int32{int32(v)}}
@@ -143,4 +145,24 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 		gnn.ReleaseFwd(f)
 	}
 	check("InferFinal", final, 1e-9)
+}
+
+// mergedEdges is b's type-merged edge list, sorted by (src, dst), with
+// parallel edges summed in type order.
+func mergedEdges(b *gnn.Batch) []graph.LocalEdge {
+	var all, out []graph.LocalEdge
+	for _, es := range b.TypedEdges {
+		all = append(all, es...)
+	}
+	slices.SortStableFunc(all, func(x, y graph.LocalEdge) int {
+		return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
+	})
+	for _, e := range all {
+		if n := len(out); n > 0 && out[n-1].Src == e.Src && out[n-1].Dst == e.Dst {
+			out[n-1].Weight += e.Weight
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -54,8 +54,8 @@ echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every 
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsMatchReference|TestStarCompileAllocs' ./internal/embed/
 go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
-echo "== cone parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
-go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut' ./internal/server/ ./internal/graph/
+echo "== cone and full-graph parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; the same writer's full-graph batches (FullBatch) bitwise NewBatch over FullSubgraph with their f32 mirrors, every aggregation, raw and normalized, masked or not, shuffled node lists with an absent ID, three seeds, GAT's tape structure vs the merged edge list; shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
+go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut|TestFullBatchMatchesNewBatch' ./internal/server/ ./internal/graph/ ./internal/gnn/
 
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
