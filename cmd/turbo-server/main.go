@@ -50,7 +50,6 @@ import (
 	"turbo/internal/datagen"
 	"turbo/internal/eval"
 	"turbo/internal/gnn"
-	"turbo/internal/graph"
 	"turbo/internal/lifecycle"
 	"turbo/internal/persist"
 	"turbo/internal/resilience"
@@ -319,9 +318,7 @@ func main() {
 			Seed:      *faultSeed,
 		})
 		tel.WireInjector(inj)
-		sys.BNServer().SetViewWrapper(func(v graph.GraphView) graph.GraphView {
-			return resilience.InjectView(v, inj)
-		})
+		sys.BNServer().SetSampleFault(inj.Fault)
 		log.Printf("CHAOS: sampling delay on (%v, seed=%d)", *faultSampleDelay, *faultSeed)
 	}
 

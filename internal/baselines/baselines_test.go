@@ -227,7 +227,7 @@ func TestGBDTNumTreesAndRawScore(t *testing.T) {
 // --- graph-based baselines ---------------------------------------------------
 
 // twoCliqueGraph returns two 4-cliques joined by one bridge edge.
-func twoCliqueGraph(t *testing.T) (*graph.Graph, []graph.NodeID) {
+func twoCliqueGraph(t *testing.T) (*graph.Snapshot, []graph.NodeID) {
 	t.Helper()
 	g := graph.New(2)
 	addClique := func(base int, typ graph.EdgeType) {
@@ -246,7 +246,7 @@ func twoCliqueGraph(t *testing.T) (*graph.Graph, []graph.NodeID) {
 	for i := range nodes {
 		nodes[i] = graph.NodeID(i)
 	}
-	return g, nodes
+	return g.Snapshot(), nodes
 }
 
 func TestGraphFeaturesValues(t *testing.T) {
@@ -279,7 +279,7 @@ func TestGraphFeaturesValues(t *testing.T) {
 func TestGraphFeaturesIsolatedNode(t *testing.T) {
 	g := graph.New(1)
 	g.AddNode(0)
-	gf := GraphFeatures(g, []graph.NodeID{0})
+	gf := GraphFeatures(g.Snapshot(), []graph.NodeID{0})
 	for j := 0; j < gf.Cols; j++ {
 		if gf.At(0, j) != 0 {
 			t.Fatalf("isolated node feature %d = %v", j, gf.At(0, j))
@@ -328,7 +328,7 @@ func TestDeepWalkIsolatedNodesKeepInitVectors(t *testing.T) {
 	g := graph.New(1)
 	g.AddNode(0)
 	g.AddNode(1)
-	emb := DeepWalk(g, []graph.NodeID{0, 1}, DeepWalkConfig{Dim: 8, Seed: 2})
+	emb := DeepWalk(g.Snapshot(), []graph.NodeID{0, 1}, DeepWalkConfig{Dim: 8, Seed: 2})
 	if emb.MaxAbs() == 0 {
 		t.Fatal("isolated nodes should keep random init")
 	}

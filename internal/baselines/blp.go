@@ -26,7 +26,7 @@ func GraphFeatureNames(numTypes int) []string {
 // (a quadrangle proxy on the user–behavior bipartite graph: neighbors
 // reached through ≥2 distinct behavior types), and per-type degrees.
 // Rows align with the nodes slice.
-func GraphFeatures(g graph.GraphView, nodes []graph.NodeID) *tensor.Matrix {
+func GraphFeatures(g *graph.Snapshot, nodes []graph.NodeID) *tensor.Matrix {
 	numTypes := g.NumEdgeTypes()
 	cols := 6 + numTypes
 	out := tensor.New(len(nodes), cols)
@@ -70,7 +70,7 @@ func GraphFeatures(g graph.GraphView, nodes []graph.NodeID) *tensor.Matrix {
 
 // clusteringCoeff is the local clustering coefficient of u on the
 // type-merged graph: closed neighbor pairs / all neighbor pairs.
-func clusteringCoeff(g graph.GraphView, u graph.NodeID, neigh []graph.NodeID) float64 {
+func clusteringCoeff(g *graph.Snapshot, u graph.NodeID, neigh []graph.NodeID) float64 {
 	n := len(neigh)
 	if n < 2 {
 		return 0
@@ -93,13 +93,13 @@ func clusteringCoeff(g graph.GraphView, u graph.NodeID, neigh []graph.NodeID) fl
 	return 2 * float64(links) / (float64(n) * float64(n-1))
 }
 
-// FilterGraphTypes returns a copy of g containing only edges of the
-// given types. BLP uses it to build its application-information graph:
-// Min et al. connect applications through form data (devices, contact
-// and delivery addresses), not through the real-time behavior logs —
-// exactly the limitation the paper's introduction attributes to prior
-// graph methods.
-func FilterGraphTypes(g graph.GraphView, keep []graph.EdgeType) *graph.Graph {
+// FilterGraphTypes returns a snapshot of a copy of g containing only
+// edges of the given types. BLP uses it to build its
+// application-information graph: Min et al. connect applications through
+// form data (devices, contact and delivery addresses), not through the
+// real-time behavior logs — exactly the limitation the paper's
+// introduction attributes to prior graph methods.
+func FilterGraphTypes(g *graph.Snapshot, keep []graph.EdgeType) *graph.Snapshot {
 	out := graph.New(g.NumEdgeTypes())
 	for _, n := range g.Nodes() {
 		out.AddNode(n)
@@ -113,7 +113,7 @@ func FilterGraphTypes(g graph.GraphView, keep []graph.EdgeType) *graph.Graph {
 			}
 		}
 	}
-	return out
+	return out.Snapshot()
 }
 
 // BLP is the Behavior Language Processing baseline: handcrafted graph
@@ -135,7 +135,7 @@ func DefaultAppGraphTypes() []graph.EdgeType {
 }
 
 // BuildFeatures assembles [original ; application-graph] feature rows.
-func (m *BLP) BuildFeatures(g graph.GraphView, nodes []graph.NodeID, original *tensor.Matrix) *tensor.Matrix {
+func (m *BLP) BuildFeatures(g *graph.Snapshot, nodes []graph.NodeID, original *tensor.Matrix) *tensor.Matrix {
 	keep := m.AppGraphTypes
 	if keep == nil {
 		keep = DefaultAppGraphTypes()

@@ -52,7 +52,7 @@ func (c DeepWalkConfig) withDefaults() DeepWalkConfig {
 // DeepWalk learns node embeddings for the given nodes; the returned
 // matrix rows align with the nodes slice. Nodes without edges receive
 // their (random) initial vectors.
-func DeepWalk(g graph.GraphView, nodes []graph.NodeID, cfg DeepWalkConfig) *tensor.Matrix {
+func DeepWalk(g *graph.Snapshot, nodes []graph.NodeID, cfg DeepWalkConfig) *tensor.Matrix {
 	cfg = cfg.withDefaults()
 	rng := tensor.NewRNG(cfg.Seed)
 	n := len(nodes)
@@ -152,7 +152,7 @@ func (m *DTX) Name() string {
 }
 
 // BuildFeatures computes the DTX input rows for nodes.
-func (m *DTX) BuildFeatures(g graph.GraphView, nodes []graph.NodeID, original *tensor.Matrix) *tensor.Matrix {
+func (m *DTX) BuildFeatures(g *graph.Snapshot, nodes []graph.NodeID, original *tensor.Matrix) *tensor.Matrix {
 	emb := DeepWalk(g, nodes, m.Walk)
 	if !m.WithFeatures || original == nil {
 		return emb

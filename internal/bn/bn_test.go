@@ -96,7 +96,7 @@ func TestHierarchicalWindowsSumWeights(t *testing.T) {
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour, 2 * time.Hour}}, logs)
 	b.BuildRange(t0, t0.Add(2*time.Hour))
-	g := b.Graph()
+	g := b.Graph().Snapshot()
 	wTight := g.EdgeWeight(graph.EdgeType(behavior.IPv4), 1, 2)
 	wLoose := g.EdgeWeight(graph.EdgeType(behavior.IPv4), 1, 3)
 	// Tight pair: 1/2 (1h epoch, group {1,2}) + 1/3 (2h epoch, group
@@ -254,7 +254,7 @@ func TestCollectStats(t *testing.T) {
 	}
 	b := newBuilder(t, Config{Windows: []time.Duration{time.Hour}}, logs)
 	b.Advance(t0.Add(time.Hour))
-	st := CollectStats(b.Graph(), func(n graph.NodeID) bool { return n == 1 })
+	st := CollectStats(b.Graph().Snapshot(), func(n graph.NodeID) bool { return n == 1 })
 	if st.Nodes != 3 || st.Edges != 2 || st.Types != 2 || st.Positives != 1 {
 		t.Fatalf("stats %+v", st)
 	}

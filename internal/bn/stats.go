@@ -17,9 +17,9 @@ type Stats struct {
 	EdgesByType map[string]int
 }
 
-// CollectStats computes Table II-style statistics from any read view of
-// the BN (live graph or snapshot); isFraud may be nil.
-func CollectStats(g graph.GraphView, isFraud func(graph.NodeID) bool) Stats {
+// CollectStats computes Table II-style statistics from a snapshot of the
+// BN; isFraud may be nil.
+func CollectStats(g *graph.Snapshot, isFraud func(graph.NodeID) bool) Stats {
 	s := Stats{
 		Nodes:       g.NumNodes(),
 		Edges:       g.NumEdges(),

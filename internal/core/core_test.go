@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if jobs == 0 {
 		t.Fatal("no window jobs ran")
 	}
-	if sys.BNServer().Graph().EdgeWeight(0, 1, 2) == 0 {
+	if sys.BNServer().Snapshot().EdgeWeight(0, 1, 2) == 0 {
 		t.Fatal("BN edge missing after Advance")
 	}
 
@@ -119,7 +120,7 @@ func TestRegisterApplicationStoresProfile(t *testing.T) {
 	if vec[0] != 1 || vec[1] != 2 {
 		t.Fatalf("profile not stored: %v", vec[:2])
 	}
-	if !sys.BNServer().Graph().HasNode(5) {
+	if !slices.Contains(sys.BNServer().Graph().Nodes(), 5) {
 		t.Fatal("transaction node not registered")
 	}
 }

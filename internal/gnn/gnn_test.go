@@ -50,6 +50,7 @@ func ringWorld(t *testing.T) (*Batch, []int, []float64) {
 
 // fullSubgraph materializes every node and raw-weight edge of g.
 func fullSubgraph(g *graph.Graph, n int) *graph.Subgraph {
+	snap := g.Snapshot()
 	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
 	for i := 0; i < n; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
@@ -57,7 +58,7 @@ func fullSubgraph(g *graph.Graph, n int) *graph.Subgraph {
 	}
 	for t := 0; t < g.NumEdgeTypes(); t++ {
 		for i := 0; i < n; i++ {
-			for _, nb := range g.NeighborsByType(graph.NodeID(i), graph.EdgeType(t)) {
+			for _, nb := range snap.NeighborsByType(graph.NodeID(i), graph.EdgeType(t)) {
 				sg.TypedEdges[t] = append(sg.TypedEdges[t],
 					graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 			}

@@ -44,7 +44,7 @@ type FeatureFunc func(graph.NodeID) []float64
 // the BN g. trainNodes carries the target users and labels their labels
 // (aligned). The model must have been built for the feature dimension
 // returned by feats.
-func TrainInductive(m Model, g graph.GraphView, feats FeatureFunc, trainNodes []graph.NodeID, labels []float64, cfg InductiveConfig) TrainStats {
+func TrainInductive(m Model, g *graph.Snapshot, feats FeatureFunc, trainNodes []graph.NodeID, labels []float64, cfg InductiveConfig) TrainStats {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	opt := nn.NewAdam(m, cfg.LR)
@@ -119,7 +119,7 @@ func pick(nodes []graph.NodeID, idx []int) []graph.NodeID {
 // nodes into one Batch and returns the local row index of each target.
 // Overlapping neighborhoods share nodes, so the merged batch is usually
 // far smaller than the sum of individual subgraphs.
-func SampleBatch(g graph.GraphView, feats FeatureFunc, targets []graph.NodeID, hops, maxNeighbors int, rng *tensor.RNG) (*Batch, []int) {
+func SampleBatch(g *graph.Snapshot, feats FeatureFunc, targets []graph.NodeID, hops, maxNeighbors int, rng *tensor.RNG) (*Batch, []int) {
 	merged := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
 	index := make(map[graph.NodeID]int)
 	addNode := func(n graph.NodeID, hop int) int {

@@ -11,7 +11,7 @@ import (
 
 // inductiveWorld builds a BN with two fraud cliques and a normal chain,
 // plus per-node features.
-func inductiveWorld(t *testing.T) (*graph.Graph, FeatureFunc, []graph.NodeID, []float64) {
+func inductiveWorld(t *testing.T) (*graph.Snapshot, FeatureFunc, []graph.NodeID, []float64) {
 	t.Helper()
 	exp := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 	g := graph.New(2)
@@ -50,7 +50,7 @@ func inductiveWorld(t *testing.T) (*graph.Graph, FeatureFunc, []graph.NodeID, []
 			labels = append(labels, 0)
 		}
 	}
-	return g, feats, nodes, labels
+	return g.Snapshot(), feats, nodes, labels
 }
 
 func TestSampleBatchMergesOverlaps(t *testing.T) {

@@ -10,8 +10,9 @@ import (
 
 // TestConcurrentMutationAndReads hammers the sharded store from many
 // goroutines at once — writers accumulating edges, a pruner expiring
-// them, readers sampling subgraphs and walking hops, and a snapshotter
-// republishing epochs — and then checks counter/adjacency consistency.
+// them, readers publishing snapshots to sample subgraphs and walk hops
+// and reading the live counters, and a snapshotter republishing epochs
+// — and then checks counter/adjacency consistency.
 // Run with -race; this is the regression test for the shard locking
 // protocol.
 func TestConcurrentMutationAndReads(t *testing.T) {
@@ -63,10 +64,12 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 				default:
 				}
 				u := NodeID(rng.Intn(nodes))
-				g.Sample(u, SampleOptions{Hops: 2, MaxNeighbors: 8})
-				g.NormalizedWeight(EdgeType(rng.Intn(4)), u, NodeID(rng.Intn(nodes)))
-				g.FraudRatioByHop(u, 2, -1, func(n NodeID) bool { return n%2 == 0 })
+				s := g.Snapshot()
+				s.Sample(u, SampleOptions{Hops: 2, MaxNeighbors: 8})
+				s.NormalizedWeight(EdgeType(rng.Intn(4)), u, NodeID(rng.Intn(nodes)))
+				s.FraudRatioByHop(u, 2, -1, func(n NodeID) bool { return n%2 == 0 })
 				g.Stats()
+				g.ShardSizes()
 			}
 		}(uint64(100 + r))
 	}
@@ -112,13 +115,14 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 		}
 	}
 	// Degree caches match a fresh sum.
+	s := g.Snapshot()
 	for _, u := range g.Nodes() {
 		for typ := 0; typ < 4; typ++ {
 			var sum float64
-			for _, nb := range g.NeighborsByType(u, EdgeType(typ)) {
+			for _, nb := range s.NeighborsByType(u, EdgeType(typ)) {
 				sum += nb.Weight
 			}
-			if d := g.TypedWeightedDegree(u, EdgeType(typ)); !close2(d, sum) {
+			if d := s.TypedWeightedDegree(u, EdgeType(typ)); !close2(d, sum) {
 				t.Fatalf("degree cache drifted at node %d type %d: cache %v sum %v", u, typ, d, sum)
 			}
 		}

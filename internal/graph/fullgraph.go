@@ -26,20 +26,21 @@ type FullOptions struct {
 }
 
 // FullSubgraph builds a Subgraph over the given nodes with every
-// (unmasked) typed edge among them, through the GraphView interface, with
-// SampleView's edge order and arithmetic (addInducedEdges). Edges to
-// nodes outside the set are dropped, so the result is self-contained.
-func FullSubgraph(g GraphView, opts FullOptions) *Subgraph {
+// (unmasked) typed edge among them, through the snapshot's per-node
+// accessors, with SampleView's edge order and arithmetic
+// (addInducedEdges). Edges to nodes outside the set are dropped, so the
+// result is self-contained.
+func FullSubgraph(s *Snapshot, opts FullOptions) *Subgraph {
 	nodes := opts.Nodes
 	if nodes == nil {
-		nodes = g.Nodes()
+		nodes = s.Nodes()
 	}
 	sg := &Subgraph{Nodes: append([]NodeID(nil), nodes...), Hops: make([]int, len(nodes))}
 	index := make(map[NodeID]int, len(nodes))
 	for i, id := range nodes {
 		index[id] = i
 	}
-	sg.addInducedEdges(g, index, opts.Mask.masked(), opts.RawWeights)
+	sg.addInducedEdges(s, index, opts.Mask.masked(), opts.RawWeights)
 	return sg
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -8,9 +9,9 @@ import (
 	"turbo/internal/tensor"
 )
 
-// fullGraph builds a random multigraph with non-expiring edges so the
-// live store, its snapshot and any generic view expose the identical
-// edge set (randomGraph's expiries would make liveness time-dependent).
+// fullGraph builds a random multigraph with non-expiring edges, so the
+// live store and its snapshot hold the identical edge set (randomGraph's
+// expiries would make liveness time-dependent).
 func fullGraph(seed uint64, nodes, edges int) *Graph {
 	rng := tensor.NewRNG(seed | 1)
 	g := New(3)
@@ -30,28 +31,49 @@ func fullGraph(seed uint64, nodes, edges int) *Graph {
 	return g
 }
 
-// TestFullSubgraphPathsAgree pins FullSubgraph over a snapshot and over
-// the live store it was taken from to bitwise-identical subgraphs for raw
-// and normalized weights and for edge-type masking.
+// TestFullSubgraphPathsAgree pins FullSubgraph over a snapshot to the
+// subgraph written straight from the live graph's checkpoint state
+// (liveOf), bitwise, for raw and normalized weights and for edge-type
+// masking: every unmasked edge among the nodes, grouped by type, then by
+// source in node order, then by ascending neighbour ID. The normalized
+// weights divide by the snapshot's typed degrees, which
+// TestSnapshotMatchesLiveView checks against liveOf's sums.
 func TestFullSubgraphPathsAgree(t *testing.T) {
 	g := fullGraph(3, 40, 400)
 	s := g.Snapshot()
+	l := liveOf(g)
 	nodes := s.Nodes()
+	index := make(map[NodeID]int, len(nodes))
+	for i, id := range nodes {
+		index[id] = i
+	}
 	for _, raw := range []bool{false, true} {
 		for _, mask := range []EdgeMask{NoMask, MaskEdgeType(1)} {
-			opts := FullOptions{Nodes: nodes, RawWeights: raw, Mask: mask}
-			snap := FullSubgraph(s, opts)
-			live := FullSubgraph(g, opts)
-			for _, sg := range []*Subgraph{snap, live} {
-				if len(sg.TypedEdges[1]) != 0 && mask.masked() == 1 {
-					t.Fatalf("masked type still has edges")
+			sg := FullSubgraph(s, FullOptions{Nodes: nodes, RawWeights: raw, Mask: mask})
+			if len(sg.TypedEdges[1]) != 0 && mask.masked() == 1 {
+				t.Fatalf("masked type still has edges")
+			}
+			if !reflect.DeepEqual(sg.Nodes, nodes) {
+				t.Fatalf("raw=%v node order differs from the given nodes", raw)
+			}
+			want := make([][]LocalEdge, len(l.nbrs))
+			for typ, byNode := range l.nbrs {
+				if typ == mask.masked() {
+					continue
+				}
+				et := EdgeType(typ)
+				for li, u := range nodes {
+					for _, nb := range byNode[u] {
+						w := nb.Weight
+						if !raw {
+							w /= math.Sqrt(s.TypedWeightedDegree(u, et) * s.TypedWeightedDegree(nb.Node, et))
+						}
+						want[typ] = append(want[typ], LocalEdge{Src: li, Dst: index[nb.Node], Weight: w})
+					}
 				}
 			}
-			if !reflect.DeepEqual(snap.Nodes, live.Nodes) {
-				t.Fatalf("raw=%v node order differs across views", raw)
-			}
-			if !reflect.DeepEqual(snap.TypedEdges, live.TypedEdges) {
-				t.Fatalf("raw=%v mask=%d: snapshot edges differ from live view", raw, mask.masked())
+			if !reflect.DeepEqual(sg.TypedEdges, want) {
+				t.Fatalf("raw=%v mask=%d: snapshot edges differ from the live state", raw, mask.masked())
 			}
 		}
 	}

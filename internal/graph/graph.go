@@ -4,11 +4,12 @@
 // extraction and the symmetric edge-weight normalization of §III-A.
 //
 // Storage is sharded by NodeID: each shard owns the adjacency of its
-// nodes behind its own RWMutex, so concurrent window-job writes and
-// reads on different shards never contend. Readers that must not touch
-// any lock at all (the prediction path) consume an immutable Snapshot
-// published by Snapshot(); both *Graph and *Snapshot satisfy the
-// read-only GraphView interface.
+// nodes behind its own RWMutex, so concurrent window-job writes on
+// different shards never contend. The live *Graph is written, counted
+// and checkpointed, never read edge by edge: every reader of the BN
+// (sampling, statistics, batch compilation, the figure scans, the
+// baselines) takes the immutable, lock-free Snapshot that Snapshot()
+// publishes.
 package graph
 
 import (
@@ -221,35 +222,6 @@ func (g *Graph) upsertHalf(sh *shard, t EdgeType, u, v NodeID, w float64, expire
 	return true
 }
 
-// findHalf returns the half edge (u → v, type t) inside sh, or nil;
-// sh.mu must be held (read or write).
-func findHalf(sh *shard, t EdgeType, u, v NodeID) *halfEdge {
-	na := sh.adj[u]
-	if na == nil {
-		return nil
-	}
-	list := na.byType[t]
-	i := sort.Search(len(list), func(i int) bool { return list[i].to >= v })
-	if i < len(list) && list[i].to == v {
-		return &list[i]
-	}
-	return nil
-}
-
-// EdgeWeight returns the weight of the typed edge (u, v), or 0.
-func (g *Graph) EdgeWeight(t EdgeType, u, v NodeID) float64 {
-	if int(t) >= g.numTypes {
-		return 0
-	}
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if e := findHalf(sh, t, u, v); e != nil {
-		return e.weight
-	}
-	return 0
-}
-
 // NumNodes returns the number of registered nodes.
 func (g *Graph) NumNodes() int { return int(g.nodeCount.Load()) }
 
@@ -300,123 +272,6 @@ func (g *Graph) Nodes() []NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// HasNode reports whether u is registered.
-func (g *Graph) HasNode(u NodeID) bool {
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	_, ok := sh.nodes[u]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// NeighborsByType returns u's neighbors over edges of type t, sorted by
-// node ID for determinism.
-func (g *Graph) NeighborsByType(u NodeID, t EdgeType) []Neighbor {
-	if int(t) >= g.numTypes {
-		return nil
-	}
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	na := sh.adj[u]
-	if na == nil || len(na.byType[t]) == 0 {
-		return nil
-	}
-	list := na.byType[t]
-	ns := make([]Neighbor, len(list))
-	for i, e := range list {
-		ns[i] = Neighbor{Node: e.to, Weight: e.weight}
-	}
-	return ns
-}
-
-// Neighbors returns u's distinct neighbors across all edge types, sorted.
-func (g *Graph) Neighbors(u NodeID) []NodeID {
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	na := sh.adj[u]
-	if na == nil {
-		return nil
-	}
-	seen := make(map[NodeID]struct{})
-	for t := 0; t < g.numTypes; t++ {
-		for _, e := range na.byType[t] {
-			seen[e.to] = struct{}{}
-		}
-	}
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Degree returns the number of distinct neighbors of u across all types.
-func (g *Graph) Degree(u NodeID) int { return len(g.Neighbors(u)) }
-
-// WeightedDegree returns Σ over all types and neighbors of edge weights.
-func (g *Graph) WeightedDegree(u NodeID) float64 {
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	na := sh.adj[u]
-	if na == nil {
-		return 0
-	}
-	var s float64
-	for _, d := range na.deg {
-		s += d
-	}
-	return s
-}
-
-// TypedWeightedDegree returns deg'_r(u) = Σ_{i∈N_r(u)} w(u, i), the
-// weighted degree on one edge type used by the §III-A normalization.
-// The value is maintained incrementally, so this is O(1).
-func (g *Graph) TypedWeightedDegree(u NodeID, t EdgeType) float64 {
-	if int(t) >= g.numTypes {
-		return 0
-	}
-	sh := &g.shards[shardOf(u)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if na := sh.adj[u]; na != nil {
-		return na.deg[t]
-	}
-	return 0
-}
-
-// NormalizedWeight returns w'_r(u,v) = w_r(u,v)·(deg'_r(u)·deg'_r(v))^{-1/2},
-// the type-aware symmetric normalization of §III-A, or 0 if no edge.
-// With cached typed degrees this is O(log d) per call.
-func (g *Graph) NormalizedWeight(t EdgeType, u, v NodeID) float64 {
-	if int(t) >= g.numTypes {
-		return 0
-	}
-	su := &g.shards[shardOf(u)]
-	su.mu.RLock()
-	e := findHalf(su, t, u, v)
-	var w, du float64
-	if e != nil {
-		w = e.weight
-		du = su.adj[u].deg[t]
-	}
-	su.mu.RUnlock()
-	if e == nil {
-		return 0
-	}
-	dv := g.TypedWeightedDegree(v, t)
-	if du == 0 || dv == 0 {
-		return 0
-	}
-	return w / math.Sqrt(du*dv)
 }
 
 // Prune removes edges whose TTL expired before now and returns how many

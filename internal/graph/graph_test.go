@@ -21,10 +21,11 @@ func TestAddEdgeAccumulatesWeight(t *testing.T) {
 	if err := g.AddEdgeWeight(0, 2, 1, 0.5, never); err != nil { // reversed order, same edge
 		t.Fatal(err)
 	}
-	if w := g.EdgeWeight(0, 1, 2); w != 0.75 {
+	s := g.Snapshot()
+	if w := s.EdgeWeight(0, 1, 2); w != 0.75 {
 		t.Fatalf("weight %v want 0.75", w)
 	}
-	if w := g.EdgeWeight(0, 2, 1); w != 0.75 {
+	if w := s.EdgeWeight(0, 2, 1); w != 0.75 {
 		t.Fatalf("undirected symmetry broken: %v", w)
 	}
 	if g.NumEdges() != 1 {
@@ -39,7 +40,7 @@ func TestEdgesOfDifferentTypesAreDistinct(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("typed edges should be distinct: %d", g.NumEdges())
 	}
-	if g.EdgeWeight(1, 1, 2) != 0 {
+	if g.Snapshot().EdgeWeight(1, 1, 2) != 0 {
 		t.Fatal("type 1 should have no edge")
 	}
 }
@@ -74,19 +75,20 @@ func TestNodesAndDegrees(t *testing.T) {
 	if g.NumNodes() != 4 {
 		t.Fatalf("nodes %d", g.NumNodes())
 	}
-	if !g.HasNode(9) || g.HasNode(100) {
+	s := g.Snapshot()
+	if !s.HasNode(9) || s.HasNode(100) {
 		t.Fatal("HasNode wrong")
 	}
-	if d := g.Degree(1); d != 2 {
+	if d := s.Degree(1); d != 2 {
 		t.Fatalf("degree %d", d)
 	}
-	if wd := g.WeightedDegree(1); wd != 3 {
+	if wd := s.WeightedDegree(1); wd != 3 {
 		t.Fatalf("weighted degree %v", wd)
 	}
-	if td := g.TypedWeightedDegree(1, 1); td != 2 {
+	if td := s.TypedWeightedDegree(1, 1); td != 2 {
 		t.Fatalf("typed weighted degree %v", td)
 	}
-	if d := g.Degree(9); d != 0 {
+	if d := s.Degree(9); d != 0 {
 		t.Fatalf("isolated node degree %d", d)
 	}
 }
@@ -96,11 +98,12 @@ func TestNeighborsSortedAndTyped(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 5, 9, 1, never)
 	_ = g.AddEdgeWeight(0, 5, 3, 1, never)
 	_ = g.AddEdgeWeight(1, 5, 7, 1, never)
-	ns := g.Neighbors(5)
+	s := g.Snapshot()
+	ns := s.Neighbors(5)
 	if len(ns) != 3 || ns[0] != 3 || ns[1] != 7 || ns[2] != 9 {
 		t.Fatalf("neighbors %v", ns)
 	}
-	typed := g.NeighborsByType(5, 0)
+	typed := s.NeighborsByType(5, 0)
 	if len(typed) != 2 || typed[0].Node != 3 {
 		t.Fatalf("typed neighbors %v", typed)
 	}
@@ -113,10 +116,11 @@ func TestNormalizedWeightFormula(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 2, 3, 2, never)
 	// deg'(1)=8, deg'(2)=4: w'(1,2) = 2/sqrt(8*4)
 	want := 2 / math.Sqrt(32)
-	if got := g.NormalizedWeight(0, 1, 2); math.Abs(got-want) > 1e-12 {
+	s := g.Snapshot()
+	if got := s.NormalizedWeight(0, 1, 2); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("normalized weight %v want %v", got, want)
 	}
-	if g.NormalizedWeight(0, 1, 9) != 0 {
+	if s.NormalizedWeight(0, 1, 9) != 0 {
 		t.Fatal("missing edge should normalize to 0")
 	}
 }
@@ -130,7 +134,7 @@ func TestPruneExpiredEdges(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("dropped %d want 1", dropped)
 	}
-	if g.NumEdges() != 1 || g.EdgeWeight(0, 1, 2) != 0 || g.EdgeWeight(0, 2, 3) != 1 {
+	if s := g.Snapshot(); g.NumEdges() != 1 || s.EdgeWeight(0, 1, 2) != 0 || s.EdgeWeight(0, 2, 3) != 1 {
 		t.Fatal("wrong edge pruned")
 	}
 }
@@ -210,8 +214,9 @@ func TestNumEdgesConsistencyProperty(t *testing.T) {
 	}
 }
 
-// buildLine constructs 0 - 1 - 2 - 3 over type 0.
-func buildLine(t *testing.T) *Graph {
+// buildLine constructs 0 - 1 - 2 - 3 over type 0 and returns its
+// snapshot.
+func buildLine(t *testing.T) *Snapshot {
 	t.Helper()
 	g := New(2)
 	for i := 0; i < 3; i++ {
@@ -219,16 +224,16 @@ func buildLine(t *testing.T) *Graph {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return g.Snapshot()
 }
 
 func TestSampleHops(t *testing.T) {
-	g := buildLine(t)
-	sg := g.Sample(0, SampleOptions{Hops: 1})
+	s := buildLine(t)
+	sg := s.Sample(0, SampleOptions{Hops: 1})
 	if sg.NumNodes() != 2 {
 		t.Fatalf("1-hop from end of line: %d nodes", sg.NumNodes())
 	}
-	sg = g.Sample(0, SampleOptions{Hops: 2})
+	sg = s.Sample(0, SampleOptions{Hops: 2})
 	if sg.NumNodes() != 3 {
 		t.Fatalf("2-hop: %d nodes", sg.NumNodes())
 	}
@@ -241,8 +246,8 @@ func TestSampleHops(t *testing.T) {
 }
 
 func TestSampleFilterKeepsTarget(t *testing.T) {
-	g := buildLine(t)
-	sg := g.Sample(1, SampleOptions{
+	s := buildLine(t)
+	sg := s.Sample(1, SampleOptions{
 		Hops:   2,
 		Filter: func(n NodeID) bool { return n == 2 }, // rejects even the target's other neighbors
 	})
@@ -261,7 +266,8 @@ func TestSampleMaxNeighborsCap(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		_ = g.AddEdgeWeight(0, 0, NodeID(i), float64(i), never)
 	}
-	sg := g.Sample(0, SampleOptions{Hops: 1, MaxNeighbors: 5})
+	s := g.Snapshot()
+	sg := s.Sample(0, SampleOptions{Hops: 1, MaxNeighbors: 5})
 	if sg.NumNodes() != 6 {
 		t.Fatalf("cap not applied: %d nodes", sg.NumNodes())
 	}
@@ -272,7 +278,7 @@ func TestSampleMaxNeighborsCap(t *testing.T) {
 		}
 	}
 	// Randomized cap also returns the right count.
-	sg = g.Sample(0, SampleOptions{Hops: 1, MaxNeighbors: 5, RNG: tensor.NewRNG(1)})
+	sg = s.Sample(0, SampleOptions{Hops: 1, MaxNeighbors: 5, RNG: tensor.NewRNG(1)})
 	if sg.NumNodes() != 6 {
 		t.Fatalf("random cap wrong: %d nodes", sg.NumNodes())
 	}
@@ -282,7 +288,8 @@ func TestSampleMaskExcludesType(t *testing.T) {
 	g := New(2)
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never)
 	_ = g.AddEdgeWeight(1, 0, 2, 1, never)
-	sg := g.Sample(0, SampleOptions{Hops: 1, Mask: MaskEdgeType(0)})
+	s := g.Snapshot()
+	sg := s.Sample(0, SampleOptions{Hops: 1, Mask: MaskEdgeType(0)})
 	if slices.Contains(sg.Nodes, 1) {
 		t.Fatal("masked-type neighbor included")
 	}
@@ -297,14 +304,15 @@ func TestSampleMaskExcludesType(t *testing.T) {
 func TestSampleEdgesNormalized(t *testing.T) {
 	g := New(1)
 	_ = g.AddEdgeWeight(0, 0, 1, 2, never)
-	sg := g.Sample(0, SampleOptions{Hops: 1})
+	s := g.Snapshot()
+	sg := s.Sample(0, SampleOptions{Hops: 1})
 	// Both nodes have typed weighted degree 2 → w' = 2/sqrt(4) = 1.
 	for _, e := range sg.TypedEdges[0] {
 		if math.Abs(e.Weight-1) > 1e-12 {
 			t.Fatalf("normalized weight %v want 1", e.Weight)
 		}
 	}
-	raw := g.Sample(0, SampleOptions{Hops: 1, RawWeights: true})
+	raw := s.Sample(0, SampleOptions{Hops: 1, RawWeights: true})
 	for _, e := range raw.TypedEdges[0] {
 		if e.Weight != 2 {
 			t.Fatalf("raw weight %v want 2", e.Weight)
@@ -313,8 +321,8 @@ func TestSampleEdgesNormalized(t *testing.T) {
 }
 
 func TestSubgraphEdgesBothDirections(t *testing.T) {
-	g := buildLine(t)
-	sg := g.Sample(1, SampleOptions{Hops: 1})
+	s := buildLine(t)
+	sg := s.Sample(1, SampleOptions{Hops: 1})
 	// Edges 1-0 and 1-2 should appear in both directions among included nodes.
 	if sg.NumEdges() != 4 {
 		t.Fatalf("directed edge count %d want 4", sg.NumEdges())
@@ -322,9 +330,9 @@ func TestSubgraphEdgesBothDirections(t *testing.T) {
 }
 
 func TestFraudRatioByHop(t *testing.T) {
-	g := buildLine(t) // 0-1-2-3
+	s := buildLine(t) // 0-1-2-3
 	isFraud := func(n NodeID) bool { return n == 1 || n == 2 }
-	ratios := g.FraudRatioByHop(0, 3, -1, isFraud)
+	ratios := s.FraudRatioByHop(0, 3, -1, isFraud)
 	if ratios[0] != 1 { // hop1 = {1}
 		t.Fatalf("hop1 ratio %v", ratios[0])
 	}
@@ -341,10 +349,11 @@ func TestFraudRatioByHopOnlyType(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never) // type 0 to fraud
 	_ = g.AddEdgeWeight(1, 0, 2, 1, never) // type 1 to normal
 	isFraud := func(n NodeID) bool { return n == 1 }
-	if r := g.FraudRatioByHop(0, 1, 0, isFraud); r[0] != 1 {
+	s := g.Snapshot()
+	if r := s.FraudRatioByHop(0, 1, 0, isFraud); r[0] != 1 {
 		t.Fatalf("type-0 ratio %v", r)
 	}
-	if r := g.FraudRatioByHop(0, 1, 1, isFraud); r[0] != 0 {
+	if r := s.FraudRatioByHop(0, 1, 1, isFraud); r[0] != 0 {
 		t.Fatalf("type-1 ratio %v", r)
 	}
 }
@@ -356,12 +365,13 @@ func TestMeanDegreeByHop(t *testing.T) {
 		_ = g.AddEdgeWeight(0, 0, NodeID(i), 2, never)
 	}
 	_ = g.AddEdgeWeight(0, 1, 4, 2, never)
-	got := g.MeanDegreeByHop(0, 2, false)
+	s := g.Snapshot()
+	got := s.MeanDegreeByHop(0, 2, false)
 	// hop1 = {1,2,3} with degrees 2,1,1 → mean 4/3.
 	if math.Abs(got[0]-4.0/3.0) > 1e-12 {
 		t.Fatalf("hop1 mean degree %v", got[0])
 	}
-	weighted := g.MeanDegreeByHop(0, 2, true)
+	weighted := s.MeanDegreeByHop(0, 2, true)
 	// weighted degrees 4,2,2 → mean 8/3.
 	if math.Abs(weighted[0]-8.0/3.0) > 1e-12 {
 		t.Fatalf("hop1 mean weighted degree %v", weighted[0])
@@ -369,8 +379,8 @@ func TestMeanDegreeByHop(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := buildLine(t)
-	sg := g.Sample(0, SampleOptions{Hops: 2})
+	s := buildLine(t)
+	sg := s.Sample(0, SampleOptions{Hops: 2})
 	var b strings.Builder
 	err := sg.WriteDOT(&b, "test", func(n NodeID) int { return int(n) % 3 })
 	if err != nil {

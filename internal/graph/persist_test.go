@@ -26,10 +26,11 @@ func TestGraphPersistRoundtrip(t *testing.T) {
 		t.Fatalf("size mismatch: %d/%d vs %d/%d",
 			got.NumNodes(), got.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-	if got.EdgeWeight(0, 1, 2) != 0.5 || got.EdgeWeight(2, 3, 4) != 1.5 {
+	s := got.Snapshot()
+	if s.EdgeWeight(0, 1, 2) != 0.5 || s.EdgeWeight(2, 3, 4) != 1.5 {
 		t.Fatal("edge weights lost")
 	}
-	if !got.HasNode(9) {
+	if !s.HasNode(9) {
 		t.Fatal("isolated node lost")
 	}
 	// TTL must survive: pruning after the expiry drops the edges.

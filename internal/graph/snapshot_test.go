@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -30,12 +31,110 @@ func randomGraph(seed uint64, nodes, edges int) *Graph {
 	return g
 }
 
-// TestSnapshotMatchesLiveView: every GraphView accessor must agree
-// between the live graph and a snapshot taken from it.
+// liveState is the live graph's adjacency rebuilt from what a
+// checkpoint persists of it, Nodes() and Edges(): per type, each node's
+// neighbours in ascending ID order and its typed weighted degree summed
+// over them. It is the oracle the snapshot's per-node readers are
+// checked against. Its degrees are summed in edge order, not in the
+// order the live graph accumulated them, so they agree to rounding.
+type liveState struct {
+	nodes []NodeID
+	nbrs  []map[NodeID][]Neighbor
+	deg   []map[NodeID]float64
+}
+
+func liveOf(g *Graph) liveState {
+	l := liveState{nodes: g.Nodes()}
+	for range g.NumEdgeTypes() {
+		l.nbrs = append(l.nbrs, map[NodeID][]Neighbor{})
+		l.deg = append(l.deg, map[NodeID]float64{})
+	}
+	for _, e := range g.Edges() {
+		l.nbrs[e.Type][e.U] = append(l.nbrs[e.Type][e.U], Neighbor{Node: e.V, Weight: e.Weight})
+		l.nbrs[e.Type][e.V] = append(l.nbrs[e.Type][e.V], Neighbor{Node: e.U, Weight: e.Weight})
+		l.deg[e.Type][e.U] += e.Weight
+		l.deg[e.Type][e.V] += e.Weight
+	}
+	for _, byNode := range l.nbrs {
+		for _, ns := range byNode {
+			slices.SortFunc(ns, func(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) })
+		}
+	}
+	return l
+}
+
+// neighbors returns u's distinct neighbours across all types, sorted,
+// or nil.
+func (l liveState) neighbors(u NodeID) []NodeID {
+	var out []NodeID
+	for _, byNode := range l.nbrs {
+		for _, nb := range byNode[u] {
+			out = append(out, nb.Node)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+func (l liveState) weightedDegree(u NodeID) float64 {
+	var d float64
+	for _, deg := range l.deg {
+		d += deg[u]
+	}
+	return d
+}
+
+func (l liveState) weight(t EdgeType, u, v NodeID) float64 {
+	for _, nb := range l.nbrs[t][u] {
+		if nb.Node == v {
+			return nb.Weight
+		}
+	}
+	return 0
+}
+
+func (l liveState) normalizedWeight(t EdgeType, u, v NodeID) float64 {
+	w := l.weight(t, u, v)
+	if w == 0 {
+		return 0
+	}
+	return w / math.Sqrt(l.deg[t][u]*l.deg[t][v])
+}
+
+// hopSets returns the nodes first reached at each hop 1..maxHops from
+// u, walking only type onlyType when it is not negative.
+func (l liveState) hopSets(u NodeID, maxHops, onlyType int) [][]NodeID {
+	seen := map[NodeID]bool{u: true}
+	frontier := []NodeID{u}
+	sets := make([][]NodeID, maxHops)
+	for h := range sets {
+		for _, x := range frontier {
+			for t, byNode := range l.nbrs {
+				if onlyType >= 0 && t != onlyType {
+					continue
+				}
+				for _, nb := range byNode[x] {
+					if !seen[nb.Node] {
+						seen[nb.Node] = true
+						sets[h] = append(sets[h], nb.Node)
+					}
+				}
+			}
+		}
+		frontier = sets[h]
+	}
+	return sets
+}
+
+// TestSnapshotMatchesLiveView: every reader of a snapshot must agree
+// with the live graph it was taken from: the counters and listings the
+// live graph serves directly, and the per-node adjacency, degrees and
+// weights of the state a checkpoint persists (liveOf).
 func TestSnapshotMatchesLiveView(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(seed, 12, 80)
 		s := g.Snapshot()
+		l := liveOf(g)
 		if !reflect.DeepEqual(g.Nodes(), s.Nodes()) {
 			t.Logf("nodes differ")
 			return false
@@ -52,29 +151,32 @@ func TestSnapshotMatchesLiveView(t *testing.T) {
 		if !reflect.DeepEqual(g.Stats(), s.Stats()) {
 			return false
 		}
-		for _, u := range g.Nodes() {
-			if !reflect.DeepEqual(g.Neighbors(u), s.Neighbors(u)) {
+		for _, u := range l.nodes {
+			if !s.HasNode(u) {
 				return false
 			}
-			if g.Degree(u) != s.Degree(u) {
+			if !reflect.DeepEqual(l.neighbors(u), s.Neighbors(u)) {
 				return false
 			}
-			if math.Abs(g.WeightedDegree(u)-s.WeightedDegree(u)) > 1e-12 {
+			if len(l.neighbors(u)) != s.Degree(u) {
+				return false
+			}
+			if math.Abs(l.weightedDegree(u)-s.WeightedDegree(u)) > 1e-12 {
 				return false
 			}
 			for typ := 0; typ < 3; typ++ {
 				et := EdgeType(typ)
-				if !reflect.DeepEqual(g.NeighborsByType(u, et), s.NeighborsByType(u, et)) {
+				if !reflect.DeepEqual(l.nbrs[typ][u], s.NeighborsByType(u, et)) {
 					return false
 				}
-				if math.Abs(g.TypedWeightedDegree(u, et)-s.TypedWeightedDegree(u, et)) > 1e-12 {
+				if math.Abs(l.deg[typ][u]-s.TypedWeightedDegree(u, et)) > 1e-12 {
 					return false
 				}
-				for _, v := range g.Nodes() {
-					if math.Abs(g.EdgeWeight(et, u, v)-s.EdgeWeight(et, u, v)) > 1e-12 {
+				for _, v := range l.nodes {
+					if math.Abs(l.weight(et, u, v)-s.EdgeWeight(et, u, v)) > 1e-12 {
 						return false
 					}
-					if math.Abs(g.NormalizedWeight(et, u, v)-s.NormalizedWeight(et, u, v)) > 1e-12 {
+					if math.Abs(l.normalizedWeight(et, u, v)-s.NormalizedWeight(et, u, v)) > 1e-12 {
 						return false
 					}
 				}
@@ -143,10 +245,10 @@ func TestSnapshotCapOrder(t *testing.T) {
 	}
 }
 
-// checkSample asserts that s.Sample, g.Sample and SampleView over s
-// agree on target u under opts, at every cut depth and under a random
-// cap, which must consume the generator identically.
-func checkSample(t *testing.T, name string, g *Graph, s *Snapshot, u NodeID, base SampleOptions) {
+// checkSample asserts that s.Sample and SampleView over s agree on
+// target u under opts, at every cut depth and under a random cap, which
+// must consume the generator identically.
+func checkSample(t *testing.T, name string, s *Snapshot, u NodeID, base SampleOptions) {
 	t.Helper()
 	for layers := 0; layers <= 3; layers++ {
 		opts := base
@@ -154,9 +256,6 @@ func checkSample(t *testing.T, name string, g *Graph, s *Snapshot, u NodeID, bas
 		want := SampleView(s, u, opts)
 		if got := s.Sample(u, opts); !sameSample(got, want) {
 			t.Fatalf("%s node %d %+v: row-space walk differs from SampleView", name, u, opts)
-		}
-		if got := g.Sample(u, opts); !sameSample(got, want) {
-			t.Fatalf("%s node %d %+v: live graph differs from snapshot", name, u, opts)
 		}
 		opts.MaxNeighbors = 2
 		opts.RNG = tensor.NewRNG(uint64(u) + 1)
@@ -169,9 +268,8 @@ func checkSample(t *testing.T, name string, g *Graph, s *Snapshot, u NodeID, bas
 }
 
 // TestSnapshotSampleMatchesReference: the snapshot's row-space walk must
-// return what the accessor-based SampleView returns, from the live graph
-// and from the snapshot itself, for every option including the cone cut
-// and a random cap. The hand-built cases pin the traps of reading a cap
+// return what the accessor-based SampleView returns over the same
+// snapshot, for every option including the cone cut and a random cap. The hand-built cases pin the traps of reading a cap
 // as a prefix of the published cap order.
 func TestSnapshotSampleMatchesReference(t *testing.T) {
 	graphs := []struct {
@@ -197,7 +295,7 @@ func TestSnapshotSampleMatchesReference(t *testing.T) {
 				{Hops: 2, Mask: MaskEdgeType(1)},
 				{Hops: 1, MaxNeighbors: 2},
 			} {
-				checkSample(t, c.name, c.g, s, u, base)
+				checkSample(t, c.name, s, u, base)
 			}
 		}
 	}
@@ -243,7 +341,7 @@ func TestSnapshotSampleMatchesReference(t *testing.T) {
 			t.Fatalf("%s: sampled %v, want %v", c.name, got, c.want)
 		}
 		for _, u := range g.Nodes() {
-			checkSample(t, c.name, g, s, u, opts)
+			checkSample(t, c.name, s, u, opts)
 		}
 	}
 }
@@ -382,20 +480,37 @@ func TestSampleConeCut(t *testing.T) {
 	}
 }
 
-// TestSnapshotHopScansMatchLive checks the Fig. 4 scan helpers agree.
+// TestSnapshotHopScansMatchLive checks the Fig. 4 scan helpers against
+// the same scans over the live state (liveOf).
 func TestSnapshotHopScansMatchLive(t *testing.T) {
 	g := randomGraph(11, 15, 60)
 	s := g.Snapshot()
+	l := liveOf(g)
 	isFraud := func(n NodeID) bool { return n%3 == 0 }
-	for _, u := range g.Nodes() {
+	for _, u := range l.nodes {
 		for only := -1; only < 3; only++ {
-			if !reflect.DeepEqual(g.FraudRatioByHop(u, 3, only, isFraud), s.FraudRatioByHop(u, 3, only, isFraud)) {
+			want := make([]float64, 3)
+			for h, set := range l.hopSets(u, 3, only) {
+				if len(set) > 0 {
+					want[h] = float64(len(slices.DeleteFunc(slices.Clone(set), func(n NodeID) bool { return !isFraud(n) }))) / float64(len(set))
+				}
+			}
+			if !reflect.DeepEqual(want, s.FraudRatioByHop(u, 3, only, isFraud)) {
 				t.Fatalf("fraud ratio differs at %d type %d", u, only)
 			}
 		}
 		// Hop sets are maps, so summation order differs run to run;
 		// compare the means with a tolerance.
-		gm, sm := g.MeanDegreeByHop(u, 3, true), s.MeanDegreeByHop(u, 3, true)
+		gm := make([]float64, 3)
+		for h, set := range l.hopSets(u, 3, -1) {
+			for _, v := range set {
+				gm[h] += l.weightedDegree(v)
+			}
+			if len(set) > 0 {
+				gm[h] /= float64(len(set))
+			}
+		}
+		sm := s.MeanDegreeByHop(u, 3, true)
 		for h := range gm {
 			if math.Abs(gm[h]-sm[h]) > 1e-9 {
 				t.Fatalf("mean degree differs at %d hop %d: %v vs %v", u, h+1, gm[h], sm[h])
@@ -451,9 +566,10 @@ func TestPruneDropsIsolatedAdjacencyKeepsRegisteredNodes(t *testing.T) {
 	if n := g.Prune(soon.Add(time.Hour)); n != 1 {
 		t.Fatalf("dropped %d want 1", n)
 	}
+	s := g.Snapshot()
 	// Nodes 1 and 2 are now isolated: no adjacency left in any shard...
 	for _, u := range []NodeID{1, 2} {
-		if ns := g.Neighbors(u); len(ns) != 0 {
+		if ns := s.Neighbors(u); len(ns) != 0 {
 			t.Fatalf("node %d still has neighbors %v after prune", u, ns)
 		}
 		if sh := &g.shards[shardOf(u)]; sh.adj[u] != nil {
@@ -462,7 +578,7 @@ func TestPruneDropsIsolatedAdjacencyKeepsRegisteredNodes(t *testing.T) {
 	}
 	// ...but every node remains registered.
 	for _, u := range []NodeID{1, 2, 3, 4, 9} {
-		if !g.HasNode(u) {
+		if !s.HasNode(u) {
 			t.Fatalf("node %d lost registration after prune", u)
 		}
 	}
@@ -470,7 +586,7 @@ func TestPruneDropsIsolatedAdjacencyKeepsRegisteredNodes(t *testing.T) {
 		t.Fatalf("NumNodes %d want 5", g.NumNodes())
 	}
 	// The surviving edge and its degree cache are intact.
-	if g.TypedWeightedDegree(3, 1) != 1 || g.EdgeWeight(1, 3, 4) != 1 {
+	if s.TypedWeightedDegree(3, 1) != 1 || s.EdgeWeight(1, 3, 4) != 1 {
 		t.Fatal("surviving edge damaged by prune")
 	}
 }

@@ -90,20 +90,15 @@ func MaskEdgeType(t EdgeType) EdgeMask { return EdgeMask(t) + 1 }
 // masked returns the excluded type index, or -1.
 func (m EdgeMask) masked() int { return int(m) - 1 }
 
-// Sample extracts the computation subgraph of target from the live graph.
-func (g *Graph) Sample(target NodeID, opts SampleOptions) *Subgraph {
-	return SampleView(g, target, opts)
-}
-
 // SampleView extracts the computation subgraph of target under opts from
-// any GraphView. The target is always included even when Filter rejects
-// it. It is the reference Snapshot.Sample is tested against; serving
-// reaches it only for a user registered after the last snapshot.
-func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
+// s through its per-node accessors. The target is always included even
+// when Filter rejects it. It is the reference Snapshot.Sample is tested
+// against; nothing on the serving path calls it.
+func SampleView(s *Snapshot, target NodeID, opts SampleOptions) *Subgraph {
 	if opts.Hops <= 0 {
 		opts.Hops = 2
 	}
-	numTypes := g.NumEdgeTypes()
+	numTypes := s.NumEdgeTypes()
 	masked := opts.Mask.masked()
 	sg := &Subgraph{Nodes: []NodeID{target}, Hops: []int{0}, Layers: opts.Layers}
 	index := map[NodeID]int{target: 0}
@@ -115,7 +110,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 				if t == masked {
 					continue
 				}
-				ns := g.NeighborsByType(u, EdgeType(t))
+				ns := s.NeighborsByType(u, EdgeType(t))
 				ns = filterNeighbors(ns, opts.Filter)
 				ns = capNeighbors(ns, opts.MaxNeighbors, opts.RNG)
 				for _, nb := range ns {
@@ -133,7 +128,7 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 			break
 		}
 	}
-	sg.addInducedEdges(g, index, masked, opts.RawWeights)
+	sg.addInducedEdges(s, index, masked, opts.RawWeights)
 	if opts.Layers > 0 {
 		sg.cutToCone(opts.Layers)
 	}
@@ -146,8 +141,8 @@ func SampleView(g GraphView, target NodeID, opts SampleOptions) *Subgraph {
 // Unless raw, an edge's weight is its §III-A normalization with
 // full-graph typed weighted degrees, cached per node; an edge with a
 // zero-degree endpoint or a non-positive weight is skipped.
-func (sg *Subgraph) addInducedEdges(g GraphView, index map[NodeID]int, masked int, raw bool) {
-	sg.TypedEdges = make([][]LocalEdge, g.NumEdgeTypes())
+func (sg *Subgraph) addInducedEdges(s *Snapshot, index map[NodeID]int, masked int, raw bool) {
+	sg.TypedEdges = make([][]LocalEdge, s.NumEdgeTypes())
 	for t := range sg.TypedEdges {
 		if t == masked {
 			continue
@@ -156,11 +151,11 @@ func (sg *Subgraph) addInducedEdges(g GraphView, index map[NodeID]int, masked in
 		if !raw {
 			deg = make([]float64, len(sg.Nodes))
 			for li, u := range sg.Nodes {
-				deg[li] = g.TypedWeightedDegree(u, EdgeType(t))
+				deg[li] = s.TypedWeightedDegree(u, EdgeType(t))
 			}
 		}
 		for li, u := range sg.Nodes {
-			for _, nb := range g.NeighborsByType(u, EdgeType(t)) {
+			for _, nb := range s.NeighborsByType(u, EdgeType(t)) {
 				lj, ok := index[nb.Node]
 				if !ok {
 					continue
@@ -270,23 +265,13 @@ func capNeighbors(ns []Neighbor, max int, rng *tensor.RNG) []Neighbor {
 	return top
 }
 
-// FraudRatioByHop delegates to FraudRatioByHopView on the live graph.
-func (g *Graph) FraudRatioByHop(u NodeID, maxHops, onlyType int, isFraud func(NodeID) bool) []float64 {
-	return FraudRatioByHopView(g, u, maxHops, onlyType, isFraud)
-}
-
-// FraudRatioByHop delegates to FraudRatioByHopView on the snapshot.
-func (s *Snapshot) FraudRatioByHop(u NodeID, maxHops, onlyType int, isFraud func(NodeID) bool) []float64 {
-	return FraudRatioByHopView(s, u, maxHops, onlyType, isFraud)
-}
-
-// FraudRatioByHopView returns, for each hop 1..maxHops from node u, the
+// FraudRatioByHop returns, for each hop 1..maxHops from node u, the
 // fraction of nodes at exactly that hop for which isFraud is true. It
 // backs the Fig. 4d–g homophily study: onlyType < 0 walks all edge types
 // (Fig. 4d); onlyType >= 0 restricts the walk to that edge type
 // (Fig. 4e–g per-type homophily). A hop with no nodes reports 0.
-func FraudRatioByHopView(g GraphView, u NodeID, maxHops, onlyType int, isFraud func(NodeID) bool) []float64 {
-	hops := hopSets(g, u, maxHops, onlyType)
+func (s *Snapshot) FraudRatioByHop(u NodeID, maxHops, onlyType int, isFraud func(NodeID) bool) []float64 {
+	hops := hopSets(s, u, maxHops, onlyType)
 	out := make([]float64, maxHops)
 	for h := 1; h <= maxHops; h++ {
 		set := hops[h]
@@ -304,44 +289,34 @@ func FraudRatioByHopView(g GraphView, u NodeID, maxHops, onlyType int, isFraud f
 	return out
 }
 
-// MeanDegreeByHop delegates to MeanDegreeByHopView on the live graph.
-func (g *Graph) MeanDegreeByHop(u NodeID, maxHops int, weighted bool) []float64 {
-	return MeanDegreeByHopView(g, u, maxHops, weighted)
-}
-
-// MeanDegreeByHop delegates to MeanDegreeByHopView on the snapshot.
-func (s *Snapshot) MeanDegreeByHop(u NodeID, maxHops int, weighted bool) []float64 {
-	return MeanDegreeByHopView(s, u, maxHops, weighted)
-}
-
-// MeanDegreeByHopView returns the mean (optionally weighted) degree of
+// MeanDegreeByHop returns the mean (optionally weighted) degree of
 // the nodes at each hop 1..maxHops from u — the Fig. 4h/4i structural
 // study.
-func MeanDegreeByHopView(g GraphView, u NodeID, maxHops int, weighted bool) []float64 {
-	hops := hopSets(g, u, maxHops, -1) // all edge types
+func (s *Snapshot) MeanDegreeByHop(u NodeID, maxHops int, weighted bool) []float64 {
+	hops := hopSets(s, u, maxHops, -1) // all edge types
 	out := make([]float64, maxHops)
 	for h := 1; h <= maxHops; h++ {
 		set := hops[h]
 		if len(set) == 0 {
 			continue
 		}
-		var s float64
+		var sum float64
 		for v := range set {
 			if weighted {
-				s += g.WeightedDegree(v)
+				sum += s.WeightedDegree(v)
 			} else {
-				s += float64(g.Degree(v))
+				sum += float64(s.Degree(v))
 			}
 		}
-		out[h-1] = s / float64(len(set))
+		out[h-1] = sum / float64(len(set))
 	}
 	return out
 }
 
 // hopSets returns, for hops 0..maxHops, the set of nodes first reached at
 // exactly that hop; onlyType >= 0 restricts the walk to that edge type.
-func hopSets(g GraphView, u NodeID, maxHops, onlyType int) []map[NodeID]struct{} {
-	numTypes := g.NumEdgeTypes()
+func hopSets(s *Snapshot, u NodeID, maxHops, onlyType int) []map[NodeID]struct{} {
+	numTypes := s.NumEdgeTypes()
 	sets := make([]map[NodeID]struct{}, maxHops+1)
 	sets[0] = map[NodeID]struct{}{u: {}}
 	visited := map[NodeID]struct{}{u: {}}
@@ -354,7 +329,7 @@ func hopSets(g GraphView, u NodeID, maxHops, onlyType int) []map[NodeID]struct{}
 				if onlyType >= 0 && t != onlyType {
 					continue
 				}
-				for _, nb := range g.NeighborsByType(x, EdgeType(t)) {
+				for _, nb := range s.NeighborsByType(x, EdgeType(t)) {
 					if _, ok := visited[nb.Node]; ok {
 						continue
 					}

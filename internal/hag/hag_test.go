@@ -24,13 +24,14 @@ func cliqueBatch(n int, seed uint64) *gnn.Batch {
 			_ = g.AddEdgeWeight(0, graph.NodeID(i), graph.NodeID(j), 1, never)
 		}
 	}
+	snap := g.Snapshot()
 	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, 1)}
 	for i := 0; i < n; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
 		sg.Hops = append(sg.Hops, 0)
 	}
 	for i := 0; i < n; i++ {
-		for _, nb := range g.NeighborsByType(graph.NodeID(i), 0) {
+		for _, nb := range snap.NeighborsByType(graph.NodeID(i), 0) {
 			sg.TypedEdges[0] = append(sg.TypedEdges[0],
 				graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 		}
@@ -117,6 +118,7 @@ func multiTypeBatch(t *testing.T) (*gnn.Batch, []int, []float64) {
 	for i := 0; i < 10; i++ {
 		g.AddNode(graph.NodeID(i))
 	}
+	snap := g.Snapshot()
 	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, 2)}
 	for i := 0; i < 10; i++ {
 		sg.Nodes = append(sg.Nodes, graph.NodeID(i))
@@ -124,7 +126,7 @@ func multiTypeBatch(t *testing.T) (*gnn.Batch, []int, []float64) {
 	}
 	for typ := 0; typ < 2; typ++ {
 		for i := 0; i < 10; i++ {
-			for _, nb := range g.NeighborsByType(graph.NodeID(i), graph.EdgeType(typ)) {
+			for _, nb := range snap.NeighborsByType(graph.NodeID(i), graph.EdgeType(typ)) {
 				sg.TypedEdges[typ] = append(sg.TypedEdges[typ],
 					graph.LocalEdge{Src: i, Dst: int(nb.Node), Weight: nb.Weight})
 			}

@@ -40,6 +40,7 @@ func testBatch(t *testing.T, numTypes, dim int) *gnn.Batch {
 			t.Fatal(err)
 		}
 	}
+	snap := g.Snapshot()
 	sg := &graph.Subgraph{TypedEdges: make([][]graph.LocalEdge, g.NumEdgeTypes())}
 	for u := graph.NodeID(0); u < 6; u++ {
 		sg.Nodes = append(sg.Nodes, u)
@@ -47,7 +48,7 @@ func testBatch(t *testing.T, numTypes, dim int) *gnn.Batch {
 	}
 	for et := 0; et < g.NumEdgeTypes(); et++ {
 		for i, u := range sg.Nodes {
-			for _, nb := range g.NeighborsByType(u, graph.EdgeType(et)) {
+			for _, nb := range snap.NeighborsByType(u, graph.EdgeType(et)) {
 				sg.TypedEdges[et] = append(sg.TypedEdges[et], graph.LocalEdge{
 					Src: i, Dst: int(nb.Node), Weight: nb.Weight,
 				})

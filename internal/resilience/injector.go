@@ -10,7 +10,6 @@ import (
 
 	"turbo/internal/behavior"
 	"turbo/internal/feature"
-	"turbo/internal/graph"
 	"turbo/internal/telemetry"
 )
 
@@ -156,23 +155,4 @@ func (f *faultyFeatures) Gather(ctx context.Context, users []behavior.UserID, cu
 		return 0, err
 	}
 	return f.src.Gather(ctx, users, cutoff, norm, fn)
-}
-
-// faultyView wraps a graph view with injected sampling latency.
-type faultyView struct {
-	graph.GraphView
-	inj *Injector
-}
-
-// InjectView wraps v so Sample pays the injector's delay and hang faults
-// (error injection does not apply: GraphView.Sample cannot fail, it can
-// only be slow — the caller's deadline turns slowness into an error).
-func InjectView(v graph.GraphView, inj *Injector) graph.GraphView {
-	return &faultyView{GraphView: v, inj: inj}
-}
-
-// Sample implements graph.GraphView.
-func (v *faultyView) Sample(target graph.NodeID, opts graph.SampleOptions) *graph.Subgraph {
-	_ = v.inj.Fault(context.Background()) // delay/hang only; errors have nowhere to surface
-	return v.GraphView.Sample(target, opts)
 }

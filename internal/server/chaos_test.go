@@ -12,7 +12,6 @@ import (
 	"turbo/internal/behavior"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
-	"turbo/internal/graph"
 	"turbo/internal/resilience"
 	"turbo/internal/tensor"
 )
@@ -222,13 +221,13 @@ func TestChaosTotalFeatureOutage(t *testing.T) {
 	}
 }
 
-// TestChaosSamplingHangFallsBackToFeatureModel hangs the graph read path
+// TestChaosSamplingHangFallsBackToFeatureModel hangs the sampling stage
 // and asserts the audit degrades to the feature-only tier within the
-// sampling deadline instead of blocking.
+// sampling deadline instead of blocking, with the hang on its trace.
 func TestChaosSamplingHangFallsBackToFeatureModel(t *testing.T) {
 	cs := newChaosStack(t, resilience.FaultConfig{}, 100)
-	viewInj := resilience.NewInjector(resilience.FaultConfig{HangRate: 1, Hang: 500 * time.Millisecond, Seed: 5})
-	cs.bn.SetViewWrapper(func(v graph.GraphView) graph.GraphView { return resilience.InjectView(v, viewInj) })
+	sampleInj := resilience.NewInjector(resilience.FaultConfig{HangRate: 1, Hang: 500 * time.Millisecond, Seed: 5})
+	cs.bn.SetSampleFault(sampleInj.Fault)
 	cs.pred.Deadlines = StageDeadlines{Sample: 20 * time.Millisecond}
 
 	start := time.Now()
@@ -244,6 +243,10 @@ func TestChaosSamplingHangFallsBackToFeatureModel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
 		t.Fatalf("audit waited out the hang (%v) instead of degrading at the deadline", elapsed)
+	}
+	last := cs.pred.Tel.Tracer.Ring().Last(1)
+	if len(last) != 1 || last[0].Faults()["hang"] != 1 || last[0].ServedBy() != TierFallback {
+		t.Fatalf("the audit's trace does not record the injected hang: %+v", last)
 	}
 }
 

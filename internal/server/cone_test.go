@@ -352,8 +352,9 @@ func TestConeParity(t *testing.T) {
 	})
 
 	// A sample cut for two layers must not be scored by a 3-layer model:
-	// the scoring entry points refuse, and the audit degrades down the
-	// ladder instead of serving a score read from dead rows.
+	// the scoring entry points refuse rather than read dead rows. An
+	// audit cuts its sample for the model that scores it, so a 3-layer
+	// model is served on the full tier.
 	t.Run("depth-2 sample under a 3-layer model", func(t *testing.T) {
 		snap := heteroGraph(7, 30, 260, types).Snapshot()
 		cutOpts := sample
@@ -370,18 +371,11 @@ func TestConeParity(t *testing.T) {
 			}
 		}
 
-		bnServer, pred := newFanoutStack(t, 6)
+		_, pred := newFanoutStack(t, 6)
 		deep := gnn.NewGraphSAGE(gnn.Config{InDim: 2 + feature.NumStatFeatures(), Hidden: []int{4, 4, 4}, MLPHidden: 2, Seed: 1})
 		pred.SwapModel(deep, nil)
-		pred.Fallback = constFallback(0.9)
-		at := t0.Add(3 * time.Hour)
-		if p, err := pred.Predict(1, at); err != nil || p.ServedBy != TierFull {
+		if p, err := pred.Predict(1, t0.Add(3*time.Hour)); err != nil || p.ServedBy != TierFull {
 			t.Fatalf("3-layer model on its own cut: %+v, %v; want the full tier", p, err)
-		}
-		bnServer.SetViewWrapper(func(v graph.GraphView) graph.GraphView { return shallowView{v} })
-		p, err := pred.Predict(1, at)
-		if err != nil || p.ServedBy != TierFallback || !p.Degraded || p.Probability != 0.9 {
-			t.Fatalf("shallow sample was served as %+v, %v; want the fallback tier", p, err)
 		}
 	})
 
@@ -524,15 +518,6 @@ func hiddenConeRows(b *gnn.Batch, layers int) int {
 	return n
 }
 
-// shallowView cuts every sample for two layers, whatever the caller
-// asked for.
-type shallowView struct{ graph.GraphView }
-
-func (v shallowView) Sample(target graph.NodeID, opts graph.SampleOptions) *graph.Subgraph {
-	opts.Layers = 2
-	return v.GraphView.Sample(target, opts)
-}
-
 // TestAuditPoolsSteadyState audits 1,000 distinct users of the serving-
 // shaped world. Sample sizes, and with them every matrix's row count,
 // differ from user to user, so a pool per exact shape never hits; the
@@ -603,9 +588,9 @@ func TestAuditPoolsSteadyState(t *testing.T) {
 // shaped world. The audit's, drawn straight into a batch off the
 // snapshot, allocates only the BN server's eligibility filter and its
 // method value: the batch, its matrices and the walk's state are
-// pooled. A Subgraph cone sample (SampleConeCtx, which the live graph and
-// wrapped views take) allocates its result as well: the Subgraph, Nodes,
-// Hops, TypedEdges and one edge list per type with a live edge.
+// pooled. A Subgraph cone sample (BNServer.sample, what Sample draws
+// cut) allocates its result as well: the Subgraph, Nodes, Hops,
+// TypedEdges and one edge list per type with a live edge.
 // Measured: 2, and 16 for a 163-node sample with live edges on all ten
 // types.
 func TestConeSampleAllocs(t *testing.T) {

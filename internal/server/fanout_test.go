@@ -54,10 +54,7 @@ func TestFanoutParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sg, err := bnServer.SampleConeCtx(context.Background(), u, gnn.Depth(pred.Serving().Model))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sg := bnServer.sample(u, gnn.Depth(pred.Serving().Model))
 		var x *tensor.Matrix
 		for i, node := range sg.Nodes {
 			vec, err := feats.VectorCtx(context.Background(), behavior.UserID(node), at)

@@ -14,6 +14,7 @@ import (
 	"turbo/internal/persist"
 
 	"turbo/internal/behavior"
+	"turbo/internal/graph"
 	"turbo/internal/resilience"
 )
 
@@ -351,11 +352,17 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubgraph renders a user's computation subgraph as Graphviz DOT
-// (the Figs. 5/6/9a visualization, fetched live from the BN server).
+// (the Figs. 5/6/9a visualization, drawn from the BN server's current
+// snapshot). A user the snapshot has no node for and with no registered
+// transaction is unknown: 404, as on /predict.
 func (a *API) handleSubgraph(w http.ResponseWriter, r *http.Request) {
 	uid, err := parseUID(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if node := graph.NodeID(uid); !a.BN.Snapshot().HasNode(node) && !a.BN.TxnFilter()(node) {
+		http.Error(w, fmt.Sprintf("unknown user %d", uid), http.StatusNotFound)
 		return
 	}
 	sg := a.BN.Sample(uid)

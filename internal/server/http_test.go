@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,7 +151,7 @@ func TestHTTPTransaction(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if !bnServer.Graph().HasNode(77) {
+	if !slices.Contains(bnServer.Graph().Nodes(), 77) {
 		t.Fatal("transaction did not register the node")
 	}
 	// Method check.
@@ -216,6 +217,16 @@ func TestHTTPSubgraphDOT(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad uid status %d", resp2.StatusCode)
+	}
+	// A user the server has never seen is 404, as on /predict.
+	resp3, err := http.Get(srv.URL + "/subgraph?uid=999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body3, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusNotFound || strings.TrimSpace(string(body3)) != "unknown user 999" {
+		t.Fatalf("unknown uid: status %d, body %q", resp3.StatusCode, body3)
 	}
 }
 

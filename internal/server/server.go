@@ -53,10 +53,11 @@ type BNServer struct {
 	txnMu  sync.RWMutex
 	hasTxn map[behavior.UserID]bool
 
-	// viewWrap, when set, decorates the read view every Sample runs
-	// against. The fault injector uses it to add latency and hangs to
-	// the sampling path. Install with SetViewWrapper before serving.
-	viewWrap func(graph.GraphView) graph.GraphView
+	// sampleFault, when set, runs before every audit's sample and every
+	// SampleCtx, under the caller's context (an audit's sample deadline).
+	// The fault injector uses it to add latency and hangs to the sampling
+	// stage. Install with SetSampleFault before serving.
+	sampleFault func(context.Context) error
 
 	// tel, when set, receives ingest/advance pipeline metrics. Install
 	// with SetTelemetry before serving. snapPublished is the wall-clock
@@ -395,20 +396,12 @@ func (s *BNServer) Graph() *graph.Graph { return s.g }
 // from (the epoch published by the last Advance).
 func (s *BNServer) Snapshot() *graph.Snapshot { return s.snap.Load() }
 
-// View returns the read view used to serve user u: normally the current
-// lock-free snapshot; the live graph only when u was registered after
-// the last Advance tick and is therefore not in the snapshot yet.
-func (s *BNServer) View(u behavior.UserID) graph.GraphView {
-	if snap := s.snap.Load(); snap != nil && snap.HasNode(graph.NodeID(u)) {
-		return snap
-	}
-	return s.g
-}
-
-// SetViewWrapper installs a decorator applied to the read view on the
-// sampling path (nil removes it). Call before serving: installation is
-// not synchronized with in-flight samples.
-func (s *BNServer) SetViewWrapper(w func(graph.GraphView) graph.GraphView) { s.viewWrap = w }
+// SetSampleFault installs a hook run before every audit's sample and
+// every SampleCtx, under the caller's context (nil removes it). An error
+// from it fails the sample; an audit then degrades as on a sampling
+// timeout. Call before serving: installation is not synchronized with
+// in-flight samples.
+func (s *BNServer) SetSampleFault(fn func(context.Context) error) { s.sampleFault = fn }
 
 // Store exposes the log store (used by the feature service).
 func (s *BNServer) Store() *behavior.Store { return s.store }
@@ -427,33 +420,19 @@ func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 }
 
 // Sample extracts the full computation subgraph of user u (every induced
-// edge: what DOT export and an all-rows reference forward need),
-// restricted to users with transactions. When u is in the current
-// snapshot (the steady state), sampling walks the immutable epoch and
-// performs zero graph mutex acquisitions.
+// edge: what DOT export and an all-rows reference forward need) from the
+// current snapshot, restricted to users with transactions. It performs
+// zero graph mutex acquisitions. A user registered since the last
+// Advance is not in the snapshot yet and is sampled as a lone node.
 func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph { return s.sample(u, 0) }
 
-// sampleView returns the view u is sampled from: View(u), decorated by
-// the view wrapper when one is installed.
-func (s *BNServer) sampleView(u behavior.UserID) graph.GraphView {
-	view := s.View(u)
-	if s.viewWrap != nil {
-		view = s.viewWrap(view)
-	}
-	return view
-}
-
-// sample draws u's subgraph, cut to the computation cone of a
-// layers-deep model when layers is positive (graph.SampleOptions.Layers).
+// sample draws u's subgraph from the current snapshot, cut to the
+// computation cone of a layers-deep model when layers is positive
+// (graph.SampleOptions.Layers).
 func (s *BNServer) sample(u behavior.UserID, layers int) *graph.Subgraph {
-	return s.sampleFrom(s.sampleView(u), u, layers)
-}
-
-// sampleFrom is sample on a view already chosen.
-func (s *BNServer) sampleFrom(view graph.GraphView, u behavior.UserID, layers int) *graph.Subgraph {
 	f := txnWalk{s: s}
 	defer f.done()
-	return view.Sample(graph.NodeID(u), s.sampleOptions(layers, &f))
+	return s.Snapshot().Sample(graph.NodeID(u), s.sampleOptions(layers, &f))
 }
 
 // sampleOptions returns the options every sample of this server is drawn
@@ -464,9 +443,8 @@ func (s *BNServer) sampleOptions(layers int, f *txnWalk) graph.SampleOptions {
 
 // txnWalk is one sample's Filter: users with a transaction. It takes
 // txnMu's read lock once for the whole walk, at the first neighbour it is
-// asked about rather than up front, so a delay injected by a wrapped
-// view is not spent holding it against RegisterTransaction; done drops
-// it.
+// asked about rather than up front, so a walk that asks about none (a
+// target with no edges) never takes it; done drops it.
 type txnWalk struct {
 	s      *BNServer
 	locked bool
@@ -486,71 +464,48 @@ func (f *txnWalk) done() {
 	}
 }
 
-// SampleCtx is Sample under a deadline.
+// beforeSample fails when ctx is done, then runs the sample fault hook,
+// if one is installed, under ctx.
+func (s *BNServer) beforeSample(ctx context.Context, u behavior.UserID) error {
+	err := ctx.Err()
+	if err == nil && s.sampleFault != nil {
+		err = s.sampleFault(ctx)
+	}
+	if err != nil {
+		return fmt.Errorf("server: sampling user %d: %w", u, err)
+	}
+	return nil
+}
+
+// SampleCtx is Sample under ctx: it fails instead of sampling when ctx
+// is done or the sample fault hook fails under it.
 func (s *BNServer) SampleCtx(ctx context.Context, u behavior.UserID) (*graph.Subgraph, error) {
-	return s.SampleConeCtx(ctx, u, 0)
-}
-
-// SampleConeCtx draws, under a deadline, u's subgraph cut to the
-// computation cone of a layers-deep model (0 draws it in full). It runs
-// inline when ctx cannot expire or the view cannot block: an undecorated
-// snapshot, which is in memory and lock-free. Otherwise (the live graph,
-// or a wrapped view that may inject delays) sampling runs in a goroutine
-// and SampleConeCtx returns ctx.Err() as soon as the deadline fires,
-// leaving the (possibly hung) sample to finish in the background — slow
-// graph reads cost the audit its sampling budget, never the whole
-// request.
-func (s *BNServer) SampleConeCtx(ctx context.Context, u behavior.UserID, layers int) (*graph.Subgraph, error) {
-	return s.sampleCone(ctx, s.sampleView(u), u, layers)
-}
-
-// sampleCone is SampleConeCtx on a view already chosen.
-func (s *BNServer) sampleCone(ctx context.Context, view graph.GraphView, u behavior.UserID, layers int) (*graph.Subgraph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("server: sampling user %d: %w", u, err)
+	if err := s.beforeSample(ctx, u); err != nil {
+		return nil, err
 	}
-	if _, snap := view.(*graph.Snapshot); snap || ctx.Done() == nil {
-		return s.sampleFrom(view, u, layers), nil
-	}
-	ch := make(chan *graph.Subgraph, 1)
-	go func() { ch <- s.sampleFrom(view, u, layers) }()
-	select {
-	case sg := <-ch:
-		return sg, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("server: sampling user %d: %w", u, ctx.Err())
-	}
+	return s.Sample(u), nil
 }
 
 // sampleBatch draws the batch an audit of u scores under model, without
-// features: u's sample cut to model's computation cone. Off an
-// undecorated snapshot, the steady state, gnn.SampleCone writes the
-// model's matrices straight from the walk, inline and with no timer: the
-// snapshot cannot block. Any other view may, so the sample is drawn
-// under the sample deadline (sampleCone) and compiled by gnn.NewBatch.
-// It also returns the sample's nodes (valid until the batch's Release)
-// and its typed edge count.
+// features: u's sample from the current snapshot, cut to model's
+// computation cone, which gnn.SampleCone writes straight into the
+// model's matrices. The snapshot is in memory and lock-free, so only the
+// sample fault hook can block: the sample deadline is armed only when
+// one is installed. It also returns the sample's nodes (valid until the
+// batch's Release) and its typed edge count.
 func (p *PredictionServer) sampleBatch(ctx context.Context, u behavior.UserID, model gnn.Model) (*gnn.Batch, []graph.NodeID, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, fmt.Errorf("server: sampling user %d: %w", u, err)
-	}
-	view := p.bn.sampleView(u)
-	if snap, ok := view.(*graph.Snapshot); ok {
-		f := txnWalk{s: p.bn}
-		defer f.done()
-		b, nodes, edges := gnn.SampleCone(snap, graph.NodeID(u), p.bn.sampleOptions(0, &f), model)
-		return b, nodes, edges, nil
-	}
-	if p.Deadlines.Sample > 0 {
+	if p.bn.sampleFault != nil && p.Deadlines.Sample > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.Deadlines.Sample)
 		defer cancel()
 	}
-	sg, err := p.bn.sampleCone(ctx, view, u, gnn.Depth(model))
-	if err != nil {
+	if err := p.bn.beforeSample(ctx, u); err != nil {
 		return nil, nil, 0, err
 	}
-	return gnn.NewBatch(sg, nil), sg.Nodes, sg.NumEdges(), nil
+	f := txnWalk{s: p.bn}
+	defer f.done()
+	b, nodes, edges := gnn.SampleCone(p.bn.Snapshot(), graph.NodeID(u), p.bn.sampleOptions(0, &f), model)
+	return b, nodes, edges, nil
 }
 
 // Serving tiers of the degradation ladder, reported in

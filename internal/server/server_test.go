@@ -62,7 +62,7 @@ func cachedScores(pred *PredictionServer) map[behavior.UserID]float64 {
 
 func TestBNServerBuildsEdgesFromIngest(t *testing.T) {
 	bnServer, _ := newTestStack(t)
-	g := bnServer.Graph()
+	g := bnServer.Snapshot()
 	if g.EdgeWeight(0, 1, 2) == 0 {
 		t.Fatal("shared device did not create an edge")
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,6 +9,9 @@ import (
 
 	"turbo/internal/behavior"
 	"turbo/internal/bn"
+	"turbo/internal/feature"
+	"turbo/internal/gnn"
+	"turbo/internal/tensor"
 )
 
 // TestSampleServedFromSnapshot: after Advance, predictions must be
@@ -22,9 +26,6 @@ func TestSampleServedFromSnapshot(t *testing.T) {
 	if !snap.HasNode(1) {
 		t.Fatal("registered user missing from snapshot")
 	}
-	if v := bnServer.View(1); v != snap {
-		t.Fatal("View should serve a snapshotted user from the snapshot")
-	}
 	e1 := snap.Epoch()
 	bnServer.Advance(t0.Add(3 * time.Hour))
 	if e2 := bnServer.Snapshot().Epoch(); e2 <= e1 {
@@ -32,21 +33,38 @@ func TestSampleServedFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestViewFallsBackForFreshUsers: a user registered after the last
-// Advance tick is not in the snapshot yet; View must fall back to the
-// live graph so the audit still sees the user.
-func TestViewFallsBackForFreshUsers(t *testing.T) {
-	bnServer, _ := newTestStack(t)
+// TestFreshUserAuditedAsLoneNode: a user registered after the last
+// Advance tick is not in the snapshot yet, and has no edges yet either:
+// edges are written only by Advance and recovery, which both publish a
+// snapshot. Its audit samples it as a lone node on the full tier and
+// scores it bitwise as the tape does over that one-node batch.
+func TestFreshUserAuditedAsLoneNode(t *testing.T) {
+	bnServer, pred := newTestStack(t)
 	bnServer.RegisterTransaction(99) // no Advance afterwards
 	if bnServer.Snapshot().HasNode(99) {
 		t.Fatal("stale snapshot unexpectedly contains the fresh user")
 	}
-	if v := bnServer.View(99); v != bnServer.Graph() {
-		t.Fatal("View should fall back to the live graph for a fresh user")
+	feats := featureSource(pred).(*feature.Service)
+	if err := feats.PutProfile(99, []float64{99, 1}); err != nil {
+		t.Fatal(err)
 	}
 	sg := bnServer.Sample(99)
 	if sg.NumNodes() != 1 || sg.Nodes[0] != 99 {
 		t.Fatalf("fresh user sample wrong: %v", sg.Nodes)
+	}
+	at := t0.Add(3 * time.Hour)
+	p, err := pred.Predict(99, at)
+	if err != nil || p.ServedBy != TierFull || p.SubgraphNodes != 1 {
+		t.Fatalf("fresh user audit %+v, %v; want the full tier over one node", p, err)
+	}
+	vec, err := feats.VectorCtx(context.Background(), 99, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, len(vec))
+	copy(x.Row(0), vec)
+	if want := gnn.TapeScores(pred.Serving().Model, gnn.NewBatch(sg, x))[0]; p.Probability != want {
+		t.Fatalf("fresh user scored %v, tape over the lone node %v", p.Probability, want)
 	}
 }
 

@@ -104,10 +104,7 @@ func TestSwapScoresF64UntilGateVerdict(t *testing.T) {
 	}
 
 	// Reference scores of the next model over the audit's own sample.
-	sg, err := bnServer.SampleConeCtx(context.Background(), 1, gnn.Depth(next))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sg := bnServer.sample(1, gnn.Depth(next))
 	var x *tensor.Matrix
 	for i, node := range sg.Nodes {
 		vec, err := featureSource(pred).(*feature.Service).VectorCtx(context.Background(), behavior.UserID(node), at)

@@ -18,7 +18,7 @@ var never = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 // test), freezes a snapshot, and compiles the full-graph batch whose row
 // i is node i — the same shape the eval harness and the BN server feed
 // the sweep engine.
-func testWorld(seed uint64, n, types, dim int) (*graph.Graph, graph.GraphView, *gnn.Batch, *tensor.Matrix, []graph.NodeID) {
+func testWorld(seed uint64, n, types, dim int) (*graph.Graph, *graph.Snapshot, *gnn.Batch, *tensor.Matrix, []graph.NodeID) {
 	rng := tensor.NewRNG(seed | 1)
 	g := graph.New(types)
 	for i := 0; i < n; i++ {

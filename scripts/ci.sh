@@ -26,6 +26,9 @@ GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal
 echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
+echo "== one read path (a user registered since the last Advance is audited on the full tier as a lone node, bitwise the tape; a hung sample fault degrades the audit at the sample deadline and is on its trace; 5 rounds under -race)"
+go test -race -count=5 -run 'TestFreshUserAuditedAsLoneNode|TestChaosSamplingHangFallsBackToFeatureModel' ./internal/server/
+
 echo "== feature-table exactness smoke (random Append/AppendBatch/DropBefore/PutProfile/InvalidateUser interleavings vs Apply(Profile ⊕ StatFeatures) bitwise through two normalizers and none, burst after a cached read, concurrent ingest ten times over raw and through two normalizers, a gather parked inside PutProfile never serves the old profile's row, a warm row hands over its normalizer memo and the cold path memoizes nothing; full-path audit after a burst scores fresh features; under -race)"
 go test -race -count=1 -run 'TestTableExact|TestTableServesBurstAfterCachedRead|TestGatherStopsAtLowestFailingRow|TestGatherDuringPutProfile|TestGatherMemoizesPerNorm' ./internal/feature/
 go test -race -count=10 -run 'TestTableExactUnderConcurrentIngest|TestTableExactNormsUnderConcurrentIngest' ./internal/feature/
@@ -54,7 +57,7 @@ echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every 
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsMatchReference|TestStarCompileAllocs' ./internal/embed/
 go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
-echo "== cone and full-graph parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; the same writer's full-graph batches (FullBatch) bitwise NewBatch over FullSubgraph with their f32 mirrors, every aggregation, raw and normalized, masked or not, shuffled node lists with an absent ID, three seeds, GAT's tape structure vs the merged edge list; shallow sample degrades; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
+echo "== cone and full-graph parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; the same writer's full-graph batches (FullBatch) bitwise NewBatch over FullSubgraph with their f32 mirrors, every aggregation, raw and normalized, masked or not, shuffled node lists with an absent ID, three seeds, GAT's tape structure vs the merged edge list; a cut sample is refused by a deeper model's ScoreCtx and Score32, and a 3-layer model's audit, cut for its own depth, serves the full tier; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
 go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSampleMatchesReference|TestSnapshotCapOrder|TestSnapshotSampleConcurrentPool|TestSampleConeCut|TestFullBatchMatchesNewBatch' ./internal/server/ ./internal/graph/ ./internal/gnn/
 
 echo "== crash-recovery property test (random kill points, under -race)"
