@@ -2,12 +2,15 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
 // bench_test.go holds the kernel benchmarks behind the tuning constants
-// in parallel.go and matrix.go, and the GFLOP/s grid scripts/bench.sh
-// publishes as BENCH_kernels.json.
+// in parallel.go and matrix.go, the GFLOP/s grid, and the float64 row
+// tile and tanh benchmarks behind the vector kernels:
+//
+//	go test -run '^$' -bench 'MatMulKernels|ParallelCrossover|F64RowTiles|Tanh64' ./internal/tensor/
 
 func benchMatrix(rows, cols int, seed uint64) *Matrix {
 	rng := NewRNG(seed)
@@ -76,8 +79,7 @@ func reportGFLOPS(b *testing.B, m, k, n int) {
 
 // BenchmarkMatMulKernels is the kernel grid: square sizes × {serial
 // naive, blocked serial, blocked+pool} × {f64, f32}, where "blocked" is
-// the register-tiled row kernel. scripts/bench.sh turns this into
-// BENCH_kernels.json.
+// the register-tiled row kernel.
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		a := benchMatrix(n, n, uint64(71+n))
@@ -127,20 +129,60 @@ func BenchmarkMatMulKernels(b *testing.B) {
 // serving shapes — k inner terms (27 raw features, 32 and 64 hidden
 // widths) by n output columns (1 for the attention vector and the
 // logit head, 8 for a GAT head, 16 and 32 for hidden layers) — and
-// reports ns per row.
+// reports ns per row. The dense arm fills A with normals; the relu arm
+// sets about half its entries to ±0 at random positions, as a ReLU'd
+// hidden layer feeding the next product does, which is where a
+// per-entry zero test mispredicts. 1,024 rows, a W1k sweep's layer, so
+// the branch predictor cannot learn the zero pattern across iterations.
 func BenchmarkF64RowTiles(b *testing.B) {
-	const rows = 64
+	const rows = 1024
 	for _, k := range []int{27, 32, 64} {
 		for _, n := range []int{1, 8, 16, 32} {
-			a := benchMatrix(rows, k, uint64(k))
-			w := benchMatrix(k, n, uint64(n))
-			dst := New(rows, n)
-			b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					matMulRange(dst, a, w, 0, rows)
+			for _, fill := range []string{"dense", "relu"} {
+				a := benchMatrix(rows, k, uint64(k))
+				if fill == "relu" {
+					rng := NewRNG(uint64(k + n))
+					for i := range a.Data {
+						if rng.Intn(2) == 0 {
+							a.Data[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+						}
+					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-			})
+				w := benchMatrix(k, n, uint64(n))
+				dst := New(rows, n)
+				b.Run(fmt.Sprintf("k=%d/n=%d/%s", k, n, fill), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						matMulRange(dst, a, w, 0, rows)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+				})
+			}
 		}
 	}
+}
+
+var tanhSink float64
+
+// BenchmarkTanh64 times float64 tanh over 1,024 normals at the scale of
+// a pre-activation (σ = 2, so both of math.tanh's branches are taken):
+// a math.Tanh loop against TanhInPlace, which returns the same bits.
+func BenchmarkTanh64(b *testing.B) {
+	src := benchMatrix(1, 1024, 97).ScaleInPlace(2)
+	m := src.Clone()
+	b.Run("math.Tanh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(m.Data, src.Data)
+			for j, v := range m.Data {
+				m.Data[j] = math.Tanh(v)
+			}
+		}
+		tanhSink = m.Data[0]
+	})
+	b.Run("TanhInPlace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(m.Data, src.Data)
+			TanhInPlace(m)
+		}
+		tanhSink = m.Data[0]
+	})
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Low-level kernel dispatch. Each kernel has a portable Go
 // implementation and, on amd64 with AVX2+FMA, a vector one; simdEnabled
@@ -12,7 +15,28 @@ import "fmt"
 //     AVX2 versions use separate VMULPD/VADDPD (never FMA), which rounds
 //     exactly like the Go `d[j] += a * b[j]` it mirrors — and the terms
 //     of one element arrive in the scalar loop's order. The portable
-//     loops write float64(a*b) so no platform may fuse them either.
+//     loops write float64(a*b) so no platform may fuse them either. A
+//     term the scalar loop skips (a = ±0) may instead add −0, the
+//     additive identity (s + −0 = s for every s, −0 and NaN included),
+//     as the 4-row one-column kernel does. The float64 ReLU is a mask
+//     with the scalar branch's compare, so −0 and NaN pass unchanged.
+//   - float64 transcendentals are bitwise-identical to the Go math
+//     function they replace: a lane performs exactly the IEEE
+//     operations, in the same order, that the Go function performs on
+//     that lane's input. tanh64 replicates math.Tanh
+//     ($GOROOT/src/math/tanh.go): every lane computes both of its
+//     branches and blends them. The rational branch is written as gc
+//     compiles tanh.go on amd64, with no FMA. The exponential branch,
+//     1 − 2/(e+1), takes e = Exp(2|x|) from math.archExp's avxfma path
+//     ($GOROOT/src/math/exp_amd64.s), instruction for instruction: that
+//     path is straight-line arithmetic for the arguments tanh passes it,
+//     so it vectorizes without changing a rounding. math.archExp takes
+//     the avxfma path when the CPU has AVX and FMA, which simdEnabled
+//     also requires. TestTanh64BitwiseMathTanh compares against
+//     math.Tanh at run time, on over 4M inputs. A toolchain whose
+//     math.Tanh or math.Exp changes therefore fails that test instead
+//     of moving the tape's values silently, and so does disabling FMA
+//     in the runtime alone (GODEBUG=cpu.fma=off).
 //   - float32 kernels are *not* bitwise-pinned: the AVX2 versions use
 //     FMA and the serving path that consumes them is gated by an
 //     explicit |Δlogit| tolerance (see DESIGN.md §13).
@@ -41,11 +65,14 @@ func daxpy(dst, src []float64, alpha float64) {
 
 // dgemmRow accumulates one dense float64 output row: drow[j] += Σ_k
 // arow[k]*b[k*ldb+j], k ascending, skipping every k whose arow[k] is ±0
-// (NaN is not skipped). The AVX2 tiles (16 and 8 columns) keep their
-// slice of the row in registers across the whole k loop, so a k step is
-// one broadcast plus a VMULPD/VADDPD pair per 4 columns, with no
-// intermediate stores. The one-column matrix–vector case is a scalar
-// running sum; the tail under 8 columns runs the portable loop.
+// (NaN is not skipped). Under AVX2 the columns up to the last multiple
+// of 8 run dgemmRowNZ: arow's nonzero entries are compacted into a bit
+// mask, without a branch per entry (a per-entry zero test mispredicts
+// on ReLU'd rows), and 16- and 8-column tiles held in registers run
+// over its set bits, one broadcast plus a VMULPD/VADDPD pair per 4
+// columns per entry. The one-column matrix–vector case is a scalar
+// running sum (dgemvRows runs four rows of it at once); the tail under
+// 8 columns runs the portable loop.
 func dgemmRow(drow, arow, b []float64, ldb int) {
 	n := len(drow)
 	if len(arow) == 0 || n == 0 {
@@ -66,18 +93,29 @@ func dgemmRow(drow, arow, b []float64, ldb int) {
 		return
 	}
 	j := 0
-	if simdEnabled {
-		for ; j+16 <= n; j += 16 {
-			dgemmRowJ16(drow[j:j+16], arow, b[j:], ldb)
-		}
-		if j+8 <= n {
-			dgemmRowJ8(drow[j:j+8], arow, b[j:], ldb)
-			j += 8
-		}
+	if simdEnabled && n >= 8 {
+		j = n &^ 7
+		dgemmRowNZ(drow[:j], arow, b, ldb)
 	}
 	if j < n {
 		dgemmRowGeneric(drow[j:], arow, b[j:], ldb)
 	}
+}
+
+// dgemvRows runs rows [lo, hi) of the one-column product d += a×b (a
+// row-major with len(b) columns, d one element per row) four rows at a
+// time under AVX2, each row's sum bitwise dgemmRow's, and returns the
+// first row it left for dgemmRow: hi less the remainder under 4, or lo
+// without AVX2.
+func dgemvRows(d, a, b []float64, lo, hi int) int {
+	if !simdEnabled {
+		return lo
+	}
+	k := len(b)
+	for ; lo+4 <= hi; lo += 4 {
+		dgemv4AVX2(d[lo:lo+4], a[lo*k:(lo+4)*k], b)
+	}
+	return lo
 }
 
 func dgemmRowGeneric(drow, arow, b []float64, ldb int) {
@@ -146,6 +184,33 @@ func panicGather(cols, pos []int, p, rows int) {
 		r = pos[r]
 	}
 	panic(fmt.Sprintf("tensor: CSR entry %d gathers row %d of %d", p, r, rows))
+}
+
+// relu64 sets every negative v[i] to +0, keeping −0 and NaN.
+func relu64(v []float64) {
+	if simdEnabled && len(v) >= 4 {
+		m := len(v) &^ 3
+		relu64AVX2(v[:m])
+		v = v[m:]
+	}
+	for i, x := range v {
+		if x < 0 {
+			v[i] = 0
+		}
+	}
+}
+
+// tanh64 computes v[i] = math.Tanh(v[i]), four lanes at a time under
+// AVX2+FMA, bit for bit either way.
+func tanh64(v []float64) {
+	if simdEnabled && len(v) >= 4 {
+		m := len(v) &^ 3
+		tanh64AVX2(v[:m])
+		v = v[m:]
+	}
+	for i, x := range v {
+		v[i] = math.Tanh(x)
+	}
 }
 
 // pick returns whichever of k64 and k32 is a K — the float64 kernel

@@ -45,15 +45,30 @@ func init() {
 // len(dst) must be a positive multiple of 8; len(src) >= len(dst).
 func daxpyAVX2(dst, src []float64, alpha float64)
 
-// dgemmRowJ16 computes drow[j] += Σ_k arow[k]*b[k*ldb+j] for a 16-column
-// float64 tile held in four YMM accumulators across the whole k loop,
-// skipping k where arow[k] is ±0, with VMULPD+VADDPD (no FMA) so each
-// element rounds like the scalar loop. len(drow) must be exactly 16 and
-// b must cover (len(arow)-1)*ldb+16.
-func dgemmRowJ16(drow, arow, b []float64, ldb int)
+// dgemmRowNZ computes drow[j] += Σ_k arow[k]*b[k*ldb+j], skipping k
+// where arow[k] is ±0, for 16- then 8-column float64 tiles held in YMM
+// accumulators across the k loop. It compacts arow's nonzero entries
+// into a bit mask once per 64 entries, without a branch on any entry,
+// and runs every tile over the mask's set bits (straight down arow when
+// none is clear), with VMULPD+VADDPD (no FMA) so each element rounds
+// like the scalar loop. len(drow) must be a positive multiple of 8 and
+// b must cover (len(arow)-1)*ldb+len(drow).
+func dgemmRowNZ(drow, arow, b []float64, ldb int)
 
-// dgemmRowJ8 is the 8-column variant of dgemmRowJ16.
-func dgemmRowJ8(drow, arow, b []float64, ldb int)
+// dgemv4AVX2 computes d[r] += Σ_k a[r*len(b)+k]*b[k] for the four rows
+// r in 0..3 at once, one row per lane, k ascending, skipping k where
+// a[r*len(b)+k] is ±0 (the lane adds −0 instead). VMULPD+VADDPD, no
+// FMA. len(d) must be at least 4 and len(a) at least 4*len(b).
+func dgemv4AVX2(d, a, b []float64)
+
+// relu64AVX2 sets v[i] = +0 where v[i] < 0, 4-wide, keeping −0 and NaN
+// like the scalar branch. len(v) must be a positive multiple of 4.
+func relu64AVX2(v []float64)
+
+// tanh64AVX2 computes v[i] = math.Tanh(v[i]) bit for bit, 4-wide (see
+// the precision contract in kernels.go). len(v) must be a positive
+// multiple of 4.
+func tanh64AVX2(v []float64)
 
 // dcsrRowJ16 computes drow[j] += Σ_p w[p]*h[r(p)*ldh+j] for a 16-column
 // float64 tile held in registers across all nonzeros, where r(p) is

@@ -46,87 +46,405 @@ daxpy_loop:
 	VZEROUPPER
 	RET
 
-// func dgemmRowJ16(drow, arow, b []float64, ldb int)
-// 16-column float64 output tile held in Y1..Y4 across the whole k loop.
-// Per k: skip when arow[k] is ±0 (its bits shifted left by one are
-// zero; NaN is never skipped), else broadcast arow[k], VMULPD it
-// against B row k and VADDPD the product (first operand) into the
-// tile. Never FMA, k ascending: bitwise the scalar loop per element.
-TEXT ·dgemmRowJ16(SB), NOSPLIT, $0-80
-	MOVQ    drow_base+0(FP), DI
-	MOVQ    arow_base+24(FP), SI
-	MOVQ    arow_len+32(FP), CX
-	MOVQ    b_base+48(FP), DX
-	MOVQ    ldb+72(FP), R8
-	SHLQ    $3, R8
-	VMOVUPD (DI), Y1
-	VMOVUPD 32(DI), Y2
-	VMOVUPD 64(DI), Y3
-	VMOVUPD 96(DI), Y4
-	TESTQ   CX, CX
-	JZ      dgemm16_done
+// func dgemmRowNZ(drow, arow, b []float64, ldb int)
+// drow[j] += Σ_k arow[k]*b[k*ldb+j] over k ascending, skipping every k
+// whose arow[k] is ±0 (NaN is never skipped); len(drow) is a positive
+// multiple of 8. arow is taken in chunks of up to 64 entries. Each chunk
+// is first compacted, without a branch on any entry, into a bit mask of
+// its nonzero entries, built from the last entry down so that bit i is
+// entry i:
+//   - four entries at a time, VCMPPD NEQ_UQ against zero (false exactly
+//     for ±0) and VMOVMSKPD, shifted in four bits at a time;
+//   - the tail under four, one bit at a time: the entry's bits shifted
+//     left by one are zero exactly for ±0, NEG sets the carry iff they
+//     are not, and ADC adds the carry as the new low bit.
+// The column tiles (16 wide in Y1..Y4, then 8 wide in Y1..Y2) then run
+// over the chunk: straight down arow when the mask has no zero bit (a
+// dense chunk needs no test at all), otherwise over the set bits in
+// ascending order (BSF, then clear the lowest bit). Per entry:
+// broadcast a[k], VMULPD against B row k, VADDPD the product (first
+// operand) into the tile. Never FMA, k ascending: bitwise the scalar
+// skip-zero loop per element. No branch tests a single entry: the
+// data-dependent branches are the dense-or-not choice, once per chunk,
+// and the exit of the loop over set bits, once per tile.
+TEXT ·dgemmRowNZ(SB), NOSPLIT, $0-80
+	MOVQ  drow_base+0(FP), DI
+	MOVQ  drow_len+8(FP), R12
+	MOVQ  arow_base+24(FP), SI
+	MOVQ  arow_len+32(FP), CX
+	MOVQ  b_base+48(FP), DX
+	MOVQ  ldb+72(FP), R8
+	SHLQ  $3, R8            // B row stride in bytes
+	VXORPD Y9, Y9, Y9
+	TESTQ CX, CX
+	JZ    nz_ret
 
-dgemm16_loop:
-	MOVQ         (SI), AX
-	SHLQ         $1, AX
-	JZ           dgemm16_next
-	VBROADCASTSD (SI), Y0
-	VMULPD       (DX), Y0, Y5
-	VMULPD       32(DX), Y0, Y6
-	VMULPD       64(DX), Y0, Y7
-	VMULPD       96(DX), Y0, Y8
+nz_chunk:
+	MOVQ CX, R10
+	CMPQ R10, $64
+	JBE  nz_take
+	MOVQ $64, R10
+
+nz_take:
+	SUBQ R10, CX
+	XORQ R11, R11           // nonzero mask
+	LEAQ (SI)(R10*8), AX    // one past the chunk's last entry
+	MOVQ R10, R9
+	ANDQ $3, R9
+	JZ   nz_groups
+
+nz_tail:
+	SUBQ $8, AX
+	SHLQ $1, R11
+	MOVQ (AX), BX
+	SHLQ $1, BX
+	NEGQ BX
+	ADCQ $0, R11
+	DECQ R9
+	JNZ  nz_tail
+
+nz_groups:
+	CMPQ AX, SI
+	JEQ  nz_masked
+
+nz_group:
+	SUBQ      $32, AX
+	VCMPPD    $0x04, (AX), Y9, Y11 // a != 0 (NEQ_UQ)
+	VMOVMSKPD Y11, BX
+	SHLQ      $4, R11
+	ORQ       BX, R11
+	CMPQ      AX, SI
+	JNE       nz_group
+
+nz_masked:
+	TESTQ R11, R11
+	JZ    nz_next
+	MOVQ  DI, R15           // drow tile
+	MOVQ  DX, R13           // B column of the tile
+	MOVQ  R12, R14          // columns left
+	MOVQ  R11, BX
+	NOTQ  BX
+	BSFQ  BX, BX            // the first ±0 entry, if any
+	JEQ   nz_dense16
+	CMPQ  BX, R10
+	JAE   nz_dense16
+
+nz_tile16:
+	CMPQ    R14, $16
+	JB      nz_tile8
+	VMOVUPD (R15), Y1
+	VMOVUPD 32(R15), Y2
+	VMOVUPD 64(R15), Y3
+	VMOVUPD 96(R15), Y4
+	MOVQ    R11, R9
+
+nz_loop16:
+	BSFQ         R9, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       (R13)(AX*1), Y0, Y5
+	VMULPD       32(R13)(AX*1), Y0, Y6
+	VMULPD       64(R13)(AX*1), Y0, Y7
+	VMULPD       96(R13)(AX*1), Y0, Y8
 	VADDPD       Y1, Y5, Y1
 	VADDPD       Y2, Y6, Y2
 	VADDPD       Y3, Y7, Y3
 	VADDPD       Y4, Y8, Y4
+	LEAQ         -1(R9), BX
+	ANDQ         BX, R9
+	JNZ          nz_loop16
+	VMOVUPD      Y1, (R15)
+	VMOVUPD      Y2, 32(R15)
+	VMOVUPD      Y3, 64(R15)
+	VMOVUPD      Y4, 96(R15)
+	ADDQ         $128, R15
+	ADDQ         $128, R13
+	SUBQ         $16, R14
+	JMP          nz_tile16
 
-dgemm16_next:
-	ADDQ $8, SI
-	ADDQ R8, DX
-	DECQ CX
-	JNZ  dgemm16_loop
+nz_tile8:
+	TESTQ   R14, R14
+	JZ      nz_next
+	VMOVUPD (R15), Y1
+	VMOVUPD 32(R15), Y2
+	MOVQ    R11, R9
 
-dgemm16_done:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	VMOVUPD Y3, 64(DI)
-	VMOVUPD Y4, 96(DI)
+nz_loop8:
+	BSFQ         R9, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       (R13)(AX*1), Y0, Y5
+	VMULPD       32(R13)(AX*1), Y0, Y6
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	LEAQ         -1(R9), BX
+	ANDQ         BX, R9
+	JNZ          nz_loop8
+	VMOVUPD      Y1, (R15)
+	VMOVUPD      Y2, 32(R15)
+	JMP          nz_next
+
+nz_dense16:
+	CMPQ    R14, $16
+	JB      nz_dense8
+	VMOVUPD (R15), Y1
+	VMOVUPD 32(R15), Y2
+	VMOVUPD 64(R15), Y3
+	VMOVUPD 96(R15), Y4
+	MOVQ    SI, AX
+	MOVQ    R13, R9
+	MOVQ    R10, BX
+
+nz_dense16_loop:
+	VBROADCASTSD (AX), Y0
+	VMULPD       (R9), Y0, Y5
+	VMULPD       32(R9), Y0, Y6
+	VMULPD       64(R9), Y0, Y7
+	VMULPD       96(R9), Y0, Y8
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	VADDPD       Y3, Y7, Y3
+	VADDPD       Y4, Y8, Y4
+	ADDQ         $8, AX
+	ADDQ         R8, R9
+	DECQ         BX
+	JNZ          nz_dense16_loop
+	VMOVUPD      Y1, (R15)
+	VMOVUPD      Y2, 32(R15)
+	VMOVUPD      Y3, 64(R15)
+	VMOVUPD      Y4, 96(R15)
+	ADDQ         $128, R15
+	ADDQ         $128, R13
+	SUBQ         $16, R14
+	JMP          nz_dense16
+
+nz_dense8:
+	TESTQ   R14, R14
+	JZ      nz_next
+	VMOVUPD (R15), Y1
+	VMOVUPD 32(R15), Y2
+	MOVQ    SI, AX
+	MOVQ    R13, R9
+	MOVQ    R10, BX
+
+nz_dense8_loop:
+	VBROADCASTSD (AX), Y0
+	VMULPD       (R9), Y0, Y5
+	VMULPD       32(R9), Y0, Y6
+	VADDPD       Y1, Y5, Y1
+	VADDPD       Y2, Y6, Y2
+	ADDQ         $8, AX
+	ADDQ         R8, R9
+	DECQ         BX
+	JNZ          nz_dense8_loop
+	VMOVUPD      Y1, (R15)
+	VMOVUPD      Y2, 32(R15)
+
+nz_next:
+	LEAQ  (SI)(R10*8), SI   // next chunk of arow
+	IMULQ R8, R10
+	ADDQ  R10, DX           // and of B's rows
+	TESTQ CX, CX
+	JNZ   nz_chunk
+
+nz_ret:
 	VZEROUPPER
 	RET
 
-// func dgemmRowJ8(drow, arow, b []float64, ldb int)
-// The 8-column variant of dgemmRowJ16.
-TEXT ·dgemmRowJ8(SB), NOSPLIT, $0-80
-	MOVQ    drow_base+0(FP), DI
-	MOVQ    arow_base+24(FP), SI
-	MOVQ    arow_len+32(FP), CX
-	MOVQ    b_base+48(FP), DX
-	MOVQ    ldb+72(FP), R8
-	SHLQ    $3, R8
+// func dgemv4AVX2(d, a, b []float64)
+// The one-column product for four rows at once: d[r] += Σ_k
+// a[r*len(b)+k]*b[k] for r in 0..3, k ascending, one row per lane of
+// Y0. A term whose a is ±0 adds −0 instead of its product (which may be
+// NaN when b[k] is ±Inf or NaN): −0 is the additive identity, so the
+// lane's sum is bitwise that of the scalar loop that skips the term.
+// VMULPD then VADDPD (accumulator first, as in s += p), never FMA.
+TEXT ·dgemv4AVX2(SB), NOSPLIT, $0-72
+	MOVQ      d_base+0(FP), DI
+	MOVQ      a_base+24(FP), SI
+	MOVQ      b_base+48(FP), DX
+	MOVQ      b_len+56(FP), CX
+	LEAQ      (CX*8), R8        // row stride in bytes
+	LEAQ      (R8)(R8*2), R9    // three rows
+	VMOVUPD   (DI), Y0
+	VXORPD    Y14, Y14, Y14     // +0
+	VPCMPEQQ  Y15, Y15, Y15
+	VPSLLQ    $63, Y15, Y15     // −0
+	TESTQ     CX, CX
+	JZ        gemv4_done
+
+gemv4_loop:
+	VMOVSD       (SI), X1
+	VMOVHPD      (SI)(R8*1), X1, X1
+	VMOVSD       (SI)(R8*2), X2
+	VMOVHPD      (SI)(R9*1), X2, X2
+	VINSERTF128  $1, X2, Y1, Y1     // (a[0][k], a[1][k], a[2][k], a[3][k])
+	VBROADCASTSD (DX), Y3
+	VMULPD       Y3, Y1, Y4
+	VCMPPD       $0x00, Y14, Y1, Y5 // a == ±0
+	VBLENDVPD    Y5, Y15, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $8, SI
+	ADDQ         $8, DX
+	DECQ         CX
+	JNZ          gemv4_loop
+
+gemv4_done:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func relu64AVX2(v []float64)
+// v[i] = +0 where v[i] < 0, 4-wide; len(v) is a positive multiple of 4.
+// A mask, not max: −0 and NaN fail the ordered compare and are kept,
+// exactly as by the scalar `if v < 0 { v = 0 }`.
+TEXT ·relu64AVX2(SB), NOSPLIT, $0-24
+	MOVQ   v_base+0(FP), DI
+	MOVQ   v_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+
+relu64_loop:
 	VMOVUPD (DI), Y1
-	VMOVUPD 32(DI), Y2
-	TESTQ   CX, CX
-	JZ      dgemm8_done
-
-dgemm8_loop:
-	MOVQ         (SI), AX
-	SHLQ         $1, AX
-	JZ           dgemm8_next
-	VBROADCASTSD (SI), Y0
-	VMULPD       (DX), Y0, Y5
-	VMULPD       32(DX), Y0, Y6
-	VADDPD       Y1, Y5, Y1
-	VADDPD       Y2, Y6, Y2
-
-dgemm8_next:
-	ADDQ $8, SI
-	ADDQ R8, DX
-	DECQ CX
-	JNZ  dgemm8_loop
-
-dgemm8_done:
+	VCMPPD  $0x11, Y0, Y1, Y2 // v < 0 (LT_OQ)
+	VANDNPD Y1, Y2, Y1
 	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     relu64_loop
+	VZEROUPPER
+	RET
+
+// Constants of tanh64AVX2, each replicated into four lanes: the
+// constants of math.tanh (tanh.go) and of math.archExp
+// (exp_amd64.s), written as those files write them.
+#define TANH64C(off, v) \
+	DATA tanh64c<>+(off)(SB)/8, v \
+	DATA tanh64c<>+(off+8)(SB)/8, v \
+	DATA tanh64c<>+(off+16)(SB)/8, v \
+	DATA tanh64c<>+(off+24)(SB)/8, v
+
+TANH64C(0x000, $0x7fffffffffffffff)         // |x| mask
+TANH64C(0x020, $0x404601e678fc457b)         // 0.5*MAXLOG, as Go folds it
+TANH64C(0x040, $0.625)
+TANH64C(0x060, $-9.64399179425052238628e-1) // tanhP
+TANH64C(0x080, $-9.92877231001918586564e1)
+TANH64C(0x0a0, $-1.61468768441708447952e3)
+TANH64C(0x0c0, $1.12811678491632931402e2)   // tanhQ
+TANH64C(0x0e0, $2.23548839060100448583e3)
+TANH64C(0x100, $4.84406305325125486048e3)
+TANH64C(0x120, $1.4426950408889634073599246810018920)            // LOG2E
+TANH64C(0x140, $0.69314718055966295651160180568695068359375)     // LN2U
+TANH64C(0x160, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+TANH64C(0x180, $0.0625)
+TANH64C(0x1a0, $2.4801587301587301587e-5)   // exprodata+64 down to +24
+TANH64C(0x1c0, $1.9841269841269841270e-4)
+TANH64C(0x1e0, $1.3888888888888888889e-3)
+TANH64C(0x200, $8.3333333333333333333e-3)
+TANH64C(0x220, $4.1666666666666666667e-2)
+TANH64C(0x240, $1.6666666666666666667e-1)
+TANH64C(0x260, $0.5)
+TANH64C(0x280, $1.0)
+TANH64C(0x2a0, $2.0)
+TANH64C(0x2c0, $0x3ff)                      // exponent bias
+GLOBL tanh64c<>(SB), RODATA, $0x2e0
+
+// func tanh64AVX2(v []float64)
+// v[i] = math.Tanh(v[i]) bit for bit, 4-wide; len(v) is a positive
+// multiple of 4. Every lane computes both branches of math.tanh and
+// blends them:
+//   - |x| < 0.625: x + x*s*P(s)/Q(s) with s = x*x, in the order and
+//     with the separate roundings the Go compiler emits for tanh.go (gc
+//     never contracts a*b+c into an FMA on amd64, at any GOAMD64 level);
+//   - 0.625 ≤ |x| ≤ 0.5*MAXLOG: 1 - 2/(e+1), sign of x, where e is
+//     archExp(2|x|) on its avxfma path instruction for instruction:
+//     n = rint(w*LOG2E) (VCVTPD2DQ rounds like CVTSD2SL), the two FMA
+//     reduction steps, the FMA Taylor polynomial, the four doublings and
+//     the scale by 2^n. 2|x| lies in [1.25, 88.03], where archExp takes
+//     neither its overflow, denormal nor non-finite exits;
+//   - |x| > 0.5*MAXLOG (±Inf included): ±1;
+//   - x = ±0: x itself.
+// The two branches share one VDIVPD: each lane divides the operands of
+// its own branch (x*s*P by Q, or 2 by e+1), picked by |x| ≥ 0.625
+// before the division, so every lane's quotient is the one its branch
+// rounds. NaN fails every compare and keeps the rational branch's NaN.
+// simdEnabled requires AVX and FMA, exactly the condition under which
+// math.archExp takes its avxfma path.
+TEXT ·tanh64AVX2(SB), NOSPLIT, $0-24
+	MOVQ    v_base+0(FP), DI
+	MOVQ    v_len+8(FP), CX
+	VMOVUPD tanh64c<>+0x280(SB), Y13 // 1
+	VMOVUPD tanh64c<>+0x2a0(SB), Y14 // 2
+
+tanh64_loop:
+	VMOVUPD (DI), Y0
+	VANDPD  tanh64c<>+0x000(SB), Y0, Y1     // z = |x|
+	VXORPD  Y1, Y0, Y15                     // sign bit of x
+	VCMPPD  $0x1d, tanh64c<>+0x040(SB), Y1, Y11 // big: z >= 0.625
+
+	// Rational branch's operands: x*s*P(s) in Y2, Q(s) in Y4.
+	VMULPD Y0, Y0, Y2                  // s = x*x
+	VMULPD tanh64c<>+0x060(SB), Y2, Y3 // P0*s
+	VADDPD tanh64c<>+0x080(SB), Y3, Y3 // +P1
+	VMULPD Y2, Y3, Y3                  // *s
+	VADDPD tanh64c<>+0x0a0(SB), Y3, Y3 // +P2
+	VADDPD tanh64c<>+0x0c0(SB), Y2, Y4 // s+Q0
+	VMULPD Y2, Y4, Y4                  // *s
+	VADDPD tanh64c<>+0x0e0(SB), Y4, Y4 // +Q1
+	VMULPD Y2, Y4, Y4                  // *s
+	VADDPD tanh64c<>+0x100(SB), Y4, Y4 // +Q2
+	VMULPD Y2, Y0, Y2                  // x*s
+	VMULPD Y3, Y2, Y2                  // x*s*P
+
+	// Exponential branch's operand: e+1 in Y3.
+	VADDPD       Y1, Y1, Y3                  // w = 2z
+	VMULPD       tanh64c<>+0x120(SB), Y3, Y5 // w*LOG2E
+	VCVTPD2DQY   Y5, X5                      // n
+	VCVTDQ2PD    X5, Y6
+	VFNMADD231PD tanh64c<>+0x140(SB), Y6, Y3 // w -= n*LN2U
+	VFNMADD231PD tanh64c<>+0x160(SB), Y6, Y3 // w -= n*LN2L
+	VMULPD       tanh64c<>+0x180(SB), Y3, Y3 // r = w/16
+	VMOVUPD      tanh64c<>+0x1a0(SB), Y6
+	VFMADD213PD  tanh64c<>+0x1c0(SB), Y3, Y6
+	VFMADD213PD  tanh64c<>+0x1e0(SB), Y3, Y6
+	VFMADD213PD  tanh64c<>+0x200(SB), Y3, Y6
+	VFMADD213PD  tanh64c<>+0x220(SB), Y3, Y6
+	VFMADD213PD  tanh64c<>+0x240(SB), Y3, Y6
+	VFMADD213PD  tanh64c<>+0x260(SB), Y3, Y6
+	VFMADD213PD  Y13, Y3, Y6
+	VMULPD       Y6, Y3, Y3                  // y = r*poly ≈ e^r - 1
+	VADDPD       Y14, Y3, Y6
+	VMULPD       Y6, Y3, Y3                  // y = y*(y+2), three times
+	VADDPD       Y14, Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y14, Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y14, Y3, Y6
+	VFMADD213PD  Y13, Y6, Y3                 // y*(y+2) + 1 = e^(16r)
+	VPMOVSXDQ    X5, Y5
+	VPADDQ       tanh64c<>+0x2c0(SB), Y5, Y5
+	VPSLLQ       $52, Y5, Y5                 // 2^n
+	VMULPD       Y5, Y3, Y3                  // e = archExp(w)
+	VADDPD       Y13, Y3, Y3                 // e+1
+
+	// One division for both branches, then each branch's last step.
+	VBLENDVPD Y11, Y14, Y2, Y2       // big ? 2 : x*s*P
+	VBLENDVPD Y11, Y3, Y4, Y4        // big ? e+1 : Q
+	VDIVPD    Y4, Y2, Y2             // q
+	VADDPD    Y2, Y0, Y12            // x + q
+	VSUBPD    Y2, Y13, Y3            // 1 - q
+	VORPD     Y15, Y3, Y3            // sign of x (1 - q > 0 here)
+	VBLENDVPD Y11, Y3, Y12, Y12
+
+	// Saturate, then pass ±0 through.
+	VCMPPD    $0x1e, tanh64c<>+0x020(SB), Y1, Y6 // z > 0.5*MAXLOG
+	VORPD     Y15, Y13, Y3                       // ±1
+	VBLENDVPD Y6, Y3, Y12, Y12
+	VXORPD    Y7, Y7, Y7
+	VCMPPD    $0x00, Y7, Y0, Y6                  // x == ±0
+	VBLENDVPD Y6, Y0, Y12, Y12
+	VMOVUPD   Y12, (DI)
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JNZ       tanh64_loop
 	VZEROUPPER
 	RET
 

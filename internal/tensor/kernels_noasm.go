@@ -7,9 +7,13 @@ package tensor
 
 func daxpyAVX2(dst, src []float64, alpha float64) { panic("tensor: simd kernel on non-amd64") }
 
-func dgemmRowJ16(drow, arow, b []float64, ldb int) { panic("tensor: simd kernel on non-amd64") }
+func dgemmRowNZ(drow, arow, b []float64, ldb int) { panic("tensor: simd kernel on non-amd64") }
 
-func dgemmRowJ8(drow, arow, b []float64, ldb int) { panic("tensor: simd kernel on non-amd64") }
+func dgemv4AVX2(d, a, b []float64) { panic("tensor: simd kernel on non-amd64") }
+
+func relu64AVX2(v []float64) { panic("tensor: simd kernel on non-amd64") }
+
+func tanh64AVX2(v []float64) { panic("tensor: simd kernel on non-amd64") }
 
 func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int) {
 	panic("tensor: simd kernel on non-amd64")

@@ -41,17 +41,23 @@ func randMat(rng *RNG, rows, cols int) *Matrix {
 // TestMatMulBlockedBitwiseEqualsNaive is the kernel-equivalence smoke
 // pinned by scripts/ci.sh: the register-tiled (and SIMD, when
 // available) float64 kernel must be bitwise-identical to the naive
-// scalar loop for shapes on both sides of the parallel threshold.
+// scalar loop for shapes on both sides of the parallel threshold. The
+// last shape's A has no zero, so the dense kernel meets full 64-entry
+// chunks (an all-ones nonzero mask) and a dense 2-entry tail.
 func TestMatMulBlockedBitwiseEqualsNaive(t *testing.T) {
 	rng := NewRNG(7)
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {64, 16, 32}, {64, 33, 9},
 		{128, 200, 300}, // B wider than any model's weight
 		{257, 300, 129}, // parallel path
+		{5, 130, 24},    // dense A
 	}
-	for _, s := range shapes {
+	for si, s := range shapes {
 		a := randMat(rng, s[0], s[1])
 		b := randMat(rng, s[1], s[2])
+		if si == len(shapes)-1 {
+			a = benchMatrix(s[0], s[1], 7)
+		}
 		got := a.MatMul(b)
 		want := naiveMatMul(a, b)
 		for i := range want.Data {
@@ -64,24 +70,28 @@ func TestMatMulBlockedBitwiseEqualsNaive(t *testing.T) {
 
 // TestMatMulPartitionIndependence pins the contract the sweep engine
 // relies on: any contiguous row partition of MatMulRangeInto produces
-// output bitwise equal to a single MatMulInto call.
+// output bitwise equal to a single MatMulInto call. n = 1 runs the
+// one-column product, whose 4-row kernel sees each part's own row
+// offset and remainder.
 func TestMatMulPartitionIndependence(t *testing.T) {
 	rng := NewRNG(11)
-	a := randMat(rng, 150, 80)
-	b := randMat(rng, 80, 90)
-	whole := New(150, 90)
-	MatMulInto(whole, a, b)
-	parts := New(150, 90)
-	for lo := 0; lo < 150; lo += 37 {
-		hi := lo + 37
-		if hi > 150 {
-			hi = 150
+	for _, n := range []int{1, 90} {
+		a := randMat(rng, 150, 80)
+		b := randMat(rng, 80, n)
+		whole := New(150, n)
+		MatMulInto(whole, a, b)
+		parts := New(150, n)
+		for lo := 0; lo < 150; lo += 37 {
+			hi := lo + 37
+			if hi > 150 {
+				hi = 150
+			}
+			MatMulRangeInto(parts, a, b, lo, hi)
 		}
-		MatMulRangeInto(parts, a, b, lo, hi)
-	}
-	for i := range whole.Data {
-		if !sameBits(whole.Data[i], parts.Data[i]) {
-			t.Fatalf("element %d differs across partitions", i)
+		for i := range whole.Data {
+			if !sameBits(whole.Data[i], parts.Data[i]) {
+				t.Fatalf("n=%d: element %d differs across partitions", n, i)
+			}
 		}
 	}
 }
@@ -146,13 +156,32 @@ func specialMat(rng *RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// reluSparseMat is specialMat with about half the entries ±0 at random
+// positions, as a ReLU output feeding the next layer's product has.
+func reluSparseMat(rng *RNG, rows, cols int) *Matrix {
+	m := specialMat(rng, rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(4) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return m
+}
+
 // TestF64KernelsBitwiseProperty holds every float64 row kernel —
 // matMulRange, matMulSplitRange and the CSR gather, with and without a
 // pos remap — bitwise to its scalar loop (skip-zero for the dense
 // kernels, none for CSR; float64(a*b) added to the accumulator in
 // ascending order) for every width n in 1..40 and every inner length k
 // in 0..70, from an accumulator that is not zero, with the SIMD tiles
-// both on and off.
+// both on and off. Each (n, k) runs twice: A from specialMat and from
+// reluSparseMat (half its entries ±0, the case the dense kernel's
+// nonzero mask exists for), with row counts cycling through 1..9 so the
+// 4-row one-column kernel meets its main loop, its remainder rows, and
+// both of them under a split A.
 func TestF64KernelsBitwiseProperty(t *testing.T) {
 	hasSIMD := simdEnabled
 	defer func() { simdEnabled = hasSIMD }()
@@ -163,67 +192,70 @@ func TestF64KernelsBitwiseProperty(t *testing.T) {
 		}
 		simdEnabled = simd
 		rng := NewRNG(101)
-		const rows, hRows = 3, 9
+		const hRows = 9
 		for n := 1; n <= 40; n++ {
 			for k := 0; k <= 70; k++ {
-				a, b, acc := specialMat(rng, rows, k), specialMat(rng, k, n), specialMat(rng, rows, n)
-				want := acc.Clone()
-				for i := 0; i < rows; i++ {
-					drow := want.Row(i)
-					for kk, av := range a.Row(i) {
-						if av == 0 {
-							continue
-						}
-						for j, bv := range b.Row(kk) {
-							drow[j] += float64(av * bv)
-						}
-					}
-				}
-				got := acc.Clone()
-				matMulRange(got, a, b, 0, rows)
-				checkBits(t, "matMulRange", simd, n, k, got, want)
-
-				k1 := k / 3
-				got = acc.Clone()
-				matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, 0, rows)
-				checkBits(t, "matMulSplitRange", simd, n, k, got, want)
-
-				// k nonzeros per row over hRows source rows; pos permutes them.
-				h := specialMat(rng, hRows, n)
-				w := make([]float64, rows*k)
-				cols := make([]int, rows*k)
-				rowPtr := make([]int, rows+1)
-				for p := range cols {
-					cols[p], w[p] = rng.Intn(hRows), specialRand(rng)
-				}
-				for i := range rowPtr {
-					rowPtr[i] = i * k
-				}
-				pos := rng.Perm(hRows)
-				for _, remap := range []bool{false, true} {
-					want = acc.Clone()
+				for dist, aMat := range []func(*RNG, int, int) *Matrix{specialMat, reluSparseMat} {
+					rows := 1 + (n+k+4*dist)%9
+					a, b, acc := aMat(rng, rows, k), specialMat(rng, k, n), specialMat(rng, rows, n)
+					want := acc.Clone()
 					for i := 0; i < rows; i++ {
 						drow := want.Row(i)
-						for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-							r := cols[p]
-							if remap {
-								r = pos[r]
+						for kk, av := range a.Row(i) {
+							if av == 0 {
+								continue
 							}
-							for j, v := range h.Row(r) {
-								drow[j] += float64(w[p] * v)
+							for j, bv := range b.Row(kk) {
+								drow[j] += float64(av * bv)
 							}
 						}
 					}
+					got := acc.Clone()
+					matMulRange(got, a, b, 0, rows)
+					checkBits(t, "matMulRange", simd, n, k, got, want)
+
+					k1 := k / 3
 					got = acc.Clone()
-					if remap {
+					matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, 0, rows)
+					checkBits(t, "matMulSplitRange", simd, n, k, got, want)
+
+					// k nonzeros per row over hRows source rows; pos permutes them.
+					h := specialMat(rng, hRows, n)
+					w := make([]float64, rows*k)
+					cols := make([]int, rows*k)
+					rowPtr := make([]int, rows+1)
+					for p := range cols {
+						cols[p], w[p] = rng.Intn(hRows), specialRand(rng)
+					}
+					for i := range rowPtr {
+						rowPtr[i] = i * k
+					}
+					pos := rng.Perm(hRows)
+					for _, remap := range []bool{false, true} {
+						want = acc.Clone()
 						for i := 0; i < rows; i++ {
-							s, e := rowPtr[i], rowPtr[i+1]
-							CSRRowInto(got.Row(i), cols[s:e], w[s:e], h, pos)
+							drow := want.Row(i)
+							for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+								r := cols[p]
+								if remap {
+									r = pos[r]
+								}
+								for j, v := range h.Row(r) {
+									drow[j] += float64(w[p] * v)
+								}
+							}
 						}
-						checkBits(t, "CSRRowInto/pos", simd, n, k, got, want)
-					} else {
-						CSRMatMulInto(got, rowPtr, cols, w, h)
-						checkBits(t, "CSRMatMulInto", simd, n, k, got, want)
+						got = acc.Clone()
+						if remap {
+							for i := 0; i < rows; i++ {
+								s, e := rowPtr[i], rowPtr[i+1]
+								CSRRowInto(got.Row(i), cols[s:e], w[s:e], h, pos)
+							}
+							checkBits(t, "CSRRowInto/pos", simd, n, k, got, want)
+						} else {
+							CSRMatMulInto(got, rowPtr, cols, w, h)
+							checkBits(t, "CSRMatMulInto", simd, n, k, got, want)
+						}
 					}
 				}
 			}
@@ -235,8 +267,154 @@ func checkBits(t *testing.T, kernel string, simd bool, n, k int, got, want *Matr
 	t.Helper()
 	for i := range want.Data {
 		if !sameBits(got.Data[i], want.Data[i]) {
-			t.Fatalf("%s simd=%v n=%d k=%d: element %d is %v (%#x), scalar %v (%#x)", kernel, simd, n, k, i,
+			t.Fatalf("%s simd=%v rows=%d n=%d k=%d: element %d is %v (%#x), scalar %v (%#x)", kernel, simd, want.Rows, n, k, i,
 				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// TestGEMVBitwiseScalar pins the one-column product's signed-zero
+// rule. The 4-row kernel adds −0 for a term whose a is ±0 instead of
+// skipping it, so it is exact only because −0 is the additive identity.
+// Here accumulators start at −0, whole rows of A are ±0, and b holds
+// ±Inf and NaN, where a product 0·b would be NaN. Every row count from 1
+// to 13 runs, through MatMulInto and a split A, SIMD on and off.
+func TestGEMVBitwiseScalar(t *testing.T) {
+	hasSIMD := simdEnabled
+	defer func() { simdEnabled = hasSIMD }()
+	negZero := math.Copysign(0, -1)
+	for _, simd := range []bool{false, true} {
+		if simd && !hasSIMD {
+			continue
+		}
+		simdEnabled = simd
+		rng := NewRNG(43)
+		for rows := 1; rows <= 13; rows++ {
+			for k := 0; k <= 12; k++ {
+				a, b := reluSparseMat(rng, rows, k), specialMat(rng, k, 1)
+				for i := 0; i < rows; i += 3 { // every third row all ±0
+					for j := range a.Row(i) {
+						a.Row(i)[j] = math.Copysign(0, float64(j%2*2-1))
+					}
+				}
+				if k > 0 {
+					b.Data[rng.Intn(k)] = math.Inf(1)
+				}
+				want := New(rows, 1)
+				want.Fill(negZero)
+				for i := 0; i < rows; i++ {
+					for kk, av := range a.Row(i) {
+						if av != 0 {
+							want.Data[i] += float64(av * b.Data[kk])
+						}
+					}
+				}
+				got := New(rows, 1)
+				got.Fill(negZero)
+				matMulRange(got, a, b, 0, rows)
+				checkBits(t, "matMulRange/n=1", simd, 1, k, got, want)
+				k1 := k / 2
+				got.Fill(negZero)
+				matMulSplitRange(got, a.SliceCols(0, k1), a.SliceCols(k1, k), b, 0, rows)
+				checkBits(t, "matMulSplitRange/n=1", simd, 1, k, got, want)
+			}
+		}
+	}
+}
+
+// TestReLU64BitwiseScalar holds the float64 ReLU to the scalar branch
+// `if v < 0 { v = 0 }` bit for bit: negatives and −Inf become +0, while
+// −0, NaN (payload included) and everything else are kept. Lengths 0 to
+// 19 reach the 4-wide body and every tail, SIMD on and off.
+func TestReLU64BitwiseScalar(t *testing.T) {
+	hasSIMD := simdEnabled
+	defer func() { simdEnabled = hasSIMD }()
+	for _, simd := range []bool{false, true} {
+		if simd && !hasSIMD {
+			continue
+		}
+		simdEnabled = simd
+		rng := NewRNG(47)
+		for n := 0; n < 20; n++ {
+			m := specialMat(rng, 1, n)
+			want := m.Clone()
+			for i, v := range want.Data {
+				if v < 0 {
+					want.Data[i] = 0
+				}
+			}
+			ReLUInPlace(m)
+			for i := range want.Data {
+				if math.Float64bits(m.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("simd=%v n=%d: element %d is %#x, scalar %#x", simd, n, i,
+						math.Float64bits(m.Data[i]), math.Float64bits(want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestTanh64BitwiseMathTanh holds the float64 tanh kernel to math.Tanh
+// bit for bit (any NaN matching any NaN), SIMD on and off, on 4M drawn
+// inputs: normals at scales 1, 10 and 50, and random bit patterns. The
+// edge values come first: ±0; 0.625 and 0.5·MAXLOG (math.tanh's branch
+// points) with their neighbours; ±Inf; NaN; subnormals; |x| past
+// archExp's overflow bound 709.78. The reference is math.Tanh called at
+// run time, not recorded bits, so a toolchain whose math.Tanh or
+// math.Exp changes arithmetic fails here instead of drifting the tape's
+// values silently. Chunks of 4,099 reach the scalar tail.
+func TestTanh64BitwiseMathTanh(t *testing.T) {
+	hasSIMD := simdEnabled
+	defer func() { simdEnabled = hasSIMD }()
+	const halfMaxLog = 0.5 * 8.8029691931113054295988e+01 // as math.tanh folds it
+	var edges []float64
+	for _, x := range []float64{0, 0.625, halfMaxLog} {
+		edges = append(edges, x, math.Nextafter(x, -1), math.Nextafter(x, 2*x+1))
+	}
+	edges = append(edges, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 1e-310, 709.78, 710, 1e300, math.MaxFloat64,
+		0x1p-1022, 1e-8, 0.5, 1, 22, 44, 45)
+	for _, x := range edges[:len(edges):len(edges)] {
+		edges = append(edges, -x)
+	}
+	draws := []func(*RNG) float64{
+		func(r *RNG) float64 { return r.NormFloat64() },
+		func(r *RNG) float64 { return 10 * r.NormFloat64() },
+		func(r *RNG) float64 { return 50 * r.NormFloat64() },
+		func(r *RNG) float64 { return math.Float64frombits(r.Uint64()) },
+	}
+	const perDraw, chunk = 1 << 20, 4099
+	buf, want := make([]float64, chunk), make([]float64, chunk)
+	check := func(simd bool, xs []float64) {
+		t.Helper()
+		for i, x := range xs {
+			want[i] = math.Tanh(x)
+		}
+		copy(buf, xs)
+		tanh64(buf[:len(xs)])
+		for i, x := range xs {
+			if !sameBits(buf[i], want[i]) {
+				t.Fatalf("simd=%v: tanh(%v [%#x]) = %v (%#x), math.Tanh %v (%#x)", simd, x, math.Float64bits(x),
+					buf[i], math.Float64bits(buf[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, simd := range []bool{false, true} {
+		if simd && !hasSIMD {
+			t.Log("no AVX2+FMA on this machine: math.Tanh loop only")
+			continue
+		}
+		simdEnabled = simd
+		check(simd, edges)
+		rng := NewRNG(53)
+		xs := make([]float64, chunk)
+		for _, draw := range draws {
+			for done := 0; done < perDraw; done += chunk {
+				for i := range xs {
+					xs[i] = draw(rng)
+				}
+				check(simd, xs)
+			}
 		}
 	}
 }

@@ -188,6 +188,9 @@ func MatMulSplitInto(dst, a1, a2, b *Matrix) { MulSplitInto(dst, a1, a2, b, fals
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	kd := a.Cols
+	if n == 1 {
+		lo = dgemvRows(dst.Data, a.Data, b.Data, lo, hi)
+	}
 	for i := lo; i < hi; i++ {
 		dgemmRow(dst.Data[i*n:(i+1)*n], a.Data[i*kd:(i+1)*kd], b.Data, n)
 	}
@@ -230,6 +233,10 @@ func MatMulRangeInto(dst, a, b *Matrix, lo, hi int) {
 func matMulSplitRange(dst, a1, a2, b *Matrix, lo, hi int) {
 	n := b.Cols
 	off := a1.Cols * n
+	if n == 1 {
+		dgemvRows(dst.Data, a1.Data, b.Data[:off], lo, hi)
+		lo = dgemvRows(dst.Data, a2.Data, b.Data[off:], lo, hi)
+	}
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*n : (i+1)*n]
 		dgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
@@ -345,18 +352,13 @@ func (m *Mat[F]) Transpose() *Mat[F] {
 // Add returns m + o element-wise.
 func (m *Mat[F]) Add(o *Mat[F]) *Mat[F] { return m.Clone().AddInPlace(o) }
 
-// AddInPlace adds o into m and returns m. At float32 the AVX2 bulk goes
-// through the FMA axpy kernel with α = 1, which rounds exactly like the
-// scalar add (the multiply by 1.0 is exact).
+// AddInPlace adds o into m and returns m. The AVX2 bulk goes through
+// F's axpy kernel with α = 1 (VMULPD then VADDPD at float64, FMA at
+// float32), which rounds exactly like the scalar add: the multiply by
+// 1.0 is exact.
 func (m *Mat[F]) AddInPlace(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "add")
-	if m32, ok := any(m).(*Matrix32); ok {
-		saxpy(m32.Data, any(o).(*Matrix32).Data, 1)
-		return m
-	}
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
+	pick[F, func(dst, src []F, alpha F)](daxpy, saxpy)(m.Data, o.Data, 1)
 	return m
 }
 

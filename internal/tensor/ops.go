@@ -12,32 +12,30 @@ func ReLU(m *Matrix) *Matrix {
 	})
 }
 
-// ReLUInPlace clamps negative elements to 0 in place and returns m
-// (float32 through the 8-wide relu32).
+// ReLUInPlace clamps negative elements to +0 in place and returns m.
+// At float64 it is a 4-wide mask on AVX2 (relu64), bitwise the scalar
+// `if v < 0` branch: −0 and NaN are kept. At float32 it is the 8-wide
+// relu32.
 func ReLUInPlace[F Float](m *Mat[F]) *Mat[F] {
 	if m32, ok := any(m).(*Matrix32); ok {
 		relu32(m32.Data)
 		return m
 	}
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
+	relu64(any(m).(*Matrix).Data)
 	return m
 }
 
 // Tanh returns tanh(x) element-wise.
 func Tanh(m *Matrix) *Matrix { return TanhInPlace(m.Clone()) }
 
-// TanhInPlace applies tanh element-wise in place and returns m:
-// math.Tanh at float64, the fast Tanh32 (8-wide on AVX2) at float32.
+// TanhInPlace applies tanh element-wise in place and returns m. At
+// float64 it is math.Tanh bit for bit, four lanes at a time on
+// AVX2+FMA (tanh64; the transcendental rule of the precision contract
+// in kernels.go). At float32 it is the fast Tanh32, 8-wide on AVX2.
 func TanhInPlace[F Float](m *Mat[F]) *Mat[F] {
 	switch m := any(m).(type) {
 	case *Matrix:
-		for i, v := range m.Data {
-			m.Data[i] = math.Tanh(v)
-		}
+		tanh64(m.Data)
 	case *Matrix32:
 		tanh32Slice(m.Data)
 	}

@@ -2,19 +2,19 @@
 # Hot-path benchmark harness: runs the tape-vs-infer (float64 and
 # float32), batch-compile, audit, snapshot-publish, WAL-append and recovery-replay
 # benchmarks with allocation reporting and writes a JSON snapshot to
-# BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then runs the
-# tensor kernel grid (matmul GFLOP/s per kernel tier and precision, pool
-# crossover) into BENCH_kernels.json, races the full-graph sweep against
-# the naive score-everyone loop into BENCH_sweep.json, races the lambda
-# embedding tier against the per-audit inference paths (plus the
-# refresh-sweep cost at several dirty fractions) into BENCH_embed.json,
-# and finally boots a tiny turbo-server under the open-loop load
-# harness, writing the latency scoreboard to BENCH_load.json
-# (p50/p99/p999 per endpoint, offered vs achieved QPS, per-tier serve
-# counts).
+# BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then races
+# the lambda embedding tier against the per-audit inference paths (plus
+# the refresh-sweep cost at several dirty fractions) into
+# BENCH_embed.json, and finally boots a tiny turbo-server under the
+# open-loop load harness, writing the latency scoreboard to
+# BENCH_load.json (p50/p99/p999 per endpoint, offered vs achieved QPS,
+# per-tier serve counts). The tensor kernel and sweep-vs-naive numbers
+# are not snapshotted; run them with
+#   go test -run '^$' -bench 'MatMulKernels|ParallelCrossover|F64RowTiles|Tanh64' ./internal/tensor/
+#   go test -run '^$' -bench 'FullGraphSweep|ScoreEveryoneNaive' -benchtime 5x .
 #
-# Usage: scripts/bench.sh [benchtime] [sweep_benchtime] [load_qps] [load_duration]
-#        (defaults 200x / 5x / 150 / 5s)
+# Usage: scripts/bench.sh [benchtime] [load_qps] [load_duration]
+#        (defaults 200x / 150 / 5s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,64 +56,6 @@ END {
 
 echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 
-# --- Tensor kernel grid ------------------------------------------------------
-# GFLOP/s for every matmul kernel tier (serial naive, blocked, blocked +
-# worker pool; float64 and float32) plus the pool-crossover
-# microbenchmark behind the tuning constant in internal/tensor.
-KERNEL_OUT="BENCH_kernels.json"
-KERNEL_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KERNEL_RAW"' EXIT
-
-echo "== go test -bench kernels (benchtime=$BENCHTIME)"
-go test -run 'XXX-none' -bench 'BenchmarkMatMulKernels|BenchmarkParallelCrossover' \
-    -benchtime "$BENCHTIME" ./internal/tensor/ | tee "$KERNEL_RAW"
-
-awk -v benchtime="$BENCHTIME" '
-BEGIN { n = 0 }
-/^Benchmark/ && NF >= 3 {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    names[n] = name
-    iters[n] = $2
-    nsop[n] = $3
-    gflops[n] = ($5 == "GFLOP/s") ? $4 : ""
-    n++
-}
-END {
-    printf "{\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
-    for (i = 0; i < n; i++) {
-        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", names[i], iters[i], nsop[i]
-        if (gflops[i] != "") printf ", \"gflops\": %s", gflops[i]
-        printf "}%s\n", (i < n - 1 ? "," : "")
-    }
-    printf "  ]\n}\n"
-}' "$KERNEL_RAW" > "$KERNEL_OUT"
-
-echo "wrote $KERNEL_OUT ($(grep -c '"name"' "$KERNEL_OUT") benchmarks)"
-
-# --- Full-graph sweep vs naive score-everyone loop ---------------------------
-SWEEP_BENCHTIME="${2:-5x}"
-SWEEP_OUT="BENCH_sweep.json"
-SWEEP_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW"' EXIT
-
-echo "== go test -bench sweep vs naive (benchtime=$SWEEP_BENCHTIME)"
-go test -run 'XXX-none' -bench 'BenchmarkFullGraphSweep|BenchmarkScoreEveryoneNaive' \
-    -benchtime "$SWEEP_BENCHTIME" . | tee "$SWEEP_RAW"
-
-# Lines look like: BenchmarkFullGraphSweep-N  iters  ns/op  nodes  nodes/sweep
-awk -v benchtime="$SWEEP_BENCHTIME" '
-/^BenchmarkScoreEveryoneNaive/ { naive = $3; nodes = $5 }
-/^BenchmarkFullGraphSweep/     { swp = $3; nodes = $5 }
-END {
-    if (naive == "" || swp == "") { print "missing sweep benchmark output" > "/dev/stderr"; exit 1 }
-    printf "{\n  \"benchtime\": \"%s\",\n  \"nodes\": %s,\n", benchtime, nodes
-    printf "  \"naive_ns_per_rescore\": %s,\n  \"sweep_ns_per_rescore\": %s,\n", naive, swp
-    printf "  \"speedup\": %.2f\n}\n", naive / swp
-}' "$SWEEP_RAW" > "$SWEEP_OUT"
-
-echo "wrote $SWEEP_OUT (speedup $(grep '"speedup"' "$SWEEP_OUT" | tr -dc '0-9.')x)"
-
 # --- Embedding tier vs per-audit inference -----------------------------------
 # The lambda tier's TryServe, cold (star gather + final layer + head:
 # the first hit on a row after a refresh) and warm (the row's score
@@ -123,7 +65,7 @@ echo "wrote $SWEEP_OUT (speedup $(grep '"speedup"' "$SWEEP_OUT" | tr -dc '0-9.')
 # fractions.
 EMBED_OUT="BENCH_embed.json"
 EMBED_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW" "$EMBED_RAW"' EXIT
+trap 'rm -f "$RAW" "$EMBED_RAW"' EXIT
 
 echo "== go test -bench embed tier vs per-audit inference (benchtime=$BENCHTIME)"
 go test -run 'XXX-none' -bench 'BenchmarkEmbedServe|BenchmarkEmbedTargetInfer|BenchmarkEmbedTapeScore|BenchmarkEmbedRefresh' \
@@ -156,14 +98,14 @@ END {
 echo "wrote $EMBED_OUT (embed serve cold $(sed -n 's/.*"embed_serve_cold_ns_per_audit": \([0-9.]*\).*/\1/p' "$EMBED_OUT") ns, warm $(sed -n 's/.*"embed_serve_warm_ns_per_audit": \([0-9.]*\).*/\1/p' "$EMBED_OUT") ns per audit)"
 
 # --- Open-loop load scoreboard ----------------------------------------------
-LOAD_QPS="${3:-150}"
-LOAD_DUR="${4:-5s}"
+LOAD_QPS="${2:-150}"
+LOAD_DUR="${3:-5s}"
 LOAD_OUT="BENCH_load.json"
 LOAD_ADDR="127.0.0.1:18091"
 TMPBIN="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
-    rm -f "$RAW" "$KERNEL_RAW" "$SWEEP_RAW" "$EMBED_RAW"
+    rm -f "$RAW" "$EMBED_RAW"
     rm -rf "$TMPBIN"
     [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
 }
