@@ -31,12 +31,16 @@ import (
 //     ($GOROOT/src/math/exp_amd64.s), instruction for instruction: that
 //     path is straight-line arithmetic for the arguments tanh passes it,
 //     so it vectorizes without changing a rounding. math.archExp takes
-//     the avxfma path when the CPU has AVX and FMA, which simdEnabled
-//     also requires. TestTanh64BitwiseMathTanh compares against
-//     math.Tanh at run time, on over 4M inputs. A toolchain whose
-//     math.Tanh or math.Exp changes therefore fails that test instead
-//     of moving the tape's values silently, and so does disabling FMA
-//     in the runtime alone (GODEBUG=cpu.fma=off).
+//     the avxfma path when internal/cpu reports AVX and FMA. That is
+//     not simdEnabled's CPUID check: GODEBUG=cpu.fma=off, cpu.avx=off
+//     or cpu.all=off clears the flags for math alone. So at init
+//     tanhMatchesMath runs the kernel on inputs whose bits differ
+//     between the two exponentials, and tanh64 keeps the math.Tanh loop
+//     unless every lane matches. TestTanh64BitwiseMathTanh compares
+//     against math.Tanh at run time, on over 4M inputs, and
+//     TestTanh64FollowsGODEBUG reruns it under each of those settings.
+//     A toolchain whose math.Tanh or math.Exp changes therefore fails
+//     the test instead of moving the tape's values silently.
 //   - float32 kernels are *not* bitwise-pinned: the AVX2 versions use
 //     FMA and the serving path that consumes them is gated by an
 //     explicit |Δlogit| tolerance (see DESIGN.md §13).
@@ -200,10 +204,39 @@ func relu64(v []float64) {
 	}
 }
 
+// tanhLanes reports whether tanh64 may run tanh64AVX2. That kernel
+// replicates math.archExp's FMA path, which math takes only while
+// internal/cpu reports AVX and FMA. GODEBUG=cpu.fma=off, cpu.avx=off or
+// cpu.all=off turns those off for math without changing the CPU, so
+// simdEnabled alone does not decide it; tanhMatchesMath does, at init.
+var tanhLanes = false
+
+// fmaSplit holds tanh arguments whose results differ in the last bit
+// between math.archExp's FMA path and its unfused fallback.
+var fmaSplit = [8]float64{
+	0.9862421375147751, 1.2484344296382284, -0.658768582091677, -0.6361116253415398,
+	-0.9775368384017796, 0.743484611524971, 0.6677700831955847, -1.5377250943522534,
+}
+
+// tanhMatchesMath runs tanh64AVX2 on fmaSplit and reports whether every
+// lane returns math.Tanh's bits in this process. It is false whenever
+// math takes its unfused exponential. Call it only with simdEnabled.
+func tanhMatchesMath() bool {
+	v := fmaSplit
+	tanh64AVX2(v[:])
+	for i, x := range fmaSplit {
+		if math.Float64bits(v[i]) != math.Float64bits(math.Tanh(x)) {
+			return false
+		}
+	}
+	return true
+}
+
 // tanh64 computes v[i] = math.Tanh(v[i]), four lanes at a time under
-// AVX2+FMA, bit for bit either way.
+// AVX2+FMA when math's exponential takes its FMA path too, bit for bit
+// either way.
 func tanh64(v []float64) {
-	if simdEnabled && len(v) >= 4 {
+	if simdEnabled && tanhLanes && len(v) >= 4 {
 		m := len(v) &^ 3
 		tanh64AVX2(v[:m])
 		v = v[m:]

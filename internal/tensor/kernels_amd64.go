@@ -38,6 +38,7 @@ func init() {
 		return
 	}
 	simdEnabled = true
+	tanhLanes = tanhMatchesMath()
 }
 
 // daxpyAVX2 computes dst[j] += alpha*src[j] with VMULPD+VADDPD (no FMA,

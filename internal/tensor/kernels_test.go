@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"math"
+	"os"
+	"os/exec"
 	"testing"
 )
 
@@ -415,6 +417,24 @@ func TestTanh64BitwiseMathTanh(t *testing.T) {
 				}
 				check(simd, xs)
 			}
+		}
+	}
+}
+
+// TestTanh64FollowsGODEBUG reruns TestTanh64BitwiseMathTanh in a child
+// process under each GODEBUG setting that moves math.archExp off its
+// FMA path while the CPU, and so simdEnabled, keeps FMA. tanh64 must
+// then leave its vector kernel, whose exponential is the FMA one, or
+// some inputs come out one ulp off math.Tanh.
+func TestTanh64FollowsGODEBUG(t *testing.T) {
+	if !simdEnabled {
+		t.Skip("no AVX2+FMA on this machine: tanh64 is the math.Tanh loop")
+	}
+	for _, godebug := range []string{"cpu.fma=off", "cpu.avx=off", "cpu.all=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTanh64BitwiseMathTanh$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("GODEBUG=%s: %v\n%s", godebug, err, out)
 		}
 	}
 }

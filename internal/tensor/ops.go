@@ -30,8 +30,8 @@ func Tanh(m *Matrix) *Matrix { return TanhInPlace(m.Clone()) }
 
 // TanhInPlace applies tanh element-wise in place and returns m. At
 // float64 it is math.Tanh bit for bit, four lanes at a time on
-// AVX2+FMA (tanh64; the transcendental rule of the precision contract
-// in kernels.go). At float32 it is the fast Tanh32, 8-wide on AVX2.
+// AVX2+FMA while math's exponential also takes its FMA path (tanh64;
+// the transcendental rule of the precision contract in kernels.go). At float32 it is the fast Tanh32, 8-wide on AVX2.
 func TanhInPlace[F Float](m *Mat[F]) *Mat[F] {
 	switch m := any(m).(type) {
 	case *Matrix:
