@@ -409,15 +409,15 @@ func main() {
 
 	// Build the embedding table against the recovered graph and the
 	// serving model — at every boot, so it never carries a previous
-	// process's features or misses edges the WAL replay restored. The
-	// rebuild's sweep also refills the tier-3 score cache. Then start the
-	// background dirty-set refresh.
+	// process's features or misses edges the WAL replay restored. It is
+	// the same core.System.Rescore that follows every swap; with the tier
+	// on it is the rebuild, whose sweep also refills the tier-3 score
+	// cache. Then start the background dirty-set refresh.
 	if embedEng != nil {
-		rep, rerr := embedEng.RebuildOnce(ctx)
-		if rerr != nil {
+		if msg, rerr := sys.Rescore(ctx); rerr != nil {
 			log.Printf("embed rebuild: %v", rerr)
 		} else {
-			log.Printf("embed table built: %d rows in %v (%d skipped)", rep.Rows, rep.Elapsed, rep.Skipped)
+			log.Print(msg)
 		}
 		go embedEng.RunRefreshLoop(ctx, *embedRefreshEvery)
 	}

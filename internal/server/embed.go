@@ -9,11 +9,9 @@ import (
 
 	"turbo/internal/behavior"
 	"turbo/internal/embed"
-	"turbo/internal/feature"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
 	"turbo/internal/sweep"
-	"turbo/internal/tensor"
 )
 
 // EmbedEngine runs the lambda serving tier: a full embedding sweep
@@ -30,17 +28,10 @@ type EmbedEngine struct {
 	pred  *PredictionServer
 	store *embed.Store
 
-	// Opts tunes the rebuild/refresh sweeps (worker count, row costs).
-	Opts sweep.Options
-
-	runMu    sync.Mutex // serializes rebuilds and refreshes
-	inflight atomic.Int64
-
-	lastMu      sync.RWMutex
-	lastRebuild EmbedRebuildReport
-	hasRebuild  bool
-	lastRefresh EmbedRefreshReport
-	hasRefresh  bool
+	runMu       sync.Mutex // serializes rebuilds and refreshes
+	inflight    atomic.Int64
+	lastRebuild atomic.Pointer[EmbedRebuildReport]
+	lastRefresh atomic.Pointer[EmbedRefreshReport]
 }
 
 // EmbedRebuildReport describes one completed full table rebuild.
@@ -100,18 +91,10 @@ func (e *EmbedEngine) Store() *embed.Store { return e.store }
 func (e *EmbedEngine) InFlight() int64 { return e.inflight.Load() }
 
 // LastRebuild returns the most recent rebuild report, if any.
-func (e *EmbedEngine) LastRebuild() (EmbedRebuildReport, bool) {
-	e.lastMu.RLock()
-	defer e.lastMu.RUnlock()
-	return e.lastRebuild, e.hasRebuild
-}
+func (e *EmbedEngine) LastRebuild() (EmbedRebuildReport, bool) { return loadReport(&e.lastRebuild) }
 
 // LastRefresh returns the most recent refresh report, if any.
-func (e *EmbedEngine) LastRefresh() (EmbedRefreshReport, bool) {
-	e.lastMu.RLock()
-	defer e.lastMu.RUnlock()
-	return e.lastRefresh, e.hasRefresh
-}
+func (e *EmbedEngine) LastRefresh() (EmbedRefreshReport, bool) { return loadReport(&e.lastRefresh) }
 
 // TryPredict attempts to serve one audit from cached embeddings. The
 // model argument is the audit's own serving-model snapshot; any skew
@@ -136,7 +119,7 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 }
 
 // RebuildOnce rebuilds the embedding table from scratch against the
-// current snapshot and model: bulk feature fetch over every
+// current snapshot and model: one cohort gather over every
 // audit-eligible user, one captured embedding sweep, per-node star
 // compilation, then an atomic install. Deltas that land during the
 // build are replayed onto the new table (Store rebuild log), so the
@@ -163,64 +146,28 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		}
 	}()
 
-	snap := e.bn.Snapshot()
-	rep.Epoch = snap.Epoch()
-	filter := e.bn.TxnFilter()
-	var users []behavior.UserID
-	for _, id := range snap.Nodes() {
-		if filter(id) {
-			users = append(users, behavior.UserID(id))
-		}
-	}
-	rep.Candidates = len(users)
-	if len(users) == 0 {
-		rep.Elapsed = time.Since(start)
-		e.recordRebuild(rep)
-		return rep, nil
-	}
-
-	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now(), sv.Norm)
-	if err := ctx.Err(); err != nil {
-		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: feature fetch: %w", err)
-	}
-	okUsers := make([]behavior.UserID, 0, len(users))
-	okNodes := make([]graph.NodeID, 0, len(users))
-	okVecs := make([][]float64, 0, len(users))
-	for i, vec := range vecs {
-		if errs[i] != nil {
-			rep.Skipped++
-			continue
-		}
-		okUsers = append(okUsers, users[i])
-		okNodes = append(okNodes, graph.NodeID(users[i]))
-		okVecs = append(okVecs, vec)
-	}
-	if len(okUsers) == 0 {
-		rep.Elapsed = time.Since(start)
-		e.recordRebuild(rep)
-		return rep, nil
-	}
-
-	// The table owns its feature matrix for the lifetime of the tier
-	// (refresh passes re-read frozen rows), so it is not pooled.
-	x := tensor.New(len(okVecs), len(okVecs[0]))
-	for i, vec := range okVecs {
-		copy(x.Row(i), vec)
-	}
-	res, err := embed.Build(snap, okNodes, x, sv.Model, sv.Version, e.Opts)
+	c, err := e.bn.gatherCohort(ctx, sv.Feats, sv.Norm, 0)
 	if err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 	}
-	// Install against the snapshot of NOW, not the build snapshot: the
-	// rebuild log's delta balls must be walked on an adjacency that
-	// contains them.
-	e.store.Install(res.Table, e.bn.Snapshot())
-	rep.Servable = true
-	e.pred.RememberScoresFor(okUsers, res.Probs, sv.Version)
-
-	rep.Rows = len(okNodes)
+	rep.Epoch, rep.Candidates, rep.Skipped = c.snap.Epoch(), c.candidates, c.skipped
+	if len(c.nodes) > 0 {
+		// The table owns the cohort's feature matrix for the lifetime of
+		// the tier: refresh passes re-read its frozen rows.
+		res, err := embed.Build(c.snap, c.nodes, c.x, sv.Model, sv.Version, sweep.Options{})
+		if err != nil {
+			return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
+		}
+		// Install against the snapshot of NOW, not the build snapshot: the
+		// rebuild log's delta balls must be walked on an adjacency that
+		// contains them.
+		e.store.Install(res.Table, e.bn.Snapshot())
+		rep.Servable = true
+		e.pred.RememberScoresFor(c.users, res.Probs, sv.Version)
+		rep.Rows = len(c.nodes)
+	}
 	rep.Elapsed = time.Since(start)
-	e.recordRebuild(rep)
+	e.lastRebuild.Store(&rep)
 	return rep, nil
 }
 
@@ -233,7 +180,7 @@ func (e *EmbedEngine) RefreshOnce() EmbedRefreshReport {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 
-	st := e.store.Refresh(e.bn.Snapshot(), e.Opts)
+	st := e.store.Refresh(e.bn.Snapshot(), sweep.Options{})
 	rep := EmbedRefreshReport{
 		At:      time.Now(),
 		Dirty:   st.Dirty,
@@ -243,7 +190,7 @@ func (e *EmbedEngine) RefreshOnce() EmbedRefreshReport {
 	}
 	if st.Ball > 0 {
 		e.pred.Tel.ObserveEmbedRefresh(st.Elapsed, st.Ball)
-		e.recordRefresh(rep)
+		e.lastRefresh.Store(&rep)
 	}
 	return rep
 }
@@ -276,25 +223,11 @@ func (e *EmbedEngine) StatsSnapshot() map[string]any {
 		body["table_epoch"] = tab.Epoch()
 		body["age_seconds"] = tab.AgeSeconds()
 	}
-	e.lastMu.RLock()
-	if e.hasRebuild {
-		body["last_rebuild"] = e.lastRebuild
+	if rep, ok := e.LastRebuild(); ok {
+		body["last_rebuild"] = rep
 	}
-	if e.hasRefresh {
-		body["last_refresh"] = e.lastRefresh
+	if rep, ok := e.LastRefresh(); ok {
+		body["last_refresh"] = rep
 	}
-	e.lastMu.RUnlock()
 	return body
-}
-
-func (e *EmbedEngine) recordRebuild(rep EmbedRebuildReport) {
-	e.lastMu.Lock()
-	e.lastRebuild, e.hasRebuild = rep, true
-	e.lastMu.Unlock()
-}
-
-func (e *EmbedEngine) recordRefresh(rep EmbedRefreshReport) {
-	e.lastMu.Lock()
-	e.lastRefresh, e.hasRefresh = rep, true
-	e.lastMu.Unlock()
 }

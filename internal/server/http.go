@@ -115,9 +115,11 @@ func NewAPI(pred *PredictionServer, bn *BNServer) *API {
 	a.mux.HandleFunc("/healthz", requireGET(a.handleHealthz))
 	a.mux.HandleFunc("/readyz", requireGET(a.handleReadyz))
 	a.mux.HandleFunc("/admin/checkpoint", a.handleAdminCheckpoint)
-	a.mux.HandleFunc("/admin/retrain", a.handleAdminRetrain)
-	a.mux.HandleFunc("/admin/sweep", a.handleAdminSweep)
-	a.mux.HandleFunc("/admin/embed/refresh", a.handleAdminEmbedRefresh)
+	// A rejected candidate is a 200 with "accepted": false — the gate
+	// worked; only a training failure is a 500.
+	a.mux.HandleFunc("/admin/retrain", adminAction(a, "retrain", &a.Admin.Retrain, "retraining not configured", "retrain failed"))
+	a.mux.HandleFunc("/admin/sweep", adminAction(a, "sweep", &a.Admin.Sweep, "sweeping not configured", "sweep failed"))
+	a.mux.HandleFunc("/admin/embed/refresh", adminAction(a, "embed/refresh", &a.Admin.EmbedRefresh, "embedding tier not configured", "embed refresh failed"))
 	a.mux.HandleFunc("/admin/rollback", a.handleAdminRollback)
 	a.mux.HandleFunc("/admin/models", requireGET(a.handleAdminModels))
 	if pred != nil {
@@ -438,77 +440,34 @@ func runCancellable[T any](ctx context.Context, fn func(ctx context.Context) (T,
 	}
 }
 
-// handleAdminRetrain runs one retrain pass through the validation-gated
-// lifecycle and reports the gate's verdict. A rejected candidate is a
-// 200 with "accepted": false — the gate worked; only a training failure
-// is a 500. Client disconnect unblocks the handler immediately.
-func (a *API) handleAdminRetrain(w http.ResponseWriter, r *http.Request) {
-	if !a.requirePOSTReady(w, r) {
-		return
+// adminAction serves one long-running admin hook, read from *hook at
+// request time: POST only, 503 while recovering or when the hook is nil
+// (unconfigured), the hook's report as JSON, and a masked 500 with
+// failed when it errs; the error itself goes to the log under
+// "admin/<name>". The hook runs through runCancellable, so a
+// disconnected client unblocks the handler immediately.
+func adminAction[R any](a *API, name string, hook *func(context.Context) (R, error), unconfigured, failed string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !a.requirePOSTReady(w, r) {
+			return
+		}
+		fn := *hook
+		if fn == nil {
+			http.Error(w, unconfigured, http.StatusServiceUnavailable)
+			return
+		}
+		rep, err, done := runCancellable(r.Context(), fn)
+		if !done {
+			a.logf("admin/%s: client gone: %v", name, err)
+			return // nobody left to answer
+		}
+		if err != nil {
+			a.logf("admin/%s: %v", name, err)
+			http.Error(w, failed, http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, rep)
 	}
-	if a.Admin.Retrain == nil {
-		http.Error(w, "retraining not configured", http.StatusServiceUnavailable)
-		return
-	}
-	rep, err, done := runCancellable(r.Context(), a.Admin.Retrain)
-	if !done {
-		a.logf("admin/retrain: client gone: %v", err)
-		return // nobody left to answer
-	}
-	if err != nil {
-		a.logf("admin/retrain: %v", err)
-		http.Error(w, "retrain failed", http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, rep)
-}
-
-// handleAdminSweep runs one full-graph re-score and returns its report.
-// Client disconnect unblocks the handler immediately; the cancelled
-// context also aborts the sweep's feature-fetch stage.
-func (a *API) handleAdminSweep(w http.ResponseWriter, r *http.Request) {
-	if !a.requirePOSTReady(w, r) {
-		return
-	}
-	if a.Admin.Sweep == nil {
-		http.Error(w, "sweeping not configured", http.StatusServiceUnavailable)
-		return
-	}
-	rep, err, done := runCancellable(r.Context(), a.Admin.Sweep)
-	if !done {
-		a.logf("admin/sweep: client gone: %v", err)
-		return
-	}
-	if err != nil {
-		a.logf("admin/sweep: %v", err)
-		http.Error(w, "sweep failed", http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, rep)
-}
-
-// handleAdminEmbedRefresh re-embeds the embedding tier's dirty set now
-// and returns the refresh report. Client disconnect unblocks the
-// handler; the refresh itself runs to completion in the background.
-func (a *API) handleAdminEmbedRefresh(w http.ResponseWriter, r *http.Request) {
-	if !a.requirePOSTReady(w, r) {
-		return
-	}
-	if a.Admin.EmbedRefresh == nil {
-		http.Error(w, "embedding tier not configured", http.StatusServiceUnavailable)
-		return
-	}
-	rep, err, done := runCancellable(r.Context(), a.Admin.EmbedRefresh)
-	if !done {
-		a.logf("admin/embed/refresh: client gone: %v", err)
-		return
-	}
-	if err != nil {
-		a.logf("admin/embed/refresh: %v", err)
-		http.Error(w, "embed refresh failed", http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, rep)
 }
 
 // handleAdminRollback re-installs the previous accepted model. 409 when

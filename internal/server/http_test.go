@@ -414,7 +414,8 @@ func TestHTTPAdminEndpointsMethodAndReadiness(t *testing.T) {
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	for _, path := range []string{"/admin/checkpoint", "/admin/retrain"} {
+	paths := []string{"/admin/checkpoint", "/admin/retrain", "/admin/sweep", "/admin/embed/refresh"}
+	for _, path := range paths {
 		// Wrong method: 405 with an Allow header.
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -445,8 +446,14 @@ func TestHTTPAdminEndpointsMethodAndReadiness(t *testing.T) {
 	api.Admin.Retrain = func(ctx context.Context) (RetrainReport, error) {
 		return RetrainReport{Accepted: true}, nil
 	}
+	api.Admin.Sweep = func(ctx context.Context) (SweepReport, error) {
+		return SweepReport{Scored: 3}, nil
+	}
+	api.Admin.EmbedRefresh = func(ctx context.Context) (EmbedRefreshReport, error) {
+		return EmbedRefreshReport{Cleared: 2}, nil
+	}
 	api.SetReady(false)
-	for _, path := range []string{"/admin/checkpoint", "/admin/retrain"} {
+	for _, path := range paths {
 		resp, err := http.Post(srv.URL+path, "", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -491,25 +498,54 @@ func TestHTTPAdminEndpointsMethodAndReadiness(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || rt["accepted"] != true {
 		t.Fatalf("retrain response %d %+v", resp.StatusCode, rt)
 	}
+	for path, want := range map[string][2]any{
+		"/admin/sweep":         {"scored", float64(3)},
+		"/admin/embed/refresh": {"cleared", float64(2)},
+	} {
+		resp, err = http.Post(srv.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || rep[want[0].(string)] != want[1] {
+			t.Fatalf("%s response %d %+v", path, resp.StatusCode, rep)
+		}
+	}
 }
 
 func TestHTTPAdminErrorsAreMasked(t *testing.T) {
 	api := newTestAPI(t)
+	secret := errors.New("disk full: /secret/path")
 	api.Admin.Checkpoint = func() (persist.CheckpointInfo, error) {
-		return persist.CheckpointInfo{}, errors.New("disk full: /secret/path")
+		return persist.CheckpointInfo{}, secret
+	}
+	api.Admin.Retrain = func(ctx context.Context) (RetrainReport, error) {
+		return RetrainReport{}, secret
+	}
+	api.Admin.Sweep = func(ctx context.Context) (SweepReport, error) {
+		return SweepReport{}, secret
+	}
+	api.Admin.EmbedRefresh = func(ctx context.Context) (EmbedRefreshReport, error) {
+		return EmbedRefreshReport{}, secret
 	}
 	srv := httptest.NewServer(api)
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/admin/checkpoint", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d want 500", resp.StatusCode)
-	}
-	if strings.Contains(string(body), "secret") {
-		t.Fatalf("internal error leaked to client: %q", body)
+	for _, path := range []string{"/admin/checkpoint", "/admin/retrain", "/admin/sweep", "/admin/embed/refresh"} {
+		resp, err := http.Post(srv.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("POST %s: status %d want 500", path, resp.StatusCode)
+		}
+		if strings.Contains(string(body), "secret") {
+			t.Fatalf("POST %s: internal error leaked to client: %q", path, body)
+		}
 	}
 }

@@ -3,15 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"turbo/internal/behavior"
-	"turbo/internal/feature"
 	"turbo/internal/gnn"
-	"turbo/internal/graph"
 	"turbo/internal/lifecycle"
-	"turbo/internal/sweep"
-	"turbo/internal/tensor"
 )
 
 // HoldoutFunc evaluates one candidate model on a labeled holdout set
@@ -59,71 +53,15 @@ func (p *PredictionServer) HealthSnapshot() lifecycle.Health {
 	}
 }
 
-// cohortRaw collects up to limit audit-eligible users from the current
-// snapshot together with their raw (un-normalized) feature vectors.
-// Users whose feature fetch fails are silently dropped — the cohort is
-// a sample, not a census.
-func (e *SweepEngine) cohortRaw(ctx context.Context, limit int) (*graph.Snapshot, []graph.NodeID, [][]float64, error) {
-	feats := e.pred.Serving().Feats
-	snap := e.bn.Snapshot()
-	filter := e.bn.TxnFilter()
-	var users []behavior.UserID
-	for _, id := range snap.Nodes() {
-		if filter(id) {
-			users = append(users, behavior.UserID(id))
-			if limit > 0 && len(users) >= limit {
-				break
-			}
-		}
-	}
-	if len(users) == 0 {
-		return snap, nil, nil, nil
-	}
-	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), nil)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("server: cohort feature fetch: %w", err)
-	}
-	nodes := make([]graph.NodeID, 0, len(users))
-	raw := make([][]float64, 0, len(users))
-	for i, vec := range vecs {
-		if errs[i] != nil {
-			continue
-		}
-		nodes = append(nodes, graph.NodeID(users[i]))
-		raw = append(raw, vec)
-	}
-	return snap, nodes, raw, nil
-}
-
-// scoreWith scores the cohort's raw vectors under one (model,
-// normalizer) pair via the shard-parallel sweep kernels. A normalizer
-// never mutates its input (core.System.SetModel), so the same raw cohort
-// can be scored under the candidate and the live model. The cohort is
-// gathered raw and each normalizer applied here, not through the
-// feature table's row memo: the memo holds one normalizer per row, and
-// a shadow run must not evict the live model's.
-func (e *SweepEngine) scoreWith(snap *graph.Snapshot, nodes []graph.NodeID, raw [][]float64, model gnn.Model, norm func([]float64) []float64) []float64 {
-	x := tensor.GetMatrix(len(raw), len(raw[0]))
-	for i, vec := range raw {
-		if norm != nil {
-			vec = norm(vec)
-		}
-		copy(x.Row(i), vec)
-	}
-	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: nodes})
-	out := make([]float64, len(nodes))
-	sweep.ScoresInto(out, model, b, e.Opts)
-	b.Release()
-	tensor.PutMatrix(x)
-	return out
-}
-
 // ShadowPair scores one shared cohort of real users under the candidate
 // and the live model — identical raw features and subgraph, each model
 // applying its own normalizer — returning paired score slices for the
 // gate's distribution-shift and disagreement checks. Reads only
 // immutable state (snapshot, model parameters, bulk-fetched vectors),
-// so it runs in parallel with ingestion and audits.
+// so it runs in parallel with ingestion and audits. The cohort is
+// gathered raw, not through the feature table's row memo: the memo
+// holds one normalizer per row, and a shadow run must not evict the
+// live model's.
 func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm func([]float64) []float64, limit int) (candScores, liveScores []float64, err error) {
 	live := e.pred.Serving()
 	if live.Model == nil {
@@ -132,12 +70,15 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 	if cand == nil {
 		return nil, nil, fmt.Errorf("server: shadow: no candidate model")
 	}
-	snap, nodes, raw, err := e.cohortRaw(ctx, limit)
-	if err != nil || len(nodes) == 0 {
-		return nil, nil, err
+	c, err := e.bn.gatherCohort(ctx, live.Feats, nil, limit)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: shadow: %w", err)
 	}
-	candScores = e.scoreWith(snap, nodes, raw, cand, candNorm)
-	liveScores = e.scoreWith(snap, nodes, raw, live.Model, live.Norm.Func())
+	if len(c.nodes) == 0 {
+		return nil, nil, nil
+	}
+	candScores, _ = c.scoreWith(cand, candNorm)
+	liveScores, _ = c.scoreWith(live.Model, live.Norm.Func())
 	return candScores, liveScores, nil
 }
 
@@ -149,9 +90,13 @@ func (e *SweepEngine) CohortScores(ctx context.Context, limit int) ([]float64, e
 	if live.Model == nil {
 		return nil, fmt.Errorf("server: cohort: no live model attached")
 	}
-	snap, nodes, raw, err := e.cohortRaw(ctx, limit)
-	if err != nil || len(nodes) == 0 {
-		return nil, err
+	c, err := e.bn.gatherCohort(ctx, live.Feats, nil, limit)
+	if err != nil {
+		return nil, fmt.Errorf("server: cohort: %w", err)
 	}
-	return e.scoreWith(snap, nodes, raw, live.Model, live.Norm.Func()), nil
+	if len(c.nodes) == 0 {
+		return nil, nil
+	}
+	scores, _ := c.scoreWith(live.Model, live.Norm.Func())
+	return scores, nil
 }

@@ -408,8 +408,10 @@ func (s *BNServer) Store() *behavior.Store { return s.store }
 
 // TxnFilter returns the audit-eligibility filter — users with a
 // registered transaction (§III-A). The closure is safe for concurrent
-// use; the sweep engine applies it to the full snapshot node set the
-// same way Sample applies it to a neighborhood.
+// use and takes txnMu once per call: it answers one-off checks such as
+// /subgraph's. A sample's walk (txnWalk) and the full-graph passes'
+// cohort list (gatherCohort) hold the read lock once for their whole
+// walk instead.
 func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 	return func(n graph.NodeID) bool {
 		s.txnMu.RLock()

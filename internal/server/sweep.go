@@ -29,17 +29,9 @@ type SweepEngine struct {
 	bn   *BNServer
 	pred *PredictionServer
 
-	// Opts tunes the shard execution (worker count, row costs). The zero
-	// value selects one worker per core up to sweep.MaxWorkers with
-	// edge-count balancing.
-	Opts sweep.Options
-
 	runMu    sync.Mutex // serializes sweeps
 	inflight atomic.Int64
-
-	lastMu  sync.RWMutex
-	last    SweepReport
-	hasLast bool
+	last     atomic.Pointer[SweepReport]
 }
 
 // SweepReport describes one completed full-graph sweep.
@@ -64,10 +56,15 @@ func NewSweepEngine(bn *BNServer, pred *PredictionServer) *SweepEngine {
 }
 
 // LastReport returns the most recent sweep's report, if any.
-func (e *SweepEngine) LastReport() (SweepReport, bool) {
-	e.lastMu.RLock()
-	defer e.lastMu.RUnlock()
-	return e.last, e.hasLast
+func (e *SweepEngine) LastReport() (SweepReport, bool) { return loadReport(&e.last) }
+
+// loadReport returns the report stored in p, if any.
+func loadReport[R any](p *atomic.Pointer[R]) (R, bool) {
+	if r := p.Load(); r != nil {
+		return *r, true
+	}
+	var zero R
+	return zero, false
 }
 
 // InFlight reports the number of sweeps currently running (0 or 1; the
@@ -75,7 +72,7 @@ func (e *SweepEngine) LastReport() (SweepReport, bool) {
 func (e *SweepEngine) InFlight() int64 { return e.inflight.Load() }
 
 // RunOnce re-scores every user with a transaction in the current
-// snapshot: bulk feature fetch, one full-graph subgraph compilation, one
+// snapshot: one cohort gather, one full-graph compile, one
 // shard-parallel sweep, then a bulk update of the last-known-score
 // cache. Users whose feature fetch fails are skipped and counted, not
 // fatal; ctx cancels the feature fetch stage.
@@ -90,66 +87,102 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	if sv.Model == nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: no model attached")
 	}
-	snap := e.bn.Snapshot()
-	filter := e.bn.TxnFilter()
-	var users []behavior.UserID
-	for _, id := range snap.Nodes() {
-		if filter(id) {
-			users = append(users, behavior.UserID(id))
-		}
+	c, err := e.bn.gatherCohort(ctx, sv.Feats, sv.Norm, 0)
+	if err != nil {
+		return SweepReport{}, fmt.Errorf("server: sweep: %w", err)
 	}
-	rep := SweepReport{At: start, Epoch: snap.Epoch(), Candidates: len(users)}
-	if len(users) == 0 {
+	rep := SweepReport{At: start, Epoch: c.snap.Epoch(), Candidates: c.candidates, Scored: len(c.users), Skipped: c.skipped}
+	if rep.Scored > 0 {
+		out, st := c.scoreWith(sv.Model, nil)
+		e.pred.RememberScoresFor(c.users, out, sv.Version)
+		rep.Edges, rep.Steps, rep.Workers = st.Edges, st.Steps, st.Workers
 		rep.Elapsed = time.Since(start)
-		e.record(rep)
-		return rep, nil
-	}
-
-	vecs, errs := feature.FetchVectors(ctx, sv.Feats, users, time.Now(), sv.Norm)
-	if err := ctx.Err(); err != nil {
-		return SweepReport{}, fmt.Errorf("server: sweep: feature fetch: %w", err)
-	}
-	okUsers := make([]behavior.UserID, 0, len(users))
-	okNodes := make([]graph.NodeID, 0, len(users))
-	okVecs := make([][]float64, 0, len(users))
-	for i, vec := range vecs {
-		if errs[i] != nil {
-			rep.Skipped++
-			continue
-		}
-		okUsers = append(okUsers, users[i])
-		okNodes = append(okNodes, graph.NodeID(users[i]))
-		okVecs = append(okVecs, vec)
-	}
-	rep.Scored = len(okUsers)
-	if rep.Scored == 0 {
+		e.pred.Tel.ObserveSweep(rep.Elapsed, rep.Scored, st.ShardCompute)
+	} else {
 		rep.Elapsed = time.Since(start)
-		e.record(rep)
-		return rep, nil
 	}
-
-	x := tensor.GetMatrix(len(okVecs), len(okVecs[0]))
-	for i, vec := range okVecs {
-		copy(x.Row(i), vec)
-	}
-	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: okNodes})
-	out := make([]float64, len(okNodes))
-	st := sweep.ScoresInto(out, sv.Model, b, e.Opts)
-	b.Release()
-	tensor.PutMatrix(x)
-
-	e.pred.RememberScoresFor(okUsers, out, sv.Version)
-	rep.Edges = st.Edges
-	rep.Steps = st.Steps
-	rep.Workers = st.Workers
-	rep.Elapsed = time.Since(start)
-	e.pred.Tel.ObserveSweep(rep.Elapsed, rep.Scored, st.ShardCompute)
-	e.record(rep)
+	e.last.Store(&rep)
 	return rep, nil
 }
 
-func (e *SweepEngine) record(rep SweepReport) {
-	e.lastMu.Lock()
-	e.last, e.hasLast = rep, true
-	e.lastMu.Unlock()
+// cohort is the input of one full-graph pass: the audit-eligible users
+// of one snapshot whose features were fetched, in ascending order, and
+// their packed feature rows.
+type cohort struct {
+	snap       *graph.Snapshot
+	candidates int               // eligible users listed
+	skipped    int               // listed users whose feature fetch failed
+	users      []behavior.UserID // the fetched users, ascending
+	nodes      []graph.NodeID    // the same users as graph nodes
+	x          *tensor.Matrix    // row i is users[i]'s vector; nil when users is empty
+}
+
+// gatherCohort lists up to limit (0 = all) audit-eligible users of the
+// current snapshot, under one txnMu read lock, and gathers their rows
+// from feats at one cutoff through norm (nil = raw). Users whose fetch
+// fails are skipped and counted; only a done ctx is an error. It is the
+// one feature read of the sweep, the embed rebuild and the lifecycle
+// cohort. The matrix is not pooled: the embed table keeps the
+// rebuild's for its lifetime.
+func (s *BNServer) gatherCohort(ctx context.Context, feats feature.Source, norm *feature.Norm, limit int) (*cohort, error) {
+	c := &cohort{snap: s.Snapshot()}
+	var users []behavior.UserID
+	s.txnMu.RLock()
+	for _, id := range c.snap.Nodes() {
+		if s.hasTxn[behavior.UserID(id)] {
+			users = append(users, behavior.UserID(id))
+			if limit > 0 && len(users) >= limit {
+				break
+			}
+		}
+	}
+	s.txnMu.RUnlock()
+	c.candidates = len(users)
+	if len(users) == 0 {
+		return c, nil
+	}
+	vecs, errs := feature.FetchVectors(ctx, feats, users, time.Now(), norm)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("feature fetch: %w", err)
+	}
+	rows := vecs[:0]
+	c.users = make([]behavior.UserID, 0, len(users))
+	c.nodes = make([]graph.NodeID, 0, len(users))
+	for i, u := range users {
+		if errs[i] != nil {
+			c.skipped++
+			continue
+		}
+		rows = append(rows, vecs[i])
+		c.users = append(c.users, u)
+		c.nodes = append(c.nodes, graph.NodeID(u))
+	}
+	if len(rows) > 0 {
+		c.x = tensor.New(len(rows), len(rows[0]))
+		for i, vec := range rows {
+			copy(c.x.Row(i), vec)
+		}
+	}
+	return c, nil
+}
+
+// scoreWith scores the cohort under model through the shard-parallel
+// sweep kernels: the server's one full-graph compile-and-sweep. norm
+// (nil = none) is applied to each packed row, which it never mutates
+// (core.System.SetModel), so one raw cohort can be scored under the
+// candidate's and the live model's normalizers.
+func (c *cohort) scoreWith(model gnn.Model, norm func([]float64) []float64) ([]float64, sweep.Stats) {
+	x := c.x
+	if norm != nil {
+		x = tensor.GetMatrix(c.x.Rows, c.x.Cols)
+		defer tensor.PutMatrix(x)
+		for i := range c.nodes {
+			copy(x.Row(i), norm(c.x.Row(i)))
+		}
+	}
+	b := gnn.FullBatch(c.snap, x, graph.FullOptions{Nodes: c.nodes})
+	defer b.Release()
+	out := make([]float64, len(c.nodes))
+	st := sweep.ScoresInto(out, model, b, sweep.Options{})
+	return out, st
 }

@@ -13,6 +13,7 @@ import (
 	"turbo/internal/behavior"
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
+	"turbo/internal/graph"
 )
 
 // TestSweepEngineRunOnce runs one full-graph re-score over the test
@@ -55,18 +56,57 @@ func TestSweepEngineRunOnce(t *testing.T) {
 }
 
 // TestSweepEngineSkipsMissingProfiles registers a transaction user with
-// no feature profile: the sweep must skip (and count) it, not abort.
+// no feature profile. The sweep, the embed rebuild and the lifecycle
+// cohort must each see the same candidates and skip (and count) that
+// same user, not abort; the cohort scores the live model bit for bit as
+// the sweep remembered.
 func TestSweepEngineSkipsMissingProfiles(t *testing.T) {
 	bnServer, pred := newTestStack(t)
 	bnServer.RegisterTransaction(9) // no profile stored
 	bnServer.Advance(t0.Add(3 * time.Hour))
+	ctx := context.Background()
 	eng := NewSweepEngine(bnServer, pred)
-	rep, err := eng.RunOnce(context.Background())
+	rep, err := eng.RunOnce(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Candidates != 4 || rep.Scored != 3 || rep.Skipped != 1 {
 		t.Fatalf("report %+v", rep)
+	}
+	swept := cachedScores(pred)
+	if _, ok := swept[9]; ok || len(swept) != 3 {
+		t.Fatalf("sweep cached %v, want users 1-3 only", swept)
+	}
+
+	cohort, err := eng.CohortScores(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cohort) != 3 {
+		t.Fatalf("cohort scored %d users, want 3", len(cohort))
+	}
+	for i, u := range []behavior.UserID{1, 2, 3} {
+		if math.Float64bits(cohort[i]) != math.Float64bits(swept[u]) {
+			t.Fatalf("user %d: cohort %v, sweep remembered %v", u, cohort[i], swept[u])
+		}
+	}
+
+	emb := NewEmbedEngine(bnServer, pred)
+	rb, err := emb.RebuildOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Candidates != 4 || rb.Rows != 3 || rb.Skipped != 1 || !rb.Servable {
+		t.Fatalf("rebuild report %+v", rb)
+	}
+	tab := emb.Store().Table()
+	for u := graph.NodeID(1); u <= 3; u++ {
+		if tab.Row(u) < 0 {
+			t.Fatalf("rebuild table has no row for user %d", u)
+		}
+	}
+	if tab.Row(9) >= 0 {
+		t.Fatal("rebuild table has a row for the user without a profile")
 	}
 }
 
