@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,6 +108,55 @@ func TestSweepEngineSkipsMissingProfiles(t *testing.T) {
 	}
 	if tab.Row(9) >= 0 {
 		t.Fatal("rebuild table has a row for the user without a profile")
+	}
+}
+
+// TestFullGraphPassesUnderConcurrentWrites runs the sweep, the embed
+// rebuild and the lifecycle cohort beside transaction registration,
+// Advance and report reads, which share the cohort's eligible-user walk
+// and the stored reports with them (meant for -race). Once the writers
+// stop, the sweep and the rebuild see the same candidates and skips.
+func TestFullGraphPassesUnderConcurrentWrites(t *testing.T) {
+	bnServer, pred := newTestStack(t)
+	sweeper := NewSweepEngine(bnServer, pred)
+	emb := NewEmbedEngine(bnServer, pred)
+	ctx := context.Background()
+	passes := []func() error{
+		func() error { _, err := sweeper.RunOnce(ctx); return err },
+		func() error { _, err := emb.RebuildOnce(ctx); return err },
+		func() error { _, err := sweeper.CohortScores(ctx, 2); return err },
+	}
+	var wg sync.WaitGroup
+	for _, pass := range passes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := pass(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for u := behavior.UserID(10); u < 30; u++ {
+		bnServer.RegisterTransaction(u) // no profile stored
+		bnServer.Advance(t0.Add(3*time.Hour + time.Duration(u)*time.Minute))
+		sweeper.LastReport()
+		emb.StatsSnapshot()
+	}
+	wg.Wait()
+
+	rep, err := sweeper.RunOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := emb.RebuildOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Candidates != 23 || rep.Skipped != 20 || rb.Candidates != 23 || rb.Skipped != 20 || rb.Rows != 3 {
+		t.Fatalf("sweep %+v, rebuild %+v: want 23 candidates, 20 skipped", rep, rb)
 	}
 }
 

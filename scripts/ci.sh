@@ -63,8 +63,8 @@ go test -race -run 'TestConeParity|TestConeCSRMatchesNewBatch|TestSnapshotSample
 echo "== crash-recovery property test (random kill points, under -race)"
 go test -race -run 'TestRecoveryKillPoints|TestKillAndRestartRecoversExactState' ./internal/server/
 
-echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, after a swap and a rollback to another normalizer the full path, fallback, sweep and embed rebuild score bitwise a fresh server's, the embedding tier keeps serving after a core retrain and rollback, the sweep, the embed rebuild and the lifecycle cohort skip the same profile-less user and the cohort scores bitwise what the sweep remembered, every admin POST endpoint answers 405/503 and masks a failing hook as a 500, under -race)"
-go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRate|TestModelStoreQuarantinedNeverAutoLoaded|TestSwapRetiresInFlightScore|TestSwapScoresF64UntilGateVerdict|TestSwapAndRollbackServeNewNormalizer|TestSweepEngineSkipsMissingProfiles|TestHTTPAdminEndpointsMethodAndReadiness|TestHTTPAdminErrorsAreMasked' ./internal/server/ ./internal/persist/
+echo "== model-lifecycle gate smoke (degenerate candidate rejected + quarantined, bad swap auto-rolled-back, a swap retires the in-flight audit's tier-3 score, a swapped-in model scores f64 until its own f32 gate passes, after a swap and a rollback to another normalizer the full path, fallback, sweep and embed rebuild score bitwise a fresh server's, the embedding tier keeps serving after a core retrain and rollback, the sweep, the embed rebuild and the lifecycle cohort skip the same profile-less user and the cohort scores bitwise what the sweep remembered, the three passes run beside transaction registration and Advance, every admin POST endpoint answers 405/503 and masks a failing hook as a 500, under -race)"
+go test -race -run 'TestGatedRetrainRejectQuarantines|TestAutoRollbackOnErrorRate|TestModelStoreQuarantinedNeverAutoLoaded|TestSwapRetiresInFlightScore|TestSwapScoresF64UntilGateVerdict|TestSwapAndRollbackServeNewNormalizer|TestSweepEngineSkipsMissingProfiles|TestFullGraphPassesUnderConcurrentWrites|TestHTTPAdminEndpointsMethodAndReadiness|TestHTTPAdminErrorsAreMasked' ./internal/server/ ./internal/persist/
 go test -race -run 'TestEmbedTierServesAfterRetrainAndRollback' ./internal/core/
 
 echo "== fuzz smoke (WAL payload decoder, 10s)"
