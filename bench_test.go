@@ -23,7 +23,6 @@ import (
 	"turbo/internal/graph"
 	"turbo/internal/hag"
 	"turbo/internal/server"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -497,7 +496,7 @@ func BenchmarkMatMul(b *testing.B) {
 // serving path would if asked one user at a time: extract that user's
 // uncapped 2-hop computation subgraph, gather its features, compile a
 // batch, run one forward. This is the pre-sweep full-graph re-score
-// baseline that BenchmarkFullGraphSweep replaces; the internal/sweep
+// baseline that BenchmarkFullGraphSweep replaces; the gnn full-graph
 // tests pin the two paths to per-node agreement within 1e-12.
 func BenchmarkScoreEveryoneNaive(b *testing.B) {
 	a := benchAssembled()
@@ -518,20 +517,19 @@ func BenchmarkScoreEveryoneNaive(b *testing.B) {
 	b.ReportMetric(float64(len(a.Nodes)), "nodes/sweep")
 }
 
-// BenchmarkFullGraphSweep re-scores every user through one shard-parallel
-// layer-at-a-time GAS sweep (internal/sweep): the snapshot is exported
-// once, each layer runs for all nodes before the next, and one worker per
-// shard streams out per-node probabilities. Compare ns/op against
-// BenchmarkScoreEveryoneNaive — the sweep shares each layer's work across
-// all nodes instead of recomputing overlapping neighborhoods per user.
+// BenchmarkFullGraphSweep re-scores every user through one full-graph
+// forward (gnn.Scores): the snapshot is exported once, and each layer
+// runs for all nodes, split into row ranges across the cores, before the
+// next. Compare ns/op against BenchmarkScoreEveryoneNaive — the forward
+// shares each layer's work across all nodes instead of recomputing
+// overlapping neighborhoods per user.
 func BenchmarkFullGraphSweep(b *testing.B) {
 	a := benchAssembled()
 	m := eval.NewHAG(eval.HAGFull, hagConfig(benchHyper(), a.X.Cols, a.Graph.NumEdgeTypes()))
-	out := make([]float64, len(a.Nodes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := a.FullBatch()
-		sweep.ScoresInto(out, m, batch, sweep.Options{})
+		gnn.Scores(m, batch)
 		batch.Release()
 	}
 	b.ReportMetric(float64(len(a.Nodes)), "nodes/sweep")

@@ -201,8 +201,8 @@ func (s *System) Rescore(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("sweep: %d/%d users re-scored in %v (%d workers, %d skipped)",
-		rep.Scored, rep.Candidates, rep.Elapsed, rep.Workers, rep.Skipped), nil
+	return fmt.Sprintf("sweep: %d/%d users re-scored in %v (%d skipped)",
+		rep.Scored, rep.Candidates, rep.Elapsed, rep.Skipped), nil
 }
 
 // BNServer exposes the BN server (stats, direct sampling).

@@ -1,11 +1,11 @@
 package embed
 
 import (
+	"runtime"
 	"testing"
 
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -19,7 +19,7 @@ func benchWorld(b *testing.B) (*graph.Graph, *graph.Snapshot, *tensor.Matrix, []
 	ids := append([]graph.NodeID(nil), nodes...)
 	xc := tensor.New(x.Rows, x.Cols)
 	copy(xc.Data, x.Data)
-	res, err := Build(snap, ids, xc, m, 1, sweep.Options{Workers: 4})
+	res, err := Build(snap, ids, xc, m, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func BenchmarkEmbedRefresh(b *testing.B) {
 					tab.markRow(int32(r))
 				}
 				b.StartTimer()
-				st := s.Refresh(snap, sweep.Options{Workers: 4})
+				st := s.Refresh(snap)
 				refreshed += int64(st.Ball)
 			}
 			if b.N > 0 {
@@ -139,9 +139,10 @@ func BenchmarkCompileStars(b *testing.B) {
 	_, snap, _, nodes := testWorld(21, 1000, 3, 8)
 	tab := newTable(1, nil, nil, 2, never, nodes, nil)
 	b.Run("compiler", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tab.compileStars(snap, 1)
+			tab.compileStars(snap)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -88,7 +87,7 @@ func TestMemoInvalidatedByNeighbourRefresh(t *testing.T) {
 	if _, r := s.TryServe(snap2, u, m); r != Dirty {
 		t.Fatalf("serve of %d with a dirty gathered row: %v, want Dirty", u, r)
 	}
-	s.Refresh(snap2, sweep.Options{Workers: 2})
+	s.Refresh(snap2)
 
 	second, r := s.TryServe(snap2, u, m)
 	if r != Hit {
@@ -182,7 +181,7 @@ func TestMemoConcurrentRefresh(t *testing.T) {
 		next := g.Snapshot()
 		s.Flush(next)
 		cur.Store(next)
-		s.Refresh(next, sweep.Options{Workers: 1})
+		s.Refresh(next)
 		record()
 		// Let the readers serve under this generation before the next.
 		for n := served.Load(); served.Load() == n; {

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -9,19 +10,19 @@ import (
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
 	"turbo/internal/hag"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
 var never = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // embedTol is the serving parity bound: the gathered-block final layer
-// may tile its dense matmuls differently than the full-height sweep, so
+// may tile its dense matmuls differently than the full-height forward, so
 // the contract is ≤1e-9, not bitwise.
 const embedTol = 1e-9
 
 // testWorld builds a mutable multigraph with n nodes and ~4n random
-// typed edges plus frozen features, the same shape the sweep tests use.
+// typed edges plus frozen features, the same shape the gnn full-graph
+// tests use.
 func testWorld(seed uint64, n, types, dim int) (*graph.Graph, *graph.Snapshot, *tensor.Matrix, []graph.NodeID) {
 	rng := tensor.NewRNG(seed | 1)
 	g := graph.New(types)
@@ -70,22 +71,32 @@ func fullScores(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.N
 	return gnn.Scores(m, b)
 }
 
-// buildTable builds a table for m over the whole node set.
+// withProcs runs the rest of the test at GOMAXPROCS k, so Build's star
+// compile and any forward over the work threshold split their rows into
+// k ranges.
+func withProcs(t *testing.T, k int) {
+	prev := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// buildTable builds a table for m over the whole node set, its rows
+// split into four ranges.
 func buildTable(t *testing.T, m gnn.Model, snap *graph.Snapshot, nodes []graph.NodeID, x *tensor.Matrix) *BuildResult {
 	t.Helper()
+	withProcs(t, 4)
 	ids := append([]graph.NodeID(nil), nodes...)
 	xc := tensor.New(x.Rows, x.Cols)
 	copy(xc.Data, x.Data)
-	res, err := Build(snap, ids, xc, m, 1, sweep.Options{Workers: 4})
+	res, err := Build(snap, ids, xc, m, 1)
 	if err != nil {
 		t.Fatalf("%s: build: %v", m.Name(), err)
 	}
 	return res
 }
 
-// TestEmbedServeParity pins the embedding tier to the full-graph sweep
+// TestEmbedServeParity pins the embedding tier to the full-graph forward
 // for every model variant: the build's probabilities match gnn.Scores
-// bitwise (same sweep), TryServe on every clean node reproduces the
+// bitwise (same forward), TryServe on every clean node reproduces the
 // full score within 1e-9, and a warm serve (from the row's score memo)
 // is bitwise the cold one.
 func TestEmbedServeParity(t *testing.T) {
@@ -188,7 +199,7 @@ func TestDirtyNeverServesStale(t *testing.T) {
 
 	// Refresh repairs the dirty set: everything serves again and matches
 	// the post-delta full scores within tolerance.
-	st := s.Refresh(snap2, sweep.Options{Workers: 2})
+	st := s.Refresh(snap2)
 	if st.Dirty == 0 || st.Ball < st.Dirty || st.Cleared != st.Dirty {
 		t.Fatalf("refresh stats %+v", st)
 	}
@@ -269,7 +280,7 @@ func TestRandomizedDirtyPropagation(t *testing.T) {
 			}
 		}
 		if round%2 == 1 {
-			s.Refresh(cur, sweep.Options{Workers: 2})
+			s.Refresh(cur)
 		}
 	}
 }

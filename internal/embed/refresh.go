@@ -5,7 +5,6 @@ import (
 
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -14,13 +13,12 @@ type RefreshStats struct {
 	Dirty   int           // dirty rows targeted
 	Ball    int           // rows re-embedded (dirty set padded to L−1 hops)
 	Cleared int           // dirty bits cleared (rows not re-dirtied mid-refresh)
-	Sweep   sweep.Stats   // the ball sweep
 	Elapsed time.Duration // wall time of the whole pass
 }
 
 // Refresh re-embeds the dirty set incrementally: it pads the dirty rows
 // D to their universe-restricted closed (L−1)-hop ball, runs the
-// embedding sweep over that induced subgraph with the table's FROZEN
+// capturing forward over that induced subgraph with the table's FROZEN
 // features, and republishes rows and stars for D only.
 //
 // Correctness: with the closed ball B = ball(D, L−1) and snapshot-exact
@@ -36,7 +34,7 @@ type RefreshStats struct {
 // Flush while the refresh runs re-dirty rows; the refresh skips
 // clearing those bits (Store.remarked), so their next values come from
 // a later pass.
-func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
+func (s *Store) Refresh(snap *graph.Snapshot) RefreshStats {
 	start := time.Now()
 	var st RefreshStats
 
@@ -60,9 +58,9 @@ func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
 	ball := c.ballRows(dirty, tab.hops-1)
 	st.Ball = len(ball)
 
-	// Gather the ball's frozen features and run the embedding sweep over
-	// the induced subgraph. No scoring emit: only the captured
-	// penultimate activations matter here.
+	// Gather the ball's frozen features and run the capturing forward
+	// over the induced subgraph: only the captured penultimate
+	// activations matter here, the logits are dropped.
 	ballIDs := make([]graph.NodeID, len(ball))
 	for i, r := range ball {
 		ballIDs[i] = tab.ids[r]
@@ -76,9 +74,9 @@ func (s *Store) Refresh(snap *graph.Snapshot, opts sweep.Options) RefreshStats {
 	for st2, w := range tab.widths {
 		capture[st2] = tensor.New(len(ball), w)
 	}
-	prog := tab.model.BuildEmbedSweep(b, capture)
-	st.Sweep = sweep.Run(prog, opts, nil)
-	prog.Release()
+	f := gnn.AcquireFwd[float64]()
+	tab.model.InferEmbed(f, b, capture)
+	gnn.ReleaseFwd(f)
 	b.Release()
 
 	// Rebuild the dirty rows' stars against the refresh snapshot.

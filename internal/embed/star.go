@@ -9,7 +9,7 @@ import (
 
 // star.go compiles per-target aggregation stars: the incoming §III-A
 // weighted edge rows of one node, restricted to the table universe,
-// with weights bitwise-equal to the full-graph batch the build sweep
+// with weights bitwise-equal to the full-graph batch the build's forward
 // reads (graph.Snapshot.FullCSR over the same node set). The final-layer
 // CSR row for target u holds one entry per universe neighbor v in
 // ascending-ID order with weight w(u,v)/√(deg_t(u)·deg_t(v)) — exactly

@@ -10,7 +10,6 @@ import (
 
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -219,13 +218,14 @@ func starWorld(seed int64, n int) (*graph.Graph, []graph.NodeID) {
 // snapshot lacks; and on a hand-made snapshot with what a real graph
 // never publishes: a self edge and a neighbour of zero typed degree.
 func TestStarsMatchReference(t *testing.T) {
+	withProcs(t, 3)
 	m := testModels(6, 3)[3]
 	for _, seed := range []int64{1, 2, 3} {
 		const n = 30
 		g, ids := starWorld(seed, n)
 		snap := g.Snapshot()
 		x := tensor.RandNormal(len(ids), 6, 1, tensor.NewRNG(uint64(seed)))
-		res, err := Build(snap, ids, x, m, 1, sweep.Options{Workers: 3})
+		res, err := Build(snap, ids, x, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestStarsMatchReference(t *testing.T) {
 		}
 		snap2 := g.Snapshot()
 		s.Flush(snap2)
-		if st := s.Refresh(snap2, sweep.Options{Workers: 2}); st.Dirty == 0 {
+		if st := s.Refresh(snap2); st.Dirty == 0 {
 			t.Fatal("deltas dirtied no row")
 		}
 		// Every star a delta can change sits in its dirty ball, so after
@@ -383,7 +383,7 @@ func TestBuildRejectsUnsortedUniverse(t *testing.T) {
 	repeated := append([]graph.NodeID(nil), nodes...)
 	repeated[7] = repeated[6]
 	for name, ids := range map[string][]graph.NodeID{"shuffled": shuffled, "repeated": repeated} {
-		if _, err := Build(snap, ids, x, m, 1, sweep.Options{Workers: 2}); err == nil {
+		if _, err := Build(snap, ids, x, m, 1); err == nil {
 			t.Fatalf("%s universe: Build returned no error", name)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package embed implements the lambda-tier embedding store: a
 // versioned table of penultimate-layer (h^{L-1}) activations for every
 // node of a behavior-network snapshot, populated by the full-graph
-// sweep, invalidated incrementally by edge-delta dirty marking, and
+// forward, invalidated incrementally by edge-delta dirty marking, and
 // served through the model's final-layer-only scoring split
 // (gnn.Model.InferFinal). The BRIGHT/lambda-architecture observation this
 // encodes: only the last graph layer of a GNN reads other nodes' state,

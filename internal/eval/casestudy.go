@@ -26,7 +26,7 @@ type CaseStudy struct {
 func RunCaseStudy(a *Assembled, h Hyper, seed uint64, maxNeighbors int) CaseStudy {
 	h = h.withDefaults()
 	m, fullBatch := TrainHAG(a, HAGFull, h, seed)
-	scores := SweepScores(m, fullBatch)
+	scores := gnn.Scores(m, fullBatch)
 
 	// Choose the highest-scoring fraud node with at least 3 neighbors.
 	best, bestScore := -1, -1.0

@@ -7,7 +7,6 @@ import (
 	"turbo/internal/graph"
 	"turbo/internal/hag"
 	"turbo/internal/metrics"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
@@ -110,17 +109,6 @@ func (a *Assembled) EvaluateScores(scores []float64, thresh float64) metrics.Rep
 	return metrics.Evaluate(a.ScoresAt(scores), a.TestLabels(), thresh)
 }
 
-// SweepScores scores every node of the batch through one shard-parallel
-// layer-at-a-time sweep (internal/sweep) instead of a per-node loop or
-// per-batch forward. The sweep runs the identical Infer kernels over
-// row ranges, so the scores — and every metric computed from them in
-// results_tables.txt — are unchanged from gnn.Scores; the eval shape
-// tests pin the two paths to exact equality.
-func SweepScores(m gnn.Model, b *gnn.Batch) []float64 {
-	out, _ := sweep.Scores(m, b, sweep.Options{})
-	return out
-}
-
 // RunFeatureModel trains a feature-only classifier (LR, SVM, GBDT, DNN)
 // and evaluates it on the test split.
 func RunFeatureModel(a *Assembled, clf baselines.Classifier, h Hyper) metrics.Report {
@@ -158,7 +146,7 @@ func RunGNN(a *Assembled, kind GNNKind, h Hyper, seed uint64) metrics.Report {
 	b := a.FullBatch()
 	m := NewGNN(kind, h.gnnConfig(b.X.Cols, seed))
 	gnn.Train(m, b, a.TrainIdx, a.Labels, h.trainConfig(seed))
-	return a.EvaluateScores(SweepScores(m, b), h.Threshold)
+	return a.EvaluateScores(gnn.Scores(m, b), h.Threshold)
 }
 
 // HAGVariant selects the Table V ablation.
@@ -193,7 +181,7 @@ func TrainHAG(a *Assembled, v HAGVariant, h Hyper, seed uint64) (*hag.HAG, *gnn.
 func RunHAG(a *Assembled, v HAGVariant, h Hyper, seed uint64) metrics.Report {
 	h = h.withDefaults()
 	m, b := TrainHAG(a, v, h, seed)
-	return a.EvaluateScores(SweepScores(m, b), h.Threshold)
+	return a.EvaluateScores(gnn.Scores(m, b), h.Threshold)
 }
 
 // RunHAGMasked trains HAG with one edge type removed (Fig. 7) and
@@ -203,7 +191,7 @@ func RunHAGMasked(a *Assembled, t behavior.Type, h Hyper, seed uint64) metrics.R
 	b := a.MaskedBatch(t)
 	m := NewHAG(HAGFull, h.hagConfig(b.X.Cols, a.Graph.NumEdgeTypes(), seed))
 	gnn.Train(m, b, a.TrainIdx, a.Labels, h.trainConfig(seed))
-	return a.EvaluateScores(SweepScores(m, b), h.Threshold)
+	return a.EvaluateScores(gnn.Scores(m, b), h.Threshold)
 }
 
 // RunHAGInductive trains HAG with neighbor-sampled minibatches (the

@@ -5,12 +5,13 @@ import (
 )
 
 // embed.go is the model half of the lambda-tier embedding split: batch
-// sweeps precompute every node's penultimate-layer activations (the
-// input of the last graph layer), and serving recomputes only the last
-// layer plus the head for one target from those cached rows. Only the
-// last layer reads other rows of its input — exactly the observation
-// behind InferTarget — so freezing h^{L-1} turns a full multi-hop
-// forward into one aggregation row, one dense layer, and the MLP head.
+// forwards (InferEmbed) precompute every node's penultimate-layer
+// activations (the input of the last graph layer), and serving
+// recomputes only the last layer plus the head for one target from those
+// cached rows. Only the last layer reads other rows of its input —
+// exactly the observation behind InferTarget — so freezing h^{L-1} turns
+// a full multi-hop forward into one aggregation row, one dense layer,
+// and the MLP head.
 //
 // Equivalence contract: InferFinal replicates the per-row arithmetic of
 // the corresponding full forward — StarAggRow rebuilds the target's row

@@ -10,7 +10,6 @@ import (
 	"turbo/internal/datagen"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 )
 
 // benchWorld returns the BN of the serving-shaped world (datagen.Tiny
@@ -33,11 +32,11 @@ func benchWorld(b *testing.B, users int) *graph.Snapshot {
 	return g.Snapshot()
 }
 
-// BenchmarkFullBatch compiles what a HAG sweep reads of a full-graph
-// batch, every per-type matrix and the row costs, two ways: FullBatch
-// with the snapshot's row writer ("snapshot"), and the edge-list
-// reference ("edgelist": FullSubgraph, NewBatch, and the merged matrix,
-// whose sorted edge list the row costs were once counted from).
+// BenchmarkFullBatch compiles what a HAG forward reads of a full-graph
+// batch, every per-type matrix, two ways: FullBatch with the snapshot's
+// row writer ("snapshot"), and the edge-list reference ("edgelist":
+// FullSubgraph, NewBatch, and the merged matrix, whose sorted edge list
+// the reference builds on the way).
 func BenchmarkFullBatch(b *testing.B) {
 	for _, users := range []int{1000, 10000} {
 		snap := benchWorld(b, users)
@@ -50,7 +49,6 @@ func BenchmarkFullBatch(b *testing.B) {
 				for t := 0; t < snap.NumEdgeTypes(); t++ {
 					batch.TypedMeanCSR(t)
 				}
-				sweep.EdgeCosts(batch)
 				batch.Release()
 			}
 		})
@@ -62,7 +60,6 @@ func BenchmarkFullBatch(b *testing.B) {
 					batch.TypedMeanCSR(t)
 				}
 				batch.CSR(gnn.MergedMean)
-				sweep.EdgeCosts(batch)
 				batch.Release()
 			}
 		})

@@ -46,9 +46,9 @@ type Fwd[F tensor.Float] struct {
 	hs   []*tensor.Mat[F] // one block per stack, handed to a Spec's readout
 	cols []int            // a star's attention segment
 	agg  aggScratch
-	// serial runs the dense kernels on the calling goroutine: set while a
-	// sweep step computes one shard of the rows, since the other shards'
-	// workers already occupy the remaining cores.
+	// serial runs the dense kernels on the calling goroutine: set while
+	// Infer computes one range of a step's rows, since the other ranges
+	// already occupy the remaining cores (forRows).
 	serial bool
 }
 
@@ -320,24 +320,18 @@ func inputFor[F tensor.Float](b *Batch) *tensor.Mat[F] {
 // in row pos[j] when pos is given.
 func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op operand, src *tensor.Mat[F], rows, pos []int) *tensor.Mat[F] {
 	out := f.Get(len(rows), st.aggWidth(l, src))
-	aggregate(out, st.heads(), op, src, rows, pos, 0, 0, len(rows), &f.agg)
+	aggregate(out, st.heads(), op, src, rows, pos, 0, &f.agg)
 	return out
 }
 
 // aggregateRange computes rows [lo, hi) of stack st's layer-l
 // aggregation over the full-height src into (hi−lo)×width scratch, row
 // by row, so any partition of the rows reproduces the full product
-// bitwise.
+// bitwise. Infer calls it on one range of a step, on the range's own
+// goroutine.
 func (f *Fwd[F]) aggregateRange(st *Stack[F], l int, op operand, src *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
 	out := f.Get(hi-lo, st.aggWidth(l, src))
-	if f.serial {
-		aggregate(out, st.heads(), op, src, nil, nil, lo, 0, hi-lo, &f.agg)
-		return out
-	}
-	tensor.ParallelRows(hi-lo, (op.a.RowPtr[hi]-op.a.RowPtr[lo])*src.Cols, func(k0, k1 int) {
-		var s aggScratch // a worker's own; the serial case borrows f's
-		aggregate(out, st.heads(), op, src, nil, nil, lo, k0, k1, &s)
-	})
+	aggregate(out, st.heads(), op, src, nil, nil, lo, &f.agg)
 	return out
 }
 
@@ -349,14 +343,14 @@ type aggScratch struct {
 	alpha []float32
 }
 
-// aggregate writes rows [k0, k1) of an aggregation into out, row k for
+// aggregate writes rows of an aggregation into out, its row k for
 // destination rows[k], or lo+k when rows is nil: A's weights applied to
 // src, or, with heads > 0, attention over src, the layer input's
 // projection. src holds node j in row j, or in row pos[j] when pos is
 // given. It is the aggregation's one precision dispatch: the float64
 // rows run CSRRowInto or attendRow, the float32 rows CSRRow32Into or
 // attendRow32 over op's mirror.
-func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *tensor.Mat[F], rows, pos []int, lo, k0, k1 int, s *aggScratch) {
+func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *tensor.Mat[F], rows, pos []int, lo int, s *aggScratch) {
 	dst := func(k int) int {
 		if rows != nil {
 			return rows[k]
@@ -366,7 +360,7 @@ func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *t
 	switch out := any(out).(type) {
 	case *tensor.Matrix:
 		src, a := any(src).(*tensor.Matrix), op.a
-		for k := k0; k < k1; k++ {
+		for k := range out.Rows {
 			i := dst(k)
 			c0, c1 := a.RowPtr[i], a.RowPtr[i+1]
 			if heads == 0 {
@@ -381,7 +375,7 @@ func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *t
 		}
 	case *tensor.Matrix32:
 		src, a := any(src).(*tensor.Matrix32), op.q
-		for k := k0; k < k1; k++ {
+		for k := range out.Rows {
 			i := dst(k)
 			c0, c1 := a.RowPtr[i], a.RowPtr[i+1]
 			cols, self := a.ColIdx[c0:c1], i

@@ -3,6 +3,8 @@ package gnn
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -301,4 +303,48 @@ func BenchmarkBatchCompile(b *testing.B) {
 			batch.Release()
 		}
 	})
+}
+
+// TestInferRecyclesBuffers checks that Infer's full-height activations
+// go back to the tensor pool: once a deep same-width GCN has run, the
+// next forward of the same shape borrows every buffer it needs from the
+// pools and allocates none, and its logits are still the tape's.
+func TestInferRecyclesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC may empty the pools
+	// One P: a pooled buffer put on one P's private slot is invisible
+	// to the others, so only a single-P run reuses every buffer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewGCN(Config{InDim: 6, Hidden: []int{8, 8, 8, 8, 8}, MLPHidden: 4, Seed: 3})
+	b := randomBatch(t, 9, 300, 2, 6)
+	want := TapeScores(m, b)
+	for range 3 { // the caller's and the ranges' Fwds trade places in the pool
+		Scores(m, b)
+	}
+	before := tensor.BackingAllocs()
+	got := Scores(m, b)
+	if grew := tensor.BackingAllocs() - before; grew != 0 {
+		t.Fatalf("a warm forward of the same shape allocated %d pooled buffers", grew)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("node %d: Infer %v, tape %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestScoresDispatch pins how logits become probabilities: Scores and
+// the tape reference share one sigmoid, so the two agree bitwise.
+func TestScoresDispatch(t *testing.T) {
+	cfg := Config{InDim: 5, Hidden: []int{8, 6}, MLPHidden: 4, Seed: 2}
+	m := NewGCN(cfg)
+	b := randomBatch(t, 4, 20, 2, 5)
+	got := Scores(m, b)
+	for i, tape := range TapeScores(m, b) {
+		if got[i] != tape {
+			t.Fatalf("node %d: Scores %v, tape %v", i, got[i], tape)
+		}
+	}
 }

@@ -13,7 +13,7 @@ import (
 // selects evaluation mode, no dropout); every other method is the
 // tape-free evaluation forward a model gets by embedding its Specs (see
 // spec.go), so training, per-audit scoring at both precisions,
-// full-graph sweeps and embedding serving all run one model definition.
+// full-graph passes and embedding serving all run one model definition.
 type Model interface {
 	nn.Module
 	Name() string
@@ -30,17 +30,12 @@ type Model interface {
 	// instantiation of the same forward (see CanInfer32).
 	Infer32(f *Fwd[float32], b *Batch) *tensor.Matrix32
 	InferTarget32(f *Fwd[float32], b *Batch, node int) float32
-	// BuildSweep compiles the forward into a layer-at-a-time full-graph
-	// program. It references only b and the model's parameters and is run
-	// after BuildSweep returns, possibly concurrently across row ranges.
-	BuildSweep(b *Batch) *SweepProgram
 	// EmbedSpec returns the width of each penultimate activation stream
 	// (one per stack) and the number of graph layers L.
 	EmbedSpec() (widths []int, hops int)
-	// BuildEmbedSweep is BuildSweep that additionally copies each
-	// stream's penultimate activations into capture[s] (NumNodes ×
-	// widths[s], caller-owned).
-	BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram
+	// InferEmbed is Infer that also writes each stream's penultimate
+	// activations into capture[s] (NumNodes × widths[s], caller-owned).
+	InferEmbed(f *Fwd[float64], b *Batch, capture []*tensor.Matrix) *tensor.Matrix
 	// InferFinal computes the target's logit from gathered penultimate
 	// rows: hs[s] row i holds the embedding of star.Gather[i] in stream s.
 	InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix) float64

@@ -1,7 +1,7 @@
 package gnn
 
 import (
-	"fmt"
+	"slices"
 
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
@@ -22,9 +22,9 @@ import (
 //
 //   - the target's cone (InferTarget): the rows within L−ℓ in-hops of the
 //     target at layer ℓ, via ConeForward;
-//   - a row range (the sweep steps, and Infer as the range [0, n)): each
-//     step aggregates the range's neighbourhoods from the previous
-//     layer's full-height output and applies the layer to the range;
+//   - every row (Infer): each step splits the rows into ranges, and each
+//     range aggregates its neighbourhoods from the previous layer's
+//     full-height output and applies the layer to itself;
 //   - the embedding star (InferFinal): the last layer on the target's
 //     aggregation row rebuilt from cached penultimate rows, then the
 //     readout.
@@ -113,8 +113,8 @@ type Stack[F tensor.Float] struct {
 	// Layer applies layer l to a block of self rows h and their
 	// aggregated neighbourhoods hN (row i of hN belongs to row i of h) and
 	// returns the block's output rows on f's scratch. It must compute
-	// every row independently and write neither h nor hN: in a sweep, h
-	// is a view into a buffer other workers are reading.
+	// every row independently and write neither h nor hN: in Infer, h is
+	// a view into a buffer other row ranges are reading.
 	Layer func(f *Fwd[F], l int, h, hN *tensor.Mat[F]) *tensor.Mat[F]
 }
 
@@ -146,23 +146,116 @@ type Spec[F tensor.Float] struct {
 	Readout func(f *Fwd[F], hs []*tensor.Mat[F]) *tensor.Mat[F]
 }
 
-// Infer is the row-range forward over every row.
-func (s *Spec[F]) Infer(f *Fwd[F], b *Batch) *tensor.Mat[F] {
+// Infer is the full-height forward, the one full-graph pass at either
+// precision. Each step — an attention stack's projection, one layer of a
+// stack, the readout — runs over every row as one fork-join on the tensor
+// pool (forRows), and the join is the barrier the next step needs: its
+// aggregation may read any row of its input. Full-height activations come
+// from the tensor pool; a layer's input is dead once the layer has read
+// it, and the next layer of its width reuses it, so besides each stack's
+// final rows at most two layers are live however deep the model is. With
+// capture, stack s writes its penultimate rows (the last layer's input)
+// into capture[s], NumNodes × that width and the caller's to keep: the
+// rows the embedding tier serves from. The logits are f's scratch.
+func (s *Spec[F]) Infer(f *Fwd[F], b *Batch, capture []*tensor.Mat[F]) *tensor.Mat[F] {
+	n, x := b.NumNodes, inputFor[F](b)
 	hs := f.stackRows(len(s.Stacks))
+	// A dead buffer serves the next one of its width unzeroed, since
+	// every step writes all its rows: each stack reuses the last one's.
+	var free []*tensor.Mat[F]
+	buf := func(cols int) *tensor.Mat[F] {
+		for k, m := range free {
+			if m.Cols == cols {
+				free = slices.Delete(free, k, k+1)
+				return m
+			}
+		}
+		return tensor.GetMat[F](n, cols)
+	}
 	for i := range s.Stacks {
 		st := &s.Stacks[i]
 		op := operandFor[F](b, st.Agg)
-		h := inputFor[F](b)
-		for l := 0; l < st.layers(); l++ {
-			src := h
-			if st.Project != nil {
-				src = st.Project(f, l, h)
+		var keep *tensor.Mat[F]
+		if capture != nil {
+			keep = capture[i]
+			if st.layers() == 1 {
+				copy(keep.Data, x.Data)
 			}
-			h = st.Layer(f, l, h, f.aggregateRange(st, l, op, src, 0, b.NumNodes))
+		}
+		h := x
+		for l := 0; l < st.layers(); l++ {
+			src, w := h, st.Widths[l+1]
+			if st.Project != nil {
+				src = buf(w + 2*st.Heads)
+				forRows(n, n*h.Cols*src.Cols, func(f *Fwd[F], lo, hi int) {
+					putRows(src, lo, st.Project(f, l, h.RowsView(lo, hi)))
+				})
+			}
+			out := keep
+			if l != st.layers()-2 || keep == nil {
+				out = buf(w)
+			}
+			aw := st.aggWidth(l, src)
+			forRows(n, op.a.NNZ()*aw+n*(h.Cols+aw)*w, func(f *Fwd[F], lo, hi int) {
+				putRows(out, lo, st.Layer(f, l, h.RowsView(lo, hi), f.aggregateRange(st, l, op, src, lo, hi)))
+			})
+			if src != h {
+				free = append(free, src)
+			}
+			if h != x && h != keep {
+				free = append(free, h)
+			}
+			h = out
 		}
 		hs[i] = h
 	}
-	return s.Readout(f, hs)
+	logits := f.Get(n, 1)
+	width := 0
+	for _, h := range hs {
+		width += h.Cols
+	}
+	forRows(n, n*width*width, func(f *Fwd[F], lo, hi int) {
+		rows := f.stackRows(len(hs))
+		for i, h := range hs {
+			rows[i] = h.RowsView(lo, hi)
+		}
+		putRows(logits, lo, s.Readout(f, rows))
+	})
+	for _, m := range append(free, hs...) {
+		tensor.PutMat(m)
+	}
+	return logits
+}
+
+// forRows runs fn over [0, n) split into contiguous row ranges as one
+// fork-join on the tensor pool, each range on its own pooled Fwd whose
+// dense kernels stay on its goroutine: the other ranges already occupy
+// the remaining cores. Below the pool's threshold for the work estimate
+// the whole range runs on the calling goroutine. Ranges start on
+// multiples of eight rows, so the float32 kernels' 8-wide lanes, scalar
+// tails and 4-row tiles fall on the same elements as in one range, and
+// every other kernel is row-independent: the result does not depend on
+// the split.
+func forRows[F tensor.Float](n, work int, fn func(f *Fwd[F], lo, hi int)) {
+	tensor.ParallelRows((n+7)/8, work, func(lo, hi int) {
+		f := AcquireFwd[F]()
+		f.serial = true
+		fn(f, 8*lo, min(8*hi, n))
+		f.serial = false
+		ReleaseFwd(f)
+	})
+}
+
+// putRows writes the block into dst's rows starting at lo, each row cut
+// to dst's width: a float32 projection's pad columns are never read.
+func putRows[F tensor.Float](dst *tensor.Mat[F], lo int, block *tensor.Mat[F]) {
+	if block.Cols == dst.Cols {
+		copy(dst.Data[lo*dst.Cols:], block.Data)
+		return
+	}
+	for i := 0; i < block.Rows; i++ {
+		copy(dst.Row(lo+i), block.Row(i)[:dst.Cols])
+	}
 }
 
 // InferTarget runs every stack on the target's cone over its own
@@ -179,8 +272,8 @@ func (s *Spec[F]) InferTarget(f *Fwd[F], b *Batch, node int) F {
 // Specs is a model's forward at both precisions: one generic Spec
 // definition, instantiated by the model's constructor at float64 and at
 // float32. Embedding it gives a model every tape-free method of Model.
-// The float64 instantiation is the bitwise reference that the sweep and
-// the embedding tier also run; the float32 one serves audits under
+// The float64 instantiation is the bitwise reference that the full-graph
+// passes and the embedding tier also run; the float32 one serves audits under
 // ValidateF32's gate. A Specs whose F32 has no stacks has no float32
 // path (CanInfer32).
 type Specs struct {
@@ -191,7 +284,13 @@ type Specs struct {
 func (s *Specs) specs() *Specs { return s }
 
 // Infer implements Model: the float64 forward over every row.
-func (s *Specs) Infer(f *Fwd[float64], b *Batch) *tensor.Matrix { return s.F64.Infer(f, b) }
+func (s *Specs) Infer(f *Fwd[float64], b *Batch) *tensor.Matrix { return s.F64.Infer(f, b, nil) }
+
+// InferEmbed implements Model: Infer that also writes each stack's
+// penultimate rows into capture.
+func (s *Specs) InferEmbed(f *Fwd[float64], b *Batch, capture []*tensor.Matrix) *tensor.Matrix {
+	return s.F64.Infer(f, b, capture)
+}
 
 // InferTarget implements Model on the target's float64 cone.
 func (s *Specs) InferTarget(f *Fwd[float64], b *Batch, node int) float64 {
@@ -199,7 +298,7 @@ func (s *Specs) InferTarget(f *Fwd[float64], b *Batch, node int) float64 {
 }
 
 // Infer32 implements Model: the float32 forward over every row.
-func (s *Specs) Infer32(f *Fwd[float32], b *Batch) *tensor.Matrix32 { return s.F32.Infer(f, b) }
+func (s *Specs) Infer32(f *Fwd[float32], b *Batch) *tensor.Matrix32 { return s.F32.Infer(f, b, nil) }
 
 // InferTarget32 implements Model on the target's float32 cone.
 func (s *Specs) InferTarget32(f *Fwd[float32], b *Batch, node int) float32 {
@@ -234,61 +333,4 @@ func (s *Specs) InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix
 		rows[i] = st.Layer(f, l, hs[i].RowView(0), hN)
 	}
 	return s.F64.Readout(f, rows).Data[0]
-}
-
-// BuildSweep implements Model.
-func (s *Specs) BuildSweep(b *Batch) *SweepProgram { return s.BuildEmbedSweep(b, nil) }
-
-// BuildEmbedSweep implements Model: one step per stack and layer
-// that runs the layer on the step's row range, then the readout step. An
-// attention layer first gets a projection step: its aggregation reads
-// the projected rows of any source, so they must all be final. Stacks
-// compile one after another, so a stack's layer buffers are recycled by
-// the next stack's. Only the layer outputs and projections are full
-// height; each step's intermediates live in the worker's Fwd. With
-// capture, the first step of a stack's last layer copies its input rows
-// into capture[s] — the prior step's barrier has already finalized them.
-func (s *Specs) BuildEmbedSweep(b *Batch, capture []*tensor.Matrix) *SweepProgram {
-	n := b.NumNodes
-	p := newSweepProgram(n)
-	hs := make([]*tensor.Matrix, len(s.F64.Stacks))
-	for i := range s.F64.Stacks {
-		st := &s.F64.Stacks[i]
-		op := operandFor[float64](b, st.Agg)
-		h := b.X
-		for l := 0; l < st.layers(); l++ {
-			in, out := h, p.alloc(n, st.Widths[l+1])
-			var cp *tensor.Matrix
-			if capture != nil && l == st.layers()-1 {
-				cp = capture[i]
-			}
-			src := in
-			if st.Project != nil {
-				z := p.alloc(n, st.Widths[l+1]+2*st.Heads)
-				p.rowStep(fmt.Sprintf("s%d.l%d.proj", i, l), func(f *Fwd[float64], lo, hi int) {
-					if cp != nil {
-						copyRows(cp, in, lo, hi)
-					}
-					putRows(z, lo, st.Project(f, l, in.RowsView(lo, hi)))
-				})
-				src = z
-			}
-			p.rowStep(fmt.Sprintf("s%d.l%d", i, l), func(f *Fwd[float64], lo, hi int) {
-				if cp != nil && st.Project == nil {
-					copyRows(cp, in, lo, hi)
-				}
-				putRows(out, lo, st.Layer(f, l, in.RowsView(lo, hi), f.aggregateRange(st, l, op, src, lo, hi)))
-			})
-			if src != in {
-				p.retire(src)
-			}
-			if in != b.X {
-				p.retire(in)
-			}
-			h = out
-		}
-		hs[i] = h
-	}
-	p.appendReadout(s.F64.Readout, hs, b.X)
-	return p
 }

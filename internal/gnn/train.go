@@ -119,8 +119,8 @@ func Scores(m Model, b *Batch) []float64 {
 }
 
 // SigmoidScoresInto converts a logit slice to fraud probabilities with
-// the serving sigmoid; every scoring path (Scores, the sweep engine's
-// per-shard emit, TapeScores' loop) must use this same scalar.
+// the serving sigmoid; every scoring path (Scores, the embedding
+// table's build, TapeScores' loop) must use this same scalar.
 func SigmoidScoresInto(dst, logits []float64) {
 	for i, v := range logits {
 		dst[i] = tensor.SigmoidScalar(v)

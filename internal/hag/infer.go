@@ -42,8 +42,8 @@ func spec[F tensor.Float](m *HAG, sizes []int) gnn.Spec[F] {
 }
 
 // sao applies Eq. 5–9 of layer l without a tape, as a gnn.Stack layer: h
-// and hN are only read (streams share the input features, and a sweep
-// shares h across workers); the projections are consumed scratch.
+// and hN are only read (streams share the input features, and Infer
+// shares h across row ranges); the projections are consumed scratch.
 func sao[F tensor.Float](f *gnn.Fwd[F], l *saoLayer, h, hN *tensor.Mat[F], gated bool) *tensor.Mat[F] {
 	selfT := f.MatMul(h, f.Value(l.wls))   // H·W_ls
 	neighT := f.MatMul(hN, f.Value(l.wln)) // h_N·W_ln

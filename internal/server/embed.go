@@ -11,7 +11,6 @@ import (
 	"turbo/internal/embed"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 )
 
 // EmbedEngine runs the lambda serving tier: a full embedding sweep
@@ -154,7 +153,7 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	if len(c.nodes) > 0 {
 		// The table owns the cohort's feature matrix for the lifetime of
 		// the tier: refresh passes re-read its frozen rows.
-		res, err := embed.Build(c.snap, c.nodes, c.x, sv.Model, sv.Version, sweep.Options{})
+		res, err := embed.Build(c.snap, c.nodes, c.x, sv.Model, sv.Version)
 		if err != nil {
 			return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 		}
@@ -180,7 +179,7 @@ func (e *EmbedEngine) RefreshOnce() EmbedRefreshReport {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 
-	st := e.store.Refresh(e.bn.Snapshot(), sweep.Options{})
+	st := e.store.Refresh(e.bn.Snapshot())
 	rep := EmbedRefreshReport{
 		At:      time.Now(),
 		Dirty:   st.Dirty,

@@ -54,9 +54,9 @@ func (p *PredictionServer) HealthSnapshot() lifecycle.Health {
 }
 
 // ShadowPair scores one shared cohort of real users under the candidate
-// and the live model — identical raw features and subgraph, each model
-// applying its own normalizer — returning paired score slices for the
-// gate's distribution-shift and disagreement checks. Reads only
+// and the live model — identical raw features and one compiled batch,
+// each model applying its own normalizer — returning paired score slices
+// for the gate's distribution-shift and disagreement checks. Reads only
 // immutable state (snapshot, model parameters, bulk-fetched vectors),
 // so it runs in parallel with ingestion and audits. The cohort is
 // gathered raw, not through the feature table's row memo: the memo
@@ -77,9 +77,9 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 	if len(c.nodes) == 0 {
 		return nil, nil, nil
 	}
-	candScores, _ = c.scoreWith(cand, candNorm)
-	liveScores, _ = c.scoreWith(live.Model, live.Norm.Func())
-	return candScores, liveScores, nil
+	b := c.batch()
+	defer b.Release()
+	return c.scoreWith(b, cand, candNorm), c.scoreWith(b, live.Model, live.Norm.Func()), nil
 }
 
 // CohortScores scores the current cohort under the live serving model —
@@ -97,6 +97,7 @@ func (e *SweepEngine) CohortScores(ctx context.Context, limit int) ([]float64, e
 	if len(c.nodes) == 0 {
 		return nil, nil
 	}
-	scores, _ := c.scoreWith(live.Model, live.Norm.Func())
-	return scores, nil
+	b := c.batch()
+	defer b.Release()
+	return c.scoreWith(b, live.Model, live.Norm.Func()), nil
 }

@@ -11,16 +11,15 @@ import (
 	"turbo/internal/feature"
 	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/sweep"
 	"turbo/internal/tensor"
 )
 
-// SweepEngine re-scores every audit-eligible user in one shard-parallel
-// layer-at-a-time pass over the published BN snapshot (internal/sweep),
-// instead of one sampled-subgraph audit per user. It is the online
-// counterpart of the eval harness's full-batch scoring: the model
-// manager triggers it after each hot swap so the last-known-score cache
-// reflects the new model, and POST /admin/sweep runs it on demand.
+// SweepEngine re-scores every audit-eligible user in one full-graph
+// forward over the published BN snapshot (gnn.Scores), instead of one
+// sampled-subgraph audit per user. It is the online counterpart of the
+// eval harness's full-batch scoring: the model manager triggers it after
+// each hot swap so the last-known-score cache reflects the new model, and
+// POST /admin/sweep runs it on demand.
 //
 // A sweep reads only immutable state — the snapshot, the model
 // parameters, and bulk-fetched feature vectors — so it runs entirely in
@@ -41,9 +40,7 @@ type SweepReport struct {
 	Candidates int           `json:"candidates"` // snapshot users with transactions
 	Scored     int           `json:"scored"`
 	Skipped    int           `json:"skipped"` // users whose feature fetch failed
-	Edges      int           `json:"edges"`
-	Steps      int           `json:"steps"`
-	Workers    int           `json:"workers"`
+	Edges      int           `json:"edges"`   // entries of the aggregation matrices the model read
 	Elapsed    time.Duration `json:"elapsed_ns"`
 }
 
@@ -72,10 +69,10 @@ func loadReport[R any](p *atomic.Pointer[R]) (R, bool) {
 func (e *SweepEngine) InFlight() int64 { return e.inflight.Load() }
 
 // RunOnce re-scores every user with a transaction in the current
-// snapshot: one cohort gather, one full-graph compile, one
-// shard-parallel sweep, then a bulk update of the last-known-score
-// cache. Users whose feature fetch fails are skipped and counted, not
-// fatal; ctx cancels the feature fetch stage.
+// snapshot: one cohort gather, one full-graph compile and forward, then
+// a bulk update of the last-known-score cache. Users whose feature fetch
+// fails are skipped and counted, not fatal; ctx cancels the feature
+// fetch stage.
 func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
@@ -93,11 +90,15 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	}
 	rep := SweepReport{At: start, Epoch: c.snap.Epoch(), Candidates: c.candidates, Scored: len(c.users), Skipped: c.skipped}
 	if rep.Scored > 0 {
-		out, st := c.scoreWith(sv.Model, nil)
+		b := c.batch()
+		out := c.scoreWith(b, sv.Model, nil)
+		for _, m := range b.Matrices() {
+			rep.Edges += m.NNZ()
+		}
+		b.Release()
 		e.pred.RememberScoresFor(c.users, out, sv.Version)
-		rep.Edges, rep.Steps, rep.Workers = st.Edges, st.Steps, st.Workers
 		rep.Elapsed = time.Since(start)
-		e.pred.Tel.ObserveSweep(rep.Elapsed, rep.Scored, st.ShardCompute)
+		e.pred.Tel.ObserveSweep(rep.Elapsed, rep.Scored)
 	} else {
 		rep.Elapsed = time.Since(start)
 	}
@@ -166,23 +167,30 @@ func (s *BNServer) gatherCohort(ctx context.Context, feats feature.Source, norm 
 	return c, nil
 }
 
-// scoreWith scores the cohort under model through the shard-parallel
-// sweep kernels: the server's one full-graph compile-and-sweep. norm
-// (nil = none) is applied to each packed row, which it never mutates
-// (core.System.SetModel), so one raw cohort can be scored under the
-// candidate's and the live model's normalizers.
-func (c *cohort) scoreWith(model gnn.Model, norm func([]float64) []float64) ([]float64, sweep.Stats) {
-	x := c.x
-	if norm != nil {
-		x = tensor.GetMatrix(c.x.Rows, c.x.Cols)
-		defer tensor.PutMatrix(x)
-		for i := range c.nodes {
-			copy(x.Row(i), norm(c.x.Row(i)))
-		}
+// batch compiles the cohort's one full-graph batch over its snapshot,
+// its features the raw rows. The caller releases it.
+func (c *cohort) batch() *gnn.Batch {
+	return gnn.FullBatch(c.snap, c.x, graph.FullOptions{Nodes: c.nodes})
+}
+
+// scoreWith scores the cohort under model over b, the cohort's batch,
+// through the full-graph forward at float64. norm (nil = none) is
+// applied to each packed row, which it never mutates
+// (core.System.SetModel), so one raw cohort and one compiled batch can
+// be scored under the candidate's and the live model's normalizers:
+// only the batch's features change between the two, and b.X is the raw
+// matrix again on return.
+func (c *cohort) scoreWith(b *gnn.Batch, model gnn.Model, norm func([]float64) []float64) []float64 {
+	if norm == nil {
+		return gnn.Scores(model, b)
 	}
-	b := gnn.FullBatch(c.snap, x, graph.FullOptions{Nodes: c.nodes})
-	defer b.Release()
-	out := make([]float64, len(c.nodes))
-	st := sweep.ScoresInto(out, model, b, sweep.Options{})
-	return out, st
+	x := tensor.GetMatrix(c.x.Rows, c.x.Cols)
+	for i := range c.nodes {
+		copy(x.Row(i), norm(c.x.Row(i)))
+	}
+	b.X = x
+	out := gnn.Scores(model, b)
+	b.X = c.x
+	tensor.PutMatrix(x)
+	return out
 }

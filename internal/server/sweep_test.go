@@ -32,7 +32,7 @@ func TestSweepEngineRunOnce(t *testing.T) {
 	if rep.Candidates != 3 || rep.Scored != 3 || rep.Skipped != 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	if rep.Workers < 1 || rep.Steps == 0 {
+	if rep.Edges == 0 {
 		t.Fatalf("report %+v", rep)
 	}
 	if last, ok := eng.LastReport(); !ok || last.Scored != 3 {

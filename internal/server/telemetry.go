@@ -65,7 +65,6 @@ type TelemetryOptions struct {
 //	turbo_model_gate_last_disagreement    last candidate/live decision-flip rate (-1 before any)
 //	turbo_model_rollbacks_total           swaps withdrawn by the monitor or an operator
 //	turbo_sweep_seconds                   full-graph sweep wall-clock latency histogram
-//	turbo_sweep_shard_seconds             per-shard sweep compute-time histogram
 //	turbo_sweep_nodes_total               nodes scored by full-graph sweeps
 //	turbo_sweep_inflight                  full-graph sweeps currently running
 //	turbo_embedding_serve_total{result}   embedding-tier serve attempts: hit/dirty/miss/fallback
@@ -121,9 +120,8 @@ type Telemetry struct {
 	gateDisagreement *telemetry.Gauge
 	rollbacks        *telemetry.Counter
 
-	sweepSeconds      *telemetry.Histogram
-	sweepShardSeconds *telemetry.Histogram
-	sweepNodes        *telemetry.Counter
+	sweepSeconds *telemetry.Histogram
+	sweepNodes   *telemetry.Counter
 
 	embedServe      *telemetry.CounterVec
 	embedHit        *telemetry.Counter
@@ -230,8 +228,6 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 
 	t.sweepSeconds = reg.Histogram("turbo_sweep_seconds",
 		"Full-graph sweep wall-clock latency.")
-	t.sweepShardSeconds = reg.Histogram("turbo_sweep_shard_seconds",
-		"Per-shard compute time within full-graph sweeps (spread = shard imbalance).")
 	t.sweepNodes = reg.Counter("turbo_sweep_nodes_total",
 		"Nodes scored by full-graph sweeps.")
 
@@ -502,16 +498,13 @@ func (t *Telemetry) WirePersist(m *persist.Manager) {
 }
 
 // ObserveSweep records one completed full-graph sweep: wall-clock
-// latency, nodes scored, and every shard's compute time.
-func (t *Telemetry) ObserveSweep(elapsed time.Duration, nodes int, shards []time.Duration) {
+// latency and nodes scored.
+func (t *Telemetry) ObserveSweep(elapsed time.Duration, nodes int) {
 	if t == nil {
 		return
 	}
 	t.sweepSeconds.Observe(elapsed)
 	t.sweepNodes.Add(int64(nodes))
-	for _, d := range shards {
-		t.sweepShardSeconds.Observe(d)
-	}
 }
 
 // EmbedServed counts one embedding-tier serve attempt by result label

@@ -4,12 +4,12 @@
 # benchmarks with allocation reporting and writes a JSON snapshot to
 # BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then races
 # the lambda embedding tier against the per-audit inference paths (plus
-# the refresh-sweep cost at several dirty fractions) into
+# the incremental refresh cost at several dirty fractions) into
 # BENCH_embed.json, and finally boots a tiny turbo-server under the
 # open-loop load harness, writing the latency scoreboard to
 # BENCH_load.json (p50/p99/p999 per endpoint, offered vs achieved QPS,
-# per-tier serve counts). The tensor kernel and sweep-vs-naive numbers
-# are not snapshotted; run them with
+# per-tier serve counts). The tensor kernel and full-graph-forward-vs-
+# naive numbers are not snapshotted; run them with
 #   go test -run '^$' -bench 'MatMulKernels|ParallelCrossover|F64RowTiles|Tanh64' ./internal/tensor/
 #   go test -run '^$' -bench 'FullGraphSweep|ScoreEveryoneNaive' -benchtime 5x .
 #
@@ -61,7 +61,7 @@ echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 # the first hit on a row after a refresh) and warm (the row's score
 # memo: every later hit), against the full per-audit path it replaces
 # (2-hop sample + batch compile + TargetInferer) and the tape-backed
-# reference, plus the incremental refresh sweep at 1/10/50% dirty
+# reference, plus the incremental refresh at 1/10/50% dirty
 # fractions.
 EMBED_OUT="BENCH_embed.json"
 EMBED_RAW="$(mktemp)"

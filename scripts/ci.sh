@@ -23,8 +23,8 @@ go vet ./...
 echo "== portable build (no amd64 assembly: the kernels_noasm.go stubs must keep compiling and vetting)"
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/tensor/ ./internal/gnn/ ./internal/autodiff/
 
-echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph sweep / model lifecycle)"
-go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
+echo "== go test -race (behavior log store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + the one log-bucketed histogram + concurrent scrapes / tape-free infer / persist / full-graph forward / model lifecycle)"
+go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
 echo "== one read path (a user registered since the last Advance is audited on the full tier as a lone node, bitwise the tape; a hung sample fault degrades the audit at the sample deadline and is on its trace; 5 rounds under -race)"
 go test -race -count=5 -run 'TestFreshUserAuditedAsLoneNode|TestChaosSamplingHangFallsBackToFeatureModel' ./internal/server/
@@ -41,7 +41,7 @@ echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar a
 go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestGEMVBitwiseScalar|TestReLU64BitwiseScalar|TestTanh64BitwiseMathTanh|TestTanh64FollowsGODEBUG|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull|TestFloat32Golden' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
 
 echo "== portable kernels (TURBO_NOSIMD=1: every generic entry point's precision dispatch must reach the portable arm and keep its parity tests green)"
-TURBO_NOSIMD=1 go test -count=1 ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/ ./internal/sweep/
+TURBO_NOSIMD=1 go test -count=1 ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
@@ -49,9 +49,9 @@ go test -race -short ./internal/loadgen/ ./internal/datagen/
 echo "== loadgen smoke (open-loop schedule vs in-process server: deterministic seed, schema-valid scoreboard JSON, coordinated-omission stall injection)"
 go test -race -run 'TestLoadgenSmoke|TestCoordinatedOmissionSafety' ./internal/loadgen/
 
-echo "== sweep-equivalence smoke (sharded layer-at-a-time sweep vs per-node gnn.Score, whose target driver all seven variants have; serial sweep programs vs the tape forward, buffer recycling; a test variant declared only by a generic spec: Infer, InferTarget, serial and sharded sweep and InferFinal vs its own tape forward, and its float32 instantiation's target rows bitwise its full float32 forward and within the serving gate)"
-go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/sweep/
-go test -race -run 'TestSweepProgramMatchesInfer|TestSweepProgramRecyclesBuffers|TestHAGSweepMatchesInfer' ./internal/gnn/ ./internal/hag/
+echo "== full-graph forward smoke (Infer split into row ranges at GOMAXPROCS 1, 2, 3 and 7: all seven variants bitwise the tape at f64 and bitwise the one-range logits at f32, within 1e-12 of per-node gnn.Score, unchanged under concurrent graph writes, under -race; a second forward of the same shape borrows every buffer from the pools, without -race, which drops pool Puts; a test variant declared only by a generic spec: Infer at every split, InferTarget, the capturing InferEmbed and InferFinal vs its own tape forward, and its float32 instantiation's target rows bitwise its full float32 forward and within the serving gate)"
+go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/gnn/
+go test -run 'TestInferRecyclesBuffers' ./internal/gnn/
 
 echo "== embedding-serving parity smoke (lambda tier vs full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores within 1e-9 of a fresh gnn.Score, as every boot relies on; the row-space star compiler bitwise the map-and-sort reference on Build and Refresh stars, at most four allocations per star; under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsMatchReference|TestStarCompileAllocs' ./internal/embed/
