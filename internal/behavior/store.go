@@ -1,8 +1,10 @@
 package behavior
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -204,16 +206,28 @@ func (s *Store) ForEachKey(fn func(k Key, logs []Log)) {
 
 // ForEachKeyBetween calls fn once per key that has logs with Time in
 // [from, to), handing it that time-sorted run of the key's logs without
-// copying. The whole pass holds one read lock: fn must not retain or
-// mutate the slice, nor call back into the store. Iteration order across
-// keys is unspecified.
+// copying. Keys come in ascending (Type, Value) order, so a caller that
+// sums across keys (the BN builder's edge weights) sums in the same
+// order on every run; sorting costs O(m log m) in the m keys with logs
+// in the span. The whole pass holds one read lock: fn must not retain or
+// mutate the slice, nor call back into the store.
 func (s *Store) ForEachKeyBetween(from, to time.Time, fn func(k Key, logs []Log)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	var keys []Key
 	for k, logs := range s.byKey {
-		if in := rangeScan(logs, from, to); len(in) > 0 {
-			fn(k, in)
+		if len(rangeScan(logs, from, to)) > 0 {
+			keys = append(keys, k)
 		}
+	}
+	slices.SortFunc(keys, func(a, b Key) int {
+		if a.Type != b.Type {
+			return cmp.Compare(a.Type, b.Type)
+		}
+		return strings.Compare(a.Value, b.Value)
+	})
+	for _, k := range keys {
+		fn(k, rangeScan(s.byKey[k], from, to))
 	}
 }
 

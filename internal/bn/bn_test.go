@@ -1,7 +1,9 @@
 package bn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -276,5 +278,41 @@ func TestEdgeTypeEqualsBehaviorType(t *testing.T) {
 	es := b.Graph().Edges()
 	if len(es) != 1 || es[0].Type != graph.EdgeType(behavior.GPSDev) {
 		t.Fatalf("edge type mismatch: %+v", es)
+	}
+}
+
+// TestBuildRangeIsDeterministic builds the same logs eight times: users
+// 1 and 2 share forty values of one type in groups of different sizes,
+// so their edge weight sums forty different terms, and every pass must
+// sum them in the same order — every typed weight and degree bitwise
+// equal.
+func TestBuildRangeIsDeterministic(t *testing.T) {
+	var logs []behavior.Log
+	for j := 0; j < 40; j++ {
+		val, at := fmt.Sprintf("v%02d", j), time.Duration(j)*time.Minute
+		logs = append(logs, mk(1, behavior.IPv4, val, at), mk(2, behavior.IPv4, val, at))
+		for e := 0; e < j%7; e++ {
+			logs = append(logs, mk(behavior.UserID(100+10*j+e), behavior.IPv4, val, at))
+		}
+	}
+	cfg := Config{Windows: []time.Duration{time.Hour, 4 * time.Hour}}
+	adjacency := func() graph.Adjacency {
+		b := newBuilder(t, cfg, logs)
+		b.BuildRange(t0, t0.Add(4*time.Hour))
+		return b.Graph().Snapshot().TypedAdjacency(graph.EdgeType(behavior.IPv4))
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	want := adjacency()
+	for pass := 1; pass < 8; pass++ {
+		got := adjacency()
+		if !slices.Equal(got.Nbr, want.Nbr) || !slices.Equal(bits(got.Wts), bits(want.Wts)) || !slices.Equal(bits(got.Deg), bits(want.Deg)) {
+			t.Fatalf("pass %d: typed adjacency differs from the first pass's", pass)
+		}
 	}
 }

@@ -131,28 +131,23 @@ func BenchmarkEmbedRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileStars compiles every star of a 1,000-node table once
-// per op, serially: compiler is the row-space star compiler a Build or
-// Refresh runs (its dense row maps included), reference the map-and-sort
-// builder it replaced.
+// BenchmarkCompileStars cuts every star of a 1,000-node table once per
+// op, serially, from a batch whose matrices are already compiled, as
+// Build cuts them after its forward: the star work a Build adds.
 func BenchmarkCompileStars(b *testing.B) {
 	_, snap, _, nodes := testWorld(21, 1000, 3, 8)
-	tab := newTable(1, nil, nil, 2, never, nodes, nil)
-	b.Run("compiler", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tab.compileStars(snap)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := range nodes {
-				tab.stars[r].Store(tab.buildStar(snap, int32(r)))
-			}
-		}
-	})
+	m := testModels(8, 3)[3] // full HAG
+	batch := gnn.FullBatch(snap, nil, graph.FullOptions{Nodes: nodes})
+	defer batch.Release()
+	stars := make([]*gnn.EmbedStar, len(nodes))
+	put := func(r int, s *gnn.EmbedStar) { stars[r] = s }
+	gnn.CutStars(m, batch, nil, nil, put) // compiles the matrices
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gnn.CutStars(m, batch, nil, nil, put)
+	}
 }
 
 func sprintfPct(pct int) string {

@@ -21,9 +21,10 @@ type BuildResult struct {
 
 // Build runs one full-graph forward over the universe ids (strictly
 // ascending snapshot node IDs, typically transaction-filtered; anything
-// else is an error, since star compilation relies on the order) with
+// else is an error, since a repeated ID would alias two table rows) with
 // the frozen, ids-aligned feature matrix x, capturing every stream's
-// penultimate activations and compiling per-node aggregation stars. The
+// penultimate activations and cutting each node's aggregation star from
+// the forward's batch (gnn.CutStars). The
 // table's epoch is snap's: rows are valid for snap and any later
 // snapshot whose deltas have been dirty-marked through Store.Flush.
 // Build takes ownership of ids and x; the caller must not mutate them
@@ -64,7 +65,7 @@ func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn
 			t.rows[s][i].Store(&hdrs[i])
 		}
 	}
-	t.compileStars(snap)
+	gnn.CutStars(model, b, nil, nil, func(r int, s *gnn.EmbedStar) { t.stars[r].Store(s) })
 
 	return &BuildResult{Table: t, Probs: probs}, nil
 }
@@ -96,21 +97,3 @@ func newTable(version int, model gnn.Model, widths []int, hops int, builtAt time
 	}
 	return t
 }
-
-// compileStars (re)builds every node's aggregation star against snap,
-// the rows split across cores on the tensor pool, one scratch per range.
-func (t *Table) compileStars(snap *graph.Snapshot) {
-	c := newStarCompiler(t, snap)
-	n := len(t.ids)
-	tensor.ParallelRows(n, n*starWork, func(lo, hi int) {
-		var sc starScratch
-		for r := lo; r < hi; r++ {
-			t.stars[r].Store(c.compile(&sc, int32(r)))
-		}
-	})
-}
-
-// starWork is one star's compile cost in tensor.ParallelRows' operation
-// units, whose threshold of 2^15 is ≈20 µs: a star of a degree-8 world
-// compiles in ≈1.2 µs (BenchmarkCompileStars, 2-core Xeon).
-const starWork = 1 << 11

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"slices"
 	"time"
 
 	"turbo/internal/gnn"
@@ -11,20 +12,24 @@ import (
 // RefreshStats summarizes one incremental refresh pass.
 type RefreshStats struct {
 	Dirty   int           // dirty rows targeted
-	Ball    int           // rows re-embedded (dirty set padded to L−1 hops)
+	Ball    int           // rows re-embedded (dirty set padded to Radius hops)
 	Cleared int           // dirty bits cleared (rows not re-dirtied mid-refresh)
 	Elapsed time.Duration // wall time of the whole pass
 }
 
 // Refresh re-embeds the dirty set incrementally: it pads the dirty rows
-// D to their universe-restricted closed (L−1)-hop ball, runs the
-// capturing forward over that induced subgraph with the table's FROZEN
-// features, and republishes rows and stars for D only.
+// D to their universe-restricted closed ball of radius Table.Radius,
+// max(1, L−1), runs the capturing forward over that induced subgraph
+// with the table's FROZEN features, cuts D's stars from the same batch,
+// and republishes rows and stars for D only.
 //
-// Correctness: with the closed ball B = ball(D, L−1) and snapshot-exact
+// Correctness: with the closed ball B ⊇ ball(D, L−1) and snapshot-exact
 // §III-A weights, h^k computed on B matches the full-universe value on
 // ball(D, L−1−k) by induction — each aggregation needs one hop of
-// correct inputs — so h^{L−1} is exact on D. Rows in B∖D keep their
+// correct inputs — so h^{L−1} is exact on D. B ⊇ ball(D, 1) holds every
+// universe neighbour of each row of D, and B ascends like the universe,
+// so the batch's row of a dirty row is its universe batch row with the
+// columns relabelled: the star is exact too. Rows in B∖D keep their
 // (clean, still-valid) old values; only D is republished. Features stay
 // frozen at build time, so a refresh repairs structural staleness
 // exactly while feature staleness is bounded by the periodic full
@@ -54,8 +59,7 @@ func (s *Store) Refresh(snap *graph.Snapshot) RefreshStats {
 	s.mu.Unlock()
 
 	st.Dirty = len(dirty)
-	c := newStarCompiler(tab, snap)
-	ball := c.ballRows(dirty, tab.hops-1)
+	ball := tab.ballRows(snap, dirty, tab.Radius())
 	st.Ball = len(ball)
 
 	// Gather the ball's frozen features and run the capturing forward
@@ -77,27 +81,24 @@ func (s *Store) Refresh(snap *graph.Snapshot) RefreshStats {
 	f := gnn.AcquireFwd[float64]()
 	tab.model.InferEmbed(f, b, capture)
 	gnn.ReleaseFwd(f)
-	b.Release()
 
-	// Rebuild the dirty rows' stars against the refresh snapshot.
-	var sc starScratch
-	stars := make([]*gnn.EmbedStar, len(dirty))
+	// Each dirty row's ball position: its capture row, and the batch row
+	// its star is cut from.
+	at := make([]int, len(dirty))
 	for i, r := range dirty {
-		stars[i] = c.compile(&sc, r)
+		at[i], _ = slices.BinarySearch(ball, r)
 	}
+	stars := make([]*gnn.EmbedStar, len(dirty))
+	gnn.CutStars(tab.model, b, at, ball, func(i int, s *gnn.EmbedStar) { stars[i] = s })
+	b.Release()
 
 	// Publish under the seqlock: rows and stars for D swap together, and
 	// any concurrent TryServe that overlaps the window retries as a
-	// fallback rather than mixing generations. D and its ball both
-	// ascend, so one forward walk finds each dirty row's ball position.
+	// fallback rather than mixing generations.
 	s.writeGen.Add(1)
-	bi := 0
 	for i, r := range dirty {
-		for ball[bi] != r {
-			bi++
-		}
 		for st2 := range tab.rows {
-			row := capture[st2].Row(bi)
+			row := capture[st2].Row(at[i])
 			tab.rows[st2][r].Store(&row)
 		}
 		tab.stars[r].Store(stars[i])
@@ -122,4 +123,64 @@ func (s *Store) Refresh(snap *graph.Snapshot) RefreshStats {
 
 	st.Elapsed = time.Since(start)
 	return st
+}
+
+// ballRows runs a universe-restricted BFS from the seed rows over snap's
+// flat adjacency and returns the closed ball of the given radius as
+// ascending universe rows. Aggregation reads only universe rows, so
+// staleness propagates only through universe members — restricting the
+// walk is exact, not an approximation. Dense row tables translate
+// between universe and snapshot rows, so the walk hashes nothing.
+func (t *Table) ballRows(snap *graph.Snapshot, seeds []int32, radius int) []int32 {
+	adj := make([]graph.Adjacency, snap.NumEdgeTypes())
+	for et := range adj {
+		adj[et] = snap.TypedAdjacency(graph.EdgeType(et))
+	}
+	snapRow := make([]int32, len(t.ids))     // universe row → snapshot row, −1 when unregistered
+	uniRow := make([]int32, snap.NumNodes()) // snapshot row → universe row, −1 outside the universe
+	for i := range uniRow {
+		uniRow[i] = -1
+	}
+	for r, id := range t.ids {
+		sr := snap.Row(id)
+		snapRow[r] = sr
+		if sr >= 0 {
+			uniRow[sr] = int32(r)
+		}
+	}
+
+	visited := make([]bool, len(t.ids))
+	frontier := make([]int32, 0, len(seeds))
+	for _, r := range seeds {
+		if !visited[r] {
+			visited[r] = true
+			frontier = append(frontier, r)
+		}
+	}
+	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
+		var next []int32
+		for _, r := range frontier {
+			sr := snapRow[r]
+			if sr < 0 {
+				continue
+			}
+			for et := range adj {
+				a := &adj[et]
+				for _, vr := range a.Nbr[a.Offsets[sr]:a.Offsets[sr+1]] {
+					if ur := uniRow[vr]; ur >= 0 && !visited[ur] {
+						visited[ur] = true
+						next = append(next, ur)
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	out := make([]int32, 0, len(seeds))
+	for r := int32(0); r < int32(len(visited)); r++ {
+		if visited[r] {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -86,7 +86,8 @@ func (t *Table) Hops() int { return t.hops }
 // (u,v) perturbs the §III-A weights of every edge incident to u or v
 // (degree change), hence h^1 on ball({u,v}, 1), hence h^{L-1} on
 // ball({u,v}, L−1); the aggregation star of a target changes only
-// within ball({u,v}, 1).
+// within ball({u,v}, 1). Refresh pads the dirty rows by the same radius,
+// so its batch holds every row a dirty row's forward or star reads.
 func (t *Table) Radius() int {
 	if t.hops-1 > 1 {
 		return t.hops - 1

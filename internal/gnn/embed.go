@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"turbo/internal/autodiff"
 	"turbo/internal/tensor"
 )
 
@@ -13,83 +14,108 @@ import (
 // a full multi-hop forward into one aggregation row, one dense layer,
 // and the MLP head.
 //
-// Equivalence contract: InferFinal replicates the per-row arithmetic of
-// the corresponding full forward — StarAggRow rebuilds the target's row
-// of the aggregation matrix with the Batch CSR compilers' weight
-// assembly and normalization order, and a Spec's InferFinal then runs
-// the model's own last Layer and Readout on it (see spec.go) — over a
-// compact gathered block of embedding rows. Scores agree with the
-// full-graph forward to ≤1e-9 (the gathered block's dense matmuls may
-// tile differently than the full-height ones, so equality is tolerance-
-// bounded rather than bitwise).
+// Equivalence contract: a serving star has no writer of its own.
+// CutStars copies the target's row of each stack's aggregation matrix
+// out of the batch the capturing forward compiled — the columns the
+// snapshot's row writer put there and the values finishCSR normalized —
+// relabelled to a gathered block of embedding rows. InferFinal runs the
+// model's last Layer on that row with the full forward's own row kernels
+// (aggregate), then the Readout. The dense kernels are row-independent,
+// so a star's score is bitwise the full forward's on the same snapshot
+// and the same penultimate rows.
 
-// StarEdge is one in-edge of a serving target in local gathered
-// coordinates: Row indexes the gathered embedding block (row 0 is the
-// target itself; see EmbedStar), Weight is the §III-A-normalized edge
-// weight exactly as the snapshot's row writer puts it in the full-graph
-// batch (one snapshot writer compiles cone and full-graph batches).
-// Aggregation-row normalization (finishCSR's) happens inside StarAggRow.
-type StarEdge struct {
-	Row    int32
-	Weight float64
-}
-
-// EmbedStar is the one-hop aggregation neighborhood of one target node,
-// precompiled against an embedding table's universe. Gather lists the
-// universe rows whose embeddings the final layer reads — Gather[0] is
-// the target, Gather[i+1] the source of Merged[i] — and the edge lists
-// reference those positions, so serving gathers one dense block and
-// never remaps indices.
+// EmbedStar is the one-hop aggregation neighbourhood of one target node,
+// cut from a full-graph batch over an embedding table's universe. Gather
+// lists the universe rows whose embeddings the final layer reads,
+// Gather[0] the target. Stack s's aggregation row is
+// Cols[RowPtr[s]:RowPtr[s+1]], each a position in Gather, with the
+// batch's normalized Weights alongside, so serving gathers one dense
+// block and never remaps indices.
 type EmbedStar struct {
-	Gather []int32
-	// Typed holds, per edge type, the target's in-edges sorted ascending
-	// by source node ID with normalized weights — one row of the
-	// TypedMeanCSR aggregation before row normalization.
-	Typed [][]StarEdge
-	// Merged is the type-merged edge list: the same sources with
-	// duplicate weights summed in type order, as the batch's merged
-	// matrices sum them.
-	Merged []StarEdge
+	Gather  []int32
+	RowPtr  []int
+	Cols    []int
+	Weights []float64
 }
 
-// StarAggRow computes the target's row of the aggregation matrix that
-// buildCSR would compile from the star's edges, applied to the gathered
-// embedding block h: raw weights in edge order (then the self-loop,
-// when the normalization includes one), the same finishCSR row scaling,
-// and the same accumulation order as a row of CSR.MatMulInto. unweighted
-// replaces edge weights with 1, mirroring the Eq. 1–2 aggregations.
-func StarAggRow(f *Fwd[float64], h *tensor.Matrix, edges []StarEdge, selfLoop, unweighted bool) *tensor.Matrix {
-	out := f.Get(1, h.Cols)
-	var s float64
-	for _, e := range edges {
-		if unweighted {
-			s += 1
-		} else {
-			s += e.Weight
+// CutStars cuts the serving star of each row of b in rows (nil: every
+// row) from the aggregation matrices m's stacks read, and hands rows[k]'s
+// star to put(k, ·). uni maps a column of b to its universe row (nil:
+// the identity, for a batch over the universe itself); every universe
+// neighbour of a cut row must be a node of b. The rows are split across
+// cores on the tensor pool, so put runs on several goroutines, once per
+// k.
+func CutStars(m Model, b *Batch, rows []int, uni []int32, put func(k int, s *EmbedStar)) {
+	stacks := m.specs().F64.Stacks
+	mats := make([]*autodiff.CSR, len(stacks))
+	for i := range stacks {
+		mats[i] = b.CSR(stacks[i].Agg)
+	}
+	n := len(rows)
+	if rows == nil {
+		n = b.NumNodes
+	}
+	tensor.ParallelRows(n, n*starWork, func(lo, hi int) {
+		local := make([]int32, b.NumNodes)
+		for k := lo; k < hi; k++ {
+			r := k
+			if rows != nil {
+				r = rows[k]
+			}
+			put(k, cutStar(mats, r, uni, local))
+		}
+	})
+}
+
+// starWork is one star's cut in tensor.ParallelRows' operation units,
+// whose threshold of 2^15 is ≈20 µs: a full-HAG star of a degree-8 world
+// cuts in ≈0.5 µs (BenchmarkCompileStars, 2-core Xeon).
+const starWork = 1 << 10
+
+// cutStar copies row r of each matrix in mats into a star. local maps a
+// column of the batch to its gathered position; it is zero on entry and
+// on return.
+func cutStar(mats []*autodiff.CSR, r int, uni []int32, local []int32) *EmbedStar {
+	universe := func(j int) int32 {
+		if uni == nil {
+			return int32(j)
+		}
+		return uni[j]
+	}
+	nnz, nGather := 0, int32(1)
+	for _, a := range mats {
+		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+			if j != r && local[j] == 0 {
+				local[j] = nGather
+				nGather++
+			}
+		}
+		nnz += a.RowPtr[r+1] - a.RowPtr[r]
+	}
+	ints := make([]int, len(mats)+1+nnz)
+	s := &EmbedStar{
+		Gather:  make([]int32, nGather),
+		RowPtr:  ints[: len(mats)+1 : len(mats)+1],
+		Cols:    ints[len(mats)+1:],
+		Weights: make([]float64, 0, nnz),
+	}
+	s.Gather[0] = universe(r)
+	for i, a := range mats {
+		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+		p := s.RowPtr[i]
+		for e, j := range a.ColIdx[lo:hi] {
+			if j != r {
+				s.Cols[p+e] = int(local[j])
+				s.Gather[local[j]] = universe(j)
+			}
+		}
+		s.Weights = append(s.Weights, a.Weights[lo:hi]...)
+		s.RowPtr[i+1] = p + hi - lo
+	}
+	for _, a := range mats {
+		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+			local[j] = 0
 		}
 	}
-	if selfLoop {
-		s += 1
-	}
-	if s == 0 {
-		return out // row stays zero, matching buildCSR's skip
-	}
-	inv := 1 / s
-	for _, e := range edges {
-		w := inv
-		if !unweighted {
-			w = e.Weight * inv
-		}
-		src := h.Row(int(e.Row))
-		for j, v := range src {
-			out.Data[j] += w * v
-		}
-	}
-	if selfLoop {
-		src := h.Row(0)
-		for j, v := range src {
-			out.Data[j] += inv * v
-		}
-	}
-	return out
+	return s
 }

@@ -1,7 +1,6 @@
 package gnn_test
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -286,8 +285,8 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 	}
 	check("InferTarget", target, 1e-12)
 
-	// The star of node v: itself, then its merged in-edges by ascending
-	// source, over the penultimate rows a capturing forward left behind.
+	// Each node's star, cut from the batch, over the penultimate rows the
+	// capturing forward left behind.
 	widths, hops := m.EmbedSpec()
 	if len(widths) != 1 || widths[0] != 8 || hops != 2 {
 		t.Fatalf("EmbedSpec = %v, %d", widths, hops)
@@ -298,16 +297,8 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 	gnn.SigmoidScoresInto(embedded, m.InferEmbed(f, b, []*tensor.Matrix{capture}).Data[:b.NumNodes])
 	gnn.ReleaseFwd(f)
 	check("InferEmbed", embedded, 0)
-	merged := mergedEdges(b)
 	final := make([]float64, b.NumNodes)
-	for v := range final {
-		star := &gnn.EmbedStar{Gather: []int32{int32(v)}}
-		for _, e := range merged {
-			if e.Dst == v {
-				star.Merged = append(star.Merged, gnn.StarEdge{Row: int32(len(star.Gather)), Weight: e.Weight})
-				star.Gather = append(star.Gather, int32(e.Src))
-			}
-		}
+	gnn.CutStars(m, b, nil, nil, func(v int, star *gnn.EmbedStar) {
 		f := gnn.AcquireFwd[float64]()
 		h := f.Get(len(star.Gather), widths[0])
 		for i, g := range star.Gather {
@@ -315,26 +306,6 @@ func TestSpecVariantMatchesTape(t *testing.T) {
 		}
 		final[v] = tensor.SigmoidScalar(m.InferFinal(f, star, []*tensor.Matrix{h}))
 		gnn.ReleaseFwd(f)
-	}
-	check("InferFinal", final, 1e-9)
-}
-
-// mergedEdges is b's type-merged edge list, sorted by (src, dst), with
-// parallel edges summed in type order.
-func mergedEdges(b *gnn.Batch) []graph.LocalEdge {
-	var all, out []graph.LocalEdge
-	for _, es := range b.TypedEdges {
-		all = append(all, es...)
-	}
-	slices.SortStableFunc(all, func(x, y graph.LocalEdge) int {
-		return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
 	})
-	for _, e := range all {
-		if n := len(out); n > 0 && out[n-1].Src == e.Src && out[n-1].Dst == e.Dst {
-			out[n-1].Weight += e.Weight
-		} else {
-			out = append(out, e)
-		}
-	}
-	return out
+	check("InferFinal", final, 0)
 }

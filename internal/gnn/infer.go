@@ -44,7 +44,7 @@ type Fwd[F tensor.Float] struct {
 	used int
 	cone Cone
 	hs   []*tensor.Mat[F] // one block per stack, handed to a Spec's readout
-	cols []int            // a star's attention segment
+	star autodiff.CSR     // one stack's row of a serving star (InferFinal)
 	agg  aggScratch
 	// serial runs the dense kernels on the calling goroutine: set while
 	// Infer computes one range of a step's rows, since the other ranges
@@ -328,7 +328,7 @@ func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op operand, src *tensor.Mat[
 // aggregation over the full-height src into (hi−lo)×width scratch, row
 // by row, so any partition of the rows reproduces the full product
 // bitwise. Infer calls it on one range of a step, on the range's own
-// goroutine.
+// goroutine, and InferFinal on a star's one row.
 func (f *Fwd[F]) aggregateRange(st *Stack[F], l int, op operand, src *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
 	out := f.Get(hi-lo, st.aggWidth(l, src))
 	aggregate(out, st.heads(), op, src, nil, nil, lo, &f.agg)
@@ -485,23 +485,6 @@ func attendRow32(drow []float32, z *tensor.Matrix32, heads, self int, cols []int
 		}
 		tensor.CSRRow32Into(drow[k*d:(k+1)*d], cols, alpha, z, k*d)
 	}
-}
-
-// attendStar is attendRow on the target's star: z projects the gathered
-// block, whose row 0 is the target and whose edges name their sources'
-// rows, and the segment lists the in-edges, then the self-loop when the
-// stack's matrix has one — buildCSR's entry order.
-func attendStar(f *Fwd[float64], st *Stack[float64], l int, z *tensor.Matrix, edges []StarEdge, selfLoop bool) *tensor.Matrix {
-	f.cols = f.cols[:0]
-	for _, e := range edges {
-		f.cols = append(f.cols, int(e.Row))
-	}
-	if selfLoop {
-		f.cols = append(f.cols, 0)
-	}
-	out := f.Get(1, st.Widths[l+1])
-	attendRow(out.Row(0), z, st.Heads, 0, f.cols, nil)
-	return out
 }
 
 // stackRows returns f's one-block-per-stack slice, resized to n.

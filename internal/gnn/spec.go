@@ -3,6 +3,7 @@ package gnn
 import (
 	"slices"
 
+	"turbo/internal/autodiff"
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
@@ -26,8 +27,8 @@ import (
 //     range aggregates its neighbourhoods from the previous layer's
 //     full-height output and applies the layer to itself;
 //   - the embedding star (InferFinal): the last layer on the target's
-//     aggregation row rebuilt from cached penultimate rows, then the
-//     readout.
+//     aggregation row, cut from the batch that computed the cached
+//     penultimate rows, over those rows, then the readout.
 //
 // Since all three call the same Layer and Readout on blocks of rows, and
 // the dense kernels are row-independent (tensor.matMulRange's bitwise
@@ -35,7 +36,7 @@ import (
 // forward on the rows they share.
 
 // Agg names the aggregation matrix a stack reads (Batch.CSR), and with it
-// the row of that matrix the embedding tier rebuilds from a serving star.
+// the row of that matrix a serving star holds for the stack (CutStars).
 // Each is dst-indexed (out = A·H means out[dst] = Σ_src A[dst,src]·H[src])
 // and row-normalized to sum to 1.
 type Agg int
@@ -78,17 +79,6 @@ func (a Agg) form() (t int, selfLoop, unweighted bool) {
 		return graph.AllTypes, false, false
 	}
 	return int(a), false, false
-}
-
-// star returns the target's row of the matrix a names, as star's edges:
-// the in-edges, whether the row ends with the self-loop, and whether it
-// ignores the edge weights (see StarAggRow).
-func (a Agg) star(s *EmbedStar) (edges []StarEdge, selfLoop, unweighted bool) {
-	t, selfLoop, unweighted := a.form()
-	if t == graph.AllTypes {
-		return s.Merged, selfLoop, unweighted
-	}
-	return s.Typed[t], selfLoop, unweighted
 }
 
 // Stack is one message-passing stream at precision F.
@@ -316,20 +306,20 @@ func (s *Specs) EmbedSpec() (widths []int, hops int) {
 }
 
 // InferFinal implements Model: each stack's last layer on the
-// target's aggregation row over the gathered penultimate block, then the
-// readout.
+// target's row of the star over the gathered penultimate block, through
+// the row kernels Infer and ConeForward run, then the readout.
 func (s *Specs) InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix) float64 {
 	rows := f.stackRows(len(s.F64.Stacks))
 	for i := range s.F64.Stacks {
 		st := &s.F64.Stacks[i]
-		l := st.layers() - 1
-		edges, selfLoop, unweighted := st.Agg.star(star)
-		var hN *tensor.Matrix
+		l, src := st.layers()-1, hs[i]
 		if st.Project != nil {
-			hN = attendStar(f, st, l, st.Project(f, l, hs[i]), edges, selfLoop)
-		} else {
-			hN = StarAggRow(f, hs[i], edges, selfLoop, unweighted)
+			src = st.Project(f, l, src)
 		}
+		// Stack i's row of the star as a one-row matrix over the gathered
+		// block: its destination, row 0, is the target.
+		f.star = autodiff.CSR{NRows: 1, NCols: len(star.Gather), RowPtr: star.RowPtr[i : i+2], ColIdx: star.Cols, Weights: star.Weights}
+		hN := f.aggregateRange(st, l, operand{a: &f.star}, src, 0, 1)
 		rows[i] = st.Layer(f, l, hs[i].RowView(0), hN)
 	}
 	return s.F64.Readout(f, rows).Data[0]

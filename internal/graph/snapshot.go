@@ -213,7 +213,7 @@ type Adjacency struct {
 }
 
 // TypedAdjacency returns type t's flat adjacency, for readers that walk
-// whole neighbourhoods in row space (the embedding star compiler).
+// whole neighbourhoods in row space (the embedding refresh's ball walk).
 func (s *Snapshot) TypedAdjacency(t EdgeType) Adjacency {
 	return Adjacency{Offsets: s.offsets[t], Nbr: s.nbr[t], Wts: s.wts[t], Deg: s.deg[t]}
 }

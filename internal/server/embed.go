@@ -119,8 +119,8 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 
 // RebuildOnce rebuilds the embedding table from scratch against the
 // current snapshot and model: one cohort gather over every
-// audit-eligible user, one captured embedding sweep, per-node star
-// compilation, then an atomic install. Deltas that land during the
+// audit-eligible user, one captured embedding sweep, per-node stars cut
+// from the sweep's batch, then an atomic install. Deltas that land during the
 // build are replayed onto the new table (Store rebuild log), so the
 // fresh table can never silently serve scores that predate them. The
 // sweep scores the final layer anyway, so the rebuild doubles as a

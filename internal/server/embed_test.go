@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -36,7 +35,7 @@ func newEmbedStack(t *testing.T) (*BNServer, *PredictionServer, *EmbedEngine) {
 // sweep scores every built user, so with the table detached a
 // total-feature-outage audit of each one is served from tier 3 with the
 // rebuild's probability, and that probability is the full path's fresh
-// gnn.Score to 1e-9.
+// gnn.Score bitwise.
 func TestRebuildWarmsScoreCache(t *testing.T) {
 	_, pred, eng := newEmbedStack(t)
 	rep, _ := eng.LastRebuild()
@@ -55,7 +54,7 @@ func TestRebuildWarmsScoreCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.ServedBy != TierFull || math.Abs(p.Probability-want) > 1e-9 {
+		if p.ServedBy != TierFull || p.Probability != want {
 			t.Fatalf("user %d: rebuild %v, fresh gnn.Score %v (served by %q)", u, want, p.Probability, p.ServedBy)
 		}
 	}
@@ -64,8 +63,8 @@ func TestRebuildWarmsScoreCache(t *testing.T) {
 // TestFullGraphScorersAgree checks the full-graph scorers against each
 // other at serving size, where rows have dozens of neighbours: on the
 // serving-shaped world at float64, every user's tier-3 score after
-// RebuildOnce and after a sweep's RunOnce is within 1e-9 of the tape
-// forward over NewBatch(FullSubgraph(…)), the edge-list reference.
+// RebuildOnce and after a sweep's RunOnce is bitwise the tape forward
+// over NewBatch(FullSubgraph(…)), the edge-list reference.
 func TestFullGraphScorersAgree(t *testing.T) {
 	w := loadServingWorld(t)
 	model, norm := w.servingModel(), w.fittedNormalizer(t)
@@ -107,7 +106,7 @@ func TestFullGraphScorersAgree(t *testing.T) {
 		t.Fatalf("%d users, %d rebuilt scores, %d swept scores", len(users), len(rebuilt), len(swept))
 	}
 	for i, u := range users {
-		if math.Abs(rebuilt[u]-want[i]) > 1e-9 || math.Abs(swept[u]-want[i]) > 1e-9 {
+		if rebuilt[u] != want[i] || swept[u] != want[i] {
 			t.Fatalf("user %d: rebuild %v, sweep %v, tape over FullSubgraph %v", u, rebuilt[u], swept[u], want[i])
 		}
 	}
