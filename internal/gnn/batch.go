@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"turbo/internal/autodiff"
 	"turbo/internal/graph"
@@ -19,8 +20,11 @@ import (
 // node features plus the aggregation matrices the models read (Agg),
 // each with a float32 mirror. FullBatch compiles a snapshot's node set
 // with the snapshot's row writer and NewBatch a Subgraph's edge lists
-// (the reference), each matrix under an internal lock the first time a
-// model asks for it, so concurrent scoring over one Batch is safe.
+// (the reference). Every compile runs under an internal lock, so
+// concurrent scoring over one Batch is safe and compiles each matrix
+// once: the full-graph forward compiles every matrix its model reads
+// before its first step (compile; a FullBatch's in parallel, one task
+// per matrix), the tape forward each one when it first asks (CSR).
 // SampleCone compiles the audit path's cone with the same row writer,
 // every matrix its model reads written up front. finishCSR writes the
 // values every way.
@@ -47,7 +51,7 @@ type Batch struct {
 
 	xBuf   tensor.Matrix   // X when SetRow sized it
 	x32Buf tensor.Matrix32 // X's mirror
-	lent   []func()        // returns NewBatch's CSR arrays to the tensor pools
+	lent   []func()        // returns the compiled arrays to their pools
 
 	// SampleCone's arrays, kept warm in conePool with the batch: the
 	// snapshot's raw matrices, normalized in place, and their mirrors.
@@ -78,9 +82,10 @@ func NewBatch(sg *graph.Subgraph, x *tensor.Matrix) *Batch {
 // FullBatch compiles snap over opts.Nodes (nil: every node, in ID order)
 // with its node feature matrix, nil to leave the features to SetRow. Like
 // NewBatch, it compiles each matrix when a model first asks for it: the
-// snapshot's row writer (Snapshot.FullCSR) writes its raw rows and
-// finishCSR normalizes them. They are bitwise NewBatch's over
-// graph.FullSubgraph with the same options.
+// snapshot's row writer (Snapshot.FullCSR) writes its raw rows into
+// pooled arrays (Release returns them) and finishCSR normalizes them.
+// They are bitwise NewBatch's over graph.FullSubgraph with the same
+// options.
 func FullBatch(snap *graph.Snapshot, x *tensor.Matrix, opts graph.FullOptions) *Batch {
 	n := len(opts.Nodes)
 	if opts.Nodes == nil {
@@ -309,29 +314,81 @@ func (b *Batch) CSR(a Agg) *autodiff.CSR {
 			return c.csr
 		}
 	}
-	if b.sampled {
-		panic("gnn: a batch SampleCone compiled holds only its model's matrices")
+	b.compileLocked([]Agg{a})
+	return b.aggs[len(b.aggs)-1].csr
+}
+
+// compile compiles every matrix in aggs the batch lacks, holding b.mu
+// once, so concurrent forwards over a fresh batch compile each matrix
+// exactly once: a FullBatch's as one task per matrix, self-scheduled
+// across cores on the tensor pool (Snapshot.FullCSR reads only the
+// immutable snapshot), NewBatch's edge lists serially.
+func (b *Batch) compile(aggs []Agg) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.compileLocked(aggs)
+}
+
+// compileWork is one entry of a full-graph compile in
+// tensor.ParallelRows' operation units: the row writer costs ≈100 ns
+// per edge at 1k users, and the pool's threshold of 2^15 units is
+// ≈20 µs.
+const compileWork = 1 << 7
+
+// compileLocked is compile with b.mu held.
+func (b *Batch) compileLocked(aggs []Agg) {
+	start := len(b.aggs)
+	for _, a := range aggs {
+		if !slices.ContainsFunc(b.aggs, func(c compiled) bool { return c.agg == a }) {
+			if b.sampled {
+				panic("gnn: a batch SampleCone compiled holds only its model's matrices")
+			}
+			b.aggs = append(b.aggs, compiled{agg: a})
+		}
 	}
-	c := b.buildCSR(a)
-	b.aggs = append(b.aggs, compiled{agg: a, csr: c})
+	missing := b.aggs[start:]
+	if b.snap == nil {
+		for i := range missing {
+			missing[i].csr = b.buildCSR(missing[i].agg)
+		}
+		return
+	}
+	// A matrix has a row per node, each with at most the snapshot's
+	// mean degree of entries on average (a typed matrix has fewer).
+	degree := 2 * b.snap.NumEdges() / max(b.snap.NumNodes(), 1)
+	outs := make([]*graph.ConeCSR, len(missing))
+	var next atomic.Int64
+	eachLoop(len(missing), compileWork*len(missing)*b.NumNodes*(1+degree), func() {
+		for k := int(next.Add(1)) - 1; k < len(missing); k = int(next.Add(1)) - 1 {
+			outs[k] = fullPool.Get().(*graph.ConeCSR)
+			missing[k].csr = b.fullCSR(missing[k].agg, outs[k])
+		}
+	})
+	for _, out := range outs {
+		b.lent = append(b.lent, func() { fullPool.Put(out) })
+	}
+}
+
+// fullPool recycles the arrays FullBatch's matrices are written into.
+var fullPool = sync.Pool{New: func() any { return new(graph.ConeCSR) }}
+
+// fullCSR writes the matrix a names over a FullBatch's node set into out
+// with the snapshot's row writer, then finishCSR.
+func (b *Batch) fullCSR(a Agg, out *graph.ConeCSR) *autodiff.CSR {
+	t, selfLoop, unweighted := a.form()
+	b.snap.FullCSR(b.full, []graph.CSRForm{{Type: t, SelfLoop: selfLoop}}, out)
+	c := &out.Mats[0]
+	finishCSR(c, true, unweighted, nil)
 	return c
 }
 
 // buildCSR assembles the dst-indexed matrix a names (out = A·H means
-// out[dst] = Σ_src A[dst,src]·H[src]), then finishCSR. A FullBatch's
-// snapshot writes its rows. Otherwise the edge lists are compiled into
-// pooled flat arrays, registered for Release: a counting sort by
-// destination that keeps the edges' input order within a row, then the
-// self-loop if a has one. Callers must hold b.mu.
+// out[dst] = Σ_src A[dst,src]·H[src]) from the edge lists, into pooled
+// flat arrays registered for Release: a counting sort by destination
+// that keeps the edges' input order within a row, then the self-loop if
+// a has one, then finishCSR. Callers must hold b.mu.
 func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
 	t, selfLoop, unweighted := a.form()
-	if b.snap != nil {
-		var out graph.ConeCSR
-		b.snap.FullCSR(b.full, []graph.CSRForm{{Type: t, SelfLoop: selfLoop}}, &out)
-		c := &out.Mats[0]
-		finishCSR(c, true, unweighted, nil)
-		return c
-	}
 	var es []graph.LocalEdge
 	if t == graph.AllTypes {
 		es = mergeEdges(b.TypedEdges)

@@ -19,9 +19,10 @@ import (
 
 var never = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// fullWorldSize is large enough that every step of Infer — layer,
-// projection, readout — passes the tensor pool's threshold and is split
-// into row ranges, so the GOMAXPROCS sweep below exercises the split.
+// fullWorldSize is large enough that every step of Infer — projection,
+// layer, the last layer with the readout — passes the tensor pool's
+// threshold and runs as four tiles, so the GOMAXPROCS sweep below
+// exercises the split.
 const fullWorldSize = 400
 
 // testWorld builds a live multigraph (kept mutable for the isolation
@@ -67,8 +68,8 @@ func testModels(dim, types int) []gnn.Model {
 	return append(ms, mk(false, false), mk(true, false), mk(false, true), mk(true, true))
 }
 
-// eachProcs runs fn at GOMAXPROCS 1, 2, 3 and 7, so Infer splits each
-// step into that many row ranges, and restores the setting afterwards.
+// eachProcs runs fn at GOMAXPROCS 1, 2, 3 and 7, so each step of Infer
+// runs on up to that many loops, and restores the setting afterwards.
 func eachProcs(fn func(procs int)) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 2, 3, 7} {
@@ -114,10 +115,49 @@ func TestSweepMatchesBatchScores(t *testing.T) {
 	}
 }
 
+// TestFullBatchConcurrentScores scores one fresh FullBatch from eight
+// goroutines at once, with full HAG (one typed matrix per stack) and
+// GAT (a projection step): whichever forward takes the batch's lock
+// first compiles every matrix its model reads, in parallel, while the
+// others wait. Every result is bitwise the tape, and the batch holds
+// each matrix once: as many as the tape forward over the edge-list
+// reference compiles. Run under -race.
+func TestFullBatchConcurrentScores(t *testing.T) {
+	_, snap, _, x, nodes := testWorld(23, fullWorldSize, 3, 6)
+	opts := graph.FullOptions{Nodes: nodes}
+	models := testModels(6, 3)
+	for _, m := range []gnn.Model{models[3], models[2]} {
+		ref := gnn.NewBatch(graph.FullSubgraph(snap, opts), x)
+		want := gnn.TapeScores(m, ref)
+		b := gnn.FullBatch(snap, x, opts)
+		got := make([][]float64, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = gnn.Scores(m, b)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for i := range want {
+				if got[g][i] != want[i] {
+					t.Fatalf("%s goroutine %d node %d: Scores %v, tape %v", m.Name(), g, i, got[g][i], want[i])
+				}
+			}
+		}
+		if n, distinct := len(b.Matrices()), len(ref.Matrices()); n != distinct {
+			t.Fatalf("%s: the batch compiled %d matrices, the model reads %d", m.Name(), n, distinct)
+		}
+		b.Release()
+	}
+}
+
 // TestSweepMatchesPerNodeScore pins the full-graph forward to the online
 // serving path — a per-node gnn.Score over a sampled computation
 // subgraph — within 1e-12 at every node for all seven variants, with
-// Infer's rows split across GOMAXPROCS ranges. The subgraph radius
+// Infer's tiles spread across GOMAXPROCS loops. The subgraph radius
 // equals the model depth, so the two paths compute the same function;
 // only subgraph-local index order (which permutes within-row summation)
 // separates them.

@@ -45,10 +45,11 @@ type Fwd[F tensor.Float] struct {
 	cone Cone
 	hs   []*tensor.Mat[F] // one block per stack, handed to a Spec's readout
 	star autodiff.CSR     // one stack's row of a serving star (InferFinal)
+	view tensor.Mat[F]    // one tile of a full-height input (rowsView)
 	agg  aggScratch
 	// serial runs the dense kernels on the calling goroutine: set while
-	// Infer computes one range of a step's rows, since the other ranges
-	// already occupy the remaining cores (forRows).
+	// Infer computes a step's tiles, since the other loops already
+	// occupy the remaining cores (forRows).
 	serial bool
 }
 
@@ -100,6 +101,22 @@ func (f *Fwd[F]) Get(rows, cols int) *tensor.Mat[F] {
 	f.mats = append(f.mats, m)
 	f.used++
 	return m
+}
+
+// mark returns f's scratch cursor, for reset.
+func (f *Fwd[F]) mark() int { return f.used }
+
+// reset hands back to f every scratch matrix Got since mark returned m:
+// the next Gets reuse them, while those Got before the mark stay valid.
+// Infer resets after each stack of a tile, so a loop's scratch is
+// bounded by one stack's layer over one tile.
+func (f *Fwd[F]) reset(m int) { f.used = m }
+
+// rowsView is m.RowsView(lo, hi) on a header f owns, so the tiles of a
+// full-graph step allocate none: it is valid until the next call.
+func (f *Fwd[F]) rowsView(m *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
+	f.view = tensor.Mat[F]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	return &f.view
 }
 
 // Value returns p's weights at precision F: Value itself, or its cached
@@ -327,8 +344,8 @@ func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op operand, src *tensor.Mat[
 // aggregateRange computes rows [lo, hi) of stack st's layer-l
 // aggregation over the full-height src into (hi−lo)×width scratch, row
 // by row, so any partition of the rows reproduces the full product
-// bitwise. Infer calls it on one range of a step, on the range's own
-// goroutine, and InferFinal on a star's one row.
+// bitwise. Infer calls it on one tile of a step, on the tile's loop,
+// and InferFinal on a star's one row.
 func (f *Fwd[F]) aggregateRange(st *Stack[F], l int, op operand, src *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
 	out := f.Get(hi-lo, st.aggWidth(l, src))
 	aggregate(out, st.heads(), op, src, nil, nil, lo, &f.agg)

@@ -335,6 +335,49 @@ func TestInferRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// TestInferScratchIsOneTile pins what a full-graph forward leaves in
+// the Fwd pool: each step's loop hands its scratch back after every
+// stack of every tile, so the scratch its pooled Fwd retains is one
+// tile's, the same at 512 rows as at 4,096. A loop that kept a whole
+// row range's scratch would retain eight times as much at 4,096.
+func TestInferScratchIsOneTile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC may empty the pool
+	// One P: every step runs one loop on one pooled Fwd.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewGAT(Config{InDim: 6, Hidden: []int{8, 8}, MLPHidden: 4, Seed: 3})
+	retained := func(n int) int {
+		b := randomBatch(t, 5, n, 2, 6)
+		drainFwdPool()
+		m.Infer(new(Fwd[float64]), b) // the caller's Fwd holds the logits; it is not pooled
+		bytes := 0
+		for _, f := range drainFwdPool() {
+			for _, s := range f.mats {
+				bytes += 8 * cap(s.Data)
+			}
+		}
+		return bytes
+	}
+	small, large := retained(512), retained(4096)
+	if small == 0 || large != small {
+		t.Fatalf("pooled scratch after Infer: %d B at 512 rows, %d B at 4,096", small, large)
+	}
+}
+
+// drainFwdPool takes every used float64 Fwd out of the pool.
+func drainFwdPool() []*Fwd[float64] {
+	var used []*Fwd[float64]
+	for {
+		f := AcquireFwd[float64]()
+		if f.mats == nil { // a fresh context: the pool is empty
+			return used
+		}
+		used = append(used, f)
+	}
+}
+
 // TestScoresDispatch pins how logits become probabilities: Scores and
 // the tape reference share one sigmoid, so the two agree bitwise.
 func TestScoresDispatch(t *testing.T) {

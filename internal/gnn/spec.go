@@ -1,7 +1,9 @@
 package gnn
 
 import (
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"turbo/internal/autodiff"
 	"turbo/internal/graph"
@@ -23,8 +25,8 @@ import (
 //
 //   - the target's cone (InferTarget): the rows within L−ℓ in-hops of the
 //     target at layer ℓ, via ConeForward;
-//   - every row (Infer): each step splits the rows into ranges, and each
-//     range aggregates its neighbourhoods from the previous layer's
+//   - every row (Infer): each step splits the rows into tiles, and each
+//     tile aggregates its neighbourhoods from the previous layer's
 //     full-height output and applies the layer to itself;
 //   - the embedding star (InferFinal): the last layer on the target's
 //     aggregation row, cut from the batch that computed the cached
@@ -104,7 +106,7 @@ type Stack[F tensor.Float] struct {
 	// aggregated neighbourhoods hN (row i of hN belongs to row i of h) and
 	// returns the block's output rows on f's scratch. It must compute
 	// every row independently and write neither h nor hN: in Infer, h is
-	// a view into a buffer other row ranges are reading.
+	// a view into a buffer other tiles are reading.
 	Layer func(f *Fwd[F], l int, h, hN *tensor.Mat[F]) *tensor.Mat[F]
 }
 
@@ -137,21 +139,47 @@ type Spec[F tensor.Float] struct {
 }
 
 // Infer is the full-height forward, the one full-graph pass at either
-// precision. Each step — an attention stack's projection, one layer of a
-// stack, the readout — runs over every row as one fork-join on the tensor
-// pool (forRows), and the join is the barrier the next step needs: its
-// aggregation may read any row of its input. Full-height activations come
-// from the tensor pool; a layer's input is dead once the layer has read
-// it, and the next layer of its width reuses it, so besides each stack's
-// final rows at most two layers are live however deep the model is. With
-// capture, stack s writes its penultimate rows (the last layer's input)
-// into capture[s], NumNodes × that width and the caller's to keep: the
-// rows the embedding tier serves from. The logits are f's scratch.
+// precision. It runs layer-major: step l computes layer l of every stack
+// as one fork-join on the tensor pool (forRows), after one fork-join that
+// projects every attention stack's layer-l input, and each join is the
+// barrier the next step needs, since an aggregation may read any row of
+// its input. The readout runs inside the last layer's tiles, on a
+// tile-high block of each stack's final rows, so those rows are never
+// materialized full-height: a depth-L model costs L fork-joins, plus L
+// if it has attention stacks. Every stack must have the same depth
+// (Infer panics otherwise). Before step 0
+// the batch compiles every matrix the stacks read (Batch.compile).
+// Full-height activations come from the tensor pool; a layer's input is
+// dead once its step has joined, and the next step's outputs of its
+// width reuse it. With capture, stack s writes its penultimate rows (the
+// last layer's input) into capture[s], NumNodes × that width and the
+// caller's to keep: the rows the embedding tier serves from. The logits
+// are f's scratch.
 func (s *Spec[F]) Infer(f *Fwd[F], b *Batch, capture []*tensor.Mat[F]) *tensor.Mat[F] {
-	n, x := b.NumNodes, inputFor[F](b)
-	hs := f.stackRows(len(s.Stacks))
+	n, x, stacks := b.NumNodes, inputFor[F](b), s.Stacks
+	depth := stacks[0].layers()
+	aggs := make([]Agg, len(stacks))
+	for i := range stacks {
+		if stacks[i].layers() != depth {
+			panic("gnn: Infer needs every stack at the same depth")
+		}
+		aggs[i] = stacks[i].Agg
+	}
+	b.compile(aggs)
+	ops := make([]operand, len(stacks))
+	// Per stack: the step's input rows, their projection (the input
+	// itself for a weighted stack) and the step's output rows.
+	hs, srcs, outs := make([]*tensor.Mat[F], len(stacks)), make([]*tensor.Mat[F], len(stacks)), make([]*tensor.Mat[F], len(stacks))
+	width := 0
+	for i := range stacks {
+		ops[i], hs[i] = operandFor[F](b, stacks[i].Agg), x
+		width += stacks[i].Widths[depth]
+		if capture != nil && depth == 1 {
+			copy(capture[i].Data, x.Data)
+		}
+	}
 	// A dead buffer serves the next one of its width unzeroed, since
-	// every step writes all its rows: each stack reuses the last one's.
+	// every step writes all its rows.
 	var free []*tensor.Mat[F]
 	buf := func(cols int) *tensor.Mat[F] {
 		for k, m := range free {
@@ -162,78 +190,126 @@ func (s *Spec[F]) Infer(f *Fwd[F], b *Batch, capture []*tensor.Mat[F]) *tensor.M
 		}
 		return tensor.GetMat[F](n, cols)
 	}
-	for i := range s.Stacks {
-		st := &s.Stacks[i]
-		op := operandFor[F](b, st.Agg)
-		var keep *tensor.Mat[F]
-		if capture != nil {
-			keep = capture[i]
-			if st.layers() == 1 {
-				copy(keep.Data, x.Data)
-			}
-		}
-		h := x
-		for l := 0; l < st.layers(); l++ {
-			src, w := h, st.Widths[l+1]
-			if st.Project != nil {
-				src = buf(w + 2*st.Heads)
-				forRows(n, n*h.Cols*src.Cols, func(f *Fwd[F], lo, hi int) {
-					putRows(src, lo, st.Project(f, l, h.RowsView(lo, hi)))
-				})
-			}
-			out := keep
-			if l != st.layers()-2 || keep == nil {
-				out = buf(w)
-			}
-			aw := st.aggWidth(l, src)
-			forRows(n, op.a.NNZ()*aw+n*(h.Cols+aw)*w, func(f *Fwd[F], lo, hi int) {
-				putRows(out, lo, st.Layer(f, l, h.RowsView(lo, hi), f.aggregateRange(st, l, op, src, lo, hi)))
-			})
-			if src != h {
-				free = append(free, src)
-			}
-			if h != x && h != keep {
-				free = append(free, h)
-			}
-			h = out
-		}
-		hs[i] = h
-	}
 	logits := f.Get(n, 1)
-	width := 0
-	for _, h := range hs {
-		width += h.Cols
-	}
-	forRows(n, n*width*width, func(f *Fwd[F], lo, hi int) {
-		rows := f.stackRows(len(hs))
-		for i, h := range hs {
-			rows[i] = h.RowsView(lo, hi)
+	for l := 0; l < depth; l++ {
+		last := l == depth-1
+		work := 0
+		for i := range stacks {
+			st := &stacks[i]
+			srcs[i] = hs[i]
+			if st.Project != nil {
+				srcs[i] = buf(st.Widths[l+1] + 2*st.Heads)
+				work += n * hs[i].Cols * srcs[i].Cols
+			}
 		}
-		putRows(logits, lo, s.Readout(f, rows))
-	})
-	for _, m := range append(free, hs...) {
+		if work > 0 {
+			forRows(n, work, func(f *Fwd[F], lo, hi int) {
+				for i := range stacks {
+					if st := &stacks[i]; st.Project != nil {
+						m := f.mark()
+						putRows(srcs[i], lo, st.Project(f, l, f.rowsView(hs[i], lo, hi)))
+						f.reset(m)
+					}
+				}
+			})
+		}
+		work = 0
+		for i := range stacks {
+			st := &stacks[i]
+			w, aw := st.Widths[l+1], st.aggWidth(l, srcs[i])
+			work += ops[i].a.NNZ()*aw + n*(hs[i].Cols+aw)*w
+			switch {
+			case last:
+				outs[i] = nil
+			case capture != nil && l == depth-2:
+				outs[i] = capture[i]
+			default:
+				outs[i] = buf(w)
+			}
+		}
+		if last {
+			work += n * width * width
+		}
+		forRows(n, work, func(f *Fwd[F], lo, hi int) {
+			var final []*tensor.Mat[F]
+			if last {
+				final = f.stackRows(len(stacks))
+				for i := range stacks {
+					final[i] = f.Get(hi-lo, stacks[i].Widths[depth])
+				}
+			}
+			for i := range stacks {
+				st, m := &stacks[i], f.mark()
+				h := st.Layer(f, l, f.rowsView(hs[i], lo, hi), f.aggregateRange(st, l, ops[i], srcs[i], lo, hi))
+				if last {
+					putRows(final[i], 0, h)
+				} else {
+					putRows(outs[i], lo, h)
+				}
+				f.reset(m)
+			}
+			if last {
+				putRows(logits, lo, s.Readout(f, final))
+			}
+		})
+		for i := range stacks {
+			if srcs[i] != hs[i] {
+				free = append(free, srcs[i])
+			}
+			if hs[i] != x && (capture == nil || hs[i] != capture[i]) {
+				free = append(free, hs[i])
+			}
+			hs[i] = outs[i]
+		}
+	}
+	for _, m := range free {
 		tensor.PutMat(m)
 	}
 	return logits
 }
 
-// forRows runs fn over [0, n) split into contiguous row ranges as one
-// fork-join on the tensor pool, each range on its own pooled Fwd whose
-// dense kernels stay on its goroutine: the other ranges already occupy
-// the remaining cores. Below the pool's threshold for the work estimate
-// the whole range runs on the calling goroutine. Ranges start on
-// multiples of eight rows, so the float32 kernels' 8-wide lanes, scalar
-// tails and 4-row tiles fall on the same elements as in one range, and
-// every other kernel is row-independent: the result does not depend on
-// the split.
+// rowTile is the rows one claim of a self-scheduled step covers
+// (forRows). It is a multiple of eight, so the float32 kernels' 8-wide
+// lanes, scalar tails and 4-row tiles fall on the same elements as in
+// one range. A step over 1,000 rows is eight tiles: enough for a few
+// loops to even out, few enough that per-call overhead stays out of
+// sight (64 rows measured the same in BenchmarkRebuildOnce at
+// GOMAXPROCS 1).
+const rowTile = 128
+
+// forRows runs fn over [0, n) in tiles of rowTile rows as one fork-join
+// on the tensor pool: one loop per core (eachLoop), each holding one
+// pooled Fwd whose dense kernels stay on its goroutine, since the other
+// loops already occupy the remaining cores, and claiming the next tile
+// from a shared cursor until none is left. A core slowed by a GC or a
+// steal delays only the tiles it holds. Below the pool's threshold for
+// the work estimate a single loop runs every tile on the calling
+// goroutine. fn's scratch is returned to the loop's Fwd after each tile,
+// so what a loop retains is bounded by one tile whatever n is. Tiles
+// start on multiples of rowTile and every other kernel is
+// row-independent: the result does not depend on which loop ran which
+// tile.
 func forRows[F tensor.Float](n, work int, fn func(f *Fwd[F], lo, hi int)) {
-	tensor.ParallelRows((n+7)/8, work, func(lo, hi int) {
+	var next atomic.Int64
+	eachLoop((n+rowTile-1)/rowTile, work, func() {
 		f := AcquireFwd[F]()
 		f.serial = true
-		fn(f, 8*lo, min(8*hi, n))
+		for lo := int(next.Add(rowTile)) - rowTile; lo < n; lo = int(next.Add(rowTile)) - rowTile {
+			fn(f, lo, min(lo+rowTile, n))
+			f.reset(0)
+		}
 		f.serial = false
 		ReleaseFwd(f)
 	})
+}
+
+// eachLoop runs loop on min(GOMAXPROCS, tasks) goroutines as one
+// fork-join on the tensor pool (tensor.ParallelRows over the loops), or
+// once on the calling goroutine when work is below the pool's
+// threshold. The loops share the tasks through a cursor of the caller's,
+// so how many run changes no result.
+func eachLoop(tasks, work int, loop func()) {
+	tensor.ParallelRows(min(runtime.GOMAXPROCS(0), tasks), work, func(int, int) { loop() })
 }
 
 // putRows writes the block into dst's rows starting at lo, each row cut

@@ -281,7 +281,10 @@ func (g *Graph) Nodes() []NodeID {
 // The pass holds every shard's write lock (taken in ascending order,
 // like Snapshot's read locks and lockPair) and settles the edge counters
 // before releasing them, so no reader sees half of a pruned edge or
-// counters that disagree with the adjacency.
+// counters that disagree with the adjacency. Only a list that lost an
+// edge has its degree re-summed: every other node's degree, and with it
+// every §III-A weight no delta touched, keeps its bits, which the
+// embedding tier's dirty marking relies on.
 func (g *Graph) Prune(now time.Time) int {
 	dropped := 0
 	var expired [][2]NodeID // fired once per undirected edge, outside locks
@@ -314,8 +317,10 @@ func (g *Graph) Prune(now time.Time) int {
 					kept = append(kept, e)
 					deg += e.weight
 				}
-				na.byType[t] = kept
-				na.deg[t] = deg
+				if len(kept) < len(list) {
+					na.byType[t] = kept
+					na.deg[t] = deg
+				}
 				if len(kept) > 0 {
 					empty = false
 				}

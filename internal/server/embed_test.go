@@ -112,6 +112,28 @@ func TestFullGraphScorersAgree(t *testing.T) {
 	}
 }
 
+// BenchmarkRebuildOnce times one embedding-table rebuild on the
+// serving-shaped world (W1k, HAG at the benchmark's widths behind a
+// fitted normalizer): the cohort gather, the full-graph batch compile,
+// the capturing forward, the star cut and the install. Run it with
+// -cpu 1,2: the forward and the compile split across cores.
+func BenchmarkRebuildOnce(b *testing.B) {
+	w := loadServingWorld(b)
+	b.Cleanup(func() {
+		w.bn.Graph().SetDeltaObserver(nil)
+		w.bn.SetPrePublish(nil)
+	})
+	eng := NewEmbedEngine(w.bn, NewPredictionServer(w.bn, w.feats, w.servingModel(), w.fittedNormalizer(b), 0.5))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RebuildOnce(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestEmbedTierServesAndInvalidates walks the tier through its
 // lifecycle on the real prediction path: clean audits serve from cached
 // embeddings above the ladder, an edge delta published by Advance

@@ -49,9 +49,9 @@ go test -race -short ./internal/loadgen/ ./internal/datagen/
 echo "== loadgen smoke (open-loop schedule vs in-process server: deterministic seed, schema-valid scoreboard JSON, coordinated-omission stall injection)"
 go test -race -run 'TestLoadgenSmoke|TestCoordinatedOmissionSafety' ./internal/loadgen/
 
-echo "== full-graph forward smoke (Infer split into row ranges at GOMAXPROCS 1, 2, 3 and 7: all seven variants bitwise the tape at f64 and bitwise the one-range logits at f32, within 1e-12 of per-node gnn.Score, unchanged under concurrent graph writes, under -race; a second forward of the same shape borrows every buffer from the pools, without -race, which drops pool Puts; a test variant declared only by a generic spec: Infer at every split, InferTarget, the capturing InferEmbed and InferFinal vs its own tape forward, and its float32 instantiation's target rows bitwise its full float32 forward and within the serving gate)"
-go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape' ./internal/gnn/
-go test -run 'TestInferRecyclesBuffers' ./internal/gnn/
+echo "== full-graph forward smoke (one fork-join per layer, self-scheduled tiles: Infer at GOMAXPROCS 1, 2, 3 and 7, all seven variants bitwise the tape at f64 and bitwise the one-range logits at f32, within 1e-12 of per-node gnn.Score, unchanged under concurrent graph writes, eight concurrent forwards over one fresh FullBatch bitwise the tape with each matrix compiled once, under -race; a second forward of the same shape borrows every buffer from the pools and a tile loop's pooled scratch is the same at 512 and 4,096 rows, without -race, which drops pool Puts; a test variant declared only by a generic spec: Infer at every split, InferTarget, the capturing InferEmbed and InferFinal vs its own tape forward, and its float32 instantiation's target rows bitwise its full float32 forward and within the serving gate)"
+go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape|TestFullBatchConcurrentScores' ./internal/gnn/
+go test -run 'TestInferRecyclesBuffers|TestInferScratchIsOneTile' ./internal/gnn/
 
 echo "== embedding-serving parity smoke (lambda tier bitwise the full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores bitwise a fresh gnn.Score, as every boot relies on; every Build and Refresh star bitwise the row a fresh full-graph batch compiles; under -race)"
 go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsAreBatchRows' ./internal/embed/
