@@ -2,6 +2,7 @@ package bn
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -154,6 +155,30 @@ func TestAdvanceBulkMatchesEpochMajorOracle(t *testing.T) {
 // exactly the windows the epoch-major scheduler would still catch.
 func TestAdvanceTicksMatchEpochMajorOracle(t *testing.T) {
 	data := benchWorld(300, 20)
+	store := behavior.NewStore()
+	b := builderOn(t, equivalenceConfig, store, data.Start)
+	o := newOracle(equivalenceConfig, store, data.Start)
+	if next := tickLate(data, store, func(now time.Time) {
+		b.Advance(now)
+		o.advance(now)
+	}); next != len(data.Logs) {
+		t.Fatalf("ingested %d of %d logs", next, len(data.Logs))
+	}
+	checkMatchesOracle(t, b, o)
+
+	// The late logs changed the outcome: a bulk build over the full
+	// store, which sees them in every window, groups differently.
+	bulk := builderOn(t, equivalenceConfig, store, data.Start)
+	bulk.Advance(data.End.Add(26 * time.Hour))
+	if bulk.Stats().EdgeUpdates == b.Stats().EdgeUpdates {
+		t.Fatalf("late logs missed no epoch: bulk and ticked both made %d updates", b.Stats().EdgeUpdates)
+	}
+}
+
+// tickLate replays data's logs into store with an hourly tick through
+// End+26h. Every 25th log arrives three hours late. It returns how many
+// logs were ingested.
+func tickLate(data *datagen.Dataset, store *behavior.Store, tick func(now time.Time)) int {
 	type arrival struct {
 		at  time.Time
 		log behavior.Log
@@ -166,30 +191,180 @@ func TestAdvanceTicksMatchEpochMajorOracle(t *testing.T) {
 		}
 	}
 	slices.SortStableFunc(arrivals, func(a, b arrival) int { return a.at.Compare(b.at) })
-
-	store := behavior.NewStore()
-	b := builderOn(t, equivalenceConfig, store, data.Start)
-	o := newOracle(equivalenceConfig, store, data.Start)
 	next := 0
 	for now := data.Start.Add(time.Hour); !now.After(data.End.Add(26 * time.Hour)); now = now.Add(time.Hour) {
 		for ; next < len(arrivals) && arrivals[next].at.Before(now); next++ {
 			store.Append(arrivals[next].log)
 		}
-		b.Advance(now)
-		o.advance(now)
+		tick(now)
 	}
-	if next != len(arrivals) {
-		t.Fatalf("ingested %d of %d logs", next, len(arrivals))
-	}
-	checkMatchesOracle(t, b, o)
+	return next
+}
 
-	// The late logs changed the outcome: a bulk build over the full
-	// store, which sees them in every window, groups differently.
-	bulk := builderOn(t, equivalenceConfig, store, data.Start)
-	bulk.Advance(data.End.Add(26 * time.Hour))
-	if bulk.Stats().EdgeUpdates == b.Stats().EdgeUpdates {
-		t.Fatalf("late logs missed no epoch: bulk and ticked both made %d updates", b.Stats().EdgeUpdates)
+// pairBuilder is the key-major construction as it was before the group
+// write, kept as the bitwise reference: time.Time epoch arithmetic and
+// one AddEdgeWeight per pair, over the same key-major group order.
+// Builder must match it bit for bit — the group write gives every edge
+// the same one +w per group, and every typed degree the same run of
+// equal +w terms — where the epoch-major oracle only matches to 1e-12.
+type pairBuilder struct {
+	cfg                       Config
+	store                     *behavior.Store
+	g                         *graph.Graph
+	origin                    time.Time
+	next                      []time.Time
+	jobs, edgeUpdates, pruned int64
+}
+
+func newPairBuilder(cfg Config, store *behavior.Store, origin time.Time) *pairBuilder {
+	cfg = cfg.withDefaults()
+	r := &pairBuilder{cfg: cfg, store: store, g: graph.New(behavior.NumTypes), origin: origin}
+	for range cfg.Windows {
+		r.next = append(r.next, origin)
 	}
+	return r
+}
+
+func (r *pairBuilder) advance(now time.Time) {
+	type span struct{ from, to time.Time }
+	spans := make([]span, len(r.cfg.Windows))
+	jobs := 0
+	for i, w := range r.cfg.Windows {
+		n := max(now.Sub(r.next[i])/w, 0)
+		spans[i] = span{r.next[i], r.next[i].Add(n * w)}
+		jobs += int(n)
+	}
+	if jobs > 0 {
+		frontier := slices.MinFunc(r.next, time.Time.Compare)
+		r.store.ForEachKeyBetween(frontier, now, func(k behavior.Key, logs []behavior.Log) {
+			if len(logs) < 2 {
+				return
+			}
+			for wi, w := range r.cfg.Windows {
+				sp := spans[wi]
+				i := 0
+				for i < len(logs) && logs[i].Time.Before(sp.from) {
+					i++
+				}
+				for i < len(logs) && logs[i].Time.Before(sp.to) {
+					epochEnd := r.origin.Add((logs[i].Time.Sub(r.origin)/w + 1) * w)
+					runEnd := epochEnd
+					if sp.to.Before(runEnd) {
+						runEnd = sp.to
+					}
+					var users []behavior.UserID
+					for ; i < len(logs) && logs[i].Time.Before(runEnd); i++ {
+						users = append(users, logs[i].User)
+					}
+					slices.Sort(users)
+					users = slices.Compact(users)
+					n := len(users)
+					if n < 2 || n > r.cfg.MaxGroupSize {
+						continue
+					}
+					weight := 1.0
+					if !r.cfg.UniformWeights {
+						weight = 1.0 / float64(n)
+					}
+					expire := epochEnd.Add(r.cfg.TTL)
+					for x := 0; x < n; x++ {
+						for y := x + 1; y < n; y++ {
+							_ = r.g.AddEdgeWeight(graph.EdgeType(k.Type), graph.NodeID(users[x]), graph.NodeID(users[y]), weight, expire)
+						}
+					}
+					r.edgeUpdates += int64(n * (n - 1) / 2)
+				}
+			}
+		})
+		for i := range spans {
+			r.next[i] = spans[i].to
+		}
+	}
+	r.jobs += int64(jobs)
+	r.pruned += int64(r.g.Prune(now))
+}
+
+// observePairs records the multiset of delta-observer pairs on g.
+func observePairs(g *graph.Graph) map[[2]graph.NodeID]int {
+	fired := map[[2]graph.NodeID]int{}
+	g.SetDeltaObserver(func(u, v graph.NodeID) { fired[[2]graph.NodeID{min(u, v), max(u, v)}]++ })
+	return fired
+}
+
+// checkBitwise compares b with the per-pair reference bit for bit: every
+// edge's weight bits and expiry, every typed degree, the node, edge and
+// per-type counts, the build totals, the cursors and the delta-observer
+// pairs.
+func checkBitwise(t *testing.T, b *Builder, bFired map[[2]graph.NodeID]int, r *pairBuilder, rFired map[[2]graph.NodeID]int) {
+	t.Helper()
+	be, re := b.Graph().Edges(), r.g.Edges()
+	if len(be) != len(re) {
+		t.Fatalf("edge counts differ: builder %d vs reference %d", len(be), len(re))
+	}
+	for i := range be {
+		x, y := be[i], re[i]
+		if x.Type != y.Type || x.U != y.U || x.V != y.V ||
+			math.Float64bits(x.Weight) != math.Float64bits(y.Weight) || x.ExpireAt != y.ExpireAt {
+			t.Fatalf("edge %d differs: builder %+v vs reference %+v", i, x, y)
+		}
+	}
+	bs, rs := b.Graph().Snapshot(), r.g.Snapshot()
+	if !slices.Equal(bs.Nodes(), rs.Nodes()) {
+		t.Fatalf("node sets differ: builder %d vs reference %d nodes", bs.NumNodes(), rs.NumNodes())
+	}
+	for _, u := range bs.Nodes() {
+		for typ := 0; typ < behavior.NumTypes; typ++ {
+			x, y := bs.TypedWeightedDegree(u, graph.EdgeType(typ)), rs.TypedWeightedDegree(u, graph.EdgeType(typ))
+			if math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("degree of %d type %d differs: builder %v vs reference %v", u, typ, x, y)
+			}
+		}
+	}
+	bst, rst := b.Graph().Stats(), r.g.Stats()
+	if bst.Nodes != rst.Nodes || bst.Edges != rst.Edges || !slices.Equal(bst.EdgesByType, rst.EdgesByType) {
+		t.Fatalf("graph stats differ: builder %+v vs reference %+v", bst, rst)
+	}
+	if st := b.Stats(); st != (BuildStats{Jobs: r.jobs, EdgeUpdates: r.edgeUpdates, Pruned: r.pruned}) {
+		t.Fatalf("build stats differ: builder %+v vs reference jobs %d updates %d pruned %d",
+			st, r.jobs, r.edgeUpdates, r.pruned)
+	}
+	if got := b.NextEpochs(); !slices.Equal(got, r.next) {
+		t.Fatalf("cursors differ: builder %v vs reference %v", got, r.next)
+	}
+	if !maps.Equal(bFired, rFired) {
+		t.Fatalf("delta observer pairs differ: builder %d distinct vs reference %d", len(bFired), len(rFired))
+	}
+}
+
+// TestAdvanceBitwiseMatchesPerPairBuilder pins the group write and the
+// integer epoch arithmetic to the per-pair builder, bit for bit, on a
+// bulk Advance and on hourly ticks with late logs.
+func TestAdvanceBitwiseMatchesPerPairBuilder(t *testing.T) {
+	data := benchWorld(300, 20)
+	t.Run("bulk", func(t *testing.T) {
+		store := data.Store()
+		b := builderOn(t, equivalenceConfig, store, data.Start)
+		r := newPairBuilder(equivalenceConfig, store, data.Start)
+		bFired, rFired := observePairs(b.Graph()), observePairs(r.g)
+		now := data.End.Add(2 * time.Hour)
+		b.Advance(now)
+		r.advance(now)
+		checkBitwise(t, b, bFired, r, rFired)
+		if r.pruned != 0 || len(rFired) == 0 {
+			t.Fatalf("bulk build pruned %d edges and fired %d pairs", r.pruned, len(rFired))
+		}
+	})
+	t.Run("ticks", func(t *testing.T) {
+		store := behavior.NewStore()
+		b := builderOn(t, equivalenceConfig, store, data.Start)
+		r := newPairBuilder(equivalenceConfig, store, data.Start)
+		bFired, rFired := observePairs(b.Graph()), observePairs(r.g)
+		tickLate(data, store, func(now time.Time) {
+			b.Advance(now)
+			r.advance(now)
+		})
+		checkBitwise(t, b, bFired, r, rFired)
+	})
 }
 
 // TestAdvanceAcrossIdleGap: the cost and the result of catching up do
@@ -255,18 +430,24 @@ func forBenchSizes(b *testing.B, fn func(b *testing.B, data *datagen.Dataset)) {
 
 // BenchmarkAdvanceBulk is the set-up catch-up at three world sizes:
 // one Advance over 60 days of logs on a fresh graph. ns/log flat across
-// the rows is Advance linear in logs.
+// the rows is Advance linear in logs; updates counts the pairwise edge
+// contributions written, and ns/update is the whole pass per one.
 func BenchmarkAdvanceBulk(b *testing.B) {
 	forBenchSizes(b, func(b *testing.B, data *datagen.Dataset) {
 		store := data.Store()
-		jobs := 0
+		var st BuildStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			jobs = builderOn(b, Config{}, store, data.Start).Advance(data.End.Add(2 * time.Hour))
+			bld := builderOn(b, Config{}, store, data.Start)
+			bld.Advance(data.End.Add(2 * time.Hour))
+			st = bld.Stats()
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data.Logs)), "ns/log")
-		b.ReportMetric(float64(jobs), "jobs")
+		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(perOp/float64(len(data.Logs)), "ns/log")
+		b.ReportMetric(perOp/float64(st.EdgeUpdates), "ns/update")
+		b.ReportMetric(float64(st.Jobs), "jobs")
 		b.ReportMetric(float64(len(data.Logs)), "logs")
+		b.ReportMetric(float64(st.EdgeUpdates), "updates")
 	})
 }
 

@@ -89,9 +89,11 @@ type Builder struct {
 	// nextEpoch[i] is the start of the next unprocessed epoch of window i.
 	nextEpoch []time.Time
 	origin    time.Time
-	// users is addKey's scratch for one co-occurrence group, reused
-	// across groups and passes.
-	users []behavior.UserID
+	// offs and nodes are addKey's scratch, reused across keys and
+	// passes: one key's log times as nanoseconds from origin, and one
+	// co-occurrence group's users.
+	offs  []int64
+	nodes []graph.NodeID
 
 	// Cumulative construction totals, readable concurrently with Advance
 	// (the BN server mirrors deltas into telemetry counters).
@@ -150,8 +152,14 @@ func (b *Builder) Graph() *graph.Graph { return b.g }
 func (b *Builder) Config() Config { return b.cfg }
 
 // span is the half-open event-time range [from, to) one window has to
-// materialize in a construction pass; from == to means nothing pending.
-type span struct{ from, to time.Time }
+// materialize in a construction pass, in nanoseconds from the origin;
+// from == to means nothing pending.
+type span struct{ from, to int64 }
+
+// span converts [from, to) to nanoseconds from the origin.
+func (b *Builder) span(from, to time.Time) span {
+	return span{int64(from.Sub(b.origin)), int64(to.Sub(b.origin))}
+}
 
 // Advance processes, for every window size, all epochs that have fully
 // elapsed by now, then prunes expired edges. It returns the number of
@@ -165,9 +173,11 @@ type span struct{ from, to time.Time }
 func (b *Builder) Advance(now time.Time) int {
 	jobs := 0
 	spans := make([]span, len(b.cfg.Windows))
+	next := make([]time.Time, len(b.cfg.Windows))
 	for i, w := range b.cfg.Windows {
 		n := max(now.Sub(b.nextEpoch[i])/w, 0)
-		spans[i] = span{b.nextEpoch[i], b.nextEpoch[i].Add(n * w)}
+		next[i] = b.nextEpoch[i].Add(n * w)
+		spans[i] = b.span(b.nextEpoch[i], next[i])
 		jobs += int(n)
 	}
 	if jobs > 0 {
@@ -175,9 +185,7 @@ func (b *Builder) Advance(now time.Time) int {
 		b.store.ForEachKeyBetween(b.ProcessedThrough(), now, func(k behavior.Key, logs []behavior.Log) {
 			b.addKey(k, logs, spans)
 		})
-		for i := range spans {
-			b.nextEpoch[i] = spans[i].to
-		}
+		copy(b.nextEpoch, next)
 	}
 	b.jobs.Add(int64(jobs))
 	b.pruned.Add(int64(b.g.Prune(now)))
@@ -212,7 +220,7 @@ func (b *Builder) ProcessedThrough() time.Time {
 func (b *Builder) BuildRange(from, to time.Time) {
 	spans := make([]span, len(b.cfg.Windows))
 	for i := range spans {
-		spans[i] = span{from, to}
+		spans[i] = b.span(from, to)
 	}
 	b.store.ForEachKeyBetween(from, to, func(k behavior.Key, logs []behavior.Log) {
 		b.addKey(k, logs, spans)
@@ -224,35 +232,40 @@ func (b *Builder) BuildRange(from, to time.Time) {
 // logs are the key's time-sorted logs, so within a window each run of
 // logs up to the next origin-anchored epoch boundary is one co-occurrence
 // group: its distinct users get the inverse-weighted pairwise edges,
-// expiring at the epoch end plus the TTL.
+// expiring at the epoch end plus the TTL, in one AddGroupWeight. The
+// log times are read once, as nanoseconds from the origin, so the span
+// skip, the epoch ends and the run split are integer arithmetic; only a
+// group that is written builds its time.Time expiry.
 func (b *Builder) addKey(k behavior.Key, logs []behavior.Log, spans []span) {
 	if len(logs) < 2 {
 		return
 	}
 	t := graph.EdgeType(k.Type)
+	offs := b.offs[:0]
+	for _, l := range logs {
+		offs = append(offs, int64(l.Time.Sub(b.origin)))
+	}
+	b.offs = offs
 	for wi, w := range b.cfg.Windows {
-		sp := spans[wi]
+		sp, wn := spans[wi], int64(w)
 		i := 0
-		for i < len(logs) && logs[i].Time.Before(sp.from) {
+		for i < len(offs) && offs[i] < sp.from {
 			i++
 		}
-		for i < len(logs) && logs[i].Time.Before(sp.to) {
-			epochEnd := b.origin.Add((logs[i].Time.Sub(b.origin)/w + 1) * w)
-			runEnd := epochEnd
-			if sp.to.Before(runEnd) { // BuildRange bounds need not sit on the grid
-				runEnd = sp.to
+		for i < len(offs) && offs[i] < sp.to {
+			epochEnd := (offs[i]/wn + 1) * wn
+			runEnd := min(epochEnd, sp.to) // BuildRange bounds need not sit on the grid
+			nodes := b.nodes[:0]
+			for ; i < len(offs) && offs[i] < runEnd; i++ {
+				nodes = append(nodes, graph.NodeID(logs[i].User))
 			}
-			users := b.users[:0]
-			for ; i < len(logs) && logs[i].Time.Before(runEnd); i++ {
-				users = append(users, logs[i].User)
-			}
-			b.users = users
-			if len(users) < 2 {
+			b.nodes = nodes
+			if len(nodes) < 2 {
 				continue
 			}
-			slices.Sort(users)
-			users = slices.Compact(users)
-			n := len(users)
+			slices.Sort(nodes)
+			nodes = slices.Compact(nodes)
+			n := len(nodes)
 			if n < 2 || n > b.cfg.MaxGroupSize {
 				continue
 			}
@@ -260,14 +273,10 @@ func (b *Builder) addKey(k behavior.Key, logs []behavior.Log, spans []span) {
 			if !b.cfg.UniformWeights {
 				weight = 1.0 / float64(n)
 			}
-			expire := epochEnd.Add(b.cfg.TTL)
-			for x := 0; x < n; x++ {
-				for y := x + 1; y < n; y++ {
-					// Errors are impossible here by construction (distinct
-					// users, positive weight, valid type).
-					_ = b.g.AddEdgeWeight(t, graph.NodeID(users[x]), graph.NodeID(users[y]), weight, expire)
-				}
-			}
+			expire := b.origin.Add(time.Duration(epochEnd)).Add(b.cfg.TTL)
+			// Errors are impossible here by construction (ascending
+			// distinct users, positive weight, valid type).
+			_ = b.g.AddGroupWeight(t, nodes, weight, expire)
 			b.edgeUpdates.Add(int64(n * (n - 1) / 2))
 		}
 	}

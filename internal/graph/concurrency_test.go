@@ -9,7 +9,8 @@ import (
 )
 
 // TestConcurrentMutationAndReads hammers the sharded store from many
-// goroutines at once — writers accumulating edges, a pruner expiring
+// goroutines at once — pair writers accumulating edges, group writers
+// whose groups lock overlapping sets of shards, a pruner expiring
 // them, readers publishing snapshots to sample subgraphs and walk hops
 // and reading the live counters, and a snapshotter republishing epochs
 // — and then checks counter/adjacency consistency.
@@ -19,10 +20,11 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 	g := New(4)
 	base := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
 	const (
-		writers = 4
-		readers = 4
-		nodes   = 200
-		rounds  = 400
+		writers  = 4
+		groupers = 2
+		readers  = 4
+		nodes    = 200
+		rounds   = 400
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -42,6 +44,22 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 				_ = g.AddEdgeWeight(EdgeType(rng.Intn(4)), u, v, rng.Float64()+0.01, exp)
 			}
 		}(uint64(w + 1))
+	}
+
+	for w := 0; w < groupers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := tensor.NewRNG(seed)
+			for i := 0; i < rounds/4; i++ {
+				group := randomGroup(rng, 2+rng.Intn(15), nodes)
+				exp := base.Add(time.Duration(rng.Intn(96)) * time.Hour)
+				if err := g.AddGroupWeight(EdgeType(rng.Intn(4)), group, 1/float64(len(group)), exp); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint64(50 + w))
 	}
 
 	wg.Add(1)
@@ -94,7 +112,7 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 		}
 	}()
 
-	// Wait for writers+pruner+snapshotter (3 groups), then release readers.
+	// Wait for writers+groupers+pruner+snapshotter, then release readers.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	time.Sleep(50 * time.Millisecond)

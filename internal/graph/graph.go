@@ -15,6 +15,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,9 +43,9 @@ type Neighbor struct {
 	Weight float64
 }
 
-// halfEdge is one direction of an undirected edge. AddEdgeWeight always
-// writes both halves with identical weight and expiry, so the two halves
-// of an edge never disagree.
+// halfEdge is one direction of an undirected edge. Every write
+// (writeGroup) updates both halves with identical weight and expiry, so
+// the two halves of an edge never disagree.
 type halfEdge struct {
 	to       NodeID
 	weight   float64
@@ -67,9 +69,10 @@ type shard struct {
 	adj   map[NodeID]*nodeAdj
 }
 
-// numShards is the shard count (power of two). 32 shards keep write
-// contention negligible up to tens of scheduler goroutines while the
-// full-lock operations (Snapshot) stay cheap.
+// numShards is the shard count (power of two, at most 32: writeGroup
+// keeps the shards a group touches in a uint32 mask). 32 shards keep
+// write contention negligible up to tens of scheduler goroutines while
+// the full-lock operations (Snapshot) stay cheap.
 const numShards = 32
 
 func shardOf(u NodeID) uint32 { return uint32(u) & (numShards - 1) }
@@ -94,9 +97,10 @@ type Graph struct {
 }
 
 // SetDeltaObserver registers fn to observe every edge delta: each
-// AddEdgeWeight call and each undirected edge dropped by Prune fires fn
-// once with the edge endpoints, after the shard locks are released. fn
-// must be cheap and must not mutate the graph; pass nil to unregister.
+// AddEdgeWeight call, each pair of an AddGroupWeight call and each
+// undirected edge dropped by Prune fires fn once with the edge
+// endpoints, after the shard locks are released. fn must be cheap and
+// must not mutate the graph; pass nil to unregister.
 func (g *Graph) SetDeltaObserver(fn func(u, v NodeID)) {
 	if fn == nil {
 		g.deltaObs.Store(nil)
@@ -146,80 +150,162 @@ func (g *Graph) registerLocked(sh *shard, u NodeID) {
 
 // AddEdgeWeight accumulates weight w onto the typed undirected edge
 // (u, v) and extends its expiry to at least expireAt. Self-loops and
-// non-positive weights are rejected.
+// non-positive weights are rejected. It is the two-node case of
+// AddGroupWeight.
 func (g *Graph) AddEdgeWeight(t EdgeType, u, v NodeID, w float64, expireAt time.Time) error {
-	if int(t) >= g.numTypes {
-		return fmt.Errorf("graph: edge type %d out of range [0,%d)", t, g.numTypes)
+	if err := g.checkWrite(t, w); err != nil {
+		return err
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d", u)
 	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("graph: invalid edge weight %v", w)
-	}
-	iu, iv := shardOf(u), shardOf(v)
-	su, sv := &g.shards[iu], &g.shards[iv]
-	// Lock both endpoint shards in index order so the edge appears in
-	// both halves atomically (Snapshot holds every shard lock and thus
-	// never observes half an edge).
-	g.lockPair(iu, iv)
-	g.registerLocked(su, u)
-	g.registerLocked(sv, v)
-	if g.upsertHalf(su, t, u, v, w, expireAt) {
-		g.edgeCount.Add(1)
-		g.edgesByType[t].Add(1)
-	}
-	g.upsertHalf(sv, t, v, u, w, expireAt)
-	g.unlockPair(iu, iv)
+	pair := [2]NodeID{min(u, v), max(u, v)}
+	g.writeGroup(t, pair[:], w, expireAt)
 	g.notifyDelta(u, v)
 	return nil
 }
 
-// lockPair write-locks shards a and b in ascending index order (deadlock
-// freedom against concurrent cross-shard writers).
-func (g *Graph) lockPair(a, b uint32) {
-	if a == b {
-		g.shards[a].mu.Lock()
-		return
+// AddGroupWeight accumulates weight w onto the typed undirected edge of
+// every pair of nodes — one co-occurrence group of Algorithm 1 — and
+// extends each edge's expiry to at least expireAt. nodes must be
+// strictly ascending (sorted and distinct) and hold at least two nodes;
+// a rejected group writes nothing. The result is bit for bit that of
+// one AddEdgeWeight per pair in any order: each edge gets exactly one
+// +w, and each node's typed degree gets len(nodes)-1 additions of the
+// same w. The delta observer fires once per pair, (nodes[x], nodes[y])
+// with x < y, after the shard locks are released.
+func (g *Graph) AddGroupWeight(t EdgeType, nodes []NodeID, w float64, expireAt time.Time) error {
+	if err := g.checkWrite(t, w); err != nil {
+		return err
 	}
-	if a > b {
-		a, b = b, a
+	if len(nodes) < 2 {
+		return fmt.Errorf("graph: group of %d nodes has no pair", len(nodes))
 	}
-	g.shards[a].mu.Lock()
-	g.shards[b].mu.Lock()
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i] <= nodes[i-1] {
+			return fmt.Errorf("graph: group nodes not strictly ascending at %d (%d after %d)", i, nodes[i], nodes[i-1])
+		}
+	}
+	g.writeGroup(t, nodes, w, expireAt)
+	if obs := g.deltaObs.Load(); obs != nil {
+		for x, u := range nodes {
+			for _, v := range nodes[x+1:] {
+				(*obs)(u, v)
+			}
+		}
+	}
+	return nil
 }
 
-func (g *Graph) unlockPair(a, b uint32) {
-	g.shards[a].mu.Unlock()
-	if a != b {
-		g.shards[b].mu.Unlock()
+// checkWrite validates an edge write's type and weight.
+func (g *Graph) checkWrite(t EdgeType, w float64) error {
+	if int(t) >= g.numTypes {
+		return fmt.Errorf("graph: edge type %d out of range [0,%d)", t, g.numTypes)
+	}
+	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("graph: invalid edge weight %v", w)
+	}
+	return nil
+}
+
+// writeGroup is the one upsert path: it adds w to the typed edge of
+// every pair of the strictly ascending nodes. Every touched shard is
+// write-locked once, in ascending index order (the order Snapshot and
+// Prune take them), so the group's edges appear in both halves
+// atomically and concurrent writers cannot deadlock.
+func (g *Graph) writeGroup(t EdgeType, nodes []NodeID, w float64, expireAt time.Time) {
+	var touched uint32 // bit i set = shard i holds one of nodes
+	for _, u := range nodes {
+		touched |= 1 << shardOf(u)
+	}
+	for m := touched; m != 0; m &= m - 1 {
+		g.shards[bits.TrailingZeros32(m)].mu.Lock()
+	}
+	created := 0
+	for _, u := range nodes {
+		sh := &g.shards[shardOf(u)]
+		g.registerLocked(sh, u)
+		created += g.upsertRow(sh, t, u, nodes, w, expireAt)
+	}
+	if created > 0 {
+		g.edgeCount.Add(int64(created))
+		g.edgesByType[t].Add(int64(created))
+	}
+	for m := touched; m != 0; m &= m - 1 {
+		g.shards[bits.TrailingZeros32(m)].mu.Unlock()
 	}
 }
 
-// upsertHalf updates one direction inside sh (locked by the caller) and
-// reports whether it created a new edge.
-func (g *Graph) upsertHalf(sh *shard, t EdgeType, u, v NodeID, w float64, expireAt time.Time) bool {
+// upsertRow adds w onto u's type-t half edge toward every other node of
+// the ascending group, inside sh (locked by the caller), in one forward
+// pass over u's sorted row: each partner's search resumes after the
+// previous partner's slot, existing halves are updated in place, and the
+// missing ones are merged in from the back after a single grow. It
+// returns how many new undirected edges it created toward partners
+// above u, so that a group counts each new edge once.
+func (g *Graph) upsertRow(sh *shard, t EdgeType, u NodeID, nodes []NodeID, w float64, expireAt time.Time) int {
 	na := sh.adj[u]
 	if na == nil {
 		na = &nodeAdj{byType: make([][]halfEdge, g.numTypes), deg: make([]float64, g.numTypes)}
 		sh.adj[u] = na
 	}
 	list := na.byType[t]
-	i := sort.Search(len(list), func(i int) bool { return list[i].to >= v })
-	if i < len(list) && list[i].to == v {
-		list[i].weight += w
-		if expireAt.After(list[i].expireAt) {
-			list[i].expireAt = expireAt
+	missing, created, pos := 0, 0, 0
+	for _, v := range nodes {
+		if v == u {
+			continue
+		}
+		lo, hi := pos, len(list) // first slot in list[pos:] with to >= v
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if list[mid].to < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(list) && list[lo].to == v {
+			list[lo].weight += w
+			if expireAt.After(list[lo].expireAt) {
+				list[lo].expireAt = expireAt
+			}
+			pos = lo + 1
+		} else {
+			missing++
+			if v > u {
+				created++
+			}
+			pos = lo
 		}
 		na.deg[t] += w
-		return false
 	}
-	list = append(list, halfEdge{})
-	copy(list[i+1:], list[i:])
-	list[i] = halfEdge{to: v, weight: w, expireAt: expireAt}
+	if missing == 0 {
+		return 0
+	}
+	// Merge the missing halves in from the back: i walks the old row,
+	// k the grown one, and old entries above each missing partner shift
+	// up by the number of missing partners still below them.
+	i := len(list) - 1
+	list = slices.Grow(list, missing)[:len(list)+missing]
+	k := len(list) - 1
+	for j := len(nodes) - 1; j >= 0 && k > i; j-- {
+		v := nodes[j]
+		if v == u {
+			continue
+		}
+		for i >= 0 && list[i].to > v {
+			list[k] = list[i]
+			k--
+			i--
+		}
+		if i >= 0 && list[i].to == v {
+			continue // existing half, already updated
+		}
+		list[k] = halfEdge{to: v, weight: w, expireAt: expireAt}
+		k--
+	}
 	na.byType[t] = list
-	na.deg[t] += w
-	return true
+	return created
 }
 
 // NumNodes returns the number of registered nodes.
@@ -279,7 +365,7 @@ func (g *Graph) Nodes() []NodeID {
 // dropped from the per-shard adjacency index (reclaiming memory), but
 // stay in the registered-node set: isolated nodes remain registered.
 // The pass holds every shard's write lock (taken in ascending order,
-// like Snapshot's read locks and lockPair) and settles the edge counters
+// like Snapshot's read locks and writeGroup) and settles the edge counters
 // before releasing them, so no reader sees half of a pruned edge or
 // counters that disagree with the adjacency. Only a list that lost an
 // edge has its degree re-summed: every other node's degree, and with it
