@@ -102,26 +102,27 @@ func BenchmarkEmbedTapeScore(b *testing.B) {
 }
 
 // BenchmarkEmbedRefresh measures the incremental refresh sweep as a
-// function of the dirty fraction: each iteration marks pct% of the rows
-// dirty and repairs them. The ball (rows actually re-embedded) exceeds
-// the marked set by the (L−1)-hop closure, which is the point — the
-// metric is the cost of keeping the table clean at a given churn rate,
-// reported as refreshed rows/op.
+// function of the dirty fraction: each iteration marks pct% of the live
+// table's rows dirty and repairs them into a new table. The ball (rows
+// actually re-embedded) exceeds the marked set by the (L−1)-hop
+// closure, which is the point — the metric is the cost of keeping the
+// table clean at a given churn rate, reported as refreshed rows/op.
 func BenchmarkEmbedRefresh(b *testing.B) {
 	for _, pct := range []int{1, 10, 50} {
 		b.Run(sprintfPct(pct), func(b *testing.B) {
-			_, snap, _, nodes, _, s := benchWorld(b)
-			tab := s.table.Load()
+			_, _, _, nodes, _, s := benchWorld(b)
 			step := 100 / pct
 			var refreshed int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				tab := s.Table() // each refresh installs a new table
 				for r := 0; r < len(nodes); r += step {
 					tab.markRow(int32(r))
 				}
 				b.StartTimer()
-				st := s.Refresh(snap)
+				st := s.Refresh()
 				refreshed += int64(st.Ball)
 			}
 			if b.N > 0 {

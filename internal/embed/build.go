@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -22,12 +23,10 @@ type BuildResult struct {
 // Build runs one full-graph forward over the universe ids (strictly
 // ascending snapshot node IDs, typically transaction-filtered; anything
 // else is an error, since a repeated ID would alias two table rows) with
-// the frozen, ids-aligned feature matrix x, capturing every stream's
-// penultimate activations and cutting each node's aggregation star from
-// the forward's batch (gnn.CutStars). The
-// table's epoch is snap's: rows are valid for snap and any later
-// snapshot whose deltas have been dirty-marked through Store.Flush.
-// Build takes ownership of ids and x; the caller must not mutate them
+// the frozen, ids-aligned feature matrix x on snap, the snapshot
+// Store.BeginRebuild hands back: it is the writer Table.embed over a new
+// table whose every row is dirty. The table's epoch is snap's. Build
+// takes ownership of ids and x; the caller must not mutate them
 // afterwards.
 func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn.Model, version int) (*BuildResult, error) {
 	n := len(ids)
@@ -40,60 +39,70 @@ func Build(snap *graph.Snapshot, ids []graph.NodeID, x *tensor.Matrix, model gnn
 		}
 	}
 	widths, hops := model.EmbedSpec()
-	t := newTable(version, model, widths, hops, time.Now(), ids, x)
-	t.epoch.Store(snap.Epoch())
+	t := &Table{
+		version: version, model: model, widths: widths, hops: hops, builtAt: time.Now(),
+		ids: ids, index: make(map[graph.NodeID]int32, n), x: x,
+		rows:  make([][][]float64, len(widths)),
+		stars: make([]*gnn.EmbedStar, n),
+		memo:  make([]atomic.Pointer[float64], n),
+		dirty: make([]atomic.Uint64, (n+63)/64),
+	}
+	every := make([]int32, n)
+	for i, id := range ids {
+		t.index[id] = int32(i)
+		every[i] = int32(i)
+	}
+	for s := range widths {
+		t.rows[s] = make([][]float64, n)
+	}
+	return &BuildResult{Table: t, Probs: t.embed(snap, nil, every)}, nil
+}
 
+// embed is the table's one row and star writer. It runs one capturing
+// forward on snap with the frozen features over ball — ascending
+// universe rows, or nil for the whole universe, whose ids and features
+// the forward then reads in place — and writes the rows of dirty
+// (ascending rows of ball) from the capture and their stars from the
+// forward's batch (gnn.CutStars). The ball must hold every universe
+// neighbour of each dirty row. embed stamps t with snap's epoch and
+// returns the forward's probabilities, ball-aligned. t must not be
+// published yet.
+func (t *Table) embed(snap *graph.Snapshot, ball, dirty []int32) []float64 {
+	ids, x := t.ids, t.x
+	at := make([]int, len(dirty)) // each dirty row's ball position: its capture and batch row
+	for i, r := range dirty {
+		at[i] = int(r)
+	}
+	if ball != nil {
+		ids = make([]graph.NodeID, len(ball))
+		x = tensor.New(len(ball), t.x.Cols)
+		for i, r := range ball {
+			ids[i] = t.ids[r]
+			copy(x.Row(i), t.x.Row(int(r)))
+		}
+		for i, r := range dirty {
+			at[i], _ = slices.BinarySearch(ball, r)
+		}
+	}
+	n := len(ids)
 	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: ids})
 	defer b.Release()
 
-	capture := make([]*tensor.Matrix, len(widths))
-	for s, w := range widths {
+	capture := make([]*tensor.Matrix, len(t.widths))
+	for s, w := range t.widths {
 		capture[s] = tensor.New(n, w)
 	}
 	probs := make([]float64, n)
 	f := gnn.AcquireFwd[float64]()
-	gnn.SigmoidScoresInto(probs, model.InferEmbed(f, b, capture).Data[:n])
+	gnn.SigmoidScoresInto(probs, t.model.InferEmbed(f, b, capture).Data[:n])
 	gnn.ReleaseFwd(f)
 
-	// One header block per stream, not one heap header per row: Build
-	// publishes into a fresh table, and Refresh stores fresh headers, so
-	// no published header is ever written again.
-	for s := range widths {
-		hdrs := make([][]float64, n)
-		for i := range hdrs {
-			hdrs[i] = capture[s].Row(i)
-			t.rows[s][i].Store(&hdrs[i])
+	for i, r := range dirty {
+		for s := range t.rows {
+			t.rows[s][r] = capture[s].Row(at[i])
 		}
 	}
-	gnn.CutStars(model, b, nil, nil, func(r int, s *gnn.EmbedStar) { t.stars[r].Store(s) })
-
-	return &BuildResult{Table: t, Probs: probs}, nil
-}
-
-// newTable allocates an empty table over the universe ids with frozen
-// features x (both owned by the table afterwards): row and star
-// pointers unset, nothing dirty.
-func newTable(version int, model gnn.Model, widths []int, hops int, builtAt time.Time, ids []graph.NodeID, x *tensor.Matrix) *Table {
-	n := len(ids)
-	t := &Table{
-		version: version,
-		model:   model,
-		widths:  widths,
-		hops:    hops,
-		builtAt: builtAt,
-		ids:     ids,
-		index:   make(map[graph.NodeID]int32, n),
-		x:       x,
-		rows:    make([][]atomic.Pointer[[]float64], len(widths)),
-		stars:   make([]atomic.Pointer[gnn.EmbedStar], n),
-		memo:    make([]atomic.Pointer[scoreMemo], n),
-		dirty:   make([]atomic.Uint64, (n+63)/64),
-	}
-	for i, id := range ids {
-		t.index[id] = int32(i)
-	}
-	for s := range widths {
-		t.rows[s] = make([]atomic.Pointer[[]float64], n)
-	}
-	return t
+	gnn.CutStars(t.model, b, at, ball, func(i int, s *gnn.EmbedStar) { t.stars[dirty[i]] = s })
+	t.epoch = snap.Epoch()
+	return probs
 }

@@ -44,7 +44,7 @@ func TestMemoInvalidatedByNeighbourRefresh(t *testing.T) {
 	for _, cu := range nodes {
 		nu := neighbours(snap, cu)
 		far := func(x graph.NodeID) bool { return x != cu && !nu[x] }
-		for _, gr := range tab.stars[tab.Row(cu)].Load().Gather[1:] {
+		for _, gr := range tab.stars[tab.Row(cu)].Gather[1:] {
 			v := tab.ids[gr]
 			for t0 := 0; t0 < snap.NumEdgeTypes() && !found; t0++ {
 				snap.ForEachTypedNeighbor(v, graph.EdgeType(t0), func(ca graph.NodeID, _ float64) {
@@ -87,7 +87,7 @@ func TestMemoInvalidatedByNeighbourRefresh(t *testing.T) {
 	if _, r := s.TryServe(snap2, u, m); r != Dirty {
 		t.Fatalf("serve of %d with a dirty gathered row: %v, want Dirty", u, r)
 	}
-	s.Refresh(snap2)
+	s.Refresh()
 
 	second, r := s.TryServe(snap2, u, m)
 	if r != Hit {
@@ -102,51 +102,42 @@ func TestMemoInvalidatedByNeighbourRefresh(t *testing.T) {
 	}
 }
 
-// memoHit is one Hit a reader saw, with the even generation it was
-// served under.
+// memoHit is one Hit a reader saw, with the table it was served from.
 type memoHit struct {
-	gen  uint64
+	tab  *Table
 	row  int32
 	prob float64
 }
 
 // TestMemoConcurrentRefresh serves in a loop from several readers while
 // a writer alternates edge deltas, Flush and Refresh. A reader that
-// reads the same even writeGen before and after TryServe knows the
-// generation the Hit was served under; every such Hit must be bitwise
-// the final layer over that generation's rows, which the writer
-// computes while the generation is current.
+// sees the same live table before and after TryServe knows the table
+// the Hit was served from; every such Hit must be bitwise the final
+// layer over that table's rows, which the writer computes once the
+// table is installed.
 func TestMemoConcurrentRefresh(t *testing.T) {
 	g, snap, x, nodes := testWorld(19, 30, 2, 5)
 	m := testModels(5, 2)[3] // full HAG
 	res := buildTable(t, m, snap, nodes, x)
-	tab := res.Table
 	s := NewStore()
-	s.Install(tab, snap)
+	s.Install(res.Table, snap)
 	g.SetDeltaObserver(s.NoteDelta)
 
-	want := map[uint64][]float64{}
+	want := map[*Table][]float64{}
 	record := func() {
-		gen := s.writeGen.Load()
-		if _, ok := want[gen]; ok {
-			return
-		}
+		tab := s.Table()
 		probs := make([]float64, tab.NumRows())
 		for r := range probs {
-			p, ok := tab.score(tab.stars[r].Load())
-			if !ok {
-				t.Errorf("row %d: unset embedding", r)
-			}
-			probs[r] = p
+			probs[r] = tab.score(tab.stars[r])
 		}
-		want[gen] = probs
+		want[tab] = probs
 	}
 	record()
 
 	var cur atomic.Pointer[graph.Snapshot]
 	cur.Store(snap)
 	done := make(chan struct{})
-	var served atomic.Int64 // generation-pinned hits, all readers
+	var served atomic.Int64 // table-pinned hits, all readers
 	const readers = 2
 	seen := make([][]memoHit, readers)
 	var wg sync.WaitGroup
@@ -161,10 +152,10 @@ func TestMemoConcurrentRefresh(t *testing.T) {
 				default:
 				}
 				u := nodes[k%len(nodes)]
-				g0 := s.writeGen.Load()
+				tab := s.Table()
 				prob, r := s.TryServe(cur.Load(), u, m)
-				if r == Hit && s.writeGen.Load() == g0 {
-					seen[i] = append(seen[i], memoHit{gen: g0, row: tab.Row(u), prob: prob})
+				if r == Hit && s.Table() == tab {
+					seen[i] = append(seen[i], memoHit{tab: tab, row: tab.Row(u), prob: prob})
 					served.Add(1)
 				}
 			}
@@ -181,9 +172,9 @@ func TestMemoConcurrentRefresh(t *testing.T) {
 		next := g.Snapshot()
 		s.Flush(next)
 		cur.Store(next)
-		s.Refresh(next)
+		s.Refresh()
 		record()
-		// Let the readers serve under this generation before the next.
+		// Let the readers serve from this table before the next.
 		for n := served.Load(); served.Load() == n; {
 			runtime.Gosched()
 		}
@@ -191,22 +182,22 @@ func TestMemoConcurrentRefresh(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	hits, gens := 0, map[uint64]bool{}
+	hits, tables := 0, map[*Table]bool{}
 	for _, hs := range seen {
 		for _, h := range hs {
 			hits++
-			gens[h.gen] = true
-			ref, ok := want[h.gen]
+			tables[h.tab] = true
+			ref, ok := want[h.tab]
 			if !ok {
-				t.Fatalf("hit under generation %d, which the writer never saw", h.gen)
+				t.Fatalf("hit from a table at epoch %d, which the writer never saw", h.tab.Epoch())
 			}
 			if h.prob != ref[h.row] {
-				t.Fatalf("row %d, generation %d: served %v, final layer %v", h.row, h.gen, h.prob, ref[h.row])
+				t.Fatalf("row %d, table at epoch %d: served %v, final layer %v", h.row, h.tab.Epoch(), h.prob, ref[h.row])
 			}
 		}
 	}
-	if hits == 0 || len(gens) < 2 {
-		t.Fatalf("%d hits over %d generations: the readers did not overlap the refreshes", hits, len(gens))
+	if hits == 0 || len(tables) < 2 {
+		t.Fatalf("%d hits over %d tables: the readers did not overlap the refreshes", hits, len(tables))
 	}
-	t.Logf("%d hits over %d generations", hits, len(gens))
+	t.Logf("%d hits over %d tables", hits, len(tables))
 }

@@ -210,12 +210,12 @@ func TestDirtyNeverServesStale(t *testing.T) {
 
 	// Refresh repairs the dirty set: everything serves again and matches
 	// the post-delta full scores bitwise.
-	st := s.Refresh(snap2)
+	st := s.Refresh()
 	if st.Dirty == 0 || st.Ball < st.Dirty || st.Cleared != st.Dirty {
 		t.Fatalf("refresh stats %+v", st)
 	}
-	if res.Table.DirtyCount() != 0 {
-		t.Fatalf("dirty rows remain after refresh: %d", res.Table.DirtyCount())
+	if s.Table().DirtyCount() != 0 {
+		t.Fatalf("dirty rows remain after refresh: %d", s.Table().DirtyCount())
 	}
 	for i, u := range nodes {
 		prob, r := s.TryServe(snap2, u, m)
@@ -291,7 +291,7 @@ func TestRandomizedDirtyPropagation(t *testing.T) {
 			}
 		}
 		if round%2 == 1 {
-			s.Refresh(cur)
+			s.Refresh()
 		}
 	}
 }

@@ -2,26 +2,29 @@ package embed
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
-	"turbo/internal/gnn"
 	"turbo/internal/graph"
-	"turbo/internal/tensor"
 )
 
 // RefreshStats summarizes one incremental refresh pass.
 type RefreshStats struct {
 	Dirty   int           // dirty rows targeted
 	Ball    int           // rows re-embedded (dirty set padded to Radius hops)
-	Cleared int           // dirty bits cleared (rows not re-dirtied mid-refresh)
+	Cleared int           // dirty rows clean in the installed table
 	Elapsed time.Duration // wall time of the whole pass
 }
 
-// Refresh re-embeds the dirty set incrementally: it pads the dirty rows
-// D to their universe-restricted closed ball of radius Table.Radius,
-// max(1, L−1), runs the capturing forward over that induced subgraph
-// with the table's FROZEN features, cuts D's stars from the same batch,
-// and republishes rows and stars for D only.
+// Refresh re-embeds the live table's dirty rows D into a new table and
+// installs it. It begins like a rebuild: in one step it takes the newest
+// flushed snapshot, D, and a delta log seeded with the pending deltas.
+// It then pads D to its universe-restricted closed ball of radius
+// Table.Radius, max(1, L−1), runs the capturing forward over that
+// induced subgraph on the snapshot with the table's FROZEN features, and
+// writes D's rows and stars over a copy of the live table's (Table.embed).
+// Install replays the log onto the new table, so a row a delta dirtied
+// during the pass stays dirty.
 //
 // Correctness: with the closed ball B ⊇ ball(D, L−1) and snapshot-exact
 // §III-A weights, h^k computed on B matches the full-universe value on
@@ -29,100 +32,61 @@ type RefreshStats struct {
 // correct inputs — so h^{L−1} is exact on D. B ⊇ ball(D, 1) holds every
 // universe neighbour of each row of D, and B ascends like the universe,
 // so the batch's row of a dirty row is its universe batch row with the
-// columns relabelled: the star is exact too. Rows in B∖D keep their
-// (clean, still-valid) old values; only D is republished. Features stay
-// frozen at build time, so a refresh repairs structural staleness
-// exactly while feature staleness is bounded by the periodic full
-// rebuild.
+// columns relabelled: the star is exact too. Rows outside D were clean,
+// so their old values hold on the snapshot too. Features stay frozen at
+// build time, so a refresh repairs structural staleness exactly while
+// feature staleness is bounded by the periodic full rebuild.
 //
-// Exactly one Refresh (or Build/Install) may run at a time. Deltas that
-// Flush while the refresh runs re-dirty rows; the refresh skips
-// clearing those bits (Store.remarked), so their next values come from
-// a later pass.
-func (s *Store) Refresh(snap *graph.Snapshot) RefreshStats {
+// Exactly one Refresh or rebuild may run at a time.
+func (s *Store) Refresh() RefreshStats {
 	start := time.Now()
-	var st RefreshStats
-
 	s.mu.Lock()
-	tab := s.table.Load()
-	if tab == nil {
-		s.mu.Unlock()
-		return st
+	old := s.table.Load()
+	var dirty []int32
+	if old != nil {
+		dirty = old.dirtyRows()
 	}
-	dirty := tab.dirtyRows()
 	if len(dirty) == 0 {
 		s.mu.Unlock()
-		return st
+		return RefreshStats{}
 	}
-	s.refreshing = true
-	s.remarked = make(map[int32]struct{})
+	snap := s.beginLocked()
 	s.mu.Unlock()
 
-	st.Dirty = len(dirty)
-	ball := tab.ballRows(snap, dirty, tab.Radius())
-	st.Ball = len(ball)
+	ball := old.ballRows(snap, dirty, old.Radius())
+	tab := old.successor()
+	tab.embed(snap, ball, dirty)
 
-	// Gather the ball's frozen features and run the capturing forward
-	// over the induced subgraph: only the captured penultimate
-	// activations matter here, the logits are dropped.
-	ballIDs := make([]graph.NodeID, len(ball))
-	for i, r := range ball {
-		ballIDs[i] = tab.ids[r]
-	}
-	x := tensor.New(len(ball), tab.x.Cols)
-	for i, r := range ball {
-		copy(x.Row(i), tab.x.Row(int(r)))
-	}
-	b := gnn.FullBatch(snap, x, graph.FullOptions{Nodes: ballIDs})
-	capture := make([]*tensor.Matrix, len(tab.widths))
-	for st2, w := range tab.widths {
-		capture[st2] = tensor.New(len(ball), w)
-	}
-	f := gnn.AcquireFwd[float64]()
-	tab.model.InferEmbed(f, b, capture)
-	gnn.ReleaseFwd(f)
-
-	// Each dirty row's ball position: its capture row, and the batch row
-	// its star is cut from.
-	at := make([]int, len(dirty))
-	for i, r := range dirty {
-		at[i], _ = slices.BinarySearch(ball, r)
-	}
-	stars := make([]*gnn.EmbedStar, len(dirty))
-	gnn.CutStars(tab.model, b, at, ball, func(i int, s *gnn.EmbedStar) { stars[i] = s })
-	b.Release()
-
-	// Publish under the seqlock: rows and stars for D swap together, and
-	// any concurrent TryServe that overlaps the window retries as a
-	// fallback rather than mixing generations.
-	s.writeGen.Add(1)
-	for i, r := range dirty {
-		for st2 := range tab.rows {
-			row := capture[st2].Row(at[i])
-			tab.rows[st2][r].Store(&row)
-		}
-		tab.stars[r].Store(stars[i])
-	}
-	s.writeGen.Add(1)
-
+	st := RefreshStats{Dirty: len(dirty), Ball: len(ball)}
 	s.mu.Lock()
+	s.installLocked(tab, snap)
 	for _, r := range dirty {
-		if _, ok := s.remarked[r]; !ok {
-			tab.clearRow(r)
+		if !tab.isDirty(r) {
 			st.Cleared++
 		}
 	}
-	s.refreshing = false
-	s.remarked = nil
-	// The republished rows reflect snap; older snapshots must no longer
-	// serve against them.
-	if snap.Epoch() > tab.Epoch() {
-		tab.epoch.Store(snap.Epoch())
-	}
 	s.mu.Unlock()
-
 	st.Elapsed = time.Since(start)
 	return st
+}
+
+// successor returns an unpublished table with t's model, universe,
+// frozen features and build time, and a copy of t's row and star
+// headers: nothing dirty, no memo.
+func (t *Table) successor() *Table {
+	n := len(t.ids)
+	next := &Table{
+		version: t.version, model: t.model, widths: t.widths, hops: t.hops, builtAt: t.builtAt,
+		ids: t.ids, index: t.index, x: t.x,
+		rows:  make([][][]float64, len(t.rows)),
+		stars: slices.Clone(t.stars),
+		memo:  make([]atomic.Pointer[float64], n),
+		dirty: make([]atomic.Uint64, (n+63)/64),
+	}
+	for s := range t.rows {
+		next.rows[s] = slices.Clone(t.rows[s])
+	}
+	return next
 }
 
 // ballRows runs a universe-restricted BFS from the seed rows over snap's

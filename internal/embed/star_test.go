@@ -42,7 +42,7 @@ func starsAreBatchRows(t *testing.T, where string, tab *Table, snap *graph.Snaps
 	b := gnn.FullBatch(snap, nil, graph.FullOptions{Nodes: tab.ids})
 	defer b.Release()
 	for r := range tab.ids {
-		star := tab.stars[r].Load()
+		star := tab.stars[r]
 		if star.Gather[0] != int32(r) {
 			t.Fatalf("%s row %d: Gather starts at %d", where, r, star.Gather[0])
 		}
@@ -194,13 +194,13 @@ func TestStarsAreBatchRows(t *testing.T) {
 			_ = g.AddEdgeWeight(graph.EdgeType(rng.Intn(3)), graph.NodeID(u), graph.NodeID((u+n/2)%n), rng.Float64()+0.1, never)
 			snap2 := g.Snapshot()
 			s.Flush(snap2)
-			if st := s.Refresh(snap2); st.Dirty == 0 || st.Ball >= len(ids) {
+			if st := s.Refresh(); st.Dirty == 0 || st.Ball >= len(ids) {
 				t.Fatalf("%s: refresh of %d dirty rows re-embedded %d of %d", m.Name(), st.Dirty, st.Ball, len(ids))
 			}
 			// Every star a delta can change sits in its dirty ball, so
 			// after the refresh every star is the new snapshot's row.
-			starsAreBatchRows(t, m.Name()+" refresh", tab, snap2, aggs)
-			coverage(tab, snap2).check(t, "refresh")
+			starsAreBatchRows(t, m.Name()+" refresh", s.Table(), snap2, aggs)
+			coverage(s.Table(), snap2).check(t, "refresh")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +23,7 @@ const (
 	// Miss: the target is not in the table universe (or no table yet).
 	Miss
 	// Fallback: the table exists but cannot serve this request safely —
-	// model/version skew, a snapshot older than the table's epoch, or a
-	// refresh writing concurrently.
+	// model/version skew, or a snapshot older than the table's epoch.
 	Fallback
 )
 
@@ -42,26 +42,27 @@ func (r Result) String() string {
 }
 
 // Store owns the live embedding table and the delta-driven dirty
-// marking. Exactly one goroutine may run Refresh / Build+Install at a
-// time (the embed engine serializes them); NoteDelta, Flush, and
+// marking. A published table is immutable but for its dirty bits and
+// memos: both ways to change the table — a rebuild (BeginRebuild, Build,
+// Install) and a refresh (Refresh) — compute a new table on the newest
+// flushed snapshot, replay onto it the deltas that snapshot lacks, and
+// publish it with one pointer store. Exactly one table change may run at
+// a time (the embed engine serializes them); NoteDelta, Flush, and
 // TryServe are safe from any goroutine.
 //
-// Write protocol: the refresh loop updates row and star pointers of the
-// live table in place. writeGen is a seqlock around those writes —
-// odd while a refresh is publishing, bumped again when done. TryServe
-// snapshots writeGen before reading and rejects the serve if it moved,
-// so a score can never mix rows from two refresh generations. The same
-// even generation stamps each row's score memo (see scoreMemo).
+// Invariant: a published table carries a mark for every delta its
+// snapshot lacks. Flush marks the live table; beginning a change takes,
+// in one step under mu, the newest flushed snapshot and a delta log
+// seeded with the pending deltas, so every delta is in that snapshot or
+// in the log, and Install marks the log's deltas on the new table.
 type Store struct {
-	table    atomic.Pointer[Table]
-	writeGen atomic.Uint64
+	table atomic.Pointer[Table]
 
-	mu         sync.Mutex
-	pending    []graph.NodeID // delta endpoints awaiting Flush
-	refreshing bool
-	remarked   map[int32]struct{} // rows re-dirtied while a refresh ran
-	rebuilding bool
-	rebuildLog []graph.NodeID // deltas observed while a rebuild ran
+	mu       sync.Mutex
+	pending  []graph.NodeID  // delta endpoints awaiting Flush
+	newest   *graph.Snapshot // newest snapshot Flush or Install saw
+	changing bool            // a table change has begun and not yet installed
+	log      []graph.NodeID  // endpoints of deltas the changing table's snapshot lacks
 }
 
 // NewStore returns an empty store (every serve is a Miss until a table
@@ -77,8 +78,8 @@ func (s *Store) Table() *Table { return s.table.Load() }
 func (s *Store) NoteDelta(u, v graph.NodeID) {
 	s.mu.Lock()
 	s.pending = append(s.pending, u, v)
-	if s.rebuilding {
-		s.rebuildLog = append(s.rebuildLog, u, v)
+	if s.changing {
+		s.log = append(s.log, u, v)
 	}
 	s.mu.Unlock()
 }
@@ -90,35 +91,45 @@ func (s *Store) PendingDeltas() int {
 	return len(s.pending)
 }
 
-// Flush drains the pending delta endpoints and marks their
-// (L−1)-hop-padded neighborhoods dirty on the live table. It MUST be
-// called with the about-to-be-published snapshot, before that snapshot
-// is made visible to the prediction path (mark-before-publish): then
-// any reader holding a snapshot that contains a delta is guaranteed to
-// see the dirty bits the delta implies, and readers on older snapshots
-// score consistently against their own epoch.
+// Flush drains the pending delta endpoints, marks their
+// (L−1)-hop-padded neighborhoods dirty on the live table, and records
+// snap as the newest snapshot, the one the next table change computes
+// on. It MUST be called with the about-to-be-published snapshot, taken
+// after every noted delta was written, before that snapshot is made
+// visible to the prediction path (mark-before-publish): then any reader
+// holding a snapshot that contains a delta is guaranteed to see the
+// dirty bits the delta implies, and readers on older snapshots score
+// consistently against their own epoch.
 func (s *Store) Flush(snap *graph.Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.seeLocked(snap)
 	if len(s.pending) == 0 {
 		return
 	}
 	seeds := s.pending
 	s.pending = nil
-	tab := s.table.Load()
-	if tab == nil {
-		return
+	if tab := s.table.Load(); tab != nil {
+		s.markBallLocked(tab, snap, seeds)
 	}
-	s.markBallLocked(tab, snap, seeds)
+}
+
+// seeLocked records snap as the newest snapshot if it is newer. Caller
+// holds mu.
+func (s *Store) seeLocked(snap *graph.Snapshot) {
+	if snap != nil && (s.newest == nil || snap.Epoch() > s.newest.Epoch()) {
+		s.newest = snap
+	}
 }
 
 // markBallLocked BFS-marks the closed ball of radius tab.Radius()
 // around the seed nodes, walking the full snapshot adjacency (an edge
 // delta shifts the §III-A degrees of both endpoints, perturbing h^1 on
 // their 1-hop neighborhoods and h^{L−1} within L−1 hops; walking
-// through non-universe nodes over-marks, which is safe). Marked rows
-// are recorded in remarked while a refresh is running so the refresh
-// does not clear bits that went stale again under it. Caller holds mu.
+// through non-universe nodes over-marks, which is safe). Any snapshot
+// at least as new as tab's will do: a shortest path from the seeds
+// leaves the last seed on it over edges no later delta touched. Caller
+// holds mu.
 func (s *Store) markBallLocked(tab *Table, snap *graph.Snapshot, seeds []graph.NodeID) {
 	radius := tab.Radius()
 	visited := make(map[graph.NodeID]struct{}, len(seeds)*4)
@@ -131,9 +142,6 @@ func (s *Store) markBallLocked(tab *Table, snap *graph.Snapshot, seeds []graph.N
 		frontier = append(frontier, u)
 		if r := tab.Row(u); r >= 0 {
 			tab.markRow(r)
-			if s.refreshing {
-				s.remarked[r] = struct{}{}
-			}
 		}
 	}
 	for _, u := range seeds {
@@ -148,46 +156,62 @@ func (s *Store) markBallLocked(tab *Table, snap *graph.Snapshot, seeds []graph.N
 	}
 }
 
-// BeginRebuild marks the start of a full table build. Deltas observed
-// until Install are logged and replayed onto the new table, closing the
-// window where an edge lands after the build snapshot but before the
-// new table goes live.
-func (s *Store) BeginRebuild() {
+// BeginRebuild begins a full table build and returns the snapshot to
+// build it on: the newest one Flush or Install saw (nil before either).
+// Deltas that snapshot lacks — the pending ones and every one noted
+// until Install — are logged and replayed onto the new table.
+func (s *Store) BeginRebuild() *graph.Snapshot {
 	s.mu.Lock()
-	s.rebuilding = true
-	s.rebuildLog = nil
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return s.beginLocked()
+}
+
+// beginLocked starts a table change: the delta log starts with the
+// pending deltas and NoteDelta appends every later one, so every delta
+// is in the returned newest snapshot or in the log. Caller holds mu.
+func (s *Store) beginLocked() *graph.Snapshot {
+	s.changing = true
+	s.log = slices.Clone(s.pending)
+	return s.newest
 }
 
 // AbortRebuild cancels a BeginRebuild without installing.
 func (s *Store) AbortRebuild() {
 	s.mu.Lock()
-	s.rebuilding = false
-	s.rebuildLog = nil
+	s.changing = false
+	s.log = nil
 	s.mu.Unlock()
 }
 
-// Install publishes a freshly built table, replaying deltas logged
-// since BeginRebuild onto it against the current snapshot.
+// Install publishes a new table: it records snap (the snapshot tab was
+// computed on, or a later one) as seen, marks the deltas logged since
+// the change began on tab, and stores tab as the live table.
 func (s *Store) Install(tab *Table, snap *graph.Snapshot) {
 	s.mu.Lock()
-	if len(s.rebuildLog) > 0 {
-		s.markBallLocked(tab, snap, s.rebuildLog)
+	s.installLocked(tab, snap)
+	s.mu.Unlock()
+}
+
+// installLocked is Install. Caller holds mu.
+func (s *Store) installLocked(tab *Table, snap *graph.Snapshot) {
+	s.seeLocked(snap)
+	if len(s.log) > 0 {
+		s.markBallLocked(tab, s.newest, s.log)
 	}
 	s.table.Store(tab)
-	s.rebuilding = false
-	s.rebuildLog = nil
-	s.mu.Unlock()
+	s.changing = false
+	s.log = nil
 }
 
 // TryServe attempts to score node u from cached embeddings: final
 // aggregation layer plus head only, never a full multi-hop forward,
-// and only once per row per refresh generation — later hits return the
-// row's memo after the same guards. A non-Hit result carries no
-// probability; the caller falls through to the next serving tier. The
-// model argument is the prediction path's live model — identity
-// mismatch (a swap the embed engine has not caught up with) refuses
-// rather than serving another artifact's embeddings.
+// and only once per row per table — later hits return the row's memo
+// after the same guards. A non-Hit result carries no probability; the
+// caller falls through to the next serving tier. The model argument is
+// the prediction path's live model — identity mismatch (a swap the
+// embed engine has not caught up with) refuses rather than serving
+// another artifact's embeddings. Load snap before calling: the table
+// TryServe then reads is marked for every delta snap holds.
 func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) (float64, Result) {
 	tab := s.table.Load()
 	if tab == nil {
@@ -196,61 +220,41 @@ func (s *Store) TryServe(snap *graph.Snapshot, u graph.NodeID, model gnn.Model) 
 	if tab.model != model {
 		return 0, Fallback
 	}
-	if snap != nil && snap.Epoch() < tab.Epoch() {
-		// The caller's snapshot predates the rows (a refresh moved the
-		// table forward); its view of the neighborhood may disagree.
+	if snap != nil && snap.Epoch() < tab.epoch {
+		// The caller's snapshot predates the rows; its view of the
+		// neighborhood may disagree.
 		return 0, Fallback
 	}
 	r := tab.Row(u)
 	if r < 0 {
 		return 0, Miss
 	}
-	g1 := s.writeGen.Load()
-	if g1&1 != 0 {
-		return 0, Fallback // refresh mid-publish
-	}
-	star := tab.stars[r].Load()
-	if star == nil {
-		return 0, Fallback
-	}
+	star := tab.stars[r]
 	for _, gr := range star.Gather {
 		if tab.isDirty(gr) {
 			return 0, Dirty
 		}
 	}
-	if m := tab.memo[r].Load(); m != nil && m.gen == g1 && s.writeGen.Load() == g1 {
-		return m.prob, Hit
+	if p := tab.memo[r].Load(); p != nil {
+		return *p, Hit
 	}
-
-	prob, ok := tab.score(star)
-	if !ok {
-		return 0, Fallback
-	}
-	if s.writeGen.Load() != g1 {
-		// A refresh republished rows underneath the read; the gathered
-		// block may mix generations.
-		return 0, Fallback
-	}
-	tab.memo[r].Store(&scoreMemo{gen: g1, prob: prob})
+	prob := tab.score(star)
+	tab.memo[r].Store(&prob)
 	return prob, Hit
 }
 
 // score runs the final aggregation layer, head and sigmoid for star over
-// its gathered rows as they are now. ok is false if a row is unset.
-func (t *Table) score(star *gnn.EmbedStar) (prob float64, ok bool) {
+// its gathered rows.
+func (t *Table) score(star *gnn.EmbedStar) float64 {
 	f := gnn.AcquireFwd[float64]()
 	defer gnn.ReleaseFwd(f)
 	hs := make([]*tensor.Matrix, len(t.rows))
 	for st := range t.rows {
 		h := f.Get(len(star.Gather), t.widths[st])
 		for i, gr := range star.Gather {
-			p := t.rows[st][gr].Load()
-			if p == nil {
-				return 0, false
-			}
-			copy(h.Row(i), *p)
+			copy(h.Row(i), t.rows[st][gr])
 		}
 		hs[st] = h
 	}
-	return tensor.SigmoidScalar(t.model.InferFinal(f, star, hs)), true
+	return tensor.SigmoidScalar(t.model.InferFinal(f, star, hs))
 }

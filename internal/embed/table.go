@@ -9,20 +9,22 @@
 // forward into one aggregation row plus a dense layer and the head.
 //
 // Consistency model: a table is a consistent (snapshot epoch, frozen
-// feature matrix) pair. Edge deltas mark the §III-A-affected
-// neighborhood dirty before the snapshot carrying them is published
-// (mark-before-publish, see Store.Flush), and serving refuses any
-// target whose star references a dirty row — a stale-neighborhood
-// score is never served silently. The incremental refresh repairs
-// structural staleness exactly (re-embedding dirty balls from the
-// frozen features); feature staleness is bounded by the periodic full
-// rebuild, which re-fetches features.
+// feature matrix) pair, and its rows and stars never change once it is
+// published. Edge deltas mark the §III-A-affected neighborhood dirty
+// before the snapshot carrying them is published (mark-before-publish,
+// see Store.Flush), and serving refuses any target whose star
+// references a dirty row — a stale-neighborhood score is never served
+// silently. The invariant: a published table carries a mark for every
+// delta its snapshot lacks. Both ways to change the table keep it by
+// one install protocol (Store.BeginRebuild, Store.Install): the full
+// rebuild, which re-fetches features, and the incremental refresh,
+// which re-embeds dirty balls from the frozen features into a new
+// table. So structural staleness is repaired exactly, and feature
+// staleness is bounded by the periodic rebuild.
 //
-// Serving cost: a target's final layer runs once per refresh
-// generation. Its score is memoized on the row, stamped with the even
-// refresh generation it was computed under; until a refresh republishes
-// rows, every later hit re-checks the same guards (model, epoch,
-// generation, clean star) and returns the memo.
+// Serving cost: a target's final layer runs once per table. Its score
+// is memoized on the row; every later hit re-checks the same guards
+// (model, epoch, clean star) and returns the memo.
 package embed
 
 import (
@@ -36,40 +38,30 @@ import (
 	"turbo/internal/tensor"
 )
 
-// Table is one immutable-universe embedding table: penultimate
-// activation rows per stream for a fixed, sorted node universe, plus
-// per-node aggregation stars and the dirty bitmap. Row and star values
-// are updated in place by the refresh loop through per-row atomic
-// pointers; the universe, features, and model never change — a new
-// universe means a new Table.
+// Table is one immutable embedding table: penultimate activation rows
+// per stream for a fixed, sorted node universe, plus per-node
+// aggregation stars, the dirty bitmap and the score memos. Rows, stars
+// and epoch are written before the table is installed and never after;
+// only the dirty bits and the memos change while it is live. A refresh
+// is a new Table sharing the universe, index and frozen features.
 type Table struct {
 	version int
 	model   gnn.Model
 	widths  []int
 	hops    int
 	builtAt time.Time
-	epoch   atomic.Uint64 // earliest snapshot epoch the rows are valid for
+	epoch   uint64 // the snapshot epoch the rows were computed on
 
 	ids   []graph.NodeID // universe, sorted ascending
 	index map[graph.NodeID]int32
 	x     *tensor.Matrix // frozen normalized features, ids-aligned
 
-	rows  [][]atomic.Pointer[[]float64] // [stream][row]
-	stars []atomic.Pointer[gnn.EmbedStar]
-	memo  []atomic.Pointer[scoreMemo] // [row]: last served score
+	rows  [][][]float64 // [stream][row]
+	stars []*gnn.EmbedStar
+	memo  []atomic.Pointer[float64] // [row]: the row's served probability
 
 	dirty      []atomic.Uint64 // bitmap over rows
 	dirtyCount atomic.Int64
-}
-
-// scoreMemo is a served probability stamped with the even Store.writeGen
-// it was computed under. Rows and stars change only inside a refresh's
-// writeGen bracket and writeGen only grows, so a memo whose gen is the
-// current even generation is bitwise what the final layer would compute
-// now.
-type scoreMemo struct {
-	gen  uint64
-	prob float64
 }
 
 // Version returns the model artifact version the rows were computed
@@ -98,11 +90,13 @@ func (t *Table) Radius() int {
 // NumRows returns the universe size.
 func (t *Table) NumRows() int { return len(t.ids) }
 
-// BuiltAt returns when the table's rows were computed.
+// BuiltAt returns when the table's features were fetched: the last full
+// build's time, which a refresh keeps.
 func (t *Table) BuiltAt() time.Time { return t.builtAt }
 
-// Epoch returns the earliest snapshot epoch the rows are valid for.
-func (t *Table) Epoch() uint64 { return t.epoch.Load() }
+// Epoch returns the epoch of the snapshot the rows were computed on,
+// the earliest one they are valid for.
+func (t *Table) Epoch() uint64 { return t.epoch }
 
 // DirtyCount returns the number of rows currently marked dirty.
 func (t *Table) DirtyCount() int { return int(t.dirtyCount.Load()) }
@@ -120,35 +114,13 @@ func (t *Table) isDirty(r int32) bool {
 	return t.dirty[r>>6].Load()&(1<<(uint(r)&63)) != 0
 }
 
-// markRow sets row r's dirty bit and reports whether it was newly set.
-func (t *Table) markRow(r int32) bool {
+// markRow sets row r's dirty bit. Only the holder of Store.mu marks, so
+// a load and a store suffice; readers load the words atomically.
+func (t *Table) markRow(r int32) {
 	w := &t.dirty[r>>6]
-	bit := uint64(1) << (uint(r) & 63)
-	for {
-		old := w.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|bit) {
-			t.dirtyCount.Add(1)
-			return true
-		}
-	}
-}
-
-// clearRow clears row r's dirty bit.
-func (t *Table) clearRow(r int32) {
-	w := &t.dirty[r>>6]
-	bit := uint64(1) << (uint(r) & 63)
-	for {
-		old := w.Load()
-		if old&bit == 0 {
-			return
-		}
-		if w.CompareAndSwap(old, old&^bit) {
-			t.dirtyCount.Add(-1)
-			return
-		}
+	if old, bit := w.Load(), uint64(1)<<(uint(r)&63); old&bit == 0 {
+		w.Store(old | bit)
+		t.dirtyCount.Add(1)
 	}
 }
 
@@ -165,7 +137,7 @@ func (t *Table) dirtyRows() []int32 {
 	return out
 }
 
-// AgeSeconds returns seconds since the rows were built, or -1 for a nil
+// AgeSeconds returns seconds since the features were fetched, or -1 for a nil
 // table (the gauge convention on /metrics).
 func (t *Table) AgeSeconds() float64 {
 	if t == nil {

@@ -56,13 +56,15 @@ type EmbedRefreshReport struct {
 
 // NewEmbedEngine wires the lambda tier into the online stack: it
 // installs the graph delta observer and the snapshot pre-publish flush
-// (mark-before-publish), attaches itself as the prediction server's
+// (mark-before-publish), hands the store the published snapshot as the
+// newest one it has seen, attaches itself as the prediction server's
 // embed tier, and re-registers the embedding gauges with live
 // callbacks. Call before serving.
 func NewEmbedEngine(bn *BNServer, pred *PredictionServer) *EmbedEngine {
 	e := &EmbedEngine{bn: bn, pred: pred, store: embed.NewStore()}
 	bn.Graph().SetDeltaObserver(e.store.NoteDelta)
 	bn.SetPrePublish(e.store.Flush)
+	e.store.Flush(bn.Snapshot())
 	pred.Embed = e
 	pred.Tel.RegisterEmbedGauges(
 		func() float64 { return e.store.Table().AgeSeconds() },
@@ -118,11 +120,12 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 }
 
 // RebuildOnce rebuilds the embedding table from scratch against the
-// current snapshot and model: one cohort gather over every
-// audit-eligible user, one captured embedding sweep, per-node stars cut
-// from the sweep's batch, then an atomic install. Deltas that land during the
-// build are replayed onto the new table (Store rebuild log), so the
-// fresh table can never silently serve scores that predate them. The
+// model and the snapshot BeginRebuild hands back, the newest flushed
+// one: one cohort gather over every audit-eligible user, one captured
+// embedding sweep, per-node stars cut from the sweep's batch, then an
+// atomic install. Deltas that snapshot lacks are replayed onto the new
+// table (the store's delta log), so the fresh table can never silently
+// serve scores that predate them. The
 // sweep scores the final layer anyway, so the rebuild doubles as a
 // full-graph score sweep: the probabilities refresh the tier-3 cache
 // under the build's version tag.
@@ -138,14 +141,14 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: no model attached")
 	}
 	rep := EmbedRebuildReport{At: start, Version: sv.Version}
-	e.store.BeginRebuild()
+	snap := e.store.BeginRebuild()
 	defer func() {
 		if !rep.Servable {
 			e.store.AbortRebuild()
 		}
 	}()
 
-	c, err := e.bn.gatherCohort(ctx, sv.Feats, sv.Norm, 0)
+	c, err := e.bn.gatherCohort(ctx, snap, sv.Feats, sv.Norm, 0)
 	if err != nil {
 		return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 	}
@@ -153,14 +156,11 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 	if len(c.nodes) > 0 {
 		// The table owns the cohort's feature matrix for the lifetime of
 		// the tier: refresh passes re-read its frozen rows.
-		res, err := embed.Build(c.snap, c.nodes, c.x, sv.Model, sv.Version)
+		res, err := embed.Build(snap, c.nodes, c.x, sv.Model, sv.Version)
 		if err != nil {
 			return EmbedRebuildReport{}, fmt.Errorf("server: embed rebuild: %w", err)
 		}
-		// Install against the snapshot of NOW, not the build snapshot: the
-		// rebuild log's delta balls must be walked on an adjacency that
-		// contains them.
-		e.store.Install(res.Table, e.bn.Snapshot())
+		e.store.Install(res.Table, snap)
 		rep.Servable = true
 		e.pred.RememberScoresFor(c.users, res.Probs, sv.Version)
 		rep.Rows = len(c.nodes)
@@ -171,15 +171,16 @@ func (e *EmbedEngine) RebuildOnce(ctx context.Context) (EmbedRebuildReport, erro
 }
 
 // RefreshOnce runs one incremental refresh: re-embed the dirty set
-// (padded to its (L−1)-hop ball) against the current snapshot and
-// republish only those rows. A no-op when nothing is dirty.
+// (padded to its (L−1)-hop ball) on the newest flushed snapshot and
+// install a new table with those rows replaced. A no-op when nothing is
+// dirty.
 func (e *EmbedEngine) RefreshOnce() EmbedRefreshReport {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 
-	st := e.store.Refresh(e.bn.Snapshot())
+	st := e.store.Refresh()
 	rep := EmbedRefreshReport{
 		At:      time.Now(),
 		Dirty:   st.Dirty,

@@ -70,7 +70,7 @@ func (e *SweepEngine) ShadowPair(ctx context.Context, cand gnn.Model, candNorm f
 	if cand == nil {
 		return nil, nil, fmt.Errorf("server: shadow: no candidate model")
 	}
-	c, err := e.bn.gatherCohort(ctx, live.Feats, nil, limit)
+	c, err := e.bn.gatherCohort(ctx, e.bn.Snapshot(), live.Feats, nil, limit)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: shadow: %w", err)
 	}
@@ -90,7 +90,7 @@ func (e *SweepEngine) CohortScores(ctx context.Context, limit int) ([]float64, e
 	if live.Model == nil {
 		return nil, fmt.Errorf("server: cohort: no live model attached")
 	}
-	c, err := e.bn.gatherCohort(ctx, live.Feats, nil, limit)
+	c, err := e.bn.gatherCohort(ctx, e.bn.Snapshot(), live.Feats, nil, limit)
 	if err != nil {
 		return nil, fmt.Errorf("server: cohort: %w", err)
 	}

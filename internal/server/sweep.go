@@ -84,7 +84,7 @@ func (e *SweepEngine) RunOnce(ctx context.Context) (SweepReport, error) {
 	if sv.Model == nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: no model attached")
 	}
-	c, err := e.bn.gatherCohort(ctx, sv.Feats, sv.Norm, 0)
+	c, err := e.bn.gatherCohort(ctx, e.bn.Snapshot(), sv.Feats, sv.Norm, 0)
 	if err != nil {
 		return SweepReport{}, fmt.Errorf("server: sweep: %w", err)
 	}
@@ -118,15 +118,15 @@ type cohort struct {
 	x          *tensor.Matrix    // row i is users[i]'s vector; nil when users is empty
 }
 
-// gatherCohort lists up to limit (0 = all) audit-eligible users of the
-// current snapshot, under one txnMu read lock, and gathers their rows
+// gatherCohort lists up to limit (0 = all) audit-eligible users of
+// snap, under one txnMu read lock, and gathers their rows
 // from feats at one cutoff through norm (nil = raw). Users whose fetch
 // fails are skipped and counted; only a done ctx is an error. It is the
 // one feature read of the sweep, the embed rebuild and the lifecycle
 // cohort. The matrix is not pooled: the embed table keeps the
 // rebuild's for its lifetime.
-func (s *BNServer) gatherCohort(ctx context.Context, feats feature.Source, norm *feature.Norm, limit int) (*cohort, error) {
-	c := &cohort{snap: s.Snapshot()}
+func (s *BNServer) gatherCohort(ctx context.Context, snap *graph.Snapshot, feats feature.Source, norm *feature.Norm, limit int) (*cohort, error) {
+	c := &cohort{snap: snap}
 	var users []behavior.UserID
 	s.txnMu.RLock()
 	for _, id := range c.snap.Nodes() {

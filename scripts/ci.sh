@@ -56,8 +56,9 @@ echo "== full-graph forward smoke (one fork-join per layer, self-scheduled tiles
 go test -race -run 'TestSweepMatchesPerNodeScore|TestSweepMatchesBatchScores|TestSweepSnapshotIsolation|TestSpecVariantMatchesTape|TestFullBatchConcurrentScores' ./internal/gnn/
 go test -run 'TestInferRecyclesBuffers|TestInferScratchIsOneTile' ./internal/gnn/
 
-echo "== embedding-serving parity smoke (lambda tier bitwise the full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every generation's rows under concurrent refresh; a rebuild warms tier 3 with scores bitwise a fresh gnn.Score, as every boot relies on; every Build and Refresh star bitwise the row a fresh full-graph batch compiles; under -race)"
-go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsAreBatchRows' ./internal/embed/
+echo "== embedding-serving parity smoke (lambda tier bitwise the full gnn.Score on every model variant, warm memo serve bitwise the cold one; dirty always falls back; randomized invalidation property; score memo re-runs the final layer after a neighbour's refresh and matches every table's rows under concurrent refresh; a rebuild keeps a delta noted before it began and flushed under it, a refresh computes on the newest flushed snapshot, and every hit read from one table equals the full forward on the reader's snapshot beside an Advance-like writer, a refresher and a rebuilder, 5 rounds; a rebuild warms tier 3 with scores bitwise a fresh gnn.Score, as every boot relies on; every Build and Refresh star bitwise the row a fresh full-graph batch compiles; under -race)"
+go test -race -run 'TestEmbedServeParity|TestDirtyNeverServesStale|TestRandomizedDirtyPropagation|TestRebuildLogReplay|TestMemoInvalidatedByNeighbourRefresh|TestMemoConcurrentRefresh|TestStarsAreBatchRows|TestRebuildKeepsPendingDelta|TestRefreshComputesOnFlushedSnapshot' ./internal/embed/
+go test -race -count=5 -run 'TestConcurrentTableChanges' ./internal/embed/
 go test -race -run 'TestRebuildWarmsScoreCache' ./internal/server/
 
 echo "== cone and full-graph parity smoke (seven variants, all with a target driver, x {full, cut, sampled-into-the-batch}: f64 target logit bitwise vs tape, f32 bitwise equal on all three; the snapshot walk's CSRs bitwise NewBatch's for every aggregation, with filter rejections, a masked type, over-cap rows, hop-2 re-entry, 3 layers; the same writer's full-graph batches (FullBatch) bitwise NewBatch over FullSubgraph with their f32 mirrors, every aggregation, raw and normalized, masked or not, shuffled node lists with an absent ID, three seeds, GAT's tape structure vs the merged edge list; a cut sample is refused by a deeper model's ScoreCtx and Score32, and a 3-layer model's audit, cut for its own depth, serves the full tier; row-space snapshot walk vs SampleView, published cap order vs heavier, concurrent samples of two snapshot sizes return pooled scratch all-zero; under -race)"
