@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 
 	"turbo/internal/tensor"
@@ -16,25 +17,39 @@ func anyGrad(nodes ...*Node) bool {
 }
 
 func (t *Tape) op(value *tensor.Matrix, backward func(), inputs ...*Node) *Node {
-	n := &Node{Value: value}
-	if anyGrad(inputs...) {
-		n.requiresGrad = true
+	n := t.node(value, nil, anyGrad(inputs...))
+	if n.requiresGrad {
 		n.backward = backward
 	}
-	return t.add(n)
+	return n
 }
 
-// MatMul records c = a × b.
+// copyOf returns a tape buffer holding a copy of m.
+func (t *Tape) copyOf(m *tensor.Matrix) *tensor.Matrix {
+	v := t.buf(m.Rows, m.Cols, false)
+	copy(v.Data, m.Data)
+	return v
+}
+
+// MatMul records c = a × b. The backward products g × bᵀ and aᵀ × g
+// run on the forward's row kernel over a transposed operand
+// (tensor.MulTransBInto and MulTransAInto), into the tape's scratch,
+// and are then added to the gradients.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	v := a.Value.MatMul(b.Value)
+	v := t.buf(a.Value.Rows, b.Value.Cols, true)
+	tensor.MatMulInto(v, a.Value, b.Value)
 	var out *Node
 	out = t.op(v, func() {
 		g := out.Grad
 		if a.requiresGrad {
-			a.ensureGrad().AddInPlace(g.MatMulTransB(b.Value))
+			p := t.scratchBuf(1, g.Rows, b.Value.Rows, true)
+			tensor.MulTransBInto(p, g, b.Value, t.scratchBuf(0, b.Value.Cols, b.Value.Rows, false))
+			a.ensureGrad().AddInPlace(p)
 		}
 		if b.requiresGrad {
-			b.ensureGrad().AddInPlace(a.Value.MatMulTransA(g))
+			p := t.scratchBuf(1, a.Value.Cols, g.Cols, true)
+			tensor.MulTransAInto(p, a.Value, g, t.scratchBuf(0, a.Value.Cols, a.Value.Rows, false))
+			b.ensureGrad().AddInPlace(p)
 		}
 	}, a, b)
 	return out
@@ -42,7 +57,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // Add records c = a + b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
-	v := a.Value.Add(b.Value)
+	v := t.copyOf(a.Value).AddInPlace(b.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if a.requiresGrad {
@@ -57,7 +72,7 @@ func (t *Tape) Add(a, b *Node) *Node {
 
 // Sub records c = a − b.
 func (t *Tape) Sub(a, b *Node) *Node {
-	v := a.Value.Sub(b.Value)
+	v := t.copyOf(a.Value).SubInPlace(b.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if a.requiresGrad {
@@ -70,16 +85,25 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	return out
 }
 
+// addProduct adds x[i]·y[i] into dst element by element. The explicit
+// conversion keeps the product rounded on its own, so the sum rounds as
+// adding a materialized product would.
+func addProduct(dst, x, y []float64) {
+	for i, xv := range x {
+		dst[i] += float64(xv * y[i])
+	}
+}
+
 // Mul records the element-wise product c = a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
-	v := a.Value.Mul(b.Value)
+	v := t.copyOf(a.Value).MulInPlace(b.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if a.requiresGrad {
-			a.ensureGrad().AddInPlace(out.Grad.Mul(b.Value))
+			addProduct(a.ensureGrad().Data, out.Grad.Data, b.Value.Data)
 		}
 		if b.requiresGrad {
-			b.ensureGrad().AddInPlace(out.Grad.Mul(a.Value))
+			addProduct(b.ensureGrad().Data, out.Grad.Data, a.Value.Data)
 		}
 	}, a, b)
 	return out
@@ -87,7 +111,7 @@ func (t *Tape) Mul(a, b *Node) *Node {
 
 // Scale records c = s·a for a fixed scalar s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
-	v := a.Value.Scale(s)
+	v := t.copyOf(a.Value).ScaleInPlace(s)
 	var out *Node
 	out = t.op(v, func() {
 		if a.requiresGrad {
@@ -99,14 +123,17 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 
 // AddRowVector records c = a + 1·vᵀ, broadcasting the 1×C bias v to rows.
 func (t *Tape) AddRowVector(a, v *Node) *Node {
-	val := a.Value.AddRowVector(v.Value)
+	val := t.copyOf(a.Value).AddRowVectorInPlace(v.Value)
 	var out *Node
 	out = t.op(val, func() {
+		g := out.Grad
 		if a.requiresGrad {
-			a.ensureGrad().AddInPlace(out.Grad)
+			a.ensureGrad().AddInPlace(g)
 		}
 		if v.requiresGrad {
-			v.ensureGrad().AddInPlace(tensor.SumCols(out.Grad))
+			sum := t.scratchBuf(0, 1, g.Cols, true)
+			tensor.SumColsInto(sum, g)
+			v.ensureGrad().AddInPlace(sum)
 		}
 	}, a, v)
 	return out
@@ -114,12 +141,19 @@ func (t *Tape) AddRowVector(a, v *Node) *Node {
 
 // MulColVector records c[i,:] = a[i,:] · v[i], with v an N×1 column.
 func (t *Tape) MulColVector(a, v *Node) *Node {
-	val := a.Value.MulColVector(v.Value)
+	val := t.copyOf(a.Value).MulColVectorInPlace(v.Value)
 	var out *Node
 	out = t.op(val, func() {
 		g := out.Grad
 		if a.requiresGrad {
-			a.ensureGrad().AddInPlace(g.MulColVector(v.Value))
+			ga := a.ensureGrad()
+			for i := 0; i < g.Rows; i++ {
+				s := v.Value.Data[i]
+				dst := ga.Row(i)
+				for j, gv := range g.Row(i) {
+					dst[j] += float64(gv * s)
+				}
+			}
 		}
 		if v.requiresGrad {
 			gv := v.ensureGrad()
@@ -131,9 +165,10 @@ func (t *Tape) MulColVector(a, v *Node) *Node {
 	return out
 }
 
-// ReLU records c = max(0, a).
+// ReLU records c = max(0, a) (tensor.ReLUInto: −0 and NaN become +0).
 func (t *Tape) ReLU(a *Node) *Node {
-	v := tensor.ReLU(a.Value)
+	v := t.buf(a.Value.Rows, a.Value.Cols, false)
+	tensor.ReLUInto(v, a.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -151,7 +186,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 
 // Tanh records c = tanh(a).
 func (t *Tape) Tanh(a *Node) *Node {
-	v := tensor.Tanh(a.Value)
+	v := tensor.TanhInPlace(t.copyOf(a.Value))
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -167,7 +202,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 
 // Sigmoid records c = σ(a).
 func (t *Tape) Sigmoid(a *Node) *Node {
-	v := tensor.Sigmoid(a.Value)
+	v := tensor.SigmoidInPlace(t.copyOf(a.Value))
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -183,7 +218,8 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 
 // SoftmaxRows records row-wise softmax.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
-	v := tensor.SoftmaxRows(a.Value)
+	v := t.buf(a.Value.Rows, a.Value.Cols, false)
+	tensor.SoftmaxRowsInto(v, a.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -203,17 +239,28 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 	return out
 }
 
+// addCols adds columns [from, from+dst.Cols) of src into dst.
+func addCols(dst, src *tensor.Matrix, from int) {
+	for i := 0; i < dst.Rows; i++ {
+		s := src.Row(i)[from : from+dst.Cols]
+		d := dst.Row(i)
+		for j, gv := range s {
+			d[j] += gv
+		}
+	}
+}
+
 // ConcatCols records c = [a ; b] side by side.
 func (t *Tape) ConcatCols(a, b *Node) *Node {
-	v := a.Value.ConcatCols(b.Value)
+	v := t.buf(a.Value.Rows, a.Value.Cols+b.Value.Cols, false)
+	tensor.ConcatColsInto(v, a.Value, b.Value)
 	var out *Node
 	out = t.op(v, func() {
-		g := out.Grad
 		if a.requiresGrad {
-			a.ensureGrad().AddInPlace(g.SliceCols(0, a.Value.Cols))
+			addCols(a.ensureGrad(), out.Grad, 0)
 		}
 		if b.requiresGrad {
-			b.ensureGrad().AddInPlace(g.SliceCols(a.Value.Cols, g.Cols))
+			addCols(b.ensureGrad(), out.Grad, a.Value.Cols)
 		}
 	}, a, b)
 	return out
@@ -221,7 +268,8 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 
 // ConcatRows records c = a stacked on b.
 func (t *Tape) ConcatRows(a, b *Node) *Node {
-	v := a.Value.ConcatRows(b.Value)
+	v := t.buf(a.Value.Rows+b.Value.Rows, a.Value.Cols, false)
+	tensor.ConcatRowsInto(v, a.Value, b.Value)
 	var out *Node
 	out = t.op(v, func() {
 		g := out.Grad
@@ -244,7 +292,11 @@ func (t *Tape) ConcatRows(a, b *Node) *Node {
 
 // SliceCols records c = a[:, from:to].
 func (t *Tape) SliceCols(a *Node, from, to int) *Node {
-	v := a.Value.SliceCols(from, to)
+	if from < 0 || to > a.Value.Cols || from > to {
+		panic(fmt.Sprintf("autodiff: sliceCols [%d,%d) of %d cols", from, to, a.Value.Cols))
+	}
+	v := t.buf(a.Value.Rows, to-from, false)
+	tensor.SliceColsInto(v, a.Value, from)
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -264,7 +316,8 @@ func (t *Tape) SliceCols(a *Node, from, to int) *Node {
 
 // SelectRows records c = a[idx, :] (gather); the backward pass scatters.
 func (t *Tape) SelectRows(a *Node, idx []int) *Node {
-	v := a.Value.SelectRows(idx)
+	v := t.buf(len(idx), a.Value.Cols, false)
+	tensor.SelectRowsInto(v, a.Value, idx)
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -284,7 +337,8 @@ func (t *Tape) SelectRows(a *Node, idx []int) *Node {
 
 // SumRows records the N×1 column of row sums.
 func (t *Tape) SumRows(a *Node) *Node {
-	v := tensor.SumRows(a.Value)
+	v := t.buf(a.Value.Rows, 1, false)
+	tensor.SumRowsInto(v, a.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -304,7 +358,7 @@ func (t *Tape) SumRows(a *Node) *Node {
 
 // SumAll records the scalar sum of all elements.
 func (t *Tape) SumAll(a *Node) *Node {
-	v := tensor.New(1, 1)
+	v := t.buf(1, 1, false)
 	v.Data[0] = a.Value.Sum()
 	var out *Node
 	out = t.op(v, func() {
@@ -324,7 +378,7 @@ func (t *Tape) SumAll(a *Node) *Node {
 func (t *Tape) MeanAll(a *Node) *Node {
 	n := float64(len(a.Value.Data))
 	if n == 0 {
-		return t.Const(tensor.New(1, 1))
+		return t.Const(t.buf(1, 1, true))
 	}
 	return t.Scale(t.SumAll(a), 1/n)
 }
@@ -335,7 +389,7 @@ func (t *Tape) Dropout(a *Node, rate float64, rng *tensor.RNG) *Node {
 	if rng == nil || rate <= 0 {
 		return a
 	}
-	mask := tensor.New(a.Value.Rows, a.Value.Cols)
+	mask := t.buf(a.Value.Rows, a.Value.Cols, true)
 	scale := 1 / (1 - rate)
 	for i := range mask.Data {
 		if rng.Float64() >= rate {
@@ -375,7 +429,7 @@ func (t *Tape) WeightedBCEWithLogits(logits *Node, labels, weights []float64) *N
 	if wsum == 0 {
 		wsum = 1
 	}
-	v := tensor.New(1, 1)
+	v := t.buf(1, 1, true)
 	for i := 0; i < n; i++ {
 		z := logits.Value.Data[i]
 		y := labels[i]

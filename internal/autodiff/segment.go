@@ -1,19 +1,17 @@
 package autodiff
 
-import (
-	"math"
-
-	"turbo/internal/tensor"
-)
+import "math"
 
 // LeakyReLU records c = x if x > 0 else slope·x, used by GAT attention.
 func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	v := a.Value.Apply(func(x float64) float64 {
+	v := t.buf(a.Value.Rows, a.Value.Cols, false)
+	for i, x := range a.Value.Data {
 		if x > 0 {
-			return x
+			v.Data[i] = x
+		} else {
+			v.Data[i] = slope * x
 		}
-		return slope * x
-	})
+	}
 	var out *Node
 	out = t.op(v, func() {
 		if !a.requiresGrad {
@@ -39,7 +37,7 @@ func (t *Tape) SegmentSoftmax(a *Node, segments [][]int) *Node {
 	if a.Value.Cols != 1 {
 		panic("autodiff: SegmentSoftmax wants an E×1 score vector")
 	}
-	v := tensor.New(a.Value.Rows, 1)
+	v := t.buf(a.Value.Rows, 1, true)
 	for _, seg := range segments {
 		mx := math.Inf(-1)
 		for _, i := range seg {

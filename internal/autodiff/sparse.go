@@ -71,7 +71,8 @@ func (c *CSR) addMatMulTrans(dst, g *tensor.Matrix) {
 // through h but treating the adjacency weights as constants. This is the
 // neighborhood-aggregation primitive all GNN layers build on.
 func (t *Tape) Aggregate(a *CSR, h *Node) *Node {
-	v := a.MatMul(h.Value)
+	v := t.buf(a.NRows, h.Value.Cols, true)
+	a.MatMulInto(v, h.Value)
 	var out *Node
 	out = t.op(v, func() {
 		if !h.requiresGrad {

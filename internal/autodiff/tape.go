@@ -27,51 +27,110 @@ type Node struct {
 }
 
 // Tape records operations so Backward can replay them in reverse.
+//
+// Buffer ownership: every op's Value, every gradient Backward creates
+// and the backward products' scratch come from buffers the tape owns.
+// Reset rewinds them instead of dropping them, so a training loop that
+// records the same graph every step, the same shapes in the same order,
+// reuses the previous step's buffers and allocates nothing for them.
+// After Reset, the Nodes, Values and Grads recorded before it are
+// invalid: the next step overwrites them. What the caller passed in
+// stays the caller's and stays valid: the values given to Const, Param
+// and Leaf and the grad buffers given to Leaf. A tape that is never
+// reset hands out fresh buffers, so its values live as long as the
+// caller keeps them.
 type Tape struct {
 	nodes []*Node
+	// bufs are the matrices the tape has handed out, in request order;
+	// the current step has claimed bufs[:next].
+	bufs []*tensor.Matrix
+	next int
+	// scratch holds the backward products of one op at a time.
+	scratch [2]*tensor.Matrix
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// Reset drops all recorded nodes so the tape can be reused. Parameter
-// leaves must be re-registered (via Param) after a reset.
-func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
+// Reset rewinds the tape for the next step, keeping its buffers for
+// reuse (see Tape for what stays valid). Parameter leaves
+// must be re-registered (via Param or Leaf) after a reset.
+func (t *Tape) Reset() {
+	t.nodes = t.nodes[:0]
+	t.next = 0
+}
 
 // Len returns the number of recorded nodes, useful in tests.
 func (t *Tape) Len() int { return len(t.nodes) }
 
-func (t *Tape) add(n *Node) *Node {
-	n.tape = t
+func (t *Tape) node(v, grad *tensor.Matrix, requiresGrad bool) *Node {
+	n := &Node{Value: v, Grad: grad, tape: t, requiresGrad: requiresGrad}
 	t.nodes = append(t.nodes, n)
 	return n
 }
 
-// Const records a value that does not require gradients.
-func (t *Tape) Const(v *tensor.Matrix) *Node {
-	return t.add(&Node{Value: v})
+// buf returns a rows×cols matrix the tape owns until the next Reset:
+// the one the previous step's request at this position used, when its
+// backing is large enough, else a new one. zero clears it, for the
+// kernels and gradients that accumulate into it; every other caller
+// writes each element.
+func (t *Tape) buf(rows, cols int, zero bool) *tensor.Matrix {
+	if t.next == len(t.bufs) {
+		t.bufs = append(t.bufs, nil)
+	}
+	m := fit(t.bufs[t.next], rows, cols, zero)
+	t.bufs[t.next] = m
+	t.next++
+	return m
 }
 
-// Param records a trainable leaf. Its Grad is allocated lazily by
-// Backward and accumulated across calls until zeroed by the optimizer.
+// scratchBuf returns backward scratch slot i as a rows×cols matrix,
+// valid until the next request for slot i.
+func (t *Tape) scratchBuf(i, rows, cols int, zero bool) *tensor.Matrix {
+	t.scratch[i] = fit(t.scratch[i], rows, cols, zero)
+	return t.scratch[i]
+}
+
+// fit reshapes m to rows×cols, cleared when zero, if its backing is
+// large enough, and otherwise returns a new zeroed matrix.
+func fit(m *tensor.Matrix, rows, cols int, zero bool) *tensor.Matrix {
+	if n := rows * cols; m != nil && cap(m.Data) >= n {
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+		if zero {
+			clear(m.Data)
+		}
+		return m
+	}
+	return tensor.New(rows, cols)
+}
+
+// Const records a value that does not require gradients.
+func (t *Tape) Const(v *tensor.Matrix) *Node {
+	return t.node(v, nil, false)
+}
+
+// Param records a trainable leaf. Its Grad is a tape buffer, allocated
+// lazily by Backward and accumulated across Backward calls until the
+// next Reset.
 func (t *Tape) Param(v *tensor.Matrix) *Node {
-	return t.add(&Node{Value: v, requiresGrad: true})
+	return t.node(v, nil, true)
 }
 
 // Leaf records a gradient-requiring node whose gradient accumulates into
 // the caller-owned buffer grad. This is how persistent model parameters
-// are attached to a fresh tape each forward pass: the tape is discarded
-// after Backward but the gradient lands in the parameter's own buffer.
+// are attached to the tape each forward pass: the tape is reset or
+// discarded after Backward but the gradient lands in the parameter's
+// own buffer.
 func (t *Tape) Leaf(v, grad *tensor.Matrix) *Node {
 	if !v.SameShape(grad) {
 		panic("autodiff: Leaf value/grad shape mismatch")
 	}
-	return t.add(&Node{Value: v, Grad: grad, requiresGrad: true})
+	return t.node(v, grad, true)
 }
 
 func (n *Node) ensureGrad() *tensor.Matrix {
 	if n.Grad == nil {
-		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+		n.Grad = n.tape.buf(n.Value.Rows, n.Value.Cols, true)
 	}
 	return n.Grad
 }
@@ -94,7 +153,7 @@ func (t *Tape) Backward(out *Node) {
 	if out.Value.Rows != 1 || out.Value.Cols != 1 {
 		panic("autodiff: Backward requires a scalar output; use BackwardWithSeed")
 	}
-	seed := tensor.New(1, 1)
+	seed := t.buf(1, 1, false)
 	seed.Data[0] = 1
 	t.BackwardWithSeed(out, seed)
 }

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math"
 	"testing"
 
 	"turbo/internal/tensor"
@@ -179,5 +180,105 @@ func TestCSRMatMulTransMatchesDense(t *testing.T) {
 	want := dense.MatMulTransA(g)
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("csr transpose product differs from dense")
+	}
+}
+
+// tapeStep records one training-like step over every op of the tape on
+// n rows and runs Backward, accumulating into gs. It returns the loss.
+func tapeStep(tp *Tape, n int, ps, gs []*tensor.Matrix) float64 {
+	rng := tensor.NewRNG(uint64(n))
+	x := tensor.RandNormal(n, 4, 1, rng)
+	rows := make([][]int, n)
+	ws := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []int{(i + 1) % n, (i + 3) % n}
+		ws[i] = []float64{0.5, -0.25}
+	}
+	labels := make([]float64, n)
+	idx := make([]int, n)
+	for i := range labels {
+		labels[i] = float64(i % 2)
+		idx[i] = n - 1 - i
+	}
+	w, b, v := tp.Leaf(ps[0], gs[0]), tp.Leaf(ps[1], gs[1]), tp.Leaf(ps[2], gs[2])
+	h := tp.ReLU(tp.AddRowVector(tp.MatMul(tp.Const(x), w), b)) // n×6
+	a := tp.Aggregate(NewCSR(n, n, rows, ws), h)
+	s := tp.SoftmaxRows(tp.ConcatCols(tp.Tanh(a), tp.Sigmoid(h))) // n×12
+	s = tp.Dropout(s, 0.3, rng)
+	c := tp.SliceCols(s, 2, 8)
+	m := tp.Mul(tp.Sub(c, h), tp.Add(c, tp.Scale(h, 0.5)))
+	// The last of idx's rows is in no segment, so its weight is 0.
+	att := tp.SegmentSoftmax(tp.SumRows(tp.LeakyReLU(m, 0.2)), [][]int{idx[:n/2], idx[n/2 : n-1]})
+	z := tp.MulColVector(m, att)
+	logits := tp.MatMul(tp.ConcatRows(z, z), v) // 2n×1
+	sel := tp.SelectRows(logits, idx)
+	loss := tp.Add(tp.WeightedBCEWithLogits(sel, labels, labels), tp.Scale(tp.SumAll(z), 1e-3))
+	loss = tp.Add(loss, tp.MeanAll(m))
+	tp.Backward(loss)
+	return loss.Scalar()
+}
+
+// TestTapeResetReusesBuffers runs tapeStep on one tape reset between
+// steps and on a fresh tape per step: the loss and every gradient must
+// agree bit for bit, also after the reused tape's buffers were filled
+// with NaN (so a buffer that is accumulated into but not zeroed shows),
+// and a step of the same or fewer rows must get every buffer back.
+func TestTapeResetReusesBuffers(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	ps := []*tensor.Matrix{tensor.RandNormal(4, 6, 1, rng), tensor.RandNormal(1, 6, 1, rng), tensor.RandNormal(6, 1, 1, rng)}
+	newGrads := func() []*tensor.Matrix {
+		return []*tensor.Matrix{tensor.New(4, 6), tensor.New(1, 6), tensor.New(6, 1)}
+	}
+	reused := NewTape()
+	var first []*tensor.Matrix
+	for step, n := range []int{12, 12, 7, 12, 20} {
+		want := newGrads()
+		wantLoss := tapeStep(NewTape(), n, ps, want)
+		for _, m := range append(append([]*tensor.Matrix{}, reused.bufs...), reused.scratch[:]...) {
+			if m != nil {
+				m.Fill(math.NaN())
+			}
+		}
+		reused.Reset()
+		got := newGrads()
+		gotLoss := tapeStep(reused, n, ps, got)
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("step %d (n=%d): loss %v on the reset tape, %v on a fresh one", step, n, gotLoss, wantLoss)
+		}
+		for i := range want {
+			for k := range want[i].Data {
+				if math.Float64bits(got[i].Data[k]) != math.Float64bits(want[i].Data[k]) {
+					t.Fatalf("step %d (n=%d): grad %d[%d] %v on the reset tape, %v on a fresh one", step, n, i, k, got[i].Data[k], want[i].Data[k])
+				}
+			}
+		}
+		if step == 0 {
+			first = append([]*tensor.Matrix{}, reused.bufs...)
+			continue
+		}
+		if step == 1 {
+			// Both tapes read their scratch in the same order, so a
+			// scratch that is summed into without being zeroed would
+			// agree with itself: hold the reset tape to central
+			// differences as well.
+			for i, p := range ps {
+				numeric := numericGrad(p, func() float64 { return tapeStep(NewTape(), n, ps, newGrads()) })
+				for k, nv := range numeric.Data {
+					if a := got[i].Data[k]; math.Abs(a-nv) > 1e-4*(1+math.Abs(a)+math.Abs(nv)) {
+						t.Fatalf("n=%d: grad %d[%d] %v on the reset tape, numeric %v", n, i, k, a, nv)
+					}
+				}
+			}
+		}
+		if n <= 12 {
+			if len(reused.bufs) != len(first) {
+				t.Fatalf("step %d (n=%d): %d buffers, first step had %d", step, n, len(reused.bufs), len(first))
+			}
+			for i, m := range first {
+				if reused.bufs[i] != m {
+					t.Fatalf("step %d (n=%d): buffer %d was replaced", step, n, i)
+				}
+			}
+		}
 	}
 }

@@ -58,8 +58,9 @@ func (m *DNN) Fit(x *tensor.Matrix, y []float64) {
 		}
 	}
 	dropRNG := rng.Split()
+	t := autodiff.NewTape() // one tape for the run, reset per epoch
 	for e := 0; e < epochs; e++ {
-		t := autodiff.NewTape()
+		t.Reset()
 		in := t.Const(x)
 		if m.Dropout > 0 {
 			in = t.Dropout(in, m.Dropout, dropRNG)
@@ -70,6 +71,14 @@ func (m *DNN) Fit(x *tensor.Matrix, y []float64) {
 		nn.ClipGradNorm(m.mlp, 5)
 		opt.Step()
 	}
+}
+
+// Parameters returns the fitted MLP's parameters (nil before Fit).
+func (m *DNN) Parameters() []*nn.Parameter {
+	if m.mlp == nil {
+		return nil
+	}
+	return m.mlp.Parameters()
 }
 
 // PredictProba implements Classifier on the tape-free forward path:

@@ -241,3 +241,23 @@ func TestTrainStatsElapsed(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 }
+
+// TestTrainStopsOnDivergence poisons the output bias after the third
+// epoch, so the fourth epoch's loss is NaN: Train must stop before that
+// epoch's update and report the three epochs it completed.
+func TestTrainStopsOnDivergence(t *testing.T) {
+	b, train, labels := ringWorld(t)
+	m := NewGCN(Config{InDim: 4, Hidden: []int{4}})
+	params := m.Parameters()
+	bias := params[len(params)-1].Value
+	var calls int
+	stats := Train(m, b, train, labels, TrainConfig{Epochs: 20, Progress: func(e int, loss float64) {
+		calls++
+		if e == 2 {
+			bias.Data[0] = math.NaN()
+		}
+	}})
+	if stats.Epochs != 3 || calls != 3 || !math.IsNaN(stats.FinalLoss) {
+		t.Fatalf("stats %+v after %d progress calls, want 3 epochs, 3 calls and a NaN loss", stats, calls)
+	}
+}

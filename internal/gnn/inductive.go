@@ -68,6 +68,9 @@ func TrainInductive(m Model, g *graph.Snapshot, feats FeatureFunc, trainNodes []
 	for i := range order {
 		order[i] = i
 	}
+	// One tape for the run, reset per step. Sampled batches differ in
+	// size, so a step reuses a buffer wherever the last one is as large.
+	tape := autodiff.NewTape()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -88,7 +91,7 @@ func TrainInductive(m Model, g *graph.Snapshot, feats FeatureFunc, trainNodes []
 					weights[k] = 1
 				}
 			}
-			tape := autodiff.NewTape()
+			tape.Reset()
 			logits := m.Forward(tape, batch, rng)
 			sel := tape.SelectRows(logits, targetRows)
 			loss := tape.WeightedBCEWithLogits(sel, batchLabels, weights)

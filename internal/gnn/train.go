@@ -52,7 +52,9 @@ type TrainStats struct {
 // Train fits the model on the batch with BCE loss over trainIdx, whose
 // labels are given per node of the batch (only trainIdx entries are
 // read). It returns the loss trajectory endpoint and the wall time,
-// which the Fig. 8b scalability study records.
+// which the Fig. 8b scalability study records. A NaN or infinite loss
+// stops training before that epoch's update; Epochs then counts the
+// epochs that completed.
 func Train(m Model, b *Batch, trainIdx []int, labels []float64, cfg TrainConfig) TrainStats {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -88,15 +90,18 @@ func Train(m Model, b *Batch, trainIdx []int, labels []float64, cfg TrainConfig)
 		trainLabels[k] = labels[i]
 	}
 
+	// One tape for the run: every epoch records the same graph, so after
+	// the first epoch Reset hands each op the buffer it had before.
+	tape := autodiff.NewTape()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		tape := autodiff.NewTape()
+		tape.Reset()
 		logits := m.Forward(tape, b, rng)
 		sel := tape.SelectRows(logits, trainIdx)
 		loss := tape.WeightedBCEWithLogits(sel, trainLabels, weights)
 		lastLoss = loss.Scalar()
 		if math.IsNaN(lastLoss) || math.IsInf(lastLoss, 0) {
-			break
+			return TrainStats{Epochs: epoch, FinalLoss: lastLoss, Elapsed: time.Since(start)}
 		}
 		tape.Backward(loss)
 		nn.ClipGradNorm(m, cfg.ClipNorm)

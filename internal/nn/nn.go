@@ -3,8 +3,9 @@
 // multi-layer perceptrons, and the Adam/SGD optimizers.
 //
 // Parameters live outside any autodiff tape; each forward pass attaches
-// them to a fresh tape via Parameter.Node, and gradients accumulate into
-// Parameter.Grad until an optimizer step consumes and zeroes them.
+// them to the tape via Parameter.Node, and gradients accumulate into
+// Parameter.Grad until an optimizer step consumes and zeroes them, so
+// they outlive the tape's Reset.
 package nn
 
 import (

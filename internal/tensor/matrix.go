@@ -284,69 +284,118 @@ func CSRRowInto(drow []float64, cols []int, w []float64, h *Matrix, pos []int) {
 	dcsrRow(drow, cols, pos, w, h)
 }
 
-// MatMulTransB returns m × oᵀ.
+// MatMulTransB returns m × oᵀ: MulTransBInto with a fresh transpose.
 func (m *Mat[F]) MatMulTransB(o *Mat[F]) *Mat[F] {
 	if m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d × (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	out := newMat[F](m.Rows, o.Rows)
-	// Dot-product form: the sequential k-sum is part of the training
-	// numerics (backward passes), so it is dispatched to the pool but
-	// never re-associated or vectorized.
-	ParallelRows(m.Rows, m.Rows*m.Cols*o.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Row(i)
-			for j := 0; j < o.Rows; j++ {
-				brow := o.Row(j)
-				var s F
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				out.Data[i*o.Rows+j] = s
-			}
-		}
-	})
+	MulTransBInto(out, m, o, newMat[F](o.Cols, o.Rows))
 	return out
 }
 
-// MatMulTransA returns mᵀ × o.
+// MatMulTransA returns mᵀ × o: MulTransAInto with a fresh transpose.
 func (m *Mat[F]) MatMulTransA(o *Mat[F]) *Mat[F] {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ × %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	out := newMat[F](m.Cols, o.Cols)
-	axpy := pick[F, func(dst, src []F, alpha F)](daxpy, saxpy)
-	// One kernel for both the serial and pooled paths (the old serial
-	// copy of this loop nest predated ParallelRows and skipped the
-	// parallel dispatch entirely). Output rows (columns of m) are
-	// disjoint per range, and for a fixed (i, j) the k contributions
-	// arrive in ascending order on either path, so the partition does
-	// not affect results.
-	ParallelRows(m.Cols, m.Rows*m.Cols*o.Cols, func(lo, hi int) {
-		for k := 0; k < m.Rows; k++ {
-			arow := m.Row(k)[lo:hi]
-			brow := o.Row(k)
-			for di, av := range arow {
-				if av == 0 {
-					continue
+	MulTransAInto(out, m, o, newMat[F](m.Cols, m.Rows))
+	return out
+}
+
+// MulTransAInto computes dst = aᵀ × b, accumulating into a zeroed dst,
+// as MulInto over aᵀ, which it first writes into the scratch at
+// (a.Cols × a.Rows). At float64 this is bitwise the historical loop
+// that added a[k,i]·b[k,:] into row i for k ascending, skipping a ±0
+// a[k,i]: dgemmRow adds the same terms in the same order with the same
+// skip and the same round(round(mul)+acc) arithmetic.
+func MulTransAInto[F Float](dst, a, b, at *Mat[F]) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MulTransAInto shape mismatch (%dx%d)ᵀ × %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	TransposeInto(at, a)
+	MulInto(dst, at, b, false)
+}
+
+// MulTransBInto computes dst = a × bᵀ into a zeroed dst, as MulInto
+// over bᵀ, which it first writes into the scratch bt (b.Cols × b.Rows).
+// At float64 this is bitwise the historical dot product, which started
+// each element at +0 and added every a[i,k]·b[j,k], k ascending:
+// dgemmRow adds the same terms in the same order but skips the k whose
+// a[i,k] is ±0. A sum started at +0 is never −0, so adding a ±0 term
+// leaves it unchanged, and the skip is exact whenever every b[j,k] is
+// finite. A 0·Inf or 0·NaN term is NaN, so when b holds a non-finite
+// value the product runs mulTransBAll, the dot loop with no skip.
+func MulTransBInto[F Float](dst, a, b, bt *Mat[F]) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MulTransBInto shape mismatch %dx%d × (%dx%d)ᵀ into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	if !allFinite(b.Data) {
+		mulTransBAll(dst, a, b)
+		return
+	}
+	TransposeInto(bt, b)
+	MulInto(dst, a, bt, false)
+}
+
+// allFinite reports whether no element of v is ±Inf or NaN.
+func allFinite[F Float](v []F) bool {
+	for _, x := range v {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mulTransBAll is MulTransBInto's path for a non-finite b: every (i, j)
+// is a running sum from +0 over all k, ascending, zero terms included.
+func mulTransBAll[F Float](dst, a, b *Mat[F]) {
+	ParallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			for j := 0; j < b.Rows; j++ {
+				brow := b.Row(j)
+				var s F
+				for k, av := range arow {
+					s += F(av * brow[k])
 				}
-				i := lo + di
-				axpy(out.Data[i*o.Cols:(i+1)*o.Cols], brow, av)
+				dst.Data[i*b.Rows+j] = s
 			}
 		}
 	})
-	return out
 }
 
 // Transpose returns mᵀ.
 func (m *Mat[F]) Transpose() *Mat[F] {
 	out := newMat[F](m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	TransposeInto(out, m)
+	return out
+}
+
+// transposeBlock is the number of m's rows TransposeInto copies per
+// pass: a pass reads transposeBlock rows, column by column, and writes
+// each column's values into consecutive elements of one dst row, so
+// both sides stay in cache.
+const transposeBlock = 32
+
+// TransposeInto writes mᵀ into dst (m.Cols × m.Rows), a block of m's
+// rows at a time. dst must not alias m.
+func TransposeInto[F Float](dst, m *Mat[F]) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: transposeInto wants %dx%d, got %dx%d", m.Cols, m.Rows, dst.Rows, dst.Cols))
+	}
+	for i0 := 0; i0 < m.Rows; i0 += transposeBlock {
+		i1 := min(i0+transposeBlock, m.Rows)
 		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+			d := dst.Data[j*m.Rows+i0 : j*m.Rows+i1]
+			src := m.Data[i0*m.Cols+j:]
+			for ii := range d {
+				d[ii] = src[ii*m.Cols]
+			}
 		}
 	}
-	return out
 }
 
 // Add returns m + o element-wise.
@@ -372,23 +421,27 @@ func (m *Mat[F]) AddScaledInPlace(o *Mat[F], s F) *Mat[F] {
 }
 
 // Sub returns m − o element-wise.
-func (m *Mat[F]) Sub(o *Mat[F]) *Mat[F] {
+func (m *Mat[F]) Sub(o *Mat[F]) *Mat[F] { return m.Clone().SubInPlace(o) }
+
+// SubInPlace subtracts o from m and returns m.
+func (m *Mat[F]) SubInPlace(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "sub")
-	out := m.Clone()
 	for i, v := range o.Data {
-		out.Data[i] -= v
+		m.Data[i] -= v
 	}
-	return out
+	return m
 }
 
 // Mul returns the element-wise (Hadamard) product m ⊙ o.
-func (m *Mat[F]) Mul(o *Mat[F]) *Mat[F] {
+func (m *Mat[F]) Mul(o *Mat[F]) *Mat[F] { return m.Clone().MulInPlace(o) }
+
+// MulInPlace multiplies m by o element-wise and returns m.
+func (m *Mat[F]) MulInPlace(o *Mat[F]) *Mat[F] {
 	m.assertSameShape(o, "mul")
-	out := m.Clone()
 	for i, v := range o.Data {
-		out.Data[i] *= v
+		m.Data[i] *= v
 	}
-	return out
+	return m
 }
 
 // Scale returns s·m.
@@ -421,19 +474,22 @@ func (m *Mat[F]) AddRowVectorInPlace(v *Mat[F]) *Mat[F] {
 }
 
 // MulColVector returns m with each row i scaled by v[i] (v is Rows×1).
-func (m *Mat[F]) MulColVector(v *Mat[F]) *Mat[F] {
+func (m *Mat[F]) MulColVector(v *Mat[F]) *Mat[F] { return m.Clone().MulColVectorInPlace(v) }
+
+// MulColVectorInPlace scales each row i of m by v[i] (v is Rows×1) and
+// returns m.
+func (m *Mat[F]) MulColVectorInPlace(v *Mat[F]) *Mat[F] {
 	if v.Cols != 1 || v.Rows != m.Rows {
 		panic(fmt.Sprintf("tensor: mulColVector wants %dx1, got %dx%d", m.Rows, v.Rows, v.Cols))
 	}
-	out := m.Clone()
 	for i := 0; i < m.Rows; i++ {
 		s := v.Data[i]
-		row := out.Row(i)
+		row := m.Row(i)
 		for j := range row {
 			row[j] *= s
 		}
 	}
-	return out
+	return m
 }
 
 // ConcatCols returns [m ; o] stacked horizontally (same row count).
@@ -467,9 +523,18 @@ func (m *Mat[F]) ConcatRows(o *Mat[F]) *Mat[F] {
 		panic(fmt.Sprintf("tensor: concatRows col mismatch %d vs %d", m.Cols, o.Cols))
 	}
 	out := newMat[F](m.Rows+o.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	copy(out.Data[len(m.Data):], o.Data)
+	ConcatRowsInto(out, m, o)
 	return out
+}
+
+// ConcatRowsInto writes a stacked on top of b into dst, which must be
+// (a.Rows+b.Rows) × a.Cols.
+func ConcatRowsInto[F Float](dst, a, b *Mat[F]) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows+b.Rows || dst.Cols != a.Cols {
+		panic(fmt.Sprintf("tensor: concatRowsInto %dx%d on %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	copy(dst.Data, a.Data)
+	copy(dst.Data[len(a.Data):], b.Data)
 }
 
 // SliceCols returns columns [from, to) as a new matrix.
@@ -478,10 +543,19 @@ func (m *Mat[F]) SliceCols(from, to int) *Mat[F] {
 		panic(fmt.Sprintf("tensor: sliceCols [%d,%d) of %d cols", from, to, m.Cols))
 	}
 	out := newMat[F](m.Rows, to-from)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i)[from:to])
-	}
+	SliceColsInto(out, m, from)
 	return out
+}
+
+// SliceColsInto copies columns [from, from+dst.Cols) of m into dst,
+// which must have m's row count.
+func SliceColsInto[F Float](dst, m *Mat[F], from int) {
+	if dst.Rows != m.Rows || from < 0 || from+dst.Cols > m.Cols {
+		panic(fmt.Sprintf("tensor: sliceColsInto [%d,%d) of %d cols into %d rows, %d given", from, from+dst.Cols, m.Cols, dst.Rows, m.Rows))
+	}
+	for i := 0; i < m.Rows; i++ {
+		copy(dst.Row(i), m.Row(i)[from:from+dst.Cols])
+	}
 }
 
 // SelectRows gathers the given row indices into a new matrix.

@@ -1,15 +1,29 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // ReLU returns max(0, x) element-wise.
 func ReLU(m *Matrix) *Matrix {
-	return m.Apply(func(v float64) float64 {
+	out := New(m.Rows, m.Cols)
+	ReLUInto(out, m)
+	return out
+}
+
+// ReLUInto writes max(0, x) of m into dst (same shape): x where x > 0,
+// else +0, so −0 and NaN become +0 (unlike ReLUInPlace, which keeps
+// them). This is the tape's ReLU.
+func ReLUInto(dst, m *Matrix) {
+	m.assertSameShape(dst, "relu")
+	for i, v := range m.Data {
 		if v > 0 {
-			return v
+			dst.Data[i] = v
+		} else {
+			dst.Data[i] = 0
 		}
-		return 0
-	})
+	}
 }
 
 // ReLUInPlace clamps negative elements to +0 in place and returns m.
@@ -141,26 +155,42 @@ func LogSumExpRows(m *Matrix) *Matrix {
 // SumRows returns a Rows×1 column vector of row sums.
 func SumRows(m *Matrix) *Matrix {
 	out := New(m.Rows, 1)
+	SumRowsInto(out, m)
+	return out
+}
+
+// SumRowsInto writes m's row sums into the Rows×1 dst.
+func SumRowsInto(dst, m *Matrix) {
+	if dst.Rows != m.Rows || dst.Cols != 1 {
+		panic(fmt.Sprintf("tensor: sumRowsInto wants %dx1, got %dx%d", m.Rows, dst.Rows, dst.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		for _, v := range m.Row(i) {
 			s += v
 		}
-		out.Data[i] = s
+		dst.Data[i] = s
 	}
-	return out
 }
 
 // SumCols returns a 1×Cols row vector of column sums.
 func SumCols(m *Matrix) *Matrix {
 	out := New(1, m.Cols)
+	SumColsInto(out, m)
+	return out
+}
+
+// SumColsInto accumulates m's column sums into the zeroed 1×Cols dst,
+// row by row.
+func SumColsInto(dst, m *Matrix) {
+	if dst.Rows != 1 || dst.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: sumColsInto wants 1x%d, got %dx%d", m.Cols, dst.Rows, dst.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
+		for j, v := range m.Row(i) {
+			dst.Data[j] += v
 		}
 	}
-	return out
 }
 
 // Dot returns the inner product of two equal-length vectors.

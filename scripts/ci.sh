@@ -40,11 +40,12 @@ go test -race -count=20 -run TestConcurrentMutationAndReads ./internal/graph/
 echo "== BN construction bitwise (Advance's group writes on integer epoch time bit for bit the per-pair time.Time builder on a bulk Advance and late-log hourly ticks: edge weights and expiries, typed degrees, counts, build totals, cursors, delta-observer pairs; AddGroupWeight vs a naive per-pair map model over fresh nodes, existing edges, repeated groups and groups of 2 and 64, and malformed groups rejected before any write; under -race)"
 go test -race -count=1 -run 'TestAdvanceBitwiseMatchesPerPairBuilder|TestAddGroupWeightMatchesPairModel|TestAddGroupWeightRejectsBeforeWriting' ./internal/bn/ ./internal/graph/
 
-echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition at n 1 and 90; every f64 row kernel — dense, split, CSR, CSR through a pos remap — bit-for-bit its scalar loop for n 1..40 x k 0..70 x rows 1..9 with ±0, subnormals, ±Inf and NaN and with a half-±0 ReLU-sparse A, SIMD on and off; the 4-row one-column product keeps −0 accumulators and skips 0·Inf; the f64 ReLU mask keeps −0 and NaN; the f64 tanh kernel bit-for-bit math.Tanh, called at run time, on 4M inputs and the branch-point, ±0, ±Inf, NaN, subnormal and overflow edges, also under GODEBUG=cpu.fma=off, cpu.avx=off and cpu.all=off; f64 kernels allocation-free below the parallel threshold; a CSR gather outside h or pos panics; f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row; every variant's f32 Infer32/InferTarget32 bits equal the recorded golden bits, SIMD on and off)"
-go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestGEMVBitwiseScalar|TestReLU64BitwiseScalar|TestTanh64BitwiseMathTanh|TestTanh64FollowsGODEBUG|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull|TestFloat32Golden' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar and independent of the row partition at n 1 and 90; every f64 row kernel — dense, split, CSR, CSR through a pos remap — bit-for-bit its scalar loop for n 1..40 x k 0..70 x rows 1..9 with ±0, subnormals, ±Inf and NaN and with a half-±0 ReLU-sparse A, SIMD on and off; the 4-row one-column product keeps −0 accumulators and skips 0·Inf; the f64 ReLU mask keeps −0 and NaN; the f64 tanh kernel bit-for-bit math.Tanh, called at run time, on 4M inputs and the branch-point, ±0, ±Inf, NaN, subnormal and overflow edges, also under GODEBUG=cpu.fma=off, cpu.avx=off and cpu.all=off; f64 kernels allocation-free below the parallel threshold; a CSR gather outside h or pos panics; f32 within tolerance of f64, f32 target cone bitwise the full f32 forward's row; every variant's f32 Infer32/InferTarget32 bits equal the recorded golden bits, SIMD on and off; the backward GEMMs MatMulTransA/MatMulTransB on the row kernel bit-for-bit their historical scalar loops with ±0, subnormals, ±Inf, NaN and half-±0 operands, the no-skip path for a non-finite operand, every row chunking and GOMAXPROCS 1-7, SIMD on and off)"
+go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestMatMulTransBitwiseScalar|TestMatMulTransPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestF64KernelsBitwiseProperty|TestGEMVBitwiseScalar|TestReLU64BitwiseScalar|TestTanh64BitwiseMathTanh|TestTanh64FollowsGODEBUG|TestF64KernelsSerialAllocFree|TestCSRMatMulSerialAllocFree|TestCSRGatherOutOfRangePanics|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64|TestInferTarget32MatchesFull|TestFloat32Golden' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
 
-echo "== portable kernels (TURBO_NOSIMD=1: every generic entry point's precision dispatch must reach the portable arm and keep its parity tests green)"
+echo "== portable kernels (TURBO_NOSIMD=1: every generic entry point's precision dispatch must reach the portable arm and keep its parity tests green; every trained parameter keeps the golden bits)"
 TURBO_NOSIMD=1 go test -count=1 ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+TURBO_NOSIMD=1 go test -count=1 -run 'TestTrainGolden' ./internal/eval/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
@@ -77,8 +78,8 @@ go test -fuzz FuzzDecodeBehavior -fuzztime 10s -run 'XXX-none' ./internal/behavi
 echo "== /metrics exposition (golden text; every _bucket exact at the 2^k-1 ns le edges, +Inf = _count; concurrent scrapes vs forced GC count each cycle once; /latency total p50/p99/p999 never above the client-side view, stage _count/_sum = /latency; fallback score measured once; under -race)"
 go test -race -count=1 -run 'TestExpositionGolden|TestExpositionBucketsExact|TestHistogramInvariants|TestRuntimeCollectorConcurrentScrapes|TestMetricsEndpoint|TestLatencyWithinClientView|TestStageMetricsMatchLatency|TestFallbackMeasuresScoreOnce' ./internal/telemetry/... ./internal/server/...
 
-echo "== benchmark smoke (compile + one iteration of each hot-path and tensor kernel benchmark)"
-go test -short -run 'XXX-none' -bench . -benchtime 1x ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/embed/ ./internal/bn/ ./internal/tensor/
+echo "== benchmark smoke (compile + one iteration of each hot-path and tensor kernel benchmark, and one HAG training epoch on Tiny)"
+go test -short -run 'XXX-none' -bench . -benchtime 1x ./internal/gnn/ ./internal/hag/ ./internal/server/ ./internal/embed/ ./internal/bn/ ./internal/tensor/ ./internal/eval/
 
 echo "== go test (full tier-1)"
 go test ./...
