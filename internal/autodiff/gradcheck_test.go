@@ -175,7 +175,7 @@ func TestGradSegmentSoftmax(t *testing.T) {
 }
 
 func TestGradAggregate(t *testing.T) {
-	csr := NewCSR(3, 4,
+	csr := newCSR(3, 4,
 		[][]int{{0, 1}, {2}, {0, 3}},
 		[][]float64{{0.5, 0.5}, {1}, {0.3, 0.7}})
 	checkGrad(t, "aggregate", []*tensor.Matrix{randM(4, 3, 26)},

@@ -97,12 +97,12 @@ func TestAggregateLinearity(t *testing.T) {
 				}
 			}
 		}
-		csr := NewCSR(n, m, rows, weights)
+		csr := newCSR(n, m, rows, weights)
 		h1 := tensor.RandNormal(m, d, 1, rng)
 		h2 := tensor.RandNormal(m, d, 1, rng)
 		alpha, beta := rng.Float64(), rng.Float64()
-		lhs := csr.MatMul(h1.Scale(alpha).Add(h2.Scale(beta)))
-		rhs := csr.MatMul(h1).Scale(alpha).Add(csr.MatMul(h2).Scale(beta))
+		lhs := matMul(csr, h1.Scale(alpha).Add(h2.Scale(beta)))
+		rhs := matMul(csr, h1).Scale(alpha).Add(matMul(csr, h2).Scale(beta))
 		return lhs.Equal(rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -153,9 +153,9 @@ func TestSegmentSoftmaxUncoveredRowsAreZero(t *testing.T) {
 }
 
 func TestCSRMatMulKnownValues(t *testing.T) {
-	csr := NewCSR(2, 3, [][]int{{0, 2}, {1}}, [][]float64{{1, 2}, {3}})
+	csr := newCSR(2, 3, [][]int{{0, 2}, {1}}, [][]float64{{1, 2}, {3}})
 	h := tensor.FromRows([][]float64{{1, 0}, {0, 1}, {2, 2}})
-	got := csr.MatMul(h)
+	got := matMul(csr, h)
 	want := tensor.FromRows([][]float64{{5, 4}, {0, 3}})
 	if !got.Equal(want, 0) {
 		t.Fatalf("csr matmul: %v", got)
@@ -166,17 +166,18 @@ func TestCSRMatMulKnownValues(t *testing.T) {
 }
 
 func TestCSRMatMulTransMatchesDense(t *testing.T) {
-	csr := NewCSR(3, 4,
+	csr := newCSR(3, 4,
 		[][]int{{0, 1}, {2, 3}, {1}},
 		[][]float64{{0.5, 1.5}, {2, 1}, {1}})
 	dense := tensor.New(3, 4)
 	for i := 0; i < 3; i++ {
 		for p := csr.RowPtr[i]; p < csr.RowPtr[i+1]; p++ {
-			dense.Set(i, csr.ColIdx[p], csr.Weights[p])
+			dense.Set(i, int(csr.ColIdx[p]), csr.Weights[p])
 		}
 	}
 	g := tensor.RandNormal(3, 2, 1, tensor.NewRNG(5))
-	got := csr.MatMulTrans(g)
+	got := tensor.New(4, 2)
+	addMatMulTrans(got, csr, g)
 	want := dense.MatMulTransA(g)
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("csr transpose product differs from dense")
@@ -202,7 +203,7 @@ func tapeStep(tp *Tape, n int, ps, gs []*tensor.Matrix) float64 {
 	}
 	w, b, v := tp.Leaf(ps[0], gs[0]), tp.Leaf(ps[1], gs[1]), tp.Leaf(ps[2], gs[2])
 	h := tp.ReLU(tp.AddRowVector(tp.MatMul(tp.Const(x), w), b)) // n×6
-	a := tp.Aggregate(NewCSR(n, n, rows, ws), h)
+	a := tp.Aggregate(newCSR(n, n, rows, ws), h)
 	s := tp.SoftmaxRows(tp.ConcatCols(tp.Tanh(a), tp.Sigmoid(h))) // n×12
 	s = tp.Dropout(s, 0.3, rng)
 	c := tp.SliceCols(s, 2, 8)

@@ -57,7 +57,7 @@ func starsAreBatchRows(t *testing.T, where string, tab *Table, snap *graph.Snaps
 			}
 			for e := 0; e < hi-lo; e++ {
 				p := star.Cols[p0+e]
-				if int(star.Gather[p]) != a.ColIdx[lo+e] || math.Float64bits(star.Weights[p0+e]) != math.Float64bits(a.Weights[lo+e]) {
+				if star.Gather[p] != a.ColIdx[lo+e] || math.Float64bits(star.Weights[p0+e]) != math.Float64bits(a.Weights[lo+e]) {
 					t.Fatalf("%s row %d stack %d entry %d: column %d weight %v, batch column %d weight %v",
 						where, r, s, e, star.Gather[p], star.Weights[p0+e], a.ColIdx[lo+e], a.Weights[lo+e])
 				}

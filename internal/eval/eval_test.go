@@ -110,7 +110,7 @@ func TestFullBatchStructure(t *testing.T) {
 		dir := make(map[[2]int]bool)
 		for j := 0; j < c.NRows; j++ {
 			for p := c.RowPtr[j]; p < c.RowPtr[j+1]; p++ {
-				dir[[2]int{c.ColIdx[p], j}] = true
+				dir[[2]int{int(c.ColIdx[p]), j}] = true
 			}
 		}
 		for e := range dir {

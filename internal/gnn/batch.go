@@ -11,23 +11,22 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
 
 // Batch is a computation subgraph compiled for model forward passes:
 // node features plus the aggregation matrices the models read (Agg),
-// each with a float32 mirror. FullBatch compiles a snapshot's node set
-// with the snapshot's row writer and NewBatch a Subgraph's edge lists
-// (the reference). Every compile runs under an internal lock, so
+// each with a float32 mirror that shares its row pointers and columns.
+// FullBatch compiles a snapshot's node set with the snapshot's row
+// writer and NewBatch a Subgraph's edge lists (the reference). Every compile runs under an internal lock, so
 // concurrent scoring over one Batch is safe and compiles each matrix
 // once: the full-graph forward compiles every matrix its model reads
 // before its first step (compile; a FullBatch's in parallel, one task
 // per matrix), the tape forward each one when it first asks (CSR).
 // SampleCone compiles the audit path's cone with the same row writer,
-// every matrix its model reads written up front. finishCSR writes the
-// values every way.
+// every matrix its model reads written up front. finishCSR normalizes
+// the values every way.
 // A Batch must not be copied by value. Release returns a serving batch's
 // buffers; training code never calls it.
 type Batch struct {
@@ -54,20 +53,20 @@ type Batch struct {
 	lent   []func()        // returns the compiled arrays to their pools
 
 	// SampleCone's arrays, kept warm in conePool with the batch: the
-	// snapshot's raw matrices, normalized in place, and their mirrors.
+	// snapshot's raw matrices, normalized in place, and their mirrors'
+	// weights.
 	sampled bool
 	forms   []graph.CSRForm
 	cone    graph.ConeCSR
-	mats32  []tensor.CSR32
-	col32   []int32
+	mats32  []tensor.CSR[float32]
 	w32     []float32
 }
 
 // compiled is an aggregation matrix and its mirror (nil until asked for).
 type compiled struct {
 	agg Agg
-	csr *autodiff.CSR
-	q   *tensor.CSR32
+	csr *tensor.CSR[float64]
+	q   *tensor.CSR[float32]
 }
 
 // NewBatch compiles a subgraph and its node feature matrix, nil to leave
@@ -102,7 +101,8 @@ var conePool = sync.Pool{New: func() any { return &Batch{sampled: true} }}
 
 // SampleCone draws target's sample from snap, cut to m's cone, straight
 // into a batch: Snapshot.SampleCSR writes the raw rows of each matrix m
-// reads, finishCSR normalizes them in place and writes their mirrors.
+// reads, finishCSR normalizes them in place and mirror writes their
+// float32 weights.
 // They are bitwise NewBatch's over Snapshot.Sample. The features are left
 // to SetRow. It also returns the sample's nodes, target first (valid
 // until Release), and its typed edge count.
@@ -124,17 +124,15 @@ func SampleCone(snap *graph.Snapshot, target graph.NodeID, opts graph.SampleOpti
 	for _, c := range b.cone.Mats {
 		nnz += len(c.ColIdx)
 	}
-	b.col32 = slices.Grow(b.col32[:0], nnz)[:nnz]
 	b.w32 = slices.Grow(b.w32[:0], nnz)[:nnz]
 	b.mats32 = slices.Grow(b.mats32[:0], len(b.forms))[:len(b.forms)]
 	for k, p := 0, 0; k < len(b.aggs); k++ {
 		c, q := &b.cone.Mats[k], &b.mats32[k]
-		nz := len(c.ColIdx)
-		*q = tensor.CSR32{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: b.col32[p : p+nz], Weights: b.w32[p : p+nz]}
 		_, _, unweighted := b.aggs[k].agg.form()
-		finishCSR(c, true, unweighted, q)
+		finishCSR(c, unweighted)
+		*q = mirror(c, b.w32[p:p+c.NNZ()])
 		b.aggs[k].csr, b.aggs[k].q = c, q
-		p += nz
+		p += c.NNZ()
 	}
 	return b, b.cone.Nodes, b.cone.Edges
 }
@@ -199,11 +197,17 @@ func mergeEdges(typed [][]graph.LocalEdge) []graph.LocalEdge {
 	return out
 }
 
-// getInts and getFloats borrow pooled slices that Release returns.
-// Callers must hold b.mu.
+// getInts, getInts32 and getFloats borrow pooled slices that Release
+// returns. Callers must hold b.mu.
 func (b *Batch) getInts(n int) []int {
 	s := tensor.GetInts(n)
 	b.lent = append(b.lent, func() { tensor.PutInts(s) })
+	return s
+}
+
+func (b *Batch) getInts32(n int) []int32 {
+	s := tensor.GetInts32(n)
+	b.lent = append(b.lent, func() { tensor.PutInts32(s) })
 	return s
 }
 
@@ -251,8 +255,9 @@ func (b *Batch) X32() *tensor.Matrix32 {
 }
 
 // CSR32For returns the float32 mirror of a matrix CSR returned, writing
-// it on first use into pooled storage. RowPtr is the float64 matrix's.
-func (b *Batch) CSR32For(c *autodiff.CSR) *tensor.CSR32 {
+// its weights on first use into pooled storage. Its RowPtr and ColIdx
+// are the float64 matrix's.
+func (b *Batch) CSR32For(c *tensor.CSR[float64]) *tensor.CSR[float32] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := range b.aggs {
@@ -261,23 +266,21 @@ func (b *Batch) CSR32For(c *autodiff.CSR) *tensor.CSR32 {
 			continue
 		}
 		if e.q == nil {
-			q := &tensor.CSR32{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: tensor.GetInts32(c.NNZ()), Weights: tensor.GetFloats32(c.NNZ())}
-			b.lent = append(b.lent, func() { tensor.PutInts32(q.ColIdx); tensor.PutFloats32(q.Weights) })
-			finishCSR(c, false, false, q)
-			e.q = q
+			w := tensor.GetFloats32(c.NNZ())
+			b.lent = append(b.lent, func() { tensor.PutFloats32(w) })
+			q := mirror(c, w)
+			e.q = &q
 		}
 		return e.q
 	}
 	panic("gnn: CSR32For of a matrix the batch did not compile")
 }
 
-// finishCSR is the one writer of an aggregation matrix's values. With
-// normalize it scales each row of c in place to sum to 1 (a weighted
-// average; unweighted first sets every entry to 1), summing in entry
-// order; with q it then writes c's float32 mirror into q's column
-// indices and weights.
-func finishCSR(c *autodiff.CSR, normalize, unweighted bool, q *tensor.CSR32) {
-	for i, lo := 0, c.RowPtr[0]; normalize && i < c.NRows; i++ {
+// finishCSR is the one writer of an aggregation matrix's values: it
+// scales each row of c in place to sum to 1 (a weighted average;
+// unweighted first sets every entry to 1), summing in entry order.
+func finishCSR(c *tensor.CSR[float64], unweighted bool) {
+	for i, lo := 0, c.RowPtr[0]; i < c.NRows; i++ {
 		hi := c.RowPtr[i+1]
 		row := c.Weights[lo:hi]
 		if lo = hi; len(row) == 0 {
@@ -297,16 +300,17 @@ func finishCSR(c *autodiff.CSR, normalize, unweighted bool, q *tensor.CSR32) {
 			}
 		}
 	}
-	if q != nil {
-		for p, col := range c.ColIdx {
-			q.ColIdx[p] = int32(col)
-		}
-		tensor.QuantizeRow(q.Weights, c.Weights)
-	}
+}
+
+// mirror returns c's float32 mirror over w: c's own row pointers and
+// columns, with w holding float32 of c's weights.
+func mirror(c *tensor.CSR[float64], w []float32) tensor.CSR[float32] {
+	tensor.QuantizeRow(w, c.Weights)
+	return tensor.CSR[float32]{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: c.ColIdx, Weights: w}
 }
 
 // CSR returns the aggregation matrix a names, compiling it on first use.
-func (b *Batch) CSR(a Agg) *autodiff.CSR {
+func (b *Batch) CSR(a Agg) *tensor.CSR[float64] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, c := range b.aggs {
@@ -374,11 +378,11 @@ var fullPool = sync.Pool{New: func() any { return new(graph.ConeCSR) }}
 
 // fullCSR writes the matrix a names over a FullBatch's node set into out
 // with the snapshot's row writer, then finishCSR.
-func (b *Batch) fullCSR(a Agg, out *graph.ConeCSR) *autodiff.CSR {
+func (b *Batch) fullCSR(a Agg, out *graph.ConeCSR) *tensor.CSR[float64] {
 	t, selfLoop, unweighted := a.form()
 	b.snap.FullCSR(b.full, []graph.CSRForm{{Type: t, SelfLoop: selfLoop}}, out)
 	c := &out.Mats[0]
-	finishCSR(c, true, unweighted, nil)
+	finishCSR(c, unweighted)
 	return c
 }
 
@@ -387,7 +391,7 @@ func (b *Batch) fullCSR(a Agg, out *graph.ConeCSR) *autodiff.CSR {
 // flat arrays registered for Release: a counting sort by destination
 // that keeps the edges' input order within a row, then the self-loop if
 // a has one, then finishCSR. Callers must hold b.mu.
-func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
+func (b *Batch) buildCSR(a Agg) *tensor.CSR[float64] {
 	t, selfLoop, unweighted := a.form()
 	var es []graph.LocalEdge
 	if t == graph.AllTypes {
@@ -400,7 +404,7 @@ func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
 	if selfLoop {
 		nnz += n
 	}
-	rowPtr, colIdx, weights := b.getInts(n+1), b.getInts(nnz), b.getFloats(nnz)
+	rowPtr, colIdx, weights := b.getInts(n+1), b.getInts32(nnz), b.getFloats(nnz)
 	next := tensor.GetInts(n)
 	for _, e := range es {
 		next[e.Dst]++
@@ -418,25 +422,25 @@ func (b *Batch) buildCSR(a Agg) *autodiff.CSR {
 	for _, e := range es {
 		p := next[e.Dst]
 		next[e.Dst]++
-		colIdx[p], weights[p] = e.Src, e.Weight
+		colIdx[p], weights[p] = int32(e.Src), e.Weight
 	}
 	if selfLoop {
 		for i := 0; i < n; i++ {
-			colIdx[next[i]], weights[next[i]] = i, 1
+			colIdx[next[i]], weights[next[i]] = int32(i), 1
 		}
 	}
 	tensor.PutInts(next)
-	c := &autodiff.CSR{NRows: n, NCols: n, RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
-	finishCSR(c, true, unweighted, nil)
+	c := &tensor.CSR[float64]{NRows: n, NCols: n, RowPtr: rowPtr, ColIdx: colIdx, Weights: weights}
+	finishCSR(c, unweighted)
 	return c
 }
 
 // Matrices returns the aggregation matrices compiled so far, in the
 // order they were first asked for.
-func (b *Batch) Matrices() []*autodiff.CSR {
+func (b *Batch) Matrices() []*tensor.CSR[float64] {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]*autodiff.CSR, len(b.aggs))
+	out := make([]*tensor.CSR[float64], len(b.aggs))
 	for i, c := range b.aggs {
 		out[i] = c.csr
 	}
@@ -444,7 +448,7 @@ func (b *Batch) Matrices() []*autodiff.CSR {
 }
 
 // TypedMeanCSR is CSR(TypedMean(t)).
-func (b *Batch) TypedMeanCSR(t int) *autodiff.CSR { return b.CSR(TypedMean(t)) }
+func (b *Batch) TypedMeanCSR(t int) *tensor.CSR[float64] { return b.CSR(TypedMean(t)) }
 
 // NumEdgeTypes returns the number of edge types in the batch.
 func (b *Batch) NumEdgeTypes() int {

@@ -1,9 +1,6 @@
 package gnn
 
-import (
-	"turbo/internal/autodiff"
-	"turbo/internal/tensor"
-)
+import "turbo/internal/tensor"
 
 // embed.go is the model half of the lambda-tier embedding split: batch
 // forwards (InferEmbed) precompute every node's penultimate-layer
@@ -34,7 +31,7 @@ import (
 type EmbedStar struct {
 	Gather  []int32
 	RowPtr  []int
-	Cols    []int
+	Cols    []int32
 	Weights []float64
 }
 
@@ -47,7 +44,7 @@ type EmbedStar struct {
 // k.
 func CutStars(m Model, b *Batch, rows []int, uni []int32, put func(k int, s *EmbedStar)) {
 	stacks := m.specs().F64.Stacks
-	mats := make([]*autodiff.CSR, len(stacks))
+	mats := make([]*tensor.CSR[float64], len(stacks))
 	for i := range stacks {
 		mats[i] = b.CSR(stacks[i].Agg)
 	}
@@ -75,37 +72,37 @@ const starWork = 1 << 10
 // cutStar copies row r of each matrix in mats into a star. local maps a
 // column of the batch to its gathered position; it is zero on entry and
 // on return.
-func cutStar(mats []*autodiff.CSR, r int, uni []int32, local []int32) *EmbedStar {
-	universe := func(j int) int32 {
+func cutStar(mats []*tensor.CSR[float64], r int, uni []int32, local []int32) *EmbedStar {
+	universe := func(j int32) int32 {
 		if uni == nil {
-			return int32(j)
+			return j
 		}
 		return uni[j]
 	}
 	nnz, nGather := 0, int32(1)
 	for _, a := range mats {
 		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-			if j != r && local[j] == 0 {
+			if int(j) != r && local[j] == 0 {
 				local[j] = nGather
 				nGather++
 			}
 		}
 		nnz += a.RowPtr[r+1] - a.RowPtr[r]
 	}
-	ints := make([]int, len(mats)+1+nnz)
+	ints := make([]int32, int(nGather)+nnz)
 	s := &EmbedStar{
-		Gather:  make([]int32, nGather),
-		RowPtr:  ints[: len(mats)+1 : len(mats)+1],
-		Cols:    ints[len(mats)+1:],
+		Gather:  ints[:nGather:nGather],
+		RowPtr:  make([]int, len(mats)+1),
+		Cols:    ints[nGather:],
 		Weights: make([]float64, 0, nnz),
 	}
-	s.Gather[0] = universe(r)
+	s.Gather[0] = universe(int32(r))
 	for i, a := range mats {
 		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
 		p := s.RowPtr[i]
 		for e, j := range a.ColIdx[lo:hi] {
-			if j != r {
-				s.Cols[p+e] = int(local[j])
+			if int(j) != r {
+				s.Cols[p+e] = local[j]
 				s.Gather[local[j]] = universe(j)
 			}
 		}

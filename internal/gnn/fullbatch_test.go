@@ -5,8 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
@@ -53,7 +53,7 @@ func fullNodes(snap *graph.Snapshot, seed uint64) []graph.NodeID {
 
 // sameCSR fails unless a and b hold the same pattern and bit-identical
 // weights.
-func sameCSR(t *testing.T, what string, a, b *autodiff.CSR) {
+func sameCSR(t *testing.T, what string, a, b *tensor.CSR[float64]) {
 	t.Helper()
 	if a.NRows != b.NRows || a.NCols != b.NCols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
 		t.Fatalf("%s: pattern differs", what)
@@ -66,7 +66,7 @@ func sameCSR(t *testing.T, what string, a, b *autodiff.CSR) {
 }
 
 // sameCSR32 is sameCSR for the float32 mirrors.
-func sameCSR32(t *testing.T, what string, a, b *tensor.CSR32) {
+func sameCSR32(t *testing.T, what string, a, b *tensor.CSR[float32]) {
 	t.Helper()
 	if !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
 		t.Fatalf("%s: float32 mirror pattern differs", what)
@@ -74,6 +74,21 @@ func sameCSR32(t *testing.T, what string, a, b *tensor.CSR32) {
 	for p := range a.Weights {
 		if math.Float32bits(a.Weights[p]) != math.Float32bits(b.Weights[p]) {
 			t.Fatalf("%s: float32 mirror entry %d weight %v, want %v", what, p, a.Weights[p], b.Weights[p])
+		}
+	}
+}
+
+// isMirror fails unless q is c's float32 mirror: c's own RowPtr and
+// ColIdx arrays, and weights that are bitwise float32 of c's.
+func isMirror(t *testing.T, what string, c *tensor.CSR[float64], q *tensor.CSR[float32]) {
+	t.Helper()
+	if unsafe.SliceData(q.RowPtr) != unsafe.SliceData(c.RowPtr) || len(q.RowPtr) != len(c.RowPtr) ||
+		unsafe.SliceData(q.ColIdx) != unsafe.SliceData(c.ColIdx) || len(q.ColIdx) != len(c.ColIdx) {
+		t.Fatalf("%s: float32 mirror does not share the float64 matrix's RowPtr and ColIdx", what)
+	}
+	for p, w := range c.Weights {
+		if math.Float32bits(q.Weights[p]) != math.Float32bits(float32(w)) {
+			t.Fatalf("%s: float32 mirror entry %d weight %v, want float32(%v)", what, p, q.Weights[p], w)
 		}
 	}
 }
@@ -131,7 +146,10 @@ func testFullBatch(t *testing.T, aggs []Agg, seed uint64, snap *graph.Snapshot) 
 		for _, a := range aggs {
 			what := fmt.Sprintf("%s agg %d", name, a)
 			sameCSR(t, what, got.CSR(a), ref.CSR(a))
-			sameCSR32(t, what, got.CSR32For(got.CSR(a)), ref.CSR32For(ref.CSR(a)))
+			gq, rq := got.CSR32For(got.CSR(a)), ref.CSR32For(ref.CSR(a))
+			sameCSR32(t, what, gq, rq)
+			isMirror(t, what+" FullBatch", got.CSR(a), gq)
+			isMirror(t, what+" NewBatch", ref.CSR(a), rq)
 		}
 		src, dst, segments := gatOracle(mergeEdges(ref.TypedEdges), ref.NumNodes)
 		for _, b := range []*Batch{got, ref} {

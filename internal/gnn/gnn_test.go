@@ -131,7 +131,7 @@ func TestTypedMeanCSRKeepsWeights(t *testing.T) {
 	csr := b.TypedMeanCSR(0)
 	weights := map[int]float64{}
 	for p := csr.RowPtr[0]; p < csr.RowPtr[1]; p++ {
-		weights[csr.ColIdx[p]] = csr.Weights[p]
+		weights[int(csr.ColIdx[p])] = csr.Weights[p]
 	}
 	// Weighted average: 3/(3+1) and 1/(3+1).
 	if math.Abs(weights[1]-0.75) > 1e-12 || math.Abs(weights[2]-0.25) > 1e-12 {
@@ -146,7 +146,8 @@ func TestIsolatedNodeAggregationIsZeroSafe(t *testing.T) {
 	_ = g.AddEdgeWeight(0, 0, 1, 1, never)
 	g.AddNode(2) // isolated
 	b := NewBatch(fullSubgraph(g, 3), tensor.FromRows([][]float64{{1}, {2}, {3}}))
-	out := b.CSR(MergedMean).MatMul(b.X)
+	out := tensor.New(3, 1)
+	b.CSR(MergedMean).MatMulInto(out, b.X)
 	if out.At(2, 0) != 0 {
 		t.Fatalf("isolated node aggregate should be 0: %v", out.At(2, 0))
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/nn"
 	"turbo/internal/tensor"
 )
@@ -43,9 +42,9 @@ type Fwd[F tensor.Float] struct {
 	mats []*tensor.Mat[F]
 	used int
 	cone Cone
-	hs   []*tensor.Mat[F] // one block per stack, handed to a Spec's readout
-	star autodiff.CSR     // one stack's row of a serving star (InferFinal)
-	view tensor.Mat[F]    // one tile of a full-height input (rowsView)
+	hs   []*tensor.Mat[F]    // one block per stack, handed to a Spec's readout
+	star tensor.CSR[float64] // one stack's row of a serving star (InferFinal)
+	view tensor.Mat[F]       // one tile of a full-height input (rowsView)
 	agg  aggScratch
 	// serial runs the dense kernels on the calling goroutine: set while
 	// Infer computes a step's tiles, since the other loops already
@@ -233,8 +232,10 @@ type Cone struct {
 	pos   []int // node → index in order, −1 outside the cone
 }
 
-// build resets c to the rows of a within hops in-hops of node.
-func (c *Cone) build(a *autodiff.CSR, node, hops int) {
+// buildCone resets c to the rows of a within hops in-hops of node. A
+// float32 mirror shares its matrix's rows, so either gives the same
+// cone.
+func buildCone[F tensor.Float](c *Cone, a *tensor.CSR[F], node, hops int) {
 	c.pos = slices.Grow(c.pos[:0], a.NRows)[:a.NRows]
 	for i := range c.pos {
 		c.pos[i] = -1
@@ -248,7 +249,7 @@ func (c *Cone) build(a *autodiff.CSR, node, hops int) {
 			for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
 				if c.pos[j] < 0 {
 					c.pos[j] = len(c.order)
-					c.order = append(c.order, j)
+					c.order = append(c.order, int(j))
 				}
 			}
 		}
@@ -262,9 +263,9 @@ func (c *Cone) build(a *autodiff.CSR, node, hops int) {
 func (c *Cone) Rows(d int) []int { return c.order[:c.upto[d]] }
 
 // NewCone returns the cone of node on a, hops in-hops deep.
-func NewCone(a *autodiff.CSR, node, hops int) *Cone {
+func NewCone(a *tensor.CSR[float64], node, hops int) *Cone {
 	c := new(Cone)
-	c.build(a, node, hops)
+	buildCone(c, a, node, hops)
 	return c
 }
 
@@ -285,7 +286,7 @@ func (f *Fwd[F]) ConeForward(st *Stack[F], b *Batch, node int) *tensor.Mat[F] {
 		depth = layers
 	}
 	c := &f.cone
-	c.build(op.a, node, depth)
+	buildCone(c, op, node, depth)
 	h := f.SelectRows(x, c.Rows(depth))
 	for l := 0; l < layers; l++ {
 		rows := c.Rows(layers - 1 - l)
@@ -306,21 +307,14 @@ func (f *Fwd[F]) ConeForward(st *Stack[F], b *Batch, node int) *tensor.Mat[F] {
 	return h
 }
 
-// operand is the aggregation matrix a stack reads, in the form each
-// precision's row kernel takes: the float64 CSR, which also fixes the
-// cone, and at float32 its mirror (Batch.CSR32For).
-type operand struct {
-	a *autodiff.CSR
-	q *tensor.CSR32
-}
-
-// operandFor returns b's matrix for agg at precision F.
-func operandFor[F tensor.Float](b *Batch, agg Agg) operand {
-	op := operand{a: b.CSR(agg)}
-	if _, ok := any((*F)(nil)).(*float32); ok {
-		op.q = b.CSR32For(op.a)
+// operandFor returns b's matrix for agg at precision F: the float64 CSR,
+// or its float32 mirror (Batch.CSR32For).
+func operandFor[F tensor.Float](b *Batch, agg Agg) *tensor.CSR[F] {
+	a := b.CSR(agg)
+	if op, ok := any(a).(*tensor.CSR[F]); ok {
+		return op
 	}
-	return op
+	return any(b.CSR32For(a)).(*tensor.CSR[F])
 }
 
 // inputFor returns b's features at precision F: X, or X32.
@@ -335,7 +329,7 @@ func inputFor[F tensor.Float](b *Batch) *tensor.Mat[F] {
 // aggregation over src into len(rows)×width scratch, each row with the
 // per-row arithmetic of the full forward. src holds node j in row j, or
 // in row pos[j] when pos is given.
-func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op operand, src *tensor.Mat[F], rows, pos []int) *tensor.Mat[F] {
+func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op *tensor.CSR[F], src *tensor.Mat[F], rows, pos []int) *tensor.Mat[F] {
 	out := f.Get(len(rows), st.aggWidth(l, src))
 	aggregate(out, st.heads(), op, src, rows, pos, 0, &f.agg)
 	return out
@@ -346,7 +340,7 @@ func (f *Fwd[F]) aggregateRows(st *Stack[F], l int, op operand, src *tensor.Mat[
 // by row, so any partition of the rows reproduces the full product
 // bitwise. Infer calls it on one tile of a step, on the tile's loop,
 // and InferFinal on a star's one row.
-func (f *Fwd[F]) aggregateRange(st *Stack[F], l int, op operand, src *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
+func (f *Fwd[F]) aggregateRange(st *Stack[F], l int, op *tensor.CSR[F], src *tensor.Mat[F], lo, hi int) *tensor.Mat[F] {
 	out := f.Get(hi-lo, st.aggWidth(l, src))
 	aggregate(out, st.heads(), op, src, nil, nil, lo, &f.agg)
 	return out
@@ -366,8 +360,8 @@ type aggScratch struct {
 // projection. src holds node j in row j, or in row pos[j] when pos is
 // given. It is the aggregation's one precision dispatch: the float64
 // rows run CSRRowInto or attendRow, the float32 rows CSRRow32Into or
-// attendRow32 over op's mirror.
-func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *tensor.Mat[F], rows, pos []int, lo int, s *aggScratch) {
+// attendRow32.
+func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op *tensor.CSR[F], src *tensor.Mat[F], rows, pos []int, lo int, s *aggScratch) {
 	dst := func(k int) int {
 		if rows != nil {
 			return rows[k]
@@ -376,7 +370,7 @@ func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *t
 	}
 	switch out := any(out).(type) {
 	case *tensor.Matrix:
-		src, a := any(src).(*tensor.Matrix), op.a
+		src, a := any(src).(*tensor.Matrix), any(op).(*tensor.CSR[float64])
 		for k := range out.Rows {
 			i := dst(k)
 			c0, c1 := a.RowPtr[i], a.RowPtr[i+1]
@@ -391,7 +385,7 @@ func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *t
 			attendRow(out.Row(k), src, heads, self, a.ColIdx[c0:c1], pos)
 		}
 	case *tensor.Matrix32:
-		src, a := any(src).(*tensor.Matrix32), op.q
+		src, a := any(src).(*tensor.Matrix32), any(op).(*tensor.CSR[float32])
 		for k := range out.Rows {
 			i := dst(k)
 			c0, c1 := a.RowPtr[i], a.RowPtr[i+1]
@@ -424,13 +418,13 @@ func aggregate[F tensor.Float](out *tensor.Mat[F], heads int, op operand, src *t
 // is given. α is recomputed per pass instead of stored: exp is
 // deterministic, so the third pass multiplies by the very α the tape's
 // SegmentSoftmax produces, and no scratch is shared between rows.
-func attendRow(drow []float64, z *tensor.Matrix, heads, self int, cols, pos []int) {
+func attendRow(drow []float64, z *tensor.Matrix, heads, self int, cols []int32, pos []int) {
 	d := len(drow) / heads
 	src := func(p int) []float64 {
 		if pos != nil {
 			return z.Row(pos[cols[p]])
 		}
-		return z.Row(cols[p])
+		return z.Row(int(cols[p]))
 	}
 	for k := 0; k < heads; k++ {
 		sc := len(drow) + 2*k

@@ -365,7 +365,7 @@ func (m *GAT) Parameters() []*nn.Parameter {
 type gatStructure struct {
 	src, dst []int   // per edge, including self-loops
 	segments [][]int // edge indices grouped by destination
-	scatter  *autodiff.CSR
+	scatter  *tensor.CSR[float64]
 }
 
 // gatStruct returns the batch's cached GAT edge structure, building it on
@@ -388,13 +388,13 @@ func (b *Batch) gatStruct() *gatStructure {
 // edges in that order. The scatter matrix (scatter[dst, e] = 1, summing
 // the α-weighted per-edge source features per node) shares rw's row
 // pointers: row j lists j's edges by ascending source, hence ascending
-// edge index, then its self-loop. Its ColIdx rows double as the softmax
+// edge index, then its self-loop; those rows, as ints, are the softmax
 // segments. Callers must hold b.mu.
-func (b *Batch) buildGATStructure(rw *autodiff.CSR) *gatStructure {
+func (b *Batch) buildGATStructure(rw *tensor.CSR[float64]) *gatStructure {
 	n, nE := b.NumNodes, rw.NNZ()
 	m := nE - n // the merged edges
 	s := &gatStructure{src: b.getInts(nE), dst: b.getInts(nE)}
-	colIdx, weights := b.getInts(nE), b.getFloats(nE)
+	edges, colIdx, weights := b.getInts(nE), b.getInts32(nE), b.getFloats(nE)
 	next := tensor.GetInts(n + 1)
 	for _, i := range rw.ColIdx {
 		next[i+1]++
@@ -406,19 +406,19 @@ func (b *Batch) buildGATStructure(rw *autodiff.CSR) *gatStructure {
 		last := rw.RowPtr[j+1] - 1
 		for p := rw.RowPtr[j]; p < last; p++ {
 			i := rw.ColIdx[p]
-			s.src[next[i]], s.dst[next[i]], colIdx[p] = i, j, next[i]
+			s.src[next[i]], s.dst[next[i]], edges[p] = int(i), j, next[i]
 			next[i]++
 		}
-		s.src[m+j], s.dst[m+j], colIdx[last] = j, j, m+j
+		s.src[m+j], s.dst[m+j], edges[last] = j, j, m+j
 	}
 	tensor.PutInts(next)
-	for p := range weights {
-		weights[p] = 1
+	for p, e := range edges {
+		colIdx[p], weights[p] = int32(e), 1
 	}
-	s.scatter = &autodiff.CSR{NRows: n, NCols: nE, RowPtr: rw.RowPtr, ColIdx: colIdx, Weights: weights}
+	s.scatter = &tensor.CSR[float64]{NRows: n, NCols: nE, RowPtr: rw.RowPtr, ColIdx: colIdx, Weights: weights}
 	s.segments = make([][]int, n)
 	for i := range s.segments {
-		s.segments[i] = colIdx[rw.RowPtr[i]:rw.RowPtr[i+1]]
+		s.segments[i] = edges[rw.RowPtr[i]:rw.RowPtr[i+1]]
 	}
 	return s
 }

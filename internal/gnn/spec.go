@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/graph"
 	"turbo/internal/tensor"
 )
@@ -166,7 +165,7 @@ func (s *Spec[F]) Infer(f *Fwd[F], b *Batch, capture []*tensor.Mat[F]) *tensor.M
 		aggs[i] = stacks[i].Agg
 	}
 	b.compile(aggs)
-	ops := make([]operand, len(stacks))
+	ops := make([]*tensor.CSR[F], len(stacks))
 	// Per stack: the step's input rows, their projection (the input
 	// itself for a weighted stack) and the step's output rows.
 	hs, srcs, outs := make([]*tensor.Mat[F], len(stacks)), make([]*tensor.Mat[F], len(stacks)), make([]*tensor.Mat[F], len(stacks))
@@ -217,7 +216,7 @@ func (s *Spec[F]) Infer(f *Fwd[F], b *Batch, capture []*tensor.Mat[F]) *tensor.M
 		for i := range stacks {
 			st := &stacks[i]
 			w, aw := st.Widths[l+1], st.aggWidth(l, srcs[i])
-			work += ops[i].a.NNZ()*aw + n*(hs[i].Cols+aw)*w
+			work += ops[i].NNZ()*aw + n*(hs[i].Cols+aw)*w
 			switch {
 			case last:
 				outs[i] = nil
@@ -394,8 +393,8 @@ func (s *Specs) InferFinal(f *Fwd[float64], star *EmbedStar, hs []*tensor.Matrix
 		}
 		// Stack i's row of the star as a one-row matrix over the gathered
 		// block: its destination, row 0, is the target.
-		f.star = autodiff.CSR{NRows: 1, NCols: len(star.Gather), RowPtr: star.RowPtr[i : i+2], ColIdx: star.Cols, Weights: star.Weights}
-		hN := f.aggregateRange(st, l, operand{a: &f.star}, src, 0, 1)
+		f.star = tensor.CSR[float64]{NRows: 1, NCols: len(star.Gather), RowPtr: star.RowPtr[i : i+2], ColIdx: star.Cols, Weights: star.Weights}
+		hN := f.aggregateRange(st, l, &f.star, src, 0, 1)
 		rows[i] = st.Layer(f, l, hs[i].RowView(0), hN)
 	}
 	return s.F64.Readout(f, rows).Data[0]

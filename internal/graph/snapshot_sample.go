@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"turbo/internal/autodiff"
 	"turbo/internal/tensor"
 )
 
@@ -157,10 +156,11 @@ type ConeCSR struct {
 	// self-loop if the form has one. Rows outside the cone hold only
 	// that self-loop. These are the rows gnn.NewBatch's CSRs hold before
 	// normalization.
-	Mats []autodiff.CSR
+	Mats []tensor.CSR[float64]
 
-	rowPtr, colIdx []int
-	weights        []float64
+	rowPtr  []int
+	colIdx  []int32
+	weights []float64
 }
 
 // SampleCSR draws the sample Sample draws with the same options and
@@ -231,14 +231,14 @@ func (w *sampleWalk) writeCSR(forms []CSRForm, out *ConeCSR) {
 				for k := first; k <= last; k++ {
 					for b := bitmap[k]; b != 0; b &= b - 1 {
 						i := k<<6 | bits.TrailingZeros64(b)
-						colIdx[p], weights[p] = i, acc[i]
+						colIdx[p], weights[p] = int32(i), acc[i]
 						p++
 					}
 					bitmap[k] = 0
 				}
 			}
 			if f.SelfLoop {
-				colIdx, weights = append(colIdx, j), append(weights, 1)
+				colIdx, weights = append(colIdx, int32(j)), append(weights, 1)
 			}
 		}
 		rowPtr = append(rowPtr, len(colIdx)-base)
@@ -251,7 +251,7 @@ func (w *sampleWalk) writeCSR(forms []CSRForm, out *ConeCSR) {
 	out.Mats = slices.Grow(out.Mats[:0], len(forms))[:len(forms)]
 	for k, p := 0, 0; k < len(forms); k++ {
 		ptr := rowPtr[k*(n+1) : (k+1)*(n+1)]
-		out.Mats[k] = autodiff.CSR{NRows: n, NCols: n, RowPtr: ptr, ColIdx: colIdx[p : p+ptr[n]], Weights: weights[p : p+ptr[n]]}
+		out.Mats[k] = tensor.CSR[float64]{NRows: n, NCols: n, RowPtr: ptr, ColIdx: colIdx[p : p+ptr[n]], Weights: weights[p : p+ptr[n]]}
 		p += ptr[n]
 	}
 }

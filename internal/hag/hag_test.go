@@ -77,7 +77,8 @@ func TestSAOResistsCliqueOversmoothing(t *testing.T) {
 
 	// GCN-style: one unweighted mean over Ñ(v) (no transform, to isolate
 	// the aggregation operator itself).
-	gcnAgg := b.CSR(gnn.MergedRW).MatMul(b.X)
+	gcnAgg := tensor.New(b.X.Rows, b.X.Cols)
+	b.CSR(gnn.MergedRW).MatMulInto(gcnAgg, b.X)
 	gcnSpread := embeddingSpread(gcnAgg)
 	inputSpread := embeddingSpread(b.X)
 	if gcnSpread > 0.25*inputSpread {

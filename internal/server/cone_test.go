@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"turbo/internal/autodiff"
 	"turbo/internal/behavior"
@@ -455,8 +456,12 @@ func checkConeCSR(t *testing.T, snap *graph.Snapshot, target graph.NodeID, opts 
 				target, a, got.RowPtr, got.ColIdx, got.Weights, want.RowPtr, want.ColIdx, want.Weights)
 		}
 		q := b.CSR32For(got)
+		if unsafe.SliceData(q.RowPtr) != unsafe.SliceData(got.RowPtr) || len(q.RowPtr) != len(got.RowPtr) ||
+			unsafe.SliceData(q.ColIdx) != unsafe.SliceData(got.ColIdx) || len(q.ColIdx) != len(got.ColIdx) {
+			t.Fatalf("node %d, aggregation %d: the mirror does not share the matrix's RowPtr and ColIdx", target, a)
+		}
 		for k, w := range got.Weights {
-			if q.ColIdx[k] != int32(got.ColIdx[k]) || math.Float32bits(q.Weights[k]) != math.Float32bits(float32(w)) {
+			if q.ColIdx[k] != got.ColIdx[k] || math.Float32bits(q.Weights[k]) != math.Float32bits(float32(w)) {
 				t.Fatalf("node %d, aggregation %d, entry %d: mirror (%d, %v), want (%d, %v)", target, a, k, q.ColIdx[k], q.Weights[k], got.ColIdx[k], float32(w))
 			}
 		}

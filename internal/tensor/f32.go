@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // f32.go holds the float32 serving kernels: the dense and CSR products
-// over Matrix32/CSR32, driven by the FMA kernel set in kernels.go, and
+// over Matrix32 and CSR[float32], driven by the FMA kernel set in kernels.go, and
 // the float32 bodies the generic element-wise entry points dispatch to.
 // They serve inference only — training and the reference scoring path
 // stay float64 — so the contract here is a bounded |Δlogit| versus the
@@ -199,43 +199,4 @@ func softmaxRows32(m *Matrix32) {
 			row[j] *= inv
 		}
 	}
-}
-
-// CSR32 is a float32 compressed-sparse-row adjacency operand. RowPtr may
-// alias the source CSR's (it is read-only in every kernel); ColIdx is
-// int32 so the gather kernel indexes it directly.
-type CSR32 struct {
-	NRows, NCols int
-	RowPtr       []int
-	ColIdx       []int32
-	Weights      []float32
-}
-
-// MatMulInto computes dst = c × h, accumulating into a zeroed dst.
-func (c *CSR32) MatMulInto(dst, h *Matrix32) {
-	if c.NCols != h.Rows || dst.Rows != c.NRows || dst.Cols != h.Cols {
-		panic("tensor: CSR32 MatMulInto shape mismatch")
-	}
-	n := h.Cols
-	nnz := 0
-	if len(c.RowPtr) > 0 {
-		nnz = c.RowPtr[len(c.RowPtr)-1]
-	}
-	ParallelRows(c.NRows, nnz*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, e := c.RowPtr[i], c.RowPtr[i+1]
-			csrRow(dst.Data[i*n:(i+1)*n], c.ColIdx[s:e], c.Weights[s:e], h.Data, n)
-		}
-	})
-}
-
-// CSRRow32Into accumulates Σ_p w[p]·h[cols[p], off:off+len(drow)] into
-// the zeroed drow: the row kernel of CSR32.MatMulInto with the columns
-// supplied by the caller, so a cone forward can point them at a gathered
-// block of rows and multi-head attention at one head's column block.
-func CSRRow32Into(drow []float32, cols []int32, w []float32, h *Matrix32, off int) {
-	if off < 0 || off+len(drow) > h.Cols {
-		panic("tensor: CSRRow32Into column block out of range")
-	}
-	csrRow(drow, cols, w, h.Data[off:], h.Cols)
 }

@@ -139,9 +139,10 @@ func dgemmRowGeneric(drow, arow, b []float64, ldb int) {
 // non-nil, and len(drow) == h.Cols. Unlike dgemmRow there is no zero
 // test: a zero weight still adds its (signed-zero or NaN) products, as
 // the scalar CSR loops did. Same register-resident tiling as dgemmRow;
-// the tiles check every gathered index against pos and h.Rows, so an
-// index outside them (a -1 from a cone's position map) panics.
-func dcsrRow(drow []float64, cols, pos []int, w []float64, h *Matrix) {
+// the tiles sign-extend each column and check every gathered index
+// against pos and h.Rows, so an index outside them (a negative column,
+// a -1 from a cone's position map) panics.
+func dcsrRow(drow []float64, cols []int32, pos []int, w []float64, h *Matrix) {
 	n := len(drow)
 	if len(cols) == 0 || n == 0 {
 		return
@@ -165,8 +166,9 @@ func dcsrRow(drow []float64, cols, pos []int, w []float64, h *Matrix) {
 	}
 }
 
-func dcsrRowGeneric(drow []float64, cols, pos []int, w, h []float64, ldh int) {
-	for p, r := range cols {
+func dcsrRowGeneric(drow []float64, cols []int32, pos []int, w, h []float64, ldh int) {
+	for p, c := range cols {
+		r := int(c)
 		if pos != nil {
 			r = pos[r]
 		}
@@ -179,11 +181,11 @@ func dcsrRowGeneric(drow []float64, cols, pos []int, w, h []float64, ldh int) {
 }
 
 // panicGather reports the CSR entry p that a dcsrRow tile refused.
-func panicGather(cols, pos []int, p, rows int) {
-	if pos != nil && uint(cols[p]) >= uint(len(pos)) {
-		panic(fmt.Sprintf("tensor: CSR entry %d: column %d outside pos (%d entries)", p, cols[p], len(pos)))
+func panicGather(cols []int32, pos []int, p, rows int) {
+	r := int(cols[p])
+	if pos != nil && uint(r) >= uint(len(pos)) {
+		panic(fmt.Sprintf("tensor: CSR entry %d: column %d outside pos (%d entries)", p, r, len(pos)))
 	}
-	r := cols[p]
 	if pos != nil {
 		r = pos[r]
 	}

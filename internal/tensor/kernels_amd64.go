@@ -73,15 +73,15 @@ func tanh64AVX2(v []float64)
 
 // dcsrRowJ16 computes drow[j] += Σ_p w[p]*h[r(p)*ldh+j] for a 16-column
 // float64 tile held in registers across all nonzeros, where r(p) is
-// cols[p], or pos[cols[p]] when pos is non-nil. No zero test; VMULPD+
+// cols[p] sign-extended, or pos[cols[p]] when pos is non-nil. No zero test; VMULPD+
 // VADDPD, no FMA. len(drow) must be exactly 16, len(w) >= len(cols),
 // and h[r*ldh : r*ldh+16] must be addressable for every r in [0, rows).
 // It returns the first p whose cols[p] is outside pos or whose r(p) is
 // outside [0, rows), leaving drow unwritten, or -1.
-func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+func dcsrRowJ16(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int)
 
 // dcsrRowJ8 is the 8-column variant of dcsrRowJ16.
-func dcsrRowJ8(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+func dcsrRowJ8(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int)
 
 // saxpyAVX2 computes dst[j] += alpha*src[j] in float32 using FMA.
 // len(dst) must be a positive multiple of 8; len(src) >= len(dst).

@@ -461,15 +461,16 @@ tanh64_loop:
 	VZEROUPPER
 	RET
 
-// func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+// func dcsrRowJ16(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int)
 // Gathered-row aggregate: drow[j] += w[p]*h[r*ldh+j] over all p, where
 // r = cols[p], or pos[cols[p]] when pos is non-nil, with the 16-column
 // tile in Y1..Y4 throughout. No zero test (the scalar CSR loops have
 // none); VMULPD then VADDPD with the product first, never FMA. Each
-// gathered index is bounds-checked (cols[p] against len(pos), r against
-// rows) with one unsigned compare, so a negative or too-large index
-// never reads memory: the first bad p is returned and drow is left
-// unwritten. bad is -1 when every row was in range.
+// 4-byte column is sign-extended and each gathered index bounds-checked
+// (cols[p] against len(pos), r against rows) with one unsigned compare,
+// so a negative or too-large index never reads memory: the first bad p
+// is returned and drow is left unwritten. bad is -1 when every row was
+// in range.
 TEXT ·dcsrRowJ16(SB), NOSPLIT, $0-144
 	MOVQ    drow_base+0(FP), DI
 	MOVQ    cols_base+24(FP), SI
@@ -489,7 +490,7 @@ TEXT ·dcsrRowJ16(SB), NOSPLIT, $0-144
 	JZ      dcsr16_done
 
 dcsr16_loop:
-	MOVQ         (SI), AX
+	MOVLQSX      (SI), AX
 	TESTQ        BX, BX
 	JZ           dcsr16_row
 	CMPQ         AX, R10
@@ -510,7 +511,7 @@ dcsr16_row:
 	VADDPD       Y2, Y6, Y2
 	VADDPD       Y3, Y7, Y3
 	VADDPD       Y4, Y8, Y4
-	ADDQ         $8, SI
+	ADDQ         $4, SI
 	ADDQ         $8, R9
 	DECQ         CX
 	JNZ          dcsr16_loop
@@ -531,7 +532,7 @@ dcsr16_bad:
 	VZEROUPPER
 	RET
 
-// func dcsrRowJ8(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int)
+// func dcsrRowJ8(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int)
 // The 8-column variant of dcsrRowJ16, with the same bounds checks.
 TEXT ·dcsrRowJ8(SB), NOSPLIT, $0-144
 	MOVQ    drow_base+0(FP), DI
@@ -550,7 +551,7 @@ TEXT ·dcsrRowJ8(SB), NOSPLIT, $0-144
 	JZ      dcsr8_done
 
 dcsr8_loop:
-	MOVQ         (SI), AX
+	MOVLQSX      (SI), AX
 	TESTQ        BX, BX
 	JZ           dcsr8_row
 	CMPQ         AX, R10
@@ -567,7 +568,7 @@ dcsr8_row:
 	VMULPD       32(AX), Y0, Y6
 	VADDPD       Y1, Y5, Y1
 	VADDPD       Y2, Y6, Y2
-	ADDQ         $8, SI
+	ADDQ         $4, SI
 	ADDQ         $8, R9
 	DECQ         CX
 	JNZ          dcsr8_loop

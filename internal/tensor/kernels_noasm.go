@@ -15,11 +15,11 @@ func relu64AVX2(v []float64) { panic("tensor: simd kernel on non-amd64") }
 
 func tanh64AVX2(v []float64) { panic("tensor: simd kernel on non-amd64") }
 
-func dcsrRowJ16(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int) {
+func dcsrRowJ16(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int) {
 	panic("tensor: simd kernel on non-amd64")
 }
 
-func dcsrRowJ8(drow []float64, cols, pos []int, w, h []float64, ldh, rows int) (bad int) {
+func dcsrRowJ8(drow []float64, cols []int32, pos []int, w, h []float64, ldh, rows int) (bad int) {
 	panic("tensor: simd kernel on non-amd64")
 }
 

@@ -224,10 +224,10 @@ func TestF64KernelsBitwiseProperty(t *testing.T) {
 					// k nonzeros per row over hRows source rows; pos permutes them.
 					h := specialMat(rng, hRows, n)
 					w := make([]float64, rows*k)
-					cols := make([]int, rows*k)
+					cols := make([]int32, rows*k)
 					rowPtr := make([]int, rows+1)
 					for p := range cols {
-						cols[p], w[p] = rng.Intn(hRows), specialRand(rng)
+						cols[p], w[p] = int32(rng.Intn(hRows)), specialRand(rng)
 					}
 					for i := range rowPtr {
 						rowPtr[i] = i * k
@@ -238,7 +238,7 @@ func TestF64KernelsBitwiseProperty(t *testing.T) {
 						for i := 0; i < rows; i++ {
 							drow := want.Row(i)
 							for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-								r := cols[p]
+								r := int(cols[p])
 								if remap {
 									r = pos[r]
 								}
@@ -255,8 +255,9 @@ func TestF64KernelsBitwiseProperty(t *testing.T) {
 							}
 							checkBits(t, "CSRRowInto/pos", simd, n, k, got, want)
 						} else {
-							CSRMatMulInto(got, rowPtr, cols, w, h)
-							checkBits(t, "CSRMatMulInto", simd, n, k, got, want)
+							c := &CSR[float64]{NRows: rows, NCols: hRows, RowPtr: rowPtr, ColIdx: cols, Weights: w}
+							c.MatMulInto(got, h)
+							checkBits(t, "CSR.MatMulInto", simd, n, k, got, want)
 						}
 					}
 				}
@@ -442,22 +443,28 @@ func TestTanh64FollowsGODEBUG(t *testing.T) {
 // TestCSRGatherOutOfRangePanics pins the gather's bounds checks: a
 // cols entry outside pos or outside h, or a pos entry of -1 (a node
 // outside the cone) or past h's last row, panics instead of reading
-// memory around h. Widths 3, 8, 16 and 27 reach the portable loop and
-// both vector tiles; SIMD runs on and off.
+// memory around h. The int32 extremes pin that the vector tiles widen
+// each 4-byte column and compare it unsigned against pos and h, so
+// MinInt32 and MaxInt32 panic like -1 does. Widths 3, 8, 16 and 27
+// reach the portable loop and both vector tiles; SIMD runs on and off.
 func TestCSRGatherOutOfRangePanics(t *testing.T) {
 	hasSIMD := simdEnabled
 	defer func() { simdEnabled = hasSIMD }()
 	cases := []struct {
 		name string
-		cols []int
+		cols []int32
 		pos  []int
 	}{
-		{"pos -1", []int{0, 1}, []int{2, -1, 0}},
-		{"pos past h", []int{1, 2}, []int{0, 1, 4}},
-		{"cols past pos", []int{0, 3}, []int{0, 1, 2}},
-		{"cols -1 through pos", []int{-1}, []int{0, 1, 2}},
-		{"cols past h", []int{0, 4}, nil},
-		{"cols -1", []int{2, -1}, nil},
+		{"pos -1", []int32{0, 1}, []int{2, -1, 0}},
+		{"pos past h", []int32{1, 2}, []int{0, 1, 4}},
+		{"cols past pos", []int32{0, 3}, []int{0, 1, 2}},
+		{"cols -1 through pos", []int32{-1}, []int{0, 1, 2}},
+		{"cols MinInt32 through pos", []int32{0, math.MinInt32}, []int{0, 1, 2}},
+		{"cols MaxInt32 through pos", []int32{math.MaxInt32}, []int{0, 1, 2}},
+		{"cols past h", []int32{0, 4}, nil},
+		{"cols -1", []int32{2, -1}, nil},
+		{"cols MinInt32", []int32{math.MinInt32, 1}, nil},
+		{"cols MaxInt32", []int32{3, math.MaxInt32}, nil},
 	}
 	for _, simd := range []bool{false, true} {
 		if simd && !hasSIMD {
@@ -481,10 +488,11 @@ func TestCSRGatherOutOfRangePanics(t *testing.T) {
 					func() {
 						defer func() {
 							if recover() == nil {
-								t.Errorf("simd=%v n=%d %s: CSRMatMulInto gathered without a panic", simd, n, c.name)
+								t.Errorf("simd=%v n=%d %s: CSR.MatMulInto gathered without a panic", simd, n, c.name)
 							}
 						}()
-						CSRMatMulInto(New(1, n), []int{0, len(c.cols)}, c.cols, w, h)
+						a := &CSR[float64]{NRows: 1, NCols: h.Rows, RowPtr: []int{0, len(c.cols)}, ColIdx: c.cols, Weights: w}
+						a.MatMulInto(New(1, n), h)
 					}()
 				}
 			}
@@ -500,12 +508,12 @@ func TestF64KernelsSerialAllocFree(t *testing.T) {
 	a, b := randMat(rng, 4, 27), randMat(rng, 27, 32)
 	a1, a2 := a.SliceCols(0, 11), a.SliceCols(11, 27)
 	h := randMat(rng, 6, 32)
-	rowPtr, cols, w := []int{0, 2, 2, 5, 6}, []int{1, 3, 0, 5, 2, 4}, []float64{0.5, 0.25, 1, -1, 2, 0.125}
+	c := &CSR[float64]{NRows: 4, NCols: 6, RowPtr: []int{0, 2, 2, 5, 6}, ColIdx: []int32{1, 3, 0, 5, 2, 4}, Weights: []float64{0.5, 0.25, 1, -1, 2, 0.125}}
 	dst := New(4, 32)
 	for name, fn := range map[string]func(){
-		"MatMulInto":      func() { MatMulInto(dst, a, b) },
-		"MatMulSplitInto": func() { MatMulSplitInto(dst, a1, a2, b) },
-		"CSRMatMulInto":   func() { CSRMatMulInto(dst, rowPtr, cols, w, h) },
+		"MatMulInto":     func() { MatMulInto(dst, a, b) },
+		"MulSplitInto":   func() { MulSplitInto(dst, a1, a2, b, false) },
+		"CSR.MatMulInto": func() { c.MatMulInto(dst, h) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s below the parallel threshold: %v allocs per call, want 0", name, allocs)
@@ -746,7 +754,7 @@ func TestCSR32MatMulAgainstGather(t *testing.T) {
 	rng := NewRNG(23)
 	h := randMat(rng, 10, 16)
 	h32 := Quantize(h)
-	c := &CSR32{
+	c := &CSR[float32]{
 		NRows:   4,
 		NCols:   10,
 		RowPtr:  []int{0, 2, 2, 5, 6},
@@ -777,12 +785,12 @@ func TestCSR32MatMulAgainstGather(t *testing.T) {
 
 // TestCSRRow32IntoColumnBlock pins the column-block form of the row
 // kernel (multi-head attention aggregating one head's block of a wider
-// projection) to CSR32.MatMulInto over that block alone, and checks it
+// projection) to CSR.MatMulInto over that block alone, and checks it
 // writes only the destination it is given.
 func TestCSRRow32IntoColumnBlock(t *testing.T) {
 	rng := NewRNG(41)
 	h := Quantize(randMat(rng, 10, 20))
-	c := &CSR32{
+	c := &CSR[float32]{
 		NRows:   4,
 		NCols:   10,
 		RowPtr:  []int{0, 2, 2, 5, 6},

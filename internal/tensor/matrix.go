@@ -51,14 +51,6 @@ func New(rows, cols int) *Matrix { return newMat[float64](rows, cols) }
 // New32 returns a zero-initialized float32 matrix of the given shape.
 func New32(rows, cols int) *Matrix32 { return newMat[float32](rows, cols) }
 
-// FromSlice wraps data (length rows*cols) in a Matrix without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // FromRows builds a matrix copying the given equal-length rows.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
@@ -71,15 +63,6 @@ func FromRows(rows [][]float64) *Matrix {
 			panic(fmt.Sprintf("tensor: ragged row %d (%d != %d)", i, len(r), cols))
 		}
 		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
 	}
 	return m
 }
@@ -171,9 +154,6 @@ func MulSplitInto[F Float](dst, a1, a2, b *Mat[F], serial bool) {
 // MatMulInto is MulInto on float64 matrices, never serial.
 func MatMulInto(dst, a, b *Matrix) { MulInto(dst, a, b, false) }
 
-// MatMulSplitInto is MulSplitInto on float64 matrices, never serial.
-func MatMulSplitInto(dst, a1, a2, b *Matrix) { MulSplitInto(dst, a1, a2, b, false) }
-
 // matMulRange computes rows [lo, hi) of dst = a×b, one dgemmRow per
 // row. The row kernel streams all of B per output row. No model's
 // weight exceeds kd·n = 16,384 (GraphSAGE's 256×64 concat layer at the
@@ -227,7 +207,7 @@ func MatMulRangeInto(dst, a, b *Matrix, lo, hi int) {
 	matMulRange(dst, a, b, lo, hi)
 }
 
-// matMulSplitRange runs rows [lo, hi) of MatMulSplitInto: each row
+// matMulSplitRange runs rows [lo, hi) of MulSplitInto at float64: each row
 // accumulates a1's terms, then a2's, so k ascends over the
 // concatenation.
 func matMulSplitRange(dst, a1, a2, b *Matrix, lo, hi int) {
@@ -242,46 +222,6 @@ func matMulSplitRange(dst, a1, a2, b *Matrix, lo, hi int) {
 		dgemmRow(drow, a1.Data[i*a1.Cols:(i+1)*a1.Cols], b.Data, n)
 		dgemmRow(drow, a2.Data[i*a2.Cols:(i+1)*a2.Cols], b.Data[off:], n)
 	}
-}
-
-// CSRMatMulInto computes dst = A × h for the sparse A whose row i holds
-// the entries (cols[p], w[p]) for p in [rowPtr[i], rowPtr[i+1]),
-// accumulating into a zeroed dst of len(rowPtr)−1 rows and h.Cols
-// columns. Each row runs CSRRowInto's kernel, so any row partition —
-// this call's pool split, or a caller's own row loop — is bitwise the
-// same product. dst must not alias h. Below the parallel threshold it
-// runs inline and allocates nothing.
-func CSRMatMulInto(dst *Matrix, rowPtr, cols []int, w []float64, h *Matrix) {
-	rows := len(rowPtr) - 1
-	if dst.Rows != rows || dst.Cols != h.Cols || len(w) < len(cols) || len(h.Data) < h.Rows*h.Cols {
-		panic("tensor: CSRMatMulInto shape mismatch")
-	}
-	if rowPtr[rows]*h.Cols < parallelThreshold || rows <= 1 {
-		csrRange(dst, rowPtr, cols, w, h, 0, rows)
-		return
-	}
-	parallelRows(rows, func(lo, hi int) { csrRange(dst, rowPtr, cols, w, h, lo, hi) })
-}
-
-func csrRange(dst *Matrix, rowPtr, cols []int, w []float64, h *Matrix, lo, hi int) {
-	n := h.Cols
-	for i := lo; i < hi; i++ {
-		s, e := rowPtr[i], rowPtr[i+1]
-		dcsrRow(dst.Data[i*n:(i+1)*n], cols[s:e], nil, w[s:e], h)
-	}
-}
-
-// CSRRowInto accumulates Σ_p w[p]·h[r(p)] into the zeroed drow, p
-// ascending, where r(p) is cols[p], or pos[cols[p]] when pos is non-nil
-// (a cone forward's gathered block of rows). It is the row kernel of
-// CSRMatMulInto: same arithmetic, no zero test. A gathered row outside
-// h — a cols[p] outside pos, or a -1 that pos keeps for a node outside
-// the cone — panics.
-func CSRRowInto(drow []float64, cols []int, w []float64, h *Matrix, pos []int) {
-	if len(drow) != h.Cols || len(w) < len(cols) || len(h.Data) < h.Rows*h.Cols {
-		panic("tensor: CSRRowInto shape mismatch")
-	}
-	dcsrRow(drow, cols, pos, w, h)
 }
 
 // MatMulTransB returns m × oᵀ: MulTransBInto with a fresh transpose.

@@ -132,26 +132,6 @@ func SoftmaxRowsInto(dst, m *Matrix) {
 	}
 }
 
-// LogSumExpRows returns a Rows×1 matrix of log(Σⱼ exp(mᵢⱼ)).
-func LogSumExpRows(m *Matrix) *Matrix {
-	out := New(m.Rows, 1)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - mx)
-		}
-		out.Data[i] = mx + math.Log(sum)
-	}
-	return out
-}
-
 // SumRows returns a Rows×1 column vector of row sums.
 func SumRows(m *Matrix) *Matrix {
 	out := New(m.Rows, 1)
@@ -171,13 +151,6 @@ func SumRowsInto(dst, m *Matrix) {
 		}
 		dst.Data[i] = s
 	}
-}
-
-// SumCols returns a 1×Cols row vector of column sums.
-func SumCols(m *Matrix) *Matrix {
-	out := New(1, m.Cols)
-	SumColsInto(out, m)
-	return out
 }
 
 // SumColsInto accumulates m's column sums into the zeroed 1×Cols dst,
